@@ -26,7 +26,14 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .calculus import SmoothMap, eval_map, jacobian, make_smooth_map
+from .calculus import (
+    SmoothMap,
+    eval_map,
+    jacobian_not_finite,
+    make_smooth_map,
+    map_not_finite,
+    outside_box,
+)
 from .errors import (
     CocycleViolation,
     DomainViolation,
@@ -36,8 +43,28 @@ from .errors import (
     UnsupportedField,
     VbxError,
 )
-from .expr import Expr, eval_expr, fold_add, fold_mul, max_var_index, num_literal, parse_expr
-from .geometry import Box, box_inside, make_box, region_contains, sample_region, sample_box
+from .expr import (
+    Expr,
+    Program,
+    compile_exprs,
+    eval_expr,
+    fold_add,
+    fold_mul,
+    max_var_index,
+    num_literal,
+    parse_expr,
+    run_program,
+)
+from .geometry import (
+    Box,
+    box_inside,
+    box_mask,
+    make_box,
+    region_contains,
+    region_mask,
+    sample_box,
+    sample_region,
+)
 from .linalg import (
     DEFAULT_TOL,
     FieldTag,
@@ -47,8 +74,11 @@ from .linalg import (
     is_gl,
     make_linear,
     scaled_abs_det,
+    scaled_abs_dets,
 )
 from .report import (
+    MIN_DET,
+    RESIDUAL,
     CheckReport,
     det_record,
     failed_record,
@@ -325,17 +355,203 @@ def change_chart(B: VectorBundleSpec, p: TotalPoint, j: str,
     return TotalPoint(j, y, L.matrix @ np.asarray(p.v, dtype=B.field.dtype))
 
 
+def outside_chart(pt, chart: str) -> DomainViolation:
+    return DomainViolation(f"point {np.asarray(pt).tolist()} outside chart '{chart}'")
+
+
 def make_total_point(B: VectorBundleSpec, chart: str, x, v) -> TotalPoint:
     c = B.base.chart(chart)
     pt = np.asarray(x, dtype=float)
     if pt.shape != (B.base.dim,):
         raise ShapeMismatch(f"base point shape {pt.shape} does not match dim {B.base.dim}")
     if not c.box.contains(pt):
-        raise DomainViolation(f"point {pt.tolist()} outside chart '{chart}'")
+        raise outside_chart(pt, chart)
     vec = np.asarray(v, dtype=B.field.dtype)
     if vec.shape != (B.fiber_dim,):
         raise ShapeMismatch(f"fiber vector shape {vec.shape} does not match dim {B.fiber_dim}")
     return TotalPoint(chart, pt, vec)
+
+
+# ---------------------------------------------------------------------------
+# The sampled-identity harness. Every check suite runs each subject once
+# through _sampled: all of its sample points go through the stages of the
+# identity together, each stage one batched evaluation.
+
+
+class _Trial:
+    """The sample points of one subject and what has become of each.
+
+    Stages run in the order the identity is evaluated at a single point. A
+    sample leaves at its first failure, which becomes its note, or when a
+    triple check finds no overlap to continue in; later stages still
+    compute at it but no longer change its fate. Stage methods take the
+    points X of sample rows `rows` and return one result row per point.
+    """
+
+    def __init__(self, pts: np.ndarray, progs: dict):
+        n = len(pts)
+        self.pts = pts
+        self.rows = np.arange(n)
+        self.progs = progs
+        self.live = np.ones(n, dtype=bool)
+        self.cause = np.full(n, -1)  # per sample, its failure in _whys
+        self._local = np.zeros(n, dtype=int)
+        self._whys: list = []
+
+    def fail(self, rows, mask, why) -> None:
+        """Fail the live samples among rows[mask]. why(j) explains local
+        row j: an exception for an evaluation error, else the note itself."""
+        j = np.flatnonzero(mask)
+        i = rows[j]
+        keep = self.live[i]
+        i, j = i[keep], j[keep]
+        if i.size:
+            self.live[i] = False
+            self.cause[i] = len(self._whys)
+            self._local[i] = j
+            self._whys.append(why)
+
+    def skip(self, rows, mask) -> None:
+        self.live[rows[mask]] = False
+
+    def why(self, i: int):
+        return self._whys[self.cause[i]](self._local[i])
+
+    def program(self, exprs) -> Program:
+        """exprs (a vector, or a matrix flattened row by row) compiled once
+        per suite call: progs is the suite's cache."""
+        hit = self.progs.get(id(exprs))
+        if hit is None:
+            flat = list(exprs) if isinstance(exprs[0], Expr) else [e for row in exprs for e in row]
+            hit = self.progs[id(exprs)] = (exprs, compile_exprs(flat))  # pins the id
+        return hit[1]
+
+    def exprs(self, exprs, X, rows) -> np.ndarray:
+        """eval_expr of every expression at every point: (len(X), count)."""
+        batch = run_program(self.program(exprs), X)
+        self.fail(rows, batch.bad, batch.error)
+        return batch.values
+
+    def matrix(self, g, X, rows, dtype) -> np.ndarray:
+        """_eval_matrix at every point: (len(X), rows of g, columns of g)."""
+        return self.exprs(g, X, rows).reshape(len(X), len(g), -1).astype(dtype)
+
+    def in_box(self, box: Box, X, rows, why) -> None:
+        self.fail(rows, ~box_mask(box, X), why)
+
+    def map(self, F: SmoothMap, X, rows) -> np.ndarray:
+        """eval_map at every point."""
+        self.in_box(F.box, X, rows, lambda j: outside_box(X[j]))
+        Y = self.exprs(F.components, X, rows)
+        self.fail(rows, ~np.isfinite(Y).all(axis=1), lambda j: map_not_finite(X[j]))
+        return Y
+
+    def map_and_jacobian(self, F: SmoothMap, X, rows) -> tuple:
+        """eval_map and jacobian, (len(X), out_dim, in_dim), at every point
+        from one gradient-mode run of the program."""
+        self.in_box(F.box, X, rows, lambda j: outside_box(X[j]))
+        batch = run_program(self.program(F.components), X, grad=True)
+        self.fail(rows, batch.bad, batch.error)
+        self.fail(rows, ~np.isfinite(batch.values).all(axis=1), lambda j: map_not_finite(X[j]))
+        self.fail(rows, ~np.isfinite(batch.grads).all(axis=(1, 2)),
+                  lambda j: jacobian_not_finite(X[j]))
+        return batch.values, batch.grads
+
+    def maps(self, choice, maps, X) -> np.ndarray:
+        """map at each point with the map it chose, NaN where it chose none."""
+        return _per_choice(choice, (maps[0].out_dim,), float,
+                           lambda k, rows: self.map(maps[k], X[rows], rows))
+
+    def matrices(self, choice, gs, X, dtype) -> np.ndarray:
+        """matrix at each point with the matrix it chose, NaN where none."""
+        return _per_choice(choice, (len(gs[0]), len(gs[0][0])), dtype,
+                           lambda k, rows: self.matrix(gs[k], X[rows], rows, dtype))
+
+    def section(self, S: LocalSectionSpec, chart: str, X, rows) -> np.ndarray:
+        """section_eval at every point."""
+        self.in_box(S.bundle.base.chart(chart).box, X, rows,
+                    lambda j: outside_chart(X[j], chart))
+        return self.exprs(S.per_chart[chart], X, rows).astype(S.bundle.field.dtype)
+
+
+def _first_match(regions, X) -> np.ndarray:
+    """Per point, the index of the first region in declaration order that
+    contains it (find_edge's choice), or -1."""
+    at = np.full(len(X), -1)
+    for k, region in enumerate(regions):
+        at[(at < 0) & region_mask(region, X)] = k
+    return at
+
+
+def _per_choice(choice, shape, dtype, stage) -> np.ndarray:
+    """stage(k, rows) on the rows that chose option k, NaN where none was."""
+    out = np.full((len(choice),) + shape, np.nan, dtype=dtype)
+    for k in range(choice.max(initial=-1) + 1):
+        rows = np.flatnonzero(choice == k)
+        if rows.size:
+            out[rows] = stage(k, rows)
+    return out
+
+
+def _live_only(t: _Trial, fn, A, shape) -> np.ndarray:
+    """fn on the live samples whose values are all finite, NaN elsewhere;
+    for the LAPACK calls that reject non-finite input."""
+    ok = t.live & np.isfinite(A).reshape(len(A), -1).all(axis=1)
+    if not ok.any():
+        return np.full((len(A),) + shape, np.nan)
+    part = fn(A[ok])
+    out = np.full((len(A),) + shape, np.nan, dtype=part.dtype)
+    out[ok] = part
+    return out
+
+
+def _sampled(progs: dict, checks, subject: str, pts: np.ndarray, seed: int, evaluate,
+             samples: int | None = None, raise_errors: bool = False) -> list:
+    """The records of one subject's sampled identities.
+
+    progs is the suite call's cache of compiled programs. checks holds (check, kind, tol) for each per-sample value array that
+    evaluate(trial) returns, in record order. A failed sample, or a
+    non-finite value at a live one, fails the subject: one failed record
+    under its first residual check, noting the first such sample in sample
+    order. Triple checks pass samples, the count a failed record reports;
+    for them only samples that stayed live count, and none makes the
+    subject vacuous. With raise_errors an evaluation error propagates.
+    """
+    t = _Trial(pts, progs)
+    with np.errstate(all="ignore"):  # failed samples compute on garbage
+        values = evaluate(t)
+    for (_, kind, _), v in zip(checks, values):
+        label = "residual" if kind == RESIDUAL else "scaled determinant"
+        t.fail(t.rows, ~np.isfinite(v),
+               lambda j, label=label: f"non-finite {label} at {pts[j].tolist()}")
+    name, _, tol = next((c for c in checks if c[1] == RESIDUAL), checks[0])
+    failed = np.flatnonzero(t.cause >= 0)
+    if failed.size:
+        i = failed[0]
+        why = t.why(i)
+        if raise_errors and isinstance(why, VbxError):
+            raise why
+        note = why if isinstance(why, str) else f"evaluation failed at {pts[i].tolist()}: {why}"
+        return [failed_record(name, subject, len(pts) if samples is None else samples, seed,
+                              tol, note)]
+    count = int(t.live.sum())
+    if samples is not None and count == 0:
+        return [vacuous_record(name, subject, seed, tol)]
+    return [residual_record(check, subject, count, seed, tol, np.max(v[t.live], initial=0.0))
+            if kind == RESIDUAL else
+            det_record(check, subject, count, seed, tol, np.min(v[t.live], initial=np.inf))
+            for (check, kind, tol), v in zip(checks, values)]
+
+
+def _component_points(parts, samples: int, seed: int) -> tuple:
+    """Points of every part's region, concatenated in order, and the part
+    index of each point."""
+    pts = [sample_region(p.region, samples, seed) for p in parts]
+    return np.vstack(pts), np.repeat(np.arange(len(pts)), [len(p) for p in pts])
+
+
+def _max_abs(A) -> np.ndarray:
+    return np.max(np.abs(A.reshape(len(A), -1)), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -351,38 +567,25 @@ def check_base_atlas(spec: BaseAtlasSpec, samples: int = DEFAULT_SAMPLES,
     the needed overlaps: tau_jk(tau_ij(x)) = tau_ik(x) where memberships
     allow.
     """
+    progs: dict = {}
     records = []
     for frm, to in sorted({(o.frm, o.to) for o in spec.overlaps}):
+        reverse = spec.overlaps_between(to, frm)
         for comp, o in enumerate(spec.overlaps_between(frm, to)):
-            subject = _overlap_subject(o, comp)
-            pts = sample_region(o.region, samples, seed)
-            reverse = spec.overlaps_between(to, frm)
-            worst_inv = 0.0
-            worst_det = float("inf")
-            trouble = None
-            for x in pts:
-                try:
-                    y = eval_map(o.tau, x)
-                    worst_det = min(worst_det, scaled_abs_det(jacobian(o.tau, x).matrix))
-                    back = None
-                    for rev in reverse:
-                        if region_contains(rev.region, y):
-                            back = eval_map(rev.tau, y)
-                            break
-                    if back is None:
-                        trouble = (f"tau image {y.tolist()} escapes every declared "
-                                   f"{to}->{frm} region")
-                        break
-                    worst_inv = max(worst_inv, float(np.max(np.abs(back - x))))
-                except VbxError as exc:
-                    trouble = f"evaluation failed at {np.asarray(x).tolist()}: {exc}"
-                    break
-            if trouble is not None:
-                records.append(failed_record("tau_inverse", subject, len(pts), seed, tol, trouble))
-            else:
-                records.append(residual_record("tau_inverse", subject, len(pts), seed, tol, worst_inv))
-                records.append(det_record("tau_jacobian", subject, len(pts), seed, DEFAULT_TOL,
-                                          worst_det))
+
+            def evaluate(t, o=o, reverse=reverse, frm=frm, to=to):
+                X = t.pts
+                Y, J = t.map_and_jacobian(o.tau, X, t.rows)
+                back_at = _first_match([r.region for r in reverse], Y)
+                t.fail(t.rows, back_at < 0, lambda j: (f"tau image {Y[j].tolist()} escapes every "
+                                                       f"declared {to}->{frm} region"))
+                back = t.maps(back_at, [r.tau for r in reverse], Y)
+                return _max_abs(back - X), scaled_abs_dets(J)
+
+            records += _sampled(progs, [("tau_inverse", RESIDUAL, tol),
+                                        ("tau_jacobian", MIN_DET, DEFAULT_TOL)],
+                                _overlap_subject(o, comp),
+                                sample_region(o.region, samples, seed), seed, evaluate)
 
     names = [c.name for c in spec.charts]
     for i in names:
@@ -395,72 +598,48 @@ def check_base_atlas(spec: BaseAtlasSpec, samples: int = DEFAULT_SAMPLES,
                 ik = spec.overlaps_between(i, k)
                 if not ij or not jk or not ik:
                     continue
-                subject = f"{i}->{j}->{k}"
-                worst = 0.0
-                hits = 0
-                trouble = None
-                for o in ij:
-                    pts = sample_region(o.region, samples, seed)
-                    for x in pts:
-                        try:
-                            y = eval_map(o.tau, x)
-                            step2 = next((p for p in jk if region_contains(p.region, y)), None)
-                            direct = next((p for p in ik if region_contains(p.region, x)), None)
-                            if step2 is None or direct is None:
-                                continue
-                            z = eval_map(step2.tau, y)
-                            z_direct = eval_map(direct.tau, x)
-                        except VbxError as exc:
-                            trouble = f"evaluation failed at {np.asarray(x).tolist()}: {exc}"
-                            break
-                        worst = max(worst, float(np.max(np.abs(z - z_direct))))
-                        hits += 1
-                    if trouble is not None:
-                        break
-                if trouble is not None:
-                    records.append(failed_record("tau_triple", subject, samples, seed, tol, trouble))
-                elif hits == 0:
-                    records.append(vacuous_record("tau_triple", subject, seed, tol))
-                else:
-                    records.append(residual_record("tau_triple", subject, hits, seed, tol, worst))
+                pts, part = _component_points(ij, samples, seed)
+
+                def evaluate(t, ij=ij, jk=jk, ik=ik, part=part):
+                    X = t.pts
+                    Y = t.maps(part, [o.tau for o in ij], X)
+                    step2 = _first_match([p.region for p in jk], Y)
+                    direct = _first_match([p.region for p in ik], X)
+                    t.skip(t.rows, (step2 < 0) | (direct < 0))
+                    Z = t.maps(step2, [p.tau for p in jk], Y)
+                    return (_max_abs(Z - t.maps(direct, [p.tau for p in ik], X)),)
+
+                records += _sampled(progs, [("tau_triple", RESIDUAL, tol)], f"{i}->{j}->{k}",
+                                    pts, seed, evaluate, samples=samples)
     return make_report("base_atlas", records)
 
 
 def check_vb(B: VectorBundleSpec, samples: int = DEFAULT_SAMPLES,
              tol: float = DEFAULT_CHECK_TOL, seed: int = DEFAULT_SEED) -> CheckReport:
     """Sampled verification of VB structure: GL values, pair and triple cocycles."""
+    progs: dict = {}
     records = []
-    d = B.fiber_dim
-    eye = np.eye(d, dtype=B.field.dtype)
+    d, dtype = B.fiber_dim, B.field.dtype
+    eye = np.eye(d, dtype=dtype)
+
     for frm, to in sorted({(e.overlap.frm, e.overlap.to) for e in B.edges}):
+        backs = B.edges_between(to, frm)
         for e in B.edges_between(frm, to):
-            subject = _edge_subject(e)
-            pts = sample_region(e.overlap.region, samples, seed)
-            worst_det = float("inf")
-            worst_pair = 0.0
-            trouble = None
-            for x in pts:
-                try:
-                    g_here = _eval_matrix(e.g, x, B.field.dtype)
-                    worst_det = min(worst_det, scaled_abs_det(g_here))
-                    y = eval_map(e.overlap.tau, x)
-                    back = find_edge(B, to, frm, y)
-                    if back is None:
-                        trouble = (f"tau image {y.tolist()} is in no declared "
-                                   f"{to}->{frm} region")
-                        break
-                    g_back = _eval_matrix(back.g, y, B.field.dtype)
-                    worst_pair = max(worst_pair, float(np.max(np.abs(g_here @ g_back - eye))))
-                except VbxError as exc:
-                    trouble = f"evaluation failed at {np.asarray(x).tolist()}: {exc}"
-                    break
-            if trouble is not None:
-                records.append(failed_record("pair_cocycle", subject, len(pts), seed, tol, trouble))
-            else:
-                records.append(det_record("transition_gl", subject, len(pts), seed, DEFAULT_TOL,
-                                          worst_det))
-                records.append(residual_record("pair_cocycle", subject, len(pts), seed, tol,
-                                               worst_pair))
+
+            def evaluate(t, e=e, backs=backs, frm=frm, to=to):
+                X = t.pts
+                G = t.matrix(e.g, X, t.rows, dtype)
+                Y = t.map(e.overlap.tau, X, t.rows)
+                back_at = _first_match([b.overlap.region for b in backs], Y)
+                t.fail(t.rows, back_at < 0,
+                       lambda j: f"tau image {Y[j].tolist()} is in no declared {to}->{frm} region")
+                G_back = t.matrices(back_at, [b.g for b in backs], Y, dtype)
+                return scaled_abs_dets(G), _max_abs(G @ G_back - eye)
+
+            records += _sampled(progs, [("transition_gl", MIN_DET, DEFAULT_TOL),
+                                        ("pair_cocycle", RESIDUAL, tol)],
+                                _edge_subject(e), sample_region(e.overlap.region, samples, seed),
+                                seed, evaluate)
 
     names = [c.name for c in B.base.charts]
     for i in names:
@@ -473,40 +652,23 @@ def check_vb(B: VectorBundleSpec, samples: int = DEFAULT_SAMPLES,
                 ki = B.edges_between(k, i)
                 if not ij or not jk or not ki:
                     continue
-                subject = f"{i}->{j}->{k}"
-                worst = 0.0
-                hits = 0
-                trouble = None
-                for e in ij:
-                    pts = sample_region(e.overlap.region, samples, seed)
-                    for x in pts:
-                        try:
-                            g1 = _eval_matrix(e.g, x, B.field.dtype)
-                            y = eval_map(e.overlap.tau, x)
-                            e2 = find_edge(B, j, k, y)
-                            if e2 is None:
-                                continue
-                            g2 = _eval_matrix(e2.g, y, B.field.dtype)
-                            z = eval_map(e2.overlap.tau, y)
-                            e3 = find_edge(B, k, i, z)
-                            if e3 is None:
-                                continue
-                            g3 = _eval_matrix(e3.g, z, B.field.dtype)
-                        except VbxError as exc:
-                            trouble = f"evaluation failed at {np.asarray(x).tolist()}: {exc}"
-                            break
-                        worst = max(worst, float(np.max(np.abs(g1 @ g2 @ g3 - eye))))
-                        hits += 1
-                    if trouble is not None:
-                        break
-                if trouble is not None:
-                    records.append(failed_record("triple_cocycle", subject, samples, seed, tol,
-                                                 trouble))
-                elif hits == 0:
-                    records.append(vacuous_record("triple_cocycle", subject, seed, tol))
-                else:
-                    records.append(residual_record("triple_cocycle", subject, hits, seed, tol,
-                                                   worst))
+                pts, part = _component_points([e.overlap for e in ij], samples, seed)
+
+                def evaluate(t, ij=ij, jk=jk, ki=ki, part=part):
+                    X = t.pts
+                    G1 = t.matrices(part, [e.g for e in ij], X, dtype)
+                    Y = t.maps(part, [e.overlap.tau for e in ij], X)
+                    e2 = _first_match([e.overlap.region for e in jk], Y)
+                    t.skip(t.rows, e2 < 0)
+                    G2 = t.matrices(e2, [e.g for e in jk], Y, dtype)
+                    Z = t.maps(e2, [e.overlap.tau for e in jk], Y)
+                    e3 = _first_match([e.overlap.region for e in ki], Z)
+                    t.skip(t.rows, e3 < 0)
+                    G3 = t.matrices(e3, [e.g for e in ki], Z, dtype)
+                    return (_max_abs(G1 @ G2 @ G3 - eye),)
+
+                records += _sampled(progs, [("triple_cocycle", RESIDUAL, tol)], f"{i}->{j}->{k}",
+                                    pts, seed, evaluate, samples=samples)
     return make_report("vector_bundle", records)
 
 
@@ -543,7 +705,7 @@ def section_eval(S: LocalSectionSpec, chart: str, x) -> np.ndarray:
     c = S.bundle.base.chart(chart)
     pt = np.asarray(x, dtype=float)
     if not c.box.contains(pt):
-        raise DomainViolation(f"point {pt.tolist()} outside chart '{chart}'")
+        raise outside_chart(pt, chart)
     env = list(pt)
     return np.array([eval_expr(e, env) for e in S.per_chart[chart]],
                     dtype=S.bundle.field.dtype)
@@ -553,31 +715,24 @@ def check_section(S: LocalSectionSpec, samples: int = DEFAULT_SAMPLES,
                   tol: float = DEFAULT_CHECK_TOL, seed: int = DEFAULT_SEED) -> CheckReport:
     """Cross-chart compatibility: S_i(x) = g_ij(x) S_j(tau_ij(x)) at samples."""
     B = S.bundle
+    progs: dict = {}
     records = []
-    found_overlap = False
     for e in B.edges:
         i, j = e.overlap.frm, e.overlap.to
         if i not in S.per_chart or j not in S.per_chart:
             continue
-        found_overlap = True
-        subject = _edge_subject(e)
-        pts = sample_region(e.overlap.region, samples, seed)
-        worst = 0.0
-        trouble = None
-        for x in pts:
-            try:
-                lhs = section_eval(S, i, x)
-                y = eval_map(e.overlap.tau, x)
-                rhs = _eval_matrix(e.g, x, B.field.dtype) @ section_eval(S, j, y)
-                worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-            except VbxError as exc:
-                trouble = f"evaluation failed at {np.asarray(x).tolist()}: {exc}"
-                break
-        if trouble is not None:
-            records.append(failed_record("section_compat", subject, len(pts), seed, tol, trouble))
-        else:
-            records.append(residual_record("section_compat", subject, len(pts), seed, tol, worst))
-    if not records and not found_overlap:
+
+        def evaluate(t, e=e, i=i, j=j):
+            X = t.pts
+            lhs = t.section(S, i, X, t.rows)
+            Y = t.map(e.overlap.tau, X, t.rows)
+            G = t.matrix(e.g, X, t.rows, B.field.dtype)
+            rhs = (G @ t.section(S, j, Y, t.rows)[:, :, None])[:, :, 0]
+            return (_max_abs(lhs - rhs),)
+
+        records += _sampled(progs, [("section_compat", RESIDUAL, tol)], _edge_subject(e),
+                            sample_region(e.overlap.region, samples, seed), seed, evaluate)
+    if not records:
         records.append(vacuous_record("section_compat", "no shared overlaps", seed, tol))
     return make_report("section", records)
 
@@ -663,7 +818,7 @@ def frame_matrix_at(F: FrameFieldSpec, x) -> np.ndarray:
     c = F.bundle.base.chart(F.chart)
     pt = np.asarray(x, dtype=float)
     if not c.box.contains(pt):
-        raise DomainViolation(f"point {pt.tolist()} outside chart '{F.chart}'")
+        raise outside_chart(pt, F.chart)
     env = list(pt)
     cols = [[eval_expr(e, env) for e in col] for col in F.columns]
     return np.array(cols, dtype=F.bundle.field.dtype).T
@@ -673,12 +828,16 @@ def check_frame(F: FrameFieldSpec, samples: int = DEFAULT_SAMPLES,
                 tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED) -> CheckReport:
     """Invertibility of the assembled frame matrix across the chart."""
     box = F.bundle.base.chart(F.chart).box
-    pts = sample_box(box, samples, seed)
-    worst = float("inf")
-    for x in pts:
-        worst = min(worst, scaled_abs_det(frame_matrix_at(F, x)))
-    rec = det_record("frame_gl", f"{F.chart}", len(pts), seed, tol, worst)
-    return make_report("frame", [rec])
+
+    def evaluate(t):
+        t.in_box(box, t.pts, t.rows,
+                 lambda j: outside_chart(t.pts[j], F.chart))
+        cols = t.matrix(F.columns, t.pts, t.rows, F.bundle.field.dtype)
+        return (scaled_abs_dets(cols.transpose(0, 2, 1)),)
+
+    records = _sampled({}, [("frame_gl", MIN_DET, tol)], F.chart,
+                       sample_box(box, samples, seed), seed, evaluate, raise_errors=True)
+    return make_report("frame", records)
 
 
 def dual_frame(F: FrameFieldSpec, samples: int = 25, tol: float = DEFAULT_TOL,

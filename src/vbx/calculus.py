@@ -73,12 +73,24 @@ def identity_map(box) -> SmoothMap:
     return SmoothMap(tuple(Var(i + 1) for i in range(b.dim)), b)
 
 
+def outside_box(pt) -> DomainViolation:
+    return DomainViolation(f"point {np.asarray(pt).tolist()} outside the open domain box")
+
+
+def map_not_finite(pt) -> EvalError:
+    return EvalError(f"map value not finite at {np.asarray(pt).tolist()}")
+
+
+def jacobian_not_finite(pt) -> EvalError:
+    return EvalError(f"jacobian not finite at {np.asarray(pt).tolist()}")
+
+
 def _point_in_box(F: SmoothMap, x) -> np.ndarray:
     pt = np.asarray(x, dtype=float)
     if pt.shape != (F.in_dim,):
         raise ShapeMismatch(f"point shape {pt.shape} does not match domain dim {F.in_dim}")
     if not F.box.contains(pt):
-        raise DomainViolation(f"point {pt.tolist()} outside the open domain box")
+        raise outside_box(pt)
     return pt
 
 
@@ -88,7 +100,7 @@ def eval_map(F: SmoothMap, x) -> np.ndarray:
     env = list(pt)
     out = np.array([eval_expr(c, env) for c in F.components], dtype=float)
     if not np.all(np.isfinite(out)):
-        raise EvalError(f"map value not finite at {pt.tolist()}")
+        raise map_not_finite(pt)
     return out
 
 
@@ -103,7 +115,7 @@ def jacobian(F: SmoothMap, x) -> LinearMap:
         rows.append(val.grad if isinstance(val, Dual) else np.zeros(m))
     mat = np.vstack(rows)
     if not np.all(np.isfinite(mat)):
-        raise EvalError(f"jacobian not finite at {pt.tolist()}")
+        raise jacobian_not_finite(pt)
     dom = VectorSpace(m, FieldTag.REAL)
     cod = VectorSpace(F.out_dim, FieldTag.REAL)
     return make_linear(dom, cod, mat)

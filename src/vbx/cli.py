@@ -42,6 +42,7 @@ from .errors import (
     ChartAssignmentError,
     CocycleViolation,
     DomainViolation,
+    FileError,
     NotAnIsomorphism,
     SingularFrame,
     VbxError,
@@ -124,7 +125,10 @@ def cmd_check(args) -> int:
     merged = merge_reports("check", reports)
     print(format_report(merged))
     if args.out:
-        Path(args.out).write_text(report_to_json(merged))
+        try:
+            Path(args.out).write_text(report_to_json(merged))
+        except OSError as exc:
+            raise FileError(f"cannot write '{args.out}': {exc}") from exc
     return 0 if merged.passed else 2
 
 

@@ -28,12 +28,17 @@ from .bundles import (
     VectorBundleSpec,
     _as_expr,
     _eval_matrix,
+    _first_match,
+    _live_only,
+    _max_abs,
+    _sampled,
     check_section,
     find_edge,
     frame_matrix_at,
     make_atlas,
     make_bundle,
     make_section,
+    outside_chart,
 )
 from .calculus import eval_map, make_smooth_map, product_component_exprs
 from .errors import (
@@ -46,7 +51,6 @@ from .errors import (
     SingularFrame,
     SpecError,
     UnsupportedField,
-    VbxError,
 )
 from .expr import Var, diff, eval_expr, fold_add, fold_mul, max_var_index, num_literal, subst
 from .geometry import (
@@ -62,13 +66,7 @@ from .geometry import (
 from .intervals import interval_eval
 from .linalg import DEFAULT_TOL, FieldTag, make_linear, scaled_abs_det
 from .pullbacks import rs_pullback
-from .report import (
-    det_record,
-    failed_record,
-    make_report,
-    residual_record,
-    vacuous_record,
-)
+from .report import MIN_DET, RESIDUAL, make_report, vacuous_record
 from .tensors import make_tensor
 from . import symmat
 
@@ -524,7 +522,7 @@ def field_eval(A: TensorFieldSpec, chart: str, x):
     c = A.bundle.base.chart(chart)
     pt = np.asarray(x, dtype=float)
     if not c.box.contains(pt):
-        raise DomainViolation(f"point {pt.tolist()} outside chart '{chart}'")
+        raise outside_chart(pt, chart)
     env = list(pt)
     coeffs = np.array([eval_expr(e, env) for e in A.per_chart[chart]],
                       dtype=A.bundle.field.dtype)
@@ -710,50 +708,40 @@ def check_morphism(M: BundleMorphismSpec, samples: int = DEFAULT_SAMPLES,
     src, tgt = M.source, M.target
     smooth = {c.name: make_smooth_map(M.base_map[c.name], c.box)
               for c in src.base.charts}
+    dtype = src.field.dtype
+    progs: dict = {}
     records = []
     for e in src.edges:
         i, j = e.overlap.frm, e.overlap.to
         ci, cj = M.assignment[i], M.assignment[j]
-        subject = f"{i}->{j}#{e.component}"
-        pts = sample_region(e.overlap.region, samples, seed)
-        worst_tw = 0.0
-        worst_base = 0.0
-        trouble = None
-        for x in pts:
-            try:
-                phi_i = _eval_matrix(M.fiber_map[i], x, src.field.dtype)
-                g1 = _eval_matrix(e.g, x, src.field.dtype)
-                y = eval_map(e.overlap.tau, x)
-                phi_j = _eval_matrix(M.fiber_map[j], y, src.field.dtype)
-                fi_x = eval_map(smooth[i], x)
-                fj_y = eval_map(smooth[j], y)
-                if not tgt.base.chart(ci).box.contains(fi_x):
-                    trouble = f"base image {fi_x.tolist()} escapes target chart '{ci}'"
-                    break
-                if ci == cj:
-                    g2 = np.eye(tgt.fiber_dim, dtype=tgt.field.dtype)
-                    tau2_fi = fi_x
-                else:
-                    edge2 = find_edge(tgt, ci, cj, fi_x)
-                    if edge2 is None:
-                        trouble = (f"base image {fi_x.tolist()} lies in no declared "
-                                   f"{ci}->{cj} overlap region")
-                        break
-                    g2 = _eval_matrix(edge2.g, fi_x, tgt.field.dtype)
-                    tau2_fi = eval_map(edge2.overlap.tau, fi_x)
-                worst_tw = max(worst_tw, float(np.max(np.abs(phi_i @ g1 - g2 @ phi_j))))
-                worst_base = max(worst_base, float(np.max(np.abs(fj_y - tau2_fi))))
-            except VbxError as exc:
-                trouble = f"evaluation failed at {np.asarray(x).tolist()}: {exc}"
-                break
-        if trouble is not None:
-            records.append(failed_record("morphism_intertwine", subject, len(pts), seed,
-                                         tol, trouble))
-        else:
-            records.append(residual_record("morphism_intertwine", subject, len(pts), seed,
-                                           tol, worst_tw))
-            records.append(residual_record("base_map_coherence", subject, len(pts), seed,
-                                           tol, worst_base))
+
+        def evaluate(t, e=e, i=i, j=j, ci=ci, cj=cj):
+            X, rows = t.pts, t.rows
+            phi_i = t.matrix(M.fiber_map[i], X, rows, dtype)
+            g1 = t.matrix(e.g, X, rows, dtype)
+            Y = t.map(e.overlap.tau, X, rows)
+            phi_j = t.matrix(M.fiber_map[j], Y, rows, dtype)
+            fi_x = t.map(smooth[i], X, rows)
+            fj_y = t.map(smooth[j], Y, rows)
+            t.in_box(tgt.base.chart(ci).box, fi_x, rows,
+                     lambda k: f"base image {fi_x[k].tolist()} escapes target chart '{ci}'")
+            if ci == cj:
+                g2 = np.broadcast_to(np.eye(tgt.fiber_dim, dtype=tgt.field.dtype),
+                                     (len(X), tgt.fiber_dim, tgt.fiber_dim))
+                tau2_fi = fi_x
+            else:
+                edges2 = tgt.edges_between(ci, cj)
+                at = _first_match([f.overlap.region for f in edges2], fi_x)
+                t.fail(rows, at < 0, lambda k: (f"base image {fi_x[k].tolist()} lies in no "
+                                                f"declared {ci}->{cj} overlap region"))
+                g2 = t.matrices(at, [f.g for f in edges2], fi_x, tgt.field.dtype)
+                tau2_fi = t.maps(at, [f.overlap.tau for f in edges2], fi_x)
+            return _max_abs(phi_i @ g1 - g2 @ phi_j), _max_abs(fj_y - tau2_fi)
+
+        records += _sampled(progs, [("morphism_intertwine", RESIDUAL, tol),
+                                    ("base_map_coherence", RESIDUAL, tol)],
+                            f"{i}->{j}#{e.component}",
+                            sample_region(e.overlap.region, samples, seed), seed, evaluate)
     if not records:
         records.append(vacuous_record("morphism_intertwine", "no overlaps", seed, tol))
     return make_report("morphism", records)
@@ -883,20 +871,23 @@ def subbundle_check(B: VectorBundleSpec, W: dict, samples: int = DEFAULT_SAMPLES
                     raise SpecError(f"section on '{name}' references x{max_var_index(e)}")
         cols_of[name] = cols
 
-    def matrix_at(name, x):
-        env = list(np.asarray(x, dtype=float))
-        cols = [[eval_expr(e, env) for e in col] for col in cols_of[name]]
-        return np.array(cols, dtype=B.field.dtype).T
+    progs: dict = {}
+
+    def span_at(t, name, X, rows):
+        """The d x l matrix of chart name's sections at every point."""
+        return t.matrix(cols_of[name], X, rows, B.field.dtype).transpose(0, 2, 1)
 
     records = []
     for name in sorted(cols_of):
-        box = B.base.chart(name).box
-        worst = float("inf")
-        pts = sample_box(box, samples, seed)
-        for x in pts:
-            sv = np.linalg.svd(matrix_at(name, x), compute_uv=False)
-            worst = min(worst, float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0)
-        records.append(det_record("subbundle_rank", name, len(pts), seed, DEFAULT_TOL, worst))
+
+        def evaluate(t, name=name):
+            sv = _live_only(t, lambda W: np.linalg.svd(W, compute_uv=False),
+                            span_at(t, name, t.pts, t.rows), (rank,))
+            return (np.where(sv[:, 0] > 0, sv[:, -1] / sv[:, 0], 0.0),)
+
+        records += _sampled(progs, [("subbundle_rank", MIN_DET, DEFAULT_TOL)], name,
+                            sample_box(B.base.chart(name).box, samples, seed), seed, evaluate,
+                            raise_errors=True)
 
     checked_overlap = False
     for e in B.edges:
@@ -904,27 +895,20 @@ def subbundle_check(B: VectorBundleSpec, W: dict, samples: int = DEFAULT_SAMPLES
         if i not in cols_of or j not in cols_of:
             continue
         checked_overlap = True
-        subject = f"{i}->{j}#{e.component}"
-        pts = sample_region(e.overlap.region, samples, seed)
-        worst = 0.0
-        trouble = None
-        for x in pts:
-            try:
-                Wi = matrix_at(i, x)
-                y = eval_map(e.overlap.tau, x)
-                moved = _eval_matrix(e.g, x, B.field.dtype) @ matrix_at(j, y)
-                Q, _ = np.linalg.qr(Wi)
-                off = moved - Q @ (Q.conj().T @ moved)
-                for col in range(moved.shape[1]):
-                    scale = max(float(np.linalg.norm(moved[:, col])), 1e-300)
-                    worst = max(worst, float(np.linalg.norm(off[:, col])) / scale)
-            except VbxError as exc:
-                trouble = f"evaluation failed at {np.asarray(x).tolist()}: {exc}"
-                break
-        if trouble is not None:
-            records.append(failed_record("subbundle_span", subject, len(pts), seed, tol, trouble))
-        else:
-            records.append(residual_record("subbundle_span", subject, len(pts), seed, tol, worst))
+
+        def evaluate(t, e=e, i=i, j=j):
+            X = t.pts
+            Wi = span_at(t, i, X, t.rows)
+            Y = t.map(e.overlap.tau, X, t.rows)
+            moved = t.matrix(e.g, X, t.rows, B.field.dtype) @ span_at(t, j, Y, t.rows)
+            Q = _live_only(t, lambda W: np.linalg.qr(W)[0], Wi, (d, rank))
+            off = moved - Q @ (Q.conj().transpose(0, 2, 1) @ moved)
+            scale = np.maximum(np.linalg.norm(moved, axis=1), 1e-300)
+            return (np.max(np.linalg.norm(off, axis=1) / scale, axis=1),)
+
+        records += _sampled(progs, [("subbundle_span", RESIDUAL, tol)],
+                            f"{i}->{j}#{e.component}",
+                            sample_region(e.overlap.region, samples, seed), seed, evaluate)
     if not checked_overlap and len(cols_of) > 1:
         records.append(vacuous_record("subbundle_span", "no shared overlaps", seed, tol))
     return make_report("subbundle", records)

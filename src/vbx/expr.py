@@ -18,6 +18,10 @@ parse_expr builds a structurally faithful tree (no simplification), and
 to_string prints it back so that parsing the output reproduces an equal
 tree. Evaluation works on floats or on Dual numbers, which carry a gradient
 vector through every operation; that is how Jacobians are computed exactly.
+That scalar walk is the single-point API. The check suites instead compile
+their expressions into a shared straight-line program (compile_exprs) and
+run it over all sample points at once (run_program), with the same
+arithmetic and the same domain errors, reported per sample.
 The folding constructors (fold_add and friends) do light constant folding
 and are used by symbolic differentiation and substitution, never by the
 parser.
@@ -156,17 +160,25 @@ def _v(x):
 
 
 def _int_pow(x, k: int):
-    if _v(x) == 0.0 and k < 0:
+    """x**k with Python float semantics whatever the value type: a finite
+    base whose power overflows is an EvalError, never an inf."""
+    v = _v(x)
+    if v == 0.0 and k < 0:
         raise EvalError("zero raised to a negative power")
-    if isinstance(x, Dual):
+    try:
+        if not isinstance(x, Dual):
+            return float(v) ** k
         if k == 0:
             return Dual(1.0, 0.0 * x.grad)
-        return Dual(x.val**k, k * x.val ** (k - 1) * x.grad)
-    return x**k
+        return Dual(float(v) ** k, k * float(v) ** (k - 1) * x.grad)
+    except OverflowError:
+        raise EvalError("power overflow") from None
 
 
 def _call(fn: str, x):
     v = _v(x)
+    if fn in ("sin", "cos", "tan") and math.isinf(v):
+        raise EvalError(f"{fn} of infinite value {v}")
     if fn == "sin":
         return Dual(math.sin(v), math.cos(v) * x.grad) if isinstance(x, Dual) else math.sin(v)
     if fn == "cos":
@@ -247,6 +259,214 @@ def max_var_index(e: Expr) -> int:
     if isinstance(e, Call):
         return max_var_index(e.arg)
     return 0
+
+
+# ---------------------------------------------------------------------------
+# Batched evaluation. compile_exprs hash-conses a list of expressions into
+# one straight-line program: each structurally distinct subtree is one
+# slot, keyed by (op, child slots, literal), so shared subexpressions are
+# computed once. run_program evaluates the program once over all sample
+# points, on (n,) value arrays and, in vector forward mode, (n, m) gradient
+# arrays. It follows eval_expr and the Dual rules operation by operation;
+# where eval_expr would raise, the sample is marked failed instead.
+
+_LIT, _VAR, _NEG, _ADD, _SUB, _MUL, _DIV, _POW, _CALL = range(9)
+_BINARY = {Add: _ADD, Sub: _SUB, Mul: _MUL, Div: _DIV}
+
+
+@dataclass(frozen=True)
+class Program:
+    """Straight-line code: slot s is (op, a, b, literal) over slots < s."""
+
+    code: tuple
+    outputs: tuple  # the slot of each compiled expression, in order
+
+
+def compile_exprs(exprs) -> Program:
+    """One program for all of exprs, common subexpressions shared.
+
+    The walk is iterative, so deep trees cannot hit the recursion limit,
+    and the table holds only unique nodes. Slots come in post-order of
+    first occurrence, which is the order eval_expr meets them; the first
+    failing slot of a sample is therefore the one eval_expr raises at.
+    """
+    table: dict = {}
+    outputs = []
+    for root in exprs:
+        done: list = []  # slots of finished subtrees
+        todo: list = [root]  # nodes to expand, and (op, literal, binary) build markers
+        while todo:
+            node = todo.pop()
+            t = type(node)
+            if t is Num:
+                key = (_LIT, -1, math.copysign(1.0, node.value), node.value)  # 0.0 != -0.0
+            elif t is Var:
+                key = (_VAR, -1, -1, node.index)
+            elif t is Const:
+                key = (_LIT, -1, 1.0, _CONSTS[node.name])
+            elif t is tuple:  # the operands are done; build the node
+                op, lit, binary = node
+                b = done.pop() if binary else -1
+                key = (op, done.pop(), b, lit)
+            else:
+                if t is Neg:
+                    todo += ((_NEG, None, False), node.a)
+                elif t is Pow:
+                    todo += ((_POW, node.exponent, False), node.base)
+                elif t is Call:
+                    todo += ((_CALL, node.fn, False), node.arg)
+                elif t in _BINARY:
+                    todo += ((_BINARY[t], None, True), node.b, node.a)
+                else:
+                    raise EvalError(f"unknown node {t.__name__}")
+                continue
+            done.append(table.setdefault(key, len(table)))
+        outputs.append(done.pop())
+    return Program(tuple(table), tuple(outputs))
+
+
+class Batch:
+    """A program's outputs at n points, and the samples where it failed.
+
+    values is (n, k), one column per compiled expression; grads is
+    (n, k, m) in gradient mode, else None. bad marks the samples where
+    eval_expr would raise, and error(i) is the EvalError it would raise.
+    Values and gradients at bad samples are meaningless.
+    """
+
+    __slots__ = ("values", "grads", "bad", "_cause", "_whys")
+
+    def __init__(self, values, grads, cause, whys):
+        self.values = values
+        self.grads = grads
+        self.bad = cause >= 0
+        self._cause = cause
+        self._whys = whys
+
+    def error(self, i: int) -> EvalError:
+        why = self._whys[self._cause[i]]
+        return EvalError(why if isinstance(why, str) else why(i))
+
+
+def run_program(prog: Program, points, grad: bool = False) -> Batch:
+    """Evaluate prog at each row of points, an (n, m) array: variable xi
+    takes column i-1. With grad, also carry d/dx1..d/dxm of every slot."""
+    X = np.asarray(points, dtype=float)
+    n, m = X.shape
+    vals: list = []
+    ders: list = []  # None for slots that depend on no variable
+    cause = np.full(n, -1)  # per sample, its first failure in whys
+    whys: list = []  # failure messages, or functions of the sample index
+
+    def fail(mask, message):
+        new = mask & (cause < 0)
+        if new.any():
+            cause[new] = len(whys)
+            whys.append(message)
+
+    with np.errstate(all="ignore"):
+        for op, a, b, lit in prog.code:
+            d = None
+            if op == _LIT:
+                v = np.full(n, lit, dtype=float)
+            elif op == _VAR:
+                if lit > m:
+                    fail(True, f"no value for x{lit}: point has {m} coordinates")
+                    v = np.full(n, np.nan)
+                else:
+                    v = X[:, lit - 1]
+                    if grad:
+                        d = np.zeros((n, m))
+                        d[:, lit - 1] = 1.0
+            else:
+                x, dx = vals[a], ders[a]
+                if op == _NEG:
+                    v = -x
+                    d = None if dx is None else -dx
+                elif op == _POW:
+                    v, d = _pow_batch(x, dx, lit, fail)
+                elif op == _CALL:
+                    v, d = _call_batch(lit, x, dx, fail)
+                else:
+                    y, dy = vals[b], ders[b]
+                    v, d = _binary_batch(op, x, dx, y, dy, fail)
+            vals.append(v)
+            ders.append(d)
+    values = np.empty((n, len(prog.outputs)))
+    grads = np.zeros((n, len(prog.outputs), m)) if grad else None
+    for k, s in enumerate(prog.outputs):
+        values[:, k] = vals[s]
+        if grad and ders[s] is not None:
+            grads[:, k, :] = ders[s]
+    return Batch(values, grads, cause, whys)
+
+
+def _binary_batch(op, x, dx, y, dy, fail):
+    if op == _ADD:
+        v = x + y
+        d = dx if dy is None else dy if dx is None else dx + dy
+    elif op == _SUB:
+        v = x - y
+        d = dx if dy is None else -dy if dx is None else dx - dy
+    elif op == _MUL:
+        v = x * y
+        if dx is None:
+            d = None if dy is None else x[:, None] * dy
+        else:
+            d = y[:, None] * dx if dy is None else x[:, None] * dy + y[:, None] * dx
+    else:
+        fail(y == 0.0, "division by zero")
+        v = x / y
+        if dy is None:
+            d = None if dx is None else dx / y[:, None]
+        elif dx is None:
+            d = (-v / y)[:, None] * dy
+        else:
+            d = (dx - v[:, None] * dy) / y[:, None]
+    return v, d
+
+
+def _pow_batch(x, dx, k, fail):
+    if k < 0:
+        fail(x == 0.0, "zero raised to a negative power")
+    finite = np.isfinite(x)
+    v = np.power(x, float(k))
+    fail(finite & ~np.isfinite(v), "power overflow")
+    if dx is None:
+        return v, None
+    if k == 0:
+        return v, 0.0 * dx
+    p = np.power(x, float(k - 1))
+    fail(finite & ~np.isfinite(p), "power overflow")
+    return v, (k * p)[:, None] * dx
+
+
+def _call_batch(fn, x, dx, fail):
+    if fn in ("sin", "cos", "tan"):
+        fail(np.isinf(x), lambda i: f"{fn} of infinite value {float(x[i])}")
+    if fn == "sin":
+        return np.sin(x), None if dx is None else np.cos(x)[:, None] * dx
+    if fn == "cos":
+        return np.cos(x), None if dx is None else (-np.sin(x))[:, None] * dx
+    if fn == "tan":
+        c = np.cos(x)
+        fail(c == 0.0, "tan at a pole")
+        return np.tan(x), None if dx is None else dx / (c * c)[:, None]
+    if fn == "exp":
+        ev = np.exp(x)
+        fail(np.isfinite(x) & (ev == np.inf), "exp overflow")
+        return ev, None if dx is None else ev[:, None] * dx
+    if fn == "log":
+        fail(x <= 0.0, lambda i: f"log of non-positive value {float(x[i])}")
+        return np.log(x), None if dx is None else dx / x[:, None]
+    if fn == "sqrt":
+        fail(x < 0.0, lambda i: f"sqrt of negative value {float(x[i])}")
+        rt = np.sqrt(x)
+        if dx is None:
+            return rt, None
+        fail(rt == 0.0, "sqrt not differentiable at zero")
+        return rt, dx / (2.0 * rt)[:, None]
+    raise EvalError(f"unknown function {fn}")
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import DomainViolation, ShapeMismatch
 
@@ -97,6 +96,20 @@ def region_contains(boxes, x) -> bool:
     return any(b.contains(x) for b in boxes)
 
 
+def box_mask(box: Box, X) -> np.ndarray:
+    """Box.contains for each row of an (n, dim) array."""
+    X = np.asarray(X, dtype=float)
+    return np.all((X > box.lo) & (X < box.hi), axis=1)
+
+
+def region_mask(boxes, X) -> np.ndarray:
+    """region_contains for each row of an (n, dim) array."""
+    inside = np.zeros(len(X), dtype=bool)
+    for b in boxes:
+        inside |= box_mask(b, X)
+    return inside
+
+
 def box_minus(e: Box, u: Box) -> list:
     """The part of e outside u, as disjoint boxes (axis-aligned sweep)."""
     out = []
@@ -152,14 +165,16 @@ def halton(n: int, dims: int, seed: int = 0) -> np.ndarray:
     out = np.empty((n, dims), dtype=float)
     for k in range(dims):
         base = _PRIMES[k]
-        for row in range(n):
-            i = start + row
-            f, x = 1.0, 0.0
-            while i > 0:
-                f /= base
-                x += f * (i % base)
-                i //= base
-            out[row, k] = x
+        # The digit loop of the radical inverse, run on all rows at once in
+        # the scalar order: f is the same for every row at each step, and a
+        # row whose index has run out of digits only adds 0.0.
+        i = np.arange(start, start + n, dtype=np.int64)
+        f, x = 1.0, np.zeros(n)
+        while i.any():
+            f /= base
+            x += f * (i % base)
+            i //= base
+        out[:, k] = x
     return out
 
 
@@ -197,23 +212,6 @@ def sample_region(boxes, n: int, seed: int = 0) -> np.ndarray:
     return np.vstack(parts)
 
 
-def sample_unit_vectors(n: int, d: int, seed: int = 0) -> np.ndarray:
-    """n quasi-random points on the Euclidean unit sphere in R^d.
-
-    Halton points are pushed through the inverse normal CDF and normalized;
-    the isotropy of the Gaussian makes the directions evenly spread.
-    """
-    u = halton(n, d, seed)
-    z = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
-    norms = np.linalg.norm(z, axis=1)
-    degenerate = norms < 1e-12
-    if np.any(degenerate):
-        z[degenerate] = 0.0
-        z[degenerate, 0] = 1.0
-        norms = np.linalg.norm(z, axis=1)
-    return z / norms[:, None]
-
-
 def sample_argument_tuples(n: int, d: int, slots: int, seed: int = 0) -> np.ndarray:
     """n tuples of `slots` unit vectors each, shape (n, slots, d).
 
@@ -222,6 +220,8 @@ def sample_argument_tuples(n: int, d: int, slots: int, seed: int = 0) -> np.ndar
     """
     if slots == 0:
         return np.empty((n, 0, d))
+    from scipy.special import ndtri  # deferred: scipy costs every start-up ~0.3 s
+
     u = halton(n, slots * d, seed).reshape(n * slots, d)
     z = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
     norms = np.linalg.norm(z, axis=1)

@@ -124,10 +124,17 @@ def scaled_abs_det(matrix: np.ndarray) -> float:
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return 0.0
-    row_max = np.max(np.abs(m), axis=1)
-    if np.any(row_max == 0.0):
-        return 0.0
-    return float(abs(np.linalg.det(m / row_max[:, None])))
+    return float(scaled_abs_dets(m[None])[0])
+
+
+def scaled_abs_dets(stack: np.ndarray) -> np.ndarray:
+    """scaled_abs_det of each matrix in an (n, d, d) stack, in one pass."""
+    m = np.asarray(stack)
+    row_max = np.max(np.abs(m), axis=2)
+    zero_row = np.any(row_max == 0.0, axis=1)
+    with np.errstate(all="ignore"):
+        det = np.abs(np.linalg.det(m / np.where(row_max == 0.0, 1.0, row_max)[:, :, None]))
+    return np.where(zero_row, 0.0, det)
 
 
 def make_basis(space: VectorSpace, vectors, tol: float = DEFAULT_TOL) -> OrderedBasis:

@@ -1,6 +1,9 @@
 """Command-line behavior: exit codes, report text, construct/eval flows."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from support import quarter_circle_atlas
@@ -17,6 +20,16 @@ def run(capsys, *argv):
 
 def gp(name):
     return str(gallery_path(name))
+
+
+def run_cold(*argv):
+    """`python -m vbx.cli` in a fresh interpreter, so stderr is the real one."""
+    import vbx
+
+    src = str(Path(vbx.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-m", "vbx.cli", *argv], capture_output=True,
+                          text=True, env={"PYTHONPATH": src}, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 # --------------------------------------------------------------------------
@@ -58,6 +71,40 @@ def test_check_missing_file(capsys):
     code, out, err = run(capsys, "check", "definitely_not_here.json")
     assert code == 1
     assert "error" in err
+
+
+def test_power_overflow_in_a_section_is_a_fail_record_not_a_traceback(tmp_path):
+    doc = json.loads(gallery_path("mobius").read_text())
+    doc["sections"].append({"name": "blowup", "components": {
+        "east": ["exp(x1*200)^3"], "west": ["exp(x1*200)^3"]}})
+    spec = tmp_path / "blowup.json"
+    spec.write_text(json.dumps(doc))
+    code, out, err = run_cold("check", str(spec), "--samples", "40")
+    assert code == 2
+    assert "Traceback" not in err
+    assert "power overflow" in out
+    assert "result: FAIL" in out
+
+
+def test_unwritable_report_path_is_a_file_error_not_a_traceback(tmp_path):
+    target = tmp_path / "missing_dir" / "r.json"
+    code, out, err = run_cold("check", gp("mobius"), "--samples", "20", "--out", str(target))
+    assert code == 1
+    assert "Traceback" not in err
+    assert "cannot write" in err
+
+
+def test_nan_residual_fails_the_check(capsys, tmp_path):
+    doc = json.loads(gallery_path("circle_tangent").read_text())
+    doc["sections"].append({"name": "huge", "components": {
+        "east": ["1e200*1e200*(2+x1)"], "west": ["1e200*1e200*(5+x1)"]}})
+    spec = tmp_path / "huge.json"
+    spec.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", str(spec), "--samples", "40")
+    assert code == 2
+    huge = [line for line in out.splitlines() if "section 'huge'" in line]
+    assert len(huge) == 4
+    assert all("FAIL" in line and "non-finite residual" in line for line in huge)
 
 
 def test_check_usage_validation(capsys):

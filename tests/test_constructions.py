@@ -761,6 +761,21 @@ def test_rank_two_subbundle_of_whitney_sum():
     assert subbundle_check(B, W, SAMPLES, CHECK_TOL, seed=12).passed
 
 
+def test_subbundle_on_charts_without_a_shared_overlap_gets_a_vacuous_span_record():
+    # c0 and c2 of the four-chart circle are never glued directly, so no
+    # transport of the span is tested, and the report must say so
+    line = [["1"]]
+    overlaps = [(o.frm, o.to) for o in quarter_circle_atlas().overlaps]
+    B = make_bundle(quarter_circle_atlas(), 1, FieldTag.REAL,
+                    [(frm, to, line) for frm, to in overlaps])
+    rep = subbundle_check(B, {"c0": [["1"]], "c2": [["1"]]}, SAMPLES, CHECK_TOL, seed=12)
+    assert [(r.check, r.subject) for r in rep.records] == [
+        ("subbundle_rank", "c0"), ("subbundle_rank", "c2"),
+        ("subbundle_span", "no shared overlaps")]
+    span = rep.records[-1]
+    assert span.passed and span.samples == 0 and span.note.startswith("vacuous")
+
+
 def test_subbundle_validation():
     B = plane_rotation_bundle()
     with pytest.raises(SpecError):

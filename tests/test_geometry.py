@@ -124,6 +124,34 @@ def test_halton_is_deterministic_and_in_range():
     assert not np.array_equal(a, c)
 
 
+def halton_loop(n, dims, seed=0):
+    """The original per-row Halton loop, kept as the oracle."""
+    start = 1 + (int(seed) % 100_003)
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
+              67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137,
+              139, 149, 151, 157, 163, 167, 173)
+    out = np.empty((n, dims), dtype=float)
+    for k in range(dims):
+        base = primes[k]
+        for row in range(n):
+            i = start + row
+            f, x = 1.0, 0.0
+            while i > 0:
+                f /= base
+                x += f * (i % base)
+                i //= base
+            out[row, k] = x
+    return out
+
+
+@pytest.mark.parametrize("n, dims, seed", [
+    (1, 1, 0), (7, 2, 42), (200, 3, 42), (2000, 1, 7), (333, 40, 100_002), (64, 12, -5),
+    (0, 3, 1), (50, 4, 10**9),
+])
+def test_halton_is_byte_identical_to_the_scalar_loop(n, dims, seed):
+    assert halton(n, dims, seed).tobytes() == halton_loop(n, dims, seed).tobytes()
+
+
 def test_sample_box_stays_strictly_inside():
     box = make_box([(-2, 2), (0, 10)])
     pts = sample_box(box, 500, seed=1)

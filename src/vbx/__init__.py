@@ -11,8 +11,8 @@ from .bundles import (
     BundleEdge,
     ChartSpec,
     FrameFieldSpec,
-    LocalSectionSpec,
     OverlapSpec,
+    TensorFieldSpec,
     TotalPoint,
     VectorBundleSpec,
     change_chart,
@@ -21,17 +21,18 @@ from .bundles import (
     check_section,
     check_vb,
     dual_frame,
+    field_add,
+    field_eval,
+    field_fmul,
+    field_smul,
     frame_from_trivialization,
     frame_matrix_at,
     make_atlas,
     make_bundle,
+    make_field,
     make_frame,
     make_section,
     make_total_point,
-    section_add,
-    section_eval,
-    section_fmul,
-    section_smul,
     transition_eval,
     zero_section,
 )
@@ -45,23 +46,17 @@ from .calculus import (
 )
 from .constructions import (
     BundleMorphismSpec,
-    TensorFieldSpec,
     base_restriction,
     check_morphism,
     check_tensor_field,
     compose_morphism,
     direct_product,
     dual_bundle,
-    field_add,
-    field_eval,
-    field_fmul,
     field_product,
-    field_smul,
     hom_bundle,
     identity_morphism,
     induced_bundle,
     local_expression,
-    make_field,
     make_morphism,
     subbundle_check,
     tangent_bundle,

@@ -1,4 +1,4 @@
-"""Desk-scale smooth vector bundles: atlases, transitions, sections, frames.
+"""Desk-scale smooth vector bundles: atlases, transitions, fields, frames.
 
 A bundle is specified by a base atlas (named charts with open box images,
 overlaps with coordinate changes) plus a fiber dimension and one transition
@@ -41,18 +41,17 @@ from .errors import (
     SingularFrame,
     SpecError,
     UnsupportedField,
-    VbxError,
 )
 from .expr import (
     Expr,
     Program,
+    _as_expr,
     compile_exprs,
     eval_expr,
     fold_add,
     fold_mul,
     max_var_index,
     num_literal,
-    parse_expr,
     run_program,
 )
 from .geometry import (
@@ -86,6 +85,7 @@ from .report import (
     residual_record,
     vacuous_record,
 )
+from .tensors import make_tensor
 from . import symmat
 
 DEFAULT_SAMPLES = 200
@@ -158,13 +158,13 @@ class TotalPoint:
 
 
 @dataclass(frozen=True)
-class LocalSectionSpec:
-    bundle: VectorBundleSpec
-    per_chart: dict  # chart name -> tuple of d Expr
+class TensorFieldSpec:
+    """An (r,s)-tensor field on a bundle; a section is a (0,1)-field."""
 
-    @property
-    def charts(self) -> list:
-        return sorted(self.per_chart)
+    bundle: VectorBundleSpec
+    r: int
+    s: int
+    per_chart: dict  # chart name -> tuple of fiber_dim^(r+s) Expr, radix order
 
 
 @dataclass(frozen=True)
@@ -172,10 +172,6 @@ class FrameFieldSpec:
     bundle: VectorBundleSpec
     chart: str
     columns: tuple  # d columns, each a tuple of d Expr
-
-
-def _as_expr(c) -> Expr:
-    return c if isinstance(c, Expr) else parse_expr(c)
 
 
 def _edge_subject(e: BundleEdge) -> str:
@@ -467,8 +463,8 @@ class _Trial:
         return _per_choice(choice, (len(gs[0]), len(gs[0][0])), dtype,
                            lambda k, rows: self.matrix(gs[k], X[rows], rows, dtype))
 
-    def section(self, S: LocalSectionSpec, chart: str, X, rows) -> np.ndarray:
-        """section_eval at every point."""
+    def section(self, S: TensorFieldSpec, chart: str, X, rows) -> np.ndarray:
+        """field_eval's coefficients at every point."""
         self.in_box(S.bundle.base.chart(chart).box, X, rows,
                     lambda j: outside_chart(X[j], chart))
         return self.exprs(S.per_chart[chart], X, rows).astype(S.bundle.field.dtype)
@@ -506,16 +502,17 @@ def _live_only(t: _Trial, fn, A, shape) -> np.ndarray:
 
 
 def _sampled(progs: dict, checks, subject: str, pts: np.ndarray, seed: int, evaluate,
-             samples: int | None = None, raise_errors: bool = False) -> list:
+             samples: int | None = None) -> list:
     """The records of one subject's sampled identities.
 
-    progs is the suite call's cache of compiled programs. checks holds (check, kind, tol) for each per-sample value array that
+    progs is the suite call's cache of compiled programs. checks holds
+    (check, kind, tol) for each per-sample value array that
     evaluate(trial) returns, in record order. A failed sample, or a
     non-finite value at a live one, fails the subject: one failed record
-    under its first residual check, noting the first such sample in sample
-    order. Triple checks pass samples, the count a failed record reports;
-    for them only samples that stayed live count, and none makes the
-    subject vacuous. With raise_errors an evaluation error propagates.
+    under its first residual check (else its first check), noting the
+    first such sample in sample order. Triple checks pass samples, the
+    count a failed record reports; for them only samples that stayed live
+    count, and none makes the subject vacuous.
     """
     t = _Trial(pts, progs)
     with np.errstate(all="ignore"):  # failed samples compute on garbage
@@ -529,8 +526,6 @@ def _sampled(progs: dict, checks, subject: str, pts: np.ndarray, seed: int, eval
     if failed.size:
         i = failed[0]
         why = t.why(i)
-        if raise_errors and isinstance(why, VbxError):
-            raise why
         note = why if isinstance(why, str) else f"evaluation failed at {pts[i].tolist()}: {why}"
         return [failed_record(name, subject, len(pts) if samples is None else samples, seed,
                               tol, note)]
@@ -673,47 +668,59 @@ def check_vb(B: VectorBundleSpec, samples: int = DEFAULT_SAMPLES,
 
 
 # ---------------------------------------------------------------------------
-# Sections.
+# Tensor fields and sections. A section of B is a (0,1)-field: the bundle of
+# (0,1)-tensors on B's fibers has B's transitions.
 
 
-def make_section(B: VectorBundleSpec, per_chart: dict) -> LocalSectionSpec:
+def make_field(B: VectorBundleSpec, r: int, s: int, per_chart: dict) -> TensorFieldSpec:
+    if r < 0 or s < 0:
+        raise SpecError("field valence must be non-negative")
     if not per_chart:
-        raise SpecError("a section needs components on at least one chart")
+        raise SpecError("a field needs components on at least one chart")
+    want = B.fiber_dim ** (r + s)
     comp = {}
     for name in sorted(per_chart):
         B.base.chart(name)
         exprs = tuple(_as_expr(c) for c in per_chart[name])
-        if len(exprs) != B.fiber_dim:
+        if len(exprs) != want:
             raise SpecError(
-                f"section on chart '{name}' has {len(exprs)} components, fiber dim is {B.fiber_dim}")
+                f"field on chart '{name}' has {len(exprs)} components, expected {want}")
         for e in exprs:
             if max_var_index(e) > B.base.dim:
-                raise SpecError(
-                    f"section component on '{name}' references x{max_var_index(e)}")
+                raise SpecError(f"field component on '{name}' references x{max_var_index(e)}")
         comp[name] = exprs
-    return LocalSectionSpec(B, comp)
+    return TensorFieldSpec(B, r, s, comp)
 
 
-def zero_section(B: VectorBundleSpec) -> LocalSectionSpec:
+def make_section(B: VectorBundleSpec, per_chart: dict) -> TensorFieldSpec:
+    return make_field(B, 0, 1, per_chart)
+
+
+def zero_section(B: VectorBundleSpec) -> TensorFieldSpec:
     zero = tuple(num_literal(0.0) for _ in range(B.fiber_dim))
-    return LocalSectionSpec(B, {c.name: zero for c in B.base.charts})
+    return TensorFieldSpec(B, 0, 1, {c.name: zero for c in B.base.charts})
 
 
-def section_eval(S: LocalSectionSpec, chart: str, x) -> np.ndarray:
-    if chart not in S.per_chart:
-        raise DomainViolation(f"section has no components on chart '{chart}'")
-    c = S.bundle.base.chart(chart)
+def field_eval(A: TensorFieldSpec, chart: str, x):
+    """The field's value at a point of one chart, as a tensor on the fiber."""
+    if chart not in A.per_chart:
+        raise DomainViolation(f"field has no components on chart '{chart}'")
+    c = A.bundle.base.chart(chart)
     pt = np.asarray(x, dtype=float)
     if not c.box.contains(pt):
         raise outside_chart(pt, chart)
     env = list(pt)
-    return np.array([eval_expr(e, env) for e in S.per_chart[chart]],
-                    dtype=S.bundle.field.dtype)
+    coeffs = np.array([eval_expr(e, env) for e in A.per_chart[chart]],
+                      dtype=A.bundle.field.dtype)
+    return make_tensor(A.bundle.fiber_space, A.r, A.s, coeffs)
 
 
-def check_section(S: LocalSectionSpec, samples: int = DEFAULT_SAMPLES,
+def check_section(S: TensorFieldSpec, samples: int = DEFAULT_SAMPLES,
                   tol: float = DEFAULT_CHECK_TOL, seed: int = DEFAULT_SEED) -> CheckReport:
     """Cross-chart compatibility: S_i(x) = g_ij(x) S_j(tau_ij(x)) at samples."""
+    if (S.r, S.s) != (0, 1):
+        raise ShapeMismatch(f"check_section needs a (0,1)-field, got ({S.r},{S.s}); "
+                            "check_tensor_field checks the others")
     B = S.bundle
     progs: dict = {}
     records = []
@@ -737,44 +744,47 @@ def check_section(S: LocalSectionSpec, samples: int = DEFAULT_SAMPLES,
     return make_report("section", records)
 
 
-def _same_bundle(a: VectorBundleSpec, b: VectorBundleSpec, op: str) -> None:
-    if a != b:
-        raise ShapeMismatch(f"{op}: sections live on different bundles")
+def _check_field_pair(A: TensorFieldSpec, B: TensorFieldSpec, op: str,
+                      same_valence: bool) -> None:
+    if A.bundle != B.bundle:
+        raise ShapeMismatch(f"{op}: fields live on different bundles")
+    if set(A.per_chart) != set(B.per_chart):
+        raise ShapeMismatch(f"{op}: fields cover different charts")
+    if same_valence and (A.r, A.s) != (B.r, B.s):
+        raise ShapeMismatch(f"{op}: valences differ (({A.r},{A.s}) vs ({B.r},{B.s}))")
 
 
-def section_add(S1: LocalSectionSpec, S2: LocalSectionSpec) -> LocalSectionSpec:
-    _same_bundle(S1.bundle, S2.bundle, "section_add")
-    if set(S1.per_chart) != set(S2.per_chart):
-        raise ShapeMismatch("section_add: sections cover different charts")
-    out = {
-        name: tuple(fold_add(a, b) for a, b in zip(S1.per_chart[name], S2.per_chart[name]))
-        for name in sorted(S1.per_chart)
-    }
-    return LocalSectionSpec(S1.bundle, out)
+def field_add(A: TensorFieldSpec, B: TensorFieldSpec) -> TensorFieldSpec:
+    _check_field_pair(A, B, "field_add", same_valence=True)
+    out = {name: tuple(fold_add(a, b)
+                       for a, b in zip(A.per_chart[name], B.per_chart[name]))
+           for name in sorted(A.per_chart)}
+    return TensorFieldSpec(A.bundle, A.r, A.s, out)
 
 
-def section_smul(c, S: LocalSectionSpec) -> LocalSectionSpec:
-    if S.bundle.field is FieldTag.REAL and isinstance(c, complex):
-        raise ShapeMismatch("complex scalar on a real bundle's section")
-    lit = num_literal(float(c))
-    out = {
-        name: tuple(fold_mul(lit, e) for e in comps)
-        for name, comps in sorted(S.per_chart.items())
-    }
-    return LocalSectionSpec(S.bundle, out)
+def field_smul(c, A: TensorFieldSpec) -> TensorFieldSpec:
+    """Multiply by a constant. Expressions are real-valued, so c must be
+    real on complex bundles too."""
+    z = complex(c)
+    if z.imag != 0:
+        raise ShapeMismatch(f"field_smul: scalar {c} is not real; expressions are real-valued")
+    lit = num_literal(z.real)
+    out = {name: tuple(fold_mul(lit, e) for e in comps)
+           for name, comps in sorted(A.per_chart.items())}
+    return TensorFieldSpec(A.bundle, A.r, A.s, out)
 
 
-def section_fmul(f: dict, S: LocalSectionSpec) -> LocalSectionSpec:
-    """Multiply by a scalar function given per chart (an Expr for each chart)."""
-    if set(f) != set(S.per_chart):
-        raise ShapeMismatch("section_fmul: function charts do not match section charts")
+def field_fmul(f: dict, A: TensorFieldSpec) -> TensorFieldSpec:
+    """Multiply by a scalar function given as one expression per chart."""
+    if set(f) != set(A.per_chart):
+        raise ShapeMismatch("field_fmul: function charts do not match field charts")
     out = {}
-    for name in sorted(S.per_chart):
+    for name in sorted(A.per_chart):
         scalar = _as_expr(f[name])
-        if max_var_index(scalar) > S.bundle.base.dim:
+        if max_var_index(scalar) > A.bundle.base.dim:
             raise ShapeMismatch(f"scalar on '{name}' references x{max_var_index(scalar)}")
-        out[name] = tuple(fold_mul(scalar, e) for e in S.per_chart[name])
-    return LocalSectionSpec(S.bundle, out)
+        out[name] = tuple(fold_mul(scalar, e) for e in A.per_chart[name])
+    return TensorFieldSpec(A.bundle, A.r, A.s, out)
 
 
 # ---------------------------------------------------------------------------
@@ -836,7 +846,7 @@ def check_frame(F: FrameFieldSpec, samples: int = DEFAULT_SAMPLES,
         return (scaled_abs_dets(cols.transpose(0, 2, 1)),)
 
     records = _sampled({}, [("frame_gl", MIN_DET, tol)], F.chart,
-                       sample_box(box, samples, seed), seed, evaluate, raise_errors=True)
+                       sample_box(box, samples, seed), seed, evaluate)
     return make_report("frame", records)
 
 

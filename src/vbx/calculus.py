@@ -10,7 +10,6 @@ point) rather than being re-expanded symbolically.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,19 +17,18 @@ import numpy as np
 from .errors import DomainViolation, EvalError, NotADiffeomorphism, ShapeMismatch
 from .expr import (
     Dual,
-    Expr,
     Var,
+    _as_expr,
     eval_expr,
     fold_add,
     fold_mul,
     max_var_index,
     num_literal,
-    parse_expr,
     subst,
 )
 from .geometry import Box, make_box
-from .linalg import DEFAULT_TOL, FieldTag, LinearMap, VectorSpace, _freeze, is_gl, make_linear
-from .tensors import Tensor, index_to_digits, make_tensor, tensor_product
+from .linalg import DEFAULT_TOL, FieldTag, LinearMap, VectorSpace, is_gl, make_linear
+from .tensors import Tensor, digits_to_index, index_to_digits, make_tensor, tensor_product
 
 
 @dataclass(frozen=True)
@@ -47,10 +45,6 @@ class SmoothMap:
     @property
     def out_dim(self) -> int:
         return len(self.components)
-
-
-def _as_expr(c) -> Expr:
-    return c if isinstance(c, Expr) else parse_expr(c)
 
 
 def make_smooth_map(components, box) -> SmoothMap:
@@ -288,8 +282,8 @@ def product_component_exprs(a_comps, b_comps, d: int, r: int, s: int, p: int, q:
         vec, cov = digits[: r + p], digits[r + p :]
         a_digits = vec[:r] + cov[:s]
         b_digits = vec[r:] + cov[s:]
-        ja = _digits_to_flat(a_digits, d)
-        jb = _digits_to_flat(b_digits, d)
+        ja = digits_to_index(a_digits, d) - 1
+        jb = digits_to_index(b_digits, d) - 1
         comps.append(fold_mul(a_comps[ja], b_comps[jb]))
     return tuple(comps)
 
@@ -306,13 +300,6 @@ def tf_product(A: TensorFieldLocal, B: TensorFieldLocal) -> TensorFieldLocal:
         A.box, d, r + p, s + q,
         lambda x: tensor_product(tf_eval(A, x), tf_eval(B, x)).coeffs,
     )
-
-
-def _digits_to_flat(digits, d: int) -> int:
-    j = 0
-    for g in digits:
-        j = j * d + (g - 1)
-    return j
 
 
 def tf_pullback_diffeo(f: SmoothMap, A: TensorFieldLocal, r: int, s: int,

@@ -23,14 +23,13 @@ from .bundles import (
     check_frame,
     check_section,
     check_vb,
-    section_eval,
+    field_eval,
 )
 from .constructions import (
     base_restriction,
     check_tensor_field,
     direct_product,
     dual_bundle,
-    field_eval,
     hom_bundle,
     induced_bundle,
     tangent_bundle,
@@ -204,12 +203,10 @@ def cmd_eval(args) -> int:
         point = [float(t) for t in args.point.split(",")]
     except ValueError:
         raise _Usage(f"cannot parse point '{args.point}'") from None
-    if args.target in doc.sections:
-        values = section_eval(doc.sections[args.target], args.chart, point)
-    elif args.target in doc.fields:
-        values = field_eval(doc.fields[args.target], args.chart, point).coeffs
-    else:
+    target = doc.sections.get(args.target) or doc.fields.get(args.target)
+    if target is None:
         raise _Usage(f"no section or field named '{args.target}' in '{args.spec}'")
+    values = field_eval(target, args.chart, point).coeffs
     print(f"chart {args.chart}")
     print("point " + " ".join(_fmt(x) for x in point))
     print("value " + " ".join(_fmt(v) for v in np.atleast_1d(values)))

@@ -620,6 +620,10 @@ def parse_expr(text: str) -> Expr:
     return _Parser(text).parse()
 
 
+def _as_expr(c) -> Expr:
+    return c if isinstance(c, Expr) else parse_expr(c)
+
+
 # ---------------------------------------------------------------------------
 # Printing. Minimal parentheses, chosen so parse(to_string(e)) == e.
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -220,10 +221,8 @@ def sample_argument_tuples(n: int, d: int, slots: int, seed: int = 0) -> np.ndar
     """
     if slots == 0:
         return np.empty((n, 0, d))
-    from scipy.special import ndtri  # deferred: scipy costs every start-up ~0.3 s
-
     u = halton(n, slots * d, seed).reshape(n * slots, d)
-    z = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
+    z = np.vectorize(NormalDist().inv_cdf, otypes=[float])(np.clip(u, 1e-12, 1.0 - 1e-12))
     norms = np.linalg.norm(z, axis=1)
     degenerate = norms < 1e-12
     if np.any(degenerate):

@@ -17,33 +17,11 @@ argument by argument, so the fast path never drifts from the definition.
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ShapeMismatch, Singular
-from .linalg import DEFAULT_TOL, LinearMap, invert_linear, is_gl
+from .linalg import DEFAULT_TOL, LinearMap, _freeze, invert_linear, is_gl
 from .tensors import GradedTensor, Tensor, as_array, make_graded
-from .linalg import _freeze
-
-
-class PullbackKind(enum.Enum):
-    DUAL = "dual"
-    RS = "rs"
-    COV = "cov"
-    GRADED = "graded"
-
-
-@dataclass(frozen=True)
-class PullbackOperator:
-    """A pullback with its inverse (when needed) computed once and cached."""
-
-    kind: PullbackKind
-    underlying: LinearMap
-    r: int = 0
-    s: int = 0
-    cached_inverse: LinearMap | None = None
 
 
 def _apply_axis(arr: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
@@ -57,34 +35,6 @@ def _apply_axis(arr: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
 def _check_on_codomain(L: LinearMap, T: Tensor, op: str) -> None:
     if T.space != L.codomain:
         raise ShapeMismatch(f"{op}: tensor lives on {T.space}, map lands in {L.codomain}")
-
-
-def make_dual_pullback(L: LinearMap) -> PullbackOperator:
-    return PullbackOperator(PullbackKind.DUAL, L, 1, 0)
-
-
-def make_cov_pullback(L: LinearMap, r: int) -> PullbackOperator:
-    if r < 0:
-        raise ShapeMismatch(f"covariant rank must be non-negative, got {r}")
-    return PullbackOperator(PullbackKind.COV, L, r, 0)
-
-
-def make_rs_pullback(L: LinearMap, r: int, s: int, tol: float = DEFAULT_TOL) -> PullbackOperator:
-    if r < 0 or s < 0:
-        raise ShapeMismatch(f"valence must be non-negative, got ({r}, {s})")
-    if L.domain.dim != L.codomain.dim:
-        raise ShapeMismatch("rs_pullback needs a square map")
-    if not is_gl(L, tol):
-        raise Singular("rs_pullback needs an isomorphism")
-    return PullbackOperator(PullbackKind.RS, L, r, s, invert_linear(L, tol))
-
-
-def make_graded_pullback(L: LinearMap, tol: float = DEFAULT_TOL) -> PullbackOperator:
-    if L.domain.dim != L.codomain.dim:
-        raise ShapeMismatch("graded pullback needs a square map")
-    if not is_gl(L, tol):
-        raise Singular("graded pullback needs an isomorphism")
-    return PullbackOperator(PullbackKind.GRADED, L, 0, 0, invert_linear(L, tol))
 
 
 def _pull_coeffs(beta: Tensor, L: LinearMap, inverse: LinearMap | None) -> Tensor:
@@ -124,39 +74,30 @@ def rs_pullback(L: LinearMap, r: int, s: int, beta: Tensor, tol: float = DEFAULT
     beta(Lv_1,...,Lv_r, (L^-1)*u_1,...,(L^-1)*u_s); for r = s = 0 this is
     the identity on scalars.
     """
-    op = make_rs_pullback(L, r, s, tol)
-    return apply_pullback(op, beta)
+    if r < 0 or s < 0:
+        raise ShapeMismatch(f"valence must be non-negative, got ({r}, {s})")
+    if L.domain.dim != L.codomain.dim:
+        raise ShapeMismatch("rs_pullback needs a square map")
+    if not is_gl(L, tol):
+        raise Singular("rs_pullback needs an isomorphism")
+    if not isinstance(beta, Tensor):
+        raise ShapeMismatch("rs_pullback applies to Tensor values")
+    if (beta.r, beta.s) != (r, s):
+        raise ShapeMismatch(f"rs_pullback asked for valence ({r},{s}), tensor has {beta.valence}")
+    _check_on_codomain(L, beta, "rs_pullback")
+    return _pull_coeffs(beta, L, invert_linear(L, tol))
 
 
 def graded_pullback(L: LinearMap, X: GradedTensor, tol: float = DEFAULT_TOL) -> GradedTensor:
     """Apply rs_pullback to every term of X by its own valence."""
-    op = make_graded_pullback(L, tol)
-    return apply_pullback(op, X)
-
-
-def apply_pullback(op: PullbackOperator, target):
-    """Apply a prepared operator to a Tensor (or GradedTensor for GRADED)."""
-    L = op.underlying
-    if op.kind is PullbackKind.GRADED:
-        if not isinstance(target, GradedTensor):
-            raise ShapeMismatch("graded pullback applies to GradedTensor values")
-        if target.space != L.codomain:
-            raise ShapeMismatch("graded pullback: tensor lives off the map's codomain")
-        pulled = {
-            key: _pull_coeffs(t, L, op.cached_inverse)
-            for key, t in sorted(target.terms.items())
-        }
-        return make_graded(L.domain, pulled)
-    if not isinstance(target, Tensor):
-        raise ShapeMismatch(f"{op.kind.value} pullback applies to Tensor values")
-    if op.kind is PullbackKind.DUAL:
-        return dual_pullback(L, target)
-    if op.kind is PullbackKind.COV:
-        return cov_pullback(L, op.r, target)
-    # RS
-    if (target.r, target.s) != (op.r, op.s):
-        raise ShapeMismatch(
-            f"operator built for valence ({op.r},{op.s}), tensor has {target.valence}"
-        )
-    _check_on_codomain(L, target, "rs_pullback")
-    return _pull_coeffs(target, L, op.cached_inverse)
+    if L.domain.dim != L.codomain.dim:
+        raise ShapeMismatch("graded pullback needs a square map")
+    if not is_gl(L, tol):
+        raise Singular("graded pullback needs an isomorphism")
+    if not isinstance(X, GradedTensor):
+        raise ShapeMismatch("graded pullback applies to GradedTensor values")
+    if X.space != L.codomain:
+        raise ShapeMismatch("graded pullback: tensor lives off the map's codomain")
+    inverse = invert_linear(L, tol)
+    return make_graded(L.domain, {key: _pull_coeffs(t, L, inverse)
+                                  for key, t in sorted(X.terms.items())})

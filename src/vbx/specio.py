@@ -27,10 +27,10 @@ from .bundles import (
     VectorBundleSpec,
     make_atlas,
     make_bundle,
+    make_field,
     make_frame,
     make_section,
 )
-from .constructions import make_field
 from .errors import FileError, ParseError, SpecError, UnknownSymbol
 from .expr import parse_expr, to_string
 from .linalg import FieldTag

@@ -26,8 +26,8 @@ from vbx.bundles import (
     make_atlas,
     make_bundle,
     make_frame,
+    field_eval,
     make_section,
-    section_eval,
 )
 from vbx.calculus import eval_map, make_smooth_map, jacobian
 from vbx.errors import EvalError, VbxError
@@ -219,9 +219,9 @@ def scalar_check_section(S, samples, tol, seed):
         trouble = None
         for x in pts:
             try:
-                lhs = section_eval(S, i, x)
+                lhs = field_eval(S, i, x).coeffs
                 y = eval_map(e.overlap.tau, x)
-                rhs = _eval_matrix(e.g, x, B.field.dtype) @ section_eval(S, j, y)
+                rhs = _eval_matrix(e.g, x, B.field.dtype) @ field_eval(S, j, y).coeffs
                 worst = max(worst, float(np.max(np.abs(lhs - rhs))))
             except VbxError as exc:
                 trouble = f"evaluation failed at {np.asarray(x).tolist()}: {exc}"

@@ -1,4 +1,4 @@
-"""Atlas assembly, transition evaluation, sections, and frames."""
+"""Atlas assembly, transition evaluation, fields and sections, and frames."""
 
 import numpy as np
 import pytest
@@ -18,18 +18,19 @@ from vbx.bundles import (
     check_section,
     check_vb,
     dual_frame,
+    field_add,
+    field_eval,
+    field_fmul,
+    field_smul,
     find_edge,
     frame_from_trivialization,
     frame_matrix_at,
     make_atlas,
     make_bundle,
+    make_field,
     make_frame,
     make_section,
     make_total_point,
-    section_add,
-    section_eval,
-    section_fmul,
-    section_smul,
     transition_eval,
     zero_section,
 )
@@ -299,13 +300,14 @@ def test_triple_cocycle_has_teeth_on_a_genuine_triple_overlap():
 
 
 # --------------------------------------------------------------------------
-# Sections.
+# Sections: (0,1)-fields.
 
 
 def test_section_eval_and_compatibility():
     B = mobius_bundle()
     S = make_section(B, {"east": ["cos(x1/2)"], "west": ["cos(x1/2)"]})
-    assert section_eval(S, "east", [0.4])[0] == pytest.approx(np.cos(0.2), abs=1e-15)
+    assert (S.r, S.s) == (0, 1)
+    assert field_eval(S, "east", [0.4]).coeffs[0] == pytest.approx(np.cos(0.2), abs=1e-15)
     rep = check_section(S, SAMPLES, CHECK_TOL, seed=2)
     assert rep.passed
 
@@ -330,7 +332,7 @@ def test_partial_sections_check_what_they_cover():
     assert rep.passed
     assert any(r.note.startswith("vacuous") for r in rep.records)
     with pytest.raises(DomainViolation):
-        section_eval(S, "west", [1.0])
+        field_eval(S, "west", [1.0])
 
 
 def test_make_section_validation():
@@ -346,17 +348,17 @@ def test_make_section_validation():
 def test_section_arithmetic():
     B = mobius_bundle()
     S1 = make_section(B, {"east": ["cos(x1/2)"], "west": ["cos(x1/2)"]})
-    S2 = section_smul(3.0, S1)
-    assert section_eval(S2, "east", [0.0])[0] == pytest.approx(3.0, abs=1e-15)
-    S3 = section_add(S1, S2)
-    assert section_eval(S3, "east", [0.0])[0] == pytest.approx(4.0, abs=1e-15)
+    S2 = field_smul(3.0, S1)
+    assert field_eval(S2, "east", [0.0]).coeffs[0] == pytest.approx(3.0, abs=1e-15)
+    S3 = field_add(S1, S2)
+    assert field_eval(S3, "east", [0.0]).coeffs[0] == pytest.approx(4.0, abs=1e-15)
     rep = check_section(S3, SAMPLES, CHECK_TOL, seed=3)
     assert rep.passed
     # multiplying by a chart-dependent scalar function needs compatible
     # expressions on both charts to stay a section; a global function of
     # the base point given per chart is fine
     f = {"east": "2 + sin(x1)", "west": "2 + sin(x1)"}
-    S4 = section_fmul(f, S1)
+    S4 = field_fmul(f, S1)
     rep = check_section(S4, SAMPLES, CHECK_TOL, seed=3)
     assert rep.passed
 
@@ -366,16 +368,36 @@ def test_section_add_needs_same_bundle_and_charts():
     S1 = make_section(B, {"east": ["1"]})
     S2 = make_section(B, {"west": ["1"]})
     with pytest.raises(ShapeMismatch):
-        section_add(S1, S2)
+        field_add(S1, S2)
     with pytest.raises(ShapeMismatch):
-        section_add(S1, make_section(circle_trivial_bundle(), {"east": ["1"]}))
+        field_add(S1, make_section(circle_trivial_bundle(), {"east": ["1"]}))
 
 
 def test_section_smul_field_guard():
     B = mobius_bundle()
     S = make_section(B, {"east": ["1"]})
     with pytest.raises(ShapeMismatch):
-        section_smul(1j, S)
+        field_smul(1j, S)
+
+
+@pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
+def test_field_smul_rejects_non_real_scalars_on_real_and_complex_bundles(field):
+    B = make_bundle(circle_atlas(), 1, field,
+                    [(o.frm, o.to, [["1"]]) for o in circle_atlas().overlaps])
+    for A in (make_section(B, {"east": ["1"]}), make_field(B, 1, 1, {"east": ["x1"]})):
+        with pytest.raises(ShapeMismatch):
+            field_smul(1j, A)
+        with pytest.raises(ShapeMismatch):
+            field_smul(np.complex128(2 - 0.5j), A)
+        halved = field_smul(np.complex128(0.5), A)  # a zero imaginary part is a real scalar
+        assert field_eval(halved, "east", [0.5]).coeffs[0] == pytest.approx(
+            0.5 * field_eval(A, "east", [0.5]).coeffs[0], abs=1e-15)
+
+
+def test_check_section_takes_only_01_fields():
+    B = mobius_bundle()
+    with pytest.raises(ShapeMismatch):
+        check_section(make_field(B, 1, 0, {"east": ["1"], "west": ["1"]}), 20)
 
 
 # --------------------------------------------------------------------------

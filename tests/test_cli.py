@@ -86,6 +86,24 @@ def test_power_overflow_in_a_section_is_a_fail_record_not_a_traceback(tmp_path):
     assert "result: FAIL" in out
 
 
+def test_frame_entry_that_fails_to_evaluate_is_a_fail_record_not_an_abort(tmp_path):
+    doc = json.loads(gallery_path("mobius").read_text())
+    doc["frames"].append({"name": "bad", "chart": "east", "columns": [["log(x1)"]]})
+    spec = tmp_path / "badframe.json"
+    spec.write_text(json.dumps(doc))
+    report = tmp_path / "r.json"
+    code, out, err = run_cold("check", str(spec), "--samples", "40", "--out", str(report))
+    assert code == 2
+    assert "Traceback" not in err
+    records = json.loads(report.read_text())["records"]
+    bad = [r for r in records if r["subject"] == "frame 'bad' east"]
+    assert len(bad) == 1
+    assert bad[0]["check"] == "frame_gl" and not bad[0]["passed"]
+    assert bad[0]["note"].startswith("evaluation failed at [")
+    assert "log of non-positive value" in bad[0]["note"]
+    assert all(r["passed"] for r in records if r is not bad[0])
+
+
 def test_unwritable_report_path_is_a_file_error_not_a_traceback(tmp_path):
     target = tmp_path / "missing_dir" / "r.json"
     code, out, err = run_cold("check", gp("mobius"), "--samples", "20", "--out", str(target))

@@ -7,6 +7,7 @@ route is cross-checked by an independent numeric one.
 """
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -25,11 +26,15 @@ from support import (
 from vbx.bundles import (
     check_section,
     check_vb,
+    field_add,
+    field_eval,
+    field_fmul,
+    field_smul,
     make_atlas,
     make_bundle,
+    make_field,
     make_frame,
     make_section,
-    section_eval,
     transition_eval,
 )
 from vbx.constructions import (
@@ -39,16 +44,11 @@ from vbx.constructions import (
     compose_morphism,
     direct_product,
     dual_bundle,
-    field_add,
-    field_eval,
-    field_fmul,
     field_product,
-    field_smul,
     hom_bundle,
     identity_morphism,
     induced_bundle,
     local_expression,
-    make_field,
     make_morphism,
     subbundle_check,
     tangent_bundle,
@@ -70,7 +70,7 @@ from vbx.errors import (
 from vbx.expr import eval_expr, parse_expr
 from vbx.linalg import FieldTag, make_linear, make_space
 from vbx.pullbacks import cov_pullback, rs_pullback
-from vbx.specio import gallery_path, load_spec
+from vbx.specio import gallery_path, list_gallery, load_spec
 from vbx.tensors import tensor_add, tensor_product
 
 CHECK_TOL = 1e-9
@@ -718,6 +718,24 @@ def test_covariant_pullback_crosses_ranks():
 
 
 # --------------------------------------------------------------------------
+def test_gallery_sections_are_01_fields():
+    # a section of B is a (0,1)-field: tensor_bundle(B, 0, 1) has B's
+    # transitions, so both checks give the same records
+    seen = 0
+    for name in list_gallery():
+        raw = json.loads(gallery_path(name).read_text())
+        if not raw.get("sections"):
+            continue
+        B = load_spec(gallery_path(name)).bundle
+        for entry in raw["sections"]:
+            S = make_section(B, entry["components"])
+            assert S == make_field(B, 0, 1, entry["components"])
+            assert (check_section(S, 60, CHECK_TOL, seed=5).records
+                    == check_tensor_field(S, 60, CHECK_TOL, seed=5).records)
+            seen += 1
+    assert seen == 7
+
+
 # Sub-bundle criterion.
 
 
@@ -788,6 +806,17 @@ def test_subbundle_validation():
         subbundle_check(B, {"left": [["1", "0"]], "right": [["1", "0"], ["0", "1"]]})
     with pytest.raises(SpecError):
         subbundle_check(B, {"left": [["1", "0", "0"]]})
+
+
+def test_section_entry_that_fails_to_evaluate_fails_its_rank_record():
+    B = plane_rotation_bundle()
+    W = {"left": [["log(x1)", "1"]], "right": [["1", "0"]]}  # left has x1 < 0
+    rep = subbundle_check(B, W, SAMPLES, CHECK_TOL, seed=12)
+    rank = {r.subject: r for r in rep.records if r.check == "subbundle_rank"}
+    assert not rank["left"].passed
+    assert rank["left"].note.startswith("evaluation failed at [")
+    assert "log of non-positive value" in rank["left"].note
+    assert rank["right"].passed
 
 
 def test_pointwise_dependence_fails_the_rank_record():

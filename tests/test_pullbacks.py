@@ -1,4 +1,4 @@
-"""Pullback operators against the slotwise defining formula.
+"""Pullbacks against the slotwise defining formula.
 
 The oracle evaluates the defining property directly: the pulled-back
 tensor applied to arguments equals the original applied to the mapped
@@ -12,14 +12,7 @@ import pytest
 
 from vbx.errors import ShapeMismatch, Singular
 from vbx.linalg import compose_linear, identity_linear, invert_linear, make_linear, make_space
-from vbx.pullbacks import (
-    apply_pullback,
-    cov_pullback,
-    dual_pullback,
-    graded_pullback,
-    make_rs_pullback,
-    rs_pullback,
-)
+from vbx.pullbacks import cov_pullback, dual_pullback, graded_pullback, rs_pullback
 from vbx.tensors import make_graded, make_tensor, tensor_eval
 
 LAW_TOL = 1e-10
@@ -149,23 +142,36 @@ def test_valence_is_checked():
         rs_pullback(L, 0, 1, beta)
 
 
+def test_rs_and_graded_pullbacks_validate_in_order():
+    v2, v3 = make_space(2), make_space(3)
+    square, on_v3 = identity_linear(v2), identity_linear(v3)
+    singular = make_linear(v2, v2, [[1, 2], [2, 4]])
+    wide = make_linear(v2, v3, np.ones((3, 2)))
+    beta = make_tensor(v2, 1, 1, [1.0, 0.0, 0.0, 1.0])
+    X = make_graded(v2, {(1, 1): beta})
+    cases = [
+        (lambda: rs_pullback(wide, -1, 1, X), ShapeMismatch, "non-negative"),
+        (lambda: rs_pullback(wide, 1, 1, X), ShapeMismatch, "square"),
+        (lambda: rs_pullback(singular, 1, 1, X), Singular, "isomorphism"),
+        (lambda: rs_pullback(square, 1, 1, X), ShapeMismatch, "Tensor values"),
+        (lambda: rs_pullback(on_v3, 1, 0, beta), ShapeMismatch, r"valence \(1,0\)"),
+        (lambda: rs_pullback(on_v3, 1, 1, beta), ShapeMismatch, "tensor lives on"),
+        (lambda: graded_pullback(wide, beta), ShapeMismatch, "square"),
+        (lambda: graded_pullback(singular, beta), Singular, "isomorphism"),
+        (lambda: graded_pullback(square, beta), ShapeMismatch, "GradedTensor values"),
+        (lambda: graded_pullback(on_v3, X), ShapeMismatch, "codomain"),
+    ]
+    for call, error, message in cases:
+        with pytest.raises(error, match=message):
+            call()
+
+
 def test_space_is_checked():
     v2, v3 = make_space(2), make_space(3)
     L = make_linear(v2, v3, np.ones((3, 2)))
     beta = make_tensor(v2, 1, 0, [1.0, 0.0])
     with pytest.raises(ShapeMismatch):
         cov_pullback(L, 1, beta)
-
-
-def test_operator_objects_apply():
-    rng = np.random.default_rng(7)
-    v = make_space(2)
-    L = make_linear(v, v, random_gl(rng, 2))
-    op = make_rs_pullback(L, 1, 1)
-    beta = make_tensor(v, 1, 1, rng.normal(size=4))
-    out = apply_pullback(op, beta)
-    direct = rs_pullback(L, 1, 1, beta)
-    assert np.allclose(out.coeffs, direct.coeffs, atol=1e-14)
 
 
 def test_graded_pullback_acts_termwise():

@@ -5,8 +5,7 @@ import json
 import pytest
 from support import mobius_bundle, plane_rotation_bundle
 
-from vbx.bundles import make_frame, make_section
-from vbx.constructions import make_field
+from vbx.bundles import make_field, make_frame, make_section
 from vbx.errors import FileError, ParseError, SpecError
 from vbx.specio import (
     bundle_to_dict,

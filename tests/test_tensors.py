@@ -7,6 +7,10 @@ deliberately slower and simpler than the library paths they check.
 """
 
 import itertools
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -293,3 +297,25 @@ def test_tensor_norm_brackets():
     assert lo <= 1.0 + 1e-12 <= hi + 2e-12
     z = zero_tensor(v, 2, 0)
     assert tensor_norm(z) == (0.0, 0.0)
+
+
+def test_tensor_norm_runs_on_numpy_alone():
+    """In a fresh interpreter, import vbx and one tensor_norm call load no
+    scipy module, and numpy is the only declared runtime dependency."""
+    import vbx
+
+    src = Path(vbx.__file__).resolve().parent.parent
+    code = ("import sys\n"
+            "import vbx\n"
+            "from vbx.linalg import make_space\n"
+            "from vbx.tensors import make_tensor, tensor_norm\n"
+            "print(tensor_norm(make_tensor(make_space(2), 2, 0, [1, 0, 0, 1]), budget=50))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={"PYTHONPATH": str(src)}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((src.parent / "pyproject.toml").read_text())["project"]
+    assert [re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in project["dependencies"]] == [
+        "numpy"]

@@ -262,6 +262,7 @@ def make_bundle(base: BaseAtlasSpec, fiber_dim: int, field: FieldTag, transition
     if fiber_dim < 1:
         raise SpecError("fiber dimension must be positive", "/fiber/dim")
     parsed = []
+    memo: dict = {}  # shared subtrees are validated once
     for k, (frm, to, g) in enumerate(transitions):
         loc = f"/transitions/{k}"
         rows = []
@@ -272,7 +273,7 @@ def make_bundle(base: BaseAtlasSpec, fiber_dim: int, field: FieldTag, transition
             raise SpecError(f"transition matrix must be {fiber_dim}x{fiber_dim}", loc)
         for row in gmat:
             for e in row:
-                if max_var_index(e) > base.dim:
+                if max_var_index(e, memo) > base.dim:
                     raise SpecError(
                         f"transition entry references x{max_var_index(e)}, base dim is {base.dim}",
                         loc)
@@ -508,11 +509,11 @@ def _sampled(progs: dict, checks, subject: str, pts: np.ndarray, seed: int, eval
     progs is the suite call's cache of compiled programs. checks holds
     (check, kind, tol) for each per-sample value array that
     evaluate(trial) returns, in record order. A failed sample, or a
-    non-finite value at a live one, fails the subject: one failed record
-    under its first residual check (else its first check), noting the
-    first such sample in sample order. Triple checks pass samples, the
-    count a failed record reports; for them only samples that stayed live
-    count, and none makes the subject vacuous.
+    non-finite value at a live one, fails the subject: one failed record,
+    of its check's kind, under its first residual check (else its first
+    check), noting the first such sample in sample order. Triple checks
+    pass samples, the count a failed record reports; for them only samples
+    that stayed live count, and none makes the subject vacuous.
     """
     t = _Trial(pts, progs)
     with np.errstate(all="ignore"):  # failed samples compute on garbage
@@ -521,14 +522,14 @@ def _sampled(progs: dict, checks, subject: str, pts: np.ndarray, seed: int, eval
         label = "residual" if kind == RESIDUAL else "scaled determinant"
         t.fail(t.rows, ~np.isfinite(v),
                lambda j, label=label: f"non-finite {label} at {pts[j].tolist()}")
-    name, _, tol = next((c for c in checks if c[1] == RESIDUAL), checks[0])
+    name, kind, tol = next((c for c in checks if c[1] == RESIDUAL), checks[0])
     failed = np.flatnonzero(t.cause >= 0)
     if failed.size:
         i = failed[0]
         why = t.why(i)
         note = why if isinstance(why, str) else f"evaluation failed at {pts[i].tolist()}: {why}"
         return [failed_record(name, subject, len(pts) if samples is None else samples, seed,
-                              tol, note)]
+                              tol, note, kind)]
     count = int(t.live.sum())
     if samples is not None and count == 0:
         return [vacuous_record(name, subject, seed, tol)]

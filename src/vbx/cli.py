@@ -46,6 +46,7 @@ from .errors import (
     SingularFrame,
     VbxError,
 )
+from .expr import compile_exprs, tree_size
 from .report import CheckReport, format_report, make_report, merge_reports, report_to_json
 from .specio import atlas_from_document, load_json, load_spec, save_spec
 
@@ -181,7 +182,16 @@ def cmd_construct(args) -> int:
         out = tangent_bundle(doc.base)
     save_spec(out, args.out)
     print(f"wrote {args.out}")
+    print(_size_line(out, args.out))
     return 0
+
+
+def _size_line(B, path: str) -> str:
+    """How big a written bundle is; deterministic, so fit for stdout."""
+    roots = [c for e in B.edges for row in e.g for c in row]
+    roots += [c for o in B.base.overlaps for c in o.tau.components]
+    return (f"fiber dim {B.fiber_dim}, {len(B.edges)} edges, {tree_size(roots)} tree nodes, "
+            f"{len(compile_exprs(roots).code)} unique nodes, {Path(path).stat().st_size} bytes")
 
 
 def _bundle_input(path: str):

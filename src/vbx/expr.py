@@ -25,6 +25,12 @@ arithmetic and the same domain errors, reported per sample.
 The folding constructors (fold_add and friends) do light constant folding
 and are used by symbolic differentiation and substitution, never by the
 parser.
+
+Expressions are DAGs: a derived bundle's entries reference the same
+subtrees many times over. Every walker (evaluation, printing, validation,
+compiling, differentiation, substitution) visits each distinct node once,
+without recursion, and the parser reads a repeated parenthesized group
+once and returns the same node for it.
 """
 
 from __future__ import annotations
@@ -102,6 +108,52 @@ class Call(Expr):
 
 _CONSTS = {"pi": math.pi, "e": math.e}
 _FUNCS = ("sin", "cos", "tan", "exp", "log", "sqrt")
+
+
+# ---------------------------------------------------------------------------
+# The one walk. A memo maps id(node) to (node, result): holding the node
+# keeps its id from being taken by a new object while the memo lives. A
+# memo lives for one call, or for the calls on one document when a caller
+# passes one in; none is kept between commands.
+
+_OPERANDS = {
+    Add: lambda e: (e.a, e.b),
+    Sub: lambda e: (e.a, e.b),
+    Mul: lambda e: (e.a, e.b),
+    Div: lambda e: (e.a, e.b),
+    Neg: lambda e: (e.a,),
+    Pow: lambda e: (e.base,),
+    Call: lambda e: (e.arg,),
+}
+
+
+def _operands(e) -> tuple:
+    get = _OPERANDS.get(type(e))
+    return () if get is None else get(e)
+
+
+def _fold(roots, memo: dict, visit) -> list:
+    """visit(node, results of its operands) once per distinct node under
+    roots whose id is not in memo, operands first and left before right,
+    roots in order: the order in which a recursive walk first finishes each
+    node, so the first node to raise is the one it would raise at. Returns
+    the results of the roots."""
+    roots = tuple(roots)
+    for root in roots:
+        stack = [root]
+        while stack:
+            node = stack[-1]
+            if id(node) in memo:
+                stack.pop()
+                continue
+            kids = _operands(node)
+            todo = [k for k in kids if id(k) not in memo]
+            if todo:
+                stack += reversed(todo)
+                continue
+            stack.pop()
+            memo[id(node)] = node, visit(node, [memo[id(k)][1] for k in kids])
+    return [memo[id(r)][1] for r in roots]
 
 
 class Dual:
@@ -217,48 +269,48 @@ def eval_expr(e: Expr, env):
     Raises EvalError at poles and domain edges (division by zero, log of a
     non-positive number, square root of a negative number).
     """
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Const):
-        return _CONSTS[e.name]
-    if isinstance(e, Var):
-        if e.index > len(env):
-            raise EvalError(f"no value for x{e.index}: point has {len(env)} coordinates")
-        return env[e.index - 1]
-    if isinstance(e, Neg):
-        return -eval_expr(e.a, env)
-    if isinstance(e, Add):
-        return eval_expr(e.a, env) + eval_expr(e.b, env)
-    if isinstance(e, Sub):
-        return eval_expr(e.a, env) - eval_expr(e.b, env)
-    if isinstance(e, Mul):
-        return eval_expr(e.a, env) * eval_expr(e.b, env)
-    if isinstance(e, Div):
-        num = eval_expr(e.a, env)
-        den = eval_expr(e.b, env)
-        if _v(den) == 0.0:
-            raise EvalError("division by zero")
-        return num / den
-    if isinstance(e, Pow):
-        return _int_pow(eval_expr(e.base, env), e.exponent)
-    if isinstance(e, Call):
-        return _call(e.fn, eval_expr(e.arg, env))
-    raise EvalError(f"unknown node {type(e).__name__}")
+
+    def visit(e, v):
+        if isinstance(e, Num):
+            return e.value
+        if isinstance(e, Const):
+            return _CONSTS[e.name]
+        if isinstance(e, Var):
+            if e.index > len(env):
+                raise EvalError(f"no value for x{e.index}: point has {len(env)} coordinates")
+            return env[e.index - 1]
+        if isinstance(e, Neg):
+            return -v[0]
+        if isinstance(e, Add):
+            return v[0] + v[1]
+        if isinstance(e, Sub):
+            return v[0] - v[1]
+        if isinstance(e, Mul):
+            return v[0] * v[1]
+        if isinstance(e, Div):
+            if _v(v[1]) == 0.0:
+                raise EvalError("division by zero")
+            return v[0] / v[1]
+        if isinstance(e, Pow):
+            return _int_pow(v[0], e.exponent)
+        if isinstance(e, Call):
+            return _call(e.fn, v[0])
+        raise EvalError(f"unknown node {type(e).__name__}")
+
+    return _fold((e,), {}, visit)[0]
 
 
-def max_var_index(e: Expr) -> int:
-    """Largest variable index used, 0 if the expression is constant."""
-    if isinstance(e, Var):
-        return e.index
-    if isinstance(e, Neg):
-        return max_var_index(e.a)
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        return max(max_var_index(e.a), max_var_index(e.b))
-    if isinstance(e, Pow):
-        return max_var_index(e.base)
-    if isinstance(e, Call):
-        return max_var_index(e.arg)
-    return 0
+def tree_size(exprs) -> int:
+    """Nodes of exprs counted as trees: a shared subtree once per occurrence."""
+    return sum(_fold(exprs, {}, lambda e, v: 1 + sum(v)))
+
+
+def max_var_index(e: Expr, memo: dict | None = None) -> int:
+    """Largest variable index used, 0 if the expression is constant.
+
+    memo may be shared by the calls that validate one document."""
+    return _fold((e,), {} if memo is None else memo,
+                 lambda e, v: e.index if isinstance(e, Var) else max(v, default=0))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -285,43 +337,34 @@ class Program:
 def compile_exprs(exprs) -> Program:
     """One program for all of exprs, common subexpressions shared.
 
-    The walk is iterative, so deep trees cannot hit the recursion limit,
-    and the table holds only unique nodes. Slots come in post-order of
-    first occurrence, which is the order eval_expr meets them; the first
-    failing slot of a sample is therefore the one eval_expr raises at.
+    Each distinct node is visited once, and the table holds only unique
+    structures. Slots come in post-order of first occurrence, which is the
+    order eval_expr meets them; the first failing slot of a sample is
+    therefore the one eval_expr raises at.
     """
     table: dict = {}
-    outputs = []
-    for root in exprs:
-        done: list = []  # slots of finished subtrees
-        todo: list = [root]  # nodes to expand, and (op, literal, binary) build markers
-        while todo:
-            node = todo.pop()
-            t = type(node)
-            if t is Num:
-                key = (_LIT, -1, math.copysign(1.0, node.value), node.value)  # 0.0 != -0.0
-            elif t is Var:
-                key = (_VAR, -1, -1, node.index)
-            elif t is Const:
-                key = (_LIT, -1, 1.0, _CONSTS[node.name])
-            elif t is tuple:  # the operands are done; build the node
-                op, lit, binary = node
-                b = done.pop() if binary else -1
-                key = (op, done.pop(), b, lit)
-            else:
-                if t is Neg:
-                    todo += ((_NEG, None, False), node.a)
-                elif t is Pow:
-                    todo += ((_POW, node.exponent, False), node.base)
-                elif t is Call:
-                    todo += ((_CALL, node.fn, False), node.arg)
-                elif t in _BINARY:
-                    todo += ((_BINARY[t], None, True), node.b, node.a)
-                else:
-                    raise EvalError(f"unknown node {t.__name__}")
-                continue
-            done.append(table.setdefault(key, len(table)))
-        outputs.append(done.pop())
+
+    def visit(node, slots):
+        t = type(node)
+        if t is Num:
+            key = (_LIT, -1, math.copysign(1.0, node.value), node.value)  # 0.0 != -0.0
+        elif t is Var:
+            key = (_VAR, -1, -1, node.index)
+        elif t is Const:
+            key = (_LIT, -1, 1.0, _CONSTS[node.name])
+        elif t is Neg:
+            key = (_NEG, slots[0], -1, None)
+        elif t is Pow:
+            key = (_POW, slots[0], -1, node.exponent)
+        elif t is Call:
+            key = (_CALL, slots[0], -1, node.fn)
+        elif t in _BINARY:
+            key = (_BINARY[t], slots[0], slots[1], None)
+        else:
+            raise EvalError(f"unknown node {t.__name__}")
+        return table.setdefault(key, len(table))
+
+    outputs = _fold(exprs, {}, visit)
     return Program(tuple(table), tuple(outputs))
 
 
@@ -470,7 +513,7 @@ def _call_batch(fn, x, dx, fail):
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer and recursive-descent parser. Positions are 1-based columns.
+# Tokenizer and parser. Positions are 1-based columns.
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
@@ -480,128 +523,172 @@ _TOKEN_RE = re.compile(
 
 
 class _Token:
-    __slots__ = ("kind", "text", "pos")
+    __slots__ = ("kind", "text", "pos", "end")
 
-    def __init__(self, kind, text, pos):
+    def __init__(self, kind, text, pos, end):
         self.kind = kind
         self.text = text
         self.pos = pos
+        self.end = end  # index just past the token
 
 
-def _tokenize(text: str):
-    tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            stripped = text[i:].lstrip()
-            if not stripped:
-                break
-            pos = n - len(stripped) + 1
-            raise ParseError(f"unexpected character {stripped[0]!r}", pos)
-        if m.lastgroup == "num":
-            tokens.append(_Token("num", m.group("num"), m.start("num") + 1))
-        elif m.lastgroup == "name":
-            tokens.append(_Token("name", m.group("name"), m.start("name") + 1))
-        else:
-            tokens.append(_Token(m.group("op"), m.group("op"), m.start("op") + 1))
-        i = m.end()
-    tokens.append(_Token("end", "", n + 1))
-    return tokens
+def _scan(text: str, i: int) -> _Token:
+    """The token at index i, after any whitespace."""
+    m = _TOKEN_RE.match(text, i)
+    if m is None:
+        stripped = text[i:].lstrip()
+        if not stripped:
+            return _Token("end", "", len(text) + 1, len(text))
+        raise ParseError(f"unexpected character {stripped[0]!r}", len(text) - len(stripped) + 1)
+    kind = m.lastgroup
+    tok = m.group(kind)
+    return _Token(tok if kind == "op" else kind, tok, m.start(kind) + 1, m.end())
+
+
+def _scan_all(text: str) -> None:
+    """Read every token: raises at the first unexpected character, if any."""
+    tok = _scan(text, 0)
+    while tok.kind != "end":
+        tok = _scan(text, tok.end)
+
+
+def _closing_parens(text: str) -> np.ndarray:
+    """At the index of each '(' that has a matching ')', the index of that
+    ')'; -1 everywhere else.
+
+    One vectorized pass: a '(' opens nesting level d (the depth after it)
+    and the ')' that closes it is the next parenthesis at level d (the
+    depth before it), so after a stable sort by level, a '(' directly
+    followed by a ')' of its level is a matched pair.
+    """
+    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    at = np.flatnonzero((codes == 40) | (codes == 41))
+    opens = codes[at] == 40
+    level = np.cumsum(np.where(opens, 1, -1)) + ~opens
+    order = np.argsort(level, kind="stable")
+    at, opens, level = at[order], opens[order], level[order]
+    pair = opens[:-1] & ~opens[1:] & (level[:-1] == level[1:])
+    closing = np.full(len(codes), -1)
+    closing[at[:-1][pair]] = at[1:][pair]
+    return closing
+
+
+class _Level:
+    """One group being parsed: the whole text, a '(' ... ')' or a call's
+    argument. sum and prod are the left operands of the grammar's expr and
+    term loops so far; neg is a '-' read before the current operand."""
+
+    __slots__ = ("key", "fn", "sum", "sum_op", "prod", "prod_op", "neg")
+
+    def __init__(self, key, fn):
+        self.key = key  # the group's text, from its start to its ')'
+        self.fn = fn  # the function called, for a call's argument
+        self.sum = self.sum_op = self.prod = self.prod_op = None
+        self.neg = False
 
 
 class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
+    """The grammar's recursive descent run on an explicit stack of levels,
+    so nesting depth is bounded by memory, not by the recursion limit.
+    Tokens are read one at a time.
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
+    memo maps the text of a parenthesized group, or of a call from its
+    name to its ')', to the node it parsed to. A group whose text is in
+    memo is not read again: the parser takes the node and jumps past the
+    ')'. A group's text fixes its parse, so the tree is the one the text
+    gives without the memo, and so is the first error, because only
+    groups that parsed without one are entered.
+    """
+
+    def __init__(self, text: str, memo: dict):
+        self.text = text
+        self.memo = memo
+        self.closing = None  # _closing_parens(text), made at the first group
+        self.tok = _scan(text, 0)
 
     def advance(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
+        tok = self.tok
+        self.tok = _scan(self.text, tok.end)
         return tok
 
     def expect(self, kind: str) -> _Token:
-        tok = self.peek()
+        tok = self.tok
         if tok.kind != kind:
             what = f"'{tok.text}'" if tok.kind != "end" else "end of input"
             raise ParseError(f"expected '{kind}', found {what}", tok.pos)
         return self.advance()
 
     def parse(self) -> Expr:
-        e = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(f"unexpected '{tok.text}' after expression", tok.pos)
-        return e
-
-    def expr(self) -> Expr:
-        e = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.advance()
-            rhs = self.term()
-            e = Add(e, rhs) if op.kind == "+" else Sub(e, rhs)
-        return e
-
-    def term(self) -> Expr:
-        e = self.factor()
-        while self.peek().kind in ("*", "/"):
-            op = self.advance()
-            rhs = self.factor()
-            e = Mul(e, rhs) if op.kind == "*" else Div(e, rhs)
-        return e
-
-    def factor(self) -> Expr:
-        e = self.unary()
-        if self.peek().kind == "^":
-            self.advance()
-            e = Pow(e, self.integer())
-        return e
+        levels = [_Level(None, None)]
+        while True:
+            lv = levels[-1]
+            a = self.operand(levels)
+            while a is not None:  # an atom of lv is done
+                if lv.neg:
+                    a, lv.neg = Neg(a), False
+                if self.tok.kind == "^":
+                    self.advance()
+                    a = Pow(a, self.integer())
+                if lv.prod is not None:
+                    a = (Mul if lv.prod_op == "*" else Div)(lv.prod, a)
+                    lv.prod = None
+                tok = self.tok
+                if tok.kind in ("*", "/"):
+                    lv.prod, lv.prod_op = a, self.advance().kind
+                    break
+                if lv.sum is not None:
+                    a = (Add if lv.sum_op == "+" else Sub)(lv.sum, a)
+                    lv.sum = None
+                if tok.kind in ("+", "-"):
+                    lv.sum, lv.sum_op = a, self.advance().kind
+                    break
+                # a is lv's whole expression
+                if len(levels) == 1:
+                    if tok.kind != "end":
+                        raise ParseError(f"unexpected '{tok.text}' after expression", tok.pos)
+                    return a
+                if lv.fn is not None:
+                    if tok.kind == ",":
+                        raise ParseError(f"{lv.fn} takes one argument", tok.pos)
+                    self.expect(")")
+                    a = Call(lv.fn, a)
+                else:
+                    self.expect(")")
+                if lv.key is not None:
+                    self.memo[lv.key] = a
+                levels.pop()
+                lv = levels[-1]
 
     def integer(self) -> int:
         sign = 1
-        if self.peek().kind == "-":
+        if self.tok.kind == "-":
             self.advance()
             sign = -1
-        tok = self.peek()
+        tok = self.tok
         if tok.kind != "num" or not re.fullmatch(r"\d+", tok.text):
             what = f"'{tok.text}'" if tok.kind != "end" else "end of input"
             raise ParseError(f"exponent must be an integer literal, found {what}", tok.pos)
         self.advance()
         return sign * int(tok.text)
 
-    def unary(self) -> Expr:
-        if self.peek().kind == "-":
+    def operand(self, levels: list):
+        """unary := '-'? atom. The atom, or None when it opened a group."""
+        if self.tok.kind == "-":
             self.advance()
-            return Neg(self.atom())
-        return self.atom()
-
-    def atom(self) -> Expr:
-        tok = self.peek()
+            levels[-1].neg = True
+        tok = self.tok
         if tok.kind == "num":
             self.advance()
             return Num(float(tok.text))
         if tok.kind == "(":
-            self.advance()
-            e = self.expr()
-            self.expect(")")
-            return e
+            return self.group(levels, tok, self.advance(), None)
         if tok.kind == "name":
             self.advance()
             name = tok.text
             if name in _CONSTS:
                 return Const(name)
             if name in _FUNCS:
-                self.expect("(")
-                arg = self.expr()
-                if self.peek().kind == ",":
-                    raise ParseError(f"{name} takes one argument", self.peek().pos)
-                self.expect(")")
-                return Call(name, arg)
+                return self.group(levels, tok, self.expect("("), name)
             m = re.fullmatch(r"x(\d+)", name)
             if m:
                 idx = int(m.group(1))
@@ -612,12 +699,36 @@ class _Parser:
         what = f"'{tok.text}'" if tok.kind != "end" else "end of input"
         raise ParseError(f"expected an operand, found {what}", tok.pos)
 
+    def group(self, levels: list, start: _Token, paren: _Token, fn):
+        """After the '(' paren of a group that starts at start: the node of
+        a group met before, or None after opening a level for it."""
+        if self.closing is None:
+            self.closing = _closing_parens(self.text)
+        end = int(self.closing[paren.pos - 1])
+        key = None
+        if end >= 0:
+            key = self.text[start.pos - 1:end + 1]
+            node = self.memo.get(key)
+            if node is not None:
+                self.tok = _scan(self.text, end + 1)
+                return node
+        levels.append(_Level(key, fn))
+        return None
 
-def parse_expr(text: str) -> Expr:
-    """Parse a DSL expression; ParseError/UnknownSymbol carry the column."""
+
+def parse_expr(text: str, memo: dict | None = None) -> Expr:
+    """Parse a DSL expression; ParseError/UnknownSymbol carry the column.
+
+    memo may be shared by the calls that load one document, so that a
+    group met in an earlier entry is not read again.
+    """
     if not isinstance(text, str):
         raise ParseError("expression must be a string", 1)
-    return _Parser(text).parse()
+    try:
+        return _Parser(text, {} if memo is None else memo).parse()
+    except (ParseError, UnknownSymbol):
+        _scan_all(text)  # an unexpected character anywhere is the error reported
+        raise
 
 
 def _as_expr(c) -> Expr:
@@ -638,7 +749,8 @@ def _is_atomic(e: Expr) -> bool:
     return isinstance(e, (Const, Var, Call)) or (isinstance(e, Num) and e.value >= 0)
 
 
-def to_string(e: Expr) -> str:
+def _print_node(e: Expr, texts: list) -> str:
+    """e's text from the texts of its operands."""
     if isinstance(e, Num):
         return _fmt_num(e.value) if e.value >= 0 else f"(-{_fmt_num(-e.value)})"
     if isinstance(e, Const):
@@ -646,32 +758,35 @@ def to_string(e: Expr) -> str:
     if isinstance(e, Var):
         return f"x{e.index}"
     if isinstance(e, Call):
-        return f"{e.fn}({to_string(e.arg)})"
+        return f"{e.fn}({texts[0]})"
     if isinstance(e, Neg):
-        inner = to_string(e.a) if _is_atomic(e.a) else f"({to_string(e.a)})"
-        return f"-{inner}"
+        return f"-{texts[0]}" if _is_atomic(e.a) else f"-({texts[0]})"
     if isinstance(e, Pow):
         base = e.base
         if _is_atomic(base) or (isinstance(base, Neg) and _is_atomic(base.a)):
-            b = to_string(base)
-        else:
-            b = f"({to_string(base)})"
-        return f"{b}^{e.exponent}"
+            return f"{texts[0]}^{e.exponent}"
+        return f"({texts[0]})^{e.exponent}"
     if isinstance(e, (Mul, Div)):
         a, b = e.a, e.b
         left_plain = _is_atomic(a) or isinstance(a, (Mul, Div, Pow, Neg, Num))
-        left = to_string(a) if left_plain else f"({to_string(a)})"
-        right = f"({to_string(b)})" if isinstance(b, (Add, Sub, Mul, Div)) else to_string(b)
+        left = texts[0] if left_plain else f"({texts[0]})"
+        right = f"({texts[1]})" if isinstance(b, (Add, Sub, Mul, Div)) else texts[1]
         op = "*" if isinstance(e, Mul) else "/"
         return f"{left} {op} {right}"
     if isinstance(e, (Add, Sub)):
-        a, b = e.a, e.b
-        left = to_string(a)
-        right_needs = isinstance(b, (Add, Sub)) or isinstance(b, Neg)
-        right = f"({to_string(b)})" if right_needs else to_string(b)
+        right = f"({texts[1]})" if isinstance(e.b, (Add, Sub, Neg)) else texts[1]
         op = "+" if isinstance(e, Add) else "-"
-        return f"{left} {op} {right}"
+        return f"{texts[0]} {op} {right}"
     raise EvalError(f"unknown node {type(e).__name__}")
+
+
+def to_string(e: Expr, memo: dict | None = None) -> str:
+    """e's text, parenthesized so that parse_expr gives e back.
+
+    memo may be shared by the calls that print one document, so that a
+    subtree shared within or between entries is printed once.
+    """
+    return _fold((e,), {} if memo is None else memo, _print_node)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -770,39 +885,43 @@ def fold_pow(base: Expr, k: int) -> Expr:
 
 def diff(e: Expr, index: int) -> Expr:
     """Symbolic partial derivative with respect to x{index}, lightly folded."""
-    if isinstance(e, (Num, Const)):
-        return Num(0.0)
-    if isinstance(e, Var):
-        return Num(1.0) if e.index == index else Num(0.0)
-    if isinstance(e, Neg):
-        return fold_neg(diff(e.a, index))
-    if isinstance(e, Add):
-        return fold_add(diff(e.a, index), diff(e.b, index))
-    if isinstance(e, Sub):
-        return fold_sub(diff(e.a, index), diff(e.b, index))
-    if isinstance(e, Mul):
-        return fold_add(fold_mul(diff(e.a, index), e.b), fold_mul(e.a, diff(e.b, index)))
-    if isinstance(e, Div):
-        num = fold_sub(fold_mul(diff(e.a, index), e.b), fold_mul(e.a, diff(e.b, index)))
-        return fold_div(num, fold_pow(e.b, 2))
-    if isinstance(e, Pow):
-        inner = diff(e.base, index)
-        return fold_mul(fold_mul(_num(float(e.exponent)), fold_pow(e.base, e.exponent - 1)), inner)
-    if isinstance(e, Call):
-        u, du = e.arg, diff(e.arg, index)
-        if e.fn == "sin":
-            return fold_mul(Call("cos", u), du)
-        if e.fn == "cos":
-            return fold_neg(fold_mul(Call("sin", u), du))
-        if e.fn == "tan":
-            return fold_div(du, fold_pow(Call("cos", u), 2))
-        if e.fn == "exp":
-            return fold_mul(Call("exp", u), du)
-        if e.fn == "log":
-            return fold_div(du, u)
-        if e.fn == "sqrt":
-            return fold_div(du, fold_mul(Num(2.0), Call("sqrt", u)))
-    raise EvalError(f"cannot differentiate node {type(e).__name__}")
+
+    def visit(e, d):
+        if isinstance(e, (Num, Const)):
+            return Num(0.0)
+        if isinstance(e, Var):
+            return Num(1.0) if e.index == index else Num(0.0)
+        if isinstance(e, Neg):
+            return fold_neg(d[0])
+        if isinstance(e, Add):
+            return fold_add(d[0], d[1])
+        if isinstance(e, Sub):
+            return fold_sub(d[0], d[1])
+        if isinstance(e, Mul):
+            return fold_add(fold_mul(d[0], e.b), fold_mul(e.a, d[1]))
+        if isinstance(e, Div):
+            num = fold_sub(fold_mul(d[0], e.b), fold_mul(e.a, d[1]))
+            return fold_div(num, fold_pow(e.b, 2))
+        if isinstance(e, Pow):
+            return fold_mul(fold_mul(_num(float(e.exponent)), fold_pow(e.base, e.exponent - 1)),
+                            d[0])
+        if isinstance(e, Call):
+            u, du = e.arg, d[0]
+            if e.fn == "sin":
+                return fold_mul(Call("cos", u), du)
+            if e.fn == "cos":
+                return fold_neg(fold_mul(Call("sin", u), du))
+            if e.fn == "tan":
+                return fold_div(du, fold_pow(Call("cos", u), 2))
+            if e.fn == "exp":
+                return fold_mul(Call("exp", u), du)
+            if e.fn == "log":
+                return fold_div(du, u)
+            if e.fn == "sqrt":
+                return fold_div(du, fold_mul(Num(2.0), Call("sqrt", u)))
+        raise EvalError(f"cannot differentiate node {type(e).__name__}")
+
+    return _fold((e,), {}, visit)[0]
 
 
 def subst(e: Expr, replacements) -> Expr:
@@ -811,24 +930,28 @@ def subst(e: Expr, replacements) -> Expr:
     Variables with indices beyond the replacement list are an error, since
     substitution is used for composing maps where every input must bind.
     """
-    if isinstance(e, (Num, Const)):
-        return e
-    if isinstance(e, Var):
-        if e.index > len(replacements):
-            raise EvalError(f"substitution has no binding for x{e.index}")
-        return replacements[e.index - 1]
-    if isinstance(e, Neg):
-        return fold_neg(subst(e.a, replacements))
-    if isinstance(e, Add):
-        return fold_add(subst(e.a, replacements), subst(e.b, replacements))
-    if isinstance(e, Sub):
-        return fold_sub(subst(e.a, replacements), subst(e.b, replacements))
-    if isinstance(e, Mul):
-        return fold_mul(subst(e.a, replacements), subst(e.b, replacements))
-    if isinstance(e, Div):
-        return fold_div(subst(e.a, replacements), subst(e.b, replacements))
-    if isinstance(e, Pow):
-        return fold_pow(subst(e.base, replacements), e.exponent)
-    if isinstance(e, Call):
-        return Call(e.fn, subst(e.arg, replacements))
-    raise EvalError(f"cannot substitute into node {type(e).__name__}")
+
+    def visit(e, s):
+        if isinstance(e, (Num, Const)):
+            return e
+        if isinstance(e, Var):
+            if e.index > len(replacements):
+                raise EvalError(f"substitution has no binding for x{e.index}")
+            return replacements[e.index - 1]
+        if isinstance(e, Neg):
+            return fold_neg(s[0])
+        if isinstance(e, Add):
+            return fold_add(s[0], s[1])
+        if isinstance(e, Sub):
+            return fold_sub(s[0], s[1])
+        if isinstance(e, Mul):
+            return fold_mul(s[0], s[1])
+        if isinstance(e, Div):
+            return fold_div(s[0], s[1])
+        if isinstance(e, Pow):
+            return fold_pow(s[0], e.exponent)
+        if isinstance(e, Call):
+            return Call(e.fn, s[0])
+        raise EvalError(f"cannot substitute into node {type(e).__name__}")
+
+    return _fold((e,), {}, visit)[0]

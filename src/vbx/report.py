@@ -50,9 +50,10 @@ def det_record(check: str, subject: str, samples: int, seed: int, tol: float,
 
 
 def failed_record(check: str, subject: str, samples: int, seed: int, tol: float,
-                  note: str) -> CheckRecord:
-    """A record for a check that could not even be evaluated."""
-    return CheckRecord(check, subject, RESIDUAL, samples, seed, tol, float("inf"), False, note)
+                  note: str, kind: str = RESIDUAL) -> CheckRecord:
+    """A record for a check that could not even be evaluated, of the
+    check's kind; its worst value is inf whatever the kind."""
+    return CheckRecord(check, subject, kind, samples, seed, tol, float("inf"), False, note)
 
 
 def vacuous_record(check: str, subject: str, seed: int, tol: float) -> CheckRecord:

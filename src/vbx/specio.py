@@ -104,12 +104,12 @@ def _as_number(value, loc: str) -> float:
     return float(value)
 
 
-def _parse_entry(text, loc: str):
+def _parse_entry(text, loc: str, memo: dict | None):
     """Parse one expression string, tagging grammar errors with the entry's
-    location."""
+    location. memo is the document's: see parse_expr."""
     text = _as_str(text, loc)
     try:
-        return parse_expr(text)
+        return parse_expr(text, memo)
     except ParseError as exc:
         raise ParseError(f"{loc}: {exc.args[0].rsplit(' (column', 1)[0]}",
                          exc.position) from exc
@@ -146,7 +146,7 @@ def load_json(path) -> dict:
     return doc
 
 
-def atlas_from_document(doc: dict) -> BaseAtlasSpec:
+def atlas_from_document(doc: dict, memo: dict | None = None) -> BaseAtlasSpec:
     base = _as_dict(_need(doc, "base", ""), "/base")
     _check_keys(base, _BASE_KEYS, "/base")
     dim = _as_int(_need(base, "dim", "/base"), "/base/dim")
@@ -170,7 +170,7 @@ def atlas_from_document(doc: dict) -> BaseAtlasSpec:
         to = _as_str(_need(entry, "to", loc), f"{loc}/to")
         region = [_parse_box(b, f"{loc}/region/{i}")
                   for i, b in enumerate(_as_list(_need(entry, "region", loc), f"{loc}/region"))]
-        tau = [_parse_entry(t, f"{loc}/tau/{i}")
+        tau = [_parse_entry(t, f"{loc}/tau/{i}", memo)
                for i, t in enumerate(_as_list(_need(entry, "tau", loc), f"{loc}/tau"))]
         overlaps.append((frm, to, region, tau))
 
@@ -182,7 +182,7 @@ def atlas_from_document(doc: dict) -> BaseAtlasSpec:
         raise SpecError(str(exc), "/base") from exc
 
 
-def _load_bundle(doc: dict, base: BaseAtlasSpec) -> VectorBundleSpec:
+def _load_bundle(doc: dict, base: BaseAtlasSpec, memo: dict) -> VectorBundleSpec:
     fiber = _as_dict(_need(doc, "fiber", ""), "/fiber")
     _check_keys(fiber, _FIBER_KEYS, "/fiber")
     fdim = _as_int(_need(fiber, "dim", "/fiber"), "/fiber/dim")
@@ -203,7 +203,8 @@ def _load_bundle(doc: dict, base: BaseAtlasSpec) -> VectorBundleSpec:
         g = []
         for i, row in enumerate(_as_list(_need(entry, "g", loc), f"{loc}/g")):
             row = _as_list(row, f"{loc}/g/{i}")
-            g.append(tuple(_parse_entry(c, f"{loc}/g/{i}/{j}") for j, c in enumerate(row)))
+            g.append(tuple(_parse_entry(c, f"{loc}/g/{i}/{j}", memo)
+                           for j, c in enumerate(row)))
         transitions.append((frm, to, tuple(g)))
 
     derivation = doc.get("derivation")
@@ -212,7 +213,7 @@ def _load_bundle(doc: dict, base: BaseAtlasSpec) -> VectorBundleSpec:
     return make_bundle(base, fdim, field, transitions, derivation)
 
 
-def _load_named_components(doc: dict, key: str, allowed: set, loc_root: str):
+def _load_named_components(doc: dict, key: str, allowed: set, loc_root: str, memo: dict):
     """Shared shape handling for the sections and fields arrays."""
     out = []
     for k, entry in enumerate(_as_list(doc.get(key, []), loc_root)):
@@ -224,18 +225,23 @@ def _load_named_components(doc: dict, key: str, allowed: set, loc_root: str):
         parsed = {}
         for chart, exprs in comps.items():
             exprs = _as_list(exprs, f"{loc}/components/{chart}")
-            parsed[chart] = tuple(_parse_entry(e, f"{loc}/components/{chart}/{i}")
+            parsed[chart] = tuple(_parse_entry(e, f"{loc}/components/{chart}/{i}", memo)
                                   for i, e in enumerate(exprs))
         out.append((k, loc, name, entry, parsed))
     return out
 
 
 def load_spec(path) -> SpecDocument:
-    """Load and structurally validate one specification file."""
+    """Load and structurally validate one specification file.
+
+    One parse memo serves the whole file, so an expression group repeated
+    anywhere in it is read once.
+    """
     doc = load_json(path)
     _check_keys(doc, _TOP_KEYS, "")
 
-    base = atlas_from_document(doc)
+    memo: dict = {}
+    base = atlas_from_document(doc, memo)
 
     has_fiber = "fiber" in doc
     has_transitions = "transitions" in doc
@@ -248,11 +254,11 @@ def load_spec(path) -> SpecDocument:
         raise SpecError("missing required key 'fiber'", "/fiber")
     if not has_transitions:
         raise SpecError("missing required key 'transitions'", "/transitions")
-    bundle = _load_bundle(doc, base)
+    bundle = _load_bundle(doc, base, memo)
 
     sections = {}
     for k, loc, name, entry, parsed in _load_named_components(
-            doc, "sections", _SECTION_KEYS, "/sections"):
+            doc, "sections", _SECTION_KEYS, "/sections", memo):
         if name in sections:
             raise SpecError(f"duplicate section name '{name}'", f"{loc}/name")
         try:
@@ -272,7 +278,7 @@ def load_spec(path) -> SpecDocument:
         columns = []
         for i, col in enumerate(_as_list(_need(entry, "columns", loc), f"{loc}/columns")):
             col = _as_list(col, f"{loc}/columns/{i}")
-            columns.append(tuple(_parse_entry(e, f"{loc}/columns/{i}/{j}")
+            columns.append(tuple(_parse_entry(e, f"{loc}/columns/{i}/{j}", memo)
                                  for j, e in enumerate(col)))
         try:
             frames[name] = make_frame(bundle, chart, tuple(columns))
@@ -281,7 +287,7 @@ def load_spec(path) -> SpecDocument:
 
     fields = {}
     for k, loc, name, entry, parsed in _load_named_components(
-            doc, "fields", _FIELD_KEYS, "/fields"):
+            doc, "fields", _FIELD_KEYS, "/fields", memo):
         if name in fields:
             raise SpecError(f"duplicate field name '{name}'", f"{loc}/name")
         r = _as_int(_need(entry, "r", loc), f"{loc}/r")
@@ -306,7 +312,7 @@ def _box_out(box) -> list:
     return [[_num_out(lo), _num_out(hi)] for lo, hi in zip(box.lo, box.hi)]
 
 
-def base_to_dict(base: BaseAtlasSpec) -> dict:
+def base_to_dict(base: BaseAtlasSpec, memo: dict | None = None) -> dict:
     return {
         "dim": base.dim,
         "charts": [{"name": c.name, "box": _box_out(c.box)} for c in base.charts],
@@ -315,22 +321,22 @@ def base_to_dict(base: BaseAtlasSpec) -> dict:
                 "from": o.frm,
                 "to": o.to,
                 "region": [_box_out(b) for b in o.region],
-                "tau": [to_string(e) for e in o.tau.components],
+                "tau": [to_string(e, memo) for e in o.tau.components],
             }
             for o in base.overlaps
         ],
     }
 
 
-def bundle_to_dict(B: VectorBundleSpec) -> dict:
+def bundle_to_dict(B: VectorBundleSpec, memo: dict | None = None) -> dict:
     doc = {
-        "base": base_to_dict(B.base),
+        "base": base_to_dict(B.base, memo),
         "fiber": {"dim": B.fiber_dim, "field": B.field.value},
         "transitions": [
             {
                 "from": e.overlap.frm,
                 "to": e.overlap.to,
-                "g": [[to_string(c) for c in row] for row in e.g],
+                "g": [[to_string(c, memo) for c in row] for row in e.g],
             }
             for e in B.edges
         ],
@@ -342,24 +348,27 @@ def bundle_to_dict(B: VectorBundleSpec) -> dict:
 
 def document_to_dict(bundle: VectorBundleSpec, sections: dict | None = None,
                      frames: dict | None = None, fields: dict | None = None) -> dict:
-    doc = bundle_to_dict(bundle)
+    """The document's JSON object. One print memo serves the whole
+    document, so a subtree shared anywhere in it is printed once."""
+    memo: dict = {}
+    doc = bundle_to_dict(bundle, memo)
     if sections:
         doc["sections"] = [
             {"name": name,
-             "components": {c: [to_string(e) for e in exprs]
+             "components": {c: [to_string(e, memo) for e in exprs]
                             for c, exprs in sorted(S.per_chart.items())}}
             for name, S in sorted(sections.items())
         ]
     if frames:
         doc["frames"] = [
             {"name": name, "chart": F.chart,
-             "columns": [[to_string(e) for e in col] for col in F.columns]}
+             "columns": [[to_string(e, memo) for e in col] for col in F.columns]}
             for name, F in sorted(frames.items())
         ]
     if fields:
         doc["fields"] = [
             {"name": name, "r": A.r, "s": A.s,
-             "components": {c: [to_string(e) for e in exprs]
+             "components": {c: [to_string(e, memo) for e in exprs]
                             for c, exprs in sorted(A.per_chart.items())}}
             for name, A in sorted(fields.items())
         ]

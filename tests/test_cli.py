@@ -104,6 +104,56 @@ def test_frame_entry_that_fails_to_evaluate_is_a_fail_record_not_an_abort(tmp_pa
     assert all(r["passed"] for r in records if r is not bad[0])
 
 
+def test_failed_frame_record_reads_as_a_failed_min_scaled_det(capsys, tmp_path):
+    doc = json.loads(gallery_path("mobius").read_text())
+    doc["frames"].append({"name": "bad", "chart": "east", "columns": [["log(x1)"]]})
+    spec = tmp_path / "badframe.json"
+    spec.write_text(json.dumps(doc))
+    report = tmp_path / "r.json"
+    code, out, err = run(capsys, "check", str(spec), "--samples", "40", "--out", str(report))
+    assert code == 2
+    bad = [r for r in json.loads(report.read_text())["records"]
+           if r["subject"] == "frame 'bad' east"]
+    assert [(r["check"], r["kind"], r["worst"], r["passed"]) for r in bad] == \
+        [("frame_gl", "min_scaled_det", float("inf"), False)]
+    line = next(ln for ln in out.splitlines() if "frame 'bad'" in ln)
+    assert "FAIL" in line and "min scaled |det| inf (tol 1.0e-10)" in line
+    assert "max residual" not in line
+
+
+def _deep_spec(tmp_path, entry: str, name: str) -> str:
+    doc = json.loads(gallery_path("mobius").read_text())
+    doc["sections"].append({"name": "deep", "components": {"east": [entry], "west": ["1"]}})
+    spec = tmp_path / f"{name}.json"
+    spec.write_text(json.dumps(doc))
+    return str(spec)
+
+
+@pytest.mark.parametrize("entry", ["(" * 1500 + "x1" + ")" * 1500,
+                                   "sin(" * 1500 + "x1" + ")" * 1500], ids=["parens", "sins"])
+def test_deeply_nested_entries_end_in_an_exit_code_not_a_traceback(tmp_path, entry):
+    spec = _deep_spec(tmp_path, entry, "deep")
+    code, out, err = run_cold("check", spec, "--samples", "20")
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    assert "section 'deep'" in out
+    code, out, err = run_cold("eval", spec, "--target", "deep", "--chart", "east",
+                              "--point", "0.5")
+    assert code == 0
+    assert "Traceback" not in err
+    assert out.splitlines()[-1].startswith("value ")
+
+
+def test_deeply_nested_syntax_error_names_its_entry(tmp_path):
+    spec = _deep_spec(tmp_path, "sin(" * 1500 + "x1" + ")" * 1499, "broken")
+    for argv in (["check", spec], ["eval", spec, "--target", "deep", "--chart", "east",
+                                   "--point", "0.5"]):
+        code, out, err = run_cold(*argv)
+        assert code == 1
+        assert "Traceback" not in err
+        assert "/sections/2/components/east/0: expected ')', found end of input" in err
+
+
 def test_unwritable_report_path_is_a_file_error_not_a_traceback(tmp_path):
     target = tmp_path / "missing_dir" / "r.json"
     code, out, err = run_cold("check", gp("mobius"), "--samples", "20", "--out", str(target))
@@ -154,6 +204,18 @@ def test_construct_tensor_then_check(capsys, tmp_path):
     assert code == 0
     assert f"wrote {out_file}" in out
     assert run(capsys, "check", str(out_file), "--samples", "80")[0] == 0
+
+
+def test_construct_prints_the_size_of_what_it_wrote(capsys, tmp_path):
+    golden = Path(__file__).parent / "golden"
+    out_file = tmp_path / "t11.json"
+    code, out, err = run(capsys, "construct", "tensor", str(golden / "dense.json"),
+                         "--r", "1", "--s", "1", "-o", str(out_file))
+    assert code == 0
+    assert out.splitlines() == [
+        f"wrote {out_file}",
+        "fiber dim 9, 4 edges, 627726 tree nodes, 281 unique nodes, 2545510 bytes"]
+    assert out_file.stat().st_size == 2545510
 
 
 def test_construct_tensor_needs_valence_flags(capsys, tmp_path):

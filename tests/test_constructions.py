@@ -70,6 +70,7 @@ from vbx.errors import (
 from vbx.expr import eval_expr, parse_expr
 from vbx.linalg import FieldTag, make_linear, make_space
 from vbx.pullbacks import cov_pullback, rs_pullback
+from vbx.report import MIN_DET
 from vbx.specio import gallery_path, list_gallery, load_spec
 from vbx.tensors import tensor_add, tensor_product
 
@@ -817,6 +818,14 @@ def test_section_entry_that_fails_to_evaluate_fails_its_rank_record():
     assert rank["left"].note.startswith("evaluation failed at [")
     assert "log of non-positive value" in rank["left"].note
     assert rank["right"].passed
+
+
+def test_failed_rank_record_is_a_failed_min_scaled_det():
+    B = plane_rotation_bundle()
+    rep = subbundle_check(B, {"left": [["log(x1)", "1"]], "right": [["1", "0"]]},
+                          SAMPLES, CHECK_TOL, seed=12)
+    left = next(r for r in rep.records if r.check == "subbundle_rank" and r.subject == "left")
+    assert (left.kind, left.worst, left.passed) == (MIN_DET, float("inf"), False)
 
 
 def test_pointwise_dependence_fails_the_rank_record():

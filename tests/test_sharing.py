@@ -1,0 +1,428 @@
+"""Shared subexpressions: parsed, printed, validated and compiled once.
+
+The memoizing parser is checked against the recursive-descent parser it
+replaced (kept below, verbatim, as the oracle) and against itself with
+the memo defeated; the walkers are checked on DAGs whose trees are far
+too large to walk occurrence by occurrence, and on nesting far deeper
+than the recursion limit. The construct outputs of tests/golden/dense.json
+are pinned to the bytes the tree-walking printer wrote.
+"""
+
+import hashlib
+import re
+from pathlib import Path
+
+import pytest
+from hypothesis import assume, given, seed, settings
+from hypothesis import strategies as st
+
+from vbx.constructions import direct_product, dual_bundle, tensor_bundle
+from vbx.errors import EvalError, ParseError, UnknownSymbol
+from vbx.expr import (
+    Add,
+    Call,
+    Const,
+    Div,
+    Expr,
+    Mul,
+    Neg,
+    Num,
+    Pow,
+    Sub,
+    Var,
+    compile_exprs,
+    diff,
+    eval_expr,
+    max_var_index,
+    parse_expr,
+    subst,
+    to_string,
+    tree_size,
+)
+from vbx.specio import gallery_path, load_spec, save_spec
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# ---------------------------------------------------------------------------
+# The oracle: the token-list, recursive-descent parser.
+
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
+    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<op>[-+*/^(),]))"
+)
+_CONSTS = ("pi", "e")
+_FUNCS = ("sin", "cos", "tan", "exp", "log", "sqrt")
+
+
+def _tokenize(text):
+    tokens = []
+    i = 0
+    n = len(text)
+    while i < n:
+        m = _TOKEN_RE.match(text, i)
+        if m is None:
+            stripped = text[i:].lstrip()
+            if not stripped:
+                break
+            raise ParseError(f"unexpected character {stripped[0]!r}", n - len(stripped) + 1)
+        kind = m.lastgroup
+        tokens.append((m.group(kind) if kind == "op" else kind, m.group(kind),
+                       m.start(kind) + 1))
+        i = m.end()
+    tokens.append(("end", "", n + 1))
+    return tokens
+
+
+class _Reference:
+    def __init__(self, text):
+        self.tokens = _tokenize(text)
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def advance(self):
+        self.i += 1
+        return self.tokens[self.i - 1]
+
+    def expect(self, kind):
+        tok = self.peek()
+        if tok[0] != kind:
+            what = f"'{tok[1]}'" if tok[0] != "end" else "end of input"
+            raise ParseError(f"expected '{kind}', found {what}", tok[2])
+        return self.advance()
+
+    def parse(self):
+        e = self.expr()
+        tok = self.peek()
+        if tok[0] != "end":
+            raise ParseError(f"unexpected '{tok[1]}' after expression", tok[2])
+        return e
+
+    def expr(self):
+        e = self.term()
+        while self.peek()[0] in ("+", "-"):
+            op = self.advance()
+            rhs = self.term()
+            e = Add(e, rhs) if op[0] == "+" else Sub(e, rhs)
+        return e
+
+    def term(self):
+        e = self.factor()
+        while self.peek()[0] in ("*", "/"):
+            op = self.advance()
+            rhs = self.factor()
+            e = Mul(e, rhs) if op[0] == "*" else Div(e, rhs)
+        return e
+
+    def factor(self):
+        e = self.unary()
+        if self.peek()[0] == "^":
+            self.advance()
+            e = Pow(e, self.integer())
+        return e
+
+    def integer(self):
+        sign = 1
+        if self.peek()[0] == "-":
+            self.advance()
+            sign = -1
+        tok = self.peek()
+        if tok[0] != "num" or not re.fullmatch(r"\d+", tok[1]):
+            what = f"'{tok[1]}'" if tok[0] != "end" else "end of input"
+            raise ParseError(f"exponent must be an integer literal, found {what}", tok[2])
+        self.advance()
+        return sign * int(tok[1])
+
+    def unary(self):
+        if self.peek()[0] == "-":
+            self.advance()
+            return Neg(self.atom())
+        return self.atom()
+
+    def atom(self):
+        tok = self.peek()
+        if tok[0] == "num":
+            self.advance()
+            return Num(float(tok[1]))
+        if tok[0] == "(":
+            self.advance()
+            e = self.expr()
+            self.expect(")")
+            return e
+        if tok[0] == "name":
+            self.advance()
+            name = tok[1]
+            if name in _CONSTS:
+                return Const(name)
+            if name in _FUNCS:
+                self.expect("(")
+                arg = self.expr()
+                if self.peek()[0] == ",":
+                    raise ParseError(f"{name} takes one argument", self.peek()[2])
+                self.expect(")")
+                return Call(name, arg)
+            m = re.fullmatch(r"x(\d+)", name)
+            if m:
+                idx = int(m.group(1))
+                if idx == 0:
+                    raise UnknownSymbol("variables are numbered from x1", tok[2])
+                return Var(idx)
+            raise UnknownSymbol(f"unknown identifier '{name}'", tok[2])
+        what = f"'{tok[1]}'" if tok[0] != "end" else "end of input"
+        raise ParseError(f"expected an operand, found {what}", tok[2])
+
+
+def reference_parse(text):
+    return _Reference(text).parse()
+
+
+class NoMemo(dict):
+    """A parse memo that forgets everything: the unshared parse."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def outcome(parse, text):
+    """The tree, or the error's type and message (which ends in the column)."""
+    try:
+        return parse(text)
+    except (ParseError, UnknownSymbol) as exc:
+        return type(exc), str(exc)
+
+
+# ---------------------------------------------------------------------------
+# Expressions whose subtrees repeat: each step combines earlier subtrees,
+# so one object is referenced from several places.
+
+_LEAVES = [Var(1), Var(2), Const("pi"), Num(0.0), Num(2.0), Num(0.5)]
+_STEPS = [
+    lambda a, b: Add(a, b), lambda a, b: Sub(a, b), lambda a, b: Mul(a, b),
+    lambda a, b: Div(a, b), lambda a, b: Neg(a), lambda a, b: Pow(a, 2),
+    lambda a, b: Pow(b, -1), lambda a, b: Call("sin", a), lambda a, b: Call("cos", a),
+    lambda a, b: Call("exp", b),
+    lambda a, b: Call("sqrt", Add(a, b)),
+]
+
+
+@st.composite
+def shared_exprs(draw, steps=7):
+    pool = list(_LEAVES)
+    for _ in range(draw(st.integers(2, steps))):
+        step = draw(st.sampled_from(_STEPS))
+        pool.append(step(draw(st.sampled_from(pool)), draw(st.sampled_from(pool))))
+    return pool[-1]
+
+
+def unshared(e):
+    """A copy of e in which no node object occurs twice."""
+    if isinstance(e, Num):
+        return Num(e.value)
+    if isinstance(e, Const):
+        return Const(e.name)
+    if isinstance(e, Var):
+        return Var(e.index)
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        return type(e)(unshared(e.a), unshared(e.b))
+    if isinstance(e, Neg):
+        return Neg(unshared(e.a))
+    if isinstance(e, Pow):
+        return Pow(unshared(e.base), e.exponent)
+    return Call(e.fn, unshared(e.arg))
+
+
+def distinct_nodes(e) -> int:
+    seen = set()
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack += [v for v in vars(node).values() if isinstance(v, Expr)]
+    return len(seen)
+
+
+def spaced(text: str) -> str:
+    """text with a different number of spaces after each '(': no two
+    groups have the same text, so the parse memo never hits."""
+    out = []
+    for k, part in enumerate(text.split("(")):
+        out.append(part if k == 0 else " " * k + part)
+    return "(".join(out)
+
+
+@seed(20261018)
+@settings(max_examples=150, deadline=None)
+@given(shared_exprs())
+def test_memo_parse_is_the_reference_parse(e):
+    text = to_string(e)
+    got = parse_expr(text)
+    assert got == reference_parse(text)
+    assert got == parse_expr(spaced(text))
+    assert to_string(got) == text
+    assert distinct_nodes(got) <= distinct_nodes(parse_expr(spaced(text)))
+
+
+def test_a_repeated_group_is_parsed_once_into_one_node():
+    text = "sin(x1 + 2) * (x2 - 1) + sin(x1 + 2) / (x2 - 1)"
+    e = parse_expr(text)
+    assert e.a.a is e.b.a and e.a.b is e.b.b
+    unshared_parse = parse_expr(spaced(text))
+    assert unshared_parse == e
+    assert unshared_parse.a.a is not unshared_parse.b.a
+    # A call's text includes its name: sin(u) and cos(u) are not one group.
+    mixed = "sin(x1 + 2) * cos(x1 + 2) - (x1 + 2)"
+    assert parse_expr(mixed) == reference_parse(mixed)
+
+
+@seed(20261018)
+@settings(max_examples=150, deadline=None)
+@given(shared_exprs())
+def test_compiling_a_shared_dag_gives_the_unshared_program(e):
+    copies = [unshared(e), unshared(e)]
+    assert copies[0] == e
+    assert compile_exprs([e, e]).code == compile_exprs(copies).code
+    assert compile_exprs([e, e]) == compile_exprs(copies)
+
+
+_BAD_TAILS = [")", "(", "+", "1 2", "$", "x0", "y", "sin(x1, x2)", "2^x1", "foo(1)",
+              "* (x1 +", "+ - -x1", "^ x1", "log x1", ". 5", "sqrt(x1", "(x1 $ 2)"]
+
+
+@seed(20261018)
+@settings(max_examples=150, deadline=None)
+@given(shared_exprs(), st.sampled_from(_BAD_TAILS), st.integers(0, 2))
+def test_errors_after_repeated_groups_match_the_unshared_parse(e, tail, where):
+    t = to_string(e)
+    text = [f"({t}) * sin({t}) + {tail}",
+            f"sin({t}) - (({t}) {tail})",
+            f"({t}) / ({t} + exp({t}) {tail}"][where]
+    got = outcome(parse_expr, text)
+    assume(isinstance(got, tuple))  # one tail closes the third text's group
+    assert got == outcome(lambda s: parse_expr(s, NoMemo()), text)
+    assert got == outcome(reference_parse, text)
+
+
+@seed(20261018)
+@settings(max_examples=300, deadline=None)
+@given(shared_exprs(steps=5), st.data())
+def test_edited_texts_parse_or_fail_like_the_reference(e, data):
+    # Delete, insert or replace one character: the result, or the error's
+    # type, message and column, is the reference parser's.
+    t = to_string(e)
+    text = f"{t} + ({t})"
+    i = data.draw(st.integers(0, len(text)))
+    c = data.draw(st.sampled_from(list("()+-*/^, x1.e$") + ["sin(", "2", ""]))
+    text = text[:i] + c + text[i + data.draw(st.integers(0, 1)):]
+    assert outcome(parse_expr, text) == outcome(reference_parse, text)
+
+
+def test_stray_character_outranks_an_earlier_grammar_error():
+    # The reference reads every token before it parses anything.
+    for text in ["x1 + + $", "(x1 + ) $", "x0 # 1"]:
+        assert outcome(parse_expr, text) == outcome(reference_parse, text)
+        assert "unexpected character" in outcome(parse_expr, text)[1]
+
+
+def test_no_memo_outlives_its_call_or_document():
+    text = "sin(x1 + 2) * sin(x1 + 2)"
+    assert parse_expr(text).a is not parse_expr(text).a
+    a = load_spec(GOLDEN / "dense.json").bundle.edges[0].g[0][0]
+    b = load_spec(GOLDEN / "dense.json").bundle.edges[0].g[0][0]
+    assert a == b and a is not b
+
+
+# ---------------------------------------------------------------------------
+# Walkers on DAGs and on deep trees.
+
+
+def doubling(n: int):
+    """x1 + x1 nested n times: n + 1 distinct nodes, 2^(n+1) - 1 tree nodes."""
+    e = Var(1)
+    for _ in range(n):
+        e = Add(e, e)
+    return e
+
+
+def test_walkers_visit_each_distinct_node_once():
+    e = doubling(64)
+    assert tree_size([e]) == 2 ** 65 - 1
+    assert max_var_index(e) == 1
+    assert eval_expr(e, [1.0]) == 2.0 ** 64
+    assert len(compile_exprs([e]).code) == 65
+    d = diff(e, 1)
+    assert eval_expr(d, [0.0]) == 2.0 ** 64
+    assert eval_expr(subst(e, [Num(0.5)]), []) == 2.0 ** 63
+    assert to_string(doubling(3)) == "x1 + x1 + (x1 + x1) + (x1 + x1 + (x1 + x1))"
+
+
+def test_a_print_memo_serves_several_calls():
+    shared = Call("sin", Add(Var(1), Num(2.0)))
+    memo: dict = {}
+    first = to_string(Mul(shared, Var(2)), memo)
+    assert id(shared) in memo
+    assert to_string(Add(shared, shared), memo) == "sin(x1 + 2) + sin(x1 + 2)"
+    assert first == "sin(x1 + 2) * x2"
+
+
+def test_deep_nesting_parses_and_prints():
+    depth = 1500
+    assert parse_expr("(" * depth + "x1" + ")" * depth) == Var(1)
+    text = "sin(" * depth + "x1" + ")" * depth
+    assert to_string(parse_expr(text)) == text
+    neg = "-(" * (depth - 1) + "-x1" + ")" * (depth - 1)
+    assert to_string(parse_expr(neg)) == neg
+    with pytest.raises(ParseError, match=rf"expected '\)', found end of input \(column {len(text)}\)"):
+        parse_expr(text[:-1])
+
+
+def test_deep_nesting_walks():
+    depth = 10_000
+    e = Var(1)
+    for _ in range(depth):
+        e = Call("sin", e)
+    assert tree_size([e]) == depth + 1
+    assert max_var_index(e) == 1
+    assert isinstance(eval_expr(e, [0.5]), float)
+    assert len(compile_exprs([e]).code) == depth + 1
+    assert max_var_index(diff(e, 1)) == 1
+    assert max_var_index(subst(e, [Var(2)])) == 2
+
+
+def test_eval_errors_come_from_the_first_failing_node():
+    e = parse_expr("log(x1) + 1/(x1 - x1)")
+    with pytest.raises(EvalError, match="log of non-positive"):
+        eval_expr(e, [-1.0])
+    with pytest.raises(EvalError, match="division by zero"):
+        eval_expr(e, [1.0])
+
+
+# ---------------------------------------------------------------------------
+# Byte-stability of the construct outputs of tests/golden/dense.json, as
+# the tree-walking printer wrote them.
+
+PINNED = {
+    "tensor11": "66dc365d10e6e6abdc3b7689b3b3511a7820967fbadbbe21749513fecd53b761",
+    "tensor02": "fd630280fa727c321399078577904b8d8fd70f8a75943dbd8cefcf8484da1930",
+    "dual": "e33006026b45597e23d32f069555446520d07cfce163709c4c367296298b11e5",
+    "product": "249fe6961ea1034f60fdf6ab0f8197902fa84838f3dfdbd1ce7db267c66931a8",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_dense_construct_outputs_keep_their_bytes(name, tmp_path):
+    dense = load_spec(GOLDEN / "dense.json").bundle
+    B = {"tensor11": lambda: tensor_bundle(dense, 1, 1),
+         "tensor02": lambda: tensor_bundle(dense, 0, 2),
+         "dual": lambda: dual_bundle(dense),
+         "product": lambda: direct_product(
+             dense, load_spec(gallery_path("projective_tangent")).bundle)}[name]()
+    out = tmp_path / f"{name}.json"
+    save_spec(B, out)
+    data = out.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == PINNED[name]
+    again = tmp_path / f"{name}.again.json"
+    save_spec(load_spec(out).bundle, again)
+    assert again.read_bytes() == data

@@ -28,11 +28,12 @@ import numpy as np
 
 from .calculus import (
     SmoothMap,
+    _Trial,
+    at_point,
+    at_points,
     eval_map,
-    jacobian_not_finite,
     make_smooth_map,
-    map_not_finite,
-    outside_box,
+    point_in_box,
 )
 from .errors import (
     CocycleViolation,
@@ -42,22 +43,10 @@ from .errors import (
     SpecError,
     UnsupportedField,
 )
-from .expr import (
-    Expr,
-    Program,
-    _as_expr,
-    compile_exprs,
-    eval_expr,
-    fold_add,
-    fold_mul,
-    max_var_index,
-    num_literal,
-    run_program,
-)
+from .expr import _as_expr, fold_add, fold_mul, max_var_index, num_literal
 from .geometry import (
     Box,
     box_inside,
-    box_mask,
     make_box,
     region_contains,
     region_mask,
@@ -72,7 +61,6 @@ from .linalg import (
     VectorSpace,
     is_gl,
     make_linear,
-    scaled_abs_det,
     scaled_abs_dets,
 )
 from .report import (
@@ -303,12 +291,6 @@ def make_bundle(base: BaseAtlasSpec, fiber_dim: int, field: FieldTag, transition
 # Evaluation.
 
 
-def _eval_matrix(g, x, dtype) -> np.ndarray:
-    env = list(np.asarray(x, dtype=float))
-    out = np.array([[eval_expr(e, env) for e in row] for row in g], dtype=dtype)
-    return out
-
-
 def find_edge(B: VectorBundleSpec, i: str, j: str, x) -> BundleEdge | None:
     for e in B.edges_between(i, j):
         if region_contains(e.overlap.region, x):
@@ -324,12 +306,16 @@ def transition_eval(B: VectorBundleSpec, i: str, j: str, x,
     if i == j:
         B.base.chart(i)
         return make_linear(fiber, fiber, np.eye(B.fiber_dim, dtype=B.field.dtype))
-    edge = find_edge(B, i, j, x)
-    if edge is None:
-        raise DomainViolation(
-            f"point {np.asarray(x).tolist()} is not in any declared {i}->{j} overlap region")
-    mat = _eval_matrix(edge.g, x, B.field.dtype)
-    L = make_linear(fiber, fiber, mat)
+    edges = B.edges_between(i, j)
+
+    def stage(t, X, rows):
+        at = _first_match([e.overlap.region for e in edges], X)
+        t.fail(rows, at < 0, lambda k: DomainViolation(
+            f"point {X[k].tolist()} is not in any declared {i}->{j} overlap region"))
+        if edges:  # else every point failed above
+            return t.matrices(at, [e.g for e in edges], X, B.field.dtype)
+
+    L = make_linear(fiber, fiber, at_point(x, B.base.dim, "base dim", stage))
     if not is_gl(L, tol):
         raise CocycleViolation(
             f"transition {i}->{j} is singular at {np.asarray(x).tolist()}")
@@ -352,17 +338,8 @@ def change_chart(B: VectorBundleSpec, p: TotalPoint, j: str,
     return TotalPoint(j, y, L.matrix @ np.asarray(p.v, dtype=B.field.dtype))
 
 
-def outside_chart(pt, chart: str) -> DomainViolation:
-    return DomainViolation(f"point {np.asarray(pt).tolist()} outside chart '{chart}'")
-
-
 def make_total_point(B: VectorBundleSpec, chart: str, x, v) -> TotalPoint:
-    c = B.base.chart(chart)
-    pt = np.asarray(x, dtype=float)
-    if pt.shape != (B.base.dim,):
-        raise ShapeMismatch(f"base point shape {pt.shape} does not match dim {B.base.dim}")
-    if not c.box.contains(pt):
-        raise outside_chart(pt, chart)
+    pt = point_in_box(x, B.base.chart(chart).box, "base dim", f"chart '{chart}'")
     vec = np.asarray(v, dtype=B.field.dtype)
     if vec.shape != (B.fiber_dim,):
         raise ShapeMismatch(f"fiber vector shape {vec.shape} does not match dim {B.fiber_dim}")
@@ -375,102 +352,6 @@ def make_total_point(B: VectorBundleSpec, chart: str, x, v) -> TotalPoint:
 # identity together, each stage one batched evaluation.
 
 
-class _Trial:
-    """The sample points of one subject and what has become of each.
-
-    Stages run in the order the identity is evaluated at a single point. A
-    sample leaves at its first failure, which becomes its note, or when a
-    triple check finds no overlap to continue in; later stages still
-    compute at it but no longer change its fate. Stage methods take the
-    points X of sample rows `rows` and return one result row per point.
-    """
-
-    def __init__(self, pts: np.ndarray, progs: dict):
-        n = len(pts)
-        self.pts = pts
-        self.rows = np.arange(n)
-        self.progs = progs
-        self.live = np.ones(n, dtype=bool)
-        self.cause = np.full(n, -1)  # per sample, its failure in _whys
-        self._local = np.zeros(n, dtype=int)
-        self._whys: list = []
-
-    def fail(self, rows, mask, why) -> None:
-        """Fail the live samples among rows[mask]. why(j) explains local
-        row j: an exception for an evaluation error, else the note itself."""
-        j = np.flatnonzero(mask)
-        i = rows[j]
-        keep = self.live[i]
-        i, j = i[keep], j[keep]
-        if i.size:
-            self.live[i] = False
-            self.cause[i] = len(self._whys)
-            self._local[i] = j
-            self._whys.append(why)
-
-    def skip(self, rows, mask) -> None:
-        self.live[rows[mask]] = False
-
-    def why(self, i: int):
-        return self._whys[self.cause[i]](self._local[i])
-
-    def program(self, exprs) -> Program:
-        """exprs (a vector, or a matrix flattened row by row) compiled once
-        per suite call: progs is the suite's cache."""
-        hit = self.progs.get(id(exprs))
-        if hit is None:
-            flat = list(exprs) if isinstance(exprs[0], Expr) else [e for row in exprs for e in row]
-            hit = self.progs[id(exprs)] = (exprs, compile_exprs(flat))  # pins the id
-        return hit[1]
-
-    def exprs(self, exprs, X, rows) -> np.ndarray:
-        """eval_expr of every expression at every point: (len(X), count)."""
-        batch = run_program(self.program(exprs), X)
-        self.fail(rows, batch.bad, batch.error)
-        return batch.values
-
-    def matrix(self, g, X, rows, dtype) -> np.ndarray:
-        """_eval_matrix at every point: (len(X), rows of g, columns of g)."""
-        return self.exprs(g, X, rows).reshape(len(X), len(g), -1).astype(dtype)
-
-    def in_box(self, box: Box, X, rows, why) -> None:
-        self.fail(rows, ~box_mask(box, X), why)
-
-    def map(self, F: SmoothMap, X, rows) -> np.ndarray:
-        """eval_map at every point."""
-        self.in_box(F.box, X, rows, lambda j: outside_box(X[j]))
-        Y = self.exprs(F.components, X, rows)
-        self.fail(rows, ~np.isfinite(Y).all(axis=1), lambda j: map_not_finite(X[j]))
-        return Y
-
-    def map_and_jacobian(self, F: SmoothMap, X, rows) -> tuple:
-        """eval_map and jacobian, (len(X), out_dim, in_dim), at every point
-        from one gradient-mode run of the program."""
-        self.in_box(F.box, X, rows, lambda j: outside_box(X[j]))
-        batch = run_program(self.program(F.components), X, grad=True)
-        self.fail(rows, batch.bad, batch.error)
-        self.fail(rows, ~np.isfinite(batch.values).all(axis=1), lambda j: map_not_finite(X[j]))
-        self.fail(rows, ~np.isfinite(batch.grads).all(axis=(1, 2)),
-                  lambda j: jacobian_not_finite(X[j]))
-        return batch.values, batch.grads
-
-    def maps(self, choice, maps, X) -> np.ndarray:
-        """map at each point with the map it chose, NaN where it chose none."""
-        return _per_choice(choice, (maps[0].out_dim,), float,
-                           lambda k, rows: self.map(maps[k], X[rows], rows))
-
-    def matrices(self, choice, gs, X, dtype) -> np.ndarray:
-        """matrix at each point with the matrix it chose, NaN where none."""
-        return _per_choice(choice, (len(gs[0]), len(gs[0][0])), dtype,
-                           lambda k, rows: self.matrix(gs[k], X[rows], rows, dtype))
-
-    def section(self, S: TensorFieldSpec, chart: str, X, rows) -> np.ndarray:
-        """field_eval's coefficients at every point."""
-        self.in_box(S.bundle.base.chart(chart).box, X, rows,
-                    lambda j: outside_chart(X[j], chart))
-        return self.exprs(S.per_chart[chart], X, rows).astype(S.bundle.field.dtype)
-
-
 def _first_match(regions, X) -> np.ndarray:
     """Per point, the index of the first region in declaration order that
     contains it (find_edge's choice), or -1."""
@@ -478,16 +359,6 @@ def _first_match(regions, X) -> np.ndarray:
     for k, region in enumerate(regions):
         at[(at < 0) & region_mask(region, X)] = k
     return at
-
-
-def _per_choice(choice, shape, dtype, stage) -> np.ndarray:
-    """stage(k, rows) on the rows that chose option k, NaN where none was."""
-    out = np.full((len(choice),) + shape, np.nan, dtype=dtype)
-    for k in range(choice.max(initial=-1) + 1):
-        rows = np.flatnonzero(choice == k)
-        if rows.size:
-            out[rows] = stage(k, rows)
-    return out
 
 
 def _live_only(t: _Trial, fn, A, shape) -> np.ndarray:
@@ -702,17 +573,26 @@ def zero_section(B: VectorBundleSpec) -> TensorFieldSpec:
     return TensorFieldSpec(B, 0, 1, {c.name: zero for c in B.base.charts})
 
 
+def _field_rows(t, A: TensorFieldSpec, chart: str, X, rows) -> np.ndarray:
+    """The field's coefficients on one chart at every point."""
+    t.in_box(A.bundle.base.chart(chart).box, X, rows, f"chart '{chart}'")
+    return t.exprs(A.per_chart[chart], X, rows).astype(A.bundle.field.dtype)
+
+
+def _field_values(t, A: TensorFieldSpec, chart: str, X, rows) -> np.ndarray:
+    """field_eval's coefficients at every point: finite ones."""
+    C = _field_rows(t, A, chart, X, rows)
+    t.finite(C, X, rows, "field value")
+    return C
+
+
 def field_eval(A: TensorFieldSpec, chart: str, x):
     """The field's value at a point of one chart, as a tensor on the fiber."""
     if chart not in A.per_chart:
         raise DomainViolation(f"field has no components on chart '{chart}'")
-    c = A.bundle.base.chart(chart)
-    pt = np.asarray(x, dtype=float)
-    if not c.box.contains(pt):
-        raise outside_chart(pt, chart)
-    env = list(pt)
-    coeffs = np.array([eval_expr(e, env) for e in A.per_chart[chart]],
-                      dtype=A.bundle.field.dtype)
+    A.bundle.base.chart(chart)
+    coeffs = at_point(x, A.bundle.base.dim, "base dim",
+                      lambda t, X, rows: _field_values(t, A, chart, X, rows))
     return make_tensor(A.bundle.fiber_space, A.r, A.s, coeffs)
 
 
@@ -732,10 +612,10 @@ def check_section(S: TensorFieldSpec, samples: int = DEFAULT_SAMPLES,
 
         def evaluate(t, e=e, i=i, j=j):
             X = t.pts
-            lhs = t.section(S, i, X, t.rows)
+            lhs = _field_rows(t, S, i, X, t.rows)
             Y = t.map(e.overlap.tau, X, t.rows)
             G = t.matrix(e.g, X, t.rows, B.field.dtype)
-            rhs = (G @ t.section(S, j, Y, t.rows)[:, :, None])[:, :, 0]
+            rhs = (G @ _field_rows(t, S, j, Y, t.rows)[:, :, None])[:, :, 0]
             return (_max_abs(lhs - rhs),)
 
         records += _sampled(progs, [("section_compat", RESIDUAL, tol)], _edge_subject(e),
@@ -824,31 +704,38 @@ def frame_from_trivialization(B: VectorBundleSpec, chart: str,
     return FrameFieldSpec(B, chart, tuple(cols))
 
 
+def _frame_rows(t, F: FrameFieldSpec, X, rows) -> np.ndarray:
+    """The frame matrix, columns the frame sections, at every point."""
+    t.in_box(F.bundle.base.chart(F.chart).box, X, rows, f"chart '{F.chart}'")
+    return t.matrix(F.columns, X, rows, F.bundle.field.dtype).transpose(0, 2, 1)
+
+
 def frame_matrix_at(F: FrameFieldSpec, x) -> np.ndarray:
     """The d x d matrix whose columns are the frame sections at x."""
-    c = F.bundle.base.chart(F.chart)
-    pt = np.asarray(x, dtype=float)
-    if not c.box.contains(pt):
-        raise outside_chart(pt, F.chart)
-    env = list(pt)
-    cols = [[eval_expr(e, env) for e in col] for col in F.columns]
-    return np.array(cols, dtype=F.bundle.field.dtype).T
+    F.bundle.base.chart(F.chart)
+    return at_point(x, F.bundle.base.dim, "base dim",
+                    lambda t, X, rows: _frame_rows(t, F, X, rows))
 
 
 def check_frame(F: FrameFieldSpec, samples: int = DEFAULT_SAMPLES,
                 tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED) -> CheckReport:
     """Invertibility of the assembled frame matrix across the chart."""
-    box = F.bundle.base.chart(F.chart).box
 
     def evaluate(t):
-        t.in_box(box, t.pts, t.rows,
-                 lambda j: outside_chart(t.pts[j], F.chart))
-        cols = t.matrix(F.columns, t.pts, t.rows, F.bundle.field.dtype)
-        return (scaled_abs_dets(cols.transpose(0, 2, 1)),)
+        return (scaled_abs_dets(_frame_rows(t, F, t.pts, t.rows)),)
 
     records = _sampled({}, [("frame_gl", MIN_DET, tol)], F.chart,
-                       sample_box(box, samples, seed), seed, evaluate)
+                       sample_box(F.bundle.base.chart(F.chart).box, samples, seed), seed, evaluate)
     return make_report("frame", records)
+
+
+def _nonsingular_frame(t, F: FrameFieldSpec, X, rows, tol: float) -> np.ndarray:
+    """The frame matrix at every point; a point where its scaled |det| is
+    at most tol fails with SingularFrame."""
+    P = _frame_rows(t, F, X, rows)
+    t.fail(rows, scaled_abs_dets(P) <= tol,
+           lambda j: SingularFrame(f"frame matrix singular at {X[j].tolist()}"))
+    return P
 
 
 def dual_frame(F: FrameFieldSpec, samples: int = 25, tol: float = DEFAULT_TOL,
@@ -861,11 +748,8 @@ def dual_frame(F: FrameFieldSpec, samples: int = 25, tol: float = DEFAULT_TOL,
     """
     from .constructions import dual_bundle
 
-    box = F.bundle.base.chart(F.chart).box
-    for x in sample_box(box, samples, seed):
-        if scaled_abs_det(frame_matrix_at(F, x)) <= tol:
-            raise SingularFrame(
-                f"frame matrix singular at {np.asarray(x).tolist()}")
+    at_points(sample_box(F.bundle.base.chart(F.chart).box, samples, seed),
+              lambda t, X, rows: _nonsingular_frame(t, F, X, rows, tol))
     matrix = symmat.mat_from_rows(
         tuple(tuple(F.columns[j][i] for j in range(F.bundle.fiber_dim))
               for i in range(F.bundle.fiber_dim)))

@@ -1,11 +1,17 @@
 """Smooth maps on open boxes, exact Jacobians, and local tensor fields.
 
-Derivatives come from forward-mode dual numbers pushed through the
-expression tree, so they are exact to rounding; central finite differences
-exist only in the test suite as a cross-check. Tensor fields here live on
-an open box in R^m with tensor values on a fiber space R^d; pulled-back
-fields evaluate through the defining formula (Jacobian pullback at each
-point) rather than being re-expanded symbolically.
+Every value and derivative comes from one evaluator: vbx.expr compiles the
+expressions into a straight-line program and runs it over a batch of
+points in vector forward mode, so Jacobians are exact to rounding; central
+finite differences exist only in the test suite as a cross-check. _Trial
+holds the stages of that evaluation and the rules a point must pass (its
+shape, box membership, evaluation without error, finite values): the
+check suites run it over all their samples at once, and the one-point
+functions (eval_map, jacobian, tf_eval, and the bundle ones) are one row
+of it. Tensor fields here live on an open box in R^m with tensor values
+on a fiber space R^d; pulled-back fields evaluate through the defining
+formula (Jacobian pullback at each point) rather than being re-expanded
+symbolically.
 """
 
 from __future__ import annotations
@@ -16,17 +22,19 @@ import numpy as np
 
 from .errors import DomainViolation, EvalError, NotADiffeomorphism, ShapeMismatch
 from .expr import (
-    Dual,
+    Expr,
+    Program,
     Var,
     _as_expr,
-    eval_expr,
+    compile_exprs,
     fold_add,
     fold_mul,
     max_var_index,
     num_literal,
+    run_program,
     subst,
 )
-from .geometry import Box, make_box
+from .geometry import Box, box_mask, make_box
 from .linalg import DEFAULT_TOL, FieldTag, LinearMap, VectorSpace, is_gl, make_linear
 from .tensors import Tensor, digits_to_index, index_to_digits, make_tensor, tensor_product
 
@@ -67,50 +75,180 @@ def identity_map(box) -> SmoothMap:
     return SmoothMap(tuple(Var(i + 1) for i in range(b.dim)), b)
 
 
-def outside_box(pt) -> DomainViolation:
-    return DomainViolation(f"point {np.asarray(pt).tolist()} outside the open domain box")
+# ---------------------------------------------------------------------------
+# Evaluation stages and the point rules.
+
+_DOMAIN_BOX = "the open domain box"
 
 
-def map_not_finite(pt) -> EvalError:
-    return EvalError(f"map value not finite at {np.asarray(pt).tolist()}")
+class _Trial:
+    """A batch of points and what has become of each.
+
+    Stages run in the order an identity is evaluated at a single point. A
+    point leaves at its first failure, which becomes its note, or when a
+    triple check finds no overlap to continue in; later stages still
+    compute at it but no longer change its fate. Stage methods take the
+    points X of trial rows `rows` and return one result row per point.
+    """
+
+    def __init__(self, pts: np.ndarray, progs: dict):
+        n = len(pts)
+        self.pts = pts
+        self.rows = np.arange(n)
+        self.progs = progs
+        self.live = np.ones(n, dtype=bool)
+        self.cause = np.full(n, -1)  # per point, its failure in _whys
+        self._local = np.zeros(n, dtype=int)
+        self._whys: list = []
+
+    def fail(self, rows, mask, why) -> None:
+        """Fail the live points among rows[mask]. why(j) explains local
+        row j: an exception for a broken rule, else the note itself."""
+        j = np.flatnonzero(mask)
+        i = rows[j]
+        keep = self.live[i]
+        i, j = i[keep], j[keep]
+        if i.size:
+            self.live[i] = False
+            self.cause[i] = len(self._whys)
+            self._local[i] = j
+            self._whys.append(why)
+
+    def skip(self, rows, mask) -> None:
+        self.live[rows[mask]] = False
+
+    def why(self, i: int):
+        return self._whys[self.cause[i]](self._local[i])
+
+    def program(self, exprs) -> Program:
+        """exprs (a vector, or a matrix flattened row by row) compiled once
+        per progs: a suite call's cache, or a one-point call's."""
+        hit = self.progs.get(id(exprs))
+        if hit is None:
+            flat = list(exprs) if isinstance(exprs[0], Expr) else [e for row in exprs for e in row]
+            hit = self.progs[id(exprs)] = (exprs, compile_exprs(flat))  # pins the id
+        return hit[1]
+
+    # The rules. Each is written here once.
+
+    def in_box(self, box: Box, X, rows, where: str) -> None:
+        """A point outside box fails: DomainViolation, outside `where`."""
+        self.fail(rows, ~box_mask(box, X),
+                  lambda j: DomainViolation(f"point {X[j].tolist()} outside {where}"))
+
+    def exprs(self, exprs, X, rows) -> np.ndarray:
+        """Every expression at every point, (len(X), count); a point where
+        one fails to evaluate fails with the EvalError it meets first."""
+        batch = run_program(self.program(exprs), X)
+        self.fail(rows, batch.bad, batch.error)
+        return batch.values
+
+    def finite(self, V, X, rows, what: str) -> None:
+        """A point whose row of V is not all finite fails: EvalError."""
+        self.fail(rows, ~np.isfinite(V).all(axis=tuple(range(1, V.ndim))),
+                  lambda j: EvalError(f"{what} not finite at {X[j].tolist()}"))
+
+    # Stages built from the rules.
+
+    def matrix(self, g, X, rows, dtype) -> np.ndarray:
+        """A matrix of expressions at every point: (len(X), rows of g,
+        columns of g)."""
+        return self.exprs(g, X, rows).reshape(len(X), len(g), len(g[0])).astype(dtype)
+
+    def map(self, F: SmoothMap, X, rows) -> np.ndarray:
+        """eval_map at every point."""
+        self.in_box(F.box, X, rows, _DOMAIN_BOX)
+        Y = self.exprs(F.components, X, rows)
+        self.finite(Y, X, rows, "map value")
+        return Y
+
+    def _jet(self, F: SmoothMap, X, rows) -> tuple:
+        """F's values and Jacobians, (len(X), out_dim, in_dim), from one
+        gradient-mode run of its program."""
+        self.in_box(F.box, X, rows, _DOMAIN_BOX)
+        batch = run_program(self.program(F.components), X, grad=True)
+        self.fail(rows, batch.bad, batch.error)
+        return batch.values, batch.grads
+
+    def jacobian(self, F: SmoothMap, X, rows) -> np.ndarray:
+        """jacobian at every point."""
+        _, J = self._jet(F, X, rows)
+        self.finite(J, X, rows, "jacobian")
+        return J
+
+    def map_and_jacobian(self, F: SmoothMap, X, rows) -> tuple:
+        """eval_map and jacobian at every point, from one run."""
+        Y, J = self._jet(F, X, rows)
+        self.finite(Y, X, rows, "map value")
+        self.finite(J, X, rows, "jacobian")
+        return Y, J
+
+    def maps(self, choice, maps, X) -> np.ndarray:
+        """map at each point with the map it chose, NaN where it chose none."""
+        return _per_choice(choice, (maps[0].out_dim,), float,
+                           lambda k, rows: self.map(maps[k], X[rows], rows))
+
+    def matrices(self, choice, gs, X, dtype) -> np.ndarray:
+        """matrix at each point with the matrix it chose, NaN where none."""
+        return _per_choice(choice, (len(gs[0]), len(gs[0][0])), dtype,
+                           lambda k, rows: self.matrix(gs[k], X[rows], rows, dtype))
 
 
-def jacobian_not_finite(pt) -> EvalError:
-    return EvalError(f"jacobian not finite at {np.asarray(pt).tolist()}")
+def _per_choice(choice, shape, dtype, stage) -> np.ndarray:
+    """stage(k, rows) on the rows that chose option k, NaN where none was."""
+    out = np.full((len(choice),) + shape, np.nan, dtype=dtype)
+    for k in range(choice.max(initial=-1) + 1):
+        rows = np.flatnonzero(choice == k)
+        if rows.size:
+            out[rows] = stage(k, rows)
+    return out
 
 
-def _point_in_box(F: SmoothMap, x) -> np.ndarray:
+def at_points(X: np.ndarray, stage):
+    """stage(trial, X, rows) over all points X at once: its result, or the
+    exception of the first point, in order, that broke a rule."""
+    t = _Trial(X, {})
+    with np.errstate(all="ignore"):  # failed points compute on garbage
+        out = stage(t, X, t.rows)
+    failed = np.flatnonzero(t.cause >= 0)
+    if failed.size:
+        raise t.why(failed[0])
+    return out
+
+
+def at_point(x, dim: int, what: str, stage):
+    """stage run on x alone, as the one row of a batch: its row for x.
+    The shape rule comes first."""
+    return at_points(shaped(x, dim, what)[None, :], stage)[0]
+
+
+def shaped(x, dim: int, what: str) -> np.ndarray:
+    """The shape rule: x as a point of R^dim (`what` names dim)."""
     pt = np.asarray(x, dtype=float)
-    if pt.shape != (F.in_dim,):
-        raise ShapeMismatch(f"point shape {pt.shape} does not match domain dim {F.in_dim}")
-    if not F.box.contains(pt):
-        raise outside_box(pt)
+    if pt.shape != (dim,):
+        raise ShapeMismatch(f"point shape {pt.shape} does not match {what} {dim}")
     return pt
+
+
+def point_in_box(x, box: Box, what: str, where: str) -> np.ndarray:
+    """x as a float array, once it passes the shape and box rules."""
+
+    def stage(t, X, rows):
+        t.in_box(box, X, rows, where)
+        return X
+
+    return at_point(x, box.dim, what, stage)
 
 
 def eval_map(F: SmoothMap, x) -> np.ndarray:
     """Componentwise evaluation at a point of the open domain box."""
-    pt = _point_in_box(F, x)
-    env = list(pt)
-    out = np.array([eval_expr(c, env) for c in F.components], dtype=float)
-    if not np.all(np.isfinite(out)):
-        raise map_not_finite(pt)
-    return out
+    return at_point(x, F.in_dim, "domain dim", lambda t, X, rows: t.map(F, X, rows))
 
 
 def jacobian(F: SmoothMap, x) -> LinearMap:
-    """Matrix of first partials at x, by dual-number forward evaluation."""
-    pt = _point_in_box(F, x)
-    m = F.in_dim
-    env = [Dual(float(pt[i]), np.eye(m)[i]) for i in range(m)]
-    rows = []
-    for c in F.components:
-        val = eval_expr(c, env)
-        rows.append(val.grad if isinstance(val, Dual) else np.zeros(m))
-    mat = np.vstack(rows)
-    if not np.all(np.isfinite(mat)):
-        raise jacobian_not_finite(pt)
-    dom = VectorSpace(m, FieldTag.REAL)
+    """Matrix of first partials at x, by forward-mode evaluation."""
+    mat = at_point(x, F.in_dim, "domain dim", lambda t, X, rows: t.jacobian(F, X, rows))
+    dom = VectorSpace(F.in_dim, FieldTag.REAL)
     cod = VectorSpace(F.out_dim, FieldTag.REAL)
     return make_linear(dom, cod, mat)
 
@@ -168,7 +306,7 @@ def product_partials(F: SmoothMap, p1, p2, v1, v2) -> np.ndarray:
     m1, m2 = a1.size, a2.size
     if m1 + m2 != F.in_dim:
         raise ShapeMismatch(f"point split {m1}+{m2} does not match domain dim {F.in_dim}")
-    _point_in_box(F, np.concatenate([a1, a2]))
+    point_in_box(np.concatenate([a1, a2]), F.box, "domain dim", _DOMAIN_BOX)
     w1 = np.asarray(v1, dtype=float)
     w2 = np.asarray(v2, dtype=float)
     if w1.shape != (m1,) or w2.shape != (m2,):
@@ -226,20 +364,20 @@ def closure_field(box: Box, fiber_dim: int, r: int, s: int, evaluator) -> Tensor
 
 def tf_eval(A: TensorFieldLocal, x) -> Tensor:
     """Evaluate the field into a Tensor at a point of its box."""
-    pt = np.asarray(x, dtype=float)
-    if pt.shape != (A.box.dim,):
-        raise ShapeMismatch(f"point shape {pt.shape} does not match base dim {A.box.dim}")
-    if not A.box.contains(pt):
-        raise DomainViolation(f"point {pt.tolist()} outside the field's box")
-    space = VectorSpace(A.fiber_dim, FieldTag.REAL)
-    if A.components is not None:
-        env = list(pt)
-        coeffs = np.array([eval_expr(c, env) for c in A.components], dtype=float)
-    else:
-        coeffs = np.asarray(A.evaluator(pt), dtype=float)
-    if not np.all(np.isfinite(coeffs)):
-        raise EvalError(f"field value not finite at {pt.tolist()}")
-    return make_tensor(space, A.r, A.s, coeffs)
+
+    def stage(t, X, rows):
+        t.in_box(A.box, X, rows, "the field's box")
+        if A.components is not None:
+            C = t.exprs(A.components, X, rows)
+        elif t.live[0]:  # a closure evaluates its one point, once in the box
+            C = np.asarray(A.evaluator(X[0]), dtype=float)[None]
+        else:
+            return None
+        t.finite(C, X, rows, "field value")
+        return C
+
+    coeffs = at_point(x, A.box.dim, "base dim", stage)
+    return make_tensor(VectorSpace(A.fiber_dim, FieldTag.REAL), A.r, A.s, coeffs)
 
 
 def _check_field_pair(A: TensorFieldLocal, B: TensorFieldLocal, op: str, same_valence: bool) -> None:

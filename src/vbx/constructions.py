@@ -28,20 +28,20 @@ from .bundles import (
     TensorFieldSpec,
     VectorBundleSpec,
     _check_field_pair,
-    _eval_matrix,
+    _field_values,
     _first_match,
     _live_only,
     _max_abs,
+    _nonsingular_frame,
     _sampled,
     check_section,
     field_eval,
     find_edge,
-    frame_matrix_at,
     make_atlas,
     make_bundle,
     make_section,
 )
-from .calculus import eval_map, make_smooth_map, product_component_exprs
+from .calculus import at_points, make_smooth_map, product_component_exprs, shaped
 from .errors import (
     BaseMismatch,
     ChartAssignmentError,
@@ -49,7 +49,6 @@ from .errors import (
     EvalError,
     NotAnIsomorphism,
     ShapeMismatch,
-    SingularFrame,
     SpecError,
     UnsupportedField,
 )
@@ -58,16 +57,19 @@ from .geometry import (
     Box,
     box_covered,
     box_inside,
+    box_mask,
     intersect_boxes,
     make_box,
     region_contains,
+    region_mask,
     sample_box,
     sample_region,
 )
 from .intervals import interval_eval
-from .linalg import DEFAULT_TOL, FieldTag, make_linear, scaled_abs_det
+from .linalg import DEFAULT_TOL, FieldTag, make_linear, scaled_abs_dets
 from .pullbacks import rs_pullback
 from .report import MIN_DET, RESIDUAL, make_report, vacuous_record
+from .tensors import make_tensor
 from . import symmat
 
 
@@ -229,12 +231,14 @@ def induced_bundle(B: VectorBundleSpec, base: BaseAtlasSpec, assignment: dict,
             raise SpecError(
                 f"map on '{c.name}' has {len(comps)} components, target base dim is {B.base.dim}")
         f = make_smooth_map(comps, c.box)
-        for x in sample_box(c.box, samples, seed):
-            y = eval_map(f, x)
-            if not target_chart.box.contains(y):
-                raise ChartAssignmentError(
-                    f"image {y.tolist()} of chart '{c.name}' point {x.tolist()} "
-                    f"escapes assigned chart '{target_chart.name}'")
+
+        def stage(t, X, rows):
+            Y = t.map(f, X, rows)
+            t.fail(rows, ~box_mask(target_chart.box, Y), lambda j: ChartAssignmentError(
+                f"image {Y[j].tolist()} of chart '{c.name}' point {X[j].tolist()} "
+                f"escapes assigned chart '{target_chart.name}'"))
+
+        at_points(sample_box(c.box, samples, seed), stage)
         smooth[c.name] = f
 
     transitions = []
@@ -244,18 +248,17 @@ def induced_bundle(B: VectorBundleSpec, base: BaseAtlasSpec, assignment: dict,
             transitions.append((o.frm, o.to, symmat.mat_identity(B.fiber_dim)))
             continue
         f_i = smooth[o.frm]
-        pts = sample_region(o.region, samples, seed)
-        images = [eval_map(f_i, x) for x in pts]
+        images = at_points(sample_region(o.region, samples, seed),
+                           lambda t, X, rows: t.map(f_i, X, rows))
         edge = find_edge(B, ci, cj, images[0])
         if edge is None:
             raise ChartAssignmentError(
                 f"image {images[0].tolist()} of overlap {o.frm}->{o.to} lies in no "
                 f"declared {ci}->{cj} overlap region")
-        for y in images[1:]:
-            if not region_contains(edge.overlap.region, y):
-                raise ChartAssignmentError(
-                    f"overlap {o.frm}->{o.to} maps into more than one {ci}->{cj} "
-                    "component; split the overlap")
+        if not region_mask(edge.overlap.region, images[1:]).all():
+            raise ChartAssignmentError(
+                f"overlap {o.frm}->{o.to} maps into more than one {ci}->{cj} "
+                "component; split the overlap")
         transitions.append((o.frm, o.to, symmat.mat_subst(edge.g, f_i.components)))
     return make_bundle(base, B.fiber_dim, B.field, transitions,
                        derivation={"construction": "induced",
@@ -444,17 +447,16 @@ def tangent_bundle(base: BaseAtlasSpec, samples: int = 25,
     transitions = []
     for o in base.overlaps:
         candidates = base.overlaps_between(o.to, o.frm)
-        pts = sample_region(o.region, samples, seed)
-        images = [eval_map(o.tau, x) for x in pts]
+        images = at_points(sample_region(o.region, samples, seed),
+                           lambda t, X, rows: t.map(o.tau, X, rows))
         rev = next((c for c in candidates if region_contains(c.region, images[0])), None)
         if rev is None:
             raise SpecError(
                 f"overlap {o.frm}->{o.to}: image of sampled point lies in no declared "
                 f"{o.to}->{o.frm} region")
-        for y in images[1:]:
-            if not region_contains(rev.region, y):
-                raise SpecError(
-                    f"overlap {o.frm}->{o.to} maps into more than one reverse component")
+        if not region_mask(rev.region, images[1:]).all():
+            raise SpecError(
+                f"overlap {o.frm}->{o.to} maps into more than one reverse component")
         env = o.tau.components
         rows = []
         for a in range(base.dim):
@@ -502,15 +504,17 @@ def local_expression(A: TensorFieldSpec, F: FrameFieldSpec, points,
     if F.chart not in A.per_chart:
         raise DomainViolation(f"field has no components on chart '{F.chart}'")
     space = A.bundle.fiber_space
-    rows = []
-    for p in points:
-        P = frame_matrix_at(F, p)
-        if scaled_abs_det(P) <= tol:
-            raise SingularFrame(f"frame matrix singular at {np.asarray(p).tolist()}")
-        T = field_eval(A, F.chart, p)
-        L = make_linear(space, space, P)
-        rows.append(rs_pullback(L, A.r, A.s, T, tol).coeffs)
-    return np.array(rows, dtype=A.bundle.field.dtype)
+    dim = A.bundle.base.dim
+    X = np.array([shaped(p, dim, "base dim") for p in points]).reshape(-1, dim)
+
+    def stage(t, X, rows):
+        return (_nonsingular_frame(t, F, X, rows, tol),
+                _field_values(t, A, F.chart, X, rows))
+
+    frames, coeffs = at_points(X, stage)
+    return np.array([rs_pullback(make_linear(space, space, P), A.r, A.s,
+                                 make_tensor(space, A.r, A.s, C), tol).coeffs
+                     for P, C in zip(frames, coeffs)], dtype=A.bundle.field.dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -685,11 +689,13 @@ def vb_pullback_rs(M: BundleMorphismSpec, A: TensorFieldSpec, samples: int = 25,
     if M.inverse is None:
         raise NotAnIsomorphism("pullback of mixed tensors needs a declared inverse")
     for c in M.source.base.charts:
-        for x in sample_box(c.box, samples, seed):
-            phi = _eval_matrix(M.fiber_map[c.name], x, M.source.field.dtype)
-            if scaled_abs_det(phi) <= tol:
-                raise NotAnIsomorphism(
-                    f"fiber map singular at {x.tolist()} on chart '{c.name}'")
+
+        def stage(t, X, rows):
+            phi = t.matrix(M.fiber_map[c.name], X, rows, M.source.field.dtype)
+            t.fail(rows, scaled_abs_dets(phi) <= tol, lambda j: NotAnIsomorphism(
+                f"fiber map singular at {X[j].tolist()} on chart '{c.name}'"))
+
+        at_points(sample_box(c.box, samples, seed), stage)
     smooth = {c.name: make_smooth_map(M.base_map[c.name], c.box)
               for c in M.source.base.charts}
     for c in M.target.base.charts:
@@ -700,15 +706,16 @@ def vb_pullback_rs(M: BundleMorphismSpec, A: TensorFieldSpec, samples: int = 25,
                 f"is assigned to '{M.assignment[src_chart]}'")
         h = make_smooth_map(comps, c.box)
         src_box = M.source.base.chart(src_chart).box
-        for y in sample_box(c.box, samples, seed):
-            x = eval_map(h, y)
-            if not src_box.contains(x):
-                raise NotAnIsomorphism(
-                    f"declared inverse leaves chart '{src_chart}' at {y.tolist()}")
-            back = eval_map(smooth[src_chart], x)
-            if float(np.max(np.abs(back - y))) > roundtrip_tol:
-                raise NotAnIsomorphism(
-                    f"declared inverse fails the round trip at {y.tolist()}")
+
+        def stage(t, Y, rows):
+            X = t.map(h, Y, rows)
+            t.fail(rows, ~box_mask(src_box, X), lambda j: NotAnIsomorphism(
+                f"declared inverse leaves chart '{src_chart}' at {Y[j].tolist()}"))
+            back = t.map(smooth[src_chart], X, rows)
+            t.fail(rows, _max_abs(back - Y) > roundtrip_tol, lambda j: NotAnIsomorphism(
+                f"declared inverse fails the round trip at {Y[j].tolist()}"))
+
+        at_points(sample_box(c.box, samples, seed), stage)
 
     out = {}
     for c in M.source.base.charts:

@@ -16,21 +16,22 @@ square roots are defined.
 
 parse_expr builds a structurally faithful tree (no simplification), and
 to_string prints it back so that parsing the output reproduces an equal
-tree. Evaluation works on floats or on Dual numbers, which carry a gradient
-vector through every operation; that is how Jacobians are computed exactly.
-That scalar walk is the single-point API. The check suites instead compile
-their expressions into a shared straight-line program (compile_exprs) and
-run it over all sample points at once (run_program), with the same
-arithmetic and the same domain errors, reported per sample.
+tree. There is one evaluator: compile_exprs turns a list of expressions
+into a shared straight-line program, and run_program runs it over a batch
+of points at once, values as arrays and, in vector forward mode, gradients
+too; that is how Jacobians are computed exactly. A point where an
+operation leaves its domain fails with the message of the first such
+operation. eval_expr is that program run on one point.
 The folding constructors (fold_add and friends) do light constant folding
 and are used by symbolic differentiation and substitution, never by the
 parser.
 
 Expressions are DAGs: a derived bundle's entries reference the same
-subtrees many times over. Every walker (evaluation, printing, validation,
-compiling, differentiation, substitution) visits each distinct node once,
-without recursion, and the parser reads a repeated parenthesized group
-once and returns the same node for it.
+subtrees many times over. Every walker (compiling, printing, validation,
+differentiation, substitution, hashing) visits each distinct node once,
+without recursion, equality compares each pair of nodes once, and the
+parser reads a repeated parenthesized group once and returns the same node
+for it.
 """
 
 from __future__ import annotations
@@ -45,65 +46,112 @@ from .errors import EvalError, ParseError, UnknownSymbol
 
 
 class Expr:
-    """Base class for expression nodes. Nodes are immutable."""
+    """Base class for expression nodes. Nodes are immutable.
+
+    Equality and hashing are those of frozen dataclasses (the fields in
+    order, the hash of their tuple), computed without recursion so that
+    any depth compares and hashes.
+    """
 
     __slots__ = ()
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        todo, seen = [(self, other)], set()  # seen: pairs whose fields are queued
+        while todo:
+            a, b = todo.pop()
+            if a is b or (id(a), id(b)) in seen:
+                continue
+            if a.__class__ is not b.__class__:
+                return False
+            seen.add((id(a), id(b)))
+            for x, y in zip(_fields(a), _fields(b)):
+                if isinstance(x, Expr):
+                    todo.append((x, y))
+                elif not (x is y or x == y):
+                    return False
+        return True
 
-@dataclass(frozen=True)
+    def __hash__(self):
+        return _fold((self,), {}, _hash_node)[0]
+
+
+@dataclass(frozen=True, eq=False)
 class Num(Expr):
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Const(Expr):
     name: str  # 'pi' or 'e'
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Var(Expr):
     index: int  # 1-based: x1, x2, ...
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Neg(Expr):
     a: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Add(Expr):
     a: Expr
     b: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sub(Expr):
     a: Expr
     b: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mul(Expr):
     a: Expr
     b: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Div(Expr):
     a: Expr
     b: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pow(Expr):
     base: Expr
     exponent: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Call(Expr):
     fn: str
     arg: Expr
+
+
+def _fields(e: Expr) -> tuple:
+    return tuple(getattr(e, name) for name in e.__match_args__)
+
+
+class _Hashed:
+    """Stands in a tuple for an operand whose hash is already known."""
+
+    __slots__ = ("h",)
+
+    def __init__(self, h: int):
+        self.h = h
+
+    def __hash__(self):
+        return self.h
+
+
+def _hash_node(e: Expr, kids: list) -> int:
+    kids = iter(kids)
+    return hash(tuple(_Hashed(next(kids)) if isinstance(v, Expr) else v for v in _fields(e)))
 
 
 _CONSTS = {"pi": math.pi, "e": math.e}
@@ -156,150 +204,6 @@ def _fold(roots, memo: dict, visit) -> list:
     return [memo[id(r)][1] for r in roots]
 
 
-class Dual:
-    """A value with a gradient vector, for forward-mode differentiation."""
-
-    __slots__ = ("val", "grad")
-
-    def __init__(self, val: float, grad: np.ndarray):
-        self.val = val
-        self.grad = grad
-
-    def __add__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.val + other.val, self.grad + other.grad)
-        return Dual(self.val + other, self.grad)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.val - other.val, self.grad - other.grad)
-        return Dual(self.val - other, self.grad)
-
-    def __rsub__(self, other):
-        return Dual(other - self.val, -self.grad)
-
-    def __mul__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.val * other.val, self.val * other.grad + other.val * self.grad)
-        return Dual(self.val * other, other * self.grad)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Dual):
-            if other.val == 0.0:
-                raise EvalError("division by zero")
-            q = self.val / other.val
-            return Dual(q, (self.grad - q * other.grad) / other.val)
-        if other == 0.0:
-            raise EvalError("division by zero")
-        return Dual(self.val / other, self.grad / other)
-
-    def __rtruediv__(self, other):
-        if self.val == 0.0:
-            raise EvalError("division by zero")
-        q = other / self.val
-        return Dual(q, -q / self.val * self.grad)
-
-    def __neg__(self):
-        return Dual(-self.val, -self.grad)
-
-
-def _v(x):
-    return x.val if isinstance(x, Dual) else x
-
-
-def _int_pow(x, k: int):
-    """x**k with Python float semantics whatever the value type: a finite
-    base whose power overflows is an EvalError, never an inf."""
-    v = _v(x)
-    if v == 0.0 and k < 0:
-        raise EvalError("zero raised to a negative power")
-    try:
-        if not isinstance(x, Dual):
-            return float(v) ** k
-        if k == 0:
-            return Dual(1.0, 0.0 * x.grad)
-        return Dual(float(v) ** k, k * float(v) ** (k - 1) * x.grad)
-    except OverflowError:
-        raise EvalError("power overflow") from None
-
-
-def _call(fn: str, x):
-    v = _v(x)
-    if fn in ("sin", "cos", "tan") and math.isinf(v):
-        raise EvalError(f"{fn} of infinite value {v}")
-    if fn == "sin":
-        return Dual(math.sin(v), math.cos(v) * x.grad) if isinstance(x, Dual) else math.sin(v)
-    if fn == "cos":
-        return Dual(math.cos(v), -math.sin(v) * x.grad) if isinstance(x, Dual) else math.cos(v)
-    if fn == "tan":
-        c = math.cos(v)
-        if c == 0.0:
-            raise EvalError("tan at a pole")
-        t = math.tan(v)
-        return Dual(t, x.grad / (c * c)) if isinstance(x, Dual) else t
-    if fn == "exp":
-        try:
-            ev = math.exp(v)
-        except OverflowError as exc:
-            raise EvalError("exp overflow") from exc
-        return Dual(ev, ev * x.grad) if isinstance(x, Dual) else ev
-    if fn == "log":
-        if v <= 0.0:
-            raise EvalError(f"log of non-positive value {v}")
-        return Dual(math.log(v), x.grad / v) if isinstance(x, Dual) else math.log(v)
-    if fn == "sqrt":
-        if v < 0.0:
-            raise EvalError(f"sqrt of negative value {v}")
-        rt = math.sqrt(v)
-        if isinstance(x, Dual):
-            if rt == 0.0:
-                raise EvalError("sqrt not differentiable at zero")
-            return Dual(rt, x.grad / (2.0 * rt))
-        return rt
-    raise EvalError(f"unknown function {fn}")
-
-
-def eval_expr(e: Expr, env):
-    """Evaluate with env[i-1] bound to variable xi; floats or Duals.
-
-    Raises EvalError at poles and domain edges (division by zero, log of a
-    non-positive number, square root of a negative number).
-    """
-
-    def visit(e, v):
-        if isinstance(e, Num):
-            return e.value
-        if isinstance(e, Const):
-            return _CONSTS[e.name]
-        if isinstance(e, Var):
-            if e.index > len(env):
-                raise EvalError(f"no value for x{e.index}: point has {len(env)} coordinates")
-            return env[e.index - 1]
-        if isinstance(e, Neg):
-            return -v[0]
-        if isinstance(e, Add):
-            return v[0] + v[1]
-        if isinstance(e, Sub):
-            return v[0] - v[1]
-        if isinstance(e, Mul):
-            return v[0] * v[1]
-        if isinstance(e, Div):
-            if _v(v[1]) == 0.0:
-                raise EvalError("division by zero")
-            return v[0] / v[1]
-        if isinstance(e, Pow):
-            return _int_pow(v[0], e.exponent)
-        if isinstance(e, Call):
-            return _call(e.fn, v[0])
-        raise EvalError(f"unknown node {type(e).__name__}")
-
-    return _fold((e,), {}, visit)[0]
-
-
 def tree_size(exprs) -> int:
     """Nodes of exprs counted as trees: a shared subtree once per occurrence."""
     return sum(_fold(exprs, {}, lambda e, v: 1 + sum(v)))
@@ -319,8 +223,9 @@ def max_var_index(e: Expr, memo: dict | None = None) -> int:
 # slot, keyed by (op, child slots, literal), so shared subexpressions are
 # computed once. run_program evaluates the program once over all sample
 # points, on (n,) value arrays and, in vector forward mode, (n, m) gradient
-# arrays. It follows eval_expr and the Dual rules operation by operation;
-# where eval_expr would raise, the sample is marked failed instead.
+# arrays. Where an operation leaves its domain (division by zero, log of a
+# non-positive number, overflow, ...) the sample is marked failed, with
+# the message of its first failing operation, and computing goes on.
 
 _LIT, _VAR, _NEG, _ADD, _SUB, _MUL, _DIV, _POW, _CALL = range(9)
 _BINARY = {Add: _ADD, Sub: _SUB, Mul: _MUL, Div: _DIV}
@@ -338,9 +243,10 @@ def compile_exprs(exprs) -> Program:
     """One program for all of exprs, common subexpressions shared.
 
     Each distinct node is visited once, and the table holds only unique
-    structures. Slots come in post-order of first occurrence, which is the
-    order eval_expr meets them; the first failing slot of a sample is
-    therefore the one eval_expr raises at.
+    structures. Slots come in post-order of first occurrence: the order in
+    which a walk of the expressions, one after another, first finishes each
+    node, so a sample's first failing slot is the node such a walk would
+    fail at first.
     """
     table: dict = {}
 
@@ -372,8 +278,8 @@ class Batch:
     """A program's outputs at n points, and the samples where it failed.
 
     values is (n, k), one column per compiled expression; grads is
-    (n, k, m) in gradient mode, else None. bad marks the samples where
-    eval_expr would raise, and error(i) is the EvalError it would raise.
+    (n, k, m) in gradient mode, else None. bad marks the samples where an
+    operation failed, and error(i) is the EvalError of the first that did.
     Values and gradients at bad samples are meaningless.
     """
 
@@ -429,7 +335,7 @@ def run_program(prog: Program, points, grad: bool = False) -> Batch:
                 elif op == _POW:
                     v, d = _pow_batch(x, dx, lit, fail)
                 elif op == _CALL:
-                    v, d = _call_batch(lit, x, dx, fail)
+                    v, d = _func_batch(lit, x, dx, fail)
                 else:
                     y, dy = vals[b], ders[b]
                     v, d = _binary_batch(op, x, dx, y, dy, fail)
@@ -442,6 +348,16 @@ def run_program(prog: Program, points, grad: bool = False) -> Batch:
         if grad and ders[s] is not None:
             grads[:, k, :] = ders[s]
     return Batch(values, grads, cause, whys)
+
+
+def eval_expr(e: Expr, env) -> float:
+    """The value of e with env[i-1] bound to variable xi: run_program on
+    the one point env. Raises the EvalError of its first failing
+    operation (division by zero, log of a non-positive number, ...)."""
+    batch = run_program(compile_exprs([e]), [list(env)])
+    if batch.bad[0]:
+        raise batch.error(0)
+    return float(batch.values[0, 0])
 
 
 def _binary_batch(op, x, dx, y, dy, fail):
@@ -484,7 +400,7 @@ def _pow_batch(x, dx, k, fail):
     return v, (k * p)[:, None] * dx
 
 
-def _call_batch(fn, x, dx, fail):
+def _func_batch(fn, x, dx, fail):
     if fn in ("sin", "cos", "tan"):
         fail(np.isinf(x), lambda i: f"{fn} of infinite value {float(x[i])}")
     if fn == "sin":

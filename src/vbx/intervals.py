@@ -4,7 +4,9 @@ Used when a construction must know that the image of a box lies inside
 another box (restricting a bundle shrinks overlap regions soundly this
 way). The enclosure may be loose; callers bisect until boxes certify or
 get dropped. An interval that hits a pole or a domain edge raises
-EvalError, which callers treat as "cannot certify".
+EvalError, which callers treat as "cannot certify". Evaluation is a visit
+of the walk in vbx.expr, so each distinct node is enclosed once and depth
+is not bounded by the recursion limit.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import math
 
 from .errors import EvalError
-from .expr import Add, Call, Const, Div, Expr, Mul, Neg, Num, Pow, Sub, Var
+from .expr import Add, Call, Const, Div, Expr, Mul, Neg, Num, Pow, Sub, Var, _fold
 
 _TWO_PI = 2.0 * math.pi
 
@@ -78,42 +80,46 @@ def _iv_tan(a):
 
 def interval_eval(e: Expr, bounds) -> tuple:
     """Enclosure of e over the box given by bounds[i-1] = (lo_i, hi_i)."""
-    if isinstance(e, Num):
-        return (e.value, e.value)
-    if isinstance(e, Const):
-        v = math.pi if e.name == "pi" else math.e
-        return (v, v)
-    if isinstance(e, Var):
-        lo, hi = bounds[e.index - 1]
-        return (float(lo), float(hi))
-    if isinstance(e, Neg):
-        return _iv_neg(interval_eval(e.a, bounds))
-    if isinstance(e, Add):
-        return _iv_add(interval_eval(e.a, bounds), interval_eval(e.b, bounds))
-    if isinstance(e, Sub):
-        return _iv_sub(interval_eval(e.a, bounds), interval_eval(e.b, bounds))
-    if isinstance(e, Mul):
-        return _iv_mul(interval_eval(e.a, bounds), interval_eval(e.b, bounds))
-    if isinstance(e, Div):
-        return _iv_mul(interval_eval(e.a, bounds), _iv_recip(interval_eval(e.b, bounds)))
-    if isinstance(e, Pow):
-        return _iv_pow(interval_eval(e.base, bounds), e.exponent)
-    if isinstance(e, Call):
-        a = interval_eval(e.arg, bounds)
-        if e.fn == "sin":
-            return _iv_sin(a)
-        if e.fn == "cos":
-            return _iv_sin((a[0] + math.pi / 2, a[1] + math.pi / 2))
-        if e.fn == "tan":
-            return _iv_tan(a)
-        if e.fn == "exp":
-            return (math.exp(a[0]), math.exp(a[1]))
-        if e.fn == "log":
-            if a[0] <= 0.0:
-                raise EvalError("interval log touches non-positive values")
-            return (math.log(a[0]), math.log(a[1]))
-        if e.fn == "sqrt":
-            if a[0] < 0.0:
-                raise EvalError("interval sqrt touches negative values")
-            return (math.sqrt(a[0]), math.sqrt(a[1]))
-    raise EvalError(f"cannot interval-evaluate node {type(e).__name__}")
+
+    def visit(e, iv):
+        if isinstance(e, Num):
+            return (e.value, e.value)
+        if isinstance(e, Const):
+            v = math.pi if e.name == "pi" else math.e
+            return (v, v)
+        if isinstance(e, Var):
+            lo, hi = bounds[e.index - 1]
+            return (float(lo), float(hi))
+        if isinstance(e, Neg):
+            return _iv_neg(iv[0])
+        if isinstance(e, Add):
+            return _iv_add(iv[0], iv[1])
+        if isinstance(e, Sub):
+            return _iv_sub(iv[0], iv[1])
+        if isinstance(e, Mul):
+            return _iv_mul(iv[0], iv[1])
+        if isinstance(e, Div):
+            return _iv_mul(iv[0], _iv_recip(iv[1]))
+        if isinstance(e, Pow):
+            return _iv_pow(iv[0], e.exponent)
+        if isinstance(e, Call):
+            a = iv[0]
+            if e.fn == "sin":
+                return _iv_sin(a)
+            if e.fn == "cos":
+                return _iv_sin((a[0] + math.pi / 2, a[1] + math.pi / 2))
+            if e.fn == "tan":
+                return _iv_tan(a)
+            if e.fn == "exp":
+                return (math.exp(a[0]), math.exp(a[1]))
+            if e.fn == "log":
+                if a[0] <= 0.0:
+                    raise EvalError("interval log touches non-positive values")
+                return (math.log(a[0]), math.log(a[1]))
+            if e.fn == "sqrt":
+                if a[0] < 0.0:
+                    raise EvalError("interval sqrt touches negative values")
+                return (math.sqrt(a[0]), math.sqrt(a[1]))
+        raise EvalError(f"cannot interval-evaluate node {type(e).__name__}")
+
+    return _fold((e,), {}, visit)[0]

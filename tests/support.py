@@ -4,10 +4,12 @@ Everything here is constructed programmatically so tests do not depend on
 the shipped gallery files except where a test is specifically about them.
 """
 
+import json
 import math
 
 from vbx.bundles import make_atlas, make_bundle
 from vbx.linalg import FieldTag
+from vbx.specio import gallery_path, list_gallery
 
 PI = math.pi
 TWO_PI = 2 * math.pi
@@ -99,3 +101,16 @@ def plane_rotation_bundle():
     rot_inv = [["cos(x1)", "sin(x1)"], ["-sin(x1)", "cos(x1)"]]
     transitions = [("left", "right", rot), ("right", "left", rot_inv)]
     return make_bundle(plane_atlas(), 2, FieldTag.REAL, transitions)
+
+
+def gallery_expressions() -> list:
+    """Every distinct entry text of the gallery specs, sorted."""
+    texts = []
+    for name in list_gallery():
+        doc = json.loads(gallery_path(name).read_text())
+        texts += [t for o in doc["base"]["overlaps"] for t in o["tau"]]
+        texts += [t for tr in doc.get("transitions", []) for row in tr["g"] for t in row]
+        for entry in doc.get("sections", []) + doc.get("fields", []):
+            texts += [t for comps in entry["components"].values() for t in comps]
+        texts += [t for f in doc.get("frames", []) for col in f["columns"] for t in col]
+    return sorted(set(texts))

@@ -1,10 +1,11 @@
 """Batched evaluation and batched checks against the scalar oracle.
 
-compile_exprs/run_program must agree with eval_expr (values) and with
-jacobian (gradients) point by point, and must fail exactly where they
-raise EvalError, with the same message. The check suites must report what
-the per-point loops they replaced reported; two of those loops are kept
-here, verbatim, as the oracle.
+compile_exprs/run_program must agree with the scalar tree walk of
+scalar_oracle (eval_expr for values, jacobian for gradients) point by
+point, and must fail exactly where it raises EvalError, with the same
+message. The check suites must report what the per-point loops they
+replaced reported; two of those loops are kept here, verbatim, as the
+oracle, on the one-point functions of scalar_oracle.
 """
 
 import json
@@ -13,10 +14,10 @@ import math
 import numpy as np
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
-from support import PI, TWO_PI, mobius_bundle
+from scalar_oracle import eval_expr, eval_map, eval_matrix, field_eval, jacobian
+from support import PI, TWO_PI, gallery_expressions, mobius_bundle
 
 from vbx.bundles import (
-    _eval_matrix,
     _overlap_subject,
     check_base_atlas,
     check_frame,
@@ -26,10 +27,9 @@ from vbx.bundles import (
     make_atlas,
     make_bundle,
     make_frame,
-    field_eval,
     make_section,
 )
-from vbx.calculus import eval_map, make_smooth_map, jacobian
+from vbx.calculus import make_smooth_map
 from vbx.errors import EvalError, VbxError
 from vbx.expr import (
     Add,
@@ -43,14 +43,13 @@ from vbx.expr import (
     Sub,
     Var,
     compile_exprs,
-    eval_expr,
     parse_expr,
     run_program,
 )
 from vbx.geometry import halton, sample_region
 from vbx.linalg import FieldTag
 from vbx.report import failed_record, make_report, residual_record
-from vbx.specio import gallery_path, list_gallery, load_spec
+from vbx.specio import gallery_path, load_spec
 
 # Values and gradients may differ from the scalar path where numpy's exp,
 # log or tan round differently from the math module's (one ulp at the
@@ -79,7 +78,7 @@ def scalar_values(exprs, x):
 
 def scalar_jacobian(exprs, x):
     try:
-        return jacobian(make_smooth_map(exprs, BOX), x).matrix
+        return jacobian(make_smooth_map(exprs, BOX), x)
     except EvalError as exc:
         return exc
 
@@ -140,18 +139,6 @@ def test_batch_matches_scalar_oracle_on_random_expressions(e):
 @given(st.lists(_exprs(2), min_size=2, max_size=4))
 def test_batch_reports_the_error_the_scalar_loop_meets_first(exprs):
     assert_matches_oracle(exprs)
-
-
-def gallery_expressions() -> list:
-    texts = []
-    for name in list_gallery():
-        doc = json.loads(gallery_path(name).read_text())
-        texts += [t for o in doc["base"]["overlaps"] for t in o["tau"]]
-        texts += [t for tr in doc.get("transitions", []) for row in tr["g"] for t in row]
-        for entry in doc.get("sections", []) + doc.get("fields", []):
-            texts += [t for comps in entry["components"].values() for t in comps]
-        texts += [t for f in doc.get("frames", []) for col in f["columns"] for t in col]
-    return sorted(set(texts))
 
 
 def test_batch_matches_scalar_oracle_on_gallery_expressions():
@@ -219,9 +206,9 @@ def scalar_check_section(S, samples, tol, seed):
         trouble = None
         for x in pts:
             try:
-                lhs = field_eval(S, i, x).coeffs
+                lhs = field_eval(S, i, x)
                 y = eval_map(e.overlap.tau, x)
-                rhs = _eval_matrix(e.g, x, B.field.dtype) @ field_eval(S, j, y).coeffs
+                rhs = eval_matrix(e.g, x, B.field.dtype) @ field_eval(S, j, y)
                 worst = max(worst, float(np.max(np.abs(lhs - rhs))))
             except VbxError as exc:
                 trouble = f"evaluation failed at {np.asarray(x).tolist()}: {exc}"
@@ -248,7 +235,7 @@ def scalar_pair_cocycle_records(B, samples, tol, seed):
                         trouble = (f"tau image {y.tolist()} is in no declared "
                                    f"{to}->{frm} region")
                         break
-                    _eval_matrix(back.g, y, B.field.dtype)
+                    eval_matrix(back.g, y, B.field.dtype)
                 except VbxError as exc:
                     trouble = f"evaluation failed at {np.asarray(x).tolist()}: {exc}"
                     break

@@ -154,6 +154,28 @@ def test_deeply_nested_syntax_error_names_its_entry(tmp_path):
         assert "/sections/2/components/east/0: expected ')', found end of input" in err
 
 
+def _deep_tau_spec(tmp_path) -> str:
+    """mobius with first tau x1 + 0*sin(sin(...x1...)), 1,500 deep."""
+    doc = json.loads(gallery_path("mobius").read_text())
+    tau = doc["base"]["overlaps"][0]["tau"]
+    tau[0] += " + 0*" + "sin(" * 1500 + "x1" + ")" * 1500
+    spec = tmp_path / "deep_tau.json"
+    spec.write_text(json.dumps(doc))
+    return str(spec)
+
+
+def test_constructions_on_a_deeply_nested_tau_end_in_an_exit_code_not_a_traceback(tmp_path):
+    spec = _deep_tau_spec(tmp_path)
+    code, out, err = run_cold("construct", "sum", spec, spec, "-o", str(tmp_path / "sum.json"))
+    assert (code, err) == (0, "")
+    regions = tmp_path / "regions.json"
+    regions.write_text(json.dumps({"regions": {"east": [[-3.0, 3.0]], "west": [[0.5, 6.0]]}}))
+    code, out, err = run_cold("construct", "restrict", spec, str(regions),
+                              "-o", str(tmp_path / "restricted.json"))
+    assert (code, err) == (0, "")
+    assert run_cold("check", str(tmp_path / "restricted.json"), "--samples", "20")[0] == 0
+
+
 def test_unwritable_report_path_is_a_file_error_not_a_traceback(tmp_path):
     target = tmp_path / "missing_dir" / "r.json"
     code, out, err = run_cold("check", gp("mobius"), "--samples", "20", "--out", str(target))
@@ -359,6 +381,26 @@ def test_eval_point_outside_chart(capsys):
                          "--chart", "main", "--point", "9,9")
     assert code == 2
     assert "verification failure" in err
+
+
+def test_eval_point_of_the_wrong_dimension_is_a_shape_mismatch():
+    code, out, err = run_cold("eval", gp("mobius"), "--target", "halfwave",
+                              "--chart", "east", "--point=0.1,0.2")
+    assert code == 1
+    assert err == "error: point shape (2,) does not match base dim 1\n"
+
+
+def test_eval_of_an_overflowing_entry_is_an_eval_error(tmp_path):
+    doc = json.loads(gallery_path("mobius").read_text())
+    doc["sections"].append({"name": "huge", "components": {
+        "east": ["x1*1e308*10"], "west": ["x1*1e308*10"]}})
+    spec = tmp_path / "huge.json"
+    spec.write_text(json.dumps(doc))
+    code, out, err = run_cold("eval", str(spec), "--target", "huge", "--chart", "east",
+                              "--point", "1.0")
+    assert code == 1
+    assert out == ""
+    assert err == "error: field value not finite at [1.0]\n"  # no Traceback, no RuntimeWarning
 
 
 def test_eval_unknown_chart_is_a_domain_problem(capsys):

@@ -1,6 +1,7 @@
 """Expression parsing, printing, evaluation, and symbolic derivatives."""
 
 import math
+from dataclasses import make_dataclass
 
 import pytest
 from hypothesis import given, seed, settings
@@ -11,10 +12,13 @@ from vbx.expr import (
     Add,
     Call,
     Const,
+    Div,
+    Expr,
     Mul,
     Neg,
     Num,
     Pow,
+    Sub,
     Var,
     diff,
     eval_expr,
@@ -208,3 +212,72 @@ def test_num_literal_wraps_negatives():
 def test_max_var_index():
     assert max_var_index(parse_expr("x1 + sin(x4)*x2")) == 4
     assert max_var_index(parse_expr("3 + pi")) == 0
+
+
+# Each node class as a plain frozen dataclass with the same fields: their
+# generated (recursive) __eq__ and __hash__ are the reference for Expr's.
+REFERENCE = {cls: make_dataclass(cls.__name__, list(cls.__match_args__), frozen=True)
+             for cls in (Num, Const, Var, Neg, Add, Sub, Mul, Div, Pow, Call)}
+
+
+def rebuilt(e, classes=None):
+    """A fresh copy of the tree e, in the reference classes if given."""
+    fields = [getattr(e, name) for name in e.__match_args__]
+    cls = type(e) if classes is None else classes[type(e)]
+    return cls(*(rebuilt(v, classes) if isinstance(v, Expr) else v for v in fields))
+
+
+def _small_exprs(depth=3):
+    leaves = st.sampled_from([Num(0.0), Num(-0.0), Num(1.0), Num(1), Var(1), Var(2),
+                              Const("pi"), Const("e")])
+    if depth == 0:
+        return leaves
+
+    def combine(children):
+        a, b = children
+        return st.sampled_from([Neg(a), Add(a, b), Sub(a, b), Mul(a, b), Div(a, b),
+                                Add(b, a), Pow(a, 2), Pow(a, -1), Call("sin", a),
+                                Call("cos", a)])
+
+    return st.one_of(leaves, st.tuples(_small_exprs(depth - 1),
+                                       _small_exprs(depth - 1)).flatmap(combine))
+
+
+@seed(20240817)
+@settings(max_examples=400, deadline=None)
+@given(_small_exprs(), _small_exprs())
+def test_equality_and_hash_are_those_of_the_dataclasses(a, b):
+    ra, rb = rebuilt(a, REFERENCE), rebuilt(b, REFERENCE)
+    assert (a == b) == (ra == rb)
+    assert (a != b) == (ra != rb)
+    assert hash(a) == hash(ra)
+    assert rebuilt(a) == a and hash(rebuilt(a)) == hash(a)
+    assert (a == 1.0) is False and (a != "x1") is True
+
+
+def test_equality_treats_signed_zeros_and_int_literals_like_the_dataclasses():
+    assert Num(0.0) == Num(-0.0) and hash(Num(0.0)) == hash(Num(-0.0))
+    assert Num(1) == Num(1.0) and Add(Var(1), Num(2)) == Add(Var(1), Num(2.0))
+    assert Add(Var(1), Var(2)) != Sub(Var(1), Var(2))
+    assert Pow(Var(1), 2) != Pow(Var(1), 3)
+
+
+def test_deep_and_shared_trees_compare_and_hash_without_recursion():
+    def chain(depth):
+        e = Var(1)
+        for _ in range(depth):
+            e = Call("sin", e)
+        return e
+
+    a, b = chain(10_000), chain(10_000)
+    assert a == b and not a != b and hash(a) == hash(b)
+    assert a != Call("cos", a.arg)
+
+    def doubling(n):  # 2^(n+1) - 1 tree nodes, n + 1 distinct ones
+        e = Var(1)
+        for _ in range(n):
+            e = Add(e, e)
+        return e
+
+    assert doubling(64) == doubling(64) and doubling(64) != doubling(63)
+    assert hash(doubling(64)) == hash(doubling(64))

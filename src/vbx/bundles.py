@@ -52,6 +52,7 @@ from .geometry import (
     region_mask,
     sample_box,
     sample_region,
+    sampling_scope,
 )
 from .linalg import (
     DEFAULT_TOL,
@@ -301,10 +302,11 @@ def find_edge(B: VectorBundleSpec, i: str, j: str, x) -> BundleEdge | None:
 def transition_eval(B: VectorBundleSpec, i: str, j: str, x,
                     tol: float = DEFAULT_TOL) -> LinearMap:
     """Evaluate the transition matrix converting chart-j fiber coordinates
-    to chart-i fiber coordinates, at chart-i base coordinates x."""
+    to chart-i fiber coordinates, at chart-i base coordinates x: a point of
+    chart i when i == j, else of a declared i->j overlap region."""
     fiber = B.fiber_space
     if i == j:
-        B.base.chart(i)
+        point_in_box(x, B.base.chart(i).box, "base dim", f"chart '{i}'")
         return make_linear(fiber, fiber, np.eye(B.fiber_dim, dtype=B.field.dtype))
     edges = B.edges_between(i, j)
 
@@ -425,6 +427,7 @@ def _max_abs(A) -> np.ndarray:
 # Atlas and bundle check suites.
 
 
+@sampling_scope()
 def check_base_atlas(spec: BaseAtlasSpec, samples: int = DEFAULT_SAMPLES,
                      tol: float = DEFAULT_CHECK_TOL, seed: int = DEFAULT_SEED) -> CheckReport:
     """Sampled verification of the atlas identities.
@@ -481,6 +484,7 @@ def check_base_atlas(spec: BaseAtlasSpec, samples: int = DEFAULT_SAMPLES,
     return make_report("base_atlas", records)
 
 
+@sampling_scope()
 def check_vb(B: VectorBundleSpec, samples: int = DEFAULT_SAMPLES,
              tol: float = DEFAULT_CHECK_TOL, seed: int = DEFAULT_SEED) -> CheckReport:
     """Sampled verification of VB structure: GL values, pair and triple cocycles."""
@@ -596,6 +600,7 @@ def field_eval(A: TensorFieldSpec, chart: str, x):
     return make_tensor(A.bundle.fiber_space, A.r, A.s, coeffs)
 
 
+@sampling_scope()
 def check_section(S: TensorFieldSpec, samples: int = DEFAULT_SAMPLES,
                   tol: float = DEFAULT_CHECK_TOL, seed: int = DEFAULT_SEED) -> CheckReport:
     """Cross-chart compatibility: S_i(x) = g_ij(x) S_j(tau_ij(x)) at samples."""
@@ -717,6 +722,7 @@ def frame_matrix_at(F: FrameFieldSpec, x) -> np.ndarray:
                     lambda t, X, rows: _frame_rows(t, F, X, rows))
 
 
+@sampling_scope()
 def check_frame(F: FrameFieldSpec, samples: int = DEFAULT_SAMPLES,
                 tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED) -> CheckReport:
     """Invertibility of the assembled frame matrix across the chart."""

@@ -12,6 +12,7 @@ inputs on mathematical grounds).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -47,6 +48,7 @@ from .errors import (
     VbxError,
 )
 from .expr import compile_exprs, tree_size
+from .geometry import sampling_scope
 from .report import CheckReport, format_report, make_report, merge_reports, report_to_json
 from .specio import atlas_from_document, load_json, load_spec, save_spec
 
@@ -65,6 +67,7 @@ class _Parser(argparse.ArgumentParser):
         raise _Usage(f"{self.format_usage().rstrip()}\n{self.prog}: error: {message}")
 
 
+@functools.cache  # a constant: parse_args leaves it unchanged
 def _build_parser() -> _Parser:
     p = _Parser(prog="vbx", description="Verify and construct smooth vector bundle specs.")
     sub = p.add_subparsers(dest="command", required=True)
@@ -103,6 +106,7 @@ def _tagged(report: CheckReport, prefix: str) -> CheckReport:
                        [replace(r, subject=f"{prefix} {r.subject}") for r in report.records])
 
 
+@sampling_scope()  # the suites of one check share their point sets
 def cmd_check(args) -> int:
     if args.samples < 1:
         raise _Usage("--samples must be at least 1")

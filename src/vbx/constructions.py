@@ -64,6 +64,7 @@ from .geometry import (
     region_mask,
     sample_box,
     sample_region,
+    sampling_scope,
 )
 from .intervals import interval_eval
 from .linalg import DEFAULT_TOL, FieldTag, make_linear, scaled_abs_dets
@@ -273,7 +274,7 @@ def _tau_enclosure(tau_comps, box: Box) -> Box | None:
     bounds = list(zip(box.lo, box.hi))
     try:
         ivs = [interval_eval(c, bounds) for c in tau_comps]
-    except EvalError:
+    except (EvalError, OverflowError):  # an enclosure past the float range cannot certify
         return None
     return Box(tuple(iv[0] for iv in ivs), tuple(iv[1] for iv in ivs))
 
@@ -471,6 +472,7 @@ def tangent_bundle(base: BaseAtlasSpec, samples: int = 25,
 # Tensor fields on a bundle.
 
 
+@sampling_scope()
 def check_tensor_field(A: TensorFieldSpec, samples: int = DEFAULT_SAMPLES,
                        tol: float = DEFAULT_CHECK_TOL, seed: int = DEFAULT_SEED):
     """Compatibility of an (r,s)-field is section compatibility in the
@@ -611,6 +613,7 @@ def compose_morphism(M2: BundleMorphismSpec, M1: BundleMorphismSpec) -> BundleMo
     return make_morphism(M1.source, M2.target, asg, bm, fm, inv)
 
 
+@sampling_scope()
 def check_morphism(M: BundleMorphismSpec, samples: int = DEFAULT_SAMPLES,
                    tol: float = DEFAULT_CHECK_TOL, seed: int = DEFAULT_SEED):
     """Chart compatibility of a morphism at sampled overlap points.

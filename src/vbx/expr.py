@@ -28,7 +28,7 @@ parser.
 
 Expressions are DAGs: a derived bundle's entries reference the same
 subtrees many times over. Every walker (compiling, printing, validation,
-differentiation, substitution, hashing) visits each distinct node once,
+differentiation, substitution, hashing, repr) visits each distinct node once,
 without recursion, equality compares each pair of nodes once, and the
 parser reads a repeated parenthesized group once and returns the same node
 for it.
@@ -48,9 +48,9 @@ from .errors import EvalError, ParseError, UnknownSymbol
 class Expr:
     """Base class for expression nodes. Nodes are immutable.
 
-    Equality and hashing are those of frozen dataclasses (the fields in
-    order, the hash of their tuple), computed without recursion so that
-    any depth compares and hashes.
+    Equality, hashing and repr are those of frozen dataclasses (the fields
+    in order, the hash of their tuple), computed without recursion so that
+    any depth compares, hashes and prints.
     """
 
     __slots__ = ()
@@ -76,58 +76,61 @@ class Expr:
     def __hash__(self):
         return _fold((self,), {}, _hash_node)[0]
 
+    def __repr__(self):
+        return _fold((self,), {}, _repr_node)[0]
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Num(Expr):
     value: float
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Const(Expr):
     name: str  # 'pi' or 'e'
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Var(Expr):
     index: int  # 1-based: x1, x2, ...
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Neg(Expr):
     a: Expr
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Add(Expr):
     a: Expr
     b: Expr
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Sub(Expr):
     a: Expr
     b: Expr
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Mul(Expr):
     a: Expr
     b: Expr
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Div(Expr):
     a: Expr
     b: Expr
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Pow(Expr):
     base: Expr
     exponent: int
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Call(Expr):
     fn: str
     arg: Expr
@@ -152,6 +155,13 @@ class _Hashed:
 def _hash_node(e: Expr, kids: list) -> int:
     kids = iter(kids)
     return hash(tuple(_Hashed(next(kids)) if isinstance(v, Expr) else v for v in _fields(e)))
+
+
+def _repr_node(e: Expr, kids: list) -> str:
+    kids = iter(kids)
+    return f"{type(e).__name__}(" + ", ".join(
+        f"{name}={next(kids) if isinstance(v, Expr) else repr(v)}"
+        for name, v in zip(e.__match_args__, _fields(e))) + ")"
 
 
 _CONSTS = {"pi": math.pi, "e": math.e}

@@ -11,6 +11,7 @@ boundary.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -155,28 +156,59 @@ def box_covered(e: Box, boxes) -> bool:
 
 
 def halton(n: int, dims: int, seed: int = 0) -> np.ndarray:
-    """n points of the Halton sequence in (0,1)^dims.
+    """n points of the Halton sequence in (0,1)^dims, read-only.
 
     The seed shifts the start index, so distinct seeds give distinct but
     equally well-spread point sets and equal seeds give identical bytes.
+    Inside a sampling_scope each distinct point set is computed once.
     """
     if dims > len(_PRIMES):
         raise ShapeMismatch(f"halton sampler supports up to {len(_PRIMES)} dimensions")
-    start = 1 + (int(seed) % 100_003)
+    key = (n, dims, 1 + (int(seed) % 100_003))
+    memo = {} if _point_sets is None else _point_sets
+    if key not in memo:
+        memo[key] = _halton_kernel(*key)
+    return memo[key]
+
+
+def _halton_kernel(n: int, dims: int, start: int) -> np.ndarray:
     out = np.empty((n, dims), dtype=float)
     for k in range(dims):
-        base = _PRIMES[k]
+        base, steps, last = _PRIMES[k], 0, start + n - 1
+        while last > 0:
+            steps, last = steps + 1, last // base
         # The digit loop of the radical inverse, run on all rows at once in
-        # the scalar order: f is the same for every row at each step, and a
-        # row whose index has run out of digits only adds 0.0.
-        i = np.arange(start, start + n, dtype=np.int64)
+        # the scalar order, once per digit of the largest index: f is the
+        # same for every row at each step, and a row whose index has run out
+        # of digits only adds 0.0.
+        i, digit = np.arange(start, start + n, dtype=np.int64), np.empty(n, dtype=np.int64)
         f, x = 1.0, np.zeros(n)
-        while i.any():
+        for _ in range(steps):
             f /= base
-            x += f * (i % base)
-            i //= base
+            np.divmod(i, base, out=(i, digit))
+            x += f * digit
         out[:, k] = x
+    out.flags.writeable = False
     return out
+
+
+# Point sets by (n, dims, start) while a sampling scope is open, else None.
+_point_sets: dict | None = None
+
+
+@contextmanager
+def sampling_scope():
+    """Share Halton point sets among the calls inside, as a with-block or a
+    decorator. Nested scopes join the outermost, whose exit drops them."""
+    global _point_sets
+    if _point_sets is not None:
+        yield
+        return
+    _point_sets = {}
+    try:
+        yield
+    finally:
+        _point_sets = None
 
 
 def _sampling_interval(lo: float, hi: float) -> tuple:
@@ -221,6 +253,9 @@ def sample_argument_tuples(n: int, d: int, slots: int, seed: int = 0) -> np.ndar
     """
     if slots == 0:
         return np.empty((n, 0, d))
+    if slots * d > len(_PRIMES):
+        raise ShapeMismatch(f"{slots} slots on a {d}-dimensional space need {slots * d} "
+                            f"halton dimensions; the sampler supports up to {len(_PRIMES)}")
     u = halton(n, slots * d, seed).reshape(n * slots, d)
     z = np.vectorize(NormalDist().inv_cdf, otypes=[float])(np.clip(u, 1e-12, 1.0 - 1e-12))
     norms = np.linalg.norm(z, axis=1)

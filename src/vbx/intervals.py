@@ -4,7 +4,8 @@ Used when a construction must know that the image of a box lies inside
 another box (restricting a bundle shrinks overlap regions soundly this
 way). The enclosure may be loose; callers bisect until boxes certify or
 get dropped. An interval that hits a pole or a domain edge raises
-EvalError, which callers treat as "cannot certify". Evaluation is a visit
+EvalError, and one past the float range OverflowError; callers treat
+both as "cannot certify". Evaluation is a visit
 of the walk in vbx.expr, so each distinct node is enclosed once and depth
 is not bounded by the recursion limit.
 """

@@ -251,6 +251,8 @@ def tensor_norm(T: Tensor, budget: int = 10_000, seed: int = 0) -> tuple:
     norm is its own dual). upper: Frobenius norm of the coefficients,
     valid by Cauchy-Schwarz one slot at a time. Exact computation is
     NP-hard in general, hence a bracket rather than a point value.
+    The tuples come from one Halton stream of (r+s)*dim coordinates, which
+    must be at most 40.
     """
     if T.space.field is not FieldTag.REAL:
         raise UnsupportedField("tensor_norm is defined for the real field")

@@ -159,6 +159,15 @@ def test_transitions_attach_in_declaration_order():
 def test_transition_eval_identity_on_same_chart():
     B = mobius_bundle()
     assert transition_eval(B, "east", "east", [0.5]).matrix[0, 0] == 1.0
+    assert transition_eval(B, "west", "west", [5.0]).matrix[0, 0] == 1.0
+
+
+def test_transition_eval_on_one_chart_applies_the_point_rules():
+    B = mobius_bundle()
+    with pytest.raises(ShapeMismatch):
+        transition_eval(B, "east", "east", [99.0, 5.0])
+    with pytest.raises(DomainViolation, match="outside chart 'east'"):
+        transition_eval(B, "east", "east", [99.0])
 
 
 def test_transition_eval_outside_overlap():

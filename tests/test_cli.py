@@ -176,6 +176,19 @@ def test_constructions_on_a_deeply_nested_tau_end_in_an_exit_code_not_a_tracebac
     assert run_cold("check", str(tmp_path / "restricted.json"), "--samples", "20")[0] == 0
 
 
+def test_restrict_with_an_overflowing_tau_enclosure_is_not_a_traceback(tmp_path):
+    doc = json.loads(gallery_path("mobius").read_text())
+    doc["base"]["overlaps"][0]["tau"] = ["x1 + 0*exp(x1*1000)"]
+    spec = tmp_path / "overflow_tau.json"
+    spec.write_text(json.dumps(doc))
+    regions = tmp_path / "regions.json"
+    regions.write_text(json.dumps({"regions": {"east": [[-3.0, 3.0]], "west": [[0.1, 6.2]]}}))
+    code, out, err = run_cold("construct", "restrict", str(spec), str(regions),
+                              "-o", str(tmp_path / "restricted.json"))
+    assert code in (0, 2)
+    assert "Traceback" not in err
+
+
 def test_unwritable_report_path_is_a_file_error_not_a_traceback(tmp_path):
     target = tmp_path / "missing_dir" / "r.json"
     code, out, err = run_cold("check", gp("mobius"), "--samples", "20", "--out", str(target))

@@ -262,6 +262,20 @@ def test_equality_treats_signed_zeros_and_int_literals_like_the_dataclasses():
     assert Pow(Var(1), 2) != Pow(Var(1), 3)
 
 
+@seed(20240817)
+@settings(max_examples=200, deadline=None)
+@given(_small_exprs())
+def test_repr_is_that_of_the_dataclasses(a):
+    assert repr(a) == repr(rebuilt(a, REFERENCE))
+
+
+def test_repr_of_a_deep_tree_does_not_recurse():
+    e = Var(1)
+    for _ in range(1500):
+        e = Call("sin", e)
+    assert repr(e) == "Call(fn='sin', arg=" * 1500 + "Var(index=1)" + ")" * 1500
+
+
 def test_deep_and_shared_trees_compare_and_hash_without_recursion():
     def chain(depth):
         e = Var(1)

@@ -1,10 +1,15 @@
 """Boxes, regions, coverage decisions, and deterministic sampling."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from vbx import geometry
+from vbx.bundles import check_vb
+from vbx.cli import main
 from vbx.errors import ShapeMismatch
 from vbx.geometry import (
     Box,
@@ -17,7 +22,9 @@ from vbx.geometry import (
     region_contains,
     sample_box,
     sample_region,
+    sampling_scope,
 )
+from vbx.specio import gallery_path, load_spec
 
 
 def test_make_box_rejects_empty_intervals():
@@ -150,6 +157,46 @@ def halton_loop(n, dims, seed=0):
 ])
 def test_halton_is_byte_identical_to_the_scalar_loop(n, dims, seed):
     assert halton(n, dims, seed).tobytes() == halton_loop(n, dims, seed).tobytes()
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Counts of each (n, dims, start) the Halton kernel computes."""
+    calls = Counter()
+    kernel = geometry._halton_kernel
+
+    def counted(n, dims, start):
+        calls[n, dims, start] += 1
+        return kernel(n, dims, start)
+
+    monkeypatch.setattr(geometry, "_halton_kernel", counted)
+    return calls
+
+
+def test_one_check_command_computes_each_point_set_once(kernel_calls, capsys):
+    assert main(["check", str(gallery_path("mobius")), "--samples", "50"]) == 0
+    assert kernel_calls and set(kernel_calls.values()) == {1}
+    assert geometry._point_sets is None
+
+
+def test_a_suite_called_on_its_own_shares_its_point_sets(kernel_calls):
+    B = load_spec(gallery_path("mobius")).bundle
+    check_vb(B, 50, seed=3)
+    check_vb(B, 50, seed=3)
+    assert kernel_calls == {(50, 1, 4): 2}  # once per call: nothing is kept between them
+
+
+def test_point_sets_are_read_only_and_live_for_the_outermost_scope():
+    with sampling_scope():
+        a = halton(30, 2, seed=4)
+        with sampling_scope():
+            assert halton(30, 2, seed=4) is a
+        assert halton(30, 2, seed=4 + 100_003) is a  # the seed folds into the same start
+        with pytest.raises(ValueError):
+            a[0, 0] = 0.5
+    b = halton(30, 2, seed=4)
+    assert b is not a and b.tobytes() == a.tobytes()
+    assert not b.flags.writeable
 
 
 def test_sample_box_stays_strictly_inside():

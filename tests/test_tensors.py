@@ -299,6 +299,13 @@ def test_tensor_norm_brackets():
     assert tensor_norm(z) == (0.0, 0.0)
 
 
+def test_tensor_norm_past_the_halton_dimensions_names_its_slots():
+    T = basis_tensor(1, 7, 3, 3)  # V = R^7, valence (3,3)
+    with pytest.raises(ShapeMismatch, match="6 slots on a 7-dimensional space need 42 "
+                                            "halton dimensions; the sampler supports up to 40"):
+        tensor_norm(T)
+
+
 def test_tensor_norm_runs_on_numpy_alone():
     """In a fresh interpreter, import vbx and one tensor_norm call load no
     scipy module, and numpy is the only declared runtime dependency."""

@@ -62,7 +62,9 @@ from .linalg import (
     VectorSpace,
     is_gl,
     make_linear,
+    row_reduce,
     scaled_abs_dets,
+    stack_matmul,
 )
 from .report import (
     MIN_DET,
@@ -366,7 +368,7 @@ def _first_match(regions, X) -> np.ndarray:
 def _live_only(t: _Trial, fn, A, shape) -> np.ndarray:
     """fn on the live samples whose values are all finite, NaN elsewhere;
     for the LAPACK calls that reject non-finite input."""
-    ok = t.live & np.isfinite(A).reshape(len(A), -1).all(axis=1)
+    ok = t.live & row_reduce(np.logical_and, np.isfinite(A))
     if not ok.any():
         return np.full((len(A),) + shape, np.nan)
     part = fn(A[ok])
@@ -420,7 +422,7 @@ def _component_points(parts, samples: int, seed: int) -> tuple:
 
 
 def _max_abs(A) -> np.ndarray:
-    return np.max(np.abs(A.reshape(len(A), -1)), axis=1)
+    return row_reduce(np.maximum, np.abs(A))
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +507,7 @@ def check_vb(B: VectorBundleSpec, samples: int = DEFAULT_SAMPLES,
                 t.fail(t.rows, back_at < 0,
                        lambda j: f"tau image {Y[j].tolist()} is in no declared {to}->{frm} region")
                 G_back = t.matrices(back_at, [b.g for b in backs], Y, dtype)
-                return scaled_abs_dets(G), _max_abs(G @ G_back - eye)
+                return scaled_abs_dets(G), _max_abs(stack_matmul(G, G_back) - eye)
 
             records += _sampled(progs, [("transition_gl", MIN_DET, DEFAULT_TOL),
                                         ("pair_cocycle", RESIDUAL, tol)],
@@ -536,7 +538,7 @@ def check_vb(B: VectorBundleSpec, samples: int = DEFAULT_SAMPLES,
                     e3 = _first_match([e.overlap.region for e in ki], Z)
                     t.skip(t.rows, e3 < 0)
                     G3 = t.matrices(e3, [e.g for e in ki], Z, dtype)
-                    return (_max_abs(G1 @ G2 @ G3 - eye),)
+                    return (_max_abs(stack_matmul(stack_matmul(G1, G2), G3) - eye),)
 
                 records += _sampled(progs, [("triple_cocycle", RESIDUAL, tol)], f"{i}->{j}->{k}",
                                     pts, seed, evaluate, samples=samples)
@@ -580,7 +582,7 @@ def zero_section(B: VectorBundleSpec) -> TensorFieldSpec:
 def _field_rows(t, A: TensorFieldSpec, chart: str, X, rows) -> np.ndarray:
     """The field's coefficients on one chart at every point."""
     t.in_box(A.bundle.base.chart(chart).box, X, rows, f"chart '{chart}'")
-    return t.exprs(A.per_chart[chart], X, rows).astype(A.bundle.field.dtype)
+    return t.exprs(A.per_chart[chart], X, rows).astype(A.bundle.field.dtype, copy=False)
 
 
 def _field_values(t, A: TensorFieldSpec, chart: str, X, rows) -> np.ndarray:
@@ -620,7 +622,7 @@ def check_section(S: TensorFieldSpec, samples: int = DEFAULT_SAMPLES,
             lhs = _field_rows(t, S, i, X, t.rows)
             Y = t.map(e.overlap.tau, X, t.rows)
             G = t.matrix(e.g, X, t.rows, B.field.dtype)
-            rhs = (G @ _field_rows(t, S, j, Y, t.rows)[:, :, None])[:, :, 0]
+            rhs = stack_matmul(G, _field_rows(t, S, j, Y, t.rows)[:, :, None])[:, :, 0]
             return (_max_abs(lhs - rhs),)
 
         records += _sampled(progs, [("section_compat", RESIDUAL, tol)], _edge_subject(e),

@@ -35,7 +35,7 @@ from .expr import (
     subst,
 )
 from .geometry import Box, box_mask, make_box
-from .linalg import DEFAULT_TOL, FieldTag, LinearMap, VectorSpace, is_gl, make_linear
+from .linalg import DEFAULT_TOL, FieldTag, LinearMap, VectorSpace, is_gl, make_linear, row_reduce
 from .tensors import Tensor, digits_to_index, index_to_digits, make_tensor, tensor_product
 
 
@@ -104,6 +104,8 @@ class _Trial:
     def fail(self, rows, mask, why) -> None:
         """Fail the live points among rows[mask]. why(j) explains local
         row j: an exception for a broken rule, else the note itself."""
+        if not mask.any():
+            return
         j = np.flatnonzero(mask)
         i = rows[j]
         keep = self.live[i]
@@ -145,7 +147,7 @@ class _Trial:
 
     def finite(self, V, X, rows, what: str) -> None:
         """A point whose row of V is not all finite fails: EvalError."""
-        self.fail(rows, ~np.isfinite(V).all(axis=tuple(range(1, V.ndim))),
+        self.fail(rows, ~row_reduce(np.logical_and, np.isfinite(V)),
                   lambda j: EvalError(f"{what} not finite at {X[j].tolist()}"))
 
     # Stages built from the rules.
@@ -153,7 +155,7 @@ class _Trial:
     def matrix(self, g, X, rows, dtype) -> np.ndarray:
         """A matrix of expressions at every point: (len(X), rows of g,
         columns of g)."""
-        return self.exprs(g, X, rows).reshape(len(X), len(g), len(g[0])).astype(dtype)
+        return self.exprs(g, X, rows).reshape(len(X), len(g), len(g[0])).astype(dtype, copy=False)
 
     def map(self, F: SmoothMap, X, rows) -> np.ndarray:
         """eval_map at every point."""

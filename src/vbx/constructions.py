@@ -157,22 +157,24 @@ def whitney_sum(B1: VectorBundleSpec, B2: VectorBundleSpec) -> VectorBundleSpec:
 def direct_product(B1: VectorBundleSpec, B2: VectorBundleSpec) -> VectorBundleSpec:
     """Bundle over the product base with fiberwise direct-sum fibers.
 
-    Product charts pair the factor charts; a product overlap combines an
-    overlap (or the identity, when the factor chart repeats) from each
-    side, so its transition is block-diagonal in the factor transitions.
+    Product charts pair the factor charts, named `a|b`; a factor name that
+    already holds `|` is bracketed, so products nest: `(east|u)|left`.
+    A product overlap combines an overlap (or the identity, when the
+    factor chart repeats) from each side, so its transition is
+    block-diagonal in the factor transitions.
     """
     if B1.field is not B2.field:
         raise UnsupportedField("direct_product needs a common scalar field")
     m1, m2 = B1.base.dim, B2.base.dim
     shift = tuple(Var(m1 + k) for k in range(1, m2 + 1))  # B2's coordinates follow B1's
-    for c in list(B1.base.charts) + list(B2.base.charts):
-        if "|" in c.name:
-            raise SpecError(f"chart name '{c.name}' contains '|', reserved for product charts")
+
+    def pair_name(n1: str, n2: str) -> str:
+        return "|".join(f"({n})" if "|" in n else n for n in (n1, n2))
 
     charts = []
     for c1 in B1.base.charts:
         for c2 in B2.base.charts:
-            charts.append((f"{c1.name}|{c2.name}",
+            charts.append((pair_name(c1.name, c2.name),
                            Box(c1.box.lo + c2.box.lo, c1.box.hi + c2.box.hi)))
 
     def factor_options(B: VectorBundleSpec, i: str, j: str, dim: int):
@@ -195,8 +197,8 @@ def direct_product(B1: VectorBundleSpec, B2: VectorBundleSpec) -> VectorBundleSp
                     opts2 = factor_options(B2, c2.name, d2.name, m2)
                     for region1, tau1, g1 in opts1:
                         for region2, tau2, g2 in opts2:
-                            frm = f"{c1.name}|{c2.name}"
-                            to = f"{d1.name}|{d2.name}"
+                            frm = pair_name(c1.name, c2.name)
+                            to = pair_name(d1.name, d2.name)
                             region = tuple(Box(b1.lo + b2.lo, b1.hi + b2.hi)
                                            for b1 in region1 for b2 in region2)
                             tau = tuple(tau1) + tuple(subst(e, shift) for e in tau2)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import reduce
 from statistics import NormalDist
 
 import numpy as np
@@ -101,7 +102,7 @@ def region_contains(boxes, x) -> bool:
 def box_mask(box: Box, X) -> np.ndarray:
     """Box.contains for each row of an (n, dim) array."""
     X = np.asarray(X, dtype=float)
-    return np.all((X > box.lo) & (X < box.hi), axis=1)
+    return reduce(np.logical_and, [(c > a) & (c < b) for c, a, b in zip(X.T, box.lo, box.hi)])
 
 
 def region_mask(boxes, X) -> np.ndarray:

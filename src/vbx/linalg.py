@@ -17,7 +17,9 @@ Conventions fixed here once and relied on everywhere:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -128,13 +130,88 @@ def scaled_abs_det(matrix: np.ndarray) -> float:
 
 
 def scaled_abs_dets(stack: np.ndarray) -> np.ndarray:
-    """scaled_abs_det of each matrix in an (n, d, d) stack, in one pass."""
+    """scaled_abs_det of each matrix in an (n, d, d) stack, in one pass.
+
+    For d <= 3 every entry position is one n-long array and the
+    determinant is the cofactor expansion along the first row, computed
+    elementwise across the stack. Row scaling leaves every entry of
+    modulus at most 1, so the expansion (at most six products of three
+    entries) is within 64 ulp of 1.0 (64 * 2.2e-16 = 1.4e-14) of the exact
+    |det| of the row-scaled matrix, real or complex. A matrix that holds
+    NaN after scaling (from a zero row, a NaN or an infinite entry), and
+    every stack with d >= 4, goes to LAPACK's LU instead, as before: a
+    zero row or an exactly zero pivot makes its answer 0.
+    """
     m = np.asarray(stack)
+    d = m.shape[-1]
+    if d > 3:
+        return _lu_scaled_abs_dets(m)
+    rows = []
+    with np.errstate(all="ignore"):
+        for i in range(d):
+            row_max = row_reduce(np.maximum, np.abs(m[:, i]))
+            rows.append([m[:, i, j] / row_max for j in range(d)])
+        det = np.abs(_cofactor_det(rows))
+    nan = np.isnan(det)
+    if nan.any():
+        det[nan] = _lu_scaled_abs_dets(m[nan])
+    return det
+
+
+def _cofactor_det(rows):
+    """The determinant of the matrix whose entries are the arrays rows[i][j],
+    by cofactor expansion along the first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    det = 0.0
+    for j, a in enumerate(rows[0]):
+        term = a * _cofactor_det([r[:j] + r[j + 1:] for r in rows[1:]])
+        det = det + term if j % 2 == 0 else det - term
+    return det
+
+
+def _lu_scaled_abs_dets(m: np.ndarray) -> np.ndarray:
+    """scaled_abs_dets by LAPACK's LU, for a stack of any size."""
     row_max = np.max(np.abs(m), axis=2)
     zero_row = np.any(row_max == 0.0, axis=1)
     with np.errstate(all="ignore"):
         det = np.abs(np.linalg.det(m / np.where(row_max == 0.0, 1.0, row_max)[:, :, None]))
     return np.where(zero_row, 0.0, det)
+
+
+_SHORT_ROW = 32
+
+
+def row_reduce(ufunc, A: np.ndarray) -> np.ndarray:
+    """ufunc.reduce over all entries of each A[i], for an (n, ...) array A.
+
+    numpy reduces a short trailing axis slowly (100-150 us at n = 2000 and
+    2-4 entries, against a few us per elementwise op on n-long arrays), so
+    up to _SHORT_ROW entries are reduced as a loop over the entry columns.
+    Longer rows keep numpy's reduction, which wins there (81 entries at
+    n = 2000: 0.31 ms, against 0.42 ms as a loop over the columns).
+    """
+    M = A.reshape(len(A), math.prod(A.shape[1:]))
+    if M.shape[1] > _SHORT_ROW:
+        return ufunc.reduce(M, axis=1)
+    return reduce(ufunc, M.T)
+
+
+def stack_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B for (n, p, q) and (n, q, r) stacks of matrices.
+
+    Up to 3 x 3 each entry is formed from n-long arrays, one product per
+    term: numpy's matmul makes a BLAS call per matrix of the stack.
+    """
+    p, q = A.shape[1:]
+    r = B.shape[2]
+    if max(p, q, r) > 3:
+        return A @ B
+    out = np.empty((len(A), p, r), dtype=np.result_type(A, B))
+    for i in range(p):
+        for j in range(r):
+            out[:, i, j] = sum(A[:, i, k] * B[:, k, j] for k in range(q))
+    return out
 
 
 def make_basis(space: VectorSpace, vectors, tol: float = DEFAULT_TOL) -> OrderedBasis:

@@ -7,7 +7,7 @@ replaced, kept verbatim: math-module arithmetic on Python floats, Dual
 numbers carrying gradient vectors, and EvalError at the first failing node
 of the walk. Below it are the one-point functions as they were written on
 top of that walk, for tests that compare vbx's one-point API and check
-suites against them.
+suites against them, and the LU form of the scaled determinant.
 """
 
 import math
@@ -17,7 +17,7 @@ import numpy as np
 from vbx.errors import CocycleViolation, DomainViolation, EvalError, ShapeMismatch
 from vbx.expr import _CONSTS, Add, Call, Const, Div, Expr, Mul, Neg, Num, Pow, Sub, Var, _fold
 from vbx.geometry import region_contains
-from vbx.linalg import DEFAULT_TOL, scaled_abs_det
+from vbx.linalg import DEFAULT_TOL
 
 
 class Dual:
@@ -239,6 +239,21 @@ def frame_matrix_at(F, x) -> np.ndarray:
     env = list(_in_chart(F.bundle, F.chart, x))
     cols = [[eval_expr(e, env) for e in col] for col in F.columns]
     return np.array(cols, dtype=F.bundle.field.dtype).T
+
+
+def scaled_abs_det(matrix) -> float:
+    """|det| after dividing each row by its largest absolute entry, by
+    LAPACK's LU (numpy.linalg.det), as vbx computed it for every size before
+    it took a closed form for d <= 3. A zero row makes it 0, a non-square
+    matrix too."""
+    m = np.asarray(matrix)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        return 0.0
+    row_max = np.max(np.abs(m), axis=1)
+    if np.any(row_max == 0.0):
+        return 0.0
+    with np.errstate(all="ignore"):
+        return float(np.abs(np.linalg.det(m / row_max[:, None])))
 
 
 def transition_matrix(B, i, j, x, tol=DEFAULT_TOL) -> np.ndarray:

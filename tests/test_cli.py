@@ -273,6 +273,18 @@ def test_construct_algebra_kinds(capsys, tmp_path, kind, inputs):
     assert run(capsys, "check", str(out_file), "--samples", "60")[0] == 0
 
 
+def test_construct_product_of_a_product(capsys, tmp_path):
+    inner = tmp_path / "inner.json"
+    outer = tmp_path / "outer.json"
+    assert run(capsys, "construct", "product", gp("mobius"), gp("trivial"),
+               "-o", str(inner))[0] == 0
+    code, out, err = run(capsys, "construct", "product", str(inner), gp("circle_tangent"),
+                         "-o", str(outer))
+    assert code == 0, err
+    assert "(east|main)|east" in [c.name for c in load_spec(outer).bundle.base.charts]
+    assert run(capsys, "check", str(outer), "--samples", "60")[0] == 0
+
+
 def test_construct_input_count_usage(capsys, tmp_path):
     code, out, err = run(capsys, "construct", "sum", gp("mobius"),
                          "-o", str(tmp_path / "s.json"))

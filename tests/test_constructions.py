@@ -219,9 +219,23 @@ def test_direct_product_guards():
                                 ("west", "east", [["1"]]), ("west", "east", [["1"]])])
     with pytest.raises(UnsupportedField):
         direct_product(mobius_bundle(), complex_line)
-    bad = make_bundle(make_atlas(1, [("a|b", [(0, 1)])], []), 1, FieldTag.REAL, [])
-    with pytest.raises(SpecError):
-        direct_product(bad, mobius_bundle())
+    # bracketed factor names collide: (x|(y)|z) is both ('(x', 'y)|z') and ('x|(y', 'z)')
+    left = make_bundle(make_atlas(1, [("(x", [(0, 1)]), ("x|(y", [(2, 3)])], []),
+                       1, FieldTag.REAL, [])
+    right = make_bundle(make_atlas(1, [("y)|z", [(0, 1)]), ("z)", [(2, 3)])], []),
+                        1, FieldTag.REAL, [])
+    with pytest.raises(SpecError, match="duplicate chart name"):
+        direct_product(left, right)
+
+
+def test_products_nest():
+    P = direct_product(mobius_bundle(), circle_trivial_bundle())
+    PP = direct_product(P, mobius_bundle())
+    assert sorted(c.name for c in PP.base.charts)[:2] == ["(east|east)|east", "(east|east)|west"]
+    assert len(PP.base.charts) == 8 and PP.fiber_dim == 3
+    got = transition_eval(PP, "(east|east)|east", "(west|west)|west", [-0.5, 0.7, -0.5]).matrix
+    assert np.allclose(got, np.diag([-1.0, 1.0, -1.0]))
+    assert check_vb(PP, 40, CHECK_TOL, seed=5).passed
 
 
 # --------------------------------------------------------------------------

@@ -1,7 +1,16 @@
 """Spaces, linear maps, bases, and the scaled determinant gate."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+import scalar_oracle as oracle
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+
+from vbx.bundles import _live_only, _max_abs
+from vbx.calculus import _Trial
 
 from vbx.errors import ShapeMismatch, Singular, SingularBasis
 from vbx.linalg import (
@@ -16,8 +25,11 @@ from vbx.linalg import (
     make_linear,
     make_space,
     scaled_abs_det,
+    scaled_abs_dets,
+    stack_matmul,
     standard_basis,
 )
+from vbx.geometry import box_mask, make_box, region_mask
 
 TOL = 1e-12
 
@@ -124,3 +136,155 @@ def test_complex_space_round_trip():
     assert w[0] == 1j and w[1] == 2
     Linv = invert_linear(L)
     assert np.allclose(apply_linear(Linv, w), [1, 1], atol=TOL)
+
+
+# ---------------------------------------------------------------------------
+# The stacked kernels against their reference forms: the LU determinant of
+# scalar_oracle, exact rational arithmetic, and the axis reductions the
+# kernels replaced.
+
+EPS = np.finfo(float).eps
+CLOSED_FORM_BOUND = 64 * EPS  # the bound scaled_abs_dets states for d <= 3
+# LU with partial pivoting on a row-scaled d x d matrix, d <= 3: |L| <= 1 and
+# |U| <= 4 entrywise, so the backward error is below 3.4 eps * 12 per entry;
+# times 9 entries and cofactors of modulus <= 2 gives about 730 eps.
+LU_BOUND = 800 * EPS
+
+
+def _stack(d, is_complex, n, seed, specials):
+    """n seeded d x d matrices with row scales from 1e-300 to 1e300; each of
+    `specials` makes, in one matrix, a row or a column zero, an entry NaN or
+    infinite, or a row nearly dependent on the row before it."""
+    rng = np.random.default_rng(seed)
+    m = rng.uniform(-1.0, 1.0, (n, d, d))
+    if is_complex:
+        m = m + 1j * rng.uniform(-1.0, 1.0, (n, d, d))
+    if n:
+        for kind in specials:
+            k, i, j = rng.integers(n), rng.integers(d), rng.integers(d)
+            if kind == "zero":
+                m[k, i] = 0.0
+            elif kind == "zero column":
+                m[k, :, j] = 0.0
+            elif kind == "nan":
+                m[k, i, j] = np.nan
+            elif kind == "inf":
+                m[k, i, j] = -np.inf if j % 2 else np.inf
+            elif i:
+                m[k, i] = m[k, i - 1] * 3.0 + rng.uniform(-1e-9, 1e-9, d)
+    with np.errstate(invalid="ignore"):  # a complex infinity picks up a NaN part
+        return m * 10.0 ** rng.uniform(-300.0, 300.0, (n, d, 1))
+
+
+_stacks = st.builds(_stack, st.integers(1, 4), st.booleans(), st.sampled_from([0, 1, 2000]),
+                    st.integers(0, 2**32 - 1),
+                    st.lists(st.sampled_from(["zero", "zero column", "nan", "inf", "near"]),
+                             max_size=6))
+
+
+@seed(20261018)
+@settings(max_examples=80, deadline=None)
+@given(_stacks)
+def test_scaled_abs_dets_matches_the_lu_oracle(m):
+    got = scaled_abs_dets(m)
+    want = np.array([oracle.scaled_abs_det(a) for a in m]).reshape(len(m))
+    assert got.shape == want.shape
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    if m.shape[-1] > 3:
+        assert np.array_equal(got, want, equal_nan=True)
+    else:
+        ok = ~np.isnan(want)
+        assert np.all(np.abs(got[ok] - want[ok]) <= CLOSED_FORM_BOUND + LU_BOUND)
+
+
+def _exact_scaled_abs_det(a) -> float:
+    """|det| of a after dividing each row by its computed largest modulus,
+    with every operation after that division exact."""
+    rows = []
+    for row in a:
+        top = np.max(np.abs(row))
+        if top == 0.0:
+            return 0.0
+        rows.append([(Fraction(float(z.real)) / Fraction(float(top)),
+                      Fraction(float(z.imag)) / Fraction(float(top))) for z in row])
+
+    def det(r):
+        if len(r) == 1:
+            return r[0][0]
+        re, im = Fraction(0), Fraction(0)
+        for j, (p, q) in enumerate(r[0]):
+            s, t = det([row[:j] + row[j + 1:] for row in r[1:]])
+            sign = 1 if j % 2 == 0 else -1
+            re += sign * (p * s - q * t)
+            im += sign * (p * t + q * s)
+        return re, im
+
+    re, im = det(rows)
+    return math.hypot(float(re), float(im))
+
+
+@seed(20261018)
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.booleans(), st.integers(0, 2**32 - 1),
+       st.lists(st.sampled_from(["zero", "near"]), max_size=3))
+def test_closed_form_is_within_its_bound_of_the_exact_determinant(d, is_complex, seed_, specials):
+    m = _stack(d, is_complex, 40, seed_, specials)
+    got = scaled_abs_dets(m)
+    for a, g in zip(m, got):
+        assert abs(g - _exact_scaled_abs_det(a)) <= CLOSED_FORM_BOUND
+
+
+@seed(20261018)
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.booleans(),
+       st.sampled_from([0, 1, 2000]), st.integers(0, 2**32 - 1))
+def test_stack_matmul_is_the_matrix_product(p, q, r, is_complex, n, seed_):
+    rng = np.random.default_rng(seed_)
+    A = rng.normal(size=(n, p, q)) * (1j if is_complex else 1.0) + rng.normal(size=(n, p, q))
+    B = rng.normal(size=(n, q, r))
+    got, want = stack_matmul(A, B), A @ B
+    assert got.shape == want.shape and got.dtype == want.dtype
+    if max(p, q, r) > 3:
+        assert np.array_equal(got, want)
+    else:  # the sum is ordered differently (BLAS may fuse multiply and add)
+        assert np.all(np.abs(got - want) <= 2 * q * EPS * (np.abs(A) @ np.abs(B)))
+
+
+_entries = st.sampled_from([0.0, -0.0, 1.5, -2.0, 1e-300, 1e300, np.nan, np.inf, -np.inf])
+
+
+@seed(20261018)
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([0, 1, 5, 300]), st.sampled_from([(1,), (3,), (2, 2), (3, 3), (9, 9)]),
+       st.integers(0, 2**32 - 1), st.lists(_entries, min_size=1, max_size=4))
+def test_entry_reductions_equal_the_axis_reductions(n, shape, seed_, specials):
+    rng = np.random.default_rng(seed_)
+    A = rng.uniform(-3.0, 3.0, (n,) + shape)
+    if n:
+        flat = A.reshape(-1)
+        flat[rng.integers(flat.size, size=len(specials))] = specials
+    flat_rows = A.reshape(n, math.prod(shape))
+    assert np.array_equal(_max_abs(A), np.max(np.abs(flat_rows), axis=1), equal_nan=True)
+    finite = np.isfinite(A).all(axis=tuple(range(1, A.ndim)))
+    t = _Trial(np.zeros((n, 1)), {})
+    t.finite(A, t.pts, t.rows, "value")
+    assert np.array_equal(t.live, finite)
+    live = _live_only(_Trial(np.zeros((n, 1)), {}), lambda W: W, A, shape)
+    assert np.array_equal(np.isnan(live).all(axis=tuple(range(1, A.ndim))), ~finite)
+
+
+@seed(20261018)
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([0, 1, 7, 300]), st.integers(1, 4), st.integers(1, 3),
+       st.integers(0, 2**32 - 1), st.lists(_entries, max_size=4))
+def test_box_masks_equal_the_axis_reductions(n, dim, count, seed_, specials):
+    rng = np.random.default_rng(seed_)
+    X = rng.uniform(-2.0, 2.0, (n, dim))
+    if n and specials:
+        X.reshape(-1)[rng.integers(X.size, size=len(specials))] = specials
+    X[: n // 3] = np.round(X[: n // 3])  # points on the faces
+    boxes = [make_box([sorted(rng.integers(-2, 3, 2) + (0.0, 0.5)) for _ in range(dim)])
+             for _ in range(count)]
+    want = [np.all((X > b.lo) & (X < b.hi), axis=1) for b in boxes]
+    assert all(np.array_equal(box_mask(b, X), w) for b, w in zip(boxes, want))
+    assert np.array_equal(region_mask(boxes, X), np.logical_or.reduce(want))

@@ -42,7 +42,6 @@ from vbx.errors import (
 )
 from vbx.expr import compile_exprs, eval_expr, max_var_index, parse_expr, run_program
 from vbx.geometry import Box, halton, region_contains, sample_box, sample_region
-from vbx.linalg import scaled_abs_det
 from vbx.specio import gallery_path, list_gallery, load_spec
 
 SEED = 17
@@ -267,7 +266,7 @@ def old_pullback_loops(M, samples=25, tol=1e-10, seed=42, roundtrip_tol=1e-8):
     for c in M.source.base.charts:
         for x in sample_box(c.box, samples, seed):
             phi = oracle.eval_matrix(M.fiber_map[c.name], x, M.source.field.dtype)
-            if scaled_abs_det(phi) <= tol:
+            if oracle.scaled_abs_det(phi) <= tol:
                 raise NotAnIsomorphism(
                     f"fiber map singular at {x.tolist()} on chart '{c.name}'")
     smooth = {c.name: make_smooth_map(M.base_map[c.name], c.box)
@@ -289,14 +288,14 @@ def old_pullback_loops(M, samples=25, tol=1e-10, seed=42, roundtrip_tol=1e-8):
 
 def old_dual_frame_loop(F, samples=25, tol=1e-10, seed=42):
     for x in sample_box(F.bundle.base.chart(F.chart).box, samples, seed):
-        if scaled_abs_det(oracle.frame_matrix_at(F, x)) <= tol:
+        if oracle.scaled_abs_det(oracle.frame_matrix_at(F, x)) <= tol:
             raise SingularFrame(f"frame matrix singular at {np.asarray(x).tolist()}")
 
 
 def old_local_expression_loop(A, F, points, tol=1e-10):
     for p in points:
         P = oracle.frame_matrix_at(F, p)
-        if scaled_abs_det(P) <= tol:
+        if oracle.scaled_abs_det(P) <= tol:
             raise SingularFrame(f"frame matrix singular at {np.asarray(p).tolist()}")
         oracle.field_eval(A, F.chart, p)
 

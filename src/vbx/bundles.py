@@ -64,7 +64,6 @@ from .linalg import (
     make_linear,
     row_reduce,
     scaled_abs_dets,
-    stack_matmul,
 )
 from .report import (
     MIN_DET,
@@ -507,7 +506,7 @@ def check_vb(B: VectorBundleSpec, samples: int = DEFAULT_SAMPLES,
                 t.fail(t.rows, back_at < 0,
                        lambda j: f"tau image {Y[j].tolist()} is in no declared {to}->{frm} region")
                 G_back = t.matrices(back_at, [b.g for b in backs], Y, dtype)
-                return scaled_abs_dets(G), _max_abs(stack_matmul(G, G_back) - eye)
+                return scaled_abs_dets(G), _max_abs(G @ G_back - eye)
 
             records += _sampled(progs, [("transition_gl", MIN_DET, DEFAULT_TOL),
                                         ("pair_cocycle", RESIDUAL, tol)],
@@ -538,7 +537,7 @@ def check_vb(B: VectorBundleSpec, samples: int = DEFAULT_SAMPLES,
                     e3 = _first_match([e.overlap.region for e in ki], Z)
                     t.skip(t.rows, e3 < 0)
                     G3 = t.matrices(e3, [e.g for e in ki], Z, dtype)
-                    return (_max_abs(stack_matmul(stack_matmul(G1, G2), G3) - eye),)
+                    return (_max_abs(G1 @ G2 @ G3 - eye),)
 
                 records += _sampled(progs, [("triple_cocycle", RESIDUAL, tol)], f"{i}->{j}->{k}",
                                     pts, seed, evaluate, samples=samples)
@@ -622,7 +621,7 @@ def check_section(S: TensorFieldSpec, samples: int = DEFAULT_SAMPLES,
             lhs = _field_rows(t, S, i, X, t.rows)
             Y = t.map(e.overlap.tau, X, t.rows)
             G = t.matrix(e.g, X, t.rows, B.field.dtype)
-            rhs = stack_matmul(G, _field_rows(t, S, j, Y, t.rows)[:, :, None])[:, :, 0]
+            rhs = (G @ _field_rows(t, S, j, Y, t.rows)[:, :, None])[:, :, 0]
             return (_max_abs(lhs - rhs),)
 
         records += _sampled(progs, [("section_compat", RESIDUAL, tol)], _edge_subject(e),

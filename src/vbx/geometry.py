@@ -19,6 +19,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import DomainViolation, ShapeMismatch
+from .linalg import on_columns
 
 SAMPLE_MARGIN = 1e-6
 
@@ -102,7 +103,9 @@ def region_contains(boxes, x) -> bool:
 def box_mask(box: Box, X) -> np.ndarray:
     """Box.contains for each row of an (n, dim) array."""
     X = np.asarray(X, dtype=float)
-    return reduce(np.logical_and, [(c > a) & (c < b) for c, a, b in zip(X.T, box.lo, box.hi)])
+    if on_columns(len(X), box.dim):
+        return reduce(np.logical_and, [(c > a) & (c < b) for c, a, b in zip(X.T, box.lo, box.hi)])
+    return np.all((X > box.lo) & (X < box.hi), axis=1)
 
 
 def region_mask(boxes, X) -> np.ndarray:

@@ -132,20 +132,30 @@ def scaled_abs_det(matrix: np.ndarray) -> float:
 def scaled_abs_dets(stack: np.ndarray) -> np.ndarray:
     """scaled_abs_det of each matrix in an (n, d, d) stack, in one pass.
 
-    For d <= 3 every entry position is one n-long array and the
-    determinant is the cofactor expansion along the first row, computed
-    elementwise across the stack. Row scaling leaves every entry of
-    modulus at most 1, so the expansion (at most six products of three
-    entries) is within 64 ulp of 1.0 (64 * 2.2e-16 = 1.4e-14) of the exact
-    |det| of the row-scaled matrix, real or complex. A matrix that holds
-    NaN after scaling (from a zero row, a NaN or an infinite entry), and
-    every stack with d >= 4, goes to LAPACK's LU instead, as before: a
-    zero row or an exactly zero pivot makes its answer 0.
+    For d <= 3, once on_columns(n, d * d) holds, the determinant is the
+    cofactor expansion of _cofactor_scaled_abs_dets; otherwise LAPACK's LU
+    (_lu_scaled_abs_dets). Both give 0 for a matrix with a zero row.
     """
     m = np.asarray(stack)
     d = m.shape[-1]
-    if d > 3:
-        return _lu_scaled_abs_dets(m)
+    if d <= 3 and on_columns(len(m), d * d):
+        return _cofactor_scaled_abs_dets(m)
+    return _lu_scaled_abs_dets(m)
+
+
+def _cofactor_scaled_abs_dets(m: np.ndarray) -> np.ndarray:
+    """scaled_abs_dets of an (n, d, d) stack with d <= 3, on entry columns.
+
+    Every entry position is one n-long array and the determinant is the
+    cofactor expansion along the first row, computed elementwise across
+    the stack. Row scaling leaves every entry of modulus at most 1, so the
+    expansion (at most six products of three entries) is within 64 ulp of
+    1.0 (64 * 2.2e-16 = 1.4e-14) of the exact |det| of the row-scaled
+    matrix, real or complex. A matrix that holds NaN after scaling (from a
+    zero row, a NaN or an infinite entry) goes to _lu_scaled_abs_dets, so
+    a zero row or an exactly zero pivot makes its answer 0 there.
+    """
+    d = m.shape[-1]
     rows = []
     with np.errstate(all="ignore"):
         for i in range(d):
@@ -179,39 +189,37 @@ def _lu_scaled_abs_dets(m: np.ndarray) -> np.ndarray:
     return np.where(zero_row, 0.0, det)
 
 
-_SHORT_ROW = 32
+def on_columns(n: int, k: int) -> bool:
+    """Whether work on n samples of k entries each is done as about k numpy
+    calls on n-long entry columns, rather than as numpy's own call over the
+    short axes of the stack.
+
+    numpy spends a fixed time per sample reducing a short trailing axis,
+    and LAPACK one call per matrix, so the column forms win on many
+    samples of few entries and lose on few samples. Timed on a 2-core
+    x86-64 host with numpy 2.4, a loop over the columns beat the axis
+    reduction
+      np.maximum:     from n = 8, 16, 24, 192, 384, 1536 at k = 2, 3, 4, 9,
+                      25, 49, and at no n up to 3072 at k = 81;
+      np.logical_and: from n = 32, 48, 96, 192, about 1536 at k = 2, 3, 4,
+                      9, 25, and at no n up to 3072 at k = 49 or 81;
+    and the cofactor determinant beat LAPACK's from n = 1, about 32 and
+    about 100 at d = 1, 2, 3. At n = 3 every column form lost, by about
+    20 us a call on 25 entries and 30 us on a 3 x 3 determinant. Hence
+    columns from n >= 32 k, for k <= 25 (which leaves np.logical_and on
+    25 entries up to a fifth slower between n = 800 and 1536).
+    """
+    return 0 < k <= 25 and n >= 32 * k
 
 
 def row_reduce(ufunc, A: np.ndarray) -> np.ndarray:
-    """ufunc.reduce over all entries of each A[i], for an (n, ...) array A.
-
-    numpy reduces a short trailing axis slowly (100-150 us at n = 2000 and
-    2-4 entries, against a few us per elementwise op on n-long arrays), so
-    up to _SHORT_ROW entries are reduced as a loop over the entry columns.
-    Longer rows keep numpy's reduction, which wins there (81 entries at
-    n = 2000: 0.31 ms, against 0.42 ms as a loop over the columns).
-    """
+    """ufunc.reduce over all entries of each A[i], for an (n, ...) array A:
+    a loop over the entry columns when on_columns says so, else numpy's
+    reduction over the flattened entries."""
     M = A.reshape(len(A), math.prod(A.shape[1:]))
-    if M.shape[1] > _SHORT_ROW:
-        return ufunc.reduce(M, axis=1)
-    return reduce(ufunc, M.T)
-
-
-def stack_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A @ B for (n, p, q) and (n, q, r) stacks of matrices.
-
-    Up to 3 x 3 each entry is formed from n-long arrays, one product per
-    term: numpy's matmul makes a BLAS call per matrix of the stack.
-    """
-    p, q = A.shape[1:]
-    r = B.shape[2]
-    if max(p, q, r) > 3:
-        return A @ B
-    out = np.empty((len(A), p, r), dtype=np.result_type(A, B))
-    for i in range(p):
-        for j in range(r):
-            out[:, i, j] = sum(A[:, i, k] * B[:, k, j] for k in range(q))
-    return out
+    if on_columns(*M.shape):
+        return reduce(ufunc, M.T)
+    return ufunc.reduce(M, axis=1)
 
 
 def make_basis(space: VectorSpace, vectors, tol: float = DEFAULT_TOL) -> OrderedBasis:

@@ -34,6 +34,7 @@ from .calculus import (
     eval_map,
     make_smooth_map,
     point_in_box,
+    real_scalar,
 )
 from .errors import (
     CocycleViolation,
@@ -652,10 +653,7 @@ def field_add(A: TensorFieldSpec, B: TensorFieldSpec) -> TensorFieldSpec:
 def field_smul(c, A: TensorFieldSpec) -> TensorFieldSpec:
     """Multiply by a constant. Expressions are real-valued, so c must be
     real on complex bundles too."""
-    z = complex(c)
-    if z.imag != 0:
-        raise ShapeMismatch(f"field_smul: scalar {c} is not real; expressions are real-valued")
-    lit = num_literal(z.real)
+    lit = num_literal(real_scalar(c, "field_smul"))
     out = {name: tuple(fold_mul(lit, e) for e in comps)
            for name, comps in sorted(A.per_chart.items())}
     return TensorFieldSpec(A.bundle, A.r, A.s, out)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -54,6 +55,11 @@ from .specio import atlas_from_document, load_json, load_spec, save_spec
 
 _VERIFY_ERRORS = (BaseMismatch, ChartAssignmentError, CocycleViolation,
                   DomainViolation, NotAnIsomorphism, SingularFrame)
+
+# A check holds its n sample points, and a value (and gradient) per
+# compiled slot at each, in memory at once: 10^9 points of one coordinate
+# are already 8 GB. Larger counts are refused before numpy is asked for them.
+MAX_SAMPLES = 10**9
 
 
 class _Usage(Exception):
@@ -108,8 +114,8 @@ def _tagged(report: CheckReport, prefix: str) -> CheckReport:
 
 @sampling_scope()  # the suites of one check share their point sets
 def cmd_check(args) -> int:
-    if args.samples < 1:
-        raise _Usage("--samples must be at least 1")
+    if not 1 <= args.samples <= MAX_SAMPLES:
+        raise _Usage(f"--samples must be between 1 and {MAX_SAMPLES:,}")
     if not args.tol > 0:
         raise _Usage("--tol must be positive")
     doc = load_spec(args.spec)
@@ -231,11 +237,16 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "check":
-            return cmd_check(args)
-        if args.command == "construct":
-            return cmd_construct(args)
-        return cmd_eval(args)
+        command = {"check": cmd_check, "construct": cmd_construct}.get(args.command, cmd_eval)
+        code = command(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # Nothing more can reach stdout; send what is left in its buffer
+        # nowhere, so that the interpreter's own flush at exit stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: cannot write to standard output: it was closed", file=sys.stderr)
+        return 1
     except _Usage as exc:
         print(str(exc), file=sys.stderr)
         return 1

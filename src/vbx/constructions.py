@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -281,11 +282,12 @@ def _tau_enclosure(tau_comps, box: Box) -> Box | None:
     return Box(tuple(iv[0] for iv in ivs), tuple(iv[1] for iv in ivs))
 
 
-def _certified_into(tau_comps, box: Box, target: Box, depth: int) -> list:
-    """Sub-boxes of box whose tau image provably sits inside target."""
-    enc = _tau_enclosure(tau_comps, box)
-    if enc is not None and box_inside(enc, target):
-        return [box]
+def _bisect(box: Box, depth: int, accept) -> list:
+    """accept(box), or where that is None, the results of halving box
+    across its widest side, up to depth times, in order."""
+    got = accept(box)
+    if got is not None:
+        return [got]
     if depth == 0:
         return []
     widths = [h - l for l, h in zip(box.lo, box.hi)]
@@ -297,11 +299,17 @@ def _certified_into(tau_comps, box: Box, target: Box, depth: int) -> list:
     left_hi[ax] = mid
     right_lo = list(box.lo)
     right_lo[ax] = mid
-    return (_certified_into(tau_comps, Box(box.lo, tuple(left_hi)), target, depth - 1)
-            + _certified_into(tau_comps, Box(tuple(right_lo), box.hi), target, depth - 1))
+    return (_bisect(Box(box.lo, tuple(left_hi)), depth - 1, accept)
+            + _bisect(Box(tuple(right_lo), box.hi), depth - 1, accept))
 
 
-def _pair_box(tau_comps, b: Box, reverse, target: Box):
+def _certified_into(tau_comps, target: Box, box: Box) -> Box | None:
+    """box, if its tau image provably sits inside target."""
+    enc = _tau_enclosure(tau_comps, box)
+    return box if enc is not None and box_inside(enc, target) else None
+
+
+def _pair_box(tau_comps, reverse, target: Box, b: Box):
     """Match one region box with a reverse overlap component.
 
     Succeeds when the interval image of the box sits inside the reverse
@@ -333,28 +341,6 @@ def _pair_box(tau_comps, b: Box, reverse, target: Box):
                 break
             cand = Box(lo, hi)
     return None
-
-
-def _paired_images(tau_comps, b: Box, reverse, target: Box, split_depth: int) -> list:
-    """Pair a box with reverse components, bisecting when its image straddles."""
-    got = _pair_box(tau_comps, b, reverse, target)
-    if got is not None:
-        return [got]
-    if split_depth == 0:
-        return []
-    widths = [h - l for l, h in zip(b.lo, b.hi)]
-    ax = widths.index(max(widths))
-    mid = 0.5 * (b.lo[ax] + b.hi[ax])
-    if not b.lo[ax] < mid < b.hi[ax]:
-        return []
-    left_hi = list(b.hi)
-    left_hi[ax] = mid
-    right_lo = list(b.lo)
-    right_lo[ax] = mid
-    return (_paired_images(tau_comps, Box(b.lo, tuple(left_hi)), reverse, target,
-                           split_depth - 1)
-            + _paired_images(tau_comps, Box(tuple(right_lo), b.hi), reverse, target,
-                             split_depth - 1))
 
 
 def base_restriction(B: VectorBundleSpec, regions: dict,
@@ -408,11 +394,12 @@ def base_restriction(B: VectorBundleSpec, regions: dict,
         for b in o.region:
             clipped = intersect_boxes(b, sub[o.frm])
             if clipped is not None:
-                boxes.extend(_certified_into(o.tau.components, clipped, sub[o.to], depth))
+                boxes.extend(_bisect(clipped, depth,
+                                     partial(_certified_into, o.tau.components, sub[o.to])))
         final = []
         for b in boxes:
-            for cand, ridx, image in _paired_images(o.tau.components, b, reverse,
-                                                    sub[o.to], 3):
+            pair = partial(_pair_box, o.tau.components, reverse, sub[o.to])
+            for cand, ridx, image in _bisect(b, 3, pair):
                 final.append(cand)
                 derived.setdefault(ridx, []).append(image)
         kept[idx] = final
@@ -670,11 +657,21 @@ def check_morphism(M: BundleMorphismSpec, samples: int = DEFAULT_SAMPLES,
 # Pullback of tensor fields along morphisms.
 
 
-def _substituted_components(A: TensorFieldSpec, chart: str, base_exprs):
-    if chart not in A.per_chart:
-        raise SpecError(f"field has no components on chart '{chart}'")
-    env = tuple(base_exprs)
-    return tuple(subst(e, env) for e in A.per_chart[chart])
+def _pulled_field(M: BundleMorphismSpec, A: TensorFieldSpec) -> TensorFieldSpec:
+    """A's components pulled back through M on each source chart:
+    mat_pullback of the fiber map times A at the mapped base point."""
+    out = {}
+    for c in M.source.base.charts:
+        name, chart = c.name, M.assignment[c.name]
+        try:
+            K = symmat.mat_pullback(M.fiber_map[name], A.r, A.s)
+        except EvalError as exc:
+            raise NotAnIsomorphism(f"fiber map on '{name}' is not invertible: {exc}") from exc
+        if chart not in A.per_chart:
+            raise SpecError(f"field has no components on chart '{chart}'")
+        env = tuple(M.base_map[name])
+        out[name] = symmat.mat_vec(K, tuple(subst(e, env) for e in A.per_chart[chart]))
+    return TensorFieldSpec(M.source, A.r, A.s, out)
 
 
 def vb_pullback_rs(M: BundleMorphismSpec, A: TensorFieldSpec, samples: int = 25,
@@ -722,21 +719,7 @@ def vb_pullback_rs(M: BundleMorphismSpec, A: TensorFieldSpec, samples: int = 25,
 
         at_points(sample_box(c.box, samples, seed), stage)
 
-    out = {}
-    for c in M.source.base.charts:
-        name = c.name
-        phi = M.fiber_map[name]
-        try:
-            phi_inv = symmat.mat_inverse(phi) if A.s else None
-        except EvalError as exc:
-            raise NotAnIsomorphism(f"fiber map on '{name}' is not invertible: {exc}") from exc
-        vec_part = (symmat.mat_kron_power(symmat.mat_transpose(phi), A.r)
-                    if A.r else symmat.mat_identity(1))
-        cov_part = symmat.mat_kron_power(phi_inv, A.s) if A.s else symmat.mat_identity(1)
-        K = symmat.mat_kron(vec_part, cov_part)
-        subbed = _substituted_components(A, M.assignment[name], M.base_map[name])
-        out[name] = symmat.mat_vec(K, subbed)
-    return TensorFieldSpec(M.source, A.r, A.s, out)
+    return _pulled_field(M, A)
 
 
 def vb_pullback_cov(M: BundleMorphismSpec, A: TensorFieldSpec) -> TensorFieldSpec:
@@ -746,14 +729,7 @@ def vb_pullback_cov(M: BundleMorphismSpec, A: TensorFieldSpec) -> TensorFieldSpe
     if A.s > 0:
         raise ShapeMismatch(
             f"vb_pullback_cov handles purely covariant fields, got valence ({A.r},{A.s})")
-    out = {}
-    for c in M.source.base.charts:
-        name = c.name
-        K = (symmat.mat_kron_power(symmat.mat_transpose(M.fiber_map[name]), A.r)
-             if A.r else symmat.mat_identity(1))
-        subbed = _substituted_components(A, M.assignment[name], M.base_map[name])
-        out[name] = symmat.mat_vec(K, subbed)
-    return TensorFieldSpec(M.source, A.r, 0, out)
+    return _pulled_field(M, A)
 
 
 # ---------------------------------------------------------------------------

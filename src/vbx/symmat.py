@@ -133,6 +133,16 @@ def mat_kron_power(m: Matrix, k: int) -> Matrix:
     return out
 
 
+def mat_pullback(m: Matrix, r: int, s: int) -> Matrix:
+    """The matrix K with pullback coefficients K·a along m, for a the
+    radix-ordered coefficients of an (r,s)-tensor on m's codomain: m^T on
+    each vector slot, m^-1 (the adjugate) on each covector slot. For s > 0,
+    a determinant that folds to the constant 0 raises EvalError."""
+    vec_part = mat_kron_power(mat_transpose(m), r)
+    cov_part = mat_kron_power(mat_inverse(m), s) if s else mat_identity(1)
+    return mat_kron(vec_part, cov_part)
+
+
 def mat_block_diag(a: Matrix, b: Matrix) -> Matrix:
     an, am = mat_shape(a)
     bn, bm = mat_shape(b)

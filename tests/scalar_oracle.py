@@ -7,17 +7,24 @@ replaced, kept verbatim: math-module arithmetic on Python floats, Dual
 numbers carrying gradient vectors, and EvalError at the first failing node
 of the walk. Below it are the one-point functions as they were written on
 top of that walk, for tests that compare vbx's one-point API and check
-suites against them, and the LU form of the scaled determinant.
+suites against them, the LU form of the scaled determinant, and derived
+local fields as the closures they were before they became expressions.
 """
 
 import math
 
 import numpy as np
 
-from vbx.errors import CocycleViolation, DomainViolation, EvalError, ShapeMismatch
+from vbx.calculus import eval_map as vbx_eval_map
+from vbx.calculus import jacobian as vbx_jacobian
+from vbx.calculus import tf_eval as vbx_tf_eval
+from vbx.errors import (CocycleViolation, DomainViolation, EvalError, NotADiffeomorphism,
+                        ShapeMismatch)
 from vbx.expr import _CONSTS, Add, Call, Const, Div, Expr, Mul, Neg, Num, Pow, Sub, Var, _fold
 from vbx.geometry import region_contains
-from vbx.linalg import DEFAULT_TOL
+from vbx.linalg import DEFAULT_TOL, FieldTag, VectorSpace, is_gl
+from vbx.pullbacks import cov_pullback, rs_pullback
+from vbx.tensors import Tensor, make_tensor, tensor_product
 
 
 class Dual:
@@ -266,3 +273,67 @@ def transition_matrix(B, i, j, x, tol=DEFAULT_TOL) -> np.ndarray:
     if not scaled_abs_det(mat) > tol:
         raise CocycleViolation(f"transition {i}->{j} is singular at {np.asarray(x).tolist()}")
     return mat
+
+
+# ---------------------------------------------------------------------------
+# Derived local fields as closures, the form vbx built them in before they
+# were expressions: a pulled-back field, or a sum, multiple or product with
+# one, evaluated its pointwise definition one point at a time. Plain
+# TensorFieldLocals among the operands evaluate through vbx's tf_eval.
+
+
+class ClosureField:
+    def __init__(self, box, fiber_dim, r, s, evaluator):
+        self.box, self.fiber_dim, self.r, self.s = box, fiber_dim, r, s
+        self.evaluator = evaluator
+
+
+def closure_tf_eval(A, x) -> Tensor:
+    """tf_eval of a ClosureField or a TensorFieldLocal, as vbx ran it on
+    both: shape and box rules, the coefficients, then their finiteness."""
+    if not isinstance(A, ClosureField):
+        return vbx_tf_eval(A, x)
+    pt = np.asarray(x, dtype=float)
+    if pt.shape != (A.box.dim,):
+        raise ShapeMismatch(f"point shape {pt.shape} does not match base dim {A.box.dim}")
+    if not A.box.contains(pt):
+        raise DomainViolation(f"point {pt.tolist()} outside the field's box")
+    coeffs = np.asarray(A.evaluator(pt), dtype=float)
+    if not np.all(np.isfinite(coeffs)):
+        raise EvalError(f"field value not finite at {pt.tolist()}")
+    return make_tensor(VectorSpace(A.fiber_dim, FieldTag.REAL), A.r, A.s, coeffs)
+
+
+def closure_add(A, B) -> ClosureField:
+    return ClosureField(A.box, A.fiber_dim, A.r, A.s,
+                        lambda x: closure_tf_eval(A, x).coeffs + closure_tf_eval(B, x).coeffs)
+
+
+def closure_smul(c: float, A) -> ClosureField:
+    return ClosureField(A.box, A.fiber_dim, A.r, A.s, lambda x: c * closure_tf_eval(A, x).coeffs)
+
+
+def closure_product(A, B) -> ClosureField:
+    return ClosureField(
+        A.box, A.fiber_dim, A.r + B.r, A.s + B.s,
+        lambda x: tensor_product(closure_tf_eval(A, x), closure_tf_eval(B, x)).coeffs)
+
+
+def closure_pullback_diffeo(f, A, r: int, s: int, tol: float = DEFAULT_TOL) -> ClosureField:
+    def _eval(x):
+        J = vbx_jacobian(f, x)
+        if not is_gl(J, tol):
+            raise NotADiffeomorphism(f"Jacobian singular at {np.asarray(x).tolist()}")
+        target = closure_tf_eval(A, vbx_eval_map(f, x))
+        return rs_pullback(J, r, s, target, tol).coeffs
+
+    return ClosureField(f.box, f.in_dim, r, s, _eval)
+
+
+def closure_pullback_cov(f, A, r: int) -> ClosureField:
+    def _eval(x):
+        J = vbx_jacobian(f, x)
+        target = closure_tf_eval(A, vbx_eval_map(f, x))
+        return cov_pullback(J, r, target).coeffs
+
+    return ClosureField(f.box, f.in_dim, r, 0, _eval)

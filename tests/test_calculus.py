@@ -4,10 +4,10 @@ import math
 
 import numpy as np
 import pytest
+import scalar_oracle as oracle
 
 from vbx.calculus import (
     chain_defect,
-    closure_field,
     compose_maps,
     directional_derivative,
     eval_map,
@@ -24,8 +24,9 @@ from vbx.calculus import (
     tf_pullback_diffeo,
     tf_smul,
 )
-from vbx.errors import DomainViolation, NotADiffeomorphism, ShapeMismatch
+from vbx.errors import DomainViolation, NotADiffeomorphism, ShapeMismatch, VbxError
 from vbx.geometry import make_box, sample_box
+from vbx.specio import gallery_path, list_gallery, load_spec
 from vbx.tensors import tensor_eval
 
 AD_VS_FD_TOL = 1e-6
@@ -180,6 +181,30 @@ def test_tf_pullback_diffeo_rejects_folds():
         tf_eval(pulled, [0.0])
 
 
+def test_make_tensor_field_rejects_negative_valence():
+    with pytest.raises(ShapeMismatch, match="non-negative"):
+        make_tensor_field(make_box([(0, 1)]), 2, -1, 1, ["x1"])
+
+
+def test_pullbacks_check_the_field_box_against_the_codomain_when_built():
+    f = make_smooth_map(["2*x1"], make_box([(-1, 1)]))
+    A = make_tensor_field(BOX2, 1, 1, 0, ["x1"])
+    with pytest.raises(ShapeMismatch, match="box dim 2 does not match the map's codomain dim 1"):
+        tf_pullback_diffeo(f, A, 1, 0)
+    with pytest.raises(ShapeMismatch, match="box dim 2 does not match the map's codomain dim 1"):
+        tf_pullback_cov(f, A, 1)
+
+
+def test_a_jacobian_whose_determinant_folds_to_zero():
+    f = make_smooth_map(["x1 + x2", "x1 + x2"], make_box([(-1, 1), (-1, 1)]))
+    with pytest.raises(NotADiffeomorphism, match="identically zero"):
+        tf_pullback_diffeo(f, make_tensor_field(BOX2, 2, 1, 1, ["1", "0", "0", "1"]), 1, 1)
+    # With no covector slot no inverse is built, and each point breaks the rule.
+    pulled = tf_pullback_diffeo(f, make_tensor_field(BOX2, 2, 1, 0, ["1", "x2"]), 1, 0)
+    with pytest.raises(NotADiffeomorphism, match=r"singular at \[0.5, 0.25\]"):
+        tf_eval(pulled, [0.5, 0.25])
+
+
 def test_tf_pullback_cov_works_across_dimensions():
     f = make_smooth_map(["x1", "x1^2"], make_box([(-1, 1)]))
     A = make_tensor_field(make_box([(-2, 2), (-2, 2)]), 2, 1, 0, ["x2", "1"])
@@ -192,14 +217,160 @@ def test_tf_pullback_cov_works_across_dimensions():
         assert got == pytest.approx(want, abs=1e-12)
 
 
-def test_closure_field_evaluates_lazily():
-    box = make_box([(0, 1)])
-    calls = []
 
-    def ev(x):
-        calls.append(tuple(x))
-        return np.array([x[0] * 2])
+# --------------------------------------------------------------------------
+# Derived fields against the closures they replaced (scalar_oracle): the
+# same exception type at every point, the same message for the rules that
+# name a point, and coefficients within PULLED_REL_TOL of the oracle's,
+# relative to the largest of them. K(J) is the adjugate over det J where
+# the oracle inverts J by LAPACK, so the last bits may differ: the largest
+# difference measured on these inputs is 1.1e-15.
 
-    A = closure_field(box, 1, 1, 0, ev)
-    assert tf_eval(A, [0.25]).coeffs[0] == 0.5
-    assert calls == [(0.25,)]
+PULLED_REL_TOL = 1e-14
+VALENCES = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1)]
+EXACT_MESSAGES = (DomainViolation, NotADiffeomorphism, ShapeMismatch)
+
+
+def _field_pair(box, r, s, shift=0):
+    """A field with one sqrt coefficient that fails on part of its box,
+    as a TensorFieldLocal (it serves both sides)."""
+    d = box.dim
+    comps = [f"{(k + shift) % 3 + 2} + sin({k + 1}*x1 - x{d})" for k in range(d ** (r + s))]
+    comps[0] = f"sqrt(x1 + {0.75 * max(abs(box.lo[0]), 1.0)})"
+    return make_tensor_field(box, d, r, s, comps)
+
+
+def _probe_points(box, extra=()):
+    """Seeded points of the box, points past each face, any extra points
+    and one of the wrong shape."""
+    lo, hi = np.array(box.lo), np.array(box.hi)
+    pts = [*sample_box(box, 40, seed=5), lo - 0.5, hi + 0.5, *map(np.asarray, extra)]
+    return pts + [np.zeros(box.dim + 1)]
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except VbxError as exc:
+        return type(exc), str(exc)
+
+
+def _agree(new, old, points) -> list:
+    """Assert new and old (vbx and oracle fields) fail alike at every
+    point; return the relative coefficient difference at each other one."""
+    diffs = []
+    for x in points:
+        got = _outcome(lambda: tf_eval(new, x).coeffs)
+        want = _outcome(lambda: oracle.closure_tf_eval(old, x).coeffs)
+        if isinstance(got, tuple) or isinstance(want, tuple):
+            assert isinstance(got, tuple) and isinstance(want, tuple), (x, got, want)
+            assert got[0] is want[0], (x, got, want)
+            assert got[0] not in EXACT_MESSAGES or got == want, (x, got, want)
+        else:
+            err = np.max(np.abs(got - want))
+            diffs.append(0.0 if err == 0 else float(err / np.max(np.abs(want))))
+    return diffs
+
+
+def _gallery_maps():
+    """Each distinct gallery overlap map with the box of its target chart."""
+    seen = {}
+    for name in list_gallery():
+        base = load_spec(gallery_path(name)).base
+        for o in base.overlaps:
+            target = base.chart(o.to).box
+            seen.setdefault((repr(o.tau), target), (o.tau, target))
+    return list(seen.values())
+
+
+PLANE_MAPS = [
+    (["x1*cos(x2)", "x1*sin(x2)"], [(0.5, 2), (-1, 1)], [(-3, 3), (-3, 3)]),
+    (["x1 + x2^3/3", "x2 - sin(x1)/2"], [(-1, 1), (-1, 1)], [(-2, 2), (-2, 2)]),
+    (["x1^2 - x2^2", "2*x1*x2"], [(-1, 1), (-1, 1)], [(-2.5, 2.5), (-2.5, 2.5)]),  # a fold at 0
+]
+
+
+def test_pulled_fields_match_the_closure_oracle_on_gallery_and_plane_maps():
+    cases = _gallery_maps() + [(make_smooth_map(c, b), make_box(t)) for c, b, t in PLANE_MAPS]
+    diffs = []
+    for f, target in cases:
+        points = _probe_points(f.box, extra=[np.zeros(f.in_dim)])
+        for r, s in VALENCES:
+            A = _field_pair(target, r, s)
+            diffs += _agree(tf_pullback_diffeo(f, A, r, s),
+                            oracle.closure_pullback_diffeo(f, A, r, s), points)
+    assert len(diffs) > 1000 and max(diffs) <= PULLED_REL_TOL
+
+
+def test_nested_pullbacks_match_the_closure_oracle():
+    diffs = []
+    for name in ("circle_base", "projective_base"):
+        atlas = load_spec(gallery_path(name)).base
+        for o in atlas.overlaps:
+            for rev in atlas.overlaps_between(o.to, o.frm):
+                f, back = o.tau, rev.tau
+                A = _field_pair(f.box, 1, 1)
+                new = tf_pullback_diffeo(f, tf_pullback_diffeo(back, A, 1, 1), 1, 1)
+                old = oracle.closure_pullback_diffeo(
+                    f, oracle.closure_pullback_diffeo(back, A, 1, 1), 1, 1)
+                diffs += _agree(new, old, _probe_points(f.box, extra=[[0.0]]))
+    assert len(diffs) > 100 and max(diffs) <= PULLED_REL_TOL
+
+
+def test_sums_multiples_and_products_of_pulled_fields_match_the_closure_oracle():
+    # Inside the box the pulled fields fail at the fold, where the image
+    # leaves the small target box, and where sqrt fails on it; so do the
+    # operands' own coefficients, so that the order of the rules shows.
+    f = make_smooth_map(*PLANE_MAPS[2][:2])
+    target = make_box([(-0.8, 0.8), (-0.8, 0.8)])
+    A, B = _field_pair(target, 1, 0), _field_pair(target, 1, 0, shift=1)
+    S, T = _field_pair(f.box, 0, 1), _field_pair(f.box, 1, 0, shift=2)
+    pa, pb = tf_pullback_diffeo(f, A, 1, 0), tf_pullback_diffeo(f, B, 1, 0)
+    qa, qb = oracle.closure_pullback_diffeo(f, A, 1, 0), oracle.closure_pullback_diffeo(f, B, 1, 0)
+    pairs = [
+        (tf_add(pa, pb), oracle.closure_add(qa, qb)),
+        (tf_add(T, pa), oracle.closure_add(T, qa)),
+        (tf_smul(-2.5, pa), oracle.closure_smul(-2.5, qa)),
+        (tf_smul(0.0, pa), oracle.closure_smul(0.0, qa)),
+        (tf_product(pa, S), oracle.closure_product(qa, S)),
+        (tf_product(S, tf_add(pa, pb)), oracle.closure_product(S, oracle.closure_add(qa, qb))),
+    ]
+    diffs = []
+    for new, old in pairs:
+        diffs += _agree(new, old, _probe_points(f.box, extra=[[0.0, 0.0]]))
+    assert len(diffs) > 100 and max(diffs) <= PULLED_REL_TOL
+
+
+def test_covariant_pullbacks_across_dimensions_match_the_closure_oracle():
+    cases = [
+        (["x1", "x1^2"], [(-1, 1)], [(-2, 2), (-2, 2)]),
+        (["x1", "0.5"], [(-1, 1)], [(-2, 2), (-2, 2)]),  # K drops the 2nd slot symbolically
+        (["x1*x2 + 1"], [(-1, 1), (-1, 1)], [(-1.5, 1.5)]),
+        (["x1", "x2", "x1*x2"], [(-1, 1), (-1, 1)], [(-2, 2)] * 3),
+    ]
+    diffs = []
+    for comps, box, target in cases:
+        f = make_smooth_map(comps, box)
+        for r in (0, 1, 2):
+            # Every coefficient but the first fails where the last coordinate
+            # is below 0.25, so a slot K drops still fails its points.
+            d = len(target)
+            A = make_tensor_field(target, d, r, 0, ["x1 + 3"] + [f"log(x{d} - 0.25)"] * (d ** r - 1))
+            diffs += _agree(tf_pullback_cov(f, A, r), oracle.closure_pullback_cov(f, A, r),
+                            _probe_points(f.box, extra=[np.zeros(f.in_dim)]))
+    assert len(diffs) > 100 and max(diffs) <= PULLED_REL_TOL
+
+
+@pytest.mark.parametrize("tau, box", [
+    ("x1^2", (-1, 1)),  # a fold at 0
+    ("3*x1", (-1, 1)),  # the image leaves the inner box past |x1| = 2/3
+    ("exp(exp(x1))", (-10, 10)),  # overflows past x1 = 6.56
+    ("1e308*(x1 + 2)", (-1, 1)),  # a finite Jacobian, an infinite value past x1 = -0.2
+])
+def test_failing_maps_fail_like_the_closure_oracle(tau, box):
+    f = make_smooth_map([tau], make_box([box]))
+    for r, s in VALENCES:
+        A = _field_pair(make_box([(-2, 2)]), r, s)
+        diffs = _agree(tf_pullback_diffeo(f, A, r, s), oracle.closure_pullback_diffeo(f, A, r, s),
+                       _probe_points(f.box, extra=[[0.0]]))
+        assert max(diffs, default=0.0) <= PULLED_REL_TOL

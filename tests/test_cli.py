@@ -22,13 +22,17 @@ def gp(name):
     return str(gallery_path(name))
 
 
-def run_cold(*argv):
-    """`python -m vbx.cli` in a fresh interpreter, so stderr is the real one."""
+def cold_command(*argv) -> dict:
+    """subprocess arguments for `python -m vbx.cli` in a fresh interpreter,
+    so stdout and stderr are real ones."""
     import vbx
 
     src = str(Path(vbx.__file__).resolve().parent.parent)
-    proc = subprocess.run([sys.executable, "-m", "vbx.cli", *argv], capture_output=True,
-                          text=True, env={"PYTHONPATH": src}, timeout=120)
+    return {"args": [sys.executable, "-m", "vbx.cli", *argv], "env": {"PYTHONPATH": src}}
+
+
+def run_cold(*argv):
+    proc = subprocess.run(**cold_command(*argv), capture_output=True, text=True, timeout=120)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -215,6 +219,26 @@ def test_check_usage_validation(capsys):
     assert run(capsys, "check", gp("mobius"), "--tol", "0")[0] == 1
     assert run(capsys, "frobnicate")[0] == 1
     assert run(capsys)[0] == 1
+
+
+@pytest.mark.parametrize("samples", ["1000000000000000000", "100000000000000000000"])
+def test_a_huge_sample_count_is_a_usage_error_not_a_traceback(samples):
+    # Refused before anything is allocated: without the cap numpy raises
+    # MemoryError at 10^18 and "maximum allowed dimension exceeded" at 10^20.
+    code, out, err = run_cold("check", gp("mobius"), "--samples", samples)
+    assert code == 1
+    assert err.count("\n") == 1 and "--samples" in err
+    assert out == ""
+
+
+def test_a_closed_stdout_is_exit_1_not_a_traceback(tmp_path):
+    proc = subprocess.Popen(**cold_command("construct", "dual", gp("mobius"),
+                                           "-o", str(tmp_path / "dual.json")),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()  # the child is still starting up: it has written nothing yet
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 1
+    assert err == "error: cannot write to standard output: it was closed\n"
 
 
 def test_check_report_files_are_reproducible(capsys, tmp_path):

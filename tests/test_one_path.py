@@ -3,7 +3,8 @@
 eval_expr, eval_map, jacobian, tf_eval, field_eval, frame_matrix_at and
 transition_eval must return exactly the bits of row k of run_program over
 the same points, and where they fail they must raise what the scalar tree
-walk of scalar_oracle raised (type and message). The constructions that
+walk of scalar_oracle raised (type and message; for pulled-back fields,
+the type the closures of scalar_oracle raised). The constructions that
 sample, once per-point loops, are held against copies of those loops on
 the oracle: the first failing sample must give the same exception.
 """
@@ -22,7 +23,17 @@ from vbx.bundles import (
     make_frame,
     transition_eval,
 )
-from vbx.calculus import eval_map, jacobian, make_tensor_field, tf_eval
+from vbx.calculus import (
+    eval_map,
+    jacobian,
+    make_smooth_map,
+    make_tensor_field,
+    tf_add,
+    tf_eval,
+    tf_product,
+    tf_pullback_cov,
+    tf_pullback_diffeo,
+)
 from vbx.constructions import (
     induced_bundle,
     local_expression,
@@ -184,6 +195,34 @@ def test_transition_eval_is_a_row_of_the_batch_on_gallery_bundles():
                 row_or_oracle(got, row, want)
                 checked += 1
     assert checked > 200
+
+
+def test_tf_eval_of_pulled_sums_and_products_is_a_row_of_the_batch():
+    plane = make_smooth_map(["x1^2 - x2^2", "2*x1*x2"], [(-1, 1), (-1, 1)])
+    maps = [(o.tau, base.chart(o.to).box)
+            for base in (load_spec(gallery_path(n)).base for n in ("circle_base", "projective_base"))
+            for o in base.overlaps]
+    checked = 0
+    for f, target in maps + [(plane, Box((-0.8, -0.8), (0.8, 0.8)))]:
+        d = f.in_dim
+        A = make_tensor_field(target, d, 1, 1, [f"{k + 2} + sin(x1 - x{d})" for k in range(d * d)])
+        B = make_tensor_field(target, d, 1, 0, [f"sqrt(x{k + 1} + 0.5)" for k in range(d)])
+        S = make_tensor_field(f.box, d, 1, 0, [f"cos({k + 1}*x1)" for k in range(d)])
+        P, Q = tf_pullback_diffeo(f, A, 1, 1), tf_pullback_cov(f, B, 1)
+        fields = [(P, oracle.closure_pullback_diffeo(f, A, 1, 1)),
+                  (tf_add(Q, S), oracle.closure_add(oracle.closure_pullback_cov(f, B, 1), S)),
+                  (tf_product(S, P), oracle.closure_product(S, oracle.closure_pullback_diffeo(f, A, 1, 1)))]
+        X = box_points(f.box)
+        for F, old in fields:
+            values = run_program(compile_exprs(F.components), X).values
+            for k, x in enumerate(X):
+                got = outcome(lambda: tf_eval(F, x).coeffs)
+                if isinstance(got, tuple):
+                    assert outcome(lambda: oracle.closure_tf_eval(old, x))[0] is got[0]
+                else:
+                    assert same_bits(got, values[k]), (got, values[k])
+                    checked += 1
+    assert checked > 300
 
 
 def test_one_point_shape_rule():

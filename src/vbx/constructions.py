@@ -390,16 +390,16 @@ def base_restriction(B: VectorBundleSpec, regions: dict,
         if o.frm not in sub or o.to not in sub or o.frm > o.to:
             continue
         reverse = [(r, B.base.overlaps[r]) for r in rev_of[(o.to, o.frm)]]
+        certified = partial(_certified_into, o.tau.components, sub[o.to])
+        paired = partial(_pair_box, o.tau.components, reverse, sub[o.to])
         boxes = []
         for b in o.region:
             clipped = intersect_boxes(b, sub[o.frm])
             if clipped is not None:
-                boxes.extend(_bisect(clipped, depth,
-                                     partial(_certified_into, o.tau.components, sub[o.to])))
+                boxes.extend(_bisect(clipped, depth, certified))
         final = []
         for b in boxes:
-            pair = partial(_pair_box, o.tau.components, reverse, sub[o.to])
-            for cand, ridx, image in _bisect(b, 3, pair):
+            for cand, ridx, image in _bisect(b, 3, paired):
                 final.append(cand)
                 derived.setdefault(ridx, []).append(image)
         kept[idx] = final

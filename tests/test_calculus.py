@@ -217,7 +217,6 @@ def test_tf_pullback_cov_works_across_dimensions():
         assert got == pytest.approx(want, abs=1e-12)
 
 
-
 # --------------------------------------------------------------------------
 # Derived fields against the closures they replaced (scalar_oracle): the
 # same exception type at every point, the same message for the rules that
@@ -231,9 +230,9 @@ VALENCES = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1)]
 EXACT_MESSAGES = (DomainViolation, NotADiffeomorphism, ShapeMismatch)
 
 
-def _field_pair(box, r, s, shift=0):
-    """A field with one sqrt coefficient that fails on part of its box,
-    as a TensorFieldLocal (it serves both sides)."""
+def _sample_field(box, r, s, shift=0):
+    """A smooth (r,s)-field on box whose first coefficient, a sqrt, fails
+    on part of it. Both sides take it as the field to pull back."""
     d = box.dim
     comps = [f"{(k + shift) % 3 + 2} + sin({k + 1}*x1 - x{d})" for k in range(d ** (r + s))]
     comps[0] = f"sqrt(x1 + {0.75 * max(abs(box.lo[0]), 1.0)})"
@@ -241,8 +240,8 @@ def _field_pair(box, r, s, shift=0):
 
 
 def _probe_points(box, extra=()):
-    """Seeded points of the box, points past each face, any extra points
-    and one of the wrong shape."""
+    """Seeded points of the box, a point past each of its corners lo and
+    hi, any extra points and one point of the wrong shape."""
     lo, hi = np.array(box.lo), np.array(box.hi)
     pts = [*sample_box(box, 40, seed=5), lo - 0.5, hi + 0.5, *map(np.asarray, extra)]
     return pts + [np.zeros(box.dim + 1)]
@@ -296,7 +295,7 @@ def test_pulled_fields_match_the_closure_oracle_on_gallery_and_plane_maps():
     for f, target in cases:
         points = _probe_points(f.box, extra=[np.zeros(f.in_dim)])
         for r, s in VALENCES:
-            A = _field_pair(target, r, s)
+            A = _sample_field(target, r, s)
             diffs += _agree(tf_pullback_diffeo(f, A, r, s),
                             oracle.closure_pullback_diffeo(f, A, r, s), points)
     assert len(diffs) > 1000 and max(diffs) <= PULLED_REL_TOL
@@ -309,7 +308,7 @@ def test_nested_pullbacks_match_the_closure_oracle():
         for o in atlas.overlaps:
             for rev in atlas.overlaps_between(o.to, o.frm):
                 f, back = o.tau, rev.tau
-                A = _field_pair(f.box, 1, 1)
+                A = _sample_field(f.box, 1, 1)
                 new = tf_pullback_diffeo(f, tf_pullback_diffeo(back, A, 1, 1), 1, 1)
                 old = oracle.closure_pullback_diffeo(
                     f, oracle.closure_pullback_diffeo(back, A, 1, 1), 1, 1)
@@ -323,8 +322,8 @@ def test_sums_multiples_and_products_of_pulled_fields_match_the_closure_oracle()
     # operands' own coefficients, so that the order of the rules shows.
     f = make_smooth_map(*PLANE_MAPS[2][:2])
     target = make_box([(-0.8, 0.8), (-0.8, 0.8)])
-    A, B = _field_pair(target, 1, 0), _field_pair(target, 1, 0, shift=1)
-    S, T = _field_pair(f.box, 0, 1), _field_pair(f.box, 1, 0, shift=2)
+    A, B = _sample_field(target, 1, 0), _sample_field(target, 1, 0, shift=1)
+    S, T = _sample_field(f.box, 0, 1), _sample_field(f.box, 1, 0, shift=2)
     pa, pb = tf_pullback_diffeo(f, A, 1, 0), tf_pullback_diffeo(f, B, 1, 0)
     qa, qb = oracle.closure_pullback_diffeo(f, A, 1, 0), oracle.closure_pullback_diffeo(f, B, 1, 0)
     pairs = [
@@ -370,7 +369,7 @@ def test_covariant_pullbacks_across_dimensions_match_the_closure_oracle():
 def test_failing_maps_fail_like_the_closure_oracle(tau, box):
     f = make_smooth_map([tau], make_box([box]))
     for r, s in VALENCES:
-        A = _field_pair(make_box([(-2, 2)]), r, s)
+        A = _sample_field(make_box([(-2, 2)]), r, s)
         diffs = _agree(tf_pullback_diffeo(f, A, r, s), oracle.closure_pullback_diffeo(f, A, r, s),
                        _probe_points(f.box, extra=[[0.0]]))
         assert max(diffs, default=0.0) <= PULLED_REL_TOL

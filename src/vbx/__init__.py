@@ -3,10 +3,14 @@
 Everything is local and concrete: a base manifold is an atlas of open
 boxes glued by transition maps, a bundle is a matrix-valued cocycle on
 the overlaps, and all claims about them are checked numerically at
-sampled points with the results collected into reports.
+sampled points with the results collected into reports. There is one
+tensor-field type, TensorFieldSpec; a field on a single box lives on
+local_bundle(box, d), and pulling one back along a smooth map is a
+morphism pullback (map_pullback_rs, map_pullback_cov).
 """
 
 from .bundles import (
+    LOCAL_CHART,
     BaseAtlasSpec,
     BundleEdge,
     ChartSpec,
@@ -27,6 +31,7 @@ from .bundles import (
     field_smul,
     frame_from_trivialization,
     frame_matrix_at,
+    local_bundle,
     make_atlas,
     make_bundle,
     make_field,
@@ -38,7 +43,6 @@ from .bundles import (
 )
 from .calculus import (
     SmoothMap,
-    TensorFieldLocal,
     compose_maps,
     eval_map,
     jacobian,
@@ -58,6 +62,8 @@ from .constructions import (
     induced_bundle,
     local_expression,
     make_morphism,
+    map_pullback_cov,
+    map_pullback_rs,
     subbundle_check,
     tangent_bundle,
     tensor_bundle,

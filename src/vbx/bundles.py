@@ -4,6 +4,16 @@ A bundle is specified by a base atlas (named charts with open box images,
 overlaps with coordinate changes) plus a fiber dimension and one transition
 matrix of expressions per overlap component.
 
+There is one tensor-field type, TensorFieldSpec: one expression per
+coefficient on each chart it covers. A section of B is a (0,1)-field, and a
+field on one open box is a field on local_bundle(box, d), the trivial bundle
+with the single chart LOCAL_CHART. A field pulled back (along a morphism,
+or along a smooth map as the morphism whose fiber map is its Jacobian)
+carries the point rules of the pointwise definition as data, a Pulling;
+a sum, multiple or product with such a field carries its operands whole.
+The rules run ahead of the coefficients in the one field-evaluation stage
+that field_eval and the check suites share.
+
 Transition Convention, used uniformly by every operation and construction:
 the stored matrix g_ij converts chart-j fiber coordinates to chart-i fiber
 coordinates and is evaluated at chart-i base coordinates,
@@ -34,7 +44,6 @@ from .calculus import (
     eval_map,
     make_smooth_map,
     point_in_box,
-    real_scalar,
 )
 from .errors import (
     CocycleViolation,
@@ -150,12 +159,35 @@ class TotalPoint:
 
 @dataclass(frozen=True)
 class TensorFieldSpec:
-    """An (r,s)-tensor field on a bundle; a section is a (0,1)-field."""
+    """An (r,s)-tensor field on a bundle; a section is a (0,1)-field.
+
+    rules are what a point must pass before the coefficients are read, in
+    the order the pointwise definition meets them: a Pulling for a field
+    pulled back, and each operand, whole, of a sum, multiple or product
+    built from such a field. Other fields have none.
+    """
 
     bundle: VectorBundleSpec
     r: int
     s: int
     per_chart: dict  # chart name -> tuple of fiber_dim^(r+s) Expr, radix order
+    rules: tuple = ()
+
+
+@dataclass(frozen=True)
+class Pulling:
+    """One level of pulling back through the morphism M (a
+    constructions.BundleMorphismSpec). At a point x of a source chart, M's
+    base map evaluates, its fiber map is finite and, unless tol is None,
+    nonsingular at tol (else error, naming the noun and x), the base
+    image is finite, and it passes the rules of the field pulled back,
+    inner, on the assigned chart, starting with that chart's box."""
+
+    M: object
+    inner: TensorFieldSpec
+    tol: float | None
+    error: type
+    noun: str  # what the fiber map is: "Jacobian" or "fiber map"
 
 
 @dataclass(frozen=True)
@@ -288,6 +320,17 @@ def make_bundle(base: BaseAtlasSpec, fiber_dim: int, field: FieldTag, transition
             frm, to = parsed[k][0], parsed[k][1]
             raise SpecError(f"transition {frm}->{to} has no declared overlap", parsed[k][3])
     return VectorBundleSpec(base, fiber_dim, field, tuple(edges), derivation)
+
+
+LOCAL_CHART = "box"
+
+
+def local_bundle(box, fiber_dim: int) -> VectorBundleSpec:
+    """The trivial real bundle of rank fiber_dim over one open box: one
+    chart, LOCAL_CHART, and no overlaps. Its fields are the box-local
+    fields."""
+    b = box if isinstance(box, Box) else make_box(box)
+    return make_bundle(make_atlas(b.dim, [(LOCAL_CHART, b)], []), fiber_dim, FieldTag.REAL, [])
 
 
 # ---------------------------------------------------------------------------
@@ -580,8 +623,14 @@ def zero_section(B: VectorBundleSpec) -> TensorFieldSpec:
 
 
 def _field_rows(t, A: TensorFieldSpec, chart: str, X, rows) -> np.ndarray:
-    """The field's coefficients on one chart at every point."""
+    """The field's coefficients on one chart at every point: the chart's
+    box, A's rules in order, then the coefficients."""
     t.in_box(A.bundle.base.chart(chart).box, X, rows, f"chart '{chart}'")
+    for rule in A.rules:
+        if isinstance(rule, Pulling):
+            _pulling(t, rule, chart, X, rows)
+        else:
+            _field_values(t, rule, chart, X, rows)
     return t.exprs(A.per_chart[chart], X, rows).astype(A.bundle.field.dtype, copy=False)
 
 
@@ -590,6 +639,19 @@ def _field_values(t, A: TensorFieldSpec, chart: str, X, rows) -> np.ndarray:
     C = _field_rows(t, A, chart, X, rows)
     t.finite(C, X, rows, "field value")
     return C
+
+
+def _pulling(t, P: Pulling, chart: str, X, rows) -> None:
+    """P's rules at the points X of a source chart, in Pulling's order."""
+    M = P.M
+    Y = t.exprs(M.base_map[chart], X, rows)
+    phi = t.matrix(M.fiber_map[chart], X, rows, M.source.field.dtype)
+    t.finite(phi, X, rows, P.noun)
+    if P.tol is not None:
+        t.fail(rows, scaled_abs_dets(phi) <= P.tol,
+               lambda j: P.error(f"{P.noun} singular at {X[j].tolist()}"))
+    t.finite(Y, X, rows, "map value")
+    _field_values(t, P.inner, M.assignment[chart], Y, rows)
 
 
 def field_eval(A: TensorFieldSpec, chart: str, x):
@@ -642,21 +704,31 @@ def _check_field_pair(A: TensorFieldSpec, B: TensorFieldSpec, op: str,
         raise ShapeMismatch(f"{op}: valences differ (({A.r},{A.s}) vs ({B.r},{B.s}))")
 
 
+def _operand_rules(*operands) -> tuple:
+    """The rules of a field built from operands: each operand whole, in
+    order, once any of them has rules of its own."""
+    return operands if any(A.rules for A in operands) else ()
+
+
 def field_add(A: TensorFieldSpec, B: TensorFieldSpec) -> TensorFieldSpec:
     _check_field_pair(A, B, "field_add", same_valence=True)
     out = {name: tuple(fold_add(a, b)
                        for a, b in zip(A.per_chart[name], B.per_chart[name]))
            for name in sorted(A.per_chart)}
-    return TensorFieldSpec(A.bundle, A.r, A.s, out)
+    return TensorFieldSpec(A.bundle, A.r, A.s, out, _operand_rules(A, B))
 
 
 def field_smul(c, A: TensorFieldSpec) -> TensorFieldSpec:
     """Multiply by a constant. Expressions are real-valued, so c must be
-    real on complex bundles too."""
-    lit = num_literal(real_scalar(c, "field_smul"))
+    real (a complex number with zero imaginary part included) on complex
+    bundles too."""
+    z = complex(c)
+    if z.imag != 0:
+        raise ShapeMismatch(f"field_smul: scalar {c} is not real; expressions are real-valued")
+    lit = num_literal(z.real)
     out = {name: tuple(fold_mul(lit, e) for e in comps)
            for name, comps in sorted(A.per_chart.items())}
-    return TensorFieldSpec(A.bundle, A.r, A.s, out)
+    return TensorFieldSpec(A.bundle, A.r, A.s, out, _operand_rules(A))
 
 
 def field_fmul(f: dict, A: TensorFieldSpec) -> TensorFieldSpec:
@@ -669,7 +741,7 @@ def field_fmul(f: dict, A: TensorFieldSpec) -> TensorFieldSpec:
         if max_var_index(scalar) > A.bundle.base.dim:
             raise ShapeMismatch(f"scalar on '{name}' references x{max_var_index(scalar)}")
         out[name] = tuple(fold_mul(scalar, e) for e in A.per_chart[name])
-    return TensorFieldSpec(A.bundle, A.r, A.s, out)
+    return TensorFieldSpec(A.bundle, A.r, A.s, out, _operand_rules(A))
 
 
 # ---------------------------------------------------------------------------

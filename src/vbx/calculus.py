@@ -1,4 +1,4 @@
-"""Smooth maps on open boxes, exact Jacobians, and local tensor fields.
+"""Smooth maps on open boxes and exact Jacobians.
 
 Every value and derivative comes from one evaluator: vbx.expr compiles the
 expressions into a straight-line program and runs it over a batch of
@@ -7,14 +7,11 @@ finite differences exist only in the test suite as a cross-check. _Trial
 holds the stages of that evaluation and the rules a point must pass (its
 shape, box membership, evaluation without error, finite values): the
 check suites run it over all their samples at once, and the one-point
-functions (eval_map, jacobian, tf_eval, and the bundle ones) are one row
-of it. Tensor fields here live on an open box in R^m with tensor values
-on a fiber space R^d, one expression per coefficient. A field pulled
-back along f is expanded symbolically as K(J_f(x))·A(f(x)): J_f from
-expr.diff, A(f(x)) by substitution, K from symmat.mat_pullback. The
-point rules of the pointwise definition (J_f and f(x) finite, J_f
-nonsingular, f(x) in A's box) ride along as data and run as stages of
-tf_eval ahead of the coefficients.
+functions (eval_map, jacobian, and the bundle ones such as field_eval) are
+one row of it. A tensor field on a box is a field on a one-chart trivial
+bundle (bundles.local_bundle), and pulling it back along a smooth map is
+the morphism pullback of vbx.constructions (map_pullback_rs,
+map_pullback_cov).
 """
 
 from __future__ import annotations
@@ -23,15 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainViolation, EvalError, NotADiffeomorphism, ShapeMismatch
+from .errors import DomainViolation, EvalError, ShapeMismatch
 from .expr import (
     Expr,
     Program,
     Var,
     _as_expr,
     compile_exprs,
-    diff,
-    fold_add,
     fold_mul,
     max_var_index,
     num_literal,
@@ -39,10 +34,7 @@ from .expr import (
     subst,
 )
 from .geometry import Box, box_mask, make_box
-from .linalg import (DEFAULT_TOL, FieldTag, LinearMap, VectorSpace, make_linear, row_reduce,
-                     scaled_abs_dets)
-from .symmat import mat_pullback, mat_vec
-from .tensors import Tensor, digits_to_index, index_to_digits, make_tensor
+from .linalg import FieldTag, LinearMap, VectorSpace, make_linear, row_reduce
 
 
 @dataclass(frozen=True)
@@ -191,25 +183,6 @@ class _Trial:
         self.finite(J, X, rows, "jacobian")
         return Y, J
 
-    def field(self, A: TensorFieldLocal, X, rows) -> np.ndarray:
-        """tf_eval at every point: the box, A's rules in order, then its
-        coefficients, finite."""
-        self.in_box(A.box, X, rows, "the field's box")
-        for rule in A.rules:
-            if isinstance(rule, Pulling):
-                Y, J = self._jet(rule.f, X, rows)
-                self.finite(J, X, rows, "jacobian")
-                if rule.tol is not None:
-                    self.fail(rows, scaled_abs_dets(J) <= rule.tol, lambda j: NotADiffeomorphism(
-                        f"Jacobian singular at {X[j].tolist()}"))
-                self.finite(Y, X, rows, "map value")
-                self.field(rule.inner, Y, rows)
-            else:
-                self.field(rule, X, rows)
-        C = self.exprs(A.components, X, rows)
-        self.finite(C, X, rows, "field value")
-        return C
-
     def maps(self, choice, maps, X) -> np.ndarray:
         """map at each point with the map it chose, NaN where it chose none."""
         return _per_choice(choice, (maps[0].out_dim,), float,
@@ -346,162 +319,3 @@ def product_partials(F: SmoothMap, p1, p2, v1, v2) -> np.ndarray:
     iota1 = SmoothMap(tuple(subst(c, frozen2) for c in F.components), box1)
     iota2 = SmoothMap(tuple(subst(c, frozen1) for c in F.components), box2)
     return jacobian(iota1, a1).matrix @ w1 + jacobian(iota2, a2).matrix @ w2
-
-
-# ---------------------------------------------------------------------------
-# Local tensor fields.
-
-
-@dataclass(frozen=True)
-class TensorFieldLocal:
-    """An (r,s)-tensor-field on an open box, fiber dimension d, with one
-    expression per coefficient.
-
-    rules are what a point must pass before the coefficients are read, in
-    the order the pointwise definition meets them: a Pulling for a field
-    pulled back along a map, and each operand, whole, of a sum, multiple
-    or product built from such a field. Other fields have none.
-    """
-
-    box: Box
-    fiber_dim: int
-    r: int
-    s: int
-    components: tuple
-    rules: tuple = ()
-
-
-@dataclass(frozen=True)
-class Pulling:
-    """One level of pulling back along f. At x, f's Jacobian and value are
-    finite, the Jacobian is nonsingular at tol (no such rule when tol is
-    None: a covariant pullback), and f(x) passes the rules of the field
-    pulled back, inner, starting with its box."""
-
-    f: SmoothMap
-    tol: float | None
-    inner: TensorFieldLocal
-
-
-def make_tensor_field(box, fiber_dim: int, r: int, s: int, components) -> TensorFieldLocal:
-    b = box if isinstance(box, Box) else make_box(box)
-    if fiber_dim < 1:
-        raise ShapeMismatch(f"fiber dimension must be positive, got {fiber_dim}")
-    if r < 0 or s < 0:
-        raise ShapeMismatch(f"valence must be non-negative, got ({r}, {s})")
-    exprs = tuple(_as_expr(c) for c in components)
-    want = fiber_dim ** (r + s)
-    if len(exprs) != want:
-        raise ShapeMismatch(f"need {want} components for d={fiber_dim}, (r,s)=({r},{s}); got {len(exprs)}")
-    for k, e in enumerate(exprs):
-        used = max_var_index(e)
-        if used > b.dim:
-            raise ShapeMismatch(f"component {k} references x{used} but the base has {b.dim} variables")
-    return TensorFieldLocal(b, fiber_dim, r, s, exprs)
-
-
-def tf_eval(A: TensorFieldLocal, x) -> Tensor:
-    """Evaluate the field into a Tensor at a point of its box."""
-    coeffs = at_point(x, A.box.dim, "base dim", lambda t, X, rows: t.field(A, X, rows))
-    return make_tensor(VectorSpace(A.fiber_dim, FieldTag.REAL), A.r, A.s, coeffs)
-
-
-def real_scalar(c, op: str) -> float:
-    """c as a float, when it is a real number (a complex one with zero
-    imaginary part included): expressions are real-valued."""
-    z = complex(c)
-    if z.imag != 0:
-        raise ShapeMismatch(f"{op}: scalar {c} is not real; expressions are real-valued")
-    return z.real
-
-
-def _check_field_pair(A: TensorFieldLocal, B: TensorFieldLocal, op: str, same_valence: bool) -> None:
-    if A.box != B.box:
-        raise ShapeMismatch(f"{op}: fields live on different boxes")
-    if A.fiber_dim != B.fiber_dim:
-        raise ShapeMismatch(f"{op}: fiber dimensions differ ({A.fiber_dim} vs {B.fiber_dim})")
-    if same_valence and (A.r, A.s) != (B.r, B.s):
-        raise ShapeMismatch(f"{op}: valences differ (({A.r},{A.s}) vs ({B.r},{B.s}))")
-
-
-def _operand_rules(*operands) -> tuple:
-    """The rules of a field built from operands: each operand whole, in
-    order, once any of them has rules of its own."""
-    return operands if any(A.rules for A in operands) else ()
-
-
-def tf_add(A: TensorFieldLocal, B: TensorFieldLocal) -> TensorFieldLocal:
-    _check_field_pair(A, B, "tf_add", same_valence=True)
-    comps = tuple(fold_add(a, b) for a, b in zip(A.components, B.components))
-    return TensorFieldLocal(A.box, A.fiber_dim, A.r, A.s, comps, _operand_rules(A, B))
-
-
-def tf_smul(c, A: TensorFieldLocal) -> TensorFieldLocal:
-    lit = num_literal(real_scalar(c, "tf_smul"))
-    comps = tuple(fold_mul(lit, a) for a in A.components)
-    return TensorFieldLocal(A.box, A.fiber_dim, A.r, A.s, comps, _operand_rules(A))
-
-
-def product_component_exprs(a_comps, b_comps, d: int, r: int, s: int, p: int, q: int):
-    """Components of the tensor product of an (r,s)- and a (p,q)-valued field.
-
-    Both inputs are radix-ordered tuples of expressions over a fiber of
-    dimension d; the first factor takes the leading vector and covector
-    slots of the result.
-    """
-    comps = []
-    for j in range(1, d ** (r + p + s + q) + 1):
-        digits = index_to_digits(j, d, r + p, s + q)
-        vec, cov = digits[: r + p], digits[r + p :]
-        a_digits = vec[:r] + cov[:s]
-        b_digits = vec[r:] + cov[s:]
-        ja = digits_to_index(a_digits, d) - 1
-        jb = digits_to_index(b_digits, d) - 1
-        comps.append(fold_mul(a_comps[ja], b_comps[jb]))
-    return tuple(comps)
-
-
-def tf_product(A: TensorFieldLocal, B: TensorFieldLocal) -> TensorFieldLocal:
-    """Pointwise tensor product; A takes the leading slots."""
-    _check_field_pair(A, B, "tf_product", same_valence=False)
-    comps = product_component_exprs(A.components, B.components, A.fiber_dim, A.r, A.s, B.r, B.s)
-    return TensorFieldLocal(A.box, A.fiber_dim, A.r + B.r, A.s + B.s, comps, _operand_rules(A, B))
-
-
-def _pulled(f: SmoothMap, A: TensorFieldLocal, tol: float | None) -> TensorFieldLocal:
-    """A pulled back along f: coefficients K(J_f(x))·A(f(x)), with K from
-    symmat.mat_pullback, and f's point rules ahead of A's."""
-    for what, dim in (("fiber", A.fiber_dim), ("box", A.box.dim)):
-        if dim != f.out_dim:
-            raise ShapeMismatch(
-                f"field {what} dim {dim} does not match the map's codomain dim {f.out_dim}")
-    J = tuple(tuple(diff(c, j + 1) for j in range(f.in_dim)) for c in f.components)
-    try:
-        K = mat_pullback(J, A.r, A.s)
-    except EvalError as exc:  # s > 0 and det J folds to 0: no x has an inverse
-        raise NotADiffeomorphism(f"Jacobian determinant is identically zero ({exc})") from exc
-    comps = mat_vec(K, tuple(subst(a, f.components) for a in A.components))
-    return TensorFieldLocal(f.box, f.in_dim, A.r, A.s, comps, (Pulling(f, tol, A),))
-
-
-def tf_pullback_diffeo(f: SmoothMap, A: TensorFieldLocal, r: int, s: int,
-                       tol: float = DEFAULT_TOL) -> TensorFieldLocal:
-    """Pull an (r,s)-field back along a diffeomorphism witness.
-
-    At x the result is rs_pullback(J_f(x), r, s, A(f(x))); a point where
-    J_f is singular at tol raises NotADiffeomorphism.
-    """
-    if (A.r, A.s) != (r, s):
-        raise ShapeMismatch(f"field has valence ({A.r},{A.s}), asked for ({r},{s})")
-    if f.in_dim != f.out_dim:
-        raise ShapeMismatch("a diffeomorphism needs equal domain and codomain dimensions")
-    return _pulled(f, A, tol)
-
-
-def tf_pullback_cov(f: SmoothMap, A: TensorFieldLocal, r: int) -> TensorFieldLocal:
-    """Pull a purely covariant field back along any smooth map."""
-    if A.s != 0:
-        raise ShapeMismatch("tf_pullback_cov needs a purely covariant field")
-    if A.r != r:
-        raise ShapeMismatch(f"field has rank {A.r}, asked for {r}")
-    return _pulled(f, A, None)

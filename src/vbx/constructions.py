@@ -6,6 +6,12 @@ the output serializes and re-checks like a hand-written spec. A derivation
 note (construction name and parameters) rides along for provenance when
 saved to disk.
 
+Fields are pulled back through bundle morphisms by one routine, _pulled:
+on each source chart, symmat.mat_pullback of the fiber map times the field
+with the base map substituted. Pulling back along a smooth map f is the
+pullback through the morphism from the trivial bundle over f's box whose
+base map is f and whose fiber map is the Jacobian J_f (expr.diff of f).
+
 Transition matrices follow the Transition Convention of the bundle core
 throughout; flattened fibers (tensor and Hom bundles) use the same radix
 layout as the tensor algebra, row-major over the leading index first.
@@ -24,8 +30,10 @@ from .bundles import (
     DEFAULT_CHECK_TOL,
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
+    LOCAL_CHART,
     BaseAtlasSpec,
     FrameFieldSpec,
+    Pulling,
     TensorFieldSpec,
     VectorBundleSpec,
     _check_field_pair,
@@ -34,26 +42,28 @@ from .bundles import (
     _live_only,
     _max_abs,
     _nonsingular_frame,
+    _operand_rules,
     _sampled,
     check_section,
     field_eval,
     find_edge,
+    local_bundle,
     make_atlas,
     make_bundle,
-    make_section,
 )
-from .calculus import at_points, make_smooth_map, product_component_exprs, shaped
+from .calculus import SmoothMap, at_points, make_smooth_map, shaped
 from .errors import (
     BaseMismatch,
     ChartAssignmentError,
     DomainViolation,
     EvalError,
+    NotADiffeomorphism,
     NotAnIsomorphism,
     ShapeMismatch,
     SpecError,
     UnsupportedField,
 )
-from .expr import Var, _as_expr, diff, max_var_index, subst
+from .expr import Var, _as_expr, diff, fold_mul, max_var_index, subst
 from .geometry import (
     Box,
     box_covered,
@@ -71,7 +81,7 @@ from .intervals import interval_eval
 from .linalg import DEFAULT_TOL, FieldTag, make_linear, scaled_abs_dets
 from .pullbacks import rs_pullback
 from .report import MIN_DET, RESIDUAL, make_report, vacuous_record
-from .tensors import make_tensor
+from .tensors import digits_to_index, index_to_digits, make_tensor
 from . import symmat
 
 
@@ -465,19 +475,29 @@ def tangent_bundle(base: BaseAtlasSpec, samples: int = 25,
 def check_tensor_field(A: TensorFieldSpec, samples: int = DEFAULT_SAMPLES,
                        tol: float = DEFAULT_CHECK_TOL, seed: int = DEFAULT_SEED):
     """Compatibility of an (r,s)-field is section compatibility in the
-    bundle of (r,s)-tensors, so delegate to that check wholesale."""
+    bundle of (r,s)-tensors, so delegate to that check wholesale, with the
+    field's rules."""
     TB = tensor_bundle(A.bundle, A.r, A.s)
-    return check_section(make_section(TB, A.per_chart), samples, tol, seed)
+    return check_section(TensorFieldSpec(TB, 0, 1, A.per_chart, A.rules), samples, tol, seed)
 
 
 def field_product(A: TensorFieldSpec, B: TensorFieldSpec) -> TensorFieldSpec:
-    """Pointwise tensor product per chart; A takes the leading slots."""
+    """Pointwise tensor product per chart; A takes the leading slots.
+
+    Coefficients are radix-ordered over a fiber of dimension d: result
+    coefficient (vec, cov) is A's at (vec[:A.r], cov[:A.s]) times B's at
+    the rest."""
     _check_field_pair(A, B, "field_product", same_valence=False)
-    d = A.bundle.fiber_dim
-    out = {name: product_component_exprs(A.per_chart[name], B.per_chart[name],
-                                         d, A.r, A.s, B.r, B.s)
+    d, r, s, p, q = A.bundle.fiber_dim, A.r, A.s, B.r, B.s
+    pairs = []
+    for j in range(1, d ** (r + p + s + q) + 1):
+        digits = index_to_digits(j, d, r + p, s + q)
+        vec, cov = digits[: r + p], digits[r + p :]
+        pairs.append((digits_to_index(vec[:r] + cov[:s], d) - 1,
+                      digits_to_index(vec[r:] + cov[s:], d) - 1))
+    out = {name: tuple(fold_mul(A.per_chart[name][ja], B.per_chart[name][jb]) for ja, jb in pairs)
            for name in sorted(A.per_chart)}
-    return TensorFieldSpec(A.bundle, A.r + B.r, A.s + B.s, out)
+    return TensorFieldSpec(A.bundle, r + p, s + q, out, _operand_rules(A, B))
 
 
 def local_expression(A: TensorFieldSpec, F: FrameFieldSpec, points,
@@ -605,11 +625,14 @@ def compose_morphism(M2: BundleMorphismSpec, M1: BundleMorphismSpec) -> BundleMo
 @sampling_scope()
 def check_morphism(M: BundleMorphismSpec, samples: int = DEFAULT_SAMPLES,
                    tol: float = DEFAULT_CHECK_TOL, seed: int = DEFAULT_SEED):
-    """Chart compatibility of a morphism at sampled overlap points.
+    """Chart compatibility of a morphism at sampled points.
 
     Two records per source overlap component: the intertwining identity
     fiberMap_i(x) G1_ij(x) = G2(f_i(x)) fiberMap_j(tau_ij(x)), and
     coherence of the base map representations f_j(tau_ij(x)) = tau2(f_i(x)).
+    Each source chart's box is sampled for the rule that f_i's image lies
+    inside the assigned chart (induced_bundle's rule); a rule, not an
+    identity, so only a chart that breaks it adds a record, a failed one.
     """
     src, tgt = M.source, M.target
     smooth = {c.name: make_smooth_map(M.base_map[c.name], c.box)
@@ -629,8 +652,7 @@ def check_morphism(M: BundleMorphismSpec, samples: int = DEFAULT_SAMPLES,
             phi_j = t.matrix(M.fiber_map[j], Y, rows, dtype)
             fi_x = t.map(smooth[i], X, rows)
             fj_y = t.map(smooth[j], Y, rows)
-            t.in_box(tgt.base.chart(ci).box, fi_x, rows,
-                     lambda k: f"base image {fi_x[k].tolist()} escapes target chart '{ci}'")
+            t.in_box(tgt.base.chart(ci).box, fi_x, rows, f"chart '{ci}'")
             if ci == cj:
                 g2 = np.broadcast_to(np.eye(tgt.fiber_dim, dtype=tgt.field.dtype),
                                      (len(X), tgt.fiber_dim, tgt.fiber_dim))
@@ -650,28 +672,42 @@ def check_morphism(M: BundleMorphismSpec, samples: int = DEFAULT_SAMPLES,
                             sample_region(e.overlap.region, samples, seed), seed, evaluate)
     if not records:
         records.append(vacuous_record("morphism_intertwine", "no overlaps", seed, tol))
+    for c in src.base.charts:
+        target = M.assignment[c.name]
+
+        def evaluate(t, c=c, target=target):
+            Y = t.map(smooth[c.name], t.pts, t.rows)
+            t.in_box(tgt.base.chart(target).box, Y, t.rows, f"chart '{target}'")
+            return (np.zeros(len(Y)),)
+
+        (rec,) = _sampled(progs, [("base_map_image", RESIDUAL, tol)], c.name,
+                          sample_box(c.box, samples, seed), seed, evaluate)
+        if not rec.passed:
+            records.append(rec)
     return make_report("morphism", records)
 
 
 # ---------------------------------------------------------------------------
-# Pullback of tensor fields along morphisms.
+# Pullbacks of tensor fields through morphisms, and along smooth maps.
 
 
-def _pulled_field(M: BundleMorphismSpec, A: TensorFieldSpec) -> TensorFieldSpec:
+def _pulled(M: BundleMorphismSpec, A: TensorFieldSpec, tol: float | None,
+            error: type, noun: str) -> TensorFieldSpec:
     """A's components pulled back through M on each source chart:
-    mat_pullback of the fiber map times A at the mapped base point."""
+    mat_pullback of the fiber map times A at the mapped base point. M's
+    point rules ride along as a Pulling (see bundles.Pulling)."""
     out = {}
     for c in M.source.base.charts:
         name, chart = c.name, M.assignment[c.name]
         try:
             K = symmat.mat_pullback(M.fiber_map[name], A.r, A.s)
-        except EvalError as exc:
-            raise NotAnIsomorphism(f"fiber map on '{name}' is not invertible: {exc}") from exc
+        except EvalError as exc:  # s > 0 and det folds to 0: no point has an inverse
+            raise error(f"{noun} determinant on chart '{name}' is identically zero ({exc})") from exc
         if chart not in A.per_chart:
             raise SpecError(f"field has no components on chart '{chart}'")
         env = tuple(M.base_map[name])
         out[name] = symmat.mat_vec(K, tuple(subst(e, env) for e in A.per_chart[chart]))
-    return TensorFieldSpec(M.source, A.r, A.s, out)
+    return TensorFieldSpec(M.source, A.r, A.s, out, (Pulling(M, A, tol, error, noun),))
 
 
 def vb_pullback_rs(M: BundleMorphismSpec, A: TensorFieldSpec, samples: int = 25,
@@ -682,7 +718,10 @@ def vb_pullback_rs(M: BundleMorphismSpec, A: TensorFieldSpec, samples: int = 25,
     Componentwise this is the tensor pullback of the pointwise fiber map
     applied to the field at the mapped base point, materialized
     symbolically (the fiber map's inverse enters through the adjugate).
-    The isomorphism preconditions are enforced by sampling.
+    The isomorphism preconditions are enforced by sampling; at evaluation
+    a point whose base image leaves the assigned chart raises
+    DomainViolation, and one where the fiber map is singular at tol
+    NotAnIsomorphism.
     """
     if A.bundle != M.target:
         raise ShapeMismatch("vb_pullback_rs: field does not live on the morphism's target")
@@ -719,17 +758,59 @@ def vb_pullback_rs(M: BundleMorphismSpec, A: TensorFieldSpec, samples: int = 25,
 
         at_points(sample_box(c.box, samples, seed), stage)
 
-    return _pulled_field(M, A)
+    return _pulled(M, A, tol, NotAnIsomorphism, "fiber map")
 
 
 def vb_pullback_cov(M: BundleMorphismSpec, A: TensorFieldSpec) -> TensorFieldSpec:
-    """Pull a purely covariant field back through any morphism."""
+    """Pull a purely covariant field back through any morphism; at
+    evaluation a point whose base image leaves the assigned chart raises
+    DomainViolation."""
     if A.bundle != M.target:
         raise ShapeMismatch("vb_pullback_cov: field does not live on the morphism's target")
     if A.s > 0:
         raise ShapeMismatch(
             f"vb_pullback_cov handles purely covariant fields, got valence ({A.r},{A.s})")
-    return _pulled_field(M, A)
+    return _pulled(M, A, None, NotAnIsomorphism, "fiber map")
+
+
+def _map_morphism(f: SmoothMap, A: TensorFieldSpec) -> BundleMorphismSpec:
+    """f as a morphism into A's one chart: from the trivial bundle over
+    f's box, with fiber map the Jacobian J_f."""
+    for what, dim in (("fiber", A.bundle.fiber_dim), ("box", A.bundle.base.dim)):
+        if dim != f.out_dim:
+            raise ShapeMismatch(
+                f"field {what} dim {dim} does not match the map's codomain dim {f.out_dim}")
+    if len(A.per_chart) != 1:
+        raise ShapeMismatch(f"a map pulls back a field on one chart, not {len(A.per_chart)}")
+    (chart,) = A.per_chart
+    J = tuple(tuple(diff(c, j + 1) for j in range(f.in_dim)) for c in f.components)
+    return make_morphism(local_bundle(f.box, f.in_dim), A.bundle, {LOCAL_CHART: chart},
+                         {LOCAL_CHART: f.components}, {LOCAL_CHART: J})
+
+
+def map_pullback_rs(f: SmoothMap, A: TensorFieldSpec, r: int, s: int,
+                    tol: float = DEFAULT_TOL) -> TensorFieldSpec:
+    """Pull an (r,s)-field on one chart back along a diffeomorphism
+    witness f, to a field on local_bundle(f.box, f.in_dim).
+
+    At x the result is rs_pullback(J_f(x), r, s, A(f(x))); a point where
+    J_f is singular at tol raises NotADiffeomorphism.
+    """
+    if (A.r, A.s) != (r, s):
+        raise ShapeMismatch(f"field has valence ({A.r},{A.s}), asked for ({r},{s})")
+    if f.in_dim != f.out_dim:
+        raise ShapeMismatch("a diffeomorphism needs equal domain and codomain dimensions")
+    return _pulled(_map_morphism(f, A), A, tol, NotADiffeomorphism, "Jacobian")
+
+
+def map_pullback_cov(f: SmoothMap, A: TensorFieldSpec, r: int) -> TensorFieldSpec:
+    """Pull a purely covariant field on one chart back along any smooth
+    map, to a field on local_bundle(f.box, f.in_dim)."""
+    if A.s != 0:
+        raise ShapeMismatch("map_pullback_cov needs a purely covariant field")
+    if A.r != r:
+        raise ShapeMismatch(f"field has rank {A.r}, asked for {r}")
+    return _pulled(_map_morphism(f, A), A, None, NotADiffeomorphism, "Jacobian")
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ import numpy as np
 
 from vbx.calculus import eval_map as vbx_eval_map
 from vbx.calculus import jacobian as vbx_jacobian
-from vbx.calculus import tf_eval as vbx_tf_eval
+from vbx.bundles import LOCAL_CHART
+from vbx.bundles import field_eval as vbx_field_eval
 from vbx.errors import (CocycleViolation, DomainViolation, EvalError, NotADiffeomorphism,
                         ShapeMismatch)
 from vbx.expr import _CONSTS, Add, Call, Const, Div, Expr, Mul, Neg, Num, Pow, Sub, Var, _fold
@@ -212,20 +213,6 @@ def eval_matrix(g, x, dtype=float) -> np.ndarray:
     return np.array([[eval_expr(e, env) for e in row] for row in g], dtype=dtype)
 
 
-def tf_eval(A, x) -> np.ndarray:
-    """Coefficients of a symbolic TensorFieldLocal at x."""
-    pt = np.asarray(x, dtype=float)
-    if pt.shape != (A.box.dim,):
-        raise ShapeMismatch(f"point shape {pt.shape} does not match base dim {A.box.dim}")
-    if not A.box.contains(pt):
-        raise DomainViolation(f"point {pt.tolist()} outside the field's box")
-    env = list(pt)
-    coeffs = np.array([eval_expr(c, env) for c in A.components], dtype=float)
-    if not np.all(np.isfinite(coeffs)):
-        raise EvalError(f"field value not finite at {pt.tolist()}")
-    return coeffs
-
-
 def _in_chart(B, chart, x) -> np.ndarray:
     pt = np.asarray(x, dtype=float)
     if not B.base.chart(chart).box.contains(pt):
@@ -279,7 +266,8 @@ def transition_matrix(B, i, j, x, tol=DEFAULT_TOL) -> np.ndarray:
 # Derived local fields as closures, the form vbx built them in before they
 # were expressions: a pulled-back field, or a sum, multiple or product with
 # one, evaluated its pointwise definition one point at a time. Plain
-# TensorFieldLocals among the operands evaluate through vbx's tf_eval.
+# Fields on a box (on vbx.bundles.local_bundle) among the operands evaluate
+# through vbx's field_eval on their one chart.
 
 
 class ClosureField:
@@ -288,16 +276,24 @@ class ClosureField:
         self.evaluator = evaluator
 
 
-def closure_tf_eval(A, x) -> Tensor:
-    """tf_eval of a ClosureField or a TensorFieldLocal, as vbx ran it on
+def _box(A):
+    return A.box if isinstance(A, ClosureField) else A.bundle.base.chart(LOCAL_CHART).box
+
+
+def _fiber_dim(A) -> int:
+    return A.fiber_dim if isinstance(A, ClosureField) else A.bundle.fiber_dim
+
+
+def closure_eval(A, x) -> Tensor:
+    """The value of a ClosureField or a field on a box, as vbx evaluated
     both: shape and box rules, the coefficients, then their finiteness."""
     if not isinstance(A, ClosureField):
-        return vbx_tf_eval(A, x)
+        return vbx_field_eval(A, LOCAL_CHART, x)
     pt = np.asarray(x, dtype=float)
     if pt.shape != (A.box.dim,):
         raise ShapeMismatch(f"point shape {pt.shape} does not match base dim {A.box.dim}")
     if not A.box.contains(pt):
-        raise DomainViolation(f"point {pt.tolist()} outside the field's box")
+        raise DomainViolation(f"point {pt.tolist()} outside chart '{LOCAL_CHART}'")
     coeffs = np.asarray(A.evaluator(pt), dtype=float)
     if not np.all(np.isfinite(coeffs)):
         raise EvalError(f"field value not finite at {pt.tolist()}")
@@ -305,18 +301,19 @@ def closure_tf_eval(A, x) -> Tensor:
 
 
 def closure_add(A, B) -> ClosureField:
-    return ClosureField(A.box, A.fiber_dim, A.r, A.s,
-                        lambda x: closure_tf_eval(A, x).coeffs + closure_tf_eval(B, x).coeffs)
+    return ClosureField(_box(A), _fiber_dim(A), A.r, A.s,
+                        lambda x: closure_eval(A, x).coeffs + closure_eval(B, x).coeffs)
 
 
 def closure_smul(c: float, A) -> ClosureField:
-    return ClosureField(A.box, A.fiber_dim, A.r, A.s, lambda x: c * closure_tf_eval(A, x).coeffs)
+    return ClosureField(_box(A), _fiber_dim(A), A.r, A.s,
+                        lambda x: c * closure_eval(A, x).coeffs)
 
 
 def closure_product(A, B) -> ClosureField:
     return ClosureField(
-        A.box, A.fiber_dim, A.r + B.r, A.s + B.s,
-        lambda x: tensor_product(closure_tf_eval(A, x), closure_tf_eval(B, x)).coeffs)
+        _box(A), _fiber_dim(A), A.r + B.r, A.s + B.s,
+        lambda x: tensor_product(closure_eval(A, x), closure_eval(B, x)).coeffs)
 
 
 def closure_pullback_diffeo(f, A, r: int, s: int, tol: float = DEFAULT_TOL) -> ClosureField:
@@ -324,7 +321,7 @@ def closure_pullback_diffeo(f, A, r: int, s: int, tol: float = DEFAULT_TOL) -> C
         J = vbx_jacobian(f, x)
         if not is_gl(J, tol):
             raise NotADiffeomorphism(f"Jacobian singular at {np.asarray(x).tolist()}")
-        target = closure_tf_eval(A, vbx_eval_map(f, x))
+        target = closure_eval(A, vbx_eval_map(f, x))
         return rs_pullback(J, r, s, target, tol).coeffs
 
     return ClosureField(f.box, f.in_dim, r, s, _eval)
@@ -333,7 +330,7 @@ def closure_pullback_diffeo(f, A, r: int, s: int, tol: float = DEFAULT_TOL) -> C
 def closure_pullback_cov(f, A, r: int) -> ClosureField:
     def _eval(x):
         J = vbx_jacobian(f, x)
-        target = closure_tf_eval(A, vbx_eval_map(f, x))
+        target = closure_eval(A, vbx_eval_map(f, x))
         return cov_pullback(J, r, target).coeffs
 
     return ClosureField(f.box, f.in_dim, r, 0, _eval)

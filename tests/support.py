@@ -7,12 +7,17 @@ the shipped gallery files except where a test is specifically about them.
 import json
 import math
 
-from vbx.bundles import make_atlas, make_bundle
+from vbx.bundles import LOCAL_CHART, local_bundle, make_atlas, make_bundle, make_field
 from vbx.linalg import FieldTag
 from vbx.specio import gallery_path, list_gallery
 
 PI = math.pi
 TWO_PI = 2 * math.pi
+
+
+def local_field(box, d, r, s, comps):
+    """An (r,s)-field on one box: a field on the trivial bundle over it."""
+    return make_field(local_bundle(box, d), r, s, {LOCAL_CHART: comps})
 
 
 def circle_atlas():

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from vbx.bundles import (
+    LOCAL_CHART,
     check_section,
     check_vb,
     dual_frame,
@@ -25,9 +26,6 @@ from vbx.calculus import (
     eval_map,
     jacobian,
     leibniz_defect,
-    make_tensor_field,
-    tf_eval,
-    tf_pullback_diffeo,
 )
 from vbx.cli import main
 from vbx.constructions import (
@@ -38,6 +36,7 @@ from vbx.constructions import (
     hom_bundle,
     induced_bundle,
     local_expression,
+    map_pullback_rs,
     tangent_bundle,
     tensor_bundle,
     whitney_sum,
@@ -264,18 +263,19 @@ def test_c05_field_pullback_functoriality():
         loop = compose_maps(back, f)
         # Composition law: pulling back around the loop in one step agrees
         # with chaining the two pullbacks.
-        A = make_tensor_field(f.box, 1, 1, 1, ["sin(x1) + 2"])
-        one = tf_pullback_diffeo(loop, A, 1, 1)
-        two = tf_pullback_diffeo(f, tf_pullback_diffeo(back, A, 1, 1), 1, 1)
+        A = support.local_field(f.box, 1, 1, 1, ["sin(x1) + 2"])
+        one = map_pullback_rs(loop, A, 1, 1)
+        two = map_pullback_rs(f, map_pullback_rs(back, A, 1, 1), 1, 1)
         for x in sample_box(o.region[0], 50, seed=SEED):
             worst = max(worst, float(np.max(np.abs(
-                tf_eval(one, x).coeffs - tf_eval(two, x).coeffs))))
+                field_eval(one, LOCAL_CHART, x).coeffs - field_eval(two, LOCAL_CHART, x).coeffs))))
         # Inverse law: pull forward then back and land on the original field.
-        B = make_tensor_field(back.box, 1, 1, 1, ["cos(x1) + 2"])
-        there_and_back = tf_pullback_diffeo(back, tf_pullback_diffeo(f, B, 1, 1), 1, 1)
+        B = support.local_field(back.box, 1, 1, 1, ["cos(x1) + 2"])
+        there_and_back = map_pullback_rs(back, map_pullback_rs(f, B, 1, 1), 1, 1)
         for x in sample_box(rev.region[0], 50, seed=SEED):
             worst = max(worst, float(np.max(np.abs(
-                tf_eval(there_and_back, x).coeffs - tf_eval(B, x).coeffs))))
+                field_eval(there_and_back, LOCAL_CHART, x).coeffs
+                - field_eval(B, LOCAL_CHART, x).coeffs))))
     _report(5, "field pullback functoriality", worst <= tol,
             f"8 diffeos, worst {worst:.3e}, tol {tol:.0e}")
 

@@ -1,11 +1,13 @@
-"""Smooth maps, exact derivatives, and local tensor fields."""
+"""Smooth maps, exact derivatives, and fields on a box pulled back along them."""
 
 import math
 
 import numpy as np
 import pytest
 import scalar_oracle as oracle
+from support import local_field, mobius_bundle
 
+from vbx.bundles import LOCAL_CHART, field_add, field_eval, field_smul, local_bundle, make_field
 from vbx.calculus import (
     chain_defect,
     compose_maps,
@@ -15,16 +17,10 @@ from vbx.calculus import (
     jacobian,
     leibniz_defect,
     make_smooth_map,
-    make_tensor_field,
     product_partials,
-    tf_add,
-    tf_eval,
-    tf_product,
-    tf_pullback_cov,
-    tf_pullback_diffeo,
-    tf_smul,
 )
-from vbx.errors import DomainViolation, NotADiffeomorphism, ShapeMismatch, VbxError
+from vbx.constructions import field_product, map_pullback_cov, map_pullback_rs
+from vbx.errors import DomainViolation, NotADiffeomorphism, ShapeMismatch, SpecError, VbxError
 from vbx.geometry import make_box, sample_box
 from vbx.specio import gallery_path, list_gallery, load_spec
 from vbx.tensors import tensor_eval
@@ -128,29 +124,30 @@ def test_product_partials_match_full_jacobian():
 
 def test_tensor_field_eval_and_arithmetic():
     box = make_box([(-1, 1), (-1, 1)])
-    A = make_tensor_field(box, 2, 1, 0, ["x1", "x2"])
-    B = make_tensor_field(box, 2, 1, 0, ["1", "x2^2"])
+    A = local_field(box, 2, 1, 0, ["x1", "x2"])
+    B = local_field(box, 2, 1, 0, ["1", "x2^2"])
     x = [0.25, -0.5]
-    TA = tf_eval(A, x)
+    TA = field_eval(A, LOCAL_CHART, x)
     assert TA.valence == (1, 0)
     assert np.allclose(TA.coeffs, [0.25, -0.5], atol=0)
-    S = tf_add(A, B)
-    assert np.allclose(tf_eval(S, x).coeffs, [1.25, -0.25], atol=0)
-    H = tf_smul(2.0, A)
-    assert np.allclose(tf_eval(H, x).coeffs, 2 * TA.coeffs, atol=0)
+    S = field_add(A, B)
+    assert np.allclose(field_eval(S, LOCAL_CHART, x).coeffs, [1.25, -0.25], atol=0)
+    H = field_smul(2.0, A)
+    assert np.allclose(field_eval(H, LOCAL_CHART, x).coeffs, 2 * TA.coeffs, atol=0)
     with pytest.raises(DomainViolation):
-        tf_eval(A, [2.0, 0.0])
+        field_eval(A, LOCAL_CHART, [2.0, 0.0])
 
 
 def test_tf_product_matches_pointwise_tensor_product():
     box = make_box([(-1, 1)])
-    A = make_tensor_field(box, 2, 1, 0, ["x1", "1 - x1"])
-    B = make_tensor_field(box, 2, 0, 1, ["2", "x1^2"])
-    P = tf_product(A, B)
+    A = local_field(box, 2, 1, 0, ["x1", "1 - x1"])
+    B = local_field(box, 2, 0, 1, ["2", "x1^2"])
+    P = field_product(A, B)
     assert (P.r, P.s) == (1, 1)
     for x in ([0.3], [-0.8]):
-        want = np.outer(tf_eval(A, x).coeffs, tf_eval(B, x).coeffs).reshape(-1)
-        assert np.allclose(tf_eval(P, x).coeffs, want, atol=1e-14)
+        want = np.outer(field_eval(A, LOCAL_CHART, x).coeffs,
+                        field_eval(B, LOCAL_CHART, x).coeffs).reshape(-1)
+        assert np.allclose(field_eval(P, LOCAL_CHART, x).coeffs, want, atol=1e-14)
 
 
 def test_tf_pullback_diffeo_defining_property():
@@ -159,61 +156,65 @@ def test_tf_pullback_diffeo_defining_property():
     box = make_box([(-1, 1), (-1, 1)])
     f = make_smooth_map(["x1 + x2", "x1 - x2"], box)
     M = np.array([[1.0, 1.0], [1.0, -1.0]])
-    A = make_tensor_field(make_box([(-2.5, 2.5)] * 2), 2, 1, 1, ["x1", "0", "x2", "1"])
-    pulled = tf_pullback_diffeo(f, A, 1, 1)
+    A = local_field(make_box([(-2.5, 2.5)] * 2), 2, 1, 1, ["x1", "0", "x2", "1"])
+    pulled = map_pullback_rs(f, A, 1, 1)
     rng = np.random.default_rng(0)
     for _ in range(5):
         x = rng.uniform(-0.9, 0.9, size=2)
         v = rng.normal(size=2)
         u = rng.normal(size=2)
-        target = tf_eval(A, M @ x)
+        target = field_eval(A, LOCAL_CHART, M @ x)
         want = tensor_eval(target, [M @ v], [np.linalg.inv(M).T @ u])
-        got = tensor_eval(tf_eval(pulled, x), [v], [u])
+        got = tensor_eval(field_eval(pulled, LOCAL_CHART, x), [v], [u])
         assert got == pytest.approx(want, abs=1e-10 * max(1.0, abs(want)))
 
 
 def test_tf_pullback_diffeo_rejects_folds():
     box = make_box([(-1, 1)])
     f = make_smooth_map(["x1^2"], box)  # Jacobian vanishes at the origin
-    A = make_tensor_field(make_box([(-2, 2)]), 1, 0, 1, ["1"])
-    pulled = tf_pullback_diffeo(f, A, 0, 1)
+    A = local_field(make_box([(-2, 2)]), 1, 0, 1, ["1"])
+    pulled = map_pullback_rs(f, A, 0, 1)
     with pytest.raises(NotADiffeomorphism):
-        tf_eval(pulled, [0.0])
+        field_eval(pulled, LOCAL_CHART, [0.0])
 
 
 def test_make_tensor_field_rejects_negative_valence():
-    with pytest.raises(ShapeMismatch, match="non-negative"):
-        make_tensor_field(make_box([(0, 1)]), 2, -1, 1, ["x1"])
+    with pytest.raises(SpecError, match="non-negative"):
+        make_field(local_bundle(make_box([(0, 1)]), 2), -1, 1, {LOCAL_CHART: ["x1"]})
 
 
 def test_pullbacks_check_the_field_box_against_the_codomain_when_built():
     f = make_smooth_map(["2*x1"], make_box([(-1, 1)]))
-    A = make_tensor_field(BOX2, 1, 1, 0, ["x1"])
+    A = local_field(BOX2, 1, 1, 0, ["x1"])
     with pytest.raises(ShapeMismatch, match="box dim 2 does not match the map's codomain dim 1"):
-        tf_pullback_diffeo(f, A, 1, 0)
+        map_pullback_rs(f, A, 1, 0)
     with pytest.raises(ShapeMismatch, match="box dim 2 does not match the map's codomain dim 1"):
-        tf_pullback_cov(f, A, 1)
+        map_pullback_cov(f, A, 1)
+    on_two_charts = make_field(mobius_bundle(), 1, 0, {"east": ["1"], "west": ["1"]})
+    with pytest.raises(ShapeMismatch, match="a field on one chart, not 2"):
+        map_pullback_cov(f, on_two_charts, 1)
 
 
 def test_a_jacobian_whose_determinant_folds_to_zero():
     f = make_smooth_map(["x1 + x2", "x1 + x2"], make_box([(-1, 1), (-1, 1)]))
     with pytest.raises(NotADiffeomorphism, match="identically zero"):
-        tf_pullback_diffeo(f, make_tensor_field(BOX2, 2, 1, 1, ["1", "0", "0", "1"]), 1, 1)
+        map_pullback_rs(f, local_field(BOX2, 2, 1, 1, ["1", "0", "0", "1"]), 1, 1)
     # With no covector slot no inverse is built, and each point breaks the rule.
-    pulled = tf_pullback_diffeo(f, make_tensor_field(BOX2, 2, 1, 0, ["1", "x2"]), 1, 0)
+    pulled = map_pullback_rs(f, local_field(BOX2, 2, 1, 0, ["1", "x2"]), 1, 0)
     with pytest.raises(NotADiffeomorphism, match=r"singular at \[0.5, 0.25\]"):
-        tf_eval(pulled, [0.5, 0.25])
+        field_eval(pulled, LOCAL_CHART, [0.5, 0.25])
 
 
 def test_tf_pullback_cov_works_across_dimensions():
     f = make_smooth_map(["x1", "x1^2"], make_box([(-1, 1)]))
-    A = make_tensor_field(make_box([(-2, 2), (-2, 2)]), 2, 1, 0, ["x2", "1"])
-    pulled = tf_pullback_cov(f, A, 1)
-    assert pulled.fiber_dim == 1
+    A = local_field(make_box([(-2, 2), (-2, 2)]), 2, 1, 0, ["x2", "1"])
+    pulled = map_pullback_cov(f, A, 1)
+    assert pulled.bundle.fiber_dim == 1
     for x in ([0.5], [-0.3]):
         J = jacobian(f, x).matrix
-        want = tensor_eval(tf_eval(A, eval_map(f, x)), [J @ np.array([1.0])], [])
-        got = tensor_eval(tf_eval(pulled, x), [np.array([1.0])], [])
+        want = tensor_eval(field_eval(A, LOCAL_CHART, eval_map(f, x)),
+                           [J @ np.array([1.0])], [])
+        got = tensor_eval(field_eval(pulled, LOCAL_CHART, x), [np.array([1.0])], [])
         assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -236,7 +237,7 @@ def _sample_field(box, r, s, shift=0):
     d = box.dim
     comps = [f"{(k + shift) % 3 + 2} + sin({k + 1}*x1 - x{d})" for k in range(d ** (r + s))]
     comps[0] = f"sqrt(x1 + {0.75 * max(abs(box.lo[0]), 1.0)})"
-    return make_tensor_field(box, d, r, s, comps)
+    return local_field(box, d, r, s, comps)
 
 
 def _probe_points(box, extra=()):
@@ -259,8 +260,8 @@ def _agree(new, old, points) -> list:
     point; return the relative coefficient difference at each other one."""
     diffs = []
     for x in points:
-        got = _outcome(lambda: tf_eval(new, x).coeffs)
-        want = _outcome(lambda: oracle.closure_tf_eval(old, x).coeffs)
+        got = _outcome(lambda: field_eval(new, LOCAL_CHART, x).coeffs)
+        want = _outcome(lambda: oracle.closure_eval(old, x).coeffs)
         if isinstance(got, tuple) or isinstance(want, tuple):
             assert isinstance(got, tuple) and isinstance(want, tuple), (x, got, want)
             assert got[0] is want[0], (x, got, want)
@@ -296,7 +297,7 @@ def test_pulled_fields_match_the_closure_oracle_on_gallery_and_plane_maps():
         points = _probe_points(f.box, extra=[np.zeros(f.in_dim)])
         for r, s in VALENCES:
             A = _sample_field(target, r, s)
-            diffs += _agree(tf_pullback_diffeo(f, A, r, s),
+            diffs += _agree(map_pullback_rs(f, A, r, s),
                             oracle.closure_pullback_diffeo(f, A, r, s), points)
     assert len(diffs) > 1000 and max(diffs) <= PULLED_REL_TOL
 
@@ -309,7 +310,7 @@ def test_nested_pullbacks_match_the_closure_oracle():
             for rev in atlas.overlaps_between(o.to, o.frm):
                 f, back = o.tau, rev.tau
                 A = _sample_field(f.box, 1, 1)
-                new = tf_pullback_diffeo(f, tf_pullback_diffeo(back, A, 1, 1), 1, 1)
+                new = map_pullback_rs(f, map_pullback_rs(back, A, 1, 1), 1, 1)
                 old = oracle.closure_pullback_diffeo(
                     f, oracle.closure_pullback_diffeo(back, A, 1, 1), 1, 1)
                 diffs += _agree(new, old, _probe_points(f.box, extra=[[0.0]]))
@@ -324,15 +325,15 @@ def test_sums_multiples_and_products_of_pulled_fields_match_the_closure_oracle()
     target = make_box([(-0.8, 0.8), (-0.8, 0.8)])
     A, B = _sample_field(target, 1, 0), _sample_field(target, 1, 0, shift=1)
     S, T = _sample_field(f.box, 0, 1), _sample_field(f.box, 1, 0, shift=2)
-    pa, pb = tf_pullback_diffeo(f, A, 1, 0), tf_pullback_diffeo(f, B, 1, 0)
+    pa, pb = map_pullback_rs(f, A, 1, 0), map_pullback_rs(f, B, 1, 0)
     qa, qb = oracle.closure_pullback_diffeo(f, A, 1, 0), oracle.closure_pullback_diffeo(f, B, 1, 0)
     pairs = [
-        (tf_add(pa, pb), oracle.closure_add(qa, qb)),
-        (tf_add(T, pa), oracle.closure_add(T, qa)),
-        (tf_smul(-2.5, pa), oracle.closure_smul(-2.5, qa)),
-        (tf_smul(0.0, pa), oracle.closure_smul(0.0, qa)),
-        (tf_product(pa, S), oracle.closure_product(qa, S)),
-        (tf_product(S, tf_add(pa, pb)), oracle.closure_product(S, oracle.closure_add(qa, qb))),
+        (field_add(pa, pb), oracle.closure_add(qa, qb)),
+        (field_add(T, pa), oracle.closure_add(T, qa)),
+        (field_smul(-2.5, pa), oracle.closure_smul(-2.5, qa)),
+        (field_smul(0.0, pa), oracle.closure_smul(0.0, qa)),
+        (field_product(pa, S), oracle.closure_product(qa, S)),
+        (field_product(S, field_add(pa, pb)), oracle.closure_product(S, oracle.closure_add(qa, qb))),
     ]
     diffs = []
     for new, old in pairs:
@@ -354,8 +355,8 @@ def test_covariant_pullbacks_across_dimensions_match_the_closure_oracle():
             # Every coefficient but the first fails where the last coordinate
             # is below 0.25, so a slot K drops still fails its points.
             d = len(target)
-            A = make_tensor_field(target, d, r, 0, ["x1 + 3"] + [f"log(x{d} - 0.25)"] * (d ** r - 1))
-            diffs += _agree(tf_pullback_cov(f, A, r), oracle.closure_pullback_cov(f, A, r),
+            A = local_field(target, d, r, 0, ["x1 + 3"] + [f"log(x{d} - 0.25)"] * (d ** r - 1))
+            diffs += _agree(map_pullback_cov(f, A, r), oracle.closure_pullback_cov(f, A, r),
                             _probe_points(f.box, extra=[np.zeros(f.in_dim)]))
     assert len(diffs) > 100 and max(diffs) <= PULLED_REL_TOL
 
@@ -370,6 +371,6 @@ def test_failing_maps_fail_like_the_closure_oracle(tau, box):
     f = make_smooth_map([tau], make_box([box]))
     for r, s in VALENCES:
         A = _sample_field(make_box([(-2, 2)]), r, s)
-        diffs = _agree(tf_pullback_diffeo(f, A, r, s), oracle.closure_pullback_diffeo(f, A, r, s),
+        diffs = _agree(map_pullback_rs(f, A, r, s), oracle.closure_pullback_diffeo(f, A, r, s),
                        _probe_points(f.box, extra=[[0.0]]))
         assert max(diffs, default=0.0) <= PULLED_REL_TOL

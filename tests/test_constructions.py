@@ -24,6 +24,7 @@ from support import (
 )
 
 from vbx.bundles import (
+    LOCAL_CHART,
     check_section,
     check_vb,
     field_add,
@@ -50,6 +51,7 @@ from vbx.constructions import (
     induced_bundle,
     local_expression,
     make_morphism,
+    map_pullback_cov,
     subbundle_check,
     tangent_bundle,
     tensor_bundle,
@@ -67,6 +69,7 @@ from vbx.errors import (
     SpecError,
     UnsupportedField,
 )
+from vbx.calculus import make_smooth_map
 from vbx.expr import eval_expr, parse_expr
 from vbx.linalg import FieldTag, make_linear, make_space
 from vbx.pullbacks import cov_pullback, rs_pullback
@@ -730,6 +733,72 @@ def test_covariant_pullback_crosses_ranks():
                                                     "right": ["1", "0", "0", "1"]}))
     with pytest.raises(ShapeMismatch):
         vb_pullback_cov(M, make_field(line, 1, 0, {"left": ["1"], "right": ["1"]}))
+
+
+def interval_bundle(name: str, lo: float, hi: float):
+    """The trivial real line bundle over one interval chart."""
+    return make_bundle(make_atlas(1, [(name, [(lo, hi)])], []), 1, FieldTag.REAL, [])
+
+
+def test_morphism_pullbacks_check_where_their_points_land():
+    # A lives on V = (-0.5, 0.5) only; the base map x1 sends U = (-1, 1)
+    # past it, so the pulled field is undefined at 0.9, through the
+    # morphism as along the smooth map.
+    U, V = interval_bundle("U", -1, 1), interval_bundle("V", -0.5, 0.5)
+    M = make_morphism(U, V, {"U": "V"}, {"U": ["x1"]}, {"U": [["1"]]})
+    A = make_field(V, 1, 0, {"V": ["x1^2"]})
+    pulled = vb_pullback_cov(M, A)
+    assert field_eval(pulled, "U", [0.25]).coeffs[0] == 0.0625
+    with pytest.raises(DomainViolation, match=r"point \[0.9\] outside chart 'V'"):
+        field_eval(pulled, "U", [0.9])
+    along_map = map_pullback_cov(make_smooth_map(["x1"], [(-1, 1)]), A, 1)
+    with pytest.raises(DomainViolation, match=r"point \[0.9\] outside chart 'V'"):
+        field_eval(along_map, LOCAL_CHART, [0.9])
+
+
+def test_mixed_pullback_fiber_map_must_be_nonsingular_at_the_point():
+    # Singular only at x1 = 0.3, which the construction's samples miss.
+    U = interval_bundle("U", -1, 1)
+    M = make_morphism(U, U, {"U": "U"}, {"U": ["x1"]}, {"U": [["x1 - 0.3"]]},
+                      inverse={"U": ("U", ["x1"])})
+    pulled = vb_pullback_rs(M, make_field(U, 1, 1, {"U": ["2"]}))
+    assert field_eval(pulled, "U", [0.5]).coeffs[0] == pytest.approx(2.0, abs=1e-15)
+    with pytest.raises(NotAnIsomorphism, match=r"fiber map singular at \[0.3\]"):
+        field_eval(pulled, "U", [0.3])
+
+
+def test_checks_of_a_pulled_field_apply_its_point_rules():
+    # On east the base map 2*x1 leaves east past |x1| = pi/2, so the
+    # constant field pulled back is compatible only where it is defined.
+    B = circle_trivial_bundle()
+    M = make_morphism(B, B, {"east": "east", "west": "west"},
+                      {"east": ["2*x1"], "west": ["x1"]}, {"east": [["1"]], "west": [["1"]]})
+    A = make_field(B, 1, 0, {"east": ["1"], "west": ["1"]})
+    rep = check_tensor_field(vb_pullback_cov(M, A), 50, CHECK_TOL, seed=3)
+    assert not rep.passed
+    assert any("outside chart 'east'" in r.note for r in rep.records)
+    assert check_tensor_field(vb_pullback_cov(identity_morphism(B), A), 50, CHECK_TOL, seed=3).passed
+
+
+def test_check_morphism_samples_each_chart_for_the_base_image_rule():
+    U, V = interval_bundle("U", -1, 1), interval_bundle("V", -0.5, 0.5)
+    for base_map, ok in (("3*x1", False), ("x1/4", True)):
+        M = make_morphism(U, V, {"U": "V"}, {"U": [base_map]}, {"U": [["1"]]})
+        rep = check_morphism(M, 50, CHECK_TOL, seed=3)
+        assert rep.passed is ok
+        bad = [r for r in rep.records if r.check == "base_map_image"]
+        assert len(bad) == (0 if ok else 1)
+        if bad:
+            assert bad[0].subject == "U" and "outside chart 'V'" in bad[0].note
+
+
+def test_check_morphism_names_the_chart_an_overlap_image_escapes():
+    B = circle_trivial_bundle()
+    M = make_morphism(B, B, {"east": "east", "west": "west"},
+                      {"east": ["2*x1"], "west": ["x1"]}, {"east": [["1"]], "west": [["1"]]})
+    notes = [r.note for r in check_morphism(M, 50, CHECK_TOL, seed=3).records if not r.passed]
+    assert any("outside chart 'east'" in n for n in notes)
+    assert not any("<function" in n for n in notes)
 
 
 # --------------------------------------------------------------------------

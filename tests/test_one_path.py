@@ -1,6 +1,6 @@
 """One numeric path: every one-point function is one row of a batched run.
 
-eval_expr, eval_map, jacobian, tf_eval, field_eval, frame_matrix_at and
+eval_expr, eval_map, jacobian, field_eval, frame_matrix_at and
 transition_eval must return exactly the bits of row k of run_program over
 the same points, and where they fail they must raise what the scalar tree
 walk of scalar_oracle raised (type and message; for pulled-back fields,
@@ -12,10 +12,12 @@ the oracle: the first failing sample must give the same exception.
 import numpy as np
 import pytest
 import scalar_oracle as oracle
-from support import gallery_expressions, mobius_bundle, plane_rotation_bundle
+from support import gallery_expressions, local_field, mobius_bundle, plane_rotation_bundle
 
 from vbx.bundles import (
+    LOCAL_CHART,
     dual_frame,
+    field_add,
     field_eval,
     frame_matrix_at,
     make_atlas,
@@ -23,21 +25,14 @@ from vbx.bundles import (
     make_frame,
     transition_eval,
 )
-from vbx.calculus import (
-    eval_map,
-    jacobian,
-    make_smooth_map,
-    make_tensor_field,
-    tf_add,
-    tf_eval,
-    tf_product,
-    tf_pullback_cov,
-    tf_pullback_diffeo,
-)
+from vbx.calculus import eval_map, jacobian, make_smooth_map
 from vbx.constructions import (
+    field_product,
     induced_bundle,
     local_expression,
     make_morphism,
+    map_pullback_cov,
+    map_pullback_rs,
     tangent_bundle,
     vb_pullback_rs,
 )
@@ -146,12 +141,9 @@ def test_field_functions_are_rows_of_the_batch_on_gallery_fields():
                 box = B.base.chart(chart).box
                 X = box_points(box)
                 values = run_program(compile_exprs(comps), X).values.astype(B.field.dtype)
-                local = make_tensor_field(box, B.fiber_dim, A.r, A.s, comps)
                 for k, x in enumerate(X):
                     got = outcome(lambda: field_eval(A, chart, x).coeffs)
                     row_or_oracle(got, values[k], outcome(lambda: oracle.field_eval(A, chart, x)))
-                    got = outcome(lambda: tf_eval(local, x).coeffs)
-                    row_or_oracle(got, values[k], outcome(lambda: oracle.tf_eval(local, x)))
                     checked += 1
     assert checked > 500
 
@@ -205,20 +197,20 @@ def test_tf_eval_of_pulled_sums_and_products_is_a_row_of_the_batch():
     checked = 0
     for f, target in maps + [(plane, Box((-0.8, -0.8), (0.8, 0.8)))]:
         d = f.in_dim
-        A = make_tensor_field(target, d, 1, 1, [f"{k + 2} + sin(x1 - x{d})" for k in range(d * d)])
-        B = make_tensor_field(target, d, 1, 0, [f"sqrt(x{k + 1} + 0.5)" for k in range(d)])
-        S = make_tensor_field(f.box, d, 1, 0, [f"cos({k + 1}*x1)" for k in range(d)])
-        P, Q = tf_pullback_diffeo(f, A, 1, 1), tf_pullback_cov(f, B, 1)
+        A = local_field(target, d, 1, 1, [f"{k + 2} + sin(x1 - x{d})" for k in range(d * d)])
+        B = local_field(target, d, 1, 0, [f"sqrt(x{k + 1} + 0.5)" for k in range(d)])
+        S = local_field(f.box, d, 1, 0, [f"cos({k + 1}*x1)" for k in range(d)])
+        P, Q = map_pullback_rs(f, A, 1, 1), map_pullback_cov(f, B, 1)
         fields = [(P, oracle.closure_pullback_diffeo(f, A, 1, 1)),
-                  (tf_add(Q, S), oracle.closure_add(oracle.closure_pullback_cov(f, B, 1), S)),
-                  (tf_product(S, P), oracle.closure_product(S, oracle.closure_pullback_diffeo(f, A, 1, 1)))]
+                  (field_add(Q, S), oracle.closure_add(oracle.closure_pullback_cov(f, B, 1), S)),
+                  (field_product(S, P), oracle.closure_product(S, oracle.closure_pullback_diffeo(f, A, 1, 1)))]
         X = box_points(f.box)
         for F, old in fields:
-            values = run_program(compile_exprs(F.components), X).values
+            values = run_program(compile_exprs(F.per_chart[LOCAL_CHART]), X).values
             for k, x in enumerate(X):
-                got = outcome(lambda: tf_eval(F, x).coeffs)
+                got = outcome(lambda: field_eval(F, LOCAL_CHART, x).coeffs)
                 if isinstance(got, tuple):
-                    assert outcome(lambda: oracle.closure_tf_eval(old, x))[0] is got[0]
+                    assert outcome(lambda: oracle.closure_eval(old, x))[0] is got[0]
                 else:
                     assert same_bits(got, values[k]), (got, values[k])
                     checked += 1

@@ -33,6 +33,7 @@ seed; reports are deterministic given (spec, samples, seed, tol).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from itertools import permutations
 
 import numpy as np
 
@@ -53,7 +54,7 @@ from .errors import (
     SpecError,
     UnsupportedField,
 )
-from .expr import _as_expr, fold_add, fold_mul, max_var_index, num_literal
+from .expr import as_exprs, fold_add, fold_mul, num_literal
 from .geometry import (
     Box,
     box_inside,
@@ -187,7 +188,7 @@ class Pulling:
     inner: TensorFieldSpec
     tol: float | None
     error: type
-    noun: str  # what the fiber map is: "Jacobian" or "fiber map"
+    noun: str  # what the fiber map is: "Jacobian", "fiber map" or "frame matrix"
 
 
 @dataclass(frozen=True)
@@ -288,18 +289,10 @@ def make_bundle(base: BaseAtlasSpec, fiber_dim: int, field: FieldTag, transition
     memo: dict = {}  # shared subtrees are validated once
     for k, (frm, to, g) in enumerate(transitions):
         loc = f"/transitions/{k}"
-        rows = []
-        for row in g:
-            rows.append(tuple(_as_expr(c) for c in row))
-        gmat = tuple(rows)
+        gmat = tuple(as_exprs(row, base.dim, "transition entry",
+                              lambda m, loc=loc: SpecError(m, loc), memo) for row in g)
         if len(gmat) != fiber_dim or any(len(r) != fiber_dim for r in gmat):
             raise SpecError(f"transition matrix must be {fiber_dim}x{fiber_dim}", loc)
-        for row in gmat:
-            for e in row:
-                if max_var_index(e, memo) > base.dim:
-                    raise SpecError(
-                        f"transition entry references x{max_var_index(e)}, base dim is {base.dim}",
-                        loc)
         parsed.append((frm, to, gmat, loc))
 
     edges = []
@@ -502,30 +495,23 @@ def check_base_atlas(spec: BaseAtlasSpec, samples: int = DEFAULT_SAMPLES,
                                 _overlap_subject(o, comp),
                                 sample_region(o.region, samples, seed), seed, evaluate)
 
-    names = [c.name for c in spec.charts]
-    for i in names:
-        for j in names:
-            for k in names:
-                if len({i, j, k}) != 3:
-                    continue
-                ij = spec.overlaps_between(i, j)
-                jk = spec.overlaps_between(j, k)
-                ik = spec.overlaps_between(i, k)
-                if not ij or not jk or not ik:
-                    continue
-                pts, part = _component_points(ij, samples, seed)
+    for i, j, k in permutations([c.name for c in spec.charts], 3):
+        ij, jk, ik = (spec.overlaps_between(a, b) for a, b in ((i, j), (j, k), (i, k)))
+        if not ij or not jk or not ik:
+            continue
+        pts, part = _component_points(ij, samples, seed)
 
-                def evaluate(t, ij=ij, jk=jk, ik=ik, part=part):
-                    X = t.pts
-                    Y = t.maps(part, [o.tau for o in ij], X)
-                    step2 = _first_match([p.region for p in jk], Y)
-                    direct = _first_match([p.region for p in ik], X)
-                    t.skip(t.rows, (step2 < 0) | (direct < 0))
-                    Z = t.maps(step2, [p.tau for p in jk], Y)
-                    return (_max_abs(Z - t.maps(direct, [p.tau for p in ik], X)),)
+        def evaluate(t, ij=ij, jk=jk, ik=ik, part=part):
+            X = t.pts
+            Y = t.maps(part, [o.tau for o in ij], X)
+            step2 = _first_match([p.region for p in jk], Y)
+            direct = _first_match([p.region for p in ik], X)
+            t.skip(t.rows, (step2 < 0) | (direct < 0))
+            Z = t.maps(step2, [p.tau for p in jk], Y)
+            return (_max_abs(Z - t.maps(direct, [p.tau for p in ik], X)),)
 
-                records += _sampled(progs, [("tau_triple", RESIDUAL, tol)], f"{i}->{j}->{k}",
-                                    pts, seed, evaluate, samples=samples)
+        records += _sampled(progs, [("tau_triple", RESIDUAL, tol)], f"{i}->{j}->{k}",
+                            pts, seed, evaluate, samples=samples)
     return make_report("base_atlas", records)
 
 
@@ -538,53 +524,45 @@ def check_vb(B: VectorBundleSpec, samples: int = DEFAULT_SAMPLES,
     d, dtype = B.fiber_dim, B.field.dtype
     eye = np.eye(d, dtype=dtype)
 
-    for frm, to in sorted({(e.overlap.frm, e.overlap.to) for e in B.edges}):
-        backs = B.edges_between(to, frm)
-        for e in B.edges_between(frm, to):
+    for e in B.edges:  # by chart pair, then component (make_bundle's order)
+        frm, to = e.overlap.frm, e.overlap.to
 
-            def evaluate(t, e=e, backs=backs, frm=frm, to=to):
-                X = t.pts
-                G = t.matrix(e.g, X, t.rows, dtype)
-                Y = t.map(e.overlap.tau, X, t.rows)
-                back_at = _first_match([b.overlap.region for b in backs], Y)
-                t.fail(t.rows, back_at < 0,
-                       lambda j: f"tau image {Y[j].tolist()} is in no declared {to}->{frm} region")
-                G_back = t.matrices(back_at, [b.g for b in backs], Y, dtype)
-                return scaled_abs_dets(G), _max_abs(G @ G_back - eye)
+        def evaluate(t, e=e, backs=B.edges_between(to, frm), frm=frm, to=to):
+            X = t.pts
+            G = t.matrix(e.g, X, t.rows, dtype)
+            Y = t.map(e.overlap.tau, X, t.rows)
+            back_at = _first_match([b.overlap.region for b in backs], Y)
+            t.fail(t.rows, back_at < 0,
+                   lambda j: f"tau image {Y[j].tolist()} is in no declared {to}->{frm} region")
+            G_back = t.matrices(back_at, [b.g for b in backs], Y, dtype)
+            return scaled_abs_dets(G), _max_abs(G @ G_back - eye)
 
-            records += _sampled(progs, [("transition_gl", MIN_DET, DEFAULT_TOL),
-                                        ("pair_cocycle", RESIDUAL, tol)],
-                                _edge_subject(e), sample_region(e.overlap.region, samples, seed),
-                                seed, evaluate)
+        records += _sampled(progs, [("transition_gl", MIN_DET, DEFAULT_TOL),
+                                    ("pair_cocycle", RESIDUAL, tol)],
+                            _edge_subject(e), sample_region(e.overlap.region, samples, seed),
+                            seed, evaluate)
 
-    names = [c.name for c in B.base.charts]
-    for i in names:
-        for j in names:
-            for k in names:
-                if len({i, j, k}) != 3:
-                    continue
-                ij = B.edges_between(i, j)
-                jk = B.edges_between(j, k)
-                ki = B.edges_between(k, i)
-                if not ij or not jk or not ki:
-                    continue
-                pts, part = _component_points([e.overlap for e in ij], samples, seed)
+    for i, j, k in permutations([c.name for c in B.base.charts], 3):
+        ij, jk, ki = B.edges_between(i, j), B.edges_between(j, k), B.edges_between(k, i)
+        if not ij or not jk or not ki:
+            continue
+        pts, part = _component_points([e.overlap for e in ij], samples, seed)
 
-                def evaluate(t, ij=ij, jk=jk, ki=ki, part=part):
-                    X = t.pts
-                    G1 = t.matrices(part, [e.g for e in ij], X, dtype)
-                    Y = t.maps(part, [e.overlap.tau for e in ij], X)
-                    e2 = _first_match([e.overlap.region for e in jk], Y)
-                    t.skip(t.rows, e2 < 0)
-                    G2 = t.matrices(e2, [e.g for e in jk], Y, dtype)
-                    Z = t.maps(e2, [e.overlap.tau for e in jk], Y)
-                    e3 = _first_match([e.overlap.region for e in ki], Z)
-                    t.skip(t.rows, e3 < 0)
-                    G3 = t.matrices(e3, [e.g for e in ki], Z, dtype)
-                    return (_max_abs(G1 @ G2 @ G3 - eye),)
+        def evaluate(t, ij=ij, jk=jk, ki=ki, part=part):
+            X = t.pts
+            G1 = t.matrices(part, [e.g for e in ij], X, dtype)
+            Y = t.maps(part, [e.overlap.tau for e in ij], X)
+            e2 = _first_match([e.overlap.region for e in jk], Y)
+            t.skip(t.rows, e2 < 0)
+            G2 = t.matrices(e2, [e.g for e in jk], Y, dtype)
+            Z = t.maps(e2, [e.overlap.tau for e in jk], Y)
+            e3 = _first_match([e.overlap.region for e in ki], Z)
+            t.skip(t.rows, e3 < 0)
+            G3 = t.matrices(e3, [e.g for e in ki], Z, dtype)
+            return (_max_abs(G1 @ G2 @ G3 - eye),)
 
-                records += _sampled(progs, [("triple_cocycle", RESIDUAL, tol)], f"{i}->{j}->{k}",
-                                    pts, seed, evaluate, samples=samples)
+        records += _sampled(progs, [("triple_cocycle", RESIDUAL, tol)], f"{i}->{j}->{k}",
+                            pts, seed, evaluate, samples=samples)
     return make_report("vector_bundle", records)
 
 
@@ -602,13 +580,10 @@ def make_field(B: VectorBundleSpec, r: int, s: int, per_chart: dict) -> TensorFi
     comp = {}
     for name in sorted(per_chart):
         B.base.chart(name)
-        exprs = tuple(_as_expr(c) for c in per_chart[name])
+        exprs = as_exprs(per_chart[name], B.base.dim, f"field component on '{name}'", SpecError)
         if len(exprs) != want:
             raise SpecError(
                 f"field on chart '{name}' has {len(exprs)} components, expected {want}")
-        for e in exprs:
-            if max_var_index(e) > B.base.dim:
-                raise SpecError(f"field component on '{name}' references x{max_var_index(e)}")
         comp[name] = exprs
     return TensorFieldSpec(B, r, s, comp)
 
@@ -737,9 +712,7 @@ def field_fmul(f: dict, A: TensorFieldSpec) -> TensorFieldSpec:
         raise ShapeMismatch("field_fmul: function charts do not match field charts")
     out = {}
     for name in sorted(A.per_chart):
-        scalar = _as_expr(f[name])
-        if max_var_index(scalar) > A.bundle.base.dim:
-            raise ShapeMismatch(f"scalar on '{name}' references x{max_var_index(scalar)}")
+        (scalar,) = as_exprs((f[name],), A.bundle.base.dim, f"scalar on '{name}'", ShapeMismatch)
         out[name] = tuple(fold_mul(scalar, e) for e in A.per_chart[name])
     return TensorFieldSpec(A.bundle, A.r, A.s, out, _operand_rules(A))
 
@@ -750,13 +723,9 @@ def field_fmul(f: dict, A: TensorFieldSpec) -> TensorFieldSpec:
 
 def make_frame(B: VectorBundleSpec, chart: str, columns) -> FrameFieldSpec:
     B.base.chart(chart)
-    cols = tuple(tuple(_as_expr(c) for c in col) for col in columns)
+    cols = tuple(as_exprs(col, B.base.dim, "frame entry", SpecError) for col in columns)
     if len(cols) != B.fiber_dim or any(len(c) != B.fiber_dim for c in cols):
         raise SpecError(f"a frame needs {B.fiber_dim} columns of {B.fiber_dim} components")
-    for col in cols:
-        for e in col:
-            if max_var_index(e) > B.base.dim:
-                raise SpecError(f"frame entry references x{max_var_index(e)}")
     return FrameFieldSpec(B, chart, cols)
 
 
@@ -827,10 +796,7 @@ def dual_frame(F: FrameFieldSpec, samples: int = 25, tol: float = DEFAULT_TOL,
 
     at_points(sample_box(F.bundle.base.chart(F.chart).box, samples, seed),
               lambda t, X, rows: _nonsingular_frame(t, F, X, rows, tol))
-    matrix = symmat.mat_from_rows(
-        tuple(tuple(F.columns[j][i] for j in range(F.bundle.fiber_dim))
-              for i in range(F.bundle.fiber_dim)))
-    inv = symmat.mat_inverse(matrix)
-    dual_cols = tuple(tuple(inv[i][j] for j in range(F.bundle.fiber_dim))
-                      for i in range(F.bundle.fiber_dim))
-    return FrameFieldSpec(dual_bundle(F.bundle), F.chart, dual_cols)
+    # The frame matrix is the transpose of the columns; the rows of its
+    # inverse are the dual columns.
+    inv = symmat.mat_inverse(symmat.mat_transpose(F.columns))
+    return FrameFieldSpec(dual_bundle(F.bundle), F.chart, inv)

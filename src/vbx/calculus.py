@@ -25,10 +25,9 @@ from .expr import (
     Expr,
     Program,
     Var,
-    _as_expr,
+    as_exprs,
     compile_exprs,
     fold_mul,
-    max_var_index,
     num_literal,
     run_program,
     subst,
@@ -56,15 +55,9 @@ class SmoothMap:
 def make_smooth_map(components, box) -> SmoothMap:
     """Build a SmoothMap from expressions (or strings) and box bounds."""
     b = box if isinstance(box, Box) else make_box(box)
-    exprs = tuple(_as_expr(c) for c in components)
+    exprs = as_exprs(components, b.dim, "map component", ShapeMismatch)
     if not exprs:
         raise ShapeMismatch("a map needs at least one component")
-    for k, e in enumerate(exprs):
-        used = max_var_index(e)
-        if used > b.dim:
-            raise ShapeMismatch(
-                f"component {k} references x{used} but the domain has {b.dim} variables"
-            )
     return SmoothMap(exprs, b)
 
 

@@ -10,7 +10,8 @@ Fields are pulled back through bundle morphisms by one routine, _pulled:
 on each source chart, symmat.mat_pullback of the fiber map times the field
 with the base map substituted. Pulling back along a smooth map f is the
 pullback through the morphism from the trivial bundle over f's box whose
-base map is f and whose fiber map is the Jacobian J_f (expr.diff of f).
+base map is f and whose fiber map is the Jacobian J_f (expr.diff of f);
+a field's local expression in a frame is the pullback through the frame.
 
 Transition matrices follow the Transition Convention of the bundle core
 throughout; flattened fibers (tensor and Hom bundles) use the same radix
@@ -23,6 +24,7 @@ import math
 
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import product
 
 import numpy as np
 
@@ -32,6 +34,7 @@ from .bundles import (
     DEFAULT_SEED,
     LOCAL_CHART,
     BaseAtlasSpec,
+    BundleEdge,
     FrameFieldSpec,
     Pulling,
     TensorFieldSpec,
@@ -51,7 +54,7 @@ from .bundles import (
     make_atlas,
     make_bundle,
 )
-from .calculus import SmoothMap, at_points, make_smooth_map, shaped
+from .calculus import SmoothMap, at_points, identity_map, make_smooth_map, shaped
 from .errors import (
     BaseMismatch,
     ChartAssignmentError,
@@ -60,10 +63,11 @@ from .errors import (
     NotADiffeomorphism,
     NotAnIsomorphism,
     ShapeMismatch,
+    SingularFrame,
     SpecError,
     UnsupportedField,
 )
-from .expr import Var, _as_expr, diff, fold_mul, max_var_index, subst
+from .expr import Var, _as_expr, as_exprs, diff, fold_mul, subst
 from .geometry import (
     Box,
     box_covered,
@@ -78,10 +82,9 @@ from .geometry import (
     sampling_scope,
 )
 from .intervals import interval_eval
-from .linalg import DEFAULT_TOL, FieldTag, make_linear, scaled_abs_dets
-from .pullbacks import rs_pullback
+from .linalg import DEFAULT_TOL, FieldTag, scaled_abs_dets
 from .report import MIN_DET, RESIDUAL, make_report, vacuous_record
-from .tensors import digits_to_index, index_to_digits, make_tensor
+from .tensors import digits_to_index, index_to_digits
 from . import symmat
 
 
@@ -90,6 +93,24 @@ def _require_same_base(B1: VectorBundleSpec, B2: VectorBundleSpec, op: str) -> N
         raise BaseMismatch(f"{op} needs structurally equal base atlases")
     if B1.field is not B2.field:
         raise UnsupportedField(f"{op} needs a common scalar field")
+
+
+def _edge_pairs(B1: VectorBundleSpec, B2: VectorBundleSpec, op: str):
+    """The edges of B1 and B2 side by side, over one base and overlap list."""
+    _require_same_base(B1, B2, op)
+    for e1, e2 in zip(B1.edges, B2.edges):
+        if e1.overlap != e2.overlap:
+            raise BaseMismatch(f"{op}: overlap structures disagree")
+        yield e1, e2
+
+
+def _inverse_transpose(e: BundleEdge) -> tuple:
+    """The inverse-transpose of e's transition matrix, which must have one."""
+    try:
+        return symmat.mat_transpose(symmat.mat_inverse(e.g))
+    except EvalError as exc:
+        raise SpecError(
+            f"transition {e.overlap.frm}->{e.overlap.to} is not invertible: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -109,12 +130,7 @@ def tensor_bundle(B: VectorBundleSpec, r: int, s: int) -> VectorBundleSpec:
         raise SpecError("tensor valence must be non-negative")
     transitions = []
     for e in B.edges:
-        try:
-            g_inv_t = symmat.mat_transpose(symmat.mat_inverse(e.g)) if r else None
-        except EvalError as exc:
-            raise SpecError(
-                f"transition {e.overlap.frm}->{e.overlap.to} is not invertible: {exc}") from exc
-        vec_part = symmat.mat_kron_power(g_inv_t, r) if r else symmat.mat_identity(1)
+        vec_part = symmat.mat_kron_power(_inverse_transpose(e), r) if r else symmat.mat_identity(1)
         cov_part = symmat.mat_kron_power(e.g, s) if s else symmat.mat_identity(1)
         transitions.append((e.overlap.frm, e.overlap.to, symmat.mat_kron(vec_part, cov_part)))
     return make_bundle(B.base, B.fiber_dim ** (r + s), B.field, transitions,
@@ -133,30 +149,16 @@ def hom_bundle(B1: VectorBundleSpec, B2: VectorBundleSpec) -> VectorBundleSpec:
     first); the transition conjugates, alpha -> G2 alpha G1^(-1), which
     flattens to kron(G2, inverse-transpose of G1).
     """
-    _require_same_base(B1, B2, "hom_bundle")
-    transitions = []
-    for e1, e2 in zip(B1.edges, B2.edges):
-        if e1.overlap != e2.overlap:
-            raise BaseMismatch("hom_bundle: overlap structures disagree")
-        try:
-            g1_inv_t = symmat.mat_transpose(symmat.mat_inverse(e1.g))
-        except EvalError as exc:
-            raise SpecError(
-                f"transition {e1.overlap.frm}->{e1.overlap.to} is not invertible: {exc}") from exc
-        transitions.append((e1.overlap.frm, e1.overlap.to, symmat.mat_kron(e2.g, g1_inv_t)))
+    transitions = [(e1.overlap.frm, e1.overlap.to, symmat.mat_kron(e2.g, _inverse_transpose(e1)))
+                   for e1, e2 in _edge_pairs(B1, B2, "hom_bundle")]
     return make_bundle(B1.base, B1.fiber_dim * B2.fiber_dim, B1.field, transitions,
                        derivation={"construction": "hom"})
 
 
 def whitney_sum(B1: VectorBundleSpec, B2: VectorBundleSpec) -> VectorBundleSpec:
     """Fiberwise direct sum over a shared base; transitions are block-diagonal."""
-    _require_same_base(B1, B2, "whitney_sum")
-    transitions = []
-    for e1, e2 in zip(B1.edges, B2.edges):
-        if e1.overlap != e2.overlap:
-            raise BaseMismatch("whitney_sum: overlap structures disagree")
-        transitions.append((e1.overlap.frm, e1.overlap.to,
-                            symmat.mat_block_diag(e1.g, e2.g)))
+    transitions = [(e1.overlap.frm, e1.overlap.to, symmat.mat_block_diag(e1.g, e2.g))
+                   for e1, e2 in _edge_pairs(B1, B2, "whitney_sum")]
     return make_bundle(B1.base, B1.fiber_dim + B2.fiber_dim, B1.field, transitions,
                        derivation={"construction": "whitney_sum"})
 
@@ -182,11 +184,9 @@ def direct_product(B1: VectorBundleSpec, B2: VectorBundleSpec) -> VectorBundleSp
     def pair_name(n1: str, n2: str) -> str:
         return "|".join(f"({n})" if "|" in n else n for n in (n1, n2))
 
-    charts = []
-    for c1 in B1.base.charts:
-        for c2 in B2.base.charts:
-            charts.append((pair_name(c1.name, c2.name),
-                           Box(c1.box.lo + c2.box.lo, c1.box.hi + c2.box.hi)))
+    pairs = list(product(B1.base.charts, B2.base.charts))
+    charts = [(pair_name(c1.name, c2.name), Box(c1.box.lo + c2.box.lo, c1.box.hi + c2.box.hi))
+              for c1, c2 in pairs]
 
     def factor_options(B: VectorBundleSpec, i: str, j: str, dim: int):
         if i == j:
@@ -198,24 +198,16 @@ def direct_product(B1: VectorBundleSpec, B2: VectorBundleSpec) -> VectorBundleSp
 
     overlaps = []
     transitions = []
-    for c1 in B1.base.charts:
-        for c2 in B2.base.charts:
-            for d1 in B1.base.charts:
-                for d2 in B2.base.charts:
-                    if c1.name == d1.name and c2.name == d2.name:
-                        continue
-                    opts1 = factor_options(B1, c1.name, d1.name, m1)
-                    opts2 = factor_options(B2, c2.name, d2.name, m2)
-                    for region1, tau1, g1 in opts1:
-                        for region2, tau2, g2 in opts2:
-                            frm = pair_name(c1.name, c2.name)
-                            to = pair_name(d1.name, d2.name)
-                            region = tuple(Box(b1.lo + b2.lo, b1.hi + b2.hi)
-                                           for b1 in region1 for b2 in region2)
-                            tau = tuple(tau1) + tuple(subst(e, shift) for e in tau2)
-                            overlaps.append((frm, to, region, tau))
-                            transitions.append(
-                                (frm, to, symmat.mat_block_diag(g1, symmat.mat_subst(g2, shift))))
+    for (c1, c2), (d1, d2) in product(pairs, repeat=2):
+        if c1.name == d1.name and c2.name == d2.name:
+            continue
+        frm, to = pair_name(c1.name, c2.name), pair_name(d1.name, d2.name)
+        for (region1, tau1, g1), (region2, tau2, g2) in product(
+                factor_options(B1, c1.name, d1.name, m1), factor_options(B2, c2.name, d2.name, m2)):
+            region = tuple(Box(b1.lo + b2.lo, b1.hi + b2.hi) for b1 in region1 for b2 in region2)
+            tau = tuple(tau1) + tuple(subst(e, shift) for e in tau2)
+            overlaps.append((frm, to, region, tau))
+            transitions.append((frm, to, symmat.mat_block_diag(g1, symmat.mat_subst(g2, shift))))
     base = make_atlas(m1 + m2, charts, overlaps)
     return make_bundle(base, B1.fiber_dim + B2.fiber_dim, B1.field, transitions,
                        derivation={"construction": "direct_product"})
@@ -506,26 +498,29 @@ def local_expression(A: TensorFieldSpec, F: FrameFieldSpec, points,
 
     Component (j1..jr, k1..ks) at p is the field evaluated on the frame
     columns in the vector slots and the dual-frame rows in the covector
-    slots; computationally this is the tensor pullback along the linear
-    map whose matrix is the frame matrix at p. The returned table has one
-    row per point, radix-ordered.
+    slots: the field pulled back through the frame, a morphism onto B
+    from B's fiber over the frame's chart, with the identity base map and
+    the frame matrix as fiber map. The returned table has one row per
+    point, radix-ordered.
     """
     if F.bundle != A.bundle:
         raise ShapeMismatch("frame and field live on different bundles")
     if F.chart not in A.per_chart:
         raise DomainViolation(f"field has no components on chart '{F.chart}'")
-    space = A.bundle.fiber_space
-    dim = A.bundle.base.dim
-    X = np.array([shaped(p, dim, "base dim") for p in points]).reshape(-1, dim)
-
-    def stage(t, X, rows):
-        return (_nonsingular_frame(t, F, X, rows, tol),
-                _field_values(t, A, F.chart, X, rows))
-
-    frames, coeffs = at_points(X, stage)
-    return np.array([rs_pullback(make_linear(space, space, P), A.r, A.s,
-                                 make_tensor(space, A.r, A.s, C), tol).coeffs
-                     for P, C in zip(frames, coeffs)], dtype=A.bundle.field.dtype)
+    B, chart = A.bundle, F.chart
+    X = np.array([shaped(p, B.base.dim, "base dim") for p in points]).reshape(-1, B.base.dim)
+    if not len(X):
+        return np.array([], dtype=B.field.dtype)
+    box = B.base.chart(chart).box
+    over = make_bundle(make_atlas(B.base.dim, [(chart, box)], []), B.fiber_dim, B.field, [])
+    M = make_morphism(over, B, {chart: chart}, {chart: identity_map(box).components},
+                      {chart: symmat.mat_transpose(F.columns)})
+    try:
+        pulled = _pulled(M, A, tol, SingularFrame, "frame matrix")
+    except SingularFrame:  # the determinant folds to 0: the first point that gets there fails
+        at_points(X, lambda t, X, rows: _nonsingular_frame(t, F, X, rows, tol))
+        raise
+    return at_points(X, lambda t, X, rows: _field_values(t, pulled, chart, X, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -554,18 +549,15 @@ def make_morphism(source: VectorBundleSpec, target: VectorBundleSpec,
         if name not in assignment or name not in base_map or name not in fiber_map:
             raise SpecError(f"morphism is missing data on chart '{name}'")
         target.base.chart(assignment[name])
-        comps = tuple(_as_expr(e) for e in base_map[name])
+        what = f"morphism data on '{name}'"
+        comps = as_exprs(base_map[name], source.base.dim, what, SpecError)
         if len(comps) != target.base.dim:
             raise SpecError(
                 f"base map on '{name}' has {len(comps)} components, "
                 f"target base dim is {target.base.dim}")
-        mat = tuple(tuple(_as_expr(e) for e in row) for row in fiber_map[name])
+        mat = tuple(as_exprs(row, source.base.dim, what, SpecError) for row in fiber_map[name])
         if len(mat) != d2 or any(len(row) != d1 for row in mat):
             raise SpecError(f"fiber map on '{name}' must be {d2}x{d1}")
-        for e in comps + tuple(x for row in mat for x in row):
-            if max_var_index(e) > source.base.dim:
-                raise SpecError(
-                    f"morphism data on '{name}' references x{max_var_index(e)}")
         asg[name], bm[name], fm[name] = assignment[name], comps, mat
     inv = None
     if inverse is not None:
@@ -575,15 +567,11 @@ def make_morphism(source: VectorBundleSpec, target: VectorBundleSpec,
                 raise SpecError(f"declared inverse is missing chart '{c.name}'")
             src_chart, comps = inverse[c.name]
             source.base.chart(src_chart)
-            comps = tuple(_as_expr(e) for e in comps)
+            comps = as_exprs(comps, target.base.dim, f"inverse on '{c.name}'", SpecError)
             if len(comps) != source.base.dim:
                 raise SpecError(
                     f"inverse on '{c.name}' has {len(comps)} components, "
                     f"source base dim is {source.base.dim}")
-            for e in comps:
-                if max_var_index(e) > target.base.dim:
-                    raise SpecError(
-                        f"inverse on '{c.name}' references x{max_var_index(e)}")
             inv[c.name] = (src_chart, comps)
     return BundleMorphismSpec(source, target, asg, bm, fm, inv)
 
@@ -835,7 +823,8 @@ def subbundle_check(B: VectorBundleSpec, W: dict, samples: int = DEFAULT_SAMPLES
     rank = None
     for name in sorted(W):
         B.base.chart(name)
-        cols = tuple(tuple(_as_expr(e) for e in col) for col in W[name])
+        cols = tuple(as_exprs(col, B.base.dim, f"section on '{name}'", SpecError)
+                     for col in W[name])
         if rank is None:
             rank = len(cols)
             if not 1 <= rank <= d:
@@ -845,9 +834,6 @@ def subbundle_check(B: VectorBundleSpec, W: dict, samples: int = DEFAULT_SAMPLES
         for col in cols:
             if len(col) != d:
                 raise SpecError(f"section on '{name}' has {len(col)} components, fiber dim is {d}")
-            for e in col:
-                if max_var_index(e) > B.base.dim:
-                    raise SpecError(f"section on '{name}' references x{max_var_index(e)}")
         cols_of[name] = cols
 
     progs: dict = {}

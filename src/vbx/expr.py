@@ -661,6 +661,20 @@ def _as_expr(c) -> Expr:
     return c if isinstance(c, Expr) else parse_expr(c)
 
 
+def as_exprs(entries, dim: int, what: str, error, memo: dict | None = None) -> tuple:
+    """The entries (expressions or their text) as expressions in x1..x{dim}.
+
+    An entry that uses a later variable raises error(message), error being
+    an exception type or a function of the message that makes one; memo is
+    max_var_index's, shared by the calls that validate one document."""
+    exprs = tuple(_as_expr(c) for c in entries)
+    for e in exprs:
+        k = max_var_index(e, memo)
+        if k > dim:
+            raise error(f"{what} references x{k} but the dimension is {dim}")
+    return exprs
+
+
 # ---------------------------------------------------------------------------
 # Printing. Minimal parentheses, chosen so parse(to_string(e)) == e.
 
@@ -809,6 +823,20 @@ def fold_pow(base: Expr, k: int) -> Expr:
     return Pow(base, k)
 
 
+# How subst, and diff for its linear rules, rebuild a node over new
+# operands. Each entry looks its folding constructor up by name when it
+# runs, so a rebound name (a tracer's wrapper, say) is the one called.
+_REBUILD = {
+    Neg: lambda e, k: fold_neg(k[0]),
+    Add: lambda e, k: fold_add(k[0], k[1]),
+    Sub: lambda e, k: fold_sub(k[0], k[1]),
+    Mul: lambda e, k: fold_mul(k[0], k[1]),
+    Div: lambda e, k: fold_div(k[0], k[1]),
+    Pow: lambda e, k: fold_pow(k[0], e.exponent),
+    Call: lambda e, k: Call(e.fn, k[0]),
+}
+
+
 def diff(e: Expr, index: int) -> Expr:
     """Symbolic partial derivative with respect to x{index}, lightly folded."""
 
@@ -817,17 +845,12 @@ def diff(e: Expr, index: int) -> Expr:
             return Num(0.0)
         if isinstance(e, Var):
             return Num(1.0) if e.index == index else Num(0.0)
-        if isinstance(e, Neg):
-            return fold_neg(d[0])
-        if isinstance(e, Add):
-            return fold_add(d[0], d[1])
-        if isinstance(e, Sub):
-            return fold_sub(d[0], d[1])
+        if isinstance(e, (Neg, Add, Sub)):
+            return _REBUILD[type(e)](e, d)
         if isinstance(e, Mul):
             return fold_add(fold_mul(d[0], e.b), fold_mul(e.a, d[1]))
-        if isinstance(e, Div):
-            num = fold_sub(fold_mul(d[0], e.b), fold_mul(e.a, d[1]))
-            return fold_div(num, fold_pow(e.b, 2))
+        if isinstance(e, Div):  # forward mode's (da - (a/b)*db)/b: b is never squared
+            return fold_div(fold_sub(d[0], fold_mul(e, d[1])), e.b)
         if isinstance(e, Pow):
             return fold_mul(fold_mul(_num(float(e.exponent)), fold_pow(e.base, e.exponent - 1)),
                             d[0])
@@ -858,26 +881,11 @@ def subst(e: Expr, replacements) -> Expr:
     """
 
     def visit(e, s):
-        if isinstance(e, (Num, Const)):
-            return e
         if isinstance(e, Var):
             if e.index > len(replacements):
                 raise EvalError(f"substitution has no binding for x{e.index}")
             return replacements[e.index - 1]
-        if isinstance(e, Neg):
-            return fold_neg(s[0])
-        if isinstance(e, Add):
-            return fold_add(s[0], s[1])
-        if isinstance(e, Sub):
-            return fold_sub(s[0], s[1])
-        if isinstance(e, Mul):
-            return fold_mul(s[0], s[1])
-        if isinstance(e, Div):
-            return fold_div(s[0], s[1])
-        if isinstance(e, Pow):
-            return fold_pow(s[0], e.exponent)
-        if isinstance(e, Call):
-            return Call(e.fn, s[0])
-        raise EvalError(f"cannot substitute into node {type(e).__name__}")
+        rebuild = _REBUILD.get(type(e))
+        return e if rebuild is None else rebuild(e, s)  # Num and Const stay
 
     return _fold((e,), {}, visit)[0]

@@ -75,10 +75,6 @@ def make_box(bounds) -> Box:
     return Box(tuple(lo), tuple(hi))
 
 
-def box_bounds(box: Box) -> list:
-    return [[a, b] for a, b in zip(box.lo, box.hi)]
-
-
 def intersect_boxes(a: Box, b: Box) -> Box | None:
     """Intersection of two open boxes, or None when empty."""
     if a.dim != b.dim:

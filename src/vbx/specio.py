@@ -110,12 +110,9 @@ def _parse_entry(text, loc: str, memo: dict | None):
     text = _as_str(text, loc)
     try:
         return parse_expr(text, memo)
-    except ParseError as exc:
-        raise ParseError(f"{loc}: {exc.args[0].rsplit(' (column', 1)[0]}",
-                         exc.position) from exc
-    except UnknownSymbol as exc:
-        raise UnknownSymbol(f"{loc}: {exc.args[0].rsplit(' (column', 1)[0]}",
-                            exc.position) from exc
+    except (ParseError, UnknownSymbol) as exc:
+        raise type(exc)(f"{loc}: {exc.args[0].rsplit(' (column', 1)[0]}",
+                        exc.position) from exc
 
 
 def _parse_box(value, loc: str) -> list:
@@ -349,16 +346,24 @@ def bundle_to_dict(B: VectorBundleSpec, memo: dict | None = None) -> dict:
 def document_to_dict(bundle: VectorBundleSpec, sections: dict | None = None,
                      frames: dict | None = None, fields: dict | None = None) -> dict:
     """The document's JSON object. One print memo serves the whole
-    document, so a subtree shared anywhere in it is printed once."""
+    document, so a subtree shared anywhere in it is printed once. A
+    section, frame or field off the bundle, or one with point rules (see
+    bundles.Pulling), cannot be written faithfully: SpecError."""
+    for kind, entries in (("section", sections), ("frame", frames), ("field", fields)):
+        for name, X in sorted((entries or {}).items()):
+            if X.bundle != bundle:
+                raise SpecError(f"{kind} '{name}' is not on the saved bundle")
+            if getattr(X, "rules", ()):
+                raise SpecError(f"{kind} '{name}' carries point rules, which a file cannot hold")
     memo: dict = {}
+
+    def components(A) -> dict:
+        return {c: [to_string(e, memo) for e in exprs] for c, exprs in sorted(A.per_chart.items())}
+
     doc = bundle_to_dict(bundle, memo)
     if sections:
-        doc["sections"] = [
-            {"name": name,
-             "components": {c: [to_string(e, memo) for e in exprs]
-                            for c, exprs in sorted(S.per_chart.items())}}
-            for name, S in sorted(sections.items())
-        ]
+        doc["sections"] = [{"name": name, "components": components(S)}
+                           for name, S in sorted(sections.items())]
     if frames:
         doc["frames"] = [
             {"name": name, "chart": F.chart,
@@ -366,12 +371,8 @@ def document_to_dict(bundle: VectorBundleSpec, sections: dict | None = None,
             for name, F in sorted(frames.items())
         ]
     if fields:
-        doc["fields"] = [
-            {"name": name, "r": A.r, "s": A.s,
-             "components": {c: [to_string(e, memo) for e in exprs]
-                            for c, exprs in sorted(A.per_chart.items())}}
-            for name, A in sorted(fields.items())
-        ]
+        doc["fields"] = [{"name": name, "r": A.r, "s": A.s, "components": components(A)}
+                         for name, A in sorted(fields.items())]
     return doc
 
 

@@ -15,13 +15,6 @@ from .expr import Expr, Num, fold_add, fold_div, fold_mul, fold_neg, fold_sub
 Matrix = tuple  # tuple of row tuples of Expr
 
 
-def mat_from_rows(rows) -> Matrix:
-    out = tuple(tuple(row) for row in rows)
-    if not out or any(len(r) != len(out[0]) for r in out):
-        raise ShapeMismatch("matrix rows must be non-empty and equal length")
-    return out
-
-
 def mat_identity(d: int) -> Matrix:
     return tuple(
         tuple(Num(1.0) if i == j else Num(0.0) for j in range(d)) for i in range(d)

@@ -361,6 +361,21 @@ def test_covariant_pullbacks_across_dimensions_match_the_closure_oracle():
     assert len(diffs) > 100 and max(diffs) <= PULLED_REL_TOL
 
 
+def test_pulling_back_along_a_quotient_stays_finite_where_its_denominator_squared_overflows():
+    # d(x1/x2)/dx2 is (0 - (x1/x2)*1)/x2, as forward mode has it; the
+    # quotient rule's x2^2 would overflow at x2 = 1e160. A (0,2)-field's
+    # pullback is itself about 1e320 there, so it is left out.
+    f = make_smooth_map(["x1/x2", "x2"], [(0.5, 2), (1e159, 1e161)])
+    target = make_box([(-1, 1), (1e159, 1e161)])
+    x = [1.0, 1e160]
+    for r, s in [v for v in VALENCES if v != (0, 2)]:
+        A = local_field(target, 2, r, s, [f"{k + 2} + x1" for k in range(2 ** (r + s))])
+        got = field_eval(map_pullback_rs(f, A, r, s), LOCAL_CHART, x).coeffs
+        want = oracle.closure_eval(oracle.closure_pullback_diffeo(f, A, r, s), x).coeffs
+        assert np.isfinite(got).all(), (r, s)
+        assert np.max(np.abs(got - want)) <= PULLED_REL_TOL * np.max(np.abs(want)), (r, s)
+
+
 @pytest.mark.parametrize("tau, box", [
     ("x1^2", (-1, 1)),  # a fold at 0
     ("3*x1", (-1, 1)),  # the image leaves the inner box past |x1| = 2/3

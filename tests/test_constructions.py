@@ -31,6 +31,7 @@ from vbx.bundles import (
     field_eval,
     field_fmul,
     field_smul,
+    frame_matrix_at,
     make_atlas,
     make_bundle,
     make_field,
@@ -68,6 +69,7 @@ from vbx.errors import (
     SingularFrame,
     SpecError,
     UnsupportedField,
+    VbxError,
 )
 from vbx.calculus import make_smooth_map
 from vbx.expr import eval_expr, parse_expr
@@ -543,6 +545,22 @@ def test_local_expression_guards():
         local_expression(other, F, [(0.0, 0.0)])
 
 
+def test_local_expression_on_a_complex_bundle_matches_the_pointwise_pullback():
+    rot = [["cos(x1)", "-sin(x1)"], ["sin(x1)", "cos(x1)"]]
+    rot_inv = [["cos(x1)", "sin(x1)"], ["-sin(x1)", "cos(x1)"]]
+    B = make_bundle(plane_atlas(), 2, FieldTag.COMPLEX,
+                    [("left", "right", rot), ("right", "left", rot_inv)])
+    A = make_field(B, 1, 1, {"left": ["x2", "x1", "1 + x1*x2", "-x1"]})
+    F = make_frame(B, "left", [["2", "x2"], ["x1", "1 + exp(x2)"]])
+    pts = [(0.2, 0.6), (-1.0, -0.4), (-1.9, 0.9)]
+    table = local_expression(A, F, pts)
+    space = B.fiber_space
+    want = [rs_pullback(make_linear(space, space, frame_matrix_at(F, p)), 1, 1,
+                        field_eval(A, "left", p)).coeffs for p in pts]
+    assert table.dtype == np.complex128 and table.shape == (3, 4)
+    assert np.allclose(table, want, rtol=1e-14, atol=0)
+
+
 # --------------------------------------------------------------------------
 # Morphisms.
 
@@ -918,3 +936,42 @@ def test_pointwise_dependence_fails_the_rank_record():
     rep = subbundle_check(B, W, SAMPLES, CHECK_TOL, seed=12)
     assert not rep.passed
     assert any(r.check == "subbundle_rank" and not r.passed for r in rep.records)
+
+
+# --------------------------------------------------------------------------
+# Entry validation: one rule, each caller's exception type and location.
+
+
+def _plane_morphism(base_map, inverse):
+    B = plane_rotation_bundle()
+    eye = [["1", "0"], ["0", "1"]]
+    return make_morphism(B, B, {"left": "left", "right": "right"},
+                         {"left": base_map, "right": ["x1", "x2"]}, {"left": eye, "right": eye},
+                         inverse={"left": ("left", inverse), "right": ("right", ["x1", "x2"])})
+
+
+ENTRY_CALLERS = {
+    "make_smooth_map": (ShapeMismatch, "", lambda: make_smooth_map(["x1", "x3"], [(0, 1), (0, 1)])),
+    "make_bundle": (SpecError, "/transitions/1", lambda: make_bundle(
+        plane_atlas(), 1, FieldTag.REAL, [("left", "right", [["1"]]), ("right", "left", [["x3"]])])),
+    "make_field": (SpecError, "", lambda: make_field(
+        plane_rotation_bundle(), 0, 1, {"left": ["x1", "x3"]})),
+    "field_fmul": (ShapeMismatch, "", lambda: field_fmul(
+        {"left": "x3"}, make_field(plane_rotation_bundle(), 0, 1, {"left": ["1", "0"]}))),
+    "make_frame": (SpecError, "", lambda: make_frame(
+        plane_rotation_bundle(), "left", [["1", "0"], ["0", "x3"]])),
+    "make_morphism maps": (SpecError, "", lambda: _plane_morphism(["x1", "x3"], ["x1", "x2"])),
+    "make_morphism inverse": (SpecError, "", lambda: _plane_morphism(["x1", "x2"], ["x3", "x2"])),
+    "subbundle_check": (SpecError, "", lambda: subbundle_check(
+        plane_rotation_bundle(), {"left": [["1", "x3"]]})),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(ENTRY_CALLERS))
+def test_every_entry_validator_caller_rejects_a_variable_past_the_dimension(caller):
+    error, location, call = ENTRY_CALLERS[caller]
+    with pytest.raises(VbxError) as err:
+        call()
+    assert type(err.value) is error
+    assert getattr(err.value, "location", "") == location
+    assert "references x3 but the dimension is 2" in str(err.value)

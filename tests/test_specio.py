@@ -3,7 +3,7 @@
 import json
 
 import pytest
-from support import mobius_bundle, plane_rotation_bundle
+from support import local_field, mobius_bundle, plane_rotation_bundle
 
 from vbx.bundles import make_field, make_frame, make_section
 from vbx.errors import FileError, ParseError, SpecError
@@ -70,6 +70,26 @@ def test_derivation_metadata_survives(tmp_path):
     save_spec(D, p)
     loaded = load_spec(p).bundle
     assert loaded.derivation == {"construction": "dual"}
+
+
+def test_save_rejects_an_entry_that_is_not_on_the_saved_bundle(tmp_path):
+    # Written, the file would name a chart its bundle lacks, and fail to load.
+    S = make_section(plane_rotation_bundle(), {"left": ["x1", "x2"]})
+    with pytest.raises(SpecError, match="section 'diag' is not on the saved bundle"):
+        save_spec(mobius_bundle(), tmp_path / "m.json", sections={"diag": S})
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_save_rejects_a_field_with_point_rules(tmp_path):
+    # The pulled field fails where x1 leaves (-0.5, 0.5); its coefficients
+    # alone, written and loaded, would not.
+    from vbx.calculus import make_smooth_map
+    from vbx.constructions import map_pullback_cov
+
+    A = local_field([(-0.5, 0.5)], 1, 1, 0, ["x1^2"])
+    P = map_pullback_cov(make_smooth_map(["x1"], [(-1, 1)]), A, 1)
+    with pytest.raises(SpecError, match="field 'pulled' carries point rules"):
+        save_spec(P.bundle, tmp_path / "p.json", fields={"pulled": P})
 
 
 # --------------------------------------------------------------------------

@@ -6,15 +6,17 @@ the overlaps, and all claims about them are checked numerically at
 sampled points with the results collected into reports. There is one
 tensor-field type, TensorFieldSpec; a field on a single box lives on
 local_bundle(box, d), and pulling one back along a smooth map is a
-morphism pullback (map_pullback_rs, map_pullback_cov).
+morphism pullback (map_pullback_rs, map_pullback_cov). A frame is a
+BundleMorphismSpec too: the local trivialization onto the bundle from its
+fiber over one chart, with the frame matrix as fiber map.
 """
 
 from .bundles import (
     LOCAL_CHART,
     BaseAtlasSpec,
     BundleEdge,
+    BundleMorphismSpec,
     ChartSpec,
-    FrameFieldSpec,
     OverlapSpec,
     TensorFieldSpec,
     TotalPoint,
@@ -36,6 +38,7 @@ from .bundles import (
     make_bundle,
     make_field,
     make_frame,
+    make_morphism,
     make_section,
     make_total_point,
     transition_eval,
@@ -49,7 +52,6 @@ from .calculus import (
     make_smooth_map,
 )
 from .constructions import (
-    BundleMorphismSpec,
     base_restriction,
     check_morphism,
     check_tensor_field,
@@ -61,7 +63,6 @@ from .constructions import (
     identity_morphism,
     induced_bundle,
     local_expression,
-    make_morphism,
     map_pullback_cov,
     map_pullback_rs,
     subbundle_check,

@@ -1,4 +1,4 @@
-"""Desk-scale smooth vector bundles: atlases, transitions, fields, frames.
+"""Desk-scale smooth vector bundles: atlases, transitions, fields, morphisms.
 
 A bundle is specified by a base atlas (named charts with open box images,
 overlaps with coordinate changes) plus a fiber dimension and one transition
@@ -13,6 +13,10 @@ carries the point rules of the pointwise definition as data, a Pulling;
 a sum, multiple or product with such a field carries its operands whole.
 The rules run ahead of the coefficients in the one field-evaluation stage
 that field_eval and the check suites share.
+
+A frame on a chart U (d sections of B independent on U) is the local
+trivialization U x R^d -> B|U: a BundleMorphismSpec onto B from B's fiber
+over U, with the identity base map and the frame matrix as fiber map.
 
 Transition Convention, used uniformly by every operation and construction:
 the stored matrix g_ij converts chart-j fiber coordinates to chart-i fiber
@@ -32,7 +36,7 @@ seed; reports are deterministic given (spec, samples, seed, tol).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from itertools import permutations
 
 import numpy as np
@@ -43,6 +47,7 @@ from .calculus import (
     at_point,
     at_points,
     eval_map,
+    identity_map,
     make_smooth_map,
     point_in_box,
 )
@@ -176,26 +181,28 @@ class TensorFieldSpec:
 
 
 @dataclass(frozen=True)
-class Pulling:
-    """One level of pulling back through the morphism M (a
-    constructions.BundleMorphismSpec). At a point x of a source chart, M's
-    base map evaluates, its fiber map is finite and, unless tol is None,
-    nonsingular at tol (else error, naming the noun and x), the base
-    image is finite, and it passes the rules of the field pulled back,
-    inner, on the assigned chart, starting with that chart's box."""
+class BundleMorphismSpec:
+    source: VectorBundleSpec
+    target: VectorBundleSpec
+    assignment: dict  # source chart -> target chart the image lies in
+    base_map: dict  # source chart -> tuple of target-base-dim Expr
+    fiber_map: dict  # source chart -> d2 x d1 matrix of Expr
+    inverse: dict | None = None  # target chart -> (source chart, Expr tuple)
 
-    M: object
+
+@dataclass(frozen=True)
+class Pulling:
+    """One level of pulling back through the morphism M. At a point x of a
+    source chart, M's base map evaluates, M's fiber map passes its rule
+    (_fiber_map_rule), the base image is finite, and it passes the rules of
+    the field pulled back, inner, on the assigned chart, starting with
+    that chart's box."""
+
+    M: BundleMorphismSpec
     inner: TensorFieldSpec
     tol: float | None
     error: type
     noun: str  # what the fiber map is: "Jacobian", "fiber map" or "frame matrix"
-
-
-@dataclass(frozen=True)
-class FrameFieldSpec:
-    bundle: VectorBundleSpec
-    chart: str
-    columns: tuple  # d columns, each a tuple of d Expr
 
 
 def _edge_subject(e: BundleEdge) -> str:
@@ -324,6 +331,45 @@ def local_bundle(box, fiber_dim: int) -> VectorBundleSpec:
     fields."""
     b = box if isinstance(box, Box) else make_box(box)
     return make_bundle(make_atlas(b.dim, [(LOCAL_CHART, b)], []), fiber_dim, FieldTag.REAL, [])
+
+
+def make_morphism(source: VectorBundleSpec, target: VectorBundleSpec,
+                  assignment: dict, base_map: dict, fiber_map: dict,
+                  inverse: dict | None = None) -> BundleMorphismSpec:
+    if source.field is not target.field:
+        raise UnsupportedField("make_morphism needs a common scalar field")
+    d1, d2 = source.fiber_dim, target.fiber_dim
+    asg, bm, fm = {}, {}, {}
+    for c in source.base.charts:
+        name = c.name
+        if name not in assignment or name not in base_map or name not in fiber_map:
+            raise SpecError(f"morphism is missing data on chart '{name}'")
+        target.base.chart(assignment[name])
+        what = f"morphism data on '{name}'"
+        comps = as_exprs(base_map[name], source.base.dim, what, SpecError)
+        if len(comps) != target.base.dim:
+            raise SpecError(
+                f"base map on '{name}' has {len(comps)} components, "
+                f"target base dim is {target.base.dim}")
+        mat = tuple(as_exprs(row, source.base.dim, what, SpecError) for row in fiber_map[name])
+        if len(mat) != d2 or any(len(row) != d1 for row in mat):
+            raise SpecError(f"fiber map on '{name}' must be {d2}x{d1}")
+        asg[name], bm[name], fm[name] = assignment[name], comps, mat
+    inv = None
+    if inverse is not None:
+        inv = {}
+        for c in target.base.charts:
+            if c.name not in inverse:
+                raise SpecError(f"declared inverse is missing chart '{c.name}'")
+            src_chart, comps = inverse[c.name]
+            source.base.chart(src_chart)
+            comps = as_exprs(comps, target.base.dim, f"inverse on '{c.name}'", SpecError)
+            if len(comps) != source.base.dim:
+                raise SpecError(
+                    f"inverse on '{c.name}' has {len(comps)} components, "
+                    f"source base dim is {source.base.dim}")
+            inv[c.name] = (src_chart, comps)
+    return BundleMorphismSpec(source, target, asg, bm, fm, inv)
 
 
 # ---------------------------------------------------------------------------
@@ -616,15 +662,23 @@ def _field_values(t, A: TensorFieldSpec, chart: str, X, rows) -> np.ndarray:
     return C
 
 
+def _fiber_map_rule(t, M: BundleMorphismSpec, chart: str, X, rows, tol: float | None,
+                    error: type, noun: str) -> None:
+    """The fiber-map rule at the points X of a source chart of M: M's
+    fiber map evaluates, is finite and, unless tol is None, is
+    nonsingular at tol (else error, naming the noun and the point)."""
+    phi = t.matrix(M.fiber_map[chart], X, rows, M.source.field.dtype)
+    t.finite(phi, X, rows, noun)
+    if tol is not None:
+        t.fail(rows, scaled_abs_dets(phi) <= tol,
+               lambda j: error(f"{noun} singular at {X[j].tolist()}"))
+
+
 def _pulling(t, P: Pulling, chart: str, X, rows) -> None:
     """P's rules at the points X of a source chart, in Pulling's order."""
     M = P.M
     Y = t.exprs(M.base_map[chart], X, rows)
-    phi = t.matrix(M.fiber_map[chart], X, rows, M.source.field.dtype)
-    t.finite(phi, X, rows, P.noun)
-    if P.tol is not None:
-        t.fail(rows, scaled_abs_dets(phi) <= P.tol,
-               lambda j: P.error(f"{P.noun} singular at {X[j].tolist()}"))
+    _fiber_map_rule(t, M, chart, X, rows, P.tol, P.error, P.noun)
     t.finite(Y, X, rows, "map value")
     _field_values(t, P.inner, M.assignment[chart], Y, rows)
 
@@ -718,74 +772,59 @@ def field_fmul(f: dict, A: TensorFieldSpec) -> TensorFieldSpec:
 
 
 # ---------------------------------------------------------------------------
-# Frames.
+# Frames: morphisms from B's fiber over one chart, fiber map the frame matrix.
 
 
-def make_frame(B: VectorBundleSpec, chart: str, columns) -> FrameFieldSpec:
-    B.base.chart(chart)
+def make_frame(B: VectorBundleSpec, chart: str, columns) -> BundleMorphismSpec:
+    """The frame on chart whose sections are columns, d lists of d entries."""
+    box = B.base.chart(chart).box
     cols = tuple(as_exprs(col, B.base.dim, "frame entry", SpecError) for col in columns)
     if len(cols) != B.fiber_dim or any(len(c) != B.fiber_dim for c in cols):
         raise SpecError(f"a frame needs {B.fiber_dim} columns of {B.fiber_dim} components")
-    return FrameFieldSpec(B, chart, cols)
+    over = make_bundle(make_atlas(B.base.dim, [(chart, box)], []), B.fiber_dim, B.field, [])
+    return BundleMorphismSpec(over, B, {chart: chart}, {chart: identity_map(box).components},
+                              {chart: symmat.mat_transpose(cols)})
 
 
 def frame_from_trivialization(B: VectorBundleSpec, chart: str,
-                              basis: OrderedBasis) -> FrameFieldSpec:
+                              basis: OrderedBasis) -> BundleMorphismSpec:
     """The frame of constant sections whose fiber values are the basis vectors."""
     if basis.space.dim != B.fiber_dim:
         raise ShapeMismatch(
             f"basis dim {basis.space.dim} does not match fiber dim {B.fiber_dim}")
-    cols = []
-    for vec in basis.vectors:
-        entries = []
-        for value in vec:
-            if isinstance(value, complex) or np.iscomplexobj(vec):
-                if np.imag(value) != 0:
-                    raise UnsupportedField(
-                        "constant frames are stored as expressions, which are real-valued")
-                value = float(np.real(value))
-            entries.append(num_literal(float(value)))
-        cols.append(tuple(entries))
-    return FrameFieldSpec(B, chart, tuple(cols))
+    if np.any(np.imag(basis.vectors) != 0):
+        raise UnsupportedField("constant frames are stored as expressions, which are real-valued")
+    return make_frame(B, chart, [[num_literal(v) for v in np.real(vec)] for vec in basis.vectors])
 
 
-def _frame_rows(t, F: FrameFieldSpec, X, rows) -> np.ndarray:
-    """The frame matrix, columns the frame sections, at every point."""
-    t.in_box(F.bundle.base.chart(F.chart).box, X, rows, f"chart '{F.chart}'")
-    return t.matrix(F.columns, X, rows, F.bundle.field.dtype).transpose(0, 2, 1)
-
-
-def frame_matrix_at(F: FrameFieldSpec, x) -> np.ndarray:
+def frame_matrix_at(F: BundleMorphismSpec, x) -> np.ndarray:
     """The d x d matrix whose columns are the frame sections at x."""
-    F.bundle.base.chart(F.chart)
-    return at_point(x, F.bundle.base.dim, "base dim",
-                    lambda t, X, rows: _frame_rows(t, F, X, rows))
+    (c,) = F.source.base.charts
+
+    def stage(t, X, rows):
+        t.in_box(c.box, X, rows, f"chart '{c.name}'")
+        return t.matrix(F.fiber_map[c.name], X, rows, F.source.field.dtype)
+
+    return at_point(x, c.box.dim, "base dim", stage)
 
 
 @sampling_scope()
-def check_frame(F: FrameFieldSpec, samples: int = DEFAULT_SAMPLES,
+def check_frame(F: BundleMorphismSpec, samples: int = DEFAULT_SAMPLES,
                 tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED) -> CheckReport:
-    """Invertibility of the assembled frame matrix across the chart."""
+    """Invertibility of the frame matrix across the chart."""
+    (c,) = F.source.base.charts
 
     def evaluate(t):
-        return (scaled_abs_dets(_frame_rows(t, F, t.pts, t.rows)),)
+        return (scaled_abs_dets(t.matrix(F.fiber_map[c.name], t.pts, t.rows,
+                                         F.source.field.dtype)),)
 
-    records = _sampled({}, [("frame_gl", MIN_DET, tol)], F.chart,
-                       sample_box(F.bundle.base.chart(F.chart).box, samples, seed), seed, evaluate)
+    records = _sampled({}, [("frame_gl", MIN_DET, tol)], c.name,
+                       sample_box(c.box, samples, seed), seed, evaluate)
     return make_report("frame", records)
 
 
-def _nonsingular_frame(t, F: FrameFieldSpec, X, rows, tol: float) -> np.ndarray:
-    """The frame matrix at every point; a point where its scaled |det| is
-    at most tol fails with SingularFrame."""
-    P = _frame_rows(t, F, X, rows)
-    t.fail(rows, scaled_abs_dets(P) <= tol,
-           lambda j: SingularFrame(f"frame matrix singular at {X[j].tolist()}"))
-    return P
-
-
-def dual_frame(F: FrameFieldSpec, samples: int = 25, tol: float = DEFAULT_TOL,
-               seed: int = DEFAULT_SEED) -> FrameFieldSpec:
+def dual_frame(F: BundleMorphismSpec, samples: int = 25, tol: float = DEFAULT_TOL,
+               seed: int = DEFAULT_SEED) -> BundleMorphismSpec:
     """Dual frame: column i of the result is row i of the pointwise inverse.
 
     The inverse is taken symbolically (adjugate over determinant), so the
@@ -794,9 +833,8 @@ def dual_frame(F: FrameFieldSpec, samples: int = 25, tol: float = DEFAULT_TOL,
     """
     from .constructions import dual_bundle
 
-    at_points(sample_box(F.bundle.base.chart(F.chart).box, samples, seed),
-              lambda t, X, rows: _nonsingular_frame(t, F, X, rows, tol))
-    # The frame matrix is the transpose of the columns; the rows of its
-    # inverse are the dual columns.
-    inv = symmat.mat_inverse(symmat.mat_transpose(F.columns))
-    return FrameFieldSpec(dual_bundle(F.bundle), F.chart, inv)
+    (c,) = F.source.base.charts
+    at_points(sample_box(c.box, samples, seed), lambda t, X, rows: _fiber_map_rule(
+        t, F, c.name, X, rows, tol, SingularFrame, "frame matrix"))
+    inv = symmat.mat_inverse(F.fiber_map[c.name])
+    return replace(F, target=dual_bundle(F.target), fiber_map={c.name: symmat.mat_transpose(inv)})

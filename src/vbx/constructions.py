@@ -10,8 +10,9 @@ Fields are pulled back through bundle morphisms by one routine, _pulled:
 on each source chart, symmat.mat_pullback of the fiber map times the field
 with the base map substituted. Pulling back along a smooth map f is the
 pullback through the morphism from the trivial bundle over f's box whose
-base map is f and whose fiber map is the Jacobian J_f (expr.diff of f);
-a field's local expression in a frame is the pullback through the frame.
+base map is f and whose fiber map is the Jacobian J_f (expr.diff of f).
+A frame is a morphism too (bundles.make_frame), and a field's local
+expression in a frame is the pullback through it.
 
 Transition matrices follow the Transition Convention of the bundle core
 throughout; flattened fibers (tensor and Hom bundles) use the same radix
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import math
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import partial
 from itertools import product
 
@@ -35,26 +36,27 @@ from .bundles import (
     LOCAL_CHART,
     BaseAtlasSpec,
     BundleEdge,
-    FrameFieldSpec,
+    BundleMorphismSpec,
+    OverlapSpec,
     Pulling,
     TensorFieldSpec,
     VectorBundleSpec,
     _check_field_pair,
+    _fiber_map_rule,
     _field_values,
     _first_match,
     _live_only,
     _max_abs,
-    _nonsingular_frame,
     _operand_rules,
     _sampled,
     check_section,
     field_eval,
-    find_edge,
     local_bundle,
     make_atlas,
     make_bundle,
+    make_morphism,
 )
-from .calculus import SmoothMap, at_points, identity_map, make_smooth_map, shaped
+from .calculus import SmoothMap, at_points, make_smooth_map, shaped
 from .errors import (
     BaseMismatch,
     ChartAssignmentError,
@@ -75,14 +77,13 @@ from .geometry import (
     box_mask,
     intersect_boxes,
     make_box,
-    region_contains,
     region_mask,
     sample_box,
     sample_region,
     sampling_scope,
 )
 from .intervals import interval_eval
-from .linalg import DEFAULT_TOL, FieldTag, scaled_abs_dets
+from .linalg import DEFAULT_TOL, FieldTag
 from .report import MIN_DET, RESIDUAL, make_report, vacuous_record
 from .tensors import digits_to_index, index_to_digits
 from . import symmat
@@ -213,6 +214,23 @@ def direct_product(B1: VectorBundleSpec, B2: VectorBundleSpec) -> VectorBundleSp
                        derivation={"construction": "direct_product"})
 
 
+def _image_part(o: OverlapSpec, f: SmoothMap, regions, what: str, error: type,
+                samples: int, seed: int) -> int:
+    """The index of the first of regions (the what = `i->j` overlap
+    components) to hold f's image of overlap o's first sample, once it
+    holds the images of all the others too; else error."""
+    images = at_points(sample_region(o.region, samples, seed),
+                       lambda t, X, rows: t.map(f, X, rows))
+    k = _first_match(regions, images[:1])[0]
+    if k < 0:
+        raise error(f"image {images[0].tolist()} of overlap {o.frm}->{o.to} lies in no "
+                    f"declared {what} overlap region")
+    if not region_mask(regions[k], images[1:]).all():
+        raise error(f"overlap {o.frm}->{o.to} maps into more than one {what} component; "
+                    "split the overlap")
+    return k
+
+
 def induced_bundle(B: VectorBundleSpec, base: BaseAtlasSpec, assignment: dict,
                    maps: dict, samples: int = 50,
                    seed: int = DEFAULT_SEED) -> VectorBundleSpec:
@@ -253,19 +271,10 @@ def induced_bundle(B: VectorBundleSpec, base: BaseAtlasSpec, assignment: dict,
         if ci == cj:
             transitions.append((o.frm, o.to, symmat.mat_identity(B.fiber_dim)))
             continue
-        f_i = smooth[o.frm]
-        images = at_points(sample_region(o.region, samples, seed),
-                           lambda t, X, rows: t.map(f_i, X, rows))
-        edge = find_edge(B, ci, cj, images[0])
-        if edge is None:
-            raise ChartAssignmentError(
-                f"image {images[0].tolist()} of overlap {o.frm}->{o.to} lies in no "
-                f"declared {ci}->{cj} overlap region")
-        if not region_mask(edge.overlap.region, images[1:]).all():
-            raise ChartAssignmentError(
-                f"overlap {o.frm}->{o.to} maps into more than one {ci}->{cj} "
-                "component; split the overlap")
-        transitions.append((o.frm, o.to, symmat.mat_subst(edge.g, f_i.components)))
+        f_i, edges = smooth[o.frm], B.edges_between(ci, cj)
+        k = _image_part(o, f_i, [e.overlap.region for e in edges], f"{ci}->{cj}",
+                        ChartAssignmentError, samples, seed)
+        transitions.append((o.frm, o.to, symmat.mat_subst(edges[k].g, f_i.components)))
     return make_bundle(base, B.fiber_dim, B.field, transitions,
                        derivation={"construction": "induced",
                                    "assignment": {k: assignment[k] for k in sorted(assignment)}})
@@ -439,16 +448,8 @@ def tangent_bundle(base: BaseAtlasSpec, samples: int = 25,
     transitions = []
     for o in base.overlaps:
         candidates = base.overlaps_between(o.to, o.frm)
-        images = at_points(sample_region(o.region, samples, seed),
-                           lambda t, X, rows: t.map(o.tau, X, rows))
-        rev = next((c for c in candidates if region_contains(c.region, images[0])), None)
-        if rev is None:
-            raise SpecError(
-                f"overlap {o.frm}->{o.to}: image of sampled point lies in no declared "
-                f"{o.to}->{o.frm} region")
-        if not region_mask(rev.region, images[1:]).all():
-            raise SpecError(
-                f"overlap {o.frm}->{o.to} maps into more than one reverse component")
+        rev = candidates[_image_part(o, o.tau, [c.region for c in candidates],
+                                     f"{o.to}->{o.frm}", SpecError, samples, seed)]
         env = o.tau.components
         rows = []
         for a in range(base.dim):
@@ -492,88 +493,38 @@ def field_product(A: TensorFieldSpec, B: TensorFieldSpec) -> TensorFieldSpec:
     return TensorFieldSpec(A.bundle, r + p, s + q, out, _operand_rules(A, B))
 
 
-def local_expression(A: TensorFieldSpec, F: FrameFieldSpec, points,
+def local_expression(A: TensorFieldSpec, F: BundleMorphismSpec, points,
                      tol: float = DEFAULT_TOL) -> np.ndarray:
     """Numeric components of the field in a frame, at the query points.
 
     Component (j1..jr, k1..ks) at p is the field evaluated on the frame
     columns in the vector slots and the dual-frame rows in the covector
-    slots: the field pulled back through the frame, a morphism onto B
-    from B's fiber over the frame's chart, with the identity base map and
-    the frame matrix as fiber map. The returned table has one row per
-    point, radix-ordered.
+    slots: the field pulled back through the frame. The returned table
+    has one row per point, radix-ordered.
     """
-    if F.bundle != A.bundle:
+    if F.target != A.bundle:
         raise ShapeMismatch("frame and field live on different bundles")
-    if F.chart not in A.per_chart:
-        raise DomainViolation(f"field has no components on chart '{F.chart}'")
-    B, chart = A.bundle, F.chart
-    X = np.array([shaped(p, B.base.dim, "base dim") for p in points]).reshape(-1, B.base.dim)
+    (c,) = F.source.base.charts
+    if c.name not in A.per_chart:
+        raise DomainViolation(f"field has no components on chart '{c.name}'")
+    X = np.array([shaped(p, c.box.dim, "base dim") for p in points]).reshape(-1, c.box.dim)
     if not len(X):
-        return np.array([], dtype=B.field.dtype)
-    box = B.base.chart(chart).box
-    over = make_bundle(make_atlas(B.base.dim, [(chart, box)], []), B.fiber_dim, B.field, [])
-    M = make_morphism(over, B, {chart: chart}, {chart: identity_map(box).components},
-                      {chart: symmat.mat_transpose(F.columns)})
+        return np.array([], dtype=A.bundle.field.dtype)
     try:
-        pulled = _pulled(M, A, tol, SingularFrame, "frame matrix")
+        pulled = _pulled(F, A, tol, SingularFrame, "frame matrix")
     except SingularFrame:  # the determinant folds to 0: the first point that gets there fails
-        at_points(X, lambda t, X, rows: _nonsingular_frame(t, F, X, rows, tol))
+
+        def stage(t, X, rows):
+            t.in_box(c.box, X, rows, f"chart '{c.name}'")
+            _fiber_map_rule(t, F, c.name, X, rows, tol, SingularFrame, "frame matrix")
+
+        at_points(X, stage)
         raise
-    return at_points(X, lambda t, X, rows: _field_values(t, pulled, chart, X, rows))
+    return at_points(X, lambda t, X, rows: _field_values(t, pulled, c.name, X, rows))
 
 
 # ---------------------------------------------------------------------------
 # Bundle morphisms.
-
-
-@dataclass(frozen=True)
-class BundleMorphismSpec:
-    source: VectorBundleSpec
-    target: VectorBundleSpec
-    assignment: dict  # source chart -> target chart the image lies in
-    base_map: dict  # source chart -> tuple of target-base-dim Expr
-    fiber_map: dict  # source chart -> d2 x d1 matrix of Expr
-    inverse: dict | None = None  # target chart -> (source chart, Expr tuple)
-
-
-def make_morphism(source: VectorBundleSpec, target: VectorBundleSpec,
-                  assignment: dict, base_map: dict, fiber_map: dict,
-                  inverse: dict | None = None) -> BundleMorphismSpec:
-    if source.field is not target.field:
-        raise UnsupportedField("make_morphism needs a common scalar field")
-    d1, d2 = source.fiber_dim, target.fiber_dim
-    asg, bm, fm = {}, {}, {}
-    for c in source.base.charts:
-        name = c.name
-        if name not in assignment or name not in base_map or name not in fiber_map:
-            raise SpecError(f"morphism is missing data on chart '{name}'")
-        target.base.chart(assignment[name])
-        what = f"morphism data on '{name}'"
-        comps = as_exprs(base_map[name], source.base.dim, what, SpecError)
-        if len(comps) != target.base.dim:
-            raise SpecError(
-                f"base map on '{name}' has {len(comps)} components, "
-                f"target base dim is {target.base.dim}")
-        mat = tuple(as_exprs(row, source.base.dim, what, SpecError) for row in fiber_map[name])
-        if len(mat) != d2 or any(len(row) != d1 for row in mat):
-            raise SpecError(f"fiber map on '{name}' must be {d2}x{d1}")
-        asg[name], bm[name], fm[name] = assignment[name], comps, mat
-    inv = None
-    if inverse is not None:
-        inv = {}
-        for c in target.base.charts:
-            if c.name not in inverse:
-                raise SpecError(f"declared inverse is missing chart '{c.name}'")
-            src_chart, comps = inverse[c.name]
-            source.base.chart(src_chart)
-            comps = as_exprs(comps, target.base.dim, f"inverse on '{c.name}'", SpecError)
-            if len(comps) != source.base.dim:
-                raise SpecError(
-                    f"inverse on '{c.name}' has {len(comps)} components, "
-                    f"source base dim is {source.base.dim}")
-            inv[c.name] = (src_chart, comps)
-    return BundleMorphismSpec(source, target, asg, bm, fm, inv)
 
 
 def identity_morphism(B: VectorBundleSpec) -> BundleMorphismSpec:
@@ -718,13 +669,8 @@ def vb_pullback_rs(M: BundleMorphismSpec, A: TensorFieldSpec, samples: int = 25,
     if M.inverse is None:
         raise NotAnIsomorphism("pullback of mixed tensors needs a declared inverse")
     for c in M.source.base.charts:
-
-        def stage(t, X, rows):
-            phi = t.matrix(M.fiber_map[c.name], X, rows, M.source.field.dtype)
-            t.fail(rows, scaled_abs_dets(phi) <= tol, lambda j: NotAnIsomorphism(
-                f"fiber map singular at {X[j].tolist()} on chart '{c.name}'"))
-
-        at_points(sample_box(c.box, samples, seed), stage)
+        at_points(sample_box(c.box, samples, seed), lambda t, X, rows: _fiber_map_rule(
+            t, M, c.name, X, rows, tol, NotAnIsomorphism, "fiber map"))
     smooth = {c.name: make_smooth_map(M.base_map[c.name], c.box)
               for c in M.source.base.charts}
     for c in M.target.base.charts:

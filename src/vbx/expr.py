@@ -37,6 +37,7 @@ for it.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -605,7 +606,9 @@ class _Parser:
         tok = self.tok
         if tok.kind == "num":
             self.advance()
-            return Num(float(tok.text))
+            if math.isinf(value := float(tok.text)):
+                raise ParseError(f"number {tok.text} is out of range", tok.pos)
+            return Num(value)
         if tok.kind == "(":
             return self.group(levels, tok, self.advance(), None)
         if tok.kind == "name":
@@ -746,6 +749,16 @@ def _num(v: float) -> Expr:
     return Num(v) if v >= 0 else Neg(Num(-v))
 
 
+def _folded(op, *values) -> Expr | None:
+    """op(*values) as a literal, or None: a constant fold that fails (zero
+    to a negative power, overflow) or is not finite keeps its node."""
+    try:
+        v = op(*values)
+    except (OverflowError, ZeroDivisionError):
+        return None
+    return _num(v) if math.isfinite(v) else None
+
+
 def num_literal(v: float) -> Expr:
     """A literal node for v; negatives become Neg(Num) as the grammar would."""
     return _num(float(v))
@@ -753,8 +766,8 @@ def num_literal(v: float) -> Expr:
 
 def fold_add(a: Expr, b: Expr) -> Expr:
     va, vb = _as_num(a), _as_num(b)
-    if va is not None and vb is not None:
-        return _num(va + vb)
+    if va is not None and vb is not None and (v := _folded(operator.add, va, vb)) is not None:
+        return v
     if va == 0:
         return b
     if vb == 0:
@@ -764,8 +777,8 @@ def fold_add(a: Expr, b: Expr) -> Expr:
 
 def fold_sub(a: Expr, b: Expr) -> Expr:
     va, vb = _as_num(a), _as_num(b)
-    if va is not None and vb is not None:
-        return _num(va - vb)
+    if va is not None and vb is not None and (v := _folded(operator.sub, va, vb)) is not None:
+        return v
     if vb == 0:
         return a
     if va == 0:
@@ -784,8 +797,8 @@ def fold_neg(a: Expr) -> Expr:
 
 def fold_mul(a: Expr, b: Expr) -> Expr:
     va, vb = _as_num(a), _as_num(b)
-    if va is not None and vb is not None:
-        return _num(va * vb)
+    if va is not None and vb is not None and (v := _folded(operator.mul, va, vb)) is not None:
+        return v
     if va == 0 or vb == 0:
         return Num(0.0)
     if va == 1:
@@ -803,8 +816,8 @@ def fold_div(a: Expr, b: Expr) -> Expr:
     va, vb = _as_num(a), _as_num(b)
     if vb is not None and vb == 0:
         raise EvalError("division by constant zero")
-    if va is not None and vb is not None:
-        return _num(va / vb)
+    if va is not None and vb is not None and (v := _folded(operator.truediv, va, vb)) is not None:
+        return v
     if va == 0:
         return Num(0.0)
     if vb == 1:
@@ -818,8 +831,8 @@ def fold_pow(base: Expr, k: int) -> Expr:
     if k == 1:
         return base
     vb = _as_num(base)
-    if vb is not None and not (vb == 0 and k < 0):
-        return _num(vb**k)
+    if vb is not None and (v := _folded(operator.pow, vb, k)) is not None:
+        return v
     return Pow(base, k)
 
 

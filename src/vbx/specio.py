@@ -34,6 +34,7 @@ from .bundles import (
 from .errors import FileError, ParseError, SpecError, UnknownSymbol
 from .expr import parse_expr, to_string
 from .linalg import FieldTag
+from .symmat import mat_transpose
 
 _TOP_KEYS = {"base", "fiber", "transitions", "sections", "frames", "fields", "derivation"}
 _BASE_KEYS = {"dim", "charts", "overlaps"}
@@ -113,6 +114,13 @@ def _parse_entry(text, loc: str, memo: dict | None):
     except (ParseError, UnknownSymbol) as exc:
         raise type(exc)(f"{loc}: {exc.args[0].rsplit(' (column', 1)[0]}",
                         exc.position) from exc
+
+
+def _parse_matrix(value, loc: str, memo: dict) -> tuple:
+    """An array of arrays of expression strings, as a tuple of tuples."""
+    return tuple(tuple(_parse_entry(e, f"{loc}/{i}/{j}", memo)
+                       for j, e in enumerate(_as_list(row, f"{loc}/{i}")))
+                 for i, row in enumerate(_as_list(value, loc)))
 
 
 def _parse_box(value, loc: str) -> list:
@@ -197,12 +205,7 @@ def _load_bundle(doc: dict, base: BaseAtlasSpec, memo: dict) -> VectorBundleSpec
         _check_keys(entry, _TRANSITION_KEYS, loc)
         frm = _as_str(_need(entry, "from", loc), f"{loc}/from")
         to = _as_str(_need(entry, "to", loc), f"{loc}/to")
-        g = []
-        for i, row in enumerate(_as_list(_need(entry, "g", loc), f"{loc}/g")):
-            row = _as_list(row, f"{loc}/g/{i}")
-            g.append(tuple(_parse_entry(c, f"{loc}/g/{i}/{j}", memo)
-                           for j, c in enumerate(row)))
-        transitions.append((frm, to, tuple(g)))
+        transitions.append((frm, to, _parse_matrix(_need(entry, "g", loc), f"{loc}/g", memo)))
 
     derivation = doc.get("derivation")
     if derivation is not None:
@@ -272,13 +275,9 @@ def load_spec(path) -> SpecDocument:
         if name in frames:
             raise SpecError(f"duplicate frame name '{name}'", f"{loc}/name")
         chart = _as_str(_need(entry, "chart", loc), f"{loc}/chart")
-        columns = []
-        for i, col in enumerate(_as_list(_need(entry, "columns", loc), f"{loc}/columns")):
-            col = _as_list(col, f"{loc}/columns/{i}")
-            columns.append(tuple(_parse_entry(e, f"{loc}/columns/{i}/{j}", memo)
-                                 for j, e in enumerate(col)))
+        columns = _parse_matrix(_need(entry, "columns", loc), f"{loc}/columns", memo)
         try:
-            frames[name] = make_frame(bundle, chart, tuple(columns))
+            frames[name] = make_frame(bundle, chart, columns)
         except SpecError as exc:
             raise SpecError(str(exc), loc) from exc
 
@@ -351,7 +350,7 @@ def document_to_dict(bundle: VectorBundleSpec, sections: dict | None = None,
     bundles.Pulling), cannot be written faithfully: SpecError."""
     for kind, entries in (("section", sections), ("frame", frames), ("field", fields)):
         for name, X in sorted((entries or {}).items()):
-            if X.bundle != bundle:
+            if (X.target if kind == "frame" else X.bundle) != bundle:
                 raise SpecError(f"{kind} '{name}' is not on the saved bundle")
             if getattr(X, "rules", ()):
                 raise SpecError(f"{kind} '{name}' carries point rules, which a file cannot hold")
@@ -365,11 +364,11 @@ def document_to_dict(bundle: VectorBundleSpec, sections: dict | None = None,
         doc["sections"] = [{"name": name, "components": components(S)}
                            for name, S in sorted(sections.items())]
     if frames:
-        doc["frames"] = [
-            {"name": name, "chart": F.chart,
-             "columns": [[to_string(e, memo) for e in col] for col in F.columns]}
-            for name, F in sorted(frames.items())
-        ]
+        doc["frames"] = []
+        for name, F in sorted(frames.items()):  # a frame's columns are its fiber map's
+            ((chart, P),) = F.fiber_map.items()
+            doc["frames"].append({"name": name, "chart": chart, "columns": [
+                [to_string(e, memo) for e in col] for col in mat_transpose(P)]})
     if fields:
         doc["fields"] = [{"name": name, "r": A.r, "s": A.s, "components": components(A)}
                          for name, A in sorted(fields.items())]

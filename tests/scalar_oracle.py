@@ -230,9 +230,9 @@ def field_eval(A, chart, x) -> np.ndarray:
 
 
 def frame_matrix_at(F, x) -> np.ndarray:
-    env = list(_in_chart(F.bundle, F.chart, x))
-    cols = [[eval_expr(e, env) for e in col] for col in F.columns]
-    return np.array(cols, dtype=F.bundle.field.dtype).T
+    """The frame matrix: F's fiber map on its one chart."""
+    ((chart, P),) = F.fiber_map.items()
+    return eval_matrix(P, _in_chart(F.target, chart, x), F.target.field.dtype)
 
 
 def scaled_abs_det(matrix) -> float:

@@ -447,6 +447,8 @@ def test_frame_from_trivialization():
         frame_from_trivialization(
             B, "left",
             make_basis(make_space(2, FieldTag.COMPLEX), [[1j, 0.0], [0.0, 1.0]]))
+    with pytest.raises(SpecError, match="unknown chart 'nowhere'"):  # checked as it is built
+        frame_from_trivialization(B, "nowhere", make_basis(plane, [[2.0, 0.0], [0.0, 1.0]]))
 
 
 def test_dual_frame_constant_case():
@@ -476,7 +478,7 @@ def test_dual_frame_lives_on_the_dual_bundle():
     B = plane_rotation_bundle()
     F = make_frame(B, "left", [["1", "0"], ["0", "1"]])
     D = dual_frame(F)
-    assert D.bundle == dual_bundle(B)
+    assert D.target == dual_bundle(B)
 
 
 def test_dual_frame_rejects_singular_frames():

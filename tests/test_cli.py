@@ -1,11 +1,16 @@
 """Command-line behavior: exit codes, report text, construct/eval flows."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 from support import quarter_circle_atlas
 
 from vbx.cli import main
@@ -465,3 +470,66 @@ def test_eval_full_precision_output(capsys):
     assert code == 0
     import math
     assert out.strip().splitlines()[2] == f"value {math.cos(0.25):.17g}"
+
+
+# --------------------------------------------------------------------------
+# Constant folds past the float range: no traceback, however a cell is written.
+
+FOLD_COMMANDS = (("dual",), ("tensor", "--r", "2", "--s", "0"), ("product",))
+
+
+def mobius_with_cell(path: Path, cell: str, k: int = 0) -> str:
+    doc = json.loads(gallery_path("mobius").read_text())
+    doc["transitions"][k]["g"][0][0] = cell
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def quiet_main(*argv) -> tuple:
+    """main's exit code and stderr, stdout discarded, in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, err.getvalue()
+
+
+def construct_and_check(spec: str, out_dir: Path) -> list:
+    """(exit code, stderr) of each construct of FOLD_COMMANDS on spec, and
+    of the check of each file it wrote."""
+    runs = []
+    for kind, *flags in FOLD_COMMANDS:
+        out = str(out_dir / f"{kind}.json")
+        inputs = [spec, spec] if kind == "product" else [spec]
+        runs.append(quiet_main("construct", kind, *flags, *inputs, "-o", out))
+        if runs[-1][0] == 0:
+            runs.append(quiet_main("check", out, "--samples", "20"))
+    return runs
+
+
+@pytest.mark.parametrize("cell", ["1e-320", "(1e200)^2 / (1e200)^2"])
+def test_constant_folds_past_the_float_range_keep_their_node(tmp_path, cell):
+    spec = mobius_with_cell(tmp_path / "in.json", cell)
+    assert quiet_main("check", spec, "--samples", "20")[0] == 2
+    runs = construct_and_check(spec, tmp_path)
+    # each construct writes its output, and the output fails its check as the input does
+    assert [code for code, _ in runs] == [0, 2] * len(FOLD_COMMANDS)
+    assert all("Traceback" not in err for _, err in runs)
+
+
+_LITERALS = st.one_of(
+    st.sampled_from(["5e-324", "1e-320", "2.2e-308", "1e308", "-1e308",
+                     "1.7976931348623157e308", "0", "1", "-1"]),
+    st.builds("(1e{})^{}".format, st.integers(-330, 330), st.integers(-3, 3)))
+_CELLS = st.one_of(_LITERALS, st.builds("{} / {}".format, _LITERALS, _LITERALS),
+                   st.builds("({}) * ({})".format, _LITERALS, _LITERALS))
+
+
+@seed(20261018)
+@settings(max_examples=50, deadline=None)
+@given(_CELLS, st.integers(0, 3))
+def test_extreme_transition_literals_end_in_an_exit_code(cell, k):
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = mobius_with_cell(Path(tmp) / "in.json", cell, k)
+        for code, err in construct_and_check(spec, Path(tmp)):
+            assert code in (0, 1, 2), (cell, code, err)
+            assert "Traceback" not in err, (cell, err)

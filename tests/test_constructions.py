@@ -6,6 +6,7 @@ with plain numpy from the input bundle's transitions, so the symbolic
 route is cross-checked by an independent numeric one.
 """
 
+import hashlib
 import itertools
 import json
 
@@ -40,6 +41,7 @@ from vbx.bundles import (
     transition_eval,
 )
 from vbx.constructions import (
+    BundleMorphismSpec,
     base_restriction,
     check_morphism,
     check_tensor_field,
@@ -76,7 +78,8 @@ from vbx.expr import eval_expr, parse_expr
 from vbx.linalg import FieldTag, make_linear, make_space
 from vbx.pullbacks import cov_pullback, rs_pullback
 from vbx.report import MIN_DET
-from vbx.specio import gallery_path, list_gallery, load_spec
+from vbx.geometry import sample_box
+from vbx.specio import gallery_path, list_gallery, load_spec, save_spec
 from vbx.tensors import tensor_add, tensor_product
 
 CHECK_TOL = 1e-9
@@ -559,6 +562,58 @@ def test_local_expression_on_a_complex_bundle_matches_the_pointwise_pullback():
                         field_eval(A, "left", p)).coeffs for p in pts]
     assert table.dtype == np.complex128 and table.shape == (3, 4)
     assert np.allclose(table, want, rtol=1e-14, atol=0)
+
+
+# A frame is an ordinary morphism: from the bundle's fiber over its chart,
+# with the identity base map and the frame matrix as fiber map.
+
+GALLERY_SAVE_SHA256 = {  # load, then save_spec with every named entry
+    "circle_tangent": "be8d4b5706d4090dea065af7fb913c465d57b0677ddb85df3471ebe77e06455e",
+    "mobius": "d18682e4ece00a1b391142417de764ef3355101dce6d52cc16cf171c2222c3b5",
+    "mobius_bad_section": "f8f8e56786c598b692966d60680e9c2a92b43876337ed0ef8021467b932dbf7c",
+    "mobius_tampered": "dd700d6f14653fc969abbccea0d3c3633412f0a41393f8e49466350495f1e646",
+    "projective_tangent": "b5e85f9e80b422b5049060687ce302ef0dbe5532ded99882c830e84ee37decb2",
+    "trivial": "ab0df3506c9ebb29926e71e31b347a61709be3edd9654430eea7842ffb293f7a",
+}
+
+
+def gallery_bundle_docs():
+    docs = {name: load_spec(gallery_path(name)) for name in list_gallery()}
+    return {name: doc for name, doc in docs.items() if doc.bundle is not None}
+
+
+def test_gallery_frames_pass_check_morphism():
+    frames = [F for doc in gallery_bundle_docs().values() for F in doc.frames.values()]
+    assert len(frames) == 5
+    for F in frames:
+        assert isinstance(F, BundleMorphismSpec)
+        assert check_morphism(F, 40).passed
+
+
+def test_covariant_pullback_through_a_gallery_frame_is_its_local_expression():
+    pairs = 0
+    for doc in gallery_bundle_docs().values():
+        for A in list(doc.fields.values()) + list(doc.sections.values()):
+            if A.s:
+                continue
+            for F in doc.frames.values():
+                (chart,) = F.assignment
+                if chart not in A.per_chart:
+                    continue
+                pulled = vb_pullback_cov(F, A)
+                for p in sample_box(F.source.base.chart(chart).box, 20, 3):
+                    want = local_expression(A, F, [p])[0]
+                    assert field_eval(pulled, chart, p).coeffs.tobytes() == want.tobytes()
+                pairs += 1
+    assert pairs >= 5
+
+
+def test_gallery_files_save_as_they_load(tmp_path):
+    for name, doc in gallery_bundle_docs().items():
+        out = tmp_path / f"{name}.json"
+        save_spec(doc.bundle, out, doc.sections, doc.frames, doc.fields)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == GALLERY_SAVE_SHA256[name], name
+    assert len(GALLERY_SAVE_SHA256) == len(gallery_bundle_docs())
 
 
 # --------------------------------------------------------------------------

@@ -22,6 +22,10 @@ from vbx.expr import (
     Var,
     diff,
     eval_expr,
+    fold_add,
+    fold_div,
+    fold_mul,
+    fold_pow,
     max_var_index,
     num_literal,
     parse_expr,
@@ -295,3 +299,21 @@ def test_deep_and_shared_trees_compare_and_hash_without_recursion():
 
     assert doubling(64) == doubling(64) and doubling(64) != doubling(63)
     assert hash(doubling(64)) == hash(doubling(64))
+
+
+def test_constant_folds_past_the_float_range_keep_their_node():
+    tiny, huge = parse_expr("1e-320"), parse_expr("1e200")
+    assert fold_div(Num(1.0), tiny) == Div(Num(1.0), tiny)
+    assert fold_mul(huge, huge) == Mul(huge, huge)
+    assert fold_add(Num(1.7976931348623157e308), Num(1.7976931348623157e308)) == Add(
+        Num(1.7976931348623157e308), Num(1.7976931348623157e308))
+    assert fold_pow(huge, 2) == Pow(huge, 2)  # float ** raises OverflowError here
+    assert fold_pow(tiny, -2) == Pow(tiny, -2)
+    assert to_string(subst(parse_expr("(x1)^2 / x1"), [huge])) == "1e+200^2 / 1e+200"
+    assert fold_div(Num(1.0), Num(4.0)) == Num(0.25)  # finite folds still fold
+
+
+def test_a_number_literal_past_the_float_range_is_a_parse_error():
+    with pytest.raises(ParseError, match="number 1e400 is out of range"):
+        parse_expr("x1 + 1e400")
+    assert parse_expr("1e-400") == Num(0.0)  # underflow to zero is a finite value

@@ -16,6 +16,7 @@ from support import gallery_expressions, local_field, mobius_bundle, plane_rotat
 
 from vbx.bundles import (
     LOCAL_CHART,
+    check_frame,
     dual_frame,
     field_add,
     field_eval,
@@ -152,12 +153,13 @@ def test_frame_matrix_at_is_a_row_of_the_batch_on_gallery_frames():
     checked = 0
     for doc in gallery_docs():
         for F in doc.frames.values():
-            d = F.bundle.fiber_dim
-            X = box_points(F.bundle.base.chart(F.chart).box)
-            flat = [e for col in F.columns for e in col]
+            ((chart, P),) = F.fiber_map.items()
+            d = F.target.fiber_dim
+            X = box_points(F.target.base.chart(chart).box)
+            flat = [e for row in P for e in row]
             values = run_program(compile_exprs(flat), X).values
             for k, x in enumerate(X):
-                row = values[k].reshape(d, d).astype(F.bundle.field.dtype).T
+                row = values[k].reshape(d, d).astype(F.target.field.dtype)
                 row_or_oracle(outcome(lambda: frame_matrix_at(F, x)), row,
                               outcome(lambda: oracle.frame_matrix_at(F, x)))
                 checked += 1
@@ -217,6 +219,22 @@ def test_tf_eval_of_pulled_sums_and_products_is_a_row_of_the_batch():
     assert checked > 300
 
 
+def test_every_frame_stage_meets_the_fiber_map_entries_in_one_order():
+    # At x1 < 0 two entries fail: log(x1) in column 1, sqrt(x1) in column 2.
+    # The frame is its fiber map, the frame matrix, read row by row, so
+    # every stage meets sqrt(x1) first.
+    B = plane_rotation_bundle()
+    F = make_frame(B, "left", [["1", "log(x1)"], ["sqrt(x1)", "1"]])
+    A = make_field(B, 0, 1, {"left": ["1", "0"], "right": ["1", "0"]})
+    x = [-0.5, 0.1]
+    want = (EvalError, "sqrt of negative value -0.5")
+    assert outcome(lambda: frame_matrix_at(F, x)) == want
+    assert outcome(lambda: local_expression(A, F, [x])) == want
+    assert outcome(lambda: oracle.frame_matrix_at(F, x)) == want
+    assert "sqrt of negative value" in check_frame(F, 5).records[0].note
+    assert "sqrt of negative value" in outcome(lambda: dual_frame(F))[1]
+
+
 def test_one_point_shape_rule():
     doc = load_spec(gallery_path("mobius"))
     S, F = doc.sections["halfwave"], doc.frames["unit_east"]
@@ -251,12 +269,13 @@ def old_tangent_loop(base, samples=25, seed=42):
         rev = next((c for c in candidates if region_contains(c.region, images[0])), None)
         if rev is None:
             raise SpecError(
-                f"overlap {o.frm}->{o.to}: image of sampled point lies in no declared "
-                f"{o.to}->{o.frm} region")
+                f"image {images[0].tolist()} of overlap {o.frm}->{o.to} lies in no "
+                f"declared {o.to}->{o.frm} overlap region")
         for y in images[1:]:
             if not region_contains(rev.region, y):
                 raise SpecError(
-                    f"overlap {o.frm}->{o.to} maps into more than one reverse component")
+                    f"overlap {o.frm}->{o.to} maps into more than one {o.to}->{o.frm} "
+                    "component; split the overlap")
 
 
 def old_induced_loop(B, base, assignment, maps, samples=50, seed=42):
@@ -297,9 +316,10 @@ def old_pullback_loops(M, samples=25, tol=1e-10, seed=42, roundtrip_tol=1e-8):
     for c in M.source.base.charts:
         for x in sample_box(c.box, samples, seed):
             phi = oracle.eval_matrix(M.fiber_map[c.name], x, M.source.field.dtype)
+            if not np.isfinite(phi).all():
+                raise EvalError(f"fiber map not finite at {x.tolist()}")
             if oracle.scaled_abs_det(phi) <= tol:
-                raise NotAnIsomorphism(
-                    f"fiber map singular at {x.tolist()} on chart '{c.name}'")
+                raise NotAnIsomorphism(f"fiber map singular at {x.tolist()}")
     smooth = {c.name: make_smooth_map(M.base_map[c.name], c.box)
               for c in M.source.base.charts}
     for c in M.target.base.charts:
@@ -317,18 +337,24 @@ def old_pullback_loops(M, samples=25, tol=1e-10, seed=42, roundtrip_tol=1e-8):
                     f"declared inverse fails the round trip at {y.tolist()}")
 
 
+def frame_rule(F, x, tol):
+    """The fiber-map rule on a frame: its matrix is finite, then nonsingular."""
+    P = oracle.frame_matrix_at(F, x)
+    if not np.isfinite(P).all():
+        raise EvalError(f"frame matrix not finite at {np.asarray(x).tolist()}")
+    if oracle.scaled_abs_det(P) <= tol:
+        raise SingularFrame(f"frame matrix singular at {np.asarray(x).tolist()}")
+
+
 def old_dual_frame_loop(F, samples=25, tol=1e-10, seed=42):
-    for x in sample_box(F.bundle.base.chart(F.chart).box, samples, seed):
-        if oracle.scaled_abs_det(oracle.frame_matrix_at(F, x)) <= tol:
-            raise SingularFrame(f"frame matrix singular at {np.asarray(x).tolist()}")
+    for x in sample_box(F.source.base.charts[0].box, samples, seed):
+        frame_rule(F, x, tol)
 
 
 def old_local_expression_loop(A, F, points, tol=1e-10):
     for p in points:
-        P = oracle.frame_matrix_at(F, p)
-        if oracle.scaled_abs_det(P) <= tol:
-            raise SingularFrame(f"frame matrix singular at {np.asarray(p).tolist()}")
-        oracle.field_eval(A, F.chart, p)
+        frame_rule(F, p, tol)
+        oracle.field_eval(A, F.source.base.charts[0].name, p)
 
 
 def same_first_failure(new, old, error):
@@ -405,6 +431,7 @@ SINGULAR_OR_OVERFLOW = [["1", "1"], ["1", "1 + exp(-1000*x1)"]]
     (EYE, ["log(x1 + 1)", "x2"], NotAnIsomorphism),  # fails the round trip, then to evaluate
     (EYE, ["log(-x1)", "x2"], EvalError),
     (EYE, ["x1", "x2"], None),
+    ([["1e200*1e200*x1", "0"], ["0", "1"]], ["x1", "x2"], EvalError),  # not finite
 ])
 def test_pullback_sampling_fails_at_the_first_sample_like_the_loops(phi, inverse, error):
     M = plane_morphism(phi, inverse)
@@ -415,7 +442,8 @@ def test_pullback_sampling_fails_at_the_first_sample_like_the_loops(phi, inverse
 @pytest.mark.parametrize("columns,error", [(SINGULAR_OR_OVERFLOW, SingularFrame),
                                            ([["log(x1 + 1)", "0"], ["0", "1"]], EvalError),
                                            ([["1", "1"], ["1", "1 + 0*x1"]], SingularFrame),
-                                           (EYE, None)])
+                                           (EYE, None),
+                                           ([["1e200*1e200*x1", "0"], ["0", "1"]], EvalError)])
 def test_dual_frame_sampling_fails_at_the_first_sample_like_the_loop(columns, error):
     F = make_frame(plane_rotation_bundle(), "left", columns)
     same_first_failure(lambda: dual_frame(F), lambda: old_dual_frame_loop(F), error)

@@ -88,7 +88,7 @@ from .errors import (
     UnsupportedField,
     VbxError,
 )
-from .expr import compile_exprs, eval_expr, parse_expr, run_program, to_string
+from .expr import compile_exprs, enclose, eval_expr, parse_expr, run_program, to_string
 from .geometry import Box, make_box, sample_box, sample_region
 from .linalg import (
     FieldTag,

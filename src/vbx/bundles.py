@@ -754,6 +754,8 @@ def field_smul(c, A: TensorFieldSpec) -> TensorFieldSpec:
     z = complex(c)
     if z.imag != 0:
         raise ShapeMismatch(f"field_smul: scalar {c} is not real; expressions are real-valued")
+    if not np.isfinite(z.real):
+        raise ShapeMismatch(f"field_smul: scalar {c} is not finite")
     lit = num_literal(z.real)
     out = {name: tuple(fold_mul(lit, e) for e in comps)
            for name, comps in sorted(A.per_chart.items())}
@@ -797,9 +799,17 @@ def frame_from_trivialization(B: VectorBundleSpec, chart: str,
     return make_frame(B, chart, [[num_literal(v) for v in np.real(vec)] for vec in basis.vectors])
 
 
+def _frame_chart(F: BundleMorphismSpec) -> ChartSpec:
+    """The chart of frame F: a frame's source has one chart."""
+    charts = F.source.base.charts
+    if len(charts) != 1:
+        raise SpecError(f"a frame's source has one chart; this morphism's has {len(charts)}")
+    return charts[0]
+
+
 def frame_matrix_at(F: BundleMorphismSpec, x) -> np.ndarray:
     """The d x d matrix whose columns are the frame sections at x."""
-    (c,) = F.source.base.charts
+    c = _frame_chart(F)
 
     def stage(t, X, rows):
         t.in_box(c.box, X, rows, f"chart '{c.name}'")
@@ -812,7 +822,7 @@ def frame_matrix_at(F: BundleMorphismSpec, x) -> np.ndarray:
 def check_frame(F: BundleMorphismSpec, samples: int = DEFAULT_SAMPLES,
                 tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED) -> CheckReport:
     """Invertibility of the frame matrix across the chart."""
-    (c,) = F.source.base.charts
+    c = _frame_chart(F)
 
     def evaluate(t):
         return (scaled_abs_dets(t.matrix(F.fiber_map[c.name], t.pts, t.rows,
@@ -833,7 +843,7 @@ def dual_frame(F: BundleMorphismSpec, samples: int = 25, tol: float = DEFAULT_TO
     """
     from .constructions import dual_bundle
 
-    (c,) = F.source.base.charts
+    c = _frame_chart(F)
     at_points(sample_box(c.box, samples, seed), lambda t, X, rows: _fiber_map_rule(
         t, F, c.name, X, rows, tol, SingularFrame, "frame matrix"))
     inv = symmat.mat_inverse(F.fiber_map[c.name])

@@ -21,8 +21,6 @@ layout as the tensor algebra, row-major over the leading index first.
 
 from __future__ import annotations
 
-import math
-
 from dataclasses import replace
 from functools import partial
 from itertools import product
@@ -44,6 +42,7 @@ from .bundles import (
     _check_field_pair,
     _fiber_map_rule,
     _field_values,
+    _frame_chart,
     _first_match,
     _live_only,
     _max_abs,
@@ -69,7 +68,7 @@ from .errors import (
     SpecError,
     UnsupportedField,
 )
-from .expr import Var, _as_expr, as_exprs, diff, fold_mul, subst
+from .expr import Var, _as_expr, as_exprs, compile_exprs, diff, enclose, fold_mul, subst
 from .geometry import (
     Box,
     box_covered,
@@ -82,7 +81,6 @@ from .geometry import (
     sample_region,
     sampling_scope,
 )
-from .intervals import interval_eval
 from .linalg import DEFAULT_TOL, FieldTag
 from .report import MIN_DET, RESIDUAL, make_report, vacuous_record
 from .tensors import digits_to_index, index_to_digits
@@ -284,86 +282,90 @@ def induced_bundle(B: VectorBundleSpec, base: BaseAtlasSpec, assignment: dict,
 # Base restriction.
 
 
-def _tau_enclosure(tau_comps, box: Box) -> Box | None:
-    bounds = list(zip(box.lo, box.hi))
-    try:
-        ivs = [interval_eval(c, bounds) for c in tau_comps]
-    except (EvalError, OverflowError):  # an enclosure past the float range cannot certify
-        return None
-    return Box(tuple(iv[0] for iv in ivs), tuple(iv[1] for iv in ivs))
+_CERTIFY_DEPTH = 6  # halvings of an overlap region box to certify its image
+_PAIR_DEPTH = 3  # halvings of a certified box to pair it with a reverse overlap
+_NUDGE_ROUNDS = 4  # one-ulp inward nudges that absorb rounding in a round trip
 
 
-def _bisect(box: Box, depth: int, accept) -> list:
-    """accept(box), or where that is None, the results of halving box
-    across its widest side, up to depth times, in order."""
-    got = accept(box)
-    if got is not None:
-        return [got]
-    if depth == 0:
+def _bisect(boxes: list, depth: int, accept) -> list:
+    """accept's results for boxes and, where a box is not taken, for its
+    halves across its widest side, down to depth halvings, in depth-first
+    order. accept(lo, hi) takes a level's boxes as rows of (n, dim) arrays
+    and returns the mask of those it takes and their results in row order."""
+    if not boxes:
         return []
-    widths = [h - l for l, h in zip(box.lo, box.hi)]
-    ax = widths.index(max(widths))
-    mid = 0.5 * (box.lo[ax] + box.hi[ax])
-    if not box.lo[ax] < mid < box.hi[ax]:
-        return []
-    left_hi = list(box.hi)
-    left_hi[ax] = mid
-    right_lo = list(box.lo)
-    right_lo[ax] = mid
-    return (_bisect(Box(box.lo, tuple(left_hi)), depth - 1, accept)
-            + _bisect(Box(tuple(right_lo), box.hi), depth - 1, accept))
+    lo, hi = np.array([b.lo for b in boxes]), np.array([b.hi for b in boxes])
+    place = np.arange(len(boxes)) << depth  # a box's place in depth-first order
+    found = []
+    for level in range(depth + 1):
+        took, results = accept(lo, hi)
+        found += zip(place[took].tolist(), results)
+        lo, hi, place = lo[~took], hi[~took], place[~took]
+        if level == depth or not len(lo):
+            break
+        axis = np.argmax(hi - lo, axis=1)[:, None] == np.arange(lo.shape[1])
+        with np.errstate(invalid="ignore"):  # -inf + inf: a box with no midpoint
+            mid = 0.5 * (lo + hi)
+        ok = np.all(~axis | (lo < mid) & (mid < hi), axis=1)
+        lo, hi, place, axis, mid = lo[ok], hi[ok], place[ok], axis[ok], mid[ok]
+        lo, hi = np.concatenate([lo, np.where(axis, mid, lo)]), np.concatenate(
+            [np.where(axis, mid, hi), hi])
+        place = np.concatenate([place, place + (1 << (depth - level - 1))])
+    return [r for _, r in sorted(found, key=lambda pr: pr[0])]
 
 
-def _certified_into(tau_comps, target: Box, box: Box) -> Box | None:
-    """box, if its tau image provably sits inside target."""
-    enc = _tau_enclosure(tau_comps, box)
-    return box if enc is not None and box_inside(enc, target) else None
+def _boxes(lo, hi) -> list:
+    return [Box(tuple(l), tuple(h)) for l, h in zip(lo.tolist(), hi.tolist())]
 
 
-def _pair_box(tau_comps, reverse, target: Box, b: Box):
-    """Match one region box with a reverse overlap component.
+def _certified_into(tau, target: Box, lo, hi):
+    """The boxes whose tau image provably sits inside target."""
+    elo, ehi, bad = enclose(tau, lo, hi)
+    took = ~bad & np.all((elo >= target.lo) & (ehi <= target.hi), axis=1)
+    return took, _boxes(lo[took], hi[took])
 
-    Succeeds when the interval image of the box sits inside the reverse
-    component's declared region and the round trip through the reverse
-    coordinate change lands back inside the box, so the pair (box, image)
-    is mutually consistent under both coordinate changes. The box may be
-    nudged inward by an ulp per round to absorb rounding in the round
-    trip. Returns (box, reverse index, image) or None.
-    """
-    for ridx, r in reverse:
-        cand = b
-        for _ in range(4):
-            enc = _tau_enclosure(tau_comps, cand)
-            if (enc is None
-                    or not all(l < h for l, h in zip(enc.lo, enc.hi))
-                    or not box_inside(enc, target)
-                    or not box_covered(enc, list(r.region))):
+
+def _paired(tau, reverse, target: Box, lo, hi):
+    """The mask of boxes that pair with a reverse overlap component, and
+    (box, reverse index, image) for each: the box's interval image sits
+    inside target and the component's region, and the round trip through
+    the reverse coordinate change lands back inside the box, which may be
+    nudged inward by an ulp a round to absorb rounding."""
+    took = np.zeros(len(lo), dtype=bool)
+    pairs = {}
+    for ridx, rtau, region in reverse:
+        rows = np.flatnonzero(~took)
+        cl, ch = lo[rows], hi[rows]
+        for _ in range(_NUDGE_ROUNDS):
+            if not len(rows):
                 break
-            rt = _tau_enclosure(r.tau.components, enc)
-            if rt is None:
-                break
-            if box_inside(rt, cand):
-                return cand, ridx, enc
-            lo = tuple(math.nextafter(cl, ch) if rl < cl else cl
-                       for cl, ch, rl in zip(cand.lo, cand.hi, rt.lo))
-            hi = tuple(math.nextafter(ch, cl) if rh > ch else ch
-                       for cl, ch, rh in zip(cand.lo, cand.hi, rt.hi))
-            if any(l >= h for l, h in zip(lo, hi)):
-                break
-            cand = Box(lo, hi)
-    return None
+            elo, ehi, bad = enclose(tau, cl, ch)
+            ok = ~bad & np.all((elo < ehi) & (elo >= target.lo) & (ehi <= target.hi), axis=1)
+            ok[ok] = [box_covered(e, region) for e in _boxes(elo[ok], ehi[ok])]
+            rlo, rhi, rbad = enclose(rtau, elo, ehi)
+            ok &= ~rbad
+            done = ok & np.all((rlo >= cl) & (rhi <= ch), axis=1)
+            for i, cand, image in zip(rows[done], _boxes(cl[done], ch[done]),
+                                      _boxes(elo[done], ehi[done])):
+                pairs[i] = (cand, ridx, image)
+            took[rows[done]] = True
+            nlo = np.where(rlo < cl, np.nextafter(cl, ch), cl)
+            nhi = np.where(rhi > ch, np.nextafter(ch, cl), ch)
+            keep = ok & ~done & np.all(nlo < nhi, axis=1)
+            rows, cl, ch = rows[keep], nlo[keep], nhi[keep]
+    return took, [pairs[i] for i in np.flatnonzero(took)]
 
 
-def base_restriction(B: VectorBundleSpec, regions: dict,
-                     depth: int = 6) -> VectorBundleSpec:
+def base_restriction(B: VectorBundleSpec, regions: dict) -> VectorBundleSpec:
     """Restrict the base to sub-boxes of (a subset of) the charts.
 
     Charts absent from regions are dropped. Each surviving overlap region
     is shrunk to a certified union of boxes: interval evaluation of the
-    coordinate change proves the image stays inside the other restricted
-    chart and inside the reverse overlap's surviving region, bisecting up
-    to the given depth where a whole box cannot be certified. The result
-    under-approximates the true restricted overlap but is always sound.
+    coordinate change shows the image stays inside the other restricted
+    chart and inside the reverse overlap's surviving region, bisecting
+    where a whole box cannot be certified. The result under-approximates
+    the true restricted overlap. Bounds round to nearest, so the
+    certificate holds up to floating-point rounding.
     """
     chart_names = {c.name for c in B.base.charts}
     for name in regions:
@@ -400,20 +402,15 @@ def base_restriction(B: VectorBundleSpec, regions: dict,
     for idx, o in enumerate(B.base.overlaps):
         if o.frm not in sub or o.to not in sub or o.frm > o.to:
             continue
-        reverse = [(r, B.base.overlaps[r]) for r in rev_of[(o.to, o.frm)]]
-        certified = partial(_certified_into, o.tau.components, sub[o.to])
-        paired = partial(_pair_box, o.tau.components, reverse, sub[o.to])
-        boxes = []
-        for b in o.region:
-            clipped = intersect_boxes(b, sub[o.frm])
-            if clipped is not None:
-                boxes.extend(_bisect(clipped, depth, certified))
-        final = []
-        for b in boxes:
-            for cand, ridx, image in _bisect(b, 3, paired):
-                final.append(cand)
-                derived.setdefault(ridx, []).append(image)
-        kept[idx] = final
+        tau = compile_exprs(o.tau.components)
+        reverse = [(r, compile_exprs(B.base.overlaps[r].tau.components),
+                    list(B.base.overlaps[r].region)) for r in rev_of[(o.to, o.frm)]]
+        clipped = [c for b in o.region if (c := intersect_boxes(b, sub[o.frm])) is not None]
+        boxes = _bisect(clipped, _CERTIFY_DEPTH, partial(_certified_into, tau, sub[o.to]))
+        pairs = _bisect(boxes, _PAIR_DEPTH, partial(_paired, tau, reverse, sub[o.to]))
+        kept[idx] = [cand for cand, _, _ in pairs]
+        for _, ridx, image in pairs:
+            derived.setdefault(ridx, []).append(image)
 
     g_of = {id(e.overlap): e.g for e in B.edges}
     overlaps = []
@@ -504,7 +501,7 @@ def local_expression(A: TensorFieldSpec, F: BundleMorphismSpec, points,
     """
     if F.target != A.bundle:
         raise ShapeMismatch("frame and field live on different bundles")
-    (c,) = F.source.base.charts
+    c = _frame_chart(F)
     if c.name not in A.per_chart:
         raise DomainViolation(f"field has no components on chart '{c.name}'")
     X = np.array([shaped(p, c.box.dim, "base dim") for p in points]).reshape(-1, c.box.dim)

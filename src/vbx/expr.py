@@ -21,7 +21,8 @@ into a shared straight-line program, and run_program runs it over a batch
 of points at once, values as arrays and, in vector forward mode, gradients
 too; that is how Jacobians are computed exactly. A point where an
 operation leaves its domain fails with the message of the first such
-operation. eval_expr is that program run on one point.
+operation. eval_expr is that program run on one point, and enclose runs
+it on boxes: interval bounds for a batch of boxes at once.
 The folding constructors (fold_add and friends) do light constant folding
 and are used by symbolic differentiation and substitution, never by the
 parser.
@@ -437,6 +438,103 @@ def _func_batch(fn, x, dx, fail):
         fail(rt == 0.0, "sqrt not differentiable at zero")
         return rt, dx / (2.0 * rt)[:, None]
     raise EvalError(f"unknown function {fn}")
+
+
+# ---------------------------------------------------------------------------
+# Interval enclosures: the program run on boxes, a slot a (lo, hi) pair of
+# (n,) arrays. A monotone operation applies its point rule, failures too, to
+# each bound. Bounds round to nearest, not yet outward.
+
+_TWO_PI = 2.0 * math.pi
+
+
+def _first(better, *vals):
+    """Python's min (better=np.less) or max (np.greater), elementwise: the
+    first best value, a NaN kept only where it comes first."""
+    out = vals[0]
+    for v in vals[1:]:
+        out = np.where(better(v, out), v, out)
+    return out
+
+
+def _iv_recip(lo, hi, fail):
+    fail((lo <= 0.0) & (0.0 <= hi) | (lo == 0.0) | (hi == 0.0), "reciprocal across zero")
+    return 1.0 / hi, 1.0 / lo
+
+
+def _iv_pow(lo, hi, k, fail):
+    if k == 0:
+        return np.ones_like(lo), np.ones_like(hi)
+    if k < 0:
+        lo, hi = _iv_recip(lo, hi, fail)
+    if k % 2 == 0:  # the least and greatest absolute value, 0 where the box straddles it
+        alo, ahi = np.abs(lo), np.abs(hi)
+        lo, hi = (np.where((lo <= 0.0) & (0.0 <= hi), 0.0, _first(np.less, alo, ahi)),
+                  _first(np.greater, alo, ahi))
+    return _pow_batch(lo, None, abs(k), fail)[0], _pow_batch(hi, None, abs(k), fail)[0]
+
+
+def _iv_call(fn, lo, hi, fail):
+    if fn in ("exp", "log", "sqrt"):
+        return _func_batch(fn, lo, None, fail)[0], _func_batch(fn, hi, None, fail)[0]
+    if fn == "cos":
+        fn, lo, hi = "sin", lo + math.pi / 2, hi + math.pi / 2
+    finite = np.isfinite(lo) & np.isfinite(hi)
+    if fn == "tan":  # poles at pi/2 + k*pi
+        pole = np.floor((hi - math.pi / 2) / math.pi) >= np.ceil((lo - math.pi / 2) / math.pi)
+        fail(pole | ~finite, "tan across a pole")
+        return np.tan(lo), np.tan(hi)
+    whole = hi - lo >= _TWO_PI
+    fail(~whole & ~finite, "sin of an infinite bound")
+    # max of sin at pi/2 + 2k*pi, min at -pi/2 + 2k*pi
+    has_max = np.floor((hi - math.pi / 2) / _TWO_PI) >= np.ceil((lo - math.pi / 2) / _TWO_PI)
+    has_min = np.floor((hi + math.pi / 2) / _TWO_PI) >= np.ceil((lo + math.pi / 2) / _TWO_PI)
+    ends = np.sin(lo), np.sin(hi)
+    return (np.where(whole | has_min, -1.0, _first(np.less, *ends)),
+            np.where(whole | has_max, 1.0, _first(np.greater, *ends)))
+
+
+def enclose(prog: Program, lo, hi) -> tuple:
+    """Enclosures of prog's outputs over n boxes, where row i of lo and hi,
+    (n, m) arrays, bounds xj by column j-1: (n, k) bounds and the (n,) mask
+    of boxes that cannot certify (an operation meets a pole or a domain
+    edge, exp or a power of a finite bound overflows, or an output bound is
+    NaN), whose bounds are meaningless."""
+    L, H = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    n, m = L.shape
+    bad = np.zeros(n, dtype=bool)
+
+    def fail(mask, _message):
+        np.logical_or(bad, mask, out=bad)
+
+    ivs: list = []
+    with np.errstate(all="ignore"):
+        for op, a, b, lit in prog.code:
+            x = ivs[a] if op > _VAR else None
+            y = ivs[b] if op in (_ADD, _SUB, _MUL, _DIV) else None
+            if op == _LIT:
+                iv = (np.full(n, lit, dtype=float),) * 2
+            elif op == _VAR:
+                fail(lit > m, f"no bound for x{lit}")
+                iv = (L[:, lit - 1], H[:, lit - 1]) if lit <= m else (np.full(n, np.nan),) * 2
+            elif op == _NEG:
+                iv = (-x[1], -x[0])
+            elif op == _ADD:
+                iv = (x[0] + y[0], x[1] + y[1])
+            elif op == _SUB:
+                iv = (x[0] - y[1], x[1] - y[0])
+            elif op in (_MUL, _DIV):
+                yl, yh = _iv_recip(*y, fail) if op == _DIV else y
+                vals = (x[0] * yl, x[0] * yh, x[1] * yl, x[1] * yh)
+                iv = (_first(np.less, *vals), _first(np.greater, *vals))
+            elif op == _POW:
+                iv = _iv_pow(*x, lit, fail)
+            else:
+                iv = _iv_call(lit, *x, fail)
+            ivs.append(iv)
+    out_lo, out_hi = (np.stack([ivs[s][j] for s in prog.outputs], axis=1) for j in (0, 1))
+    bad |= np.isnan(out_lo).any(axis=1) | np.isnan(out_hi).any(axis=1)
+    return out_lo, out_hi, bad
 
 
 # ---------------------------------------------------------------------------

@@ -407,6 +407,13 @@ def test_field_smul_rejects_non_real_scalars_on_real_and_complex_bundles(field):
                 == pytest.approx(0.5 * field_eval(A, "east", [0.5]).coeffs[0], abs=1e-15))
 
 
+@pytest.mark.parametrize("c", [float("inf"), float("-inf"), float("nan"), complex("inf")])
+def test_field_smul_rejects_non_finite_scalars(c):
+    A = make_section(mobius_bundle(), {"east": ["1"]})
+    with pytest.raises(ShapeMismatch, match="not finite"):
+        field_smul(c, A)
+
+
 def test_check_section_takes_only_01_fields():
     B = mobius_bundle()
     with pytest.raises(ShapeMismatch):

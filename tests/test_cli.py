@@ -185,9 +185,12 @@ def test_constructions_on_a_deeply_nested_tau_end_in_an_exit_code_not_a_tracebac
     assert run_cold("check", str(tmp_path / "restricted.json"), "--samples", "20")[0] == 0
 
 
-def test_restrict_with_an_overflowing_tau_enclosure_is_not_a_traceback(tmp_path):
+@pytest.mark.parametrize("tau", ["x1 + 0*exp(x1*1000)",
+                                 "x1 + 0*sin(x1*1e200*1e200 - x1*1e200*1e200)"],
+                         ids=["exp", "sin_of_nan"])
+def test_restrict_with_an_overflowing_tau_enclosure_is_not_a_traceback(tmp_path, tau):
     doc = json.loads(gallery_path("mobius").read_text())
-    doc["base"]["overlaps"][0]["tau"] = ["x1 + 0*exp(x1*1000)"]
+    doc["base"]["overlaps"][0]["tau"] = [tau]
     spec = tmp_path / "overflow_tau.json"
     spec.write_text(json.dumps(doc))
     regions = tmp_path / "regions.json"
@@ -533,3 +536,28 @@ def test_extreme_transition_literals_end_in_an_exit_code(cell, k):
         for code, err in construct_and_check(spec, Path(tmp)):
             assert code in (0, 1, 2), (cell, code, err)
             assert "Traceback" not in err, (cell, err)
+
+
+def mobius_with_tau(path: Path, tau: str) -> str:
+    doc = json.loads(gallery_path("mobius").read_text())
+    doc["base"]["overlaps"][0]["tau"] = [tau]
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@seed(20261019)
+@settings(max_examples=40, deadline=None)
+@given(_LITERALS, st.sampled_from(["sin", "cos", "tan", "exp", "log", "sqrt"]))
+def test_restrict_of_an_overflowing_tau_ends_in_an_exit_code(literal, fn):
+    tau = f"x1 + 0*{fn}(x1*{literal}*{literal} - x1*{literal}*{literal})"
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = mobius_with_tau(Path(tmp) / "in.json", tau)
+        regions = Path(tmp) / "regions.json"
+        regions.write_text(json.dumps({"regions": {"east": [[-3, 3]], "west": [[0.1, 6]]}}))
+        out = str(Path(tmp) / "restricted.json")
+        runs = [quiet_main("construct", "restrict", spec, str(regions), "-o", out)]
+        if runs[0][0] == 0:
+            runs.append(quiet_main("check", out, "--samples", "20"))
+        for code, err in runs:
+            assert code in (0, 1, 2), (tau, code, err)
+            assert "Traceback" not in err, (tau, err)

@@ -9,6 +9,7 @@ route is cross-checked by an independent numeric one.
 import hashlib
 import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -26,8 +27,10 @@ from support import (
 
 from vbx.bundles import (
     LOCAL_CHART,
+    check_frame,
     check_section,
     check_vb,
+    dual_frame,
     field_add,
     field_eval,
     field_fmul,
@@ -346,6 +349,19 @@ def test_restriction_through_reciprocal_change():
     assert transition_eval(R, "u", "v", [1.0]).matrix[0, 0] == pytest.approx(-1.0)
 
 
+def test_restriction_halves_no_box_without_a_midpoint():
+    inf = float("inf")
+    line = make_atlas(1, [("a", [(-inf, inf)]), ("b", [(-inf, inf)])],
+                      [("a", "b", [[(-inf, inf)]], ["x1 + 1"]),
+                       ("b", "a", [[(-inf, inf)]], ["x1 - 1"])])
+    B = make_bundle(line, 1, FieldTag.REAL, [("a", "b", [["1"]]), ("b", "a", [["1"]])])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning for -inf + inf either
+        R = base_restriction(B, {"a": [(-inf, inf)], "b": [(0.0, inf)]})
+    # the image of (-inf, inf) is not inside (0, inf), and the box has no midpoint to halve at
+    assert not R.base.overlaps
+
+
 def test_restriction_drops_absent_charts():
     B = mobius_bundle()
     R = base_restriction(B, {"east": [(-1.0, 1.0)]})
@@ -588,6 +604,16 @@ def test_gallery_frames_pass_check_morphism():
     for F in frames:
         assert isinstance(F, BundleMorphismSpec)
         assert check_morphism(F, 40).passed
+
+
+def test_frame_functions_refuse_a_morphism_whose_source_has_two_charts():
+    B = plane_rotation_bundle()
+    M = identity_morphism(B)
+    S = make_section(B, {"left": ["1", "0"], "right": ["1", "0"]})
+    for call in (lambda: frame_matrix_at(M, [0.5, 0.5]), lambda: check_frame(M, 10),
+                 lambda: dual_frame(M), lambda: local_expression(S, M, [[0.5, 0.5]])):
+        with pytest.raises(SpecError, match="a frame's source has one chart; this morphism's has 2"):
+            call()
 
 
 def test_covariant_pullback_through_a_gallery_frame_is_its_local_expression():

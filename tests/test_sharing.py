@@ -5,10 +5,12 @@ replaced (kept below, verbatim, as the oracle) and against itself with
 the memo defeated; the walkers are checked on DAGs whose trees are far
 too large to walk occurrence by occurrence, and on nesting far deeper
 than the recursion limit. The construct outputs of tests/golden/dense.json
-are pinned to the bytes the tree-walking printer wrote.
+are pinned to the bytes the tree-walking printer wrote, and three
+`construct restrict` outputs to the bytes the box-by-box bisection wrote.
 """
 
 import hashlib
+import json
 import re
 from pathlib import Path
 
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
+from vbx.cli import main
 from vbx.constructions import direct_product, dual_bundle, tensor_bundle
 from vbx.errors import EvalError, ParseError, UnknownSymbol
 from vbx.expr import (
@@ -426,3 +429,24 @@ def test_dense_construct_outputs_keep_their_bytes(name, tmp_path):
     again = tmp_path / f"{name}.again.json"
     save_spec(load_spec(out).bundle, again)
     assert again.read_bytes() == data
+
+
+RESTRICT_PINNED = {
+    "mobius": ("mobius", {"east": [[-3, 3]], "west": [[0.5, 6]]},
+               "544f5778677d244c87de79ed172aae868bbf46d4708bbc0a685f0f8ecad62d1b"),
+    "mobius_wide": ("mobius", {"east": [[-3.1, 3.1]], "west": [[0.01, 6.2]]},
+                    "b2100eda5bbf2572ce85ad5809b3183e80ce9139315fbf23fedd01602fc697bf"),
+    "projective": ("projective_tangent", {"u": [[0.5, 2]], "v": [[0.25, 3]]},
+                   "0c55e0840d35f61e6f2680542dae695771ebe6a52c8ac6a7d5502cf8bbf67b2a"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RESTRICT_PINNED))
+def test_restrict_outputs_keep_their_bytes(case, tmp_path, capsys):
+    name, regions, digest = RESTRICT_PINNED[case]
+    reg = tmp_path / "regions.json"
+    reg.write_text(json.dumps({"regions": regions}))
+    out = tmp_path / "restricted.json"
+    assert main(["construct", "restrict", str(gallery_path(name)), str(reg), "-o", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -281,6 +281,31 @@ def make_atlas(dim: int, charts, overlaps) -> BaseAtlasSpec:
     return atlas
 
 
+# Bounds on a fiber, refused before any power or allocation: a check holds
+# a d x d matrix per sample (8 MB at MAX_FIBER_DIM), and past MAX_VALENCE
+# slots the (r,s)-tensors on any fiber of rank 2 or more pass MAX_FIBER_DIM.
+MAX_FIBER_DIM = 1024
+MAX_VALENCE = 10
+
+
+def tensor_dim(d: int, r: int, s: int, what: str, loc: str = "") -> int:
+    """d^(r+s), the dimension of the (r,s)-tensors on a rank-d fiber, once
+    d, r and s pass the bounds; SpecError at JSON pointer loc otherwise.
+    what names the valence in messages."""
+    if d < 1:
+        raise SpecError("fiber dimension must be positive", loc)
+    if d > MAX_FIBER_DIM:
+        raise SpecError(f"fiber dimension {d} is above the bound {MAX_FIBER_DIM}", loc)
+    if r < 0 or s < 0:
+        raise SpecError(f"{what} valence must be non-negative", loc)
+    if r + s > MAX_VALENCE:
+        raise SpecError(f"{what} valence ({r},{s}) is above the bound r + s <= {MAX_VALENCE}", loc)
+    if d ** (r + s) > MAX_FIBER_DIM:
+        raise SpecError(f"{what} valence ({r},{s}) on a rank-{d} fiber has {d}^{r + s} "
+                        f"components, above the bound {MAX_FIBER_DIM}", loc)
+    return d ** (r + s)
+
+
 def make_bundle(base: BaseAtlasSpec, fiber_dim: int, field: FieldTag, transitions,
                 derivation: dict | None = None) -> VectorBundleSpec:
     """Pair transition matrices with overlap components and validate shapes.
@@ -290,8 +315,7 @@ def make_bundle(base: BaseAtlasSpec, fiber_dim: int, field: FieldTag, transition
     overlap components in declaration order, and every component needs
     exactly one entry.
     """
-    if fiber_dim < 1:
-        raise SpecError("fiber dimension must be positive", "/fiber/dim")
+    tensor_dim(fiber_dim, 0, 0, "fiber", "/fiber/dim")
     parsed = []
     memo: dict = {}  # shared subtrees are validated once
     for k, (frm, to, g) in enumerate(transitions):
@@ -618,11 +642,9 @@ def check_vb(B: VectorBundleSpec, samples: int = DEFAULT_SAMPLES,
 
 
 def make_field(B: VectorBundleSpec, r: int, s: int, per_chart: dict) -> TensorFieldSpec:
-    if r < 0 or s < 0:
-        raise SpecError("field valence must be non-negative")
+    want = tensor_dim(B.fiber_dim, r, s, "field")
     if not per_chart:
         raise SpecError("a field needs components on at least one chart")
-    want = B.fiber_dim ** (r + s)
     comp = {}
     for name in sorted(per_chart):
         B.base.chart(name)

@@ -1,32 +1,36 @@
 """Smooth maps on open boxes and exact Jacobians.
 
-Every value and derivative comes from one evaluator: vbx.expr compiles the
-expressions into a straight-line program and runs it over a batch of
-points in vector forward mode, so Jacobians are exact to rounding; central
-finite differences exist only in the test suite as a cross-check. _Trial
-holds the stages of that evaluation and the rules a point must pass (its
-shape, box membership, evaluation without error, finite values): the
-check suites run it over all their samples at once, and the one-point
-functions (eval_map, jacobian, and the bundle ones such as field_eval) are
-one row of it. A tensor field on a box is a field on a one-chart trivial
-bundle (bundles.local_bundle), and pulling it back along a smooth map is
-the morphism pullback of vbx.constructions (map_pullback_rs,
-map_pullback_cov).
+Every value comes from one evaluator: vbx.expr compiles the expressions
+into a straight-line program and runs it over a batch of points. Every
+Jacobian is that program run on SmoothMap.partials, expr.diff of each
+component, so Jacobians are exact to rounding; central finite differences
+exist only in the test suite as a cross-check. _Trial holds the stages of
+that evaluation and the rules a point must pass (its shape, box
+membership, evaluation without error, finite values): the check suites run
+it over all their samples at once, and the one-point functions (eval_map,
+jacobian, and the bundle ones such as field_eval) are one row of it. A
+tensor field on a box is a field on a one-chart trivial bundle
+(bundles.local_bundle), and pulling it back along a smooth map is the
+morphism pullback of vbx.constructions (map_pullback_rs,
+map_pullback_cov), whose fiber map is the same partials.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainViolation, EvalError, ShapeMismatch
 from .expr import (
     Expr,
+    Num,
     Program,
     Var,
     as_exprs,
     compile_exprs,
+    diff,
     fold_mul,
     num_literal,
     run_program,
@@ -50,6 +54,13 @@ class SmoothMap:
     @property
     def out_dim(self) -> int:
         return len(self.components)
+
+    @cached_property
+    def partials(self) -> tuple:
+        """The Jacobian as expressions: row i is expr.diff of component i
+        by x1 .. x{in_dim}. Raises diff's EvalError where a component
+        divides by a literal zero or takes the log of a literal zero."""
+        return tuple(tuple(diff(c, j + 1) for j in range(self.in_dim)) for c in self.components)
 
 
 def make_smooth_map(components, box) -> SmoothMap:
@@ -155,23 +166,28 @@ class _Trial:
         self.finite(Y, X, rows, "map value")
         return Y
 
-    def _jet(self, F: SmoothMap, X, rows) -> tuple:
+    def _map_and_partials(self, F: SmoothMap, X, rows) -> tuple:
         """F's values and Jacobians, (len(X), out_dim, in_dim), from one
-        gradient-mode run of its program."""
+        program: the components, then F.partials, so a point whose value
+        fails fails with the value's message."""
         self.in_box(F.box, X, rows, _DOMAIN_BOX)
-        batch = run_program(self.program(F.components), X, grad=True)
-        self.fail(rows, batch.bad, batch.error)
-        return batch.values, batch.grads
+        k, m = F.out_dim, F.in_dim
+        try:
+            J = F.partials
+        except EvalError:  # a literal zero denominator: no point has a value
+            J = ((Num(0.0),) * m,) * k
+        V = self.exprs(F.components + sum(J, ()), X, rows)
+        return V[:, :k], V[:, k:].reshape(len(X), k, m)
 
     def jacobian(self, F: SmoothMap, X, rows) -> np.ndarray:
         """jacobian at every point."""
-        _, J = self._jet(F, X, rows)
+        _, J = self._map_and_partials(F, X, rows)
         self.finite(J, X, rows, "jacobian")
         return J
 
     def map_and_jacobian(self, F: SmoothMap, X, rows) -> tuple:
         """eval_map and jacobian at every point, from one run."""
-        Y, J = self._jet(F, X, rows)
+        Y, J = self._map_and_partials(F, X, rows)
         self.finite(Y, X, rows, "map value")
         self.finite(J, X, rows, "jacobian")
         return Y, J
@@ -239,7 +255,7 @@ def eval_map(F: SmoothMap, x) -> np.ndarray:
 
 
 def jacobian(F: SmoothMap, x) -> LinearMap:
-    """Matrix of first partials at x, by forward-mode evaluation."""
+    """Matrix of first partials at x: F.partials evaluated there."""
     mat = at_point(x, F.in_dim, "domain dim", lambda t, X, rows: t.jacobian(F, X, rows))
     dom = VectorSpace(F.in_dim, FieldTag.REAL)
     cod = VectorSpace(F.out_dim, FieldTag.REAL)

@@ -56,8 +56,8 @@ from .specio import atlas_from_document, load_json, load_spec, save_spec
 _VERIFY_ERRORS = (BaseMismatch, ChartAssignmentError, CocycleViolation,
                   DomainViolation, NotAnIsomorphism, SingularFrame)
 
-# A check holds its n sample points, and a value (and gradient) per
-# compiled slot at each, in memory at once: 10^9 points of one coordinate
+# A check holds its n sample points, and a value per compiled slot at
+# each, in memory at once: 10^9 points of one coordinate
 # are already 8 GB. Larger counts are refused before numpy is asked for them.
 MAX_SAMPLES = 10**9
 

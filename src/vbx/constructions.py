@@ -10,7 +10,7 @@ Fields are pulled back through bundle morphisms by one routine, _pulled:
 on each source chart, symmat.mat_pullback of the fiber map times the field
 with the base map substituted. Pulling back along a smooth map f is the
 pullback through the morphism from the trivial bundle over f's box whose
-base map is f and whose fiber map is the Jacobian J_f (expr.diff of f).
+base map is f and whose fiber map is the Jacobian J_f (f.partials).
 A frame is a morphism too (bundles.make_frame), and a field's local
 expression in a frame is the pullback through it.
 
@@ -54,6 +54,7 @@ from .bundles import (
     make_atlas,
     make_bundle,
     make_morphism,
+    tensor_dim,
 )
 from .calculus import SmoothMap, at_points, make_smooth_map, shaped
 from .errors import (
@@ -68,7 +69,7 @@ from .errors import (
     SpecError,
     UnsupportedField,
 )
-from .expr import Var, _as_expr, as_exprs, compile_exprs, diff, enclose, fold_mul, subst
+from .expr import Var, _as_expr, as_exprs, compile_exprs, enclose, fold_mul, subst
 from .geometry import (
     Box,
     box_covered,
@@ -125,14 +126,13 @@ def tensor_bundle(B: VectorBundleSpec, r: int, s: int) -> VectorBundleSpec:
     Kronecker product of r copies of the inverse-transpose followed by s
     copies of the transition itself.
     """
-    if r < 0 or s < 0:
-        raise SpecError("tensor valence must be non-negative")
+    dim = tensor_dim(B.fiber_dim, r, s, "tensor")
     transitions = []
     for e in B.edges:
         vec_part = symmat.mat_kron_power(_inverse_transpose(e), r) if r else symmat.mat_identity(1)
         cov_part = symmat.mat_kron_power(e.g, s) if s else symmat.mat_identity(1)
         transitions.append((e.overlap.frm, e.overlap.to, symmat.mat_kron(vec_part, cov_part)))
-    return make_bundle(B.base, B.fiber_dim ** (r + s), B.field, transitions,
+    return make_bundle(B.base, dim, B.field, transitions,
                        derivation={"construction": "tensor", "r": r, "s": s})
 
 
@@ -447,12 +447,7 @@ def tangent_bundle(base: BaseAtlasSpec, samples: int = 25,
         candidates = base.overlaps_between(o.to, o.frm)
         rev = candidates[_image_part(o, o.tau, [c.region for c in candidates],
                                      f"{o.to}->{o.frm}", SpecError, samples, seed)]
-        env = o.tau.components
-        rows = []
-        for a in range(base.dim):
-            rows.append(tuple(subst(diff(rev.tau.components[a], b + 1), env)
-                              for b in range(base.dim)))
-        transitions.append((o.frm, o.to, tuple(rows)))
+        transitions.append((o.frm, o.to, symmat.mat_subst(rev.tau.partials, o.tau.components)))
     return make_bundle(base, base.dim, FieldTag.REAL, transitions,
                        derivation={"construction": "tangent"})
 
@@ -480,7 +475,7 @@ def field_product(A: TensorFieldSpec, B: TensorFieldSpec) -> TensorFieldSpec:
     _check_field_pair(A, B, "field_product", same_valence=False)
     d, r, s, p, q = A.bundle.fiber_dim, A.r, A.s, B.r, B.s
     pairs = []
-    for j in range(1, d ** (r + p + s + q) + 1):
+    for j in range(1, tensor_dim(d, r + p, s + q, "field_product") + 1):
         digits = index_to_digits(j, d, r + p, s + q)
         vec, cov = digits[: r + p], digits[r + p :]
         pairs.append((digits_to_index(vec[:r] + cov[:s], d) - 1,
@@ -714,9 +709,8 @@ def _map_morphism(f: SmoothMap, A: TensorFieldSpec) -> BundleMorphismSpec:
     if len(A.per_chart) != 1:
         raise ShapeMismatch(f"a map pulls back a field on one chart, not {len(A.per_chart)}")
     (chart,) = A.per_chart
-    J = tuple(tuple(diff(c, j + 1) for j in range(f.in_dim)) for c in f.components)
     return make_morphism(local_bundle(f.box, f.in_dim), A.bundle, {LOCAL_CHART: chart},
-                         {LOCAL_CHART: f.components}, {LOCAL_CHART: J})
+                         {LOCAL_CHART: f.components}, {LOCAL_CHART: f.partials})
 
 
 def map_pullback_rs(f: SmoothMap, A: TensorFieldSpec, r: int, s: int,

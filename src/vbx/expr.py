@@ -18,11 +18,12 @@ parse_expr builds a structurally faithful tree (no simplification), and
 to_string prints it back so that parsing the output reproduces an equal
 tree. There is one evaluator: compile_exprs turns a list of expressions
 into a shared straight-line program, and run_program runs it over a batch
-of points at once, values as arrays and, in vector forward mode, gradients
-too; that is how Jacobians are computed exactly. A point where an
-operation leaves its domain fails with the message of the first such
-operation. eval_expr is that program run on one point, and enclose runs
-it on boxes: interval bounds for a batch of boxes at once.
+of points at once, values as arrays. A point where an operation leaves its
+domain fails with the message of the first such operation. eval_expr is
+that program run on one point, and enclose runs it on boxes: interval
+bounds for a batch of boxes at once. There is one derivative rule, diff:
+a Jacobian is the program of a map's symbolic partials, evaluated like any
+other expressions, so it is exact to rounding.
 The folding constructors (fold_add and friends) do light constant folding
 and are used by symbolic differentiation and substitution, never by the
 parser.
@@ -234,10 +235,10 @@ def max_var_index(e: Expr, memo: dict | None = None) -> int:
 # one straight-line program: each structurally distinct subtree is one
 # slot, keyed by (op, child slots, literal), so shared subexpressions are
 # computed once. run_program evaluates the program once over all sample
-# points, on (n,) value arrays and, in vector forward mode, (n, m) gradient
-# arrays. Where an operation leaves its domain (division by zero, log of a
-# non-positive number, overflow, ...) the sample is marked failed, with
-# the message of its first failing operation, and computing goes on.
+# points, on (n,) value arrays. Where an operation leaves its domain
+# (division by zero, log of a non-positive number, overflow, ...) the
+# sample is marked failed, with the message of its first failing
+# operation, and computing goes on.
 
 _LIT, _VAR, _NEG, _ADD, _SUB, _MUL, _DIV, _POW, _CALL = range(9)
 _BINARY = {Add: _ADD, Sub: _SUB, Mul: _MUL, Div: _DIV}
@@ -289,17 +290,15 @@ def compile_exprs(exprs) -> Program:
 class Batch:
     """A program's outputs at n points, and the samples where it failed.
 
-    values is (n, k), one column per compiled expression; grads is
-    (n, k, m) in gradient mode, else None. bad marks the samples where an
-    operation failed, and error(i) is the EvalError of the first that did.
-    Values and gradients at bad samples are meaningless.
+    values is (n, k), one column per compiled expression. bad marks the
+    samples where an operation failed, and error(i) is the EvalError of the
+    first that did. Values at bad samples are meaningless.
     """
 
-    __slots__ = ("values", "grads", "bad", "_cause", "_whys")
+    __slots__ = ("values", "bad", "_cause", "_whys")
 
-    def __init__(self, values, grads, cause, whys):
+    def __init__(self, values, cause, whys):
         self.values = values
-        self.grads = grads
         self.bad = cause >= 0
         self._cause = cause
         self._whys = whys
@@ -309,13 +308,12 @@ class Batch:
         return EvalError(why if isinstance(why, str) else why(i))
 
 
-def run_program(prog: Program, points, grad: bool = False) -> Batch:
+def run_program(prog: Program, points) -> Batch:
     """Evaluate prog at each row of points, an (n, m) array: variable xi
-    takes column i-1. With grad, also carry d/dx1..d/dxm of every slot."""
+    takes column i-1."""
     X = np.asarray(points, dtype=float)
     n, m = X.shape
     vals: list = []
-    ders: list = []  # None for slots that depend on no variable
     cause = np.full(n, -1)  # per sample, its first failure in whys
     whys: list = []  # failure messages, or functions of the sample index
 
@@ -327,7 +325,6 @@ def run_program(prog: Program, points, grad: bool = False) -> Batch:
 
     with np.errstate(all="ignore"):
         for op, a, b, lit in prog.code:
-            d = None
             if op == _LIT:
                 v = np.full(n, lit, dtype=float)
             elif op == _VAR:
@@ -336,30 +333,19 @@ def run_program(prog: Program, points, grad: bool = False) -> Batch:
                     v = np.full(n, np.nan)
                 else:
                     v = X[:, lit - 1]
-                    if grad:
-                        d = np.zeros((n, m))
-                        d[:, lit - 1] = 1.0
+            elif op == _NEG:
+                v = -vals[a]
+            elif op == _POW:
+                v = _pow_batch(vals[a], lit, fail)
+            elif op == _CALL:
+                v = _func_batch(lit, vals[a], fail)
             else:
-                x, dx = vals[a], ders[a]
-                if op == _NEG:
-                    v = -x
-                    d = None if dx is None else -dx
-                elif op == _POW:
-                    v, d = _pow_batch(x, dx, lit, fail)
-                elif op == _CALL:
-                    v, d = _func_batch(lit, x, dx, fail)
-                else:
-                    y, dy = vals[b], ders[b]
-                    v, d = _binary_batch(op, x, dx, y, dy, fail)
+                v = _binary_batch(op, vals[a], vals[b], fail)
             vals.append(v)
-            ders.append(d)
     values = np.empty((n, len(prog.outputs)))
-    grads = np.zeros((n, len(prog.outputs), m)) if grad else None
     for k, s in enumerate(prog.outputs):
         values[:, k] = vals[s]
-        if grad and ders[s] is not None:
-            grads[:, k, :] = ders[s]
-    return Batch(values, grads, cause, whys)
+    return Batch(values, cause, whys)
 
 
 def eval_expr(e: Expr, env) -> float:
@@ -372,71 +358,45 @@ def eval_expr(e: Expr, env) -> float:
     return float(batch.values[0, 0])
 
 
-def _binary_batch(op, x, dx, y, dy, fail):
+def _binary_batch(op, x, y, fail):
     if op == _ADD:
-        v = x + y
-        d = dx if dy is None else dy if dx is None else dx + dy
-    elif op == _SUB:
-        v = x - y
-        d = dx if dy is None else -dy if dx is None else dx - dy
-    elif op == _MUL:
-        v = x * y
-        if dx is None:
-            d = None if dy is None else x[:, None] * dy
-        else:
-            d = y[:, None] * dx if dy is None else x[:, None] * dy + y[:, None] * dx
-    else:
-        fail(y == 0.0, "division by zero")
-        v = x / y
-        if dy is None:
-            d = None if dx is None else dx / y[:, None]
-        elif dx is None:
-            d = (-v / y)[:, None] * dy
-        else:
-            d = (dx - v[:, None] * dy) / y[:, None]
-    return v, d
+        return x + y
+    if op == _SUB:
+        return x - y
+    if op == _MUL:
+        return x * y
+    fail(y == 0.0, "division by zero")
+    return x / y
 
 
-def _pow_batch(x, dx, k, fail):
+def _pow_batch(x, k, fail):
     if k < 0:
         fail(x == 0.0, "zero raised to a negative power")
-    finite = np.isfinite(x)
     v = np.power(x, float(k))
-    fail(finite & ~np.isfinite(v), "power overflow")
-    if dx is None:
-        return v, None
-    if k == 0:
-        return v, 0.0 * dx
-    p = np.power(x, float(k - 1))
-    fail(finite & ~np.isfinite(p), "power overflow")
-    return v, (k * p)[:, None] * dx
+    fail(np.isfinite(x) & ~np.isfinite(v), "power overflow")
+    return v
 
 
-def _func_batch(fn, x, dx, fail):
+def _func_batch(fn, x, fail):
     if fn in ("sin", "cos", "tan"):
         fail(np.isinf(x), lambda i: f"{fn} of infinite value {float(x[i])}")
     if fn == "sin":
-        return np.sin(x), None if dx is None else np.cos(x)[:, None] * dx
+        return np.sin(x)
     if fn == "cos":
-        return np.cos(x), None if dx is None else (-np.sin(x))[:, None] * dx
+        return np.cos(x)
     if fn == "tan":
-        c = np.cos(x)
-        fail(c == 0.0, "tan at a pole")
-        return np.tan(x), None if dx is None else dx / (c * c)[:, None]
+        fail(np.cos(x) == 0.0, "tan at a pole")
+        return np.tan(x)
     if fn == "exp":
         ev = np.exp(x)
         fail(np.isfinite(x) & (ev == np.inf), "exp overflow")
-        return ev, None if dx is None else ev[:, None] * dx
+        return ev
     if fn == "log":
         fail(x <= 0.0, lambda i: f"log of non-positive value {float(x[i])}")
-        return np.log(x), None if dx is None else dx / x[:, None]
+        return np.log(x)
     if fn == "sqrt":
         fail(x < 0.0, lambda i: f"sqrt of negative value {float(x[i])}")
-        rt = np.sqrt(x)
-        if dx is None:
-            return rt, None
-        fail(rt == 0.0, "sqrt not differentiable at zero")
-        return rt, dx / (2.0 * rt)[:, None]
+        return np.sqrt(x)
     raise EvalError(f"unknown function {fn}")
 
 
@@ -471,12 +431,12 @@ def _iv_pow(lo, hi, k, fail):
         alo, ahi = np.abs(lo), np.abs(hi)
         lo, hi = (np.where((lo <= 0.0) & (0.0 <= hi), 0.0, _first(np.less, alo, ahi)),
                   _first(np.greater, alo, ahi))
-    return _pow_batch(lo, None, abs(k), fail)[0], _pow_batch(hi, None, abs(k), fail)[0]
+    return _pow_batch(lo, abs(k), fail), _pow_batch(hi, abs(k), fail)
 
 
 def _iv_call(fn, lo, hi, fail):
     if fn in ("exp", "log", "sqrt"):
-        return _func_batch(fn, lo, None, fail)[0], _func_batch(fn, hi, None, fail)[0]
+        return _func_batch(fn, lo, fail), _func_batch(fn, hi, fail)
     if fn == "cos":
         fn, lo, hi = "sin", lo + math.pi / 2, hi + math.pi / 2
     finite = np.isfinite(lo) & np.isfinite(hi)
@@ -949,7 +909,12 @@ _REBUILD = {
 
 
 def diff(e: Expr, index: int) -> Expr:
-    """Symbolic partial derivative with respect to x{index}, lightly folded."""
+    """Symbolic partial derivative with respect to x{index}, lightly folded.
+
+    The one derivative rule: every Jacobian is built from it. Raises
+    EvalError ("division by constant zero") where e divides by a literal
+    zero or takes the log of a literal zero: such an e has no value
+    anywhere."""
 
     def visit(e, d):
         if isinstance(e, (Num, Const)):
@@ -960,7 +925,7 @@ def diff(e: Expr, index: int) -> Expr:
             return _REBUILD[type(e)](e, d)
         if isinstance(e, Mul):
             return fold_add(fold_mul(d[0], e.b), fold_mul(e.a, d[1]))
-        if isinstance(e, Div):  # forward mode's (da - (a/b)*db)/b: b is never squared
+        if isinstance(e, Div):  # (da - (a/b)*db)/b: b is never squared
             return fold_div(fold_sub(d[0], fold_mul(e, d[1])), e.b)
         if isinstance(e, Pow):
             return fold_mul(fold_mul(_num(float(e.exponent)), fold_pow(e.base, e.exponent - 1)),

@@ -10,7 +10,7 @@ expansion is exponential in principle but these matrices are fiber-sized
 from __future__ import annotations
 
 from .errors import ShapeMismatch
-from .expr import Expr, Num, fold_add, fold_div, fold_mul, fold_neg, fold_sub
+from .expr import Expr, Num, fold_add, fold_div, fold_mul, fold_neg, fold_sub, subst
 
 Matrix = tuple  # tuple of row tuples of Expr
 
@@ -148,6 +148,4 @@ def mat_block_diag(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_subst(m: Matrix, replacements) -> Matrix:
-    from .expr import subst
-
     return tuple(tuple(subst(e, replacements) for e in row) for row in m)

@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -561,3 +562,152 @@ def test_restrict_of_an_overflowing_tau_ends_in_an_exit_code(literal, fn):
         for code, err in runs:
             assert code in (0, 1, 2), (tau, code, err)
             assert "Traceback" not in err, (tau, err)
+
+
+# --------------------------------------------------------------------------
+# Bounded fibers, and the fuzz gates: every input ends in exit 0, 1 or 2.
+
+
+def trivial_with(tmp_path: Path, edit) -> str:
+    doc = json.loads(gallery_path("trivial").read_text())
+    edit(doc)
+    spec = tmp_path / f"{edit.__name__}.json"
+    spec.write_text(json.dumps(doc))
+    return str(spec)
+
+
+def _huge_fiber(doc):
+    doc["fiber"]["dim"] = 2**40
+    for key in ("sections", "frames", "fields"):
+        del doc[key]
+
+
+def _huge_valence(doc):
+    doc["fields"][1]["r"] = 10**6
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("construct", "tensor", "--r", "100", "--s", "0", "SPEC", "-o", "OUT"),
+     "error: tensor valence (100,0) is above the bound r + s <= 10\n"),
+    (("check", "HUGE_FIBER"),
+     "error: /fiber/dim: fiber dimension 1099511627776 is above the bound 1024\n"),
+    (("check", "HUGE_VALENCE"),
+     "error: /fields/1: field valence (1000000,1) is above the bound r + s <= 10\n"),
+], ids=["tensor_flags", "fiber_dim", "field_valence"])
+def test_fibers_past_the_bound_are_refused_before_they_are_built(tmp_path, argv, message):
+    files = {"SPEC": gp("trivial"), "OUT": str(tmp_path / "out.json"),
+             "HUGE_FIBER": trivial_with(tmp_path, _huge_fiber),
+             "HUGE_VALENCE": trivial_with(tmp_path, _huge_valence)}
+    assert quiet_main(*(files.get(a, a) for a in argv)) == (1, message)
+    assert not (tmp_path / "out.json").exists()
+
+
+def guarded_main(*argv) -> tuple:
+    """quiet_main's exit code and stderr, once the run is shown to end in
+    0, 1 or 2 with no exception, traceback or warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, err = quiet_main(*argv)
+    assert code in (0, 1, 2), (argv, code, err)
+    assert not caught, (argv, [str(w.message) for w in caught])
+    assert "Traceback" not in err and "Warning" not in err, (argv, err)
+    return code, err
+
+
+def check_and_tangent(spec: str, out_dir: Path) -> list:
+    """(exit code, stderr) of check --samples 20 and construct tangent."""
+    return [guarded_main("check", spec, "--samples", "20"),
+            guarded_main("construct", "tangent", spec, "-o", str(out_dir / "tangent.json"))]
+
+
+@pytest.mark.parametrize("tau,code,note", [
+    ("x1/0", 2, "evaluation failed at [2.6016307600040474]: division by zero"),
+    ("x1 + 0*log(0)", 2, "evaluation failed at [2.6016307600040474]: log of non-positive value 0.0"),
+    ("sqrt(x1)*sqrt(x1) + 0*sqrt(x1 - x1)", 0, None),  # smooth: its partials are defined
+], ids=["divide_by_zero", "log_of_zero", "sqrt_of_zero"])
+def test_pinned_taus_keep_their_verdicts(tmp_path, tau, code, note):
+    spec = mobius_with_tau(tmp_path / "in.json", tau)
+    report = tmp_path / "report.json"
+    assert guarded_main("check", spec, "--samples", "20", "--out", str(report))[0] == code
+    failed = [(r["check"], r["subject"], r["note"])
+              for r in json.loads(report.read_text())["records"] if not r["passed"]]
+    want = [("tau_inverse", "east->west#0"), ("tau_inverse", "west->east#0"),
+            ("pair_cocycle", "east->west#0"),
+            ("section_compat", "section 'halfwave' east->west#0"),
+            ("section_compat", "section 'zero' east->west#0"),
+            ("section_compat", "field 'halfdual' east->west#0")]
+    assert failed == ([(c, s, note) for c, s in want] if note else [])
+
+
+_FUNCS = ["sin", "cos", "tan", "exp", "log", "sqrt"]
+_TAUS = st.recursive(
+    st.sampled_from(["x1", "x1", "0", "5e-324", "1e308", "(1e200)^2", "2", "0.5", "pi"]),
+    lambda inner: st.one_of(
+        st.builds("({}) {} ({})".format, inner, st.sampled_from("+-*/"), inner),
+        st.builds("{}({})".format, st.sampled_from(_FUNCS), inner),
+        st.builds("({})^{}".format, inner, st.integers(-2, 3)),
+        st.builds("-({})".format, inner)),
+    max_leaves=6)
+
+
+@seed(20261020)
+@settings(max_examples=60, deadline=None)
+@given(_TAUS)
+def test_any_tau_from_the_grammar_ends_in_an_exit_code(tau):
+    with tempfile.TemporaryDirectory() as tmp:
+        check_and_tangent(mobius_with_tau(Path(tmp) / "in.json", tau), Path(tmp))
+
+
+def _nodes(doc, path=()):
+    """The path of every node under doc, its root excepted."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _nodes(value, path + (key,))
+
+
+def _mutate(doc, path, how, pick):
+    """Drop, duplicate, retype or rescale the node at path; pick(options)
+    chooses among the ways to. A dict member is duplicated over a sibling."""
+    *up, key = path
+    parent = doc
+    for k in up:
+        parent = parent[k]
+    node = parent[key]
+    copy = json.loads(json.dumps(node))
+    if how == "drop":
+        del parent[key]
+    elif how == "duplicate" and isinstance(parent, list):
+        parent.insert(key, copy)
+    elif how == "duplicate":
+        parent[pick(sorted(parent))] = copy
+    elif how == "rescale" and isinstance(node, (int, float)) and not isinstance(node, bool):
+        factor = pick([0, -1, 2, 1000, 2**40, 0.5, 1e308])
+        parent[key] = node * factor
+    elif how == "rescale" and isinstance(node, str):
+        parent[key] = f"({node})*{pick(['0', '-1', '1e308', '5e-324', '(1e200)^2'])}"
+    elif how == "rescale" and isinstance(node, list):
+        parent[key] = node * pick([0, 2, 3])
+    else:
+        parent[key] = pick([None, True, 0, 1.5, "x1", "", [], {}, [[0, 1]], {"x": 1}])
+
+
+@seed(20261021)
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(p.stem for p in gallery_path("mobius").parent.glob("*.json"))),
+       st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(
+           ["drop", "duplicate", "retype", "rescale"])), min_size=1, max_size=3),
+       st.sampled_from([("dual",), ("tangent",), ("tensor", "--r", "1", "--s", "1")]),
+       st.data())
+def test_any_mutated_gallery_spec_ends_in_an_exit_code(name, mutations, construct, data):
+    doc = json.loads(gallery_path(name).read_text())
+    for at, how in mutations:
+        paths = list(_nodes(doc))
+        if paths:
+            _mutate(doc, paths[at % len(paths)], how, lambda options: data.draw(
+                st.sampled_from(options)))
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = Path(tmp) / "in.json"
+        spec.write_text(json.dumps(doc))
+        guarded_main("check", str(spec), "--samples", "20")
+        guarded_main("construct", *construct, str(spec), "-o", str(Path(tmp) / "out.json"))

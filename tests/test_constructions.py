@@ -486,6 +486,12 @@ def test_field_product_matches_tensor_product():
         assert np.allclose(field_eval(P, "left", x).coeffs, expected.coeffs)
 
 
+def test_field_product_past_the_bound_is_refused():
+    A = make_field(plane_rotation_bundle(), 3, 3, {"left": ["0"] * 64})
+    with pytest.raises(SpecError, match=r"valence \(6,6\) is above the bound r \+ s <= 10"):
+        field_product(A, A)
+
+
 def test_field_validation_and_eval_domains():
     B = plane_rotation_bundle()
     with pytest.raises(SpecError):

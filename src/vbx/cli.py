@@ -200,8 +200,9 @@ def _size_line(B, path: str) -> str:
     """How big a written bundle is; deterministic, so fit for stdout."""
     roots = [c for e in B.edges for row in e.g for c in row]
     roots += [c for o in B.base.overlaps for c in o.tau.components]
-    return (f"fiber dim {B.fiber_dim}, {len(B.edges)} edges, {tree_size(roots)} tree nodes, "
-            f"{len(compile_exprs(roots).code)} unique nodes, {Path(path).stat().st_size} bytes")
+    prog = compile_exprs(roots)
+    return (f"fiber dim {B.fiber_dim}, {len(B.edges)} edges, {tree_size(prog)} tree nodes, "
+            f"{len(prog.code)} unique nodes, {Path(path).stat().st_size} bytes")
 
 
 def _bundle_input(path: str):

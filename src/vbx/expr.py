@@ -217,11 +217,6 @@ def _fold(roots, memo: dict, visit) -> list:
     return [memo[id(r)][1] for r in roots]
 
 
-def tree_size(exprs) -> int:
-    """Nodes of exprs counted as trees: a shared subtree once per occurrence."""
-    return sum(_fold(exprs, {}, lambda e, v: 1 + sum(v)))
-
-
 def max_var_index(e: Expr, memo: dict | None = None) -> int:
     """Largest variable index used, 0 if the expression is constant.
 
@@ -285,6 +280,16 @@ def compile_exprs(exprs) -> Program:
 
     outputs = _fold(exprs, {}, visit)
     return Program(tuple(table), tuple(outputs))
+
+
+def tree_size(prog: Program) -> int:
+    """Nodes of prog's outputs counted as trees: a shared subtree once per
+    occurrence. A slot's tree is itself and its operands' trees."""
+    size: list = []
+    for op, a, b, _ in prog.code:  # a literal's b is its sign, not a slot
+        kids = (a, b) if _ADD <= op <= _DIV else (a,) if op > _VAR else ()
+        size.append(1 + sum(size[k] for k in kids))
+    return sum(size[s] for s in prog.outputs)
 
 
 class Batch:
@@ -537,36 +542,16 @@ def _scan_all(text: str) -> None:
         tok = _scan(text, tok.end)
 
 
-def _closing_parens(text: str) -> np.ndarray:
-    """At the index of each '(' that has a matching ')', the index of that
-    ')'; -1 everywhere else.
-
-    One vectorized pass: a '(' opens nesting level d (the depth after it)
-    and the ')' that closes it is the next parenthesis at level d (the
-    depth before it), so after a stable sort by level, a '(' directly
-    followed by a ')' of its level is a matched pair.
-    """
-    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
-    at = np.flatnonzero((codes == 40) | (codes == 41))
-    opens = codes[at] == 40
-    level = np.cumsum(np.where(opens, 1, -1)) + ~opens
-    order = np.argsort(level, kind="stable")
-    at, opens, level = at[order], opens[order], level[order]
-    pair = opens[:-1] & ~opens[1:] & (level[:-1] == level[1:])
-    closing = np.full(len(codes), -1)
-    closing[at[:-1][pair]] = at[1:][pair]
-    return closing
-
-
 class _Level:
     """One group being parsed: the whole text, a '(' ... ')' or a call's
     argument. sum and prod are the left operands of the grammar's expr and
     term loops so far; neg is a '-' read before the current operand."""
 
-    __slots__ = ("key", "fn", "sum", "sum_op", "prod", "prod_op", "neg")
+    __slots__ = ("start", "prefix", "fn", "sum", "sum_op", "prod", "prod_op", "neg")
 
-    def __init__(self, key, fn):
-        self.key = key  # the group's text, from its start to its ')'
+    def __init__(self, start, prefix, fn):
+        self.start = start  # the index of the group's '(' or function name
+        self.prefix = prefix  # the hash of its prefix: see _Parser
         self.fn = fn  # the function called, for a call's argument
         self.sum = self.sum_op = self.prod = self.prod_op = None
         self.neg = False
@@ -577,18 +562,21 @@ class _Parser:
     so nesting depth is bounded by memory, not by the recursion limit.
     Tokens are read one at a time.
 
-    memo maps the text of a parenthesized group, or of a call from its
-    name to its ')', to the node it parsed to. A group whose text is in
-    memo is not read again: the parser takes the node and jumps past the
-    ')'. A group's text fixes its parse, so the tree is the one the text
-    gives without the memo, and so is the first error, because only
-    groups that parsed without one are entered.
+    A group is a parenthesized expression, or a call from its name to its
+    ')'. Its prefix, its text up to the first ')' after its '(', is known
+    where the group starts. memo maps the text of each group read to its
+    node, and the hash of each prefix to the lengths of the groups read
+    with it. At a new group the parser looks up the text at each such
+    length: a group in memo is balanced and its '(' closes at its last
+    character, so an equal text is this group, and the parser takes the
+    node and jumps past it. A group's text fixes its parse, so the tree
+    is the one the text gives without the memo, and so is the first
+    error, because only groups that parsed without one are entered.
     """
 
     def __init__(self, text: str, memo: dict):
         self.text = text
         self.memo = memo
-        self.closing = None  # _closing_parens(text), made at the first group
         self.tok = _scan(text, 0)
 
     def advance(self) -> _Token:
@@ -604,7 +592,7 @@ class _Parser:
         return self.advance()
 
     def parse(self) -> Expr:
-        levels = [_Level(None, None)]
+        levels = [_Level(None, None, None)]
         while True:
             lv = levels[-1]
             a = self.operand(levels)
@@ -635,12 +623,12 @@ class _Parser:
                 if lv.fn is not None:
                     if tok.kind == ",":
                         raise ParseError(f"{lv.fn} takes one argument", tok.pos)
-                    self.expect(")")
                     a = Call(lv.fn, a)
-                else:
-                    self.expect(")")
-                if lv.key is not None:
-                    self.memo[lv.key] = a
+                end = self.expect(")").end
+                self.memo[self.text[lv.start:end]] = a
+                lengths = self.memo.get(lv.prefix, ())
+                if end - lv.start not in lengths:
+                    self.memo[lv.prefix] = lengths + (end - lv.start,)
                 levels.pop()
                 lv = levels[-1]
 
@@ -689,17 +677,15 @@ class _Parser:
     def group(self, levels: list, start: _Token, paren: _Token, fn):
         """After the '(' paren of a group that starts at start: the node of
         a group met before, or None after opening a level for it."""
-        if self.closing is None:
-            self.closing = _closing_parens(self.text)
-        end = int(self.closing[paren.pos - 1])
-        key = None
-        if end >= 0:
-            key = self.text[start.pos - 1:end + 1]
-            node = self.memo.get(key)
-            if node is not None:
-                self.tok = _scan(self.text, end + 1)
-                return node
-        levels.append(_Level(key, fn))
+        text, p = self.text, start.pos - 1
+        prefix = hash(text[p:text.find(")", paren.end) + 1])
+        for n in self.memo.get(prefix, ()):
+            if text[p + n - 1:p + n] == ")":
+                node = self.memo.get(text[p:p + n])
+                if node is not None:
+                    self.tok = _scan(text, p + n)
+                    return node
+        levels.append(_Level(p, prefix, fn))
         return None
 
 
@@ -707,7 +693,8 @@ def parse_expr(text: str, memo: dict | None = None) -> Expr:
     """Parse a DSL expression; ParseError/UnknownSymbol carry the column.
 
     memo may be shared by the calls that load one document, so that a
-    group met in an earlier entry is not read again.
+    group met in an earlier entry is not read again; it holds the text of
+    every group read (see _Parser).
     """
     if not isinstance(text, str):
         raise ParseError("expression must be a string", 1)

@@ -30,11 +30,13 @@ def gp(name):
 
 def cold_command(*argv) -> dict:
     """subprocess arguments for `python -m vbx.cli` in a fresh interpreter,
-    so stdout and stderr are real ones."""
+    so stdout and stderr are real ones. The child writes no bytecode cache
+    into the source tree."""
     import vbx
 
     src = str(Path(vbx.__file__).resolve().parent.parent)
-    return {"args": [sys.executable, "-m", "vbx.cli", *argv], "env": {"PYTHONPATH": src}}
+    return {"args": [sys.executable, "-m", "vbx.cli", *argv],
+            "env": {"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}}
 
 
 def run_cold(*argv):
@@ -711,3 +713,64 @@ def test_any_mutated_gallery_spec_ends_in_an_exit_code(name, mutations, construc
         spec.write_text(json.dumps(doc))
         guarded_main("check", str(spec), "--samples", "20")
         guarded_main("construct", *construct, str(spec), "-o", str(Path(tmp) / "out.json"))
+
+
+# Flag vectors: odd values for every flag of check, construct and eval.
+
+_ODD = ["0", "-1", "nan", "inf", "1e-320", "1e308", "", "abc", "10^21", "0x10", "2"]
+
+
+@st.composite
+def flag_vectors(draw, tmp: Path):
+    """An argv for check, construct or eval with flags drawn from _ODD, an
+    unwritable --out, unknown construct kinds, charts and targets."""
+    def pick(options):
+        return draw(st.sampled_from(options))
+
+    def flags(names):  # each flag given three times in four
+        return [a for f in names if draw(st.integers(0, 3)) for a in (f, pick(_ODD))]
+
+    spec = pick([gp("mobius"), gp("trivial"), gp("circle_tangent"), gp("circle_base"), "abc"])
+    out = pick([str(tmp / "out.json"), str(tmp / "missing" / "out.json"), str(tmp), ""])
+    command = pick(["check", "construct", "eval"])
+    if command == "check":
+        return (["check", spec, *flags(["--samples", "--tol", "--seed"])]
+                + (["--out", out] if draw(st.booleans()) else []))
+    if command == "construct":
+        return ["construct", pick(["tensor", "dual", "tangent", "sum", "abc", ""]),
+                *[spec] * draw(st.integers(1, 2)), "-o", out, *flags(["--r", "--s"])]
+    point = ",".join(draw(st.lists(st.sampled_from(_ODD), min_size=1, max_size=2)))
+    return ["eval", spec, "--target", pick(["halfwave", "wave", "dtheta", "gmetric"] + _ODD),
+            "--chart", pick(["east", "west", "main"] + _ODD), "--point", point]
+
+
+def strict_main(*argv) -> tuple:
+    """quiet_main's exit code and stderr, with warnings turned into errors;
+    the run must end in 0, 1 or 2 with no traceback."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, err = quiet_main(*argv)
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in err, (argv, err)
+    return code, err
+
+
+@seed(20261023)
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_any_flag_vector_ends_in_an_exit_code(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        strict_main(*data.draw(flag_vectors(Path(tmp))))
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "MOBIUS", "--samples", "10^21", "--tol", "nan"),
+    ("construct", "tensor", "--r", "0x10", "--s", "1", "MOBIUS", "-o", "MISSING"),
+    ("eval", "MOBIUS", "--target", "halfwave", "--chart", "east", "--point", "1e308,inf"),
+], ids=["check", "construct", "eval"])
+def test_flag_vectors_end_in_an_exit_code_in_a_fresh_interpreter(tmp_path, argv):
+    files = {"MOBIUS": gp("mobius"), "MISSING": str(tmp_path / "missing" / "out.json")}
+    proc = subprocess.run(**cold_command(*(files.get(a, a) for a in argv)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode in (0, 1, 2), proc.stderr
+    assert "Traceback" not in proc.stderr

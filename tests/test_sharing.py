@@ -12,6 +12,7 @@ are pinned to the bytes the tree-walking printer wrote, and three
 import hashlib
 import json
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -182,7 +183,8 @@ def reference_parse(text):
 
 
 class NoMemo(dict):
-    """A parse memo that forgets everything: the unshared parse."""
+    """A parse memo that forgets everything: the unshared parse. The parser
+    writes to its memo by item assignment only."""
 
     def __setitem__(self, key, value):
         pass
@@ -266,6 +268,8 @@ def test_memo_parse_is_the_reference_parse(e):
     assert got == parse_expr(spaced(text))
     assert to_string(got) == text
     assert distinct_nodes(got) <= distinct_nodes(parse_expr(spaced(text)))
+    bare = parse_expr(text, NoMemo())
+    assert bare == got and distinct_nodes(bare) == distinct_nodes(unshared(bare))
 
 
 def test_a_repeated_group_is_parsed_once_into_one_node():
@@ -275,6 +279,8 @@ def test_a_repeated_group_is_parsed_once_into_one_node():
     unshared_parse = parse_expr(spaced(text))
     assert unshared_parse == e
     assert unshared_parse.a.a is not unshared_parse.b.a
+    bare = parse_expr(text, NoMemo())
+    assert bare == e and bare.a.a is not bare.b.a and bare.a.b is not bare.b.b
     # A call's text includes its name: sin(u) and cos(u) are not one group.
     mixed = "sin(x1 + 2) * cos(x1 + 2) - (x1 + 2)"
     assert parse_expr(mixed) == reference_parse(mixed)
@@ -322,6 +328,67 @@ def test_edited_texts_parse_or_fail_like_the_reference(e, data):
     assert outcome(parse_expr, text) == outcome(reference_parse, text)
 
 
+_OPEN_TAILS = ["", ")", "+ (", "* sin(", "- ((x1)", "/ (x1 + 2"]
+_ENTRIES = ["{a}", "({a}) * sin({b})", "sin({a}) - (({b}) ", "({a}) / ({b} + exp({a}) "]
+
+
+@st.composite
+def document_entries(draw):
+    """The entry texts of one document: groups repeat within and across
+    entries, and an entry may end in a bad or unbalanced tail or have one
+    character edited."""
+    shared = to_string(draw(shared_exprs(steps=5)))
+    texts = []
+    for _ in range(draw(st.integers(2, 6))):
+        own = to_string(draw(shared_exprs(steps=5)))
+        a, b = (draw(st.sampled_from([shared, own])) for _ in range(2))
+        text = draw(st.sampled_from(_ENTRIES)).format(a=a, b=b)
+        text += " " + draw(st.sampled_from(_OPEN_TAILS + _BAD_TAILS))
+        if draw(st.booleans()):
+            i = draw(st.integers(0, len(text)))
+            c = draw(st.sampled_from(list("()+-*/^, x1.e$") + ["sin(", "2", ""]))
+            text = text[:i] + c + text[i + draw(st.integers(0, 1)):]
+        texts.append(text)
+    return texts
+
+
+@seed(20261022)
+@settings(max_examples=200, deadline=None)
+@given(document_entries())
+def test_entries_sharing_one_memo_parse_like_the_reference(texts):
+    # As load_spec does: one memo for every entry of the document.
+    memo: dict = {}
+    for text in texts:
+        assert outcome(lambda s: parse_expr(s, memo), text) == outcome(reference_parse, text)
+
+
+def many_groups(k: int) -> list:
+    """k distinct groups under the one prefix '((x1)'."""
+    return [f"((x1) + {i})" for i in range(1, k + 1)]
+
+
+def many_lengths(k: int) -> list:
+    """k groups under the one prefix '((x1)', of k lengths."""
+    return ["((x1) +" + " " * i + "1)" for i in range(1, k + 1)]
+
+
+@pytest.mark.parametrize("groups", [many_groups(2000), many_lengths(300)],
+                         ids=["groups", "lengths"])
+def test_groups_under_one_prefix_parse_like_the_reference(groups):
+    text = " * ".join(groups + groups)
+    got = parse_expr(text)
+    assert got == reference_parse(text)
+    # Each group's second occurrence is the node of its first.
+    assert distinct_nodes(got) < distinct_nodes(parse_expr(text, NoMemo())) / 1.9
+
+
+def test_many_groups_under_one_prefix_parse_in_bounded_time():
+    text = " + ".join(many_groups(16_000))
+    start = time.perf_counter()
+    parse_expr(text)
+    assert time.perf_counter() - start < 5.0
+
+
 def test_stray_character_outranks_an_earlier_grammar_error():
     # The reference reads every token before it parses anything.
     for text in ["x1 + + $", "(x1 + ) $", "x0 # 1"]:
@@ -351,7 +418,8 @@ def doubling(n: int):
 
 def test_walkers_visit_each_distinct_node_once():
     e = doubling(64)
-    assert tree_size([e]) == 2 ** 65 - 1
+    assert tree_size(compile_exprs([e])) == 2 ** 65 - 1
+    assert tree_size(compile_exprs([e, Num(2.0), e])) == 2 ** 66 - 1  # a sign is no slot
     assert max_var_index(e) == 1
     assert eval_expr(e, [1.0]) == 2.0 ** 64
     assert len(compile_exprs([e]).code) == 65
@@ -386,7 +454,7 @@ def test_deep_nesting_walks():
     e = Var(1)
     for _ in range(depth):
         e = Call("sin", e)
-    assert tree_size([e]) == depth + 1
+    assert tree_size(compile_exprs([e])) == depth + 1
     assert max_var_index(e) == 1
     assert isinstance(eval_expr(e, [0.5]), float)
     assert len(compile_exprs([e]).code) == depth + 1
@@ -414,14 +482,32 @@ PINNED = {
 }
 
 
+# Tree and unique nodes of each output, as the size line of `vbx construct`
+# counted them when it walked the expressions.
+SIZES = {"tensor11": (627_726, 281), "tensor02": (62_472, 204), "dual": (66_270, 137),
+         "product": (21_216, 97)}
+
+
+def dense_construct(name):
+    dense = load_spec(GOLDEN / "dense.json").bundle
+    return {"tensor11": lambda: tensor_bundle(dense, 1, 1),
+            "tensor02": lambda: tensor_bundle(dense, 0, 2),
+            "dual": lambda: dual_bundle(dense),
+            "product": lambda: direct_product(
+                dense, load_spec(gallery_path("projective_tangent")).bundle)}[name]()
+
+
+@pytest.mark.parametrize("name", sorted(SIZES))
+def test_tree_and_unique_nodes_come_from_one_program(name):
+    B = dense_construct(name)
+    prog = compile_exprs([c for e in B.edges for row in e.g for c in row]
+                         + [c for o in B.base.overlaps for c in o.tau.components])
+    assert (tree_size(prog), len(prog.code)) == SIZES[name]
+
+
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_dense_construct_outputs_keep_their_bytes(name, tmp_path):
-    dense = load_spec(GOLDEN / "dense.json").bundle
-    B = {"tensor11": lambda: tensor_bundle(dense, 1, 1),
-         "tensor02": lambda: tensor_bundle(dense, 0, 2),
-         "dual": lambda: dual_bundle(dense),
-         "product": lambda: direct_product(
-             dense, load_spec(gallery_path("projective_tangent")).bundle)}[name]()
+    B = dense_construct(name)
     out = tmp_path / f"{name}.json"
     save_spec(B, out)
     data = out.read_bytes()

@@ -319,7 +319,8 @@ def test_tensor_norm_runs_on_numpy_alone():
             "print(tensor_norm(make_tensor(make_space(2), 2, 0, [1, 0, 0, 1]), budget=50))\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={"PYTHONPATH": str(src)}, timeout=120)
+                          env={"PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"},
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
     tomllib = pytest.importorskip("tomllib")

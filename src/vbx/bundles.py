@@ -706,10 +706,12 @@ def _pulling(t, P: Pulling, chart: str, X, rows) -> None:
 
 
 def field_eval(A: TensorFieldSpec, chart: str, x):
-    """The field's value at a point of one chart, as a tensor on the fiber."""
+    """The field's value at a point of one chart, as a tensor on the fiber.
+    A chart the base does not declare is a SpecError; a declared chart the
+    field has no components on, a DomainViolation."""
+    A.bundle.base.chart(chart)
     if chart not in A.per_chart:
         raise DomainViolation(f"field has no components on chart '{chart}'")
-    A.bundle.base.chart(chart)
     coeffs = at_point(x, A.bundle.base.dim, "base dim",
                       lambda t, X, rows: _field_values(t, A, chart, X, rows))
     return make_tensor(A.bundle.fiber_space, A.r, A.s, coeffs)

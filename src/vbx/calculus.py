@@ -124,14 +124,47 @@ class _Trial:
     def why(self, i: int):
         return self._whys[self.cause[i]](self._local[i])
 
+    def _cached(self, key, pinned, build) -> Program:
+        """progs[key], built on a miss. The entry pins the objects whose
+        ids the key holds, so no id is reused while progs lives."""
+        hit = self.progs.get(key)
+        if hit is None:
+            hit = self.progs[key] = (pinned, build())
+        return hit[1]
+
     def program(self, exprs) -> Program:
         """exprs (a vector, or a matrix flattened row by row) compiled once
-        per progs: a suite call's cache, or a one-point call's."""
-        hit = self.progs.get(id(exprs))
-        if hit is None:
-            flat = list(exprs) if isinstance(exprs[0], Expr) else [e for row in exprs for e in row]
-            hit = self.progs[id(exprs)] = (exprs, compile_exprs(flat))  # pins the id
-        return hit[1]
+        per progs: a suite call's cache, or a one-point call's. The key is
+        the identities of the entries, not their container, so matrices
+        whose entries a document interned to the same nodes (see
+        expr.parse_expr) share one program on whichever edge they stand."""
+        flat = tuple(exprs) if isinstance(exprs[0], Expr) else tuple(e for row in exprs for e in row)
+        return self._cached(tuple(map(id, flat)), flat, lambda: compile_exprs(flat))
+
+    def map_program(self, F: SmoothMap) -> Program:
+        """F's components, then its partials row by row (zeros where diff
+        cannot build them), as one program: once per progs for each domain
+        dimension and tuple of component nodes, which fix the partials."""
+
+        def build():
+            try:
+                J = sum(F.partials, ())
+            except EvalError:  # a literal zero denominator: no point has a value
+                J = (Num(0.0),) * (F.out_dim * F.in_dim)
+            return compile_exprs(F.components + J)
+
+        return self._cached((F.in_dim, tuple(map(id, F.components))), F.components, build)
+
+    def components(self, F: SmoothMap) -> Program:
+        """The program of F's components alone: the prefix of map_program
+        that computes them, so a map is compiled once per progs."""
+
+        def prefix():
+            full = self.map_program(F)
+            outputs = full.outputs[:F.out_dim]
+            return Program(full.code[:max(outputs) + 1], outputs)
+
+        return self._cached(tuple(map(id, F.components)), F.components, prefix)
 
     # The rules. Each is written here once.
 
@@ -140,12 +173,17 @@ class _Trial:
         self.fail(rows, ~box_mask(box, X),
                   lambda j: DomainViolation(f"point {X[j].tolist()} outside {where}"))
 
-    def exprs(self, exprs, X, rows) -> np.ndarray:
-        """Every expression at every point, (len(X), count); a point where
-        one fails to evaluate fails with the EvalError it meets first."""
-        batch = run_program(self.program(exprs), X)
+    def run(self, prog: Program, X, rows) -> np.ndarray:
+        """Every output of prog at every point, (len(X), count); a point
+        where one fails to evaluate fails with the EvalError it meets
+        first."""
+        batch = run_program(prog, X)
         self.fail(rows, batch.bad, batch.error)
         return batch.values
+
+    def exprs(self, exprs, X, rows) -> np.ndarray:
+        """run of the program of exprs."""
+        return self.run(self.program(exprs), X, rows)
 
     def finite(self, V, X, rows, what: str) -> None:
         """A point whose row of V is not all finite fails: EvalError."""
@@ -162,7 +200,7 @@ class _Trial:
     def map(self, F: SmoothMap, X, rows) -> np.ndarray:
         """eval_map at every point."""
         self.in_box(F.box, X, rows, _DOMAIN_BOX)
-        Y = self.exprs(F.components, X, rows)
+        Y = self.run(self.components(F), X, rows)
         self.finite(Y, X, rows, "map value")
         return Y
 
@@ -171,13 +209,9 @@ class _Trial:
         program: the components, then F.partials, so a point whose value
         fails fails with the value's message."""
         self.in_box(F.box, X, rows, _DOMAIN_BOX)
-        k, m = F.out_dim, F.in_dim
-        try:
-            J = F.partials
-        except EvalError:  # a literal zero denominator: no point has a value
-            J = ((Num(0.0),) * m,) * k
-        V = self.exprs(F.components + sum(J, ()), X, rows)
-        return V[:, :k], V[:, k:].reshape(len(X), k, m)
+        k = F.out_dim
+        V = self.run(self.map_program(F), X, rows)
+        return V[:, :k], V[:, k:].reshape(len(X), k, F.in_dim)
 
     def jacobian(self, F: SmoothMap, X, rows) -> np.ndarray:
         """jacobian at every point."""

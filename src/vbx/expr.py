@@ -32,8 +32,8 @@ Expressions are DAGs: a derived bundle's entries reference the same
 subtrees many times over. Every walker (compiling, printing, validation,
 differentiation, substitution, hashing, repr) visits each distinct node once,
 without recursion, equality compares each pair of nodes once, and the
-parser reads a repeated parenthesized group once and returns the same node
-for it.
+parser reads a repeated parenthesized group, or a repeated entry of one
+document, once and returns the same node for it.
 """
 
 from __future__ import annotations
@@ -694,15 +694,24 @@ def parse_expr(text: str, memo: dict | None = None) -> Expr:
 
     memo may be shared by the calls that load one document, so that a
     group met in an earlier entry is not read again; it holds the text of
-    every group read (see _Parser).
+    every group read (see _Parser). It also interns whole entries: the
+    1-tuple (text,) maps an entry's text to its node, so text-equal entries
+    of one document are one node. A key of that form is never a group's
+    text, so the group probe cannot take an entry that is not a group,
+    such as '(x1 + (x2)) * (3)', for one.
     """
     if not isinstance(text, str):
         raise ParseError("expression must be a string", 1)
-    try:
-        return _Parser(text, {} if memo is None else memo).parse()
-    except (ParseError, UnknownSymbol):
-        _scan_all(text)  # an unexpected character anywhere is the error reported
-        raise
+    memo = {} if memo is None else memo
+    node = memo.get((text,))
+    if node is None:
+        try:
+            node = _Parser(text, memo).parse()
+        except (ParseError, UnknownSymbol):
+            _scan_all(text)  # an unexpected character anywhere is the error reported
+            raise
+        memo[(text,)] = node
+    return node
 
 
 def _as_expr(c) -> Expr:

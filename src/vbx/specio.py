@@ -235,7 +235,7 @@ def load_spec(path) -> SpecDocument:
     """Load and structurally validate one specification file.
 
     One parse memo serves the whole file, so an expression group repeated
-    anywhere in it is read once.
+    anywhere in it is read once and text-equal entries are one node.
     """
     doc = load_json(path)
     _check_keys(doc, _TOP_KEYS, "")

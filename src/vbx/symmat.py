@@ -2,9 +2,10 @@
 
 Constructed bundles need their transition matrices as expressions so the
 results stay serializable: tensor and hom bundles divide by a symbolic
-determinant, tangent bundles differentiate coordinate changes. Cofactor
-expansion is exponential in principle but these matrices are fiber-sized
-(a handful of rows), which is exactly the desk scale this engine targets.
+determinant, tangent bundles differentiate coordinate changes.
+Determinants and inverses expand cofactors with each minor built once,
+so their cost grows like 2^n in the rank, not n!: fiber-sized matrices
+(a handful of rows) are exactly the desk scale this engine targets.
 """
 
 from __future__ import annotations
@@ -60,42 +61,42 @@ def mat_vec(m: Matrix, v) -> tuple:
     return tuple(out)
 
 
-def mat_det(m: Matrix) -> Expr:
-    n, c = mat_shape(m)
-    if n != c:
-        raise ShapeMismatch("determinant of a non-square matrix")
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        return fold_sub(fold_mul(m[0][0], m[1][1]), fold_mul(m[0][1], m[1][0]))
-    acc: Expr = Num(0.0)
-    for j in range(n):
-        minor = tuple(
-            tuple(m[i][t] for t in range(n) if t != j) for i in range(1, n)
-        )
-        term = fold_mul(m[0][j], mat_det(minor))
-        acc = fold_add(acc, term) if j % 2 == 0 else fold_sub(acc, term)
-    return acc
+def _det(m: Matrix, rows: tuple, cols: tuple, memo: dict) -> Expr:
+    """The determinant of m's submatrix on rows and cols, expanded along
+    its first row. memo maps (rows, cols) to the minors built so far, so
+    each minor is built once and shared: 2^n of them, not n! trees."""
+    hit = memo.get((rows, cols))
+    if hit is not None:
+        return hit
+    if len(rows) == 1:
+        out = m[rows[0]][cols[0]]
+    elif len(rows) == 2:
+        (r0, r1), (c0, c1) = rows, cols
+        out = fold_sub(fold_mul(m[r0][c0], m[r1][c1]), fold_mul(m[r0][c1], m[r1][c0]))
+    else:
+        out = Num(0.0)
+        for j, c in enumerate(cols):
+            term = fold_mul(m[rows[0]][c], _det(m, rows[1:], cols[:j] + cols[j + 1:], memo))
+            out = fold_add(out, term) if j % 2 == 0 else fold_sub(out, term)
+    memo[rows, cols] = out
+    return out
 
 
 def mat_inverse(m: Matrix) -> Matrix:
-    """Adjugate over determinant; entries stay inside the expression DSL."""
+    """Adjugate over determinant; entries stay inside the expression DSL.
+    The determinant and the cofactors share one memo of minors."""
     n, c = mat_shape(m)
     if n != c:
         raise ShapeMismatch("inverse of a non-square matrix")
-    det = mat_det(m)
+    every, memo = tuple(range(n)), {}
+    det = _det(m, every, every, memo)
     if n == 1:
         return ((fold_div(Num(1.0), det),),)
     out = []
     for i in range(n):
         row = []
         for j in range(n):
-            minor = tuple(
-                tuple(m[a][b] for b in range(n) if b != i)
-                for a in range(n)
-                if a != j
-            )
-            cof = mat_det(minor)
+            cof = _det(m, every[:j] + every[j + 1:], every[:i] + every[i + 1:], memo)
             if (i + j) % 2 == 1:
                 cof = fold_neg(cof)
             row.append(fold_div(cof, det))

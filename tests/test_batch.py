@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from scalar_oracle import eval_expr, eval_map, eval_matrix, field_eval, jacobian
 from support import PI, TWO_PI, gallery_expressions, mobius_bundle
 
+from vbx import calculus
 from vbx.bundles import (
     _overlap_subject,
     check_base_atlas,
@@ -52,7 +53,7 @@ from vbx.expr import (
 from vbx.geometry import halton, sample_region
 from vbx.linalg import FieldTag
 from vbx.report import failed_record, make_report, residual_record
-from vbx.specio import gallery_path, load_spec
+from vbx.specio import gallery_path, list_gallery, load_spec
 
 # Values and gradients may differ from the scalar path where numpy's exp,
 # log or tan round differently from the math module's (one ulp at the
@@ -176,6 +177,39 @@ def test_compile_shares_common_subexpressions():
     assert prog.outputs[2] == 1
     # 0.0 and -0.0 print differently, so they stay distinct literals
     assert len(compile_exprs([Num(0.0), Num(-0.0)]).code) == 2
+
+
+@seed(20261018)
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_exprs(2), min_size=1, max_size=3))
+def test_a_maps_value_program_is_the_prefix_of_its_jacobian_program(exprs):
+    F = make_smooth_map(exprs, BOX)
+    t = _Trial(POINTS, {})
+    assert t.components(F) == compile_exprs(F.components)
+    assert t.map_program(F).code[:len(t.components(F).code)] == t.components(F).code
+
+
+def test_a_gallery_check_compiles_each_map_and_matrix_once(monkeypatch):
+    # A map's values run the prefix of its components-plus-partials
+    # program, and equal entry tuples share a program: per suite call, one
+    # compile per distinct tuple of tau components (atlas) and per distinct
+    # transition matrix or tau (bundle).
+    compiled = []
+    monkeypatch.setattr(calculus, "compile_exprs",
+                        lambda exprs: compiled.append(exprs) or compile_exprs(exprs))
+
+    def compiles(suite, *args):
+        compiled.clear()
+        suite(*args, samples=20)
+        return len(compiled)
+
+    for name in list_gallery():
+        doc = load_spec(gallery_path(name))
+        taus = {tuple(map(id, o.tau.components)) for o in doc.base.overlaps}
+        assert compiles(check_base_atlas, doc.base) == len(taus), name
+        if doc.bundle is not None:
+            gs = {tuple(id(c) for row in e.g for c in row) for e in doc.bundle.edges}
+            assert compiles(check_vb, doc.bundle) == len(gs | taus), name
 
 
 def test_deep_trees_compile_and_run_without_recursion():

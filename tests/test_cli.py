@@ -463,11 +463,13 @@ def test_eval_of_an_overflowing_entry_is_an_eval_error(tmp_path):
     assert err == "error: field value not finite at [1.0]\n"  # no Traceback, no RuntimeWarning
 
 
-def test_eval_unknown_chart_is_a_domain_problem(capsys):
+def test_eval_unknown_chart_is_a_usage_problem(capsys):
+    # A chart the base does not declare is a problem with the command, like
+    # a wrong point shape: exit 1, not a verification failure.
     code, out, err = run(capsys, "eval", gp("mobius"), "--target", "halfwave",
                          "--chart", "north", "--point", "0.5")
-    assert code == 2
-    assert "north" in err
+    assert code == 1
+    assert err.startswith("error: ") and "unknown chart 'north'" in err
 
 
 def test_eval_full_precision_output(capsys):

@@ -7,9 +7,14 @@ too large to walk occurrence by occurrence, and on nesting far deeper
 than the recursion limit. The construct outputs of tests/golden/dense.json
 are pinned to the bytes the tree-walking printer wrote, and three
 `construct restrict` outputs to the bytes the box-by-box bisection wrote.
+Loaded back, each holds one node per distinct entry text, compiles one
+program per distinct entry tuple and checks like the bundle it was saved
+from. Symbolic inverses, which build each minor once, are checked against
+the cofactor expansion that builds every minor afresh.
 """
 
 import hashlib
+import itertools
 import json
 import re
 import time
@@ -19,6 +24,8 @@ import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
+from vbx import calculus
+from vbx.bundles import check_base_atlas, check_vb
 from vbx.cli import main
 from vbx.constructions import direct_product, dual_bundle, tensor_bundle
 from vbx.errors import EvalError, ParseError, UnknownSymbol
@@ -37,13 +44,20 @@ from vbx.expr import (
     compile_exprs,
     diff,
     eval_expr,
+    fold_add,
+    fold_div,
+    fold_mul,
+    fold_neg,
+    fold_sub,
     max_var_index,
     parse_expr,
     subst,
     to_string,
     tree_size,
 )
+from vbx.report import report_to_json
 from vbx.specio import gallery_path, load_spec, save_spec
+from vbx.symmat import mat_inverse
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -238,9 +252,9 @@ def unshared(e):
     return Call(e.fn, unshared(e.arg))
 
 
-def distinct_nodes(e) -> int:
+def distinct_nodes(*roots) -> int:
     seen = set()
-    stack = [e]
+    stack = list(roots)
     while stack:
         node = stack.pop()
         if id(node) not in seen:
@@ -356,10 +370,27 @@ def document_entries(draw):
 @settings(max_examples=200, deadline=None)
 @given(document_entries())
 def test_entries_sharing_one_memo_parse_like_the_reference(texts):
-    # As load_spec does: one memo for every entry of the document.
+    # As load_spec does: one memo for every entry of the document, which
+    # interns each entry that parses, so the second read of a text is its
+    # first node.
     memo: dict = {}
-    for text in texts:
+    for text in texts + texts[::-1]:
         assert outcome(lambda s: parse_expr(s, memo), text) == outcome(reference_parse, text)
+    for text in texts:
+        if isinstance(outcome(reference_parse, text), Expr):
+            assert parse_expr(text, memo) is parse_expr(text, memo)
+
+
+def test_entries_that_are_not_groups_parse_like_the_reference():
+    # An interned entry is keyed apart from the groups: '(x1 + (x2)) * (3)'
+    # has the prefix and length of the group '(x1 + (x2) * (3))' and ends in
+    # ')', yet it is no group, so a later entry must not read it as one.
+    texts = ["(x1 + (x2) * 3)", "(x1 + (x2)) * 3", "(x1 + (x2)) * 3 ^ 2",
+             "(x1 + (x2) * (3))", "(x1 + (x2)) * (3)", "(x1 + (x2)) * (3) ^ 2"]
+    for order in itertools.permutations(texts):
+        memo: dict = {}
+        for text in order + order:
+            assert parse_expr(text, memo) == reference_parse(text), (order, text)
 
 
 def many_groups(k: int) -> list:
@@ -515,6 +546,84 @@ def test_dense_construct_outputs_keep_their_bytes(name, tmp_path):
     again = tmp_path / f"{name}.again.json"
     save_spec(load_spec(out).bundle, again)
     assert again.read_bytes() == data
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_a_loaded_output_is_one_node_per_entry_text_and_checks_like_the_built_one(
+        name, tmp_path, monkeypatch):
+    B = dense_construct(name)
+    out = tmp_path / f"{name}.json"
+    save_spec(B, out)
+    doc = json.loads(out.read_text())
+    texts = {c for e in doc["transitions"] for row in e["g"] for c in row}
+    texts |= {c for o in doc["base"]["overlaps"] for c in o["tau"]}
+    L = load_spec(out).bundle
+    matrices = {tuple(id(c) for row in e.g for c in row) for e in L.edges}
+    maps = {tuple(map(id, o.tau.components)) for o in L.base.overlaps}
+    assert len({i for key in matrices | maps for i in key}) == len(texts)
+
+    compiled = []
+    monkeypatch.setattr(calculus, "compile_exprs",
+                        lambda exprs: compiled.append(exprs) or compile_exprs(exprs))
+    for suite, loaded, built, distinct in ((check_base_atlas, L.base, B.base, maps),
+                                           (check_vb, L, B, matrices | maps)):
+        compiled.clear()
+        report = report_to_json(suite(loaded, 3))
+        assert 0 < len(compiled) <= len(distinct)  # one program per entry tuple
+        assert report == report_to_json(suite(built, 3))
+
+
+def cofactor_det(m):
+    """The determinant by cofactors, each minor built afresh: the oracle."""
+    n = len(m)
+    if n == 1:
+        return m[0][0]
+    if n == 2:
+        return fold_sub(fold_mul(m[0][0], m[1][1]), fold_mul(m[0][1], m[1][0]))
+    acc = Num(0.0)
+    for j in range(n):
+        minor = tuple(tuple(m[i][t] for t in range(n) if t != j) for i in range(1, n))
+        term = fold_mul(m[0][j], cofactor_det(minor))
+        acc = fold_add(acc, term) if j % 2 == 0 else fold_sub(acc, term)
+    return acc
+
+
+def cofactor_inverse(m):
+    n = len(m)
+    det = cofactor_det(m)
+    if n == 1:
+        return ((fold_div(Num(1.0), det),),)
+    cof = [[cofactor_det(tuple(tuple(m[a][b] for b in range(n) if b != i)
+                               for a in range(n) if a != j)) for j in range(n)]
+           for i in range(n)]
+    return tuple(tuple(fold_div(fold_neg(c) if (i + j) % 2 else c, det)
+                       for j, c in enumerate(row)) for i, row in enumerate(cof))
+
+
+def symbolic_matrix(d: int, zeros: bool):
+    """d x d entries in x1; with zeros, a banded pattern of literal 0 and 1
+    entries, so folds remove terms."""
+    def entry(i, j):
+        if zeros and abs(i - j) > 1:
+            return "0" if (i + j) % 3 else "1"
+        return f"sin(x1 + {i + 2 * j})" if i != j else f"1 + sin(x1 + {3 * i})/{d}"
+    return tuple(tuple(parse_expr(entry(i, j)) for j in range(d)) for i in range(d))
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+@pytest.mark.parametrize("zeros", [False, True])
+def test_symbolic_inverse_is_the_cofactor_expansion(d, zeros):
+    m = symbolic_matrix(d, zeros)
+    got, want = mat_inverse(m), cofactor_inverse(m)
+    assert got == want
+    assert [to_string(e) for row in got for e in row] == [to_string(e) for row in want for e in row]
+
+
+def test_symbolic_inverse_builds_each_minor_once():
+    # Cofactor trees of a rank-8 inverse hold 8! products; built once per
+    # minor they are a few thousand node objects.
+    inverse = mat_inverse(symbolic_matrix(8, False))
+    assert distinct_nodes(*(e for row in inverse for e in row)) < 20_000
 
 
 RESTRICT_PINNED = {

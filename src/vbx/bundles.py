@@ -91,7 +91,7 @@ from .report import (
     residual_record,
     vacuous_record,
 )
-from .tensors import make_tensor
+from .tensors import make_tensor, on_slots
 from . import symmat
 
 DEFAULT_SAMPLES = 200
@@ -520,6 +520,16 @@ def _sampled(progs: dict, checks, subject: str, pts: np.ndarray, seed: int, eval
             for (check, kind, tol), v in zip(checks, values)]
 
 
+def _reverse_g(t, backs, Y, dtype) -> np.ndarray:
+    """g_ji at each image Y = tau_ij(x), from the first of the j->i edges
+    backs that holds it, as find_edge chooses; a point in none fails."""
+    at = _first_match([b.overlap.region for b in backs], Y)
+    o = backs[0].overlap
+    t.fail(t.rows, at < 0,
+           lambda k: f"tau image {Y[k].tolist()} is in no declared {o.frm}->{o.to} region")
+    return t.matrices(at, [b.g for b in backs], Y, dtype)
+
+
 def _component_points(parts, samples: int, seed: int) -> tuple:
     """Points of every part's region, concatenated in order, and the part
     index of each point."""
@@ -595,16 +605,10 @@ def check_vb(B: VectorBundleSpec, samples: int = DEFAULT_SAMPLES,
     eye = np.eye(d, dtype=dtype)
 
     for e in B.edges:  # by chart pair, then component (make_bundle's order)
-        frm, to = e.overlap.frm, e.overlap.to
 
-        def evaluate(t, e=e, backs=B.edges_between(to, frm), frm=frm, to=to):
-            X = t.pts
-            G = t.matrix(e.g, X, t.rows, dtype)
-            Y = t.map(e.overlap.tau, X, t.rows)
-            back_at = _first_match([b.overlap.region for b in backs], Y)
-            t.fail(t.rows, back_at < 0,
-                   lambda j: f"tau image {Y[j].tolist()} is in no declared {to}->{frm} region")
-            G_back = t.matrices(back_at, [b.g for b in backs], Y, dtype)
+        def evaluate(t, e=e, backs=B.edges_between(e.overlap.to, e.overlap.frm)):
+            G = t.matrix(e.g, t.pts, t.rows, dtype)
+            G_back = _reverse_g(t, backs, t.map(e.overlap.tau, t.pts, t.rows), dtype)
             return scaled_abs_dets(G), _max_abs(G @ G_back - eye)
 
         records += _sampled(progs, [("transition_gl", MIN_DET, DEFAULT_TOL),
@@ -720,11 +724,12 @@ def field_eval(A: TensorFieldSpec, chart: str, x):
 @sampling_scope()
 def check_section(S: TensorFieldSpec, samples: int = DEFAULT_SAMPLES,
                   tol: float = DEFAULT_CHECK_TOL, seed: int = DEFAULT_SEED) -> CheckReport:
-    """Cross-chart compatibility: S_i(x) = g_ij(x) S_j(tau_ij(x)) at samples."""
-    if (S.r, S.s) != (0, 1):
-        raise ShapeMismatch(f"check_section needs a (0,1)-field, got ({S.r},{S.s}); "
-                            "check_tensor_field checks the others")
+    """Cross-chart compatibility of a field of any valence at samples:
+    S_i(x) = T_ij(x) S_j(tau_ij(x)), where T_ij applies g_ij(x) on each
+    covector slot and, on each vector slot, the inverse-transpose of
+    g_ij(x) by the cocycle, g_ji(tau_ij(x)) transposed (as in check_vb)."""
     B = S.bundle
+    slots, dtype = (B.fiber_dim,) * (S.r + S.s), B.field.dtype
     progs: dict = {}
     records = []
     for e in B.edges:
@@ -732,13 +737,16 @@ def check_section(S: TensorFieldSpec, samples: int = DEFAULT_SAMPLES,
         if i not in S.per_chart or j not in S.per_chart:
             continue
 
-        def evaluate(t, e=e, i=i, j=j):
+        def evaluate(t, e=e, i=i, j=j, backs=B.edges_between(j, i)):
             X = t.pts
             lhs = _field_rows(t, S, i, X, t.rows)
             Y = t.map(e.overlap.tau, X, t.rows)
-            G = t.matrix(e.g, X, t.rows, B.field.dtype)
-            rhs = (G @ _field_rows(t, S, j, Y, t.rows)[:, :, None])[:, :, 0]
-            return (_max_abs(lhs - rhs),)
+            G = t.matrix(e.g, X, t.rows, dtype)
+            C = _field_rows(t, S, j, Y, t.rows).reshape((len(X),) + slots)
+            mats = [G] * S.s
+            if S.r:
+                mats = [_reverse_g(t, backs, Y, dtype).transpose(0, 2, 1)] * S.r + mats
+            return (_max_abs(lhs - on_slots(C, mats).reshape(lhs.shape)),)
 
         records += _sampled(progs, [("section_compat", RESIDUAL, tol)], _edge_subject(e),
                             sample_region(e.overlap.region, samples, seed), seed, evaluate)

@@ -34,7 +34,7 @@ from .expr import (
     fold_mul,
     num_literal,
     run_program,
-    subst,
+    subst_all,
 )
 from .geometry import Box, box_mask, make_box
 from .linalg import FieldTag, LinearMap, VectorSpace, make_linear, row_reduce
@@ -310,8 +310,7 @@ def compose_maps(g: SmoothMap, f: SmoothMap) -> SmoothMap:
     """g after f, by substituting f's components into g's expressions."""
     if g.in_dim != f.out_dim:
         raise ShapeMismatch(f"cannot compose: inner map has {f.out_dim} outputs, outer expects {g.in_dim}")
-    comps = tuple(subst(c, list(f.components)) for c in g.components)
-    return SmoothMap(comps, f.box)
+    return SmoothMap(subst_all(g.components, f.components), f.box)
 
 
 def leibniz_defect(f: SmoothMap, g: SmoothMap, x, v) -> float:
@@ -359,6 +358,6 @@ def product_partials(F: SmoothMap, p1, p2, v1, v2) -> np.ndarray:
     frozen1 = [num_literal(float(c)) for c in a1] + [Var(i + 1) for i in range(m2)]
     box1 = Box(F.box.lo[:m1], F.box.hi[:m1])
     box2 = Box(F.box.lo[m1:], F.box.hi[m1:])
-    iota1 = SmoothMap(tuple(subst(c, frozen2) for c in F.components), box1)
-    iota2 = SmoothMap(tuple(subst(c, frozen1) for c in F.components), box2)
+    iota1 = SmoothMap(subst_all(F.components, frozen2), box1)
+    iota2 = SmoothMap(subst_all(F.components, frozen1), box2)
     return jacobian(iota1, a1).matrix @ w1 + jacobian(iota2, a2).matrix @ w2

@@ -142,36 +142,22 @@ def cmd_check(args) -> int:
     return 0 if merged.passed else 2
 
 
-def _need_inputs(args, n: int) -> None:
-    if len(args.inputs) != n:
-        raise _Usage(f"construct {args.kind} takes exactly {n} input file(s), "
-                     f"got {len(args.inputs)}")
-
-
 def cmd_construct(args) -> int:
-    kind = args.kind
-    if kind == "tensor":
-        _need_inputs(args, 1)
-        if args.r is None or args.s is None:
-            raise _Usage("construct tensor needs --r and --s")
+    kind, n = args.kind, 1 if args.kind in ("tensor", "dual", "tangent") else 2
+    if len(args.inputs) != n:
+        raise _Usage(f"construct {kind} takes exactly {n} input file(s), got {len(args.inputs)}")
+    if kind == "tensor" and (args.r is None or args.s is None):
+        raise _Usage("construct tensor needs --r and --s")
+    if kind == "tangent":
+        out = tangent_bundle(load_spec(args.inputs[0]).base)
+    elif kind in ("tensor", "dual"):
         B = _bundle_input(args.inputs[0])
-        out = tensor_bundle(B, args.r, args.s)
-    elif kind == "dual":
-        _need_inputs(args, 1)
-        out = dual_bundle(_bundle_input(args.inputs[0]))
-    elif kind == "hom":
-        _need_inputs(args, 2)
-        out = hom_bundle(_bundle_input(args.inputs[0]), _bundle_input(args.inputs[1]))
-    elif kind == "sum":
-        _need_inputs(args, 2)
-        out = whitney_sum(_bundle_input(args.inputs[0]), _bundle_input(args.inputs[1]))
-    elif kind == "product":
-        _need_inputs(args, 2)
-        out = direct_product(_bundle_input(args.inputs[0]), _bundle_input(args.inputs[1]))
+        out = tensor_bundle(B, args.r, args.s) if kind == "tensor" else dual_bundle(B)
+    elif kind in ("hom", "sum", "product"):
+        build = {"hom": hom_bundle, "sum": whitney_sum, "product": direct_product}[kind]
+        out = build(_bundle_input(args.inputs[0]), _bundle_input(args.inputs[1]))
     elif kind == "induced":
-        _need_inputs(args, 2)
-        B = _bundle_input(args.inputs[0])
-        pull = load_json(args.inputs[1])
+        B, pull = _bundle_input(args.inputs[0]), load_json(args.inputs[1])
         for key in pull:
             if key not in {"base", "assignment", "map"}:
                 raise _Usage(f"unknown key '{key}' in the induced-map file")
@@ -179,17 +165,11 @@ def cmd_construct(args) -> int:
             if key not in pull:
                 raise _Usage(f"the induced-map file needs a '{key}' key")
         out = induced_bundle(B, atlas_from_document(pull), pull["assignment"], pull["map"])
-    elif kind == "restrict":
-        _need_inputs(args, 2)
-        B = _bundle_input(args.inputs[0])
-        reg = load_json(args.inputs[1])
+    else:  # restrict
+        B, reg = _bundle_input(args.inputs[0]), load_json(args.inputs[1])
         if set(reg) != {"regions"}:
             raise _Usage("the restriction file must have exactly one key, 'regions'")
         out = base_restriction(B, reg["regions"])
-    else:  # tangent
-        _need_inputs(args, 1)
-        doc = load_spec(args.inputs[0])
-        out = tangent_bundle(doc.base)
     save_spec(out, args.out)
     print(f"wrote {args.out}")
     print(_size_line(out, args.out))

@@ -69,7 +69,7 @@ from .errors import (
     SpecError,
     UnsupportedField,
 )
-from .expr import Var, _as_expr, as_exprs, compile_exprs, enclose, fold_mul, subst
+from .expr import Var, _as_expr, as_exprs, compile_exprs, enclose, fold_mul, subst_all
 from .geometry import (
     Box,
     box_covered,
@@ -88,29 +88,24 @@ from .tensors import digits_to_index, index_to_digits
 from . import symmat
 
 
-def _require_same_base(B1: VectorBundleSpec, B2: VectorBundleSpec, op: str) -> None:
+def _edge_pairs(B1: VectorBundleSpec, B2: VectorBundleSpec, op: str):
+    """The edges of B1 and B2 side by side, over one base and overlap list."""
     if B1.base != B2.base:
         raise BaseMismatch(f"{op} needs structurally equal base atlases")
     if B1.field is not B2.field:
         raise UnsupportedField(f"{op} needs a common scalar field")
-
-
-def _edge_pairs(B1: VectorBundleSpec, B2: VectorBundleSpec, op: str):
-    """The edges of B1 and B2 side by side, over one base and overlap list."""
-    _require_same_base(B1, B2, op)
     for e1, e2 in zip(B1.edges, B2.edges):
         if e1.overlap != e2.overlap:
             raise BaseMismatch(f"{op}: overlap structures disagree")
         yield e1, e2
 
 
-def _inverse_transpose(e: BundleEdge) -> tuple:
-    """The inverse-transpose of e's transition matrix, which must have one."""
-    try:
-        return symmat.mat_transpose(symmat.mat_inverse(e.g))
-    except EvalError as exc:
-        raise SpecError(
-            f"transition {e.overlap.frm}->{e.overlap.to} is not invertible: {exc}") from exc
+def _inverse_transpose(B: VectorBundleSpec, e: BundleEdge) -> tuple:
+    """e's inverse-transpose by the cocycle, g_ij(x)^-1 = g_ji(tau_ij(x)):
+    the paired reverse edge's matrix with tau_ij substituted, transposed."""
+    backs = B.edges_between(e.overlap.to, e.overlap.frm)
+    rev = backs[_reverse_part(e.overlap, [b.overlap for b in backs])]
+    return symmat.mat_transpose(symmat.mat_subst(rev.g, e.overlap.tau.components))
 
 
 # ---------------------------------------------------------------------------
@@ -124,13 +119,15 @@ def tensor_bundle(B: VectorBundleSpec, r: int, s: int) -> VectorBundleSpec:
     the change of tensor components from the to-chart to the from-chart:
     the pullback along the inverse transition, which works out to the
     Kronecker product of r copies of the inverse-transpose followed by s
-    copies of the transition itself.
+    copies of the transition itself. The inverse is the cocycle's, so for
+    r > 0 each overlap pairs with one reverse component, as in tangent_bundle.
     """
     dim = tensor_dim(B.fiber_dim, r, s, "tensor")
     transitions = []
     for e in B.edges:
-        vec_part = symmat.mat_kron_power(_inverse_transpose(e), r) if r else symmat.mat_identity(1)
-        cov_part = symmat.mat_kron_power(e.g, s) if s else symmat.mat_identity(1)
+        vec_part = (symmat.mat_kron_power(_inverse_transpose(B, e), r) if r
+                    else symmat.mat_identity(1))
+        cov_part = symmat.mat_kron_power(e.g, s)
         transitions.append((e.overlap.frm, e.overlap.to, symmat.mat_kron(vec_part, cov_part)))
     return make_bundle(B.base, dim, B.field, transitions,
                        derivation={"construction": "tensor", "r": r, "s": s})
@@ -146,9 +143,10 @@ def hom_bundle(B1: VectorBundleSpec, B2: VectorBundleSpec) -> VectorBundleSpec:
 
     A fiber element is a d2 x d1 matrix flattened row-major (target row
     first); the transition conjugates, alpha -> G2 alpha G1^(-1), which
-    flattens to kron(G2, inverse-transpose of G1).
+    flattens to kron(G2, inverse-transpose of G1), G1^(-1) the cocycle's.
     """
-    transitions = [(e1.overlap.frm, e1.overlap.to, symmat.mat_kron(e2.g, _inverse_transpose(e1)))
+    transitions = [(e1.overlap.frm, e1.overlap.to,
+                    symmat.mat_kron(e2.g, _inverse_transpose(B1, e1)))
                    for e1, e2 in _edge_pairs(B1, B2, "hom_bundle")]
     return make_bundle(B1.base, B1.fiber_dim * B2.fiber_dim, B1.field, transitions,
                        derivation={"construction": "hom"})
@@ -204,7 +202,7 @@ def direct_product(B1: VectorBundleSpec, B2: VectorBundleSpec) -> VectorBundleSp
         for (region1, tau1, g1), (region2, tau2, g2) in product(
                 factor_options(B1, c1.name, d1.name, m1), factor_options(B2, c2.name, d2.name, m2)):
             region = tuple(Box(b1.lo + b2.lo, b1.hi + b2.hi) for b1 in region1 for b2 in region2)
-            tau = tuple(tau1) + tuple(subst(e, shift) for e in tau2)
+            tau = tuple(tau1) + subst_all(tau2, shift)
             overlaps.append((frm, to, region, tau))
             transitions.append((frm, to, symmat.mat_block_diag(g1, symmat.mat_subst(g2, shift))))
     base = make_atlas(m1 + m2, charts, overlaps)
@@ -433,20 +431,30 @@ def base_restriction(B: VectorBundleSpec, regions: dict) -> VectorBundleSpec:
 # Tangent bundle of a base atlas.
 
 
-def tangent_bundle(base: BaseAtlasSpec, samples: int = 25,
-                   seed: int = DEFAULT_SEED) -> VectorBundleSpec:
+_PAIR_SAMPLES = 25  # samples of an overlap that pair it with its reverse component
+
+
+def _reverse_part(o: OverlapSpec, reverse) -> int:
+    """The index of the one of reverse, o's o.to->o.frm components, that
+    holds tau's image of o's pairing samples; else SpecError."""
+    return _image_part(o, o.tau, [p.region for p in reverse], f"{o.to}->{o.frm}", SpecError,
+                       _PAIR_SAMPLES, DEFAULT_SEED)
+
+
+def tangent_bundle(base: BaseAtlasSpec) -> VectorBundleSpec:
     """Tangent bundle: fiber dimension equals the base dimension.
 
     Under the Transition Convention the from-chart transition is the
     Jacobian of the reverse coordinate change evaluated at the image
     point, so each entry is a symbolic derivative with the forward change
     substituted in. The chain rule then gives the cocycle identities.
+    An overlap whose image is not in exactly one reverse component is a
+    SpecError.
     """
     transitions = []
     for o in base.overlaps:
         candidates = base.overlaps_between(o.to, o.frm)
-        rev = candidates[_image_part(o, o.tau, [c.region for c in candidates],
-                                     f"{o.to}->{o.frm}", SpecError, samples, seed)]
+        rev = candidates[_reverse_part(o, candidates)]
         transitions.append((o.frm, o.to, symmat.mat_subst(rev.tau.partials, o.tau.components)))
     return make_bundle(base, base.dim, FieldTag.REAL, transitions,
                        derivation={"construction": "tangent"})
@@ -456,14 +464,10 @@ def tangent_bundle(base: BaseAtlasSpec, samples: int = 25,
 # Tensor fields on a bundle.
 
 
-@sampling_scope()
 def check_tensor_field(A: TensorFieldSpec, samples: int = DEFAULT_SAMPLES,
                        tol: float = DEFAULT_CHECK_TOL, seed: int = DEFAULT_SEED):
-    """Compatibility of an (r,s)-field is section compatibility in the
-    bundle of (r,s)-tensors, so delegate to that check wholesale, with the
-    field's rules."""
-    TB = tensor_bundle(A.bundle, A.r, A.s)
-    return check_section(TensorFieldSpec(TB, 0, 1, A.per_chart, A.rules), samples, tol, seed)
+    """Compatibility of an (r,s)-field: check_section checks every valence."""
+    return check_section(A, samples, tol, seed)
 
 
 def field_product(A: TensorFieldSpec, B: TensorFieldSpec) -> TensorFieldSpec:
@@ -540,7 +544,7 @@ def compose_morphism(M2: BundleMorphismSpec, M1: BundleMorphismSpec) -> BundleMo
         mid = M1.assignment[name]
         env = M1.base_map[name]
         asg[name] = M2.assignment[mid]
-        bm[name] = tuple(subst(e, env) for e in M2.base_map[mid])
+        bm[name] = subst_all(M2.base_map[mid], env)
         fm[name] = symmat.mat_mul(symmat.mat_subst(M2.fiber_map[mid], env),
                                   M1.fiber_map[name])
     inv = None
@@ -549,7 +553,7 @@ def compose_morphism(M2: BundleMorphismSpec, M1: BundleMorphismSpec) -> BundleMo
         for c in M2.target.base.charts:
             mid_chart, h2 = M2.inverse[c.name]
             src_chart, h1 = M1.inverse[mid_chart]
-            inv[c.name] = (src_chart, tuple(subst(e, h2) for e in h1))
+            inv[c.name] = (src_chart, subst_all(h1, h2))
     return make_morphism(M1.source, M2.target, asg, bm, fm, inv)
 
 
@@ -636,8 +640,7 @@ def _pulled(M: BundleMorphismSpec, A: TensorFieldSpec, tol: float | None,
             raise error(f"{noun} determinant on chart '{name}' is identically zero ({exc})") from exc
         if chart not in A.per_chart:
             raise SpecError(f"field has no components on chart '{chart}'")
-        env = tuple(M.base_map[name])
-        out[name] = symmat.mat_vec(K, tuple(subst(e, env) for e in A.per_chart[chart]))
+        out[name] = symmat.mat_vec(K, subst_all(A.per_chart[chart], M.base_map[name]))
     return TensorFieldSpec(M.source, A.r, A.s, out, (Pulling(M, A, tol, error, noun),))
 
 

@@ -951,6 +951,12 @@ def subst(e: Expr, replacements) -> Expr:
     Variables with indices beyond the replacement list are an error, since
     substitution is used for composing maps where every input must bind.
     """
+    return subst_all((e,), replacements)[0]
+
+
+def subst_all(roots, replacements) -> tuple:
+    """subst of each of roots, in one walk: a node they share is
+    substituted once."""
 
     def visit(e, s):
         if isinstance(e, Var):
@@ -960,4 +966,4 @@ def subst(e: Expr, replacements) -> Expr:
         rebuild = _REBUILD.get(type(e))
         return e if rebuild is None else rebuild(e, s)  # Num and Const stay
 
-    return _fold((e,), {}, visit)[0]
+    return tuple(_fold(roots, {}, visit))

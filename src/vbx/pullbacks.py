@@ -21,15 +21,7 @@ import numpy as np
 
 from .errors import ShapeMismatch, Singular
 from .linalg import DEFAULT_TOL, LinearMap, _freeze, invert_linear, is_gl
-from .tensors import GradedTensor, Tensor, as_array, make_graded
-
-
-def _apply_axis(arr: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
-    """Contract `axis` of arr with the second index of mat, in place of it."""
-    moved = np.moveaxis(arr, axis, 0)
-    flat = moved.reshape(moved.shape[0], -1)
-    out = (mat @ flat).reshape((mat.shape[0],) + moved.shape[1:])
-    return np.moveaxis(out, 0, axis)
+from .tensors import GradedTensor, Tensor, as_array, make_graded, on_slots
 
 
 def _check_on_codomain(L: LinearMap, T: Tensor, op: str) -> None:
@@ -38,14 +30,8 @@ def _check_on_codomain(L: LinearMap, T: Tensor, op: str) -> None:
 
 
 def _pull_coeffs(beta: Tensor, L: LinearMap, inverse: LinearMap | None) -> Tensor:
-    arr = as_array(beta)
-    mt = L.matrix.T
-    for axis in range(beta.r):
-        arr = _apply_axis(arr, mt, axis)
-    if beta.s:
-        minv = inverse.matrix
-        for axis in range(beta.r, beta.r + beta.s):
-            arr = _apply_axis(arr, minv, axis)
+    mats = [L.matrix.T] * beta.r + ([inverse.matrix] * beta.s if beta.s else [])
+    arr = on_slots(as_array(beta)[None], mats)[0]
     return Tensor(L.domain, beta.r, beta.s, _freeze(np.ascontiguousarray(arr).reshape(-1)))
 
 

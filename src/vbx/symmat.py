@@ -1,17 +1,19 @@
 """Small symbolic matrices over expression entries.
 
 Constructed bundles need their transition matrices as expressions so the
-results stay serializable: tensor and hom bundles divide by a symbolic
-determinant, tangent bundles differentiate coordinate changes.
-Determinants and inverses expand cofactors with each minor built once,
-so their cost grows like 2^n in the rank, not n!: fiber-sized matrices
-(a handful of rows) are exactly the desk scale this engine targets.
+results stay serializable: tensor, dual and hom bundles substitute a
+coordinate change into the reverse transition (the cocycle inverse),
+tangent bundles into the reverse change's partials. The adjugate inverse
+serves only user fiber maps, on the covector slots of mat_pullback and in
+the dual frame; it expands cofactors with each minor built once, so its
+cost grows like n*2^n in the rank, not n!: fine for fiber maps of a
+handful of rows.
 """
 
 from __future__ import annotations
 
 from .errors import ShapeMismatch
-from .expr import Expr, Num, fold_add, fold_div, fold_mul, fold_neg, fold_sub, subst
+from .expr import Expr, Num, fold_add, fold_div, fold_mul, fold_neg, fold_sub, subst_all
 
 Matrix = tuple  # tuple of row tuples of Expr
 
@@ -149,4 +151,6 @@ def mat_block_diag(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_subst(m: Matrix, replacements) -> Matrix:
-    return tuple(tuple(subst(e, replacements) for e in row) for row in m)
+    """subst_all of m's entries, in one walk."""
+    flat = iter(subst_all([e for row in m for e in row], replacements))
+    return tuple(tuple(next(flat) for _ in row) for row in m)

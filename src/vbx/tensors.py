@@ -111,6 +111,17 @@ def as_array(T: Tensor) -> np.ndarray:
     return T.coeffs.reshape((d,) * (T.r + T.s))
 
 
+def on_slots(T: np.ndarray, mats) -> np.ndarray:
+    """A stack of tensors, T[i] an array with one axis per slot, with
+    mats[k] applied on slot k (M @ along its axis): M one matrix for every
+    tensor, or a stack of one per tensor."""
+    for k, M in enumerate(mats):
+        moved = np.moveaxis(T, k + 1, 1)
+        out = M @ moved.reshape(moved.shape[:2] + (math.prod(moved.shape[2:]),))
+        T = np.moveaxis(out.reshape(out.shape[:2] + moved.shape[2:]), 1, k + 1)
+    return T
+
+
 def _coerce_arg(v, d: int, dtype, what: str) -> np.ndarray:
     try:
         arr = np.asarray(v, dtype=dtype)

@@ -414,12 +414,6 @@ def test_field_smul_rejects_non_finite_scalars(c):
         field_smul(c, A)
 
 
-def test_check_section_takes_only_01_fields():
-    B = mobius_bundle()
-    with pytest.raises(ShapeMismatch):
-        check_section(make_field(B, 1, 0, {"east": ["1"], "west": ["1"]}), 20)
-
-
 # --------------------------------------------------------------------------
 # Frames.
 

@@ -284,8 +284,8 @@ def test_construct_prints_the_size_of_what_it_wrote(capsys, tmp_path):
     assert code == 0
     assert out.splitlines() == [
         f"wrote {out_file}",
-        "fiber dim 9, 4 edges, 627726 tree nodes, 281 unique nodes, 2545510 bytes"]
-    assert out_file.stat().st_size == 2545510
+        "fiber dim 9, 4 edges, 68952 tree nodes, 451 unique nodes, 274288 bytes"]
+    assert out_file.stat().st_size == 274288
 
 
 def test_construct_tensor_needs_valence_flags(capsys, tmp_path):
@@ -618,29 +618,54 @@ def guarded_main(*argv) -> tuple:
     return code, err
 
 
-def check_and_tangent(spec: str, out_dir: Path) -> list:
-    """(exit code, stderr) of check --samples 20 and construct tangent."""
+def check_tangent_and_dual(spec: str, out_dir: Path) -> list:
+    """(exit code, stderr) of check --samples 20, construct tangent and
+    construct dual."""
     return [guarded_main("check", spec, "--samples", "20"),
-            guarded_main("construct", "tangent", spec, "-o", str(out_dir / "tangent.json"))]
+            guarded_main("construct", "tangent", spec, "-o", str(out_dir / "tangent.json")),
+            guarded_main("construct", "dual", spec, "-o", str(out_dir / "dual.json"))]
 
 
-@pytest.mark.parametrize("tau,code,note", [
-    ("x1/0", 2, "evaluation failed at [2.6016307600040474]: division by zero"),
-    ("x1 + 0*log(0)", 2, "evaluation failed at [2.6016307600040474]: log of non-positive value 0.0"),
-    ("sqrt(x1)*sqrt(x1) + 0*sqrt(x1 - x1)", 0, None),  # smooth: its partials are defined
-], ids=["divide_by_zero", "log_of_zero", "sqrt_of_zero"])
-def test_pinned_taus_keep_their_verdicts(tmp_path, tau, code, note):
+_BROKEN = [("tau_inverse", "east->west#0"), ("tau_inverse", "west->east#0"),
+           ("pair_cocycle", "east->west#0"),
+           ("section_compat", "section 'halfwave' east->west#0"),
+           ("section_compat", "section 'zero' east->west#0"),
+           ("section_compat", "field 'halfdual' east->west#0")]
+_AWAY = "tau image [102.60163076000404]"
+_OUTSIDE = ("evaluation failed at [2.6016307600040474]: "
+            "point [102.60163076000404] outside chart 'west'")
+
+
+@pytest.mark.parametrize("tau,code,failed", [
+    ("x1/0", 2, [(c, s, "evaluation failed at [2.6016307600040474]: division by zero")
+                 for c, s in _BROKEN]),
+    ("x1 + 0*log(0)", 2, [(c, s, "evaluation failed at [2.6016307600040474]: "
+                                 "log of non-positive value 0.0") for c, s in _BROKEN]),
+    ("sqrt(x1)*sqrt(x1) + 0*sqrt(x1 - x1)", 0, []),  # smooth: its partials are defined
+    ("x1 + 100", 2, [(c, s, note) for (c, s), note in zip(_BROKEN, [
+        f"{_AWAY} escapes every declared west->east region", "",
+        f"{_AWAY} is in no declared west->east region", _OUTSIDE, _OUTSIDE, _OUTSIDE])]),
+    ("x1 + 0.5", 2, [(c, s, "") for c, s in _BROKEN if "'zero'" not in s]),
+], ids=["divide_by_zero", "log_of_zero", "sqrt_of_zero", "far_away", "half_shifted"])
+def test_pinned_taus_keep_their_verdicts(tmp_path, tau, code, failed):
     spec = mobius_with_tau(tmp_path / "in.json", tau)
     report = tmp_path / "report.json"
     assert guarded_main("check", spec, "--samples", "20", "--out", str(report))[0] == code
-    failed = [(r["check"], r["subject"], r["note"])
-              for r in json.loads(report.read_text())["records"] if not r["passed"]]
-    want = [("tau_inverse", "east->west#0"), ("tau_inverse", "west->east#0"),
-            ("pair_cocycle", "east->west#0"),
-            ("section_compat", "section 'halfwave' east->west#0"),
-            ("section_compat", "section 'zero' east->west#0"),
-            ("section_compat", "field 'halfdual' east->west#0")]
-    assert failed == ([(c, s, note) for c, s in want] if note else [])
+    assert failed == [(r["check"], r["subject"], r["note"])
+                      for r in json.loads(report.read_text())["records"] if not r["passed"]]
+
+
+@pytest.mark.parametrize("tau", ["x1/0", "x1 + 100", "x1 + 0.5", "2*x1", "-x1"])
+def test_constructs_that_invert_refuse_an_atlas_tangent_refuses(tmp_path, tau):
+    # The inverse of a transition is the reverse edge's matrix at the image,
+    # so each overlap needs one reverse component, as for the tangent bundle.
+    spec = mobius_with_tau(tmp_path / "in.json", tau)
+    out = str(tmp_path / "out.json")
+    code, message = guarded_main("construct", "tangent", spec, "-o", out)
+    assert code == 1 and message.startswith("error: ")
+    for argv in (("dual", spec), ("tensor", "--r", "1", "--s", "0", spec), ("hom", spec, spec)):
+        assert guarded_main("construct", *argv, "-o", out) == (1, message)
+    assert not Path(out).exists()
 
 
 _FUNCS = ["sin", "cos", "tan", "exp", "log", "sqrt"]
@@ -659,7 +684,7 @@ _TAUS = st.recursive(
 @given(_TAUS)
 def test_any_tau_from_the_grammar_ends_in_an_exit_code(tau):
     with tempfile.TemporaryDirectory() as tmp:
-        check_and_tangent(mobius_with_tau(Path(tmp) / "in.json", tau), Path(tmp))
+        check_tangent_and_dual(mobius_with_tau(Path(tmp) / "in.json", tau), Path(tmp))
 
 
 def _nodes(doc, path=()):
@@ -701,7 +726,7 @@ def _mutate(doc, path, how, pick):
 @given(st.sampled_from(sorted(p.stem for p in gallery_path("mobius").parent.glob("*.json"))),
        st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(
            ["drop", "duplicate", "retype", "rescale"])), min_size=1, max_size=3),
-       st.sampled_from([("dual",), ("tangent",), ("tensor", "--r", "1", "--s", "1")]),
+       st.sampled_from([("tensor", "--r", "1", "--s", "1"), ("tensor", "--r", "0", "--s", "2")]),
        st.data())
 def test_any_mutated_gallery_spec_ends_in_an_exit_code(name, mutations, construct, data):
     doc = json.loads(gallery_path(name).read_text())
@@ -713,7 +738,7 @@ def test_any_mutated_gallery_spec_ends_in_an_exit_code(name, mutations, construc
     with tempfile.TemporaryDirectory() as tmp:
         spec = Path(tmp) / "in.json"
         spec.write_text(json.dumps(doc))
-        guarded_main("check", str(spec), "--samples", "20")
+        check_tangent_and_dual(str(spec), Path(tmp))
         guarded_main("construct", *construct, str(spec), "-o", str(Path(tmp) / "out.json"))
 
 

@@ -436,8 +436,14 @@ def test_tangent_rejects_ambiguous_reverse_components():
         ("a", "b", [[(0.0, 0.5)]], ["x1"]),
     ]
     A = make_atlas(1, charts, overlaps)
-    with pytest.raises(SpecError):
+    with pytest.raises(SpecError) as caught:
         tangent_bundle(A)
+    # the inverse of a transition pairs each overlap the same way
+    B = make_bundle(A, 1, FieldTag.REAL, [(frm, to, [["1"]]) for frm, to, _, _ in overlaps])
+    for construct in (dual_bundle, lambda B: tensor_bundle(B, 1, 0), lambda B: hom_bundle(B, B)):
+        with pytest.raises(SpecError) as again:
+            construct(B)
+        assert str(again.value) == str(caught.value)
 
 
 # --------------------------------------------------------------------------

@@ -57,7 +57,7 @@ from vbx.expr import (
 )
 from vbx.report import report_to_json
 from vbx.specio import gallery_path, load_spec, save_spec
-from vbx.symmat import mat_inverse
+from vbx.symmat import mat_inverse, mat_subst
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -469,6 +469,17 @@ def test_a_print_memo_serves_several_calls():
     assert first == "sin(x1 + 2) * x2"
 
 
+def test_a_matrix_substitution_walks_shared_nodes_once():
+    # Every entry holds the same 64-deep doubling; substituted entry by
+    # entry with a memo each, the results would share no node.
+    e = doubling(64)
+    m = tuple(tuple(Mul(Var(1 + (i + j) % 2), e) for j in range(8)) for i in range(8))
+    out = mat_subst(m, [Add(Var(1), Num(1.0)), Var(1)])
+    assert distinct_nodes(*(c for row in out for c in row)) <= distinct_nodes(
+        *(c for row in m for c in row)) + 2
+    assert eval_expr(out[0][1], [0.5]) == 0.5 * 1.5 * 2.0 ** 64
+
+
 def test_deep_nesting_parses_and_prints():
     depth = 1500
     assert parse_expr("(" * depth + "x1" + ")" * depth) == Var(1)
@@ -503,19 +514,20 @@ def test_eval_errors_come_from_the_first_failing_node():
 
 # ---------------------------------------------------------------------------
 # Byte-stability of the construct outputs of tests/golden/dense.json, as
-# the tree-walking printer wrote them.
+# the tree-walking printer wrote them. The dual and tensor11 pins are those
+# of the cocycle inverse, g_ji(tau_ij(x)) transposed.
 
 PINNED = {
-    "tensor11": "66dc365d10e6e6abdc3b7689b3b3511a7820967fbadbbe21749513fecd53b761",
+    "tensor11": "889220e3bfe1ca1656f77d06017426675d49b087906e6e1e1ab9d8f8ba953d8f",
     "tensor02": "fd630280fa727c321399078577904b8d8fd70f8a75943dbd8cefcf8484da1930",
-    "dual": "e33006026b45597e23d32f069555446520d07cfce163709c4c367296298b11e5",
+    "dual": "99d0aeef045eeef627f35a7412381f74a0358d722a3f902fa06003c0ad8e07bc",
     "product": "249fe6961ea1034f60fdf6ab0f8197902fa84838f3dfdbd1ce7db267c66931a8",
 }
 
 
 # Tree and unique nodes of each output, as the size line of `vbx construct`
 # counted them when it walked the expressions.
-SIZES = {"tensor11": (627_726, 281), "tensor02": (62_472, 204), "dual": (66_270, 137),
+SIZES = {"tensor11": (68_952, 451), "tensor02": (62_472, 204), "dual": (4_184, 199),
          "product": (21_216, 97)}
 
 

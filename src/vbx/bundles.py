@@ -139,6 +139,10 @@ class BundleEdge:
     g: tuple  # d x d tuple-of-tuples of Expr, in from-chart coordinates
     component: int  # index among the (from, to) components, declaration order
 
+    @property
+    def region(self) -> tuple:
+        return self.overlap.region
+
 
 @dataclass(frozen=True)
 class VectorBundleSpec:
@@ -457,9 +461,15 @@ def make_total_point(B: VectorBundleSpec, chart: str, x, v) -> TotalPoint:
 
 
 # ---------------------------------------------------------------------------
-# The sampled-identity harness. Every check suite runs each subject once
-# through _sampled: all of its sample points go through the stages of the
-# identity together, each stage one batched evaluation.
+# The sampled-identity harness. Every check suite runs its subjects through
+# _sampled: each subject is a (name, points, data) triple, and consecutive
+# subjects of one family (every edge of check_vb, say) are packed into one
+# _Trial while their points stay within _PACK_ROWS. All the points of a pack
+# go through the stages of the identity together, each stage one batched
+# evaluation per distinct program, and the records are split back per
+# subject, each as it would be alone.
+
+_PACK_ROWS = 2048  # bounds the rows, and so the memory, of one pack
 
 
 def _first_match(regions, X) -> np.ndarray:
@@ -469,6 +479,26 @@ def _first_match(regions, X) -> np.ndarray:
     for k, region in enumerate(regions):
         at[(at < 0) & region_mask(region, X)] = k
     return at
+
+
+def _joined(options, local) -> tuple:
+    """One choice over the options of every pack subject in turn, from
+    options[s], subject s's own list, and local[s], its rows' indices into
+    that list (-1 for none); and the options in that order."""
+    if len(options) == 1:
+        return local[0], options[0]
+    offsets = np.cumsum([0] + [len(o) for o in options[:-1]]).tolist()
+    return (np.concatenate([np.where(at >= 0, at + k, -1) for at, k in zip(local, offsets)]),
+            [o for opts in options for o in opts])
+
+
+def _lookup(t: _Trial, options, Y) -> tuple:
+    """Per row of Y, the first of its subject's options (overlaps or edges,
+    options[s] for pack subject s) whose region holds it, as find_edge
+    chooses, or none: a choice over the options of every subject in turn
+    (_joined), and those options."""
+    return _joined(options, [_first_match([o.region for o in opts], Y[b])
+                             for opts, b in zip(options, t.blocks)])
 
 
 def _live_only(t: _Trial, fn, A, shape) -> np.ndarray:
@@ -483,58 +513,95 @@ def _live_only(t: _Trial, fn, A, shape) -> np.ndarray:
     return out
 
 
-def _sampled(progs: dict, checks, subject: str, pts: np.ndarray, seed: int, evaluate,
+def _packs(subjects):
+    """The subjects in order, in runs whose points total at most
+    _PACK_ROWS; a larger subject is a run of its own."""
+    pack, rows = [], 0
+    for s in subjects:
+        if pack and rows + len(s[1]) > _PACK_ROWS:
+            yield pack
+            pack, rows = [], 0
+        pack.append(s)
+        rows += len(s[1])
+    if pack:
+        yield pack
+
+
+def _sampled(progs: dict, checks, subjects, seed: int, evaluate,
              samples: int | None = None) -> list:
-    """The records of one subject's sampled identities.
+    """The records of the sampled identities of subjects, an iterable of
+    (name, points, data), in order.
 
     progs is the suite call's cache of compiled programs. checks holds
-    (check, kind, tol) for each per-sample value array that
-    evaluate(trial) returns, in record order. A failed sample, or a
+    (check, kind, tol) for each per-row value array that evaluate(trial,
+    data) returns, in record order, for a trial over one pack of subjects
+    (_packs) and data, their data in order. A failed sample, or a
     non-finite value at a live one, fails the subject: one failed record,
     of its check's kind, under its first residual check (else its first
-    check), noting the first such sample in sample order. Triple checks
-    pass samples, the count a failed record reports; for them only samples
-    that stayed live count, and none makes the subject vacuous.
+    check), noting the subject's first such sample in sample order. Triple
+    checks pass samples, the count a failed record reports; for them only
+    samples that stayed live count, and none makes the subject vacuous.
     """
-    t = _Trial(pts, progs)
-    with np.errstate(all="ignore"):  # failed samples compute on garbage
-        values = evaluate(t)
-    for (_, kind, _), v in zip(checks, values):
-        label = "residual" if kind == RESIDUAL else "scaled determinant"
-        t.fail(t.rows, ~np.isfinite(v),
-               lambda j, label=label: f"non-finite {label} at {pts[j].tolist()}")
     name, kind, tol = next((c for c in checks if c[1] == RESIDUAL), checks[0])
-    failed = np.flatnonzero(t.cause >= 0)
-    if failed.size:
-        i = failed[0]
-        why = t.why(i)
-        note = why if isinstance(why, str) else f"evaluation failed at {pts[i].tolist()}: {why}"
-        return [failed_record(name, subject, len(pts) if samples is None else samples, seed,
-                              tol, note, kind)]
-    count = int(t.live.sum())
-    if samples is not None and count == 0:
-        return [vacuous_record(name, subject, seed, tol)]
-    return [residual_record(check, subject, count, seed, tol, np.max(v[t.live], initial=0.0))
-            if kind == RESIDUAL else
-            det_record(check, subject, count, seed, tol, np.min(v[t.live], initial=np.inf))
-            for (check, kind, tol), v in zip(checks, values)]
+    records = []
+    for pack in _packs(subjects):
+        names, pts, data = zip(*pack)
+        X = pts[0] if len(pts) == 1 else np.vstack(pts)
+        t = _Trial(X, progs, [len(p) for p in pts], _PACK_ROWS)
+        with np.errstate(all="ignore"):  # failed samples compute on garbage
+            values = evaluate(t, data)
+        for (_, k, _), v in zip(checks, values):
+            label = "residual" if k == RESIDUAL else "scaled determinant"
+            t.fail(t.rows, ~np.isfinite(v),
+                   lambda j, label=label: f"non-finite {label} at {X[j].tolist()}")
+        for subject, b in zip(names, t.blocks):
+            failed = np.flatnonzero(t.cause[b] >= 0)
+            live = t.live[b]
+            count = int(live.sum())
+            if failed.size:
+                i = b.start + failed[0]
+                why = t.why(i)
+                note = (why if isinstance(why, str)
+                        else f"evaluation failed at {X[i].tolist()}: {why}")
+                records.append(failed_record(name, subject, b.stop - b.start if samples is None
+                                             else samples, seed, tol, note, kind))
+            elif samples is not None and count == 0:
+                records.append(vacuous_record(name, subject, seed, tol))
+            else:
+                records += [residual_record(c, subject, count, seed, c_tol,
+                                            np.max(v[b][live], initial=0.0))
+                            if c_kind == RESIDUAL else
+                            det_record(c, subject, count, seed, c_tol,
+                                       np.min(v[b][live], initial=np.inf))
+                            for (c, c_kind, c_tol), v in zip(checks, values)]
+    return records
 
 
-def _reverse_g(t, backs, Y, dtype) -> np.ndarray:
-    """g_ji at each image Y = tau_ij(x), from the first of the j->i edges
-    backs that holds it, as find_edge chooses; a point in none fails."""
-    at = _first_match([b.overlap.region for b in backs], Y)
-    o = backs[0].overlap
-    t.fail(t.rows, at < 0,
-           lambda k: f"tau image {Y[k].tolist()} is in no declared {o.frm}->{o.to} region")
-    return t.matrices(at, [b.g for b in backs], Y, dtype)
+def _reverse_g(t: _Trial, backs, Y, dtype) -> np.ndarray:
+    """g_ji at each image Y = tau_ij(x), from the first of its subject's
+    j->i edges (backs[s] for pack subject s) that holds it, as find_edge
+    chooses; a point in none fails."""
+    at, options = _lookup(t, backs, Y)
+
+    def why(k):
+        o = backs[t.subject[k]][0].overlap
+        return f"tau image {Y[k].tolist()} is in no declared {o.frm}->{o.to} region"
+
+    t.fail(t.rows, at < 0, why)
+    return t.matrices(at, [b.g for b in options], Y, dtype)
 
 
-def _component_points(parts, samples: int, seed: int) -> tuple:
-    """Points of every part's region, concatenated in order, and the part
-    index of each point."""
-    pts = [sample_region(p.region, samples, seed) for p in parts]
-    return np.vstack(pts), np.repeat(np.arange(len(pts)), [len(p) for p in pts])
+def _triples(charts, between, closing, samples: int, seed: int):
+    """The subjects of the triple checks: each chart triple i->j->k with
+    parts between(i, j), between(j, k) and between(*closing(i, k)), its
+    points those of every i->j part's region in turn; data (ij, jk, the
+    closing parts, the i->j part of each point)."""
+    for i, j, k in permutations(charts, 3):
+        ij, jk, last = between(i, j), between(j, k), between(*closing(i, k))
+        if ij and jk and last:
+            pts = [sample_region(p.region, samples, seed) for p in ij]
+            yield (f"{i}->{j}->{k}", np.vstack(pts),
+                   (ij, jk, last, np.repeat(np.arange(len(pts)), [len(p) for p in pts])))
 
 
 def _max_abs(A) -> np.ndarray:
@@ -556,42 +623,41 @@ def check_base_atlas(spec: BaseAtlasSpec, samples: int = DEFAULT_SAMPLES,
     allow.
     """
     progs: dict = {}
-    records = []
-    for frm, to in sorted({(o.frm, o.to) for o in spec.overlaps}):
-        reverse = spec.overlaps_between(to, frm)
-        for comp, o in enumerate(spec.overlaps_between(frm, to)):
+    pairs = ((_overlap_subject(o, comp), sample_region(o.region, samples, seed),
+              (o, spec.overlaps_between(o.to, o.frm)))
+             for frm, to in sorted({(o.frm, o.to) for o in spec.overlaps})
+             for comp, o in enumerate(spec.overlaps_between(frm, to)))
 
-            def evaluate(t, o=o, reverse=reverse, frm=frm, to=to):
-                X = t.pts
-                Y, J = t.map_and_jacobian(o.tau, X, t.rows)
-                back_at = _first_match([r.region for r in reverse], Y)
-                t.fail(t.rows, back_at < 0, lambda j: (f"tau image {Y[j].tolist()} escapes every "
-                                                       f"declared {to}->{frm} region"))
-                back = t.maps(back_at, [r.tau for r in reverse], Y)
-                return _max_abs(back - X), scaled_abs_dets(J)
+    def pair(t, data):
+        X = t.pts
+        Y, J = t.maps_and_jacobians(t.subject, [o.tau for o, _ in data], X)
+        back_at, backs = _lookup(t, [reverse for _, reverse in data], Y)
 
-            records += _sampled(progs, [("tau_inverse", RESIDUAL, tol),
-                                        ("tau_jacobian", MIN_DET, DEFAULT_TOL)],
-                                _overlap_subject(o, comp),
-                                sample_region(o.region, samples, seed), seed, evaluate)
+        def why(j):
+            o = data[t.subject[j]][0]
+            return f"tau image {Y[j].tolist()} escapes every declared {o.to}->{o.frm} region"
 
-    for i, j, k in permutations([c.name for c in spec.charts], 3):
-        ij, jk, ik = (spec.overlaps_between(a, b) for a, b in ((i, j), (j, k), (i, k)))
-        if not ij or not jk or not ik:
-            continue
-        pts, part = _component_points(ij, samples, seed)
+        t.fail(t.rows, back_at < 0, why)
+        back = t.maps(back_at, [r.tau for r in backs], Y)
+        return _max_abs(back - X), t.per_subject(scaled_abs_dets, J, t.rows)
 
-        def evaluate(t, ij=ij, jk=jk, ik=ik, part=part):
-            X = t.pts
-            Y = t.maps(part, [o.tau for o in ij], X)
-            step2 = _first_match([p.region for p in jk], Y)
-            direct = _first_match([p.region for p in ik], X)
-            t.skip(t.rows, (step2 < 0) | (direct < 0))
-            Z = t.maps(step2, [p.tau for p in jk], Y)
-            return (_max_abs(Z - t.maps(direct, [p.tau for p in ik], X)),)
+    def triple(t, data):
+        X = t.pts
+        ij, jk, ik, part = zip(*data)
+        at, ij = _joined(ij, part)
+        Y = t.maps(at, [o.tau for o in ij], X)
+        step2, jk = _lookup(t, jk, Y)
+        direct, ik = _lookup(t, ik, X)
+        t.skip(t.rows, (step2 < 0) | (direct < 0))
+        Z = t.maps(step2, [o.tau for o in jk], Y)
+        return (_max_abs(Z - t.maps(direct, [o.tau for o in ik], X)),)
 
-        records += _sampled(progs, [("tau_triple", RESIDUAL, tol)], f"{i}->{j}->{k}",
-                            pts, seed, evaluate, samples=samples)
+    triples = _triples([c.name for c in spec.charts], spec.overlaps_between, lambda i, k: (i, k),
+                       samples, seed)
+    records = _sampled(progs, [("tau_inverse", RESIDUAL, tol),
+                               ("tau_jacobian", MIN_DET, DEFAULT_TOL)], pairs, seed, pair)
+    records += _sampled(progs, [("tau_triple", RESIDUAL, tol)], triples, seed, triple,
+                        samples=samples)
     return make_report("base_atlas", records)
 
 
@@ -600,43 +666,39 @@ def check_vb(B: VectorBundleSpec, samples: int = DEFAULT_SAMPLES,
              tol: float = DEFAULT_CHECK_TOL, seed: int = DEFAULT_SEED) -> CheckReport:
     """Sampled verification of VB structure: GL values, pair and triple cocycles."""
     progs: dict = {}
-    records = []
     d, dtype = B.fiber_dim, B.field.dtype
     eye = np.eye(d, dtype=dtype)
+    pairs = ((_edge_subject(e), sample_region(e.region, samples, seed),
+              (e, B.edges_between(e.overlap.to, e.overlap.frm)))
+             for e in B.edges)  # by chart pair, then component (make_bundle's order)
 
-    for e in B.edges:  # by chart pair, then component (make_bundle's order)
+    def pair(t, data):
+        es, backs = zip(*data)
+        G = t.matrices(t.subject, [e.g for e in es], t.pts, dtype)
+        G_back = _reverse_g(t, backs, t.maps(t.subject, [e.overlap.tau for e in es], t.pts), dtype)
+        return t.per_subject(scaled_abs_dets, G, t.rows), _max_abs(G @ G_back - eye)
 
-        def evaluate(t, e=e, backs=B.edges_between(e.overlap.to, e.overlap.frm)):
-            G = t.matrix(e.g, t.pts, t.rows, dtype)
-            G_back = _reverse_g(t, backs, t.map(e.overlap.tau, t.pts, t.rows), dtype)
-            return scaled_abs_dets(G), _max_abs(G @ G_back - eye)
+    def triple(t, data):
+        X = t.pts
+        ij, jk, ki, part = zip(*data)
+        at, ij = _joined(ij, part)
+        G1 = t.matrices(at, [e.g for e in ij], X, dtype)
+        Y = t.maps(at, [e.overlap.tau for e in ij], X)
+        e2, jk = _lookup(t, jk, Y)
+        t.skip(t.rows, e2 < 0)
+        G2 = t.matrices(e2, [e.g for e in jk], Y, dtype)
+        Z = t.maps(e2, [e.overlap.tau for e in jk], Y)
+        e3, ki = _lookup(t, ki, Z)
+        t.skip(t.rows, e3 < 0)
+        G3 = t.matrices(e3, [e.g for e in ki], Z, dtype)
+        return (_max_abs(G1 @ G2 @ G3 - eye),)
 
-        records += _sampled(progs, [("transition_gl", MIN_DET, DEFAULT_TOL),
-                                    ("pair_cocycle", RESIDUAL, tol)],
-                            _edge_subject(e), sample_region(e.overlap.region, samples, seed),
-                            seed, evaluate)
-
-    for i, j, k in permutations([c.name for c in B.base.charts], 3):
-        ij, jk, ki = B.edges_between(i, j), B.edges_between(j, k), B.edges_between(k, i)
-        if not ij or not jk or not ki:
-            continue
-        pts, part = _component_points([e.overlap for e in ij], samples, seed)
-
-        def evaluate(t, ij=ij, jk=jk, ki=ki, part=part):
-            X = t.pts
-            G1 = t.matrices(part, [e.g for e in ij], X, dtype)
-            Y = t.maps(part, [e.overlap.tau for e in ij], X)
-            e2 = _first_match([e.overlap.region for e in jk], Y)
-            t.skip(t.rows, e2 < 0)
-            G2 = t.matrices(e2, [e.g for e in jk], Y, dtype)
-            Z = t.maps(e2, [e.overlap.tau for e in jk], Y)
-            e3 = _first_match([e.overlap.region for e in ki], Z)
-            t.skip(t.rows, e3 < 0)
-            G3 = t.matrices(e3, [e.g for e in ki], Z, dtype)
-            return (_max_abs(G1 @ G2 @ G3 - eye),)
-
-        records += _sampled(progs, [("triple_cocycle", RESIDUAL, tol)], f"{i}->{j}->{k}",
-                            pts, seed, evaluate, samples=samples)
+    triples = _triples([c.name for c in B.base.charts], B.edges_between, lambda i, k: (k, i),
+                       samples, seed)
+    records = _sampled(progs, [("transition_gl", MIN_DET, DEFAULT_TOL),
+                               ("pair_cocycle", RESIDUAL, tol)], pairs, seed, pair)
+    records += _sampled(progs, [("triple_cocycle", RESIDUAL, tol)], triples, seed, triple,
+                        samples=samples)
     return make_report("vector_bundle", records)
 
 
@@ -696,7 +758,7 @@ def _fiber_map_rule(t, M: BundleMorphismSpec, chart: str, X, rows, tol: float | 
     phi = t.matrix(M.fiber_map[chart], X, rows, M.source.field.dtype)
     t.finite(phi, X, rows, noun)
     if tol is not None:
-        t.fail(rows, scaled_abs_dets(phi) <= tol,
+        t.fail(rows, t.per_subject(scaled_abs_dets, phi, rows) <= tol,
                lambda j: error(f"{noun} singular at {X[j].tolist()}"))
 
 
@@ -730,26 +792,28 @@ def check_section(S: TensorFieldSpec, samples: int = DEFAULT_SAMPLES,
     g_ij(x) by the cocycle, g_ji(tau_ij(x)) transposed (as in check_vb)."""
     B = S.bundle
     slots, dtype = (B.fiber_dim,) * (S.r + S.s), B.field.dtype
-    progs: dict = {}
-    records = []
-    for e in B.edges:
-        i, j = e.overlap.frm, e.overlap.to
-        if i not in S.per_chart or j not in S.per_chart:
-            continue
+    pairs = ((_edge_subject(e), sample_region(e.region, samples, seed),
+              (e, B.edges_between(e.overlap.to, e.overlap.frm)))
+             for e in B.edges if e.overlap.frm in S.per_chart and e.overlap.to in S.per_chart)
 
-        def evaluate(t, e=e, i=i, j=j, backs=B.edges_between(j, i)):
-            X = t.pts
-            lhs = _field_rows(t, S, i, X, t.rows)
-            Y = t.map(e.overlap.tau, X, t.rows)
-            G = t.matrix(e.g, X, t.rows, dtype)
-            C = _field_rows(t, S, j, Y, t.rows).reshape((len(X),) + slots)
-            mats = [G] * S.s
-            if S.r:
-                mats = [_reverse_g(t, backs, Y, dtype).transpose(0, 2, 1)] * S.r + mats
-            return (_max_abs(lhs - on_slots(C, mats).reshape(lhs.shape)),)
+    def on_charts(t, charts, X):
+        """S on each subject's chart in charts: one call per distinct chart."""
+        return t.chosen(t.subject, charts, lambda chart: chart, X, (len(S.per_chart[charts[0]]),),
+                        dtype, lambda chart, X, rows: _field_rows(t, S, chart, X, rows))
 
-        records += _sampled(progs, [("section_compat", RESIDUAL, tol)], _edge_subject(e),
-                            sample_region(e.overlap.region, samples, seed), seed, evaluate)
+    def evaluate(t, data):
+        X = t.pts
+        es, backs = zip(*data)
+        lhs = on_charts(t, [e.overlap.frm for e in es], X)
+        Y = t.maps(t.subject, [e.overlap.tau for e in es], X)
+        G = t.matrices(t.subject, [e.g for e in es], X, dtype)
+        C = on_charts(t, [e.overlap.to for e in es], Y).reshape((len(X),) + slots)
+        mats = [G] * S.s
+        if S.r:
+            mats = [_reverse_g(t, backs, Y, dtype).transpose(0, 2, 1)] * S.r + mats
+        return (_max_abs(lhs - on_slots(C, mats).reshape(lhs.shape)),)
+
+    records = _sampled({}, [("section_compat", RESIDUAL, tol)], pairs, seed, evaluate)
     if not records:
         records.append(vacuous_record("section_compat", "no shared overlaps", seed, tol))
     return make_report("section", records)
@@ -856,12 +920,12 @@ def check_frame(F: BundleMorphismSpec, samples: int = DEFAULT_SAMPLES,
     """Invertibility of the frame matrix across the chart."""
     c = _frame_chart(F)
 
-    def evaluate(t):
+    def evaluate(t, _):
         return (scaled_abs_dets(t.matrix(F.fiber_map[c.name], t.pts, t.rows,
                                          F.source.field.dtype)),)
 
-    records = _sampled({}, [("frame_gl", MIN_DET, tol)], c.name,
-                       sample_box(c.box, samples, seed), seed, evaluate)
+    records = _sampled({}, [("frame_gl", MIN_DET, tol)],
+                       [(c.name, sample_box(c.box, samples, seed), None)], seed, evaluate)
     return make_report("frame", records)
 
 

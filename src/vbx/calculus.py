@@ -6,10 +6,10 @@ Jacobian is that program run on SmoothMap.partials, expr.diff of each
 component, so Jacobians are exact to rounding; central finite differences
 exist only in the test suite as a cross-check. _Trial holds the stages of
 that evaluation and the rules a point must pass (its shape, box
-membership, evaluation without error, finite values): the check suites run
-it over all their samples at once, and the one-point functions (eval_map,
-jacobian, and the bundle ones such as field_eval) are one row of it. A
-tensor field on a box is a field on a one-chart trivial bundle
+membership, evaluation without error, finite values): the check suites
+run it over packs of their subjects' samples, and the one-point functions
+(eval_map, jacobian, and the bundle ones such as field_eval) are one row
+of it. A tensor field on a box is a field on a one-chart trivial bundle
 (bundles.local_bundle), and pulling it back along a smooth map is the
 morphism pullback of vbx.constructions (map_pullback_rs,
 map_pullback_cov), whose fiber map is the same partials.
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -86,14 +87,23 @@ _DOMAIN_BOX = "the open domain box"
 class _Trial:
     """A batch of points and what has become of each.
 
+    The points are those of one or more subjects (see bundles._sampled),
+    each in a block of consecutive rows, `sizes` rows each (by default one
+    subject of all rows). A subject's results do not depend on the others
+    in the batch: rows are evaluated independently, work whose form
+    depends on the stack length goes through per_subject, and options
+    that share a program run it over at most run_rows rows together.
+
     Stages run in the order an identity is evaluated at a single point. A
     point leaves at its first failure, which becomes its note, or when a
     triple check finds no overlap to continue in; later stages still
     compute at it but no longer change its fate. Stage methods take the
-    points X of trial rows `rows` and return one result row per point.
+    points X of trial rows `rows` and return one result row per point; the
+    chosen-option stages (maps, matrices, maps_and_jacobians) take one
+    point per trial row and a choice of option per row.
     """
 
-    def __init__(self, pts: np.ndarray, progs: dict):
+    def __init__(self, pts: np.ndarray, progs: dict, sizes=None, run_rows=None):
         n = len(pts)
         self.pts = pts
         self.rows = np.arange(n)
@@ -102,6 +112,23 @@ class _Trial:
         self.cause = np.full(n, -1)  # per point, its failure in _whys
         self._local = np.zeros(n, dtype=int)
         self._whys: list = []
+        sizes = [n] if sizes is None else sizes
+        self.blocks = [slice(end - k, end) for k, end in zip(sizes, accumulate(sizes))]
+        self.subject = (np.zeros(n, dtype=int) if len(sizes) == 1  # per row, its block
+                        else np.repeat(np.arange(len(sizes)), sizes))
+        self.run_rows = n if run_rows is None else run_rows
+
+    def per_subject(self, fn, A, rows) -> np.ndarray:
+        """fn(A) computed on the rows of one subject at a time, for A with
+        one entry per row of rows (in row order): for work whose form
+        depends on the stack length (linalg.on_columns), so each subject
+        gets what it would get alone."""
+        if len(self.blocks) > 1:
+            counts = np.bincount(self.subject[rows], minlength=len(self.blocks)).tolist()
+            if max(counts) < len(A):
+                return np.concatenate([fn(A[end - k:end])
+                                       for k, end in zip(counts, accumulate(counts)) if k])
+        return fn(A)
 
     def fail(self, rows, mask, why) -> None:
         """Fail the live points among rows[mask]. why(j) explains local
@@ -197,54 +224,106 @@ class _Trial:
         columns of g)."""
         return self.exprs(g, X, rows).reshape(len(X), len(g), len(g[0])).astype(dtype, copy=False)
 
-    def map(self, F: SmoothMap, X, rows) -> np.ndarray:
-        """eval_map at every point."""
+    def _in_domain(self, F: SmoothMap, X, rows) -> None:
         self.in_box(F.box, X, rows, _DOMAIN_BOX)
+
+    def _map_values(self, F: SmoothMap, X, rows) -> np.ndarray:
         Y = self.run(self.components(F), X, rows)
         self.finite(Y, X, rows, "map value")
         return Y
 
-    def _map_and_partials(self, F: SmoothMap, X, rows) -> tuple:
-        """F's values and Jacobians, (len(X), out_dim, in_dim), from one
-        program: the components, then F.partials, so a point whose value
-        fails fails with the value's message."""
-        self.in_box(F.box, X, rows, _DOMAIN_BOX)
-        k = F.out_dim
-        V = self.run(self.map_program(F), X, rows)
-        return V[:, :k], V[:, k:].reshape(len(X), k, F.in_dim)
+    def map(self, F: SmoothMap, X, rows) -> np.ndarray:
+        """eval_map at every point."""
+        self._in_domain(F, X, rows)
+        return self._map_values(F, X, rows)
 
     def jacobian(self, F: SmoothMap, X, rows) -> np.ndarray:
-        """jacobian at every point."""
-        _, J = self._map_and_partials(F, X, rows)
+        """jacobian at every point: F's values and Jacobians come from one
+        program, the components then F.partials, so a point whose value
+        fails fails with the value's message."""
+        self._in_domain(F, X, rows)
+        J = _partials(F, self.run(self.map_program(F), X, rows))
         self.finite(J, X, rows, "jacobian")
         return J
 
-    def map_and_jacobian(self, F: SmoothMap, X, rows) -> tuple:
-        """eval_map and jacobian at every point, from one run."""
-        Y, J = self._map_and_partials(F, X, rows)
-        self.finite(Y, X, rows, "map value")
-        self.finite(J, X, rows, "jacobian")
-        return Y, J
+    def _map_and_partials(self, F: SmoothMap, X, rows) -> np.ndarray:
+        """The run of map_program, its values and then its partials finite."""
+        V = self.run(self.map_program(F), X, rows)
+        self.finite(V[:, :F.out_dim], X, rows, "map value")
+        self.finite(V[:, F.out_dim:], X, rows, "jacobian")
+        return V
+
+    # Stages with a choice of option per row.
+
+    def chosen(self, choice, options, key, X, shape, dtype, stage, boxes=False) -> np.ndarray:
+        """stage(option, X[rows], rows) for the rows that chose each option
+        (choice[row] indexes options), one result row per trial row, NaN
+        where a row chose none (-1). The rows of the options with one
+        key(option) go to one stage call with the first of them, in row
+        order, while they total at most run_rows (an option past it goes
+        alone). With boxes, the options are maps, and a point outside the
+        box of the one it chose fails before the stage. When every row
+        chose one option, stage gets X itself: so with choice self.subject
+        (each row its subject's option) on a trial of one subject."""
+        whole = choice is self.subject and len(self.blocks) == 1
+        k = 0 if whole else int(choice[0]) if len(choice) else -1
+        if whole or k >= 0 and (choice == k).all():
+            if boxes:
+                self._in_domain(options[k], X, self.rows)
+            return stage(options[k], X, self.rows)
+        counts = np.bincount(choice + 1, minlength=len(options) + 1)[1:].tolist()
+        by_key: dict = {}  # key -> runs of the options with that key, each within run_rows
+        for k, count in enumerate(counts):
+            if count:
+                group = by_key.setdefault(key(options[k]), [[]])
+                if group[-1] and sum(counts[i] for i in group[-1]) + count > self.run_rows:
+                    group.append([])
+                group[-1].append(k)
+        out = np.full((len(choice),) + shape, np.nan, dtype=dtype)
+        for run in (run for group in by_key.values() for run in group):
+            rows = _rows_choosing(choice, run, len(options))
+            Xr = X[rows]
+            for box in dict.fromkeys(options[k].box for k in run) if boxes else ():
+                ks = [k for k in run if options[k].box == box]
+                part = rows if len(ks) == len(run) else _rows_choosing(choice, ks, len(options))
+                self.in_box(box, Xr if part is rows else X[part], part, _DOMAIN_BOX)
+            out[rows] = stage(options[run[0]], Xr, rows)
+        return out
 
     def maps(self, choice, maps, X) -> np.ndarray:
-        """map at each point with the map it chose, NaN where it chose none."""
-        return _per_choice(choice, (maps[0].out_dim,), float,
-                           lambda k, rows: self.map(maps[k], X[rows], rows))
+        """map at each point with the map it chose, NaN where it chose
+        none: each map's box, then each distinct program once."""
+        return self.chosen(choice, maps, lambda F: id(self.components(F)), X, (maps[0].out_dim,),
+                           float, self._map_values, boxes=True)
+
+    def maps_and_jacobians(self, choice, maps, X) -> tuple:
+        """eval_map and jacobian at each point with the map it chose, from
+        one run of each distinct program."""
+        F = maps[0]
+        V = self.chosen(choice, maps, lambda F: id(self.map_program(F)), X,
+                        (F.out_dim * (1 + F.in_dim),), float, self._map_and_partials, boxes=True)
+        return V[:, :F.out_dim], _partials(F, V)
 
     def matrices(self, choice, gs, X, dtype) -> np.ndarray:
-        """matrix at each point with the matrix it chose, NaN where none."""
-        return _per_choice(choice, (len(gs[0]), len(gs[0][0])), dtype,
-                           lambda k, rows: self.matrix(gs[k], X[rows], rows, dtype))
+        """matrix at each point with the matrix it chose, NaN where none:
+        each distinct program once."""
+        return self.chosen(choice, gs, lambda g: id(self.program(g)), X,
+                           (len(gs[0]), len(gs[0][0])), dtype,
+                           lambda g, X, rows: self.matrix(g, X, rows, dtype))
 
 
-def _per_choice(choice, shape, dtype, stage) -> np.ndarray:
-    """stage(k, rows) on the rows that chose option k, NaN where none was."""
-    out = np.full((len(choice),) + shape, np.nan, dtype=dtype)
-    for k in range(choice.max(initial=-1) + 1):
-        rows = np.flatnonzero(choice == k)
-        if rows.size:
-            out[rows] = stage(k, rows)
-    return out
+def _rows_choosing(choice, ks, count: int) -> np.ndarray:
+    """The rows whose choice, among count options, is one of ks, in order."""
+    if len(ks) == 1:
+        return np.flatnonzero(choice == ks[0])
+    member = np.zeros(count + 1, dtype=bool)  # the last entry for the rows that chose none
+    member[ks] = True
+    return np.flatnonzero(member[choice])
+
+
+def _partials(F: SmoothMap, V) -> np.ndarray:
+    """The Jacobians in a run of map_program: (len(V), out_dim, in_dim)."""
+    return V[:, F.out_dim:].reshape(len(V), F.out_dim, F.in_dim)
 
 
 def at_points(X: np.ndarray, stage):

@@ -579,7 +579,7 @@ def check_morphism(M: BundleMorphismSpec, samples: int = DEFAULT_SAMPLES,
         i, j = e.overlap.frm, e.overlap.to
         ci, cj = M.assignment[i], M.assignment[j]
 
-        def evaluate(t, e=e, i=i, j=j, ci=ci, cj=cj):
+        def evaluate(t, _, e=e, i=i, j=j, ci=ci, cj=cj):
             X, rows = t.pts, t.rows
             phi_i = t.matrix(M.fiber_map[i], X, rows, dtype)
             g1 = t.matrix(e.g, X, rows, dtype)
@@ -603,20 +603,21 @@ def check_morphism(M: BundleMorphismSpec, samples: int = DEFAULT_SAMPLES,
 
         records += _sampled(progs, [("morphism_intertwine", RESIDUAL, tol),
                                     ("base_map_coherence", RESIDUAL, tol)],
-                            f"{i}->{j}#{e.component}",
-                            sample_region(e.overlap.region, samples, seed), seed, evaluate)
+                            [(f"{i}->{j}#{e.component}",
+                              sample_region(e.overlap.region, samples, seed), None)],
+                            seed, evaluate)
     if not records:
         records.append(vacuous_record("morphism_intertwine", "no overlaps", seed, tol))
     for c in src.base.charts:
         target = M.assignment[c.name]
 
-        def evaluate(t, c=c, target=target):
+        def evaluate(t, _, c=c, target=target):
             Y = t.map(smooth[c.name], t.pts, t.rows)
             t.in_box(tgt.base.chart(target).box, Y, t.rows, f"chart '{target}'")
             return (np.zeros(len(Y)),)
 
-        (rec,) = _sampled(progs, [("base_map_image", RESIDUAL, tol)], c.name,
-                          sample_box(c.box, samples, seed), seed, evaluate)
+        (rec,) = _sampled(progs, [("base_map_image", RESIDUAL, tol)],
+                          [(c.name, sample_box(c.box, samples, seed), None)], seed, evaluate)
         if not rec.passed:
             records.append(rec)
     return make_report("morphism", records)
@@ -785,13 +786,14 @@ def subbundle_check(B: VectorBundleSpec, W: dict, samples: int = DEFAULT_SAMPLES
     records = []
     for name in sorted(cols_of):
 
-        def evaluate(t, name=name):
+        def evaluate(t, _, name=name):
             sv = _live_only(t, lambda W: np.linalg.svd(W, compute_uv=False),
                             span_at(t, name, t.pts, t.rows), (rank,))
             return (np.where(sv[:, 0] > 0, sv[:, -1] / sv[:, 0], 0.0),)
 
-        records += _sampled(progs, [("subbundle_rank", MIN_DET, DEFAULT_TOL)], name,
-                            sample_box(B.base.chart(name).box, samples, seed), seed, evaluate)
+        records += _sampled(progs, [("subbundle_rank", MIN_DET, DEFAULT_TOL)],
+                            [(name, sample_box(B.base.chart(name).box, samples, seed), None)],
+                            seed, evaluate)
 
     checked_overlap = False
     for e in B.edges:
@@ -800,7 +802,7 @@ def subbundle_check(B: VectorBundleSpec, W: dict, samples: int = DEFAULT_SAMPLES
             continue
         checked_overlap = True
 
-        def evaluate(t, e=e, i=i, j=j):
+        def evaluate(t, _, e=e, i=i, j=j):
             X = t.pts
             Wi = span_at(t, i, X, t.rows)
             Y = t.map(e.overlap.tau, X, t.rows)
@@ -811,8 +813,9 @@ def subbundle_check(B: VectorBundleSpec, W: dict, samples: int = DEFAULT_SAMPLES
             return (np.max(np.linalg.norm(off, axis=1) / scale, axis=1),)
 
         records += _sampled(progs, [("subbundle_span", RESIDUAL, tol)],
-                            f"{i}->{j}#{e.component}",
-                            sample_region(e.overlap.region, samples, seed), seed, evaluate)
+                            [(f"{i}->{j}#{e.component}",
+                              sample_region(e.overlap.region, samples, seed), None)],
+                            seed, evaluate)
     if not checked_overlap and len(cols_of) > 1:
         records.append(vacuous_record("subbundle_span", "no shared overlaps", seed, tol))
     return make_report("subbundle", records)

@@ -217,12 +217,15 @@ def _fold(roots, memo: dict, visit) -> list:
     return [memo[id(r)][1] for r in roots]
 
 
+def _max_var(e: Expr, operands: list) -> int:
+    return e.index if isinstance(e, Var) else max(operands, default=0)
+
+
 def max_var_index(e: Expr, memo: dict | None = None) -> int:
     """Largest variable index used, 0 if the expression is constant.
 
     memo may be shared by the calls that validate one document."""
-    return _fold((e,), {} if memo is None else memo,
-                 lambda e, v: e.index if isinstance(e, Var) else max(v, default=0))[0]
+    return _fold((e,), {} if memo is None else memo, _max_var)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -723,10 +726,10 @@ def as_exprs(entries, dim: int, what: str, error, memo: dict | None = None) -> t
 
     An entry that uses a later variable raises error(message), error being
     an exception type or a function of the message that makes one; memo is
-    max_var_index's, shared by the calls that validate one document."""
+    max_var_index's, shared by the calls that validate one document. One
+    walk visits all the entries; the first entry past dim names the error."""
     exprs = tuple(_as_expr(c) for c in entries)
-    for e in exprs:
-        k = max_var_index(e, memo)
+    for k in _fold(exprs, {} if memo is None else memo, _max_var):
         if k > dim:
             raise error(f"{what} references x{k} but the dimension is {dim}")
     return exprs

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from vbx.errors import EvalError, ParseError, UnknownSymbol
+from vbx.errors import EvalError, ParseError, ShapeMismatch, UnknownSymbol
 from vbx.expr import (
     Add,
     Call,
@@ -20,6 +20,7 @@ from vbx.expr import (
     Pow,
     Sub,
     Var,
+    as_exprs,
     diff,
     eval_expr,
     fold_add,
@@ -317,3 +318,38 @@ def test_a_number_literal_past_the_float_range_is_a_parse_error():
     with pytest.raises(ParseError, match="number 1e400 is out of range"):
         parse_expr("x1 + 1e400")
     assert parse_expr("1e-400") == Num(0.0)  # underflow to zero is a finite value
+
+
+def _as_exprs_per_entry(entries, dim, what, error):
+    """as_exprs as it validated before: one max_var_index walk per entry."""
+    exprs = tuple(e if isinstance(e, Expr) else parse_expr(e) for e in entries)
+    for e in exprs:
+        k = max_var_index(e)
+        if k > dim:
+            raise error(f"{what} references x{k} but the dimension is {dim}")
+    return exprs
+
+
+@given(st.lists(st.one_of(_exprs(), st.sampled_from([Var(3), Add(Var(3), Var(1)), "x2 * x3"])),
+                max_size=6),
+       st.integers(0, 3))
+def test_as_exprs_names_the_first_entry_past_the_dimension(entries, dim):
+    def outcome(validate, *memo):
+        try:
+            return validate(entries, dim, "entry", ShapeMismatch, *memo)
+        except ShapeMismatch as exc:
+            return str(exc)
+
+    want = outcome(_as_exprs_per_entry)
+    assert outcome(as_exprs) == want
+    memo: dict = {}
+    assert outcome(as_exprs, memo) == want
+    assert outcome(as_exprs, memo) == want  # a memo filled by a first call
+
+
+def test_as_exprs_error_messages():
+    assert as_exprs(["x1", "x2"], 2, "entry", ShapeMismatch) == (Var(1), Var(2))
+    with pytest.raises(ShapeMismatch, match=r"^entry references x3 but the dimension is 1$"):
+        as_exprs(["x1", "sin(x3) + x2", "x4"], 1, "entry", ShapeMismatch)
+    with pytest.raises(ShapeMismatch, match=r"^row references x2 but the dimension is 0$"):
+        as_exprs(["1", "x2 * x1"], 0, "row", lambda m: ShapeMismatch(m))

@@ -321,11 +321,10 @@ def make_bundle(base: BaseAtlasSpec, fiber_dim: int, field: FieldTag, transition
     """
     tensor_dim(fiber_dim, 0, 0, "fiber", "/fiber/dim")
     parsed = []
-    memo: dict = {}  # shared subtrees are validated once
     for k, (frm, to, g) in enumerate(transitions):
         loc = f"/transitions/{k}"
         gmat = tuple(as_exprs(row, base.dim, "transition entry",
-                              lambda m, loc=loc: SpecError(m, loc), memo) for row in g)
+                              lambda m, loc=loc: SpecError(m, loc)) for row in g)
         if len(gmat) != fiber_dim or any(len(r) != fiber_dim for r in gmat):
             raise SpecError(f"transition matrix must be {fiber_dim}x{fiber_dim}", loc)
         parsed.append((frm, to, gmat, loc))
@@ -481,24 +480,36 @@ def _first_match(regions, X) -> np.ndarray:
     return at
 
 
-def _joined(options, local) -> tuple:
+def _joined(t: _Trial, options, at) -> tuple:
     """One choice over the options of every pack subject in turn, from
-    options[s], subject s's own list, and local[s], its rows' indices into
-    that list (-1 for none); and the options in that order."""
+    options[s], subject s's own list, and at, each row's index into its
+    subject's list (-1 for none); and the options in that order."""
     if len(options) == 1:
-        return local[0], options[0]
-    offsets = np.cumsum([0] + [len(o) for o in options[:-1]]).tolist()
-    return (np.concatenate([np.where(at >= 0, at + k, -1) for at, k in zip(local, offsets)]),
-            [o for opts in options for o in opts])
+        return at, options[0]
+    offsets = np.cumsum([0] + [len(o) for o in options[:-1]])
+    return np.where(at >= 0, at + offsets[t.subject], -1), [o for opts in options for o in opts]
 
 
 def _lookup(t: _Trial, options, Y) -> tuple:
     """Per row of Y, the first of its subject's options (overlaps or edges,
     options[s] for pack subject s) whose region holds it, as find_edge
     chooses, or none: a choice over the options of every subject in turn
-    (_joined), and those options."""
-    return _joined(options, [_first_match([o.region for o in opts], Y[b])
-                             for opts, b in zip(options, t.blocks)])
+    (_joined), and those options. Each distinct region is masked once,
+    over every row of the pack."""
+    if len(options) == 1:
+        return _first_match([o.region for o in options[0]], Y), options[0]
+    index: dict = {}  # id(region) -> (its row in hits, region)
+    table = np.full((max(map(len, options)), len(options)), -1)  # [k, s]: option k of s
+    for s, opts in enumerate(options):
+        for k, o in enumerate(opts):
+            table[k, s] = index.setdefault(id(o.region), (len(index), o.region))[0]
+    hits = np.zeros((len(index) + 1, len(Y)), dtype=bool)  # row -1: no option k
+    for i, region in index.values():
+        hits[i] = region_mask(region, Y)
+    at = np.full(len(Y), -1)
+    for k, region_of in enumerate(table):
+        at[(at < 0) & hits[region_of[t.subject], t.rows]] = k
+    return _joined(t, options, at)
 
 
 def _live_only(t: _Trial, fn, A, shape) -> np.ndarray:
@@ -644,7 +655,7 @@ def check_base_atlas(spec: BaseAtlasSpec, samples: int = DEFAULT_SAMPLES,
     def triple(t, data):
         X = t.pts
         ij, jk, ik, part = zip(*data)
-        at, ij = _joined(ij, part)
+        at, ij = _joined(t, ij, np.concatenate(part))
         Y = t.maps(at, [o.tau for o in ij], X)
         step2, jk = _lookup(t, jk, Y)
         direct, ik = _lookup(t, ik, X)
@@ -681,7 +692,7 @@ def check_vb(B: VectorBundleSpec, samples: int = DEFAULT_SAMPLES,
     def triple(t, data):
         X = t.pts
         ij, jk, ki, part = zip(*data)
-        at, ij = _joined(ij, part)
+        at, ij = _joined(t, ij, np.concatenate(part))
         G1 = t.matrices(at, [e.g for e in ij], X, dtype)
         Y = t.maps(at, [e.overlap.tau for e in ij], X)
         e2, jk = _lookup(t, jk, Y)

@@ -161,12 +161,17 @@ class _Trial:
 
     def program(self, exprs) -> Program:
         """exprs (a vector, or a matrix flattened row by row) compiled once
-        per progs: a suite call's cache, or a one-point call's. The key is
-        the identities of the entries, not their container, so matrices
-        whose entries a document interned to the same nodes (see
-        expr.parse_expr) share one program on whichever edge they stand."""
-        flat = tuple(exprs) if isinstance(exprs[0], Expr) else tuple(e for row in exprs for e in row)
-        return self._cached(tuple(map(id, flat)), flat, lambda: compile_exprs(flat))
+        per progs: a suite call's cache, or a one-point call's. The program
+        is keyed by the identities of the entries, not their container, so
+        matrices whose entries a document interned to the same nodes (see
+        expr.parse_expr) share one program on whichever edge they stand;
+        the container's identity finds it again without that key."""
+
+        def build():
+            flat = _entries(exprs)
+            return self._cached(tuple(map(id, flat)), flat, lambda: compile_exprs(flat))
+
+        return self._cached(id(exprs), exprs, build)
 
     def map_program(self, F: SmoothMap) -> Program:
         """F's components, then its partials row by row (zeros where diff
@@ -310,6 +315,11 @@ class _Trial:
         return self.chosen(choice, gs, lambda g: id(self.program(g)), X,
                            (len(gs[0]), len(gs[0][0])), dtype,
                            lambda g, X, rows: self.matrix(g, X, rows, dtype))
+
+
+def _entries(exprs) -> tuple:
+    """A vector's entries, or a matrix's row by row."""
+    return tuple(exprs) if isinstance(exprs[0], Expr) else tuple(e for row in exprs for e in row)
 
 
 def _rows_choosing(choice, ks, count: int) -> np.ndarray:

@@ -29,11 +29,13 @@ and are used by symbolic differentiation and substitution, never by the
 parser.
 
 Expressions are DAGs: a derived bundle's entries reference the same
-subtrees many times over. Every walker (compiling, printing, validation,
-differentiation, substitution, hashing, repr) visits each distinct node once,
-without recursion, equality compares each pair of nodes once, and the
-parser reads a repeated parenthesized group, or a repeated entry of one
-document, once and returns the same node for it.
+subtrees many times over. Every walker (compiling, printing,
+differentiation, substitution, hashing, repr) visits each distinct node
+once, without recursion, and equality compares each pair of nodes once.
+Validation walks nothing: each node carries top, its largest variable
+index. The parser reads a repeated parenthesized group, or a repeated
+entry of one document, once, and builds one node per distinct
+subexpression of a document.
 """
 
 from __future__ import annotations
@@ -83,46 +85,68 @@ class Expr:
         return _fold((self,), {}, _repr_node)[0]
 
 
+# Every node has top, its largest variable index (0 for a constant), set
+# at construction from its operands'. It is no field: equality, hashing and
+# repr ignore it.
+_set = object.__setattr__
+
+
 @dataclass(frozen=True, eq=False, repr=False)
 class Num(Expr):
     value: float
+    top = 0
 
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Const(Expr):
     name: str  # 'pi' or 'e'
+    top = 0
 
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Var(Expr):
     index: int  # 1-based: x1, x2, ...
 
+    def __post_init__(self):
+        _set(self, "top", self.index)
+
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Neg(Expr):
     a: Expr
 
+    def __post_init__(self):
+        _set(self, "top", self.a.top)
+
+
+class _Binary(Expr):
+    __slots__ = ()
+
+    def __post_init__(self):
+        a, b = self.a.top, self.b.top
+        _set(self, "top", a if a > b else b)
+
 
 @dataclass(frozen=True, eq=False, repr=False)
-class Add(Expr):
+class Add(_Binary):
     a: Expr
     b: Expr
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class Sub(Expr):
+class Sub(_Binary):
     a: Expr
     b: Expr
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class Mul(Expr):
+class Mul(_Binary):
     a: Expr
     b: Expr
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class Div(Expr):
+class Div(_Binary):
     a: Expr
     b: Expr
 
@@ -132,11 +156,17 @@ class Pow(Expr):
     base: Expr
     exponent: int
 
+    def __post_init__(self):
+        _set(self, "top", self.base.top)
+
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Call(Expr):
     fn: str
     arg: Expr
+
+    def __post_init__(self):
+        _set(self, "top", self.arg.top)
 
 
 def _fields(e: Expr) -> tuple:
@@ -217,15 +247,9 @@ def _fold(roots, memo: dict, visit) -> list:
     return [memo[id(r)][1] for r in roots]
 
 
-def _max_var(e: Expr, operands: list) -> int:
-    return e.index if isinstance(e, Var) else max(operands, default=0)
-
-
-def max_var_index(e: Expr, memo: dict | None = None) -> int:
-    """Largest variable index used, 0 if the expression is constant.
-
-    memo may be shared by the calls that validate one document."""
-    return _fold((e,), {} if memo is None else memo, _max_var)[0]
+def max_var_index(e: Expr) -> int:
+    """Largest variable index used, 0 if the expression is constant."""
+    return e.top
 
 
 # ---------------------------------------------------------------------------
@@ -575,6 +599,11 @@ class _Parser:
     node and jumps past it. A group's text fixes its parse, so the tree
     is the one the text gives without the memo, and so is the first
     error, because only groups that parsed without one are entered.
+
+    memo also interns every node the parser builds (node): the key is the
+    node's class, then its operands' ids and its literals, a tuple of two
+    or more items that starts with a class, so no group text, prefix hash
+    or entry key. Equal subexpressions, however spelled, are one node.
     """
 
     def __init__(self, text: str, memo: dict):
@@ -601,19 +630,20 @@ class _Parser:
             a = self.operand(levels)
             while a is not None:  # an atom of lv is done
                 if lv.neg:
-                    a, lv.neg = Neg(a), False
+                    a, lv.neg = self.node((Neg, id(a)), a), False
                 if self.tok.kind == "^":
                     self.advance()
-                    a = Pow(a, self.integer())
+                    k = self.integer()
+                    a = self.node((Pow, id(a), k), a, k)
                 if lv.prod is not None:
-                    a = (Mul if lv.prod_op == "*" else Div)(lv.prod, a)
+                    a = self.node((Mul if lv.prod_op == "*" else Div, id(lv.prod), id(a)), lv.prod, a)
                     lv.prod = None
                 tok = self.tok
                 if tok.kind in ("*", "/"):
                     lv.prod, lv.prod_op = a, self.advance().kind
                     break
                 if lv.sum is not None:
-                    a = (Add if lv.sum_op == "+" else Sub)(lv.sum, a)
+                    a = self.node((Add if lv.sum_op == "+" else Sub, id(lv.sum), id(a)), lv.sum, a)
                     lv.sum = None
                 if tok.kind in ("+", "-"):
                     lv.sum, lv.sum_op = a, self.advance().kind
@@ -626,7 +656,7 @@ class _Parser:
                 if lv.fn is not None:
                     if tok.kind == ",":
                         raise ParseError(f"{lv.fn} takes one argument", tok.pos)
-                    a = Call(lv.fn, a)
+                    a = self.node((Call, lv.fn, id(a)), lv.fn, a)
                 end = self.expect(")").end
                 self.memo[self.text[lv.start:end]] = a
                 lengths = self.memo.get(lv.prefix, ())
@@ -634,6 +664,14 @@ class _Parser:
                     self.memo[lv.prefix] = lengths + (end - lv.start,)
                 levels.pop()
                 lv = levels[-1]
+
+    def node(self, key: tuple, *fields) -> Expr:
+        """The document's one node key[0](*fields), its class and fields
+        as key gives them, an operand by its id: built at the first key."""
+        node = self.memo.get(key)
+        if node is None:
+            node = self.memo[key] = key[0](*fields)
+        return node
 
     def integer(self) -> int:
         sign = 1
@@ -657,14 +695,14 @@ class _Parser:
             self.advance()
             if math.isinf(value := float(tok.text)):
                 raise ParseError(f"number {tok.text} is out of range", tok.pos)
-            return Num(value)
+            return self.node((Num, math.copysign(1.0, value), value), value)  # 0.0 != -0.0
         if tok.kind == "(":
             return self.group(levels, tok, self.advance(), None)
         if tok.kind == "name":
             self.advance()
             name = tok.text
             if name in _CONSTS:
-                return Const(name)
+                return self.node((Const, name), name)
             if name in _FUNCS:
                 return self.group(levels, tok, self.expect("("), name)
             m = re.fullmatch(r"x(\d+)", name)
@@ -672,7 +710,7 @@ class _Parser:
                 idx = int(m.group(1))
                 if idx == 0:
                     raise UnknownSymbol("variables are numbered from x1", tok.pos)
-                return Var(idx)
+                return self.node((Var, idx), idx)
             raise UnknownSymbol(f"unknown identifier '{name}'", tok.pos)
         what = f"'{tok.text}'" if tok.kind != "end" else "end of input"
         raise ParseError(f"expected an operand, found {what}", tok.pos)
@@ -696,12 +734,13 @@ def parse_expr(text: str, memo: dict | None = None) -> Expr:
     """Parse a DSL expression; ParseError/UnknownSymbol carry the column.
 
     memo may be shared by the calls that load one document, so that a
-    group met in an earlier entry is not read again; it holds the text of
-    every group read (see _Parser). It also interns whole entries: the
-    1-tuple (text,) maps an entry's text to its node, so text-equal entries
-    of one document are one node. A key of that form is never a group's
-    text, so the group probe cannot take an entry that is not a group,
-    such as '(x1 + (x2)) * (3)', for one.
+    group met in an earlier entry is not read again and the document holds
+    one node per distinct subexpression; it holds the text of every group
+    read and every node built (see _Parser). It also interns whole entries:
+    the 1-tuple (text,) maps an entry's text to its node, so a text met
+    before is not read again. A key of that form is never a group's text,
+    so the group probe cannot take an entry that is not a group, such as
+    '(x1 + (x2)) * (3)', for one.
     """
     if not isinstance(text, str):
         raise ParseError("expression must be a string", 1)
@@ -721,17 +760,17 @@ def _as_expr(c) -> Expr:
     return c if isinstance(c, Expr) else parse_expr(c)
 
 
-def as_exprs(entries, dim: int, what: str, error, memo: dict | None = None) -> tuple:
+def as_exprs(entries, dim: int, what: str, error) -> tuple:
     """The entries (expressions or their text) as expressions in x1..x{dim}.
 
     An entry that uses a later variable raises error(message), error being
-    an exception type or a function of the message that makes one; memo is
-    max_var_index's, shared by the calls that validate one document. One
-    walk visits all the entries; the first entry past dim names the error."""
+    an exception type or a function of the message that makes one; the
+    first entry past dim names the error. Each entry's top bounds it, so
+    no entry is walked."""
     exprs = tuple(_as_expr(c) for c in entries)
-    for k in _fold(exprs, {} if memo is None else memo, _max_var):
-        if k > dim:
-            raise error(f"{what} references x{k} but the dimension is {dim}")
+    for e in exprs:
+        if e.top > dim:
+            raise error(f"{what} references x{e.top} but the dimension is {dim}")
     return exprs
 
 

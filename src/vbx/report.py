@@ -10,8 +10,8 @@ reading applies, and the pass flag is always computed by the check itself.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 RESIDUAL = "max_residual"
 MIN_DET = "min_scaled_det"
@@ -94,9 +94,37 @@ def report_to_dict(report: CheckReport) -> dict:
     }
 
 
+# report_to_json writes what json.dumps(report_to_dict(report),
+# sort_keys=True, indent=2) would, a record at a time into a fixed layout.
+_RECORD = """    {
+      "check": %s,
+      "kind": %s,
+      "note": %s,
+      "passed": %s,
+      "samples": %d,
+      "seed": %d,
+      "subject": %s,
+      "tol": %s,
+      "worst": %s
+    }"""
+_BOOL = {True: "true", False: "false"}
+
+
+def _number(v) -> str:
+    """json's text for an int or float: its repr, or NaN, Infinity or -Infinity."""
+    if v - v == 0:  # finite
+        return float.__repr__(v) if isinstance(v, float) else int.__repr__(v)
+    return "NaN" if v != v else "Infinity" if v > 0 else "-Infinity"
+
+
 def report_to_json(report: CheckReport) -> str:
     """Canonical serialization; identical inputs give identical bytes."""
-    return json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n"
+    q = encode_basestring_ascii
+    records = ",\n".join(_RECORD % (q(r.check), q(r.kind), q(r.note), _BOOL[r.passed], r.samples,
+                                     r.seed, q(r.subject), _number(r.tol), _number(r.worst))
+                          for r in report.records)
+    return (f'{{\n  "passed": {_BOOL[report.passed]},\n  "records": '
+            + (f"[\n{records}\n  ]" if records else "[]") + f',\n  "suite": {q(report.suite)}\n}}\n')
 
 
 def format_report(report: CheckReport) -> str:

@@ -8,11 +8,34 @@ import json
 import math
 
 from vbx.bundles import LOCAL_CHART, local_bundle, make_atlas, make_bundle, make_field
+from vbx.expr import Expr, Var
 from vbx.linalg import FieldTag
 from vbx.specio import gallery_path, list_gallery
 
 PI = math.pi
 TWO_PI = 2 * math.pi
+
+
+def walked_top(root) -> int:
+    """The largest variable index in root, 0 if it has none, by a walk that
+    visits each distinct node once, operands first: the oracle for a
+    node's top, which is set at construction."""
+    tops: dict = {}  # id(node) -> its top; every node lives under root
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if id(node) in tops:
+            stack.pop()
+            continue
+        kids = [v for v in vars(node).values() if isinstance(v, Expr)]
+        todo = [k for k in kids if id(k) not in tops]
+        if todo:
+            stack += todo
+            continue
+        stack.pop()
+        tops[id(node)] = (node.index if isinstance(node, Var)
+                          else max((tops[id(k)] for k in kids), default=0))
+    return tops[id(root)]
 
 
 def local_field(box, d, r, s, comps):

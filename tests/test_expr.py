@@ -34,6 +34,8 @@ from vbx.expr import (
     to_string,
 )
 
+from support import walked_top
+
 EVAL_TOL = 1e-12
 DIFF_TOL = 1e-6
 
@@ -321,10 +323,10 @@ def test_a_number_literal_past_the_float_range_is_a_parse_error():
 
 
 def _as_exprs_per_entry(entries, dim, what, error):
-    """as_exprs as it validated before: one max_var_index walk per entry."""
+    """as_exprs as it validated by walking: one walk per entry."""
     exprs = tuple(e if isinstance(e, Expr) else parse_expr(e) for e in entries)
     for e in exprs:
-        k = max_var_index(e)
+        k = walked_top(e)
         if k > dim:
             raise error(f"{what} references x{k} but the dimension is {dim}")
     return exprs
@@ -334,17 +336,13 @@ def _as_exprs_per_entry(entries, dim, what, error):
                 max_size=6),
        st.integers(0, 3))
 def test_as_exprs_names_the_first_entry_past_the_dimension(entries, dim):
-    def outcome(validate, *memo):
+    def outcome(validate):
         try:
-            return validate(entries, dim, "entry", ShapeMismatch, *memo)
+            return validate(entries, dim, "entry", ShapeMismatch)
         except ShapeMismatch as exc:
             return str(exc)
 
-    want = outcome(_as_exprs_per_entry)
-    assert outcome(as_exprs) == want
-    memo: dict = {}
-    assert outcome(as_exprs, memo) == want
-    assert outcome(as_exprs, memo) == want  # a memo filled by a first call
+    assert outcome(as_exprs) == outcome(_as_exprs_per_entry)
 
 
 def test_as_exprs_error_messages():

@@ -17,11 +17,13 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from vbx.bundles import check_base_atlas, check_vb
 from vbx.cli import main
 from vbx.constructions import direct_product, tensor_bundle
-from vbx.report import merge_reports, report_to_json
+from vbx.report import CheckRecord, make_report, merge_reports, report_to_dict, report_to_json
 from vbx.specio import gallery_path, load_spec
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -87,3 +89,23 @@ def test_worst_bound_is_a_bound():
     assert worst_drift(1.0 + 8 * 2.2e-16, 1.0) > 0.0
     assert worst_drift(math.inf, math.inf) == 0.0
     assert worst_drift(1.0, math.inf) == math.inf
+
+
+_FLOATS = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.integers(),
+                    st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 0.0, 1e-9, 5e-324]))
+_TEXTS = st.one_of(st.text(), st.sampled_from(["", "tau \u2192 \"x\"\\", "n\u00e9\u0000\t\U0001f600"]))
+_RECORDS = st.builds(CheckRecord, _TEXTS, _TEXTS, st.sampled_from(["max_residual", "min_scaled_det"]),
+                     st.integers(0, 10**6), st.integers(-2**63, 2**64), _FLOATS, _FLOATS,
+                     st.booleans(), _TEXTS)
+
+
+@seed(20261019)
+@settings(max_examples=300, deadline=None)
+@given(_TEXTS, st.lists(_RECORDS, max_size=4))
+def test_report_json_is_that_of_json_dumps(suite, records):
+    # The writer fills a fixed layout; json.dumps of the report's dict,
+    # keys sorted, is its oracle: non-finite and signed-zero floats,
+    # non-ASCII and escaped text, and an empty record list included.
+    report = make_report(suite, records)
+    assert report_to_json(report) == json.dumps(report_to_dict(report), sort_keys=True,
+                                                indent=2) + "\n"

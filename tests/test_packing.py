@@ -179,6 +179,46 @@ def test_one_run_per_program_in_each_stage_of_a_pack(specs, monkeypatch):
         assert len({id(p) for p in stage}) == len(stage)
 
 
+def test_each_lookup_masks_each_distinct_region_once(specs, monkeypatch):
+    # Masked per subject, on its own rows, the regions of these two suites'
+    # lookups took 448 region masks at 3 samples. Now each lookup masks
+    # each distinct region of its options once, over all rows of the pack.
+    L = load_spec(specs["product"]).bundle
+    masked, lookups = [], []
+    mask, lookup = bundles.region_mask, bundles._lookup
+    monkeypatch.setattr(bundles, "region_mask",
+                        lambda region, X: masked.append((id(region), len(X))) or mask(region, X))
+
+    def spy(t, options, Y):
+        start = len(masked)
+        out = lookup(t, options, Y)
+        calls = masked[start:]
+        regions = {id(o.region) for opts in options for o in opts}
+        assert len({r for r, _ in calls}) == len(calls) <= len(regions)
+        assert all(rows == len(Y) for _, rows in calls)
+        lookups.append(len(calls))
+        return out
+
+    monkeypatch.setattr(bundles, "_lookup", spy)
+    check_base_atlas(L.base, 3, seed=7)
+    check_vb(L, 3, seed=7)
+    assert lookups and sum(lookups) == len(masked) < 448
+
+
+def test_a_matrix_builds_its_entry_key_once_per_suite_call(specs, monkeypatch):
+    # Every stage call used to rebuild the entry-id key of each option's
+    # matrix to find its program: 281 builds for these two suites at 3
+    # samples. Now a matrix finds its program by its own identity.
+    L = load_spec(specs["product"]).bundle
+    built = []
+    entries = calculus._entries
+    monkeypatch.setattr(calculus, "_entries", lambda exprs: built.append(id(exprs)) or entries(exprs))
+    check_base_atlas(L.base, 3, seed=7)
+    assert not built  # the atlas checks run maps only
+    check_vb(L, 3, seed=7)
+    assert sorted(built) == sorted({id(e.g) for e in L.edges})
+
+
 def test_packs_keep_subject_order_within_the_row_budget(monkeypatch):
     monkeypatch.setattr(bundles, "_PACK_ROWS", 8)
     subjects = [(k, np.zeros((n, 1)), None) for k, n in enumerate([3, 3, 2, 9, 1, 4, 4])]

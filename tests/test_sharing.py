@@ -48,6 +48,7 @@ from vbx.expr import (
     fold_div,
     fold_mul,
     fold_neg,
+    fold_pow,
     fold_sub,
     max_var_index,
     parse_expr,
@@ -56,8 +57,10 @@ from vbx.expr import (
     tree_size,
 )
 from vbx.report import report_to_json
-from vbx.specio import gallery_path, load_spec, save_spec
+from vbx.specio import gallery_path, list_gallery, load_spec, save_spec
 from vbx.symmat import mat_inverse, mat_subst
+
+from support import walked_top
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -290,9 +293,10 @@ def test_a_repeated_group_is_parsed_once_into_one_node():
     text = "sin(x1 + 2) * (x2 - 1) + sin(x1 + 2) / (x2 - 1)"
     e = parse_expr(text)
     assert e.a.a is e.b.a and e.a.b is e.b.b
-    unshared_parse = parse_expr(spaced(text))
-    assert unshared_parse == e
-    assert unshared_parse.a.a is not unshared_parse.b.a
+    # Spaced apart, the repeats are no longer equal texts, yet one node.
+    spaced_parse = parse_expr(spaced(text))
+    assert spaced_parse == e
+    assert spaced_parse.a.a is spaced_parse.b.a and spaced_parse.a.b is spaced_parse.b.b
     bare = parse_expr(text, NoMemo())
     assert bare == e and bare.a.a is not bare.b.a and bare.a.b is not bare.b.b
     # A call's text includes its name: sin(u) and cos(u) are not one group.
@@ -504,6 +508,38 @@ def test_deep_nesting_walks():
     assert max_var_index(subst(e, [Var(2)])) == 2
 
 
+_FOLDS = [fold_add, fold_sub, fold_mul, fold_div, lambda a, b: fold_neg(a),
+          lambda a, b: fold_pow(a, 3), lambda a, b: fold_pow(b, -2)]
+
+
+@seed(20261019)
+@settings(max_examples=150, deadline=None)
+@given(shared_exprs(), shared_exprs(), st.integers(1, 3))
+def test_top_is_the_bound_a_walk_finds(e, f, index):
+    # top is set at construction from the operands'; the oracle walks.
+    assert e.top == walked_top(e) and f.top == walked_top(f)
+    for build in [lambda: diff(e, index), lambda: subst(e, [f, Var(3)]),
+                  lambda: subst(e, [Num(2.0), Const("pi")])] + [
+                      lambda fold=fold: fold(e, f) for fold in _FOLDS]:
+        try:
+            out = build()
+        except EvalError:  # a literal zero denominator
+            continue
+        assert out.top == walked_top(out)
+
+
+def test_top_of_a_doubling_dag_and_a_deep_chain():
+    e = doubling(64)
+    assert e.top == walked_top(e) == 1
+    assert diff(e, 1).top == walked_top(diff(e, 1))
+    chain = Var(1)
+    for _ in range(10_000):
+        chain = Call("sin", chain)
+    for out in (chain, diff(chain, 1), subst(chain, [Var(2)]), subst(chain, [Num(1.0)])):
+        assert out.top == walked_top(out)
+    assert subst(chain, [Var(2)]).top == 2 and subst(chain, [Num(1.0)]).top == 0
+
+
 def test_eval_errors_come_from_the_first_failing_node():
     e = parse_expr("log(x1) + 1/(x1 - x1)")
     with pytest.raises(EvalError, match="log of non-positive"):
@@ -583,6 +619,43 @@ def test_a_loaded_output_is_one_node_per_entry_text_and_checks_like_the_built_on
         report = report_to_json(suite(loaded, 3))
         assert 0 < len(compiled) <= len(distinct)  # one program per entry tuple
         assert report == report_to_json(suite(built, 3))
+
+
+def document_nodes(doc) -> list:
+    """Every distinct node object of a loaded document."""
+    roots = [c for o in doc.base.overlaps for c in o.tau.components]
+    if doc.bundle is not None:
+        roots += [c for e in doc.bundle.edges for row in e.g for c in row]
+    for A in (*doc.sections.values(), *doc.fields.values()):
+        roots += [c for comps in A.per_chart.values() for c in comps]
+    for F in doc.frames.values():
+        roots += [c for m in F.fiber_map.values() for row in m for c in row]
+    seen: dict = {}
+    while roots:
+        node = roots.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            roots += [v for v in vars(node).values() if isinstance(v, Expr)]
+    return list(seen.values())
+
+
+@pytest.fixture(scope="module")
+def loaded_files(tmp_path_factory):
+    """Every gallery spec and every construct output of golden dense.json."""
+    work = tmp_path_factory.mktemp("outputs")
+    files = [gallery_path(name) for name in list_gallery()]
+    for name in sorted(PINNED):
+        save_spec(dense_construct(name), work / f"{name}.json")
+        files.append(work / f"{name}.json")
+    return files
+
+
+def test_a_load_holds_one_node_per_distinct_subexpression(loaded_files):
+    for path in loaded_files:
+        nodes = document_nodes(load_spec(path))
+        assert len(set(nodes)) == len(nodes), path.name
+        again = document_nodes(load_spec(path))
+        assert not {id(n) for n in nodes} & {id(n) for n in again}, path.name
 
 
 def cofactor_det(m):

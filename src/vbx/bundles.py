@@ -422,8 +422,7 @@ def transition_eval(B: VectorBundleSpec, i: str, j: str, x,
     edges = B.edges_between(i, j)
 
     def stage(t, X, rows):
-        at = _first_match([e.overlap.region for e in edges], X)
-        t.fail(rows, at < 0, lambda k: DomainViolation(
+        at, _ = _lookup(t, [edges], X, lambda k: DomainViolation(
             f"point {X[k].tolist()} is not in any declared {i}->{j} overlap region"))
         if edges:  # else every point failed above
             return t.matrices(at, [e.g for e in edges], X, B.field.dtype)
@@ -490,26 +489,33 @@ def _joined(t: _Trial, options, at) -> tuple:
     return np.where(at >= 0, at + offsets[t.subject], -1), [o for opts in options for o in opts]
 
 
-def _lookup(t: _Trial, options, Y) -> tuple:
+def _lookup(t: _Trial, options, Y, why=None) -> tuple:
     """Per row of Y, the first of its subject's options (overlaps or edges,
     options[s] for pack subject s) whose region holds it, as find_edge
     chooses, or none: a choice over the options of every subject in turn
-    (_joined), and those options. Each distinct region is masked once,
-    over every row of the pack."""
+    (_joined), and those options. A row in none fails with why, or with
+    no why leaves the trial. Each distinct region is masked once, over
+    every row of the pack."""
     if len(options) == 1:
-        return _first_match([o.region for o in options[0]], Y), options[0]
-    index: dict = {}  # id(region) -> (its row in hits, region)
-    table = np.full((max(map(len, options)), len(options)), -1)  # [k, s]: option k of s
-    for s, opts in enumerate(options):
-        for k, o in enumerate(opts):
-            table[k, s] = index.setdefault(id(o.region), (len(index), o.region))[0]
-    hits = np.zeros((len(index) + 1, len(Y)), dtype=bool)  # row -1: no option k
-    for i, region in index.values():
-        hits[i] = region_mask(region, Y)
-    at = np.full(len(Y), -1)
-    for k, region_of in enumerate(table):
-        at[(at < 0) & hits[region_of[t.subject], t.rows]] = k
-    return _joined(t, options, at)
+        at, chosen = _first_match([o.region for o in options[0]], Y), options[0]
+    else:
+        index: dict = {}  # id(region) -> (its row in hits, region)
+        table = np.full((max(map(len, options)), len(options)), -1)  # [k, s]: option k of s
+        for s, opts in enumerate(options):
+            for k, o in enumerate(opts):
+                table[k, s] = index.setdefault(id(o.region), (len(index), o.region))[0]
+        hits = np.zeros((len(index) + 1, len(Y)), dtype=bool)  # row -1: no option k
+        for i, region in index.values():
+            hits[i] = region_mask(region, Y)
+        at = np.full(len(Y), -1)
+        for k, region_of in enumerate(table):
+            at[(at < 0) & hits[region_of[t.subject], t.rows]] = k
+        at, chosen = _joined(t, options, at)
+    if why is None:
+        t.skip(t.rows, at < 0)
+    else:
+        t.fail(t.rows, at < 0, why)
+    return at, chosen
 
 
 def _live_only(t: _Trial, fn, A, shape) -> np.ndarray:
@@ -592,13 +598,11 @@ def _reverse_g(t: _Trial, backs, Y, dtype) -> np.ndarray:
     """g_ji at each image Y = tau_ij(x), from the first of its subject's
     j->i edges (backs[s] for pack subject s) that holds it, as find_edge
     chooses; a point in none fails."""
-    at, options = _lookup(t, backs, Y)
-
     def why(k):
         o = backs[t.subject[k]][0].overlap
         return f"tau image {Y[k].tolist()} is in no declared {o.frm}->{o.to} region"
 
-    t.fail(t.rows, at < 0, why)
+    at, options = _lookup(t, backs, Y, why)
     return t.matrices(at, [b.g for b in options], Y, dtype)
 
 
@@ -642,15 +646,14 @@ def check_base_atlas(spec: BaseAtlasSpec, samples: int = DEFAULT_SAMPLES,
     def pair(t, data):
         X = t.pts
         Y, J = t.maps_and_jacobians(t.subject, [o.tau for o, _ in data], X)
-        back_at, backs = _lookup(t, [reverse for _, reverse in data], Y)
 
         def why(j):
             o = data[t.subject[j]][0]
             return f"tau image {Y[j].tolist()} escapes every declared {o.to}->{o.frm} region"
 
-        t.fail(t.rows, back_at < 0, why)
+        back_at, backs = _lookup(t, [reverse for _, reverse in data], Y, why)
         back = t.maps(back_at, [r.tau for r in backs], Y)
-        return _max_abs(back - X), t.per_subject(scaled_abs_dets, J, t.rows)
+        return _max_abs(back - X), scaled_abs_dets(J)
 
     def triple(t, data):
         X = t.pts
@@ -659,7 +662,6 @@ def check_base_atlas(spec: BaseAtlasSpec, samples: int = DEFAULT_SAMPLES,
         Y = t.maps(at, [o.tau for o in ij], X)
         step2, jk = _lookup(t, jk, Y)
         direct, ik = _lookup(t, ik, X)
-        t.skip(t.rows, (step2 < 0) | (direct < 0))
         Z = t.maps(step2, [o.tau for o in jk], Y)
         return (_max_abs(Z - t.maps(direct, [o.tau for o in ik], X)),)
 
@@ -687,7 +689,7 @@ def check_vb(B: VectorBundleSpec, samples: int = DEFAULT_SAMPLES,
         es, backs = zip(*data)
         G = t.matrices(t.subject, [e.g for e in es], t.pts, dtype)
         G_back = _reverse_g(t, backs, t.maps(t.subject, [e.overlap.tau for e in es], t.pts), dtype)
-        return t.per_subject(scaled_abs_dets, G, t.rows), _max_abs(G @ G_back - eye)
+        return scaled_abs_dets(G), _max_abs(G @ G_back - eye)
 
     def triple(t, data):
         X = t.pts
@@ -696,11 +698,9 @@ def check_vb(B: VectorBundleSpec, samples: int = DEFAULT_SAMPLES,
         G1 = t.matrices(at, [e.g for e in ij], X, dtype)
         Y = t.maps(at, [e.overlap.tau for e in ij], X)
         e2, jk = _lookup(t, jk, Y)
-        t.skip(t.rows, e2 < 0)
         G2 = t.matrices(e2, [e.g for e in jk], Y, dtype)
         Z = t.maps(e2, [e.overlap.tau for e in jk], Y)
         e3, ki = _lookup(t, ki, Z)
-        t.skip(t.rows, e3 < 0)
         G3 = t.matrices(e3, [e.g for e in ki], Z, dtype)
         return (_max_abs(G1 @ G2 @ G3 - eye),)
 
@@ -769,7 +769,7 @@ def _fiber_map_rule(t, M: BundleMorphismSpec, chart: str, X, rows, tol: float | 
     phi = t.matrix(M.fiber_map[chart], X, rows, M.source.field.dtype)
     t.finite(phi, X, rows, noun)
     if tol is not None:
-        t.fail(rows, t.per_subject(scaled_abs_dets, phi, rows) <= tol,
+        t.fail(rows, scaled_abs_dets(phi) <= tol,
                lambda j: error(f"{noun} singular at {X[j].tolist()}"))
 
 

@@ -90,9 +90,10 @@ class _Trial:
     The points are those of one or more subjects (see bundles._sampled),
     each in a block of consecutive rows, `sizes` rows each (by default one
     subject of all rows). A subject's results do not depend on the others
-    in the batch: rows are evaluated independently, work whose form
-    depends on the stack length goes through per_subject, and options
-    that share a program run it over at most run_rows rows together.
+    in the batch: rows are evaluated independently, every numeric form
+    is chosen by the shape of what is computed, never by the number of
+    rows (see linalg.on_columns), and options that share a program run it
+    over at most run_rows rows together.
 
     Stages run in the order an identity is evaluated at a single point. A
     point leaves at its first failure, which becomes its note, or when a
@@ -117,18 +118,6 @@ class _Trial:
         self.subject = (np.zeros(n, dtype=int) if len(sizes) == 1  # per row, its block
                         else np.repeat(np.arange(len(sizes)), sizes))
         self.run_rows = n if run_rows is None else run_rows
-
-    def per_subject(self, fn, A, rows) -> np.ndarray:
-        """fn(A) computed on the rows of one subject at a time, for A with
-        one entry per row of rows (in row order): for work whose form
-        depends on the stack length (linalg.on_columns), so each subject
-        gets what it would get alone."""
-        if len(self.blocks) > 1:
-            counts = np.bincount(self.subject[rows], minlength=len(self.blocks)).tolist()
-            if max(counts) < len(A):
-                return np.concatenate([fn(A[end - k:end])
-                                       for k, end in zip(counts, accumulate(counts)) if k])
-        return fn(A)
 
     def fail(self, rows, mask, why) -> None:
         """Fail the live points among rows[mask]. why(j) explains local

@@ -40,11 +40,13 @@ from .bundles import (
     TensorFieldSpec,
     VectorBundleSpec,
     _check_field_pair,
+    _edge_subject,
     _fiber_map_rule,
     _field_values,
     _frame_chart,
     _first_match,
     _live_only,
+    _lookup,
     _max_abs,
     _operand_rules,
     _sampled,
@@ -594,17 +596,15 @@ def check_morphism(M: BundleMorphismSpec, samples: int = DEFAULT_SAMPLES,
                 tau2_fi = fi_x
             else:
                 edges2 = tgt.edges_between(ci, cj)
-                at = _first_match([f.overlap.region for f in edges2], fi_x)
-                t.fail(rows, at < 0, lambda k: (f"base image {fi_x[k].tolist()} lies in no "
-                                                f"declared {ci}->{cj} overlap region"))
+                at, _ = _lookup(t, [edges2], fi_x, lambda k: (
+                    f"base image {fi_x[k].tolist()} lies in no declared {ci}->{cj} overlap region"))
                 g2 = t.matrices(at, [f.g for f in edges2], fi_x, tgt.field.dtype)
                 tau2_fi = t.maps(at, [f.overlap.tau for f in edges2], fi_x)
             return _max_abs(phi_i @ g1 - g2 @ phi_j), _max_abs(fj_y - tau2_fi)
 
         records += _sampled(progs, [("morphism_intertwine", RESIDUAL, tol),
                                     ("base_map_coherence", RESIDUAL, tol)],
-                            [(f"{i}->{j}#{e.component}",
-                              sample_region(e.overlap.region, samples, seed), None)],
+                            [(_edge_subject(e), sample_region(e.region, samples, seed), None)],
                             seed, evaluate)
     if not records:
         records.append(vacuous_record("morphism_intertwine", "no overlaps", seed, tol))
@@ -813,8 +813,7 @@ def subbundle_check(B: VectorBundleSpec, W: dict, samples: int = DEFAULT_SAMPLES
             return (np.max(np.linalg.norm(off, axis=1) / scale, axis=1),)
 
         records += _sampled(progs, [("subbundle_span", RESIDUAL, tol)],
-                            [(f"{i}->{j}#{e.component}",
-                              sample_region(e.overlap.region, samples, seed), None)],
+                            [(_edge_subject(e), sample_region(e.region, samples, seed), None)],
                             seed, evaluate)
     if not checked_overlap and len(cols_of) > 1:
         records.append(vacuous_record("subbundle_span", "no shared overlaps", seed, tol))

@@ -779,6 +779,8 @@ def as_exprs(entries, dim: int, what: str, error) -> tuple:
 
 
 def _fmt_num(v: float) -> str:
+    if not math.isfinite(v):
+        raise EvalError(f"literal {v!r} is not finite and has no spelling")
     if v == int(v) and abs(v) < 1e16:
         return str(int(v))
     return repr(v)
@@ -856,8 +858,12 @@ def _folded(op, *values) -> Expr | None:
 
 
 def num_literal(v: float) -> Expr:
-    """A literal node for v; negatives become Neg(Num) as the grammar would."""
-    return _num(float(v))
+    """A literal node for v; negatives become Neg(Num) as the grammar would.
+    EvalError for a non-finite v, which the grammar cannot spell."""
+    v = float(v)
+    if not math.isfinite(v):
+        raise EvalError(f"literal {v!r} is not finite")
+    return _num(v)
 
 
 def fold_add(a: Expr, b: Expr) -> Expr:

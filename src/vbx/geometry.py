@@ -99,7 +99,7 @@ def region_contains(boxes, x) -> bool:
 def box_mask(box: Box, X) -> np.ndarray:
     """Box.contains for each row of an (n, dim) array."""
     X = np.asarray(X, dtype=float)
-    if on_columns(len(X), box.dim):
+    if on_columns(box.dim):
         return reduce(np.logical_and, [(c > a) & (c < b) for c, a, b in zip(X.T, box.lo, box.hi)])
     return np.all((X > box.lo) & (X < box.hi), axis=1)
 

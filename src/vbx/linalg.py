@@ -132,13 +132,13 @@ def scaled_abs_det(matrix: np.ndarray) -> float:
 def scaled_abs_dets(stack: np.ndarray) -> np.ndarray:
     """scaled_abs_det of each matrix in an (n, d, d) stack, in one pass.
 
-    For d <= 3, once on_columns(n, d * d) holds, the determinant is the
-    cofactor expansion of _cofactor_scaled_abs_dets; otherwise LAPACK's LU
-    (_lu_scaled_abs_dets). Both give 0 for a matrix with a zero row.
+    The form depends on d alone, so each matrix gets the same answer in a
+    stack of any length, alone included: for d <= 3 the cofactor expansion
+    of _cofactor_scaled_abs_dets, else LAPACK's LU (_lu_scaled_abs_dets).
+    Both give 0 for a matrix with a zero row.
     """
     m = np.asarray(stack)
-    d = m.shape[-1]
-    if d <= 3 and on_columns(len(m), d * d):
+    if m.shape[-1] <= 3:
         return _cofactor_scaled_abs_dets(m)
     return _lu_scaled_abs_dets(m)
 
@@ -189,37 +189,44 @@ def _lu_scaled_abs_dets(m: np.ndarray) -> np.ndarray:
     return np.where(zero_row, 0.0, det)
 
 
-def on_columns(n: int, k: int) -> bool:
-    """Whether work on n samples of k entries each is done as about k numpy
-    calls on n-long entry columns, rather than as numpy's own call over the
-    short axes of the stack.
+def on_columns(k: int) -> bool:
+    """Whether work on samples of k entries each is done as about k numpy
+    calls on entry columns, one per entry position across the samples,
+    rather than as numpy's own call over the short axes of the stack.
 
-    numpy spends a fixed time per sample reducing a short trailing axis,
-    and LAPACK one call per matrix, so the column forms win on many
-    samples of few entries and lose on few samples. Timed on a 2-core
-    x86-64 host with numpy 2.4, a loop over the columns beat the axis
-    reduction
+    The rule reads the entry count alone, never the number of samples, so
+    a result never depends on how the samples are batched; the forms it
+    picks between give the same bits, and it picks only a speed. numpy
+    spends a fixed time per sample reducing a short trailing axis, so the
+    column loop wins on many samples of few entries and loses by a fixed
+    cost per call on few samples. Timed on a 2-core x86-64 host with
+    numpy 2.4, a loop over the columns beat the axis reduction
       np.maximum:     from n = 8, 16, 24, 192, 384, 1536 at k = 2, 3, 4, 9,
                       25, 49, and at no n up to 3072 at k = 81;
       np.logical_and: from n = 32, 48, 96, 192, about 1536 at k = 2, 3, 4,
                       9, 25, and at no n up to 3072 at k = 49 or 81;
-    and the cofactor determinant beat LAPACK's from n = 1, about 32 and
-    about 100 at d = 1, 2, 3. At n = 3 every column form lost, by about
-    20 us a call on 25 entries and 30 us on a 3 x 3 determinant. Hence
-    columns from n >= 32 k, for k <= 25 (which leaves np.logical_and on
-    25 entries up to a fifth slower between n = 800 and 1536).
+    and at n = 3 it lost by about 20 us a call on 25 entries. Hence columns
+    for k <= 25.
     """
-    return 0 < k <= 25 and n >= 32 * k
+    return 0 < k <= 25
 
 
 def row_reduce(ufunc, A: np.ndarray) -> np.ndarray:
     """ufunc.reduce over all entries of each A[i], for an (n, ...) array A:
     a loop over the entry columns when on_columns says so, else numpy's
-    reduction over the flattened entries."""
+    reduction over the flattened entries. The ufuncs reduced here
+    (np.maximum, np.logical_and) give the same bits in either order."""
     M = A.reshape(len(A), math.prod(A.shape[1:]))
-    if on_columns(*M.shape):
+    if on_columns(M.shape[1]):
         return reduce(ufunc, M.T)
     return ufunc.reduce(M, axis=1)
+
+
+def _invertible(matrix: np.ndarray, tol: float) -> bool:
+    """The one singularity rule: matrix is invertible at tol when its
+    scaled |det| is above tol. A non-square matrix (scaled |det| 0) and a
+    NaN determinant, from a NaN or infinite entry, are singular."""
+    return scaled_abs_det(matrix) > tol
 
 
 def make_basis(space: VectorSpace, vectors, tol: float = DEFAULT_TOL) -> OrderedBasis:
@@ -239,7 +246,7 @@ def make_basis(space: VectorSpace, vectors, tol: float = DEFAULT_TOL) -> Ordered
         raise ShapeMismatch(
             f"expected {space.dim} vectors of length {space.dim}, got shape {arr.shape}"
         )
-    if scaled_abs_det(arr.T) <= tol:
+    if not _invertible(arr.T, tol):
         raise SingularBasis("basis vectors are linearly dependent at the working tolerance")
     return OrderedBasis(space, _freeze(arr))
 
@@ -256,7 +263,7 @@ def dual_basis(b: OrderedBasis, tol: float = DEFAULT_TOL) -> OrderedBasis:
     matrix whose columns are the basis vectors.
     """
     cols = b.vectors.T
-    if scaled_abs_det(cols) <= tol:
+    if not _invertible(cols, tol):
         raise SingularBasis("basis matrix is numerically singular")
     dual_rows = np.linalg.inv(cols)
     return OrderedBasis(VectorSpace(b.space.dim, b.space.field), _freeze(dual_rows))
@@ -272,10 +279,10 @@ def compose_linear(T: LinearMap, L: LinearMap) -> LinearMap:
 
 
 def invert_linear(L: LinearMap, tol: float = DEFAULT_TOL) -> LinearMap:
-    """Inverse map, or Singular if the scaled |det| is at or below tol."""
+    """Inverse map, or Singular if the scaled |det| is not above tol."""
     if L.domain.dim != L.codomain.dim:
         raise ShapeMismatch(f"cannot invert a {L.codomain.dim} x {L.domain.dim} map")
-    if scaled_abs_det(L.matrix) <= tol:
+    if not _invertible(L.matrix, tol):
         raise Singular("matrix is singular at the working tolerance")
     return LinearMap(L.codomain, L.domain, _freeze(np.linalg.inv(L.matrix)))
 
@@ -286,6 +293,4 @@ def is_gl(L: LinearMap, tol: float = DEFAULT_TOL) -> bool:
     Complex matrices are judged by the modulus of their determinant.
     Non-square maps simply return False.
     """
-    if L.domain.dim != L.codomain.dim:
-        return False
-    return scaled_abs_det(L.matrix) > tol
+    return _invertible(L.matrix, tol)

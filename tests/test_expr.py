@@ -216,6 +216,15 @@ def test_num_literal_wraps_negatives():
     assert num_literal(-2.0) == Neg(Num(2.0))
 
 
+@pytest.mark.parametrize("v", [math.inf, -math.inf, math.nan])
+def test_non_finite_literals_are_refused_and_never_printed(v):
+    with pytest.raises(EvalError, match="not finite"):
+        num_literal(v)
+    for node in (Num(v), Neg(Num(v)), Add(Var(1), Num(v))):  # built directly, past the check
+        with pytest.raises(EvalError, match="not finite"):
+            to_string(node)
+
+
 def test_max_var_index():
     assert max_var_index(parse_expr("x1 + sin(x4)*x2")) == 4
     assert max_var_index(parse_expr("3 + pi")) == 0

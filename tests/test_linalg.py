@@ -15,6 +15,7 @@ from vbx.calculus import _Trial
 from vbx.errors import ShapeMismatch, Singular, SingularBasis
 from vbx.linalg import (
     FieldTag,
+    OrderedBasis,
     _cofactor_scaled_abs_dets,
     apply_linear,
     compose_linear,
@@ -25,8 +26,9 @@ from vbx.linalg import (
     make_basis,
     make_linear,
     make_space,
-    scaled_abs_det,
     on_columns,
+    row_reduce,
+    scaled_abs_det,
     scaled_abs_dets,
     standard_basis,
 )
@@ -86,6 +88,19 @@ def test_identity_and_is_gl():
     assert is_gl(identity_linear(v))
     rect = make_linear(make_space(2), make_space(3), [[1, 0], [0, 1], [0, 0]])
     assert not is_gl(rect)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_a_non_finite_entry_makes_every_matrix_test_call_it_singular(bad):
+    v = make_space(2)
+    m = [[bad, 0.0], [0.0, 1.0]]
+    assert not is_gl(make_linear(v, v, m))
+    with pytest.raises(SingularBasis):
+        make_basis(v, m)
+    with pytest.raises(SingularBasis):
+        dual_basis(OrderedBasis(v, np.array(m)))
+    with pytest.raises(Singular):
+        invert_linear(make_linear(v, v, m))
 
 
 def test_scaled_abs_det_is_scale_free():
@@ -195,10 +210,10 @@ def test_scaled_abs_dets_matches_the_lu_oracle(m):
     for g in got:
         assert g.shape == want.shape
         assert np.array_equal(np.isnan(g), np.isnan(want))
-    if d > 3 or not on_columns(n, d * d):  # LAPACK's LU, as in the oracle
+    if d > 3:  # LAPACK's LU, as in the oracle
         assert np.array_equal(got[0], want, equal_nan=True)
     ok = ~np.isnan(want)
-    for g in got[d > 3 or not on_columns(n, d * d):]:
+    for g in got[d > 3:]:
         assert np.all(np.abs(g[ok] - want[ok]) <= CLOSED_FORM_BOUND + LU_BOUND)
 
 
@@ -240,10 +255,34 @@ def test_closed_form_is_within_its_bound_of_the_exact_determinant(d, is_complex,
 
 
 def test_column_forms_only_where_they_win():
-    assert not any(on_columns(3, k) for k in range(82))  # few samples: numpy's forms
-    assert all(on_columns(2000, k) for k in range(1, 26))
-    assert not on_columns(2000, 0) and not on_columns(2000, 49) and not on_columns(2000, 81)
-    assert on_columns(288, 9) and not on_columns(287, 9)
+    # The rule reads the entry count alone: no sample count can change a form.
+    assert all(on_columns(k) for k in range(1, 26))
+    assert not on_columns(0) and not on_columns(26) and not on_columns(49)
+    assert not on_columns(81)
+
+
+def _splits(n, cuts) -> list:
+    """The (start, stop) parts of range(n) cut at cuts (taken mod n + 1)."""
+    bounds = sorted({0, n, *(c % (n + 1) for c in cuts)})
+    return list(zip(bounds, bounds[1:]))
+
+
+_cuts = st.lists(st.integers(0, 400), max_size=4)
+
+
+@seed(20261019)
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 4), st.booleans(), st.integers(1, 400), st.integers(0, 2**32 - 1),
+       st.lists(st.sampled_from(["zero", "zero column", "nan", "inf", "near"]), max_size=6),
+       _cuts)
+def test_scaled_abs_dets_are_the_same_bits_on_any_split_of_the_stack(
+        d, is_complex, n, seed_, specials, cuts):
+    m = _stack(d, is_complex, n, seed_, specials)
+    whole = scaled_abs_dets(m)
+    parts = np.concatenate([scaled_abs_dets(m[a:b]) for a, b in _splits(n, cuts)])
+    assert parts.tobytes() == whole.tobytes()
+    for i in range(n):  # a single point is one row of the batch
+        assert np.float64(scaled_abs_det(m[i])).tobytes() == whole[i:i + 1].tobytes()
 
 
 _entries = st.sampled_from([0.0, -0.0, 1.5, -2.0, 1e-300, 1e300, np.nan, np.inf, -np.inf])
@@ -268,6 +307,26 @@ def test_entry_reductions_equal_the_axis_reductions(n, shape, seed_, specials):
     assert np.array_equal(t.live, finite)
     live = _live_only(_Trial(np.zeros((n, 1)), {}), lambda W: W, A, shape)
     assert np.array_equal(np.isnan(live).all(axis=tuple(range(1, A.ndim))), ~finite)
+
+
+@seed(20261019)
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 80), st.sampled_from([1, 3, 4, 9, 25, 26, 49]),
+       st.integers(0, 2**32 - 1), st.lists(_entries, max_size=4), _cuts)
+def test_entry_reductions_and_box_masks_are_the_same_bits_on_any_split(n, k, seed_, specials,
+                                                                        cuts):
+    rng = np.random.default_rng(seed_)
+    A = rng.uniform(-3.0, 3.0, (n, k))
+    A[: n // 2] = 0.0  # inside the box below, but for the specials
+    if specials:
+        A.reshape(-1)[rng.integers(A.size, size=len(specials))] = specials
+    box = make_box([(rng.uniform(-3.5, -1.0), rng.uniform(1.0, 3.5)) for _ in range(k)])
+    for fn in (lambda A: row_reduce(np.maximum, np.abs(A)),
+               lambda A: row_reduce(np.logical_and, np.isfinite(A)),
+               lambda A: box_mask(box, A)):
+        whole = fn(A)
+        parts = np.concatenate([fn(A[a:b]) for a, b in _splits(n, cuts)])
+        assert parts.tobytes() == whole.tobytes()
 
 
 @seed(20261018)

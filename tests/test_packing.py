@@ -15,14 +15,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vbx import bundles, calculus
+from vbx import bundles, calculus, linalg
 from vbx.bundles import check_base_atlas, check_vb, make_field, make_morphism
 from vbx.calculus import SmoothMap, make_smooth_map
 from vbx.cli import main
-from vbx.constructions import check_tensor_field, direct_product, tensor_bundle, vb_pullback_rs
+from vbx.constructions import (check_tensor_field, direct_product, dual_bundle, tensor_bundle,
+                               vb_pullback_rs)
 from vbx.expr import Var
 from vbx.geometry import make_box
-from vbx.linalg import on_columns
 from vbx.report import report_to_json
 from vbx.specio import gallery_path, list_gallery, load_spec, save_spec
 
@@ -34,12 +34,14 @@ BUDGETS = (1, 7, bundles._PACK_ROWS)
 
 @pytest.fixture(scope="module")
 def specs(tmp_path_factory):
-    """Every gallery spec, and the dense tensor (1,1) and product outputs
-    as `vbx construct` writes them (loaded back, their entries interned)."""
+    """Every gallery spec, and the dense tensor (1,1), dual and product
+    outputs as `vbx construct` writes them (loaded back, their entries
+    interned). The dual's fiber dimension is 3: its transition_gl
+    determinants are stacks of 3 x 3 matrices."""
     out = {name: gallery_path(name) for name in list_gallery()}
     dense = load_spec(GOLDEN / "dense.json").bundle
     work = tmp_path_factory.mktemp("dense")
-    for name, B in (("tensor11", tensor_bundle(dense, 1, 1)),
+    for name, B in (("tensor11", tensor_bundle(dense, 1, 1)), ("dual", dual_bundle(dense)),
                     ("product", direct_product(
                         dense, load_spec(gallery_path("projective_tangent")).bundle))):
         save_spec(B, work / f"{name}.json")
@@ -56,8 +58,9 @@ def check_bytes(path, samples, out) -> tuple:
     return buf.getvalue(), code, out.read_bytes()
 
 
-@pytest.mark.parametrize("samples", [1, 3, 50, 200])
-@pytest.mark.parametrize("name", sorted(list_gallery()) + ["tensor11", "product"])
+@pytest.mark.parametrize("name, samples", [
+    (name, samples) for name in sorted(list_gallery()) + ["tensor11", "product"]
+    for samples in (1, 3, 50, 200)] + [("dual", samples) for samples in (1, 3, 50)])
 def test_a_report_is_the_same_at_every_row_budget(specs, name, samples, tmp_path, monkeypatch):
     got = []
     for budget in BUDGETS:
@@ -102,12 +105,14 @@ def test_failures_inside_a_pack_are_those_of_each_subject_alone(samples, tmp_pat
             assert note in stdout
 
 
-def spy_det_lengths(monkeypatch) -> list:
-    """The stack length of every scaled_abs_dets call of the suites."""
-    lengths = []
-    det = bundles.scaled_abs_dets
-    monkeypatch.setattr(bundles, "scaled_abs_dets", lambda m: lengths.append(len(m)) or det(m))
-    return lengths
+def spy_det_forms(monkeypatch) -> list:
+    """(form, stack length) of every determinant taken."""
+    calls = []
+    for form in ("_cofactor_scaled_abs_dets", "_lu_scaled_abs_dets"):
+        fn = getattr(linalg, form)
+        monkeypatch.setattr(linalg, form,
+                            lambda m, form=form, fn=fn: calls.append((form, len(m))) or fn(m))
+    return calls
 
 
 def spy_trial_rows(monkeypatch) -> list:
@@ -124,22 +129,23 @@ def spy_trial_rows(monkeypatch) -> list:
 
 
 def test_a_pack_past_the_determinant_threshold_keeps_each_subjects_form(monkeypatch):
-    # projective_tangent, d = 2: the determinant form changes at 128 rows.
-    # At 50 samples no edge reaches it, but their pack does.
+    # projective_tangent, d = 2. At 50 samples the pack of its edges is one
+    # stack of determinants, and d alone picks the closed form for it as
+    # for each edge alone, so every record is its edge's alone.
     B = load_spec(gallery_path("projective_tangent")).bundle
     monkeypatch.setattr(bundles, "_PACK_ROWS", 1)
     alone = report_to_json(check_vb(B, 50, seed=7))
     monkeypatch.setattr(bundles, "_PACK_ROWS", 2048)
-    lengths, rows = spy_det_lengths(monkeypatch), spy_trial_rows(monkeypatch)
+    forms, rows = spy_det_forms(monkeypatch), spy_trial_rows(monkeypatch)
     assert report_to_json(check_vb(B, 50, seed=7)) == alone
-    assert not on_columns(max(lengths), 4)
-    assert on_columns(max(rows), 4)
+    assert {form for form, _ in forms} == {"_cofactor_scaled_abs_dets"}
+    assert max(n for _, n in forms) == max(rows) > 50
 
 
 def test_a_pulled_field_keeps_each_subjects_determinant_form(monkeypatch):
     # The fiber-map rule of a pulled field runs on the rows of every edge
-    # whose chart it is; at 100 samples a chart's rows pass 128 and no
-    # edge's do.
+    # whose chart it is, as one stack: d = 2 picks the closed form for it,
+    # as for each edge's rows alone.
     B = circle_trivial_bundle(2)
     charts = ("east", "west")
     M = make_morphism(B, B, {c: c for c in charts}, {c: ["x1"] for c in charts},
@@ -149,9 +155,10 @@ def test_a_pulled_field_keeps_each_subjects_determinant_form(monkeypatch):
     monkeypatch.setattr(bundles, "_PACK_ROWS", 1)
     alone = report_to_json(check_tensor_field(A, 100, seed=7))
     monkeypatch.setattr(bundles, "_PACK_ROWS", 2048)
-    lengths = spy_det_lengths(monkeypatch)
+    forms = spy_det_forms(monkeypatch)
     assert report_to_json(check_tensor_field(A, 100, seed=7)) == alone
-    assert lengths and max(lengths) == 100
+    assert {form for form, _ in forms} == {"_cofactor_scaled_abs_dets"}
+    assert max(n for _, n in forms) > 100
 
 
 def test_one_run_per_program_in_each_stage_of_a_pack(specs, monkeypatch):
@@ -189,9 +196,9 @@ def test_each_lookup_masks_each_distinct_region_once(specs, monkeypatch):
     monkeypatch.setattr(bundles, "region_mask",
                         lambda region, X: masked.append((id(region), len(X))) or mask(region, X))
 
-    def spy(t, options, Y):
+    def spy(t, options, Y, why=None):
         start = len(masked)
-        out = lookup(t, options, Y)
+        out = lookup(t, options, Y, why)
         calls = masked[start:]
         regions = {id(o.region) for opts in options for o in opts}
         assert len({r for r, _ in calls}) == len(calls) <= len(regions)

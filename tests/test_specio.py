@@ -3,10 +3,12 @@
 import json
 
 import pytest
-from support import local_field, mobius_bundle, plane_rotation_bundle
+from support import circle_atlas, local_field, mobius_bundle, plane_rotation_bundle
 
-from vbx.bundles import make_field, make_frame, make_section
-from vbx.errors import FileError, ParseError, SpecError
+from vbx.bundles import make_bundle, make_field, make_frame, make_section
+from vbx.errors import EvalError, FileError, ParseError, SpecError
+from vbx.expr import Num
+from vbx.linalg import FieldTag
 from vbx.specio import (
     bundle_to_dict,
     document_to_dict,
@@ -78,6 +80,16 @@ def test_save_rejects_an_entry_that_is_not_on_the_saved_bundle(tmp_path):
     with pytest.raises(SpecError, match="section 'diag' is not on the saved bundle"):
         save_spec(mobius_bundle(), tmp_path / "m.json", sections={"diag": S})
     assert not (tmp_path / "m.json").exists()
+
+
+def test_save_rejects_a_non_finite_literal(tmp_path):
+    # The API takes nodes as built; the grammar has no spelling for this one.
+    B = make_bundle(circle_atlas(), 1, FieldTag.REAL,
+                    [(frm, to, [[Num(float("inf"))]]) for frm, to in
+                     (("east", "west"), ("east", "west"), ("west", "east"), ("west", "east"))])
+    with pytest.raises(EvalError, match="not finite"):
+        save_spec(B, tmp_path / "inf.json")
+    assert not (tmp_path / "inf.json").exists()
 
 
 def test_save_rejects_a_field_with_point_rules(tmp_path):

@@ -69,6 +69,7 @@ from .geometry import (
     sample_box,
     sample_region,
     sampling_scope,
+    scope_memo,
 )
 from .linalg import (
     DEFAULT_TOL,
@@ -544,27 +545,28 @@ def _packs(subjects):
         yield pack
 
 
-def _sampled(progs: dict, checks, subjects, seed: int, evaluate,
-             samples: int | None = None) -> list:
+def _sampled(checks, subjects, seed: int, evaluate, samples: int | None = None) -> list:
     """The records of the sampled identities of subjects, an iterable of
     (name, points, data), in order.
 
-    progs is the suite call's cache of compiled programs. checks holds
-    (check, kind, tol) for each per-row value array that evaluate(trial,
-    data) returns, in record order, for a trial over one pack of subjects
-    (_packs) and data, their data in order. A failed sample, or a
-    non-finite value at a live one, fails the subject: one failed record,
-    of its check's kind, under its first residual check (else its first
-    check), noting the subject's first such sample in sample order. Triple
-    checks pass samples, the count a failed record reports; for them only
-    samples that stayed live count, and none makes the subject vacuous.
+    The trials take their programs from the sampling scope's cache (see
+    geometry.scope_memo), which the suites of one check command share.
+    checks holds (check, kind, tol) for each per-row value array that
+    evaluate(trial, data) returns, in record order, for a trial over one
+    pack of subjects (_packs) and data, their data in order. A failed
+    sample, or a non-finite value at a live one, fails the subject: one
+    failed record, of its check's kind, under its first residual check
+    (else its first check), noting the subject's first such sample in
+    sample order. Triple checks pass samples, the count a failed record
+    reports; for them only samples that stayed live count, and none makes
+    the subject vacuous.
     """
     name, kind, tol = next((c for c in checks if c[1] == RESIDUAL), checks[0])
     records = []
     for pack in _packs(subjects):
         names, pts, data = zip(*pack)
         X = pts[0] if len(pts) == 1 else np.vstack(pts)
-        t = _Trial(X, progs, [len(p) for p in pts], _PACK_ROWS)
+        t = _Trial(X, scope_memo("programs"), [len(p) for p in pts], _PACK_ROWS)
         with np.errstate(all="ignore"):  # failed samples compute on garbage
             values = evaluate(t, data)
         for (_, k, _), v in zip(checks, values):
@@ -637,7 +639,6 @@ def check_base_atlas(spec: BaseAtlasSpec, samples: int = DEFAULT_SAMPLES,
     the needed overlaps: tau_jk(tau_ij(x)) = tau_ik(x) where memberships
     allow.
     """
-    progs: dict = {}
     pairs = ((_overlap_subject(o, comp), sample_region(o.region, samples, seed),
               (o, spec.overlaps_between(o.to, o.frm)))
              for frm, to in sorted({(o.frm, o.to) for o in spec.overlaps})
@@ -667,9 +668,9 @@ def check_base_atlas(spec: BaseAtlasSpec, samples: int = DEFAULT_SAMPLES,
 
     triples = _triples([c.name for c in spec.charts], spec.overlaps_between, lambda i, k: (i, k),
                        samples, seed)
-    records = _sampled(progs, [("tau_inverse", RESIDUAL, tol),
-                               ("tau_jacobian", MIN_DET, DEFAULT_TOL)], pairs, seed, pair)
-    records += _sampled(progs, [("tau_triple", RESIDUAL, tol)], triples, seed, triple,
+    records = _sampled([("tau_inverse", RESIDUAL, tol), ("tau_jacobian", MIN_DET, DEFAULT_TOL)],
+                       pairs, seed, pair)
+    records += _sampled([("tau_triple", RESIDUAL, tol)], triples, seed, triple,
                         samples=samples)
     return make_report("base_atlas", records)
 
@@ -678,7 +679,6 @@ def check_base_atlas(spec: BaseAtlasSpec, samples: int = DEFAULT_SAMPLES,
 def check_vb(B: VectorBundleSpec, samples: int = DEFAULT_SAMPLES,
              tol: float = DEFAULT_CHECK_TOL, seed: int = DEFAULT_SEED) -> CheckReport:
     """Sampled verification of VB structure: GL values, pair and triple cocycles."""
-    progs: dict = {}
     d, dtype = B.fiber_dim, B.field.dtype
     eye = np.eye(d, dtype=dtype)
     pairs = ((_edge_subject(e), sample_region(e.region, samples, seed),
@@ -706,9 +706,9 @@ def check_vb(B: VectorBundleSpec, samples: int = DEFAULT_SAMPLES,
 
     triples = _triples([c.name for c in B.base.charts], B.edges_between, lambda i, k: (k, i),
                        samples, seed)
-    records = _sampled(progs, [("transition_gl", MIN_DET, DEFAULT_TOL),
-                               ("pair_cocycle", RESIDUAL, tol)], pairs, seed, pair)
-    records += _sampled(progs, [("triple_cocycle", RESIDUAL, tol)], triples, seed, triple,
+    records = _sampled([("transition_gl", MIN_DET, DEFAULT_TOL), ("pair_cocycle", RESIDUAL, tol)],
+                       pairs, seed, pair)
+    records += _sampled([("triple_cocycle", RESIDUAL, tol)], triples, seed, triple,
                         samples=samples)
     return make_report("vector_bundle", records)
 
@@ -824,7 +824,7 @@ def check_section(S: TensorFieldSpec, samples: int = DEFAULT_SAMPLES,
             mats = [_reverse_g(t, backs, Y, dtype).transpose(0, 2, 1)] * S.r + mats
         return (_max_abs(lhs - on_slots(C, mats).reshape(lhs.shape)),)
 
-    records = _sampled({}, [("section_compat", RESIDUAL, tol)], pairs, seed, evaluate)
+    records = _sampled([("section_compat", RESIDUAL, tol)], pairs, seed, evaluate)
     if not records:
         records.append(vacuous_record("section_compat", "no shared overlaps", seed, tol))
     return make_report("section", records)
@@ -935,7 +935,7 @@ def check_frame(F: BundleMorphismSpec, samples: int = DEFAULT_SAMPLES,
         return (scaled_abs_dets(t.matrix(F.fiber_map[c.name], t.pts, t.rows,
                                          F.source.field.dtype)),)
 
-    records = _sampled({}, [("frame_gl", MIN_DET, tol)],
+    records = _sampled([("frame_gl", MIN_DET, tol)],
                        [(c.name, sample_box(c.box, samples, seed), None)], seed, evaluate)
     return make_report("frame", records)
 

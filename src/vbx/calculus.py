@@ -150,7 +150,8 @@ class _Trial:
 
     def program(self, exprs) -> Program:
         """exprs (a vector, or a matrix flattened row by row) compiled once
-        per progs: a suite call's cache, or a one-point call's. The program
+        per progs: a check command's cache (geometry.scope_memo), a suite
+        call's when it runs on its own, or a one-point call's. The program
         is keyed by the identities of the entries, not their container, so
         matrices whose entries a document interned to the same nodes (see
         expr.parse_expr) share one program on whichever edge they stand;
@@ -266,15 +267,16 @@ class _Trial:
                 self._in_domain(options[k], X, self.rows)
             return stage(options[k], X, self.rows)
         counts = np.bincount(choice + 1, minlength=len(options) + 1)[1:].tolist()
-        by_key: dict = {}  # key -> runs of the options with that key, each within run_rows
+        by_key: dict = {}  # key -> runs of the options with that key: [rows, options]
         for k, count in enumerate(counts):
             if count:
-                group = by_key.setdefault(key(options[k]), [[]])
-                if group[-1] and sum(counts[i] for i in group[-1]) + count > self.run_rows:
-                    group.append([])
-                group[-1].append(k)
+                runs = by_key.setdefault(key(options[k]), [])
+                if not runs or runs[-1][0] + count > self.run_rows:
+                    runs.append([0, []])
+                runs[-1][0] += count
+                runs[-1][1].append(k)
         out = np.full((len(choice),) + shape, np.nan, dtype=dtype)
-        for run in (run for group in by_key.values() for run in group):
+        for _, run in (run for runs in by_key.values() for run in runs):
             rows = _rows_choosing(choice, run, len(options))
             Xr = X[rows]
             for box in dict.fromkeys(options[k].box for k in run) if boxes else ():

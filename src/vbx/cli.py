@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 from dataclasses import replace
@@ -116,8 +117,8 @@ def _tagged(report: CheckReport, prefix: str) -> CheckReport:
 def cmd_check(args) -> int:
     if not 1 <= args.samples <= MAX_SAMPLES:
         raise _Usage(f"--samples must be between 1 and {MAX_SAMPLES:,}")
-    if not args.tol > 0:
-        raise _Usage("--tol must be positive")
+    if not 0 < args.tol < math.inf:
+        raise _Usage("--tol must be a positive finite number")
     doc = load_spec(args.spec)
 
     reports = [check_base_atlas(doc.base, args.samples, args.tol, args.seed)]

@@ -575,7 +575,6 @@ def check_morphism(M: BundleMorphismSpec, samples: int = DEFAULT_SAMPLES,
     smooth = {c.name: make_smooth_map(M.base_map[c.name], c.box)
               for c in src.base.charts}
     dtype = src.field.dtype
-    progs: dict = {}
     records = []
     for e in src.edges:
         i, j = e.overlap.frm, e.overlap.to
@@ -602,8 +601,8 @@ def check_morphism(M: BundleMorphismSpec, samples: int = DEFAULT_SAMPLES,
                 tau2_fi = t.maps(at, [f.overlap.tau for f in edges2], fi_x)
             return _max_abs(phi_i @ g1 - g2 @ phi_j), _max_abs(fj_y - tau2_fi)
 
-        records += _sampled(progs, [("morphism_intertwine", RESIDUAL, tol),
-                                    ("base_map_coherence", RESIDUAL, tol)],
+        records += _sampled([("morphism_intertwine", RESIDUAL, tol),
+                             ("base_map_coherence", RESIDUAL, tol)],
                             [(_edge_subject(e), sample_region(e.region, samples, seed), None)],
                             seed, evaluate)
     if not records:
@@ -616,7 +615,7 @@ def check_morphism(M: BundleMorphismSpec, samples: int = DEFAULT_SAMPLES,
             t.in_box(tgt.base.chart(target).box, Y, t.rows, f"chart '{target}'")
             return (np.zeros(len(Y)),)
 
-        (rec,) = _sampled(progs, [("base_map_image", RESIDUAL, tol)],
+        (rec,) = _sampled([("base_map_image", RESIDUAL, tol)],
                           [(c.name, sample_box(c.box, samples, seed), None)], seed, evaluate)
         if not rec.passed:
             records.append(rec)
@@ -746,6 +745,7 @@ def map_pullback_cov(f: SmoothMap, A: TensorFieldSpec, r: int) -> TensorFieldSpe
 # Sub-bundle criterion.
 
 
+@sampling_scope()
 def subbundle_check(B: VectorBundleSpec, W: dict, samples: int = DEFAULT_SAMPLES,
                     tol: float = DEFAULT_CHECK_TOL, seed: int = DEFAULT_SEED):
     """Sampled criterion for a rank-l sub-bundle given by local sections.
@@ -777,8 +777,6 @@ def subbundle_check(B: VectorBundleSpec, W: dict, samples: int = DEFAULT_SAMPLES
                 raise SpecError(f"section on '{name}' has {len(col)} components, fiber dim is {d}")
         cols_of[name] = cols
 
-    progs: dict = {}
-
     def span_at(t, name, X, rows):
         """The d x l matrix of chart name's sections at every point."""
         return t.matrix(cols_of[name], X, rows, B.field.dtype).transpose(0, 2, 1)
@@ -791,7 +789,7 @@ def subbundle_check(B: VectorBundleSpec, W: dict, samples: int = DEFAULT_SAMPLES
                             span_at(t, name, t.pts, t.rows), (rank,))
             return (np.where(sv[:, 0] > 0, sv[:, -1] / sv[:, 0], 0.0),)
 
-        records += _sampled(progs, [("subbundle_rank", MIN_DET, DEFAULT_TOL)],
+        records += _sampled([("subbundle_rank", MIN_DET, DEFAULT_TOL)],
                             [(name, sample_box(B.base.chart(name).box, samples, seed), None)],
                             seed, evaluate)
 
@@ -812,7 +810,7 @@ def subbundle_check(B: VectorBundleSpec, W: dict, samples: int = DEFAULT_SAMPLES
             scale = np.maximum(np.linalg.norm(moved, axis=1), 1e-300)
             return (np.max(np.linalg.norm(off, axis=1) / scale, axis=1),)
 
-        records += _sampled(progs, [("subbundle_span", RESIDUAL, tol)],
+        records += _sampled([("subbundle_span", RESIDUAL, tol)],
                             [(_edge_subject(e), sample_region(e.region, samples, seed), None)],
                             seed, evaluate)
     if not checked_overlap and len(cols_of) > 1:

@@ -85,9 +85,9 @@ class Expr:
         return _fold((self,), {}, _repr_node)[0]
 
 
-# Every node has top, its largest variable index (0 for a constant), set
-# at construction from its operands'. It is no field: equality, hashing and
-# repr ignore it.
+# Every node has top, its largest variable index (0 for a constant), and
+# operands, the tuple of its operand nodes in field order, both set at
+# construction. Neither is a field: equality, hashing and repr ignore them.
 _set = object.__setattr__
 
 
@@ -95,17 +95,20 @@ _set = object.__setattr__
 class Num(Expr):
     value: float
     top = 0
+    operands = ()
 
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Const(Expr):
     name: str  # 'pi' or 'e'
     top = 0
+    operands = ()
 
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Var(Expr):
     index: int  # 1-based: x1, x2, ...
+    operands = ()
 
     def __post_init__(self):
         _set(self, "top", self.index)
@@ -116,6 +119,7 @@ class Neg(Expr):
     a: Expr
 
     def __post_init__(self):
+        _set(self, "operands", (self.a,))
         _set(self, "top", self.a.top)
 
 
@@ -123,7 +127,9 @@ class _Binary(Expr):
     __slots__ = ()
 
     def __post_init__(self):
-        a, b = self.a.top, self.b.top
+        a, b = self.a, self.b
+        _set(self, "operands", (a, b))
+        a, b = a.top, b.top
         _set(self, "top", a if a > b else b)
 
 
@@ -157,6 +163,7 @@ class Pow(Expr):
     exponent: int
 
     def __post_init__(self):
+        _set(self, "operands", (self.base,))
         _set(self, "top", self.base.top)
 
 
@@ -166,6 +173,7 @@ class Call(Expr):
     arg: Expr
 
     def __post_init__(self):
+        _set(self, "operands", (self.arg,))
         _set(self, "top", self.arg.top)
 
 
@@ -207,21 +215,6 @@ _FUNCS = ("sin", "cos", "tan", "exp", "log", "sqrt")
 # memo lives for one call, or for the calls on one document when a caller
 # passes one in; none is kept between commands.
 
-_OPERANDS = {
-    Add: lambda e: (e.a, e.b),
-    Sub: lambda e: (e.a, e.b),
-    Mul: lambda e: (e.a, e.b),
-    Div: lambda e: (e.a, e.b),
-    Neg: lambda e: (e.a,),
-    Pow: lambda e: (e.base,),
-    Call: lambda e: (e.arg,),
-}
-
-
-def _operands(e) -> tuple:
-    get = _OPERANDS.get(type(e))
-    return () if get is None else get(e)
-
 
 def _fold(roots, memo: dict, visit) -> list:
     """visit(node, results of its operands) once per distinct node under
@@ -237,13 +230,16 @@ def _fold(roots, memo: dict, visit) -> list:
             if id(node) in memo:
                 stack.pop()
                 continue
-            kids = _operands(node)
-            todo = [k for k in kids if id(k) not in memo]
-            if todo:
-                stack += reversed(todo)
+            kids = node.operands
+            waiting = False
+            for k in reversed(kids):
+                if id(k) not in memo:
+                    stack.append(k)
+                    waiting = True
+            if waiting:
                 continue
             stack.pop()
-            memo[id(node)] = node, visit(node, [memo[id(k)][1] for k in kids])
+            memo[id(node)] = node, visit(node, [memo[id(k)][1] for k in kids] if kids else kids)
     return [memo[id(r)][1] for r in roots]
 
 
@@ -287,7 +283,10 @@ def compile_exprs(exprs) -> Program:
 
     def visit(node, slots):
         t = type(node)
-        if t is Num:
+        op = _BINARY.get(t)
+        if op is not None:
+            key = (op, slots[0], slots[1], None)
+        elif t is Num:
             key = (_LIT, -1, math.copysign(1.0, node.value), node.value)  # 0.0 != -0.0
         elif t is Var:
             key = (_VAR, -1, -1, node.index)
@@ -299,8 +298,6 @@ def compile_exprs(exprs) -> Program:
             key = (_POW, slots[0], -1, node.exponent)
         elif t is Call:
             key = (_CALL, slots[0], -1, node.fn)
-        elif t in _BINARY:
-            key = (_BINARY[t], slots[0], slots[1], None)
         else:
             raise EvalError(f"unknown node {t.__name__}")
         return table.setdefault(key, len(table))
@@ -350,33 +347,42 @@ def run_program(prog: Program, points) -> Batch:
     whys: list = []  # failure messages, or functions of the sample index
 
     def fail(mask, message):
-        new = mask & (cause < 0)
-        if new.any():
-            cause[new] = len(whys)
-            whys.append(message)
+        if mask.any():
+            new = mask & (cause < 0)
+            if new.any():
+                cause[new] = len(whys)
+                whys.append(message)
 
     with np.errstate(all="ignore"):
         for op, a, b, lit in prog.code:
-            if op == _LIT:
-                v = np.full(n, lit, dtype=float)
+            if op == _MUL:
+                v = vals[a] * vals[b]
+            elif op == _DIV:
+                y = vals[b]
+                fail(y == 0.0, "division by zero")
+                v = vals[a] / y
+            elif op == _ADD:
+                v = vals[a] + vals[b]
+            elif op == _SUB:
+                v = vals[a] - vals[b]
+            elif op == _LIT:
+                v = np.empty(n)
+                v.fill(lit)
+            elif op == _CALL:
+                v = _func_batch(lit, vals[a], fail)
+            elif op == _NEG:
+                v = -vals[a]
             elif op == _VAR:
                 if lit > m:
-                    fail(True, f"no value for x{lit}: point has {m} coordinates")
+                    fail(np.ones(n, dtype=bool), f"no value for x{lit}: point has {m} coordinates")
                     v = np.full(n, np.nan)
                 else:
                     v = X[:, lit - 1]
-            elif op == _NEG:
-                v = -vals[a]
-            elif op == _POW:
-                v = _pow_batch(vals[a], lit, fail)
-            elif op == _CALL:
-                v = _func_batch(lit, vals[a], fail)
             else:
-                v = _binary_batch(op, vals[a], vals[b], fail)
+                v = _pow_batch(vals[a], lit, fail)
             vals.append(v)
-    values = np.empty((n, len(prog.outputs)))
-    for k, s in enumerate(prog.outputs):
-        values[:, k] = vals[s]
+    # One (n, k) C-ordered copy of the output columns (reshaped for k = 0).
+    values = np.array([vals[s] for s in prog.outputs]).T.copy().reshape(n, len(prog.outputs))
     return Batch(values, cause, whys)
 
 
@@ -388,17 +394,6 @@ def eval_expr(e: Expr, env) -> float:
     if batch.bad[0]:
         raise batch.error(0)
     return float(batch.values[0, 0])
-
-
-def _binary_batch(op, x, y, fail):
-    if op == _ADD:
-        return x + y
-    if op == _SUB:
-        return x - y
-    if op == _MUL:
-        return x * y
-    fail(y == 0.0, "division by zero")
-    return x / y
 
 
 def _pow_batch(x, k, fail):
@@ -532,62 +527,50 @@ def enclose(prog: Program, lo, hi) -> tuple:
 # ---------------------------------------------------------------------------
 # Tokenizer and parser. Positions are 1-based columns.
 
+# One match per token, the whitespace before it included. A token's kind is
+# _KINDS at the index of the one group that took part: any other character
+# is a "bad" token, and the end of the text, after any whitespace, an "end"
+# token, so the matches from any index on are the tokens in turn.
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^(),]))"
+    r"\s*(?:(\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
+    r"|([A-Za-z_][A-Za-z_0-9]*)"
+    r"|(\+)|(-)|(\*)|(/)|(\^)|(\()|(\))|(,)|(\S)|(\Z))"
 )
+_KINDS = (None, "num", "name", "+", "-", "*", "/", "^", "(", ")", ",", "bad", "end")
+_BAD = _KINDS.index("bad")
 
 
-class _Token:
-    __slots__ = ("kind", "text", "pos", "end")
-
-    def __init__(self, kind, text, pos, end):
-        self.kind = kind
-        self.text = text
-        self.pos = pos
-        self.end = end  # index just past the token
+def _col(m) -> int:
+    return m.start(m.lastindex) + 1
 
 
-def _scan(text: str, i: int) -> _Token:
-    """The token at index i, after any whitespace."""
-    m = _TOKEN_RE.match(text, i)
-    if m is None:
-        stripped = text[i:].lstrip()
-        if not stripped:
-            return _Token("end", "", len(text) + 1, len(text))
-        raise ParseError(f"unexpected character {stripped[0]!r}", len(text) - len(stripped) + 1)
-    kind = m.lastgroup
-    tok = m.group(kind)
-    return _Token(tok if kind == "op" else kind, tok, m.start(kind) + 1, m.end())
+def _found(m) -> str:
+    return "end of input" if _KINDS[m.lastindex] == "end" else f"'{m[m.lastindex]}'"
 
 
 def _scan_all(text: str) -> None:
     """Read every token: raises at the first unexpected character, if any."""
-    tok = _scan(text, 0)
-    while tok.kind != "end":
-        tok = _scan(text, tok.end)
+    for m in _TOKEN_RE.finditer(text):
+        if m.lastindex == _BAD:
+            raise ParseError(f"unexpected character {m[_BAD]!r}", _col(m))
 
 
-class _Level:
-    """One group being parsed: the whole text, a '(' ... ')' or a call's
-    argument. sum and prod are the left operands of the grammar's expr and
-    term loops so far; neg is a '-' read before the current operand."""
-
-    __slots__ = ("start", "prefix", "fn", "sum", "sum_op", "prod", "prod_op", "neg")
-
-    def __init__(self, start, prefix, fn):
-        self.start = start  # the index of the group's '(' or function name
-        self.prefix = prefix  # the hash of its prefix: see _Parser
-        self.fn = fn  # the function called, for a call's argument
-        self.sum = self.sum_op = self.prod = self.prod_op = None
-        self.neg = False
+def _put(memo: dict, key, node: Expr) -> Expr:
+    memo[key] = node
+    return node
 
 
-class _Parser:
-    """The grammar's recursive descent run on an explicit stack of levels,
-    so nesting depth is bounded by memory, not by the recursion limit.
-    Tokens are read one at a time.
+def _parse(text: str, memo: dict) -> Expr:
+    """The grammar's recursive descent as one loop over the tokens, with
+    the levels of the open groups on an explicit stack, so nesting depth is
+    bounded by memory, not by the recursion limit. m is the match of the
+    token ahead and kind its kind.
+
+    A level is the whole text, a '(' ... ')' or a call's argument: start is
+    the index of its '(' or function name, prefix the hash of its prefix
+    (below), fn the function called; add and mul are the left operands of
+    the grammar's expr and term loops so far, and add_op and mul_op their
+    node classes; neg is a '-' read before the current operand.
 
     A group is a parenthesized expression, or a call from its name to its
     ')'. Its prefix, its text up to the first ')' after its '(', is known
@@ -600,134 +583,129 @@ class _Parser:
     is the one the text gives without the memo, and so is the first
     error, because only groups that parsed without one are entered.
 
-    memo also interns every node the parser builds (node): the key is the
-    node's class, then its operands' ids and its literals, a tuple of two
-    or more items that starts with a class, so no group text, prefix hash
-    or entry key. Equal subexpressions, however spelled, are one node.
+    memo also interns every node the parser builds: the key is the node's
+    class, then its operands' ids and its literals, a tuple of two or more
+    items that starts with a class, so no group text, prefix hash or entry
+    key. Equal subexpressions, however spelled, are one node. The parser
+    writes to memo by item assignment only.
     """
-
-    def __init__(self, text: str, memo: dict):
-        self.text = text
-        self.memo = memo
-        self.tok = _scan(text, 0)
-
-    def advance(self) -> _Token:
-        tok = self.tok
-        self.tok = _scan(self.text, tok.end)
-        return tok
-
-    def expect(self, kind: str) -> _Token:
-        tok = self.tok
-        if tok.kind != kind:
-            what = f"'{tok.text}'" if tok.kind != "end" else "end of input"
-            raise ParseError(f"expected '{kind}', found {what}", tok.pos)
-        return self.advance()
-
-    def parse(self) -> Expr:
-        levels = [_Level(None, None, None)]
-        while True:
-            lv = levels[-1]
-            a = self.operand(levels)
-            while a is not None:  # an atom of lv is done
-                if lv.neg:
-                    a, lv.neg = self.node((Neg, id(a)), a), False
-                if self.tok.kind == "^":
-                    self.advance()
-                    k = self.integer()
-                    a = self.node((Pow, id(a), k), a, k)
-                if lv.prod is not None:
-                    a = self.node((Mul if lv.prod_op == "*" else Div, id(lv.prod), id(a)), lv.prod, a)
-                    lv.prod = None
-                tok = self.tok
-                if tok.kind in ("*", "/"):
-                    lv.prod, lv.prod_op = a, self.advance().kind
-                    break
-                if lv.sum is not None:
-                    a = self.node((Add if lv.sum_op == "+" else Sub, id(lv.sum), id(a)), lv.sum, a)
-                    lv.sum = None
-                if tok.kind in ("+", "-"):
-                    lv.sum, lv.sum_op = a, self.advance().kind
-                    break
-                # a is lv's whole expression
-                if len(levels) == 1:
-                    if tok.kind != "end":
-                        raise ParseError(f"unexpected '{tok.text}' after expression", tok.pos)
-                    return a
-                if lv.fn is not None:
-                    if tok.kind == ",":
-                        raise ParseError(f"{lv.fn} takes one argument", tok.pos)
-                    a = self.node((Call, lv.fn, id(a)), lv.fn, a)
-                end = self.expect(")").end
-                self.memo[self.text[lv.start:end]] = a
-                lengths = self.memo.get(lv.prefix, ())
-                if end - lv.start not in lengths:
-                    self.memo[lv.prefix] = lengths + (end - lv.start,)
-                levels.pop()
-                lv = levels[-1]
-
-    def node(self, key: tuple, *fields) -> Expr:
-        """The document's one node key[0](*fields), its class and fields
-        as key gives them, an operand by its id: built at the first key."""
-        node = self.memo.get(key)
-        if node is None:
-            node = self.memo[key] = key[0](*fields)
-        return node
-
-    def integer(self) -> int:
-        sign = 1
-        if self.tok.kind == "-":
-            self.advance()
-            sign = -1
-        tok = self.tok
-        if tok.kind != "num" or not re.fullmatch(r"\d+", tok.text):
-            what = f"'{tok.text}'" if tok.kind != "end" else "end of input"
-            raise ParseError(f"exponent must be an integer literal, found {what}", tok.pos)
-        self.advance()
-        return sign * int(tok.text)
-
-    def operand(self, levels: list):
-        """unary := '-'? atom. The atom, or None when it opened a group."""
-        if self.tok.kind == "-":
-            self.advance()
-            levels[-1].neg = True
-        tok = self.tok
-        if tok.kind == "num":
-            self.advance()
-            if math.isinf(value := float(tok.text)):
-                raise ParseError(f"number {tok.text} is out of range", tok.pos)
-            return self.node((Num, math.copysign(1.0, value), value), value)  # 0.0 != -0.0
-        if tok.kind == "(":
-            return self.group(levels, tok, self.advance(), None)
-        if tok.kind == "name":
-            self.advance()
-            name = tok.text
+    find, get = _TOKEN_RE.finditer, memo.get
+    levels: list = []  # the enclosing levels of the open groups, innermost last
+    start = prefix = fn = add = add_op = mul = mul_op = None
+    neg = False
+    tokens = find(text)
+    m = next(tokens)
+    kind = _KINDS[m.lastindex]
+    while True:
+        # unary := '-'? atom, or the opening of a group
+        if kind == "-":
+            neg = True
+            m = next(tokens)
+            kind = _KINDS[m.lastindex]
+        if kind == "num":
+            value = float(m[1])
+            if math.isinf(value):
+                raise ParseError(f"number {m[1]} is out of range", _col(m))
+            key = (Num, 1.0, value)  # 1.0: the sign of value, as no token has one
+            a = get(key) or _put(memo, key, Num(value))
+        elif kind == "name" and m[2] not in _FUNCS:
+            name = m[2]
             if name in _CONSTS:
-                return self.node((Const, name), name)
-            if name in _FUNCS:
-                return self.group(levels, tok, self.expect("("), name)
-            m = re.fullmatch(r"x(\d+)", name)
-            if m:
-                idx = int(m.group(1))
+                key = (Const, name)
+                a = get(key) or _put(memo, key, Const(name))
+            elif name[0] == "x" and name[1:].isdigit():
+                idx = int(name[1:])
                 if idx == 0:
-                    raise UnknownSymbol("variables are numbered from x1", tok.pos)
-                return self.node((Var, idx), idx)
-            raise UnknownSymbol(f"unknown identifier '{name}'", tok.pos)
-        what = f"'{tok.text}'" if tok.kind != "end" else "end of input"
-        raise ParseError(f"expected an operand, found {what}", tok.pos)
-
-    def group(self, levels: list, start: _Token, paren: _Token, fn):
-        """After the '(' paren of a group that starts at start: the node of
-        a group met before, or None after opening a level for it."""
-        text, p = self.text, start.pos - 1
-        prefix = hash(text[p:text.find(")", paren.end) + 1])
-        for n in self.memo.get(prefix, ()):
-            if text[p + n - 1:p + n] == ")":
-                node = self.memo.get(text[p:p + n])
-                if node is not None:
-                    self.tok = _scan(text, p + n)
-                    return node
-        levels.append(_Level(p, prefix, fn))
-        return None
+                    raise UnknownSymbol("variables are numbered from x1", _col(m))
+                key = (Var, idx)
+                a = get(key) or _put(memo, key, Var(idx))
+            else:
+                raise UnknownSymbol(f"unknown identifier '{name}'", _col(m))
+        else:  # a group: '(' expr ')' or func '(' expr ')'
+            p = m.start(m.lastindex)
+            if kind == "(":
+                call = None
+            elif kind == "name":
+                call = m[2]
+                m = next(tokens)
+                kind = _KINDS[m.lastindex]
+                if kind != "(":
+                    raise ParseError(f"expected '(', found {_found(m)}", _col(m))
+            else:
+                raise ParseError(f"expected an operand, found {_found(m)}", _col(m))
+            group = hash(text[p:text.find(")", m.end()) + 1])
+            for n in get(group, ()):
+                if text[p + n - 1:p + n] == ")":
+                    a = get(text[p:p + n])
+                    if a is not None:
+                        tokens = find(text, p + n)
+                        break
+            else:
+                levels.append((start, prefix, fn, add, add_op, mul, mul_op, neg))
+                start, prefix, fn = p, group, call
+                add = mul = None
+                neg = False
+                m = next(tokens)
+                kind = _KINDS[m.lastindex]
+                continue
+        m = next(tokens)
+        kind = _KINDS[m.lastindex]
+        while True:  # a, an atom of the level, is read: finish what it completes
+            if neg:
+                key = (Neg, id(a))
+                a, neg = get(key) or _put(memo, key, Neg(a)), False
+            if kind == "^":
+                m = next(tokens)
+                kind = _KINDS[m.lastindex]
+                sign = 1
+                if kind == "-":
+                    sign = -1
+                    m = next(tokens)
+                    kind = _KINDS[m.lastindex]
+                if kind != "num" or not re.fullmatch(r"\d+", m[1]):
+                    raise ParseError(f"exponent must be an integer literal, found {_found(m)}",
+                                     _col(m))
+                k = sign * int(m[1])
+                m = next(tokens)
+                kind = _KINDS[m.lastindex]
+                key = (Pow, id(a), k)
+                a = get(key) or _put(memo, key, Pow(a, k))
+            if mul is not None:
+                key = (mul_op, id(mul), id(a))
+                a, mul = get(key) or _put(memo, key, mul_op(mul, a)), None
+            if kind == "*" or kind == "/":
+                mul, mul_op = a, Mul if kind == "*" else Div
+                m = next(tokens)
+                kind = _KINDS[m.lastindex]
+                break
+            if add is not None:
+                key = (add_op, id(add), id(a))
+                a, add = get(key) or _put(memo, key, add_op(add, a)), None
+            if kind == "+" or kind == "-":
+                add, add_op = a, Add if kind == "+" else Sub
+                m = next(tokens)
+                kind = _KINDS[m.lastindex]
+                break
+            # a is the level's whole expression
+            if not levels:
+                if kind != "end":
+                    raise ParseError(f"unexpected {_found(m)} after expression", _col(m))
+                return a
+            if fn is not None:
+                if kind == ",":
+                    raise ParseError(f"{fn} takes one argument", _col(m))
+                key = (Call, fn, id(a))
+                a = get(key) or _put(memo, key, Call(fn, a))
+            if kind != ")":
+                raise ParseError(f"expected ')', found {_found(m)}", _col(m))
+            end = m.end()
+            memo[text[start:end]] = a
+            lengths = get(prefix, ())
+            if end - start not in lengths:
+                memo[prefix] = lengths + (end - start,)
+            start, prefix, fn, add, add_op, mul, mul_op, neg = levels.pop()
+            m = next(tokens)
+            kind = _KINDS[m.lastindex]
 
 
 def parse_expr(text: str, memo: dict | None = None) -> Expr:
@@ -736,7 +714,7 @@ def parse_expr(text: str, memo: dict | None = None) -> Expr:
     memo may be shared by the calls that load one document, so that a
     group met in an earlier entry is not read again and the document holds
     one node per distinct subexpression; it holds the text of every group
-    read and every node built (see _Parser). It also interns whole entries:
+    read and every node built (see _parse). It also interns whole entries:
     the 1-tuple (text,) maps an entry's text to its node, so a text met
     before is not read again. A key of that form is never a group's text,
     so the group probe cannot take an entry that is not a group, such as
@@ -748,7 +726,7 @@ def parse_expr(text: str, memo: dict | None = None) -> Expr:
     node = memo.get((text,))
     if node is None:
         try:
-            node = _Parser(text, memo).parse()
+            node = _parse(text, memo)
         except (ParseError, UnknownSymbol):
             _scan_all(text)  # an unexpected character anywhere is the error reported
             raise

@@ -165,7 +165,7 @@ def halton(n: int, dims: int, seed: int = 0) -> np.ndarray:
     if dims > len(_PRIMES):
         raise ShapeMismatch(f"halton sampler supports up to {len(_PRIMES)} dimensions")
     key = (n, dims, 1 + (int(seed) % 100_003))
-    memo = {} if _point_sets is None else _point_sets
+    memo = scope_memo("halton")
     if key not in memo:
         memo[key] = _halton_kernel(*key)
     return memo[key]
@@ -192,14 +192,24 @@ def _halton_kernel(n: int, dims: int, start: int) -> np.ndarray:
     return out
 
 
-# Point sets by (n, dims, start) while a sampling scope is open, else None.
+# The memos of the open sampling scope by name, else None: "halton" holds
+# point sets by (n, dims, start), "regions" region samples by (id(region),
+# n, seed), "programs" the check suites' compiled programs (see
+# calculus._Trial.program).
 _point_sets: dict | None = None
+
+
+def scope_memo(name: str) -> dict:
+    """The open sampling scope's memo called name; a new dict, which no one
+    else holds, when no scope is open."""
+    return {} if _point_sets is None else _point_sets.setdefault(name, {})
 
 
 @contextmanager
 def sampling_scope():
-    """Share Halton point sets among the calls inside, as a with-block or a
-    decorator. Nested scopes join the outermost, whose exit drops them."""
+    """Share Halton point sets, region samples and compiled programs among
+    the calls inside, as a with-block or a decorator. Nested scopes join
+    the outermost, whose exit drops them."""
     global _point_sets
     if _point_sets is not None:
         yield
@@ -231,8 +241,17 @@ def sample_box(box: Box, n: int, seed: int = 0) -> np.ndarray:
 
 
 def sample_region(boxes, n: int, seed: int = 0) -> np.ndarray:
-    """n points spread over a finite union of boxes, split evenly by count."""
-    boxes = list(boxes)
+    """n points spread over a finite union of boxes, split evenly by count,
+    read-only. Inside a sampling_scope each (region, n, seed) is sampled
+    once; the memo holds the region, so its id is not reused meanwhile."""
+    memo = scope_memo("regions")
+    key = (id(boxes), n, seed)
+    if key not in memo:
+        memo[key] = boxes, _sample_region(list(boxes), n, seed)
+    return memo[key][1]
+
+
+def _sample_region(boxes: list, n: int, seed: int) -> np.ndarray:
     if not boxes:
         raise DomainViolation("cannot sample an empty region")
     k = len(boxes)
@@ -242,7 +261,9 @@ def sample_region(boxes, n: int, seed: int = 0) -> np.ndarray:
         for i, (b, c) in enumerate(zip(boxes, counts))
         if c > 0
     ]
-    return np.vstack(parts)
+    out = np.vstack(parts)
+    out.flags.writeable = False
+    return out
 
 
 def sample_argument_tuples(n: int, d: int, slots: int, seed: int = 0) -> np.ndarray:

@@ -11,8 +11,10 @@ replaced reported; two of those loops are kept here, verbatim, as the
 oracle, on the one-point functions of scalar_oracle.
 """
 
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 from hypothesis import given, seed, settings
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 from scalar_oracle import eval_expr, eval_map, eval_matrix, field_eval, jacobian
 from support import PI, TWO_PI, gallery_expressions, mobius_bundle
 
-from vbx import calculus
+from vbx import calculus, geometry
 from vbx.bundles import (
     _overlap_subject,
     check_base_atlas,
@@ -34,6 +36,7 @@ from vbx.bundles import (
     make_section,
 )
 from vbx.calculus import _Trial, make_smooth_map
+from vbx.cli import main
 from vbx.errors import EvalError, VbxError
 from vbx.expr import (
     Add,
@@ -210,6 +213,28 @@ def test_a_gallery_check_compiles_each_map_and_matrix_once(monkeypatch):
         if doc.bundle is not None:
             gs = {tuple(id(c) for row in e.g for c in row) for e in doc.bundle.edges}
             assert compiles(check_vb, doc.bundle) == len(gs | taus), name
+
+
+def test_one_check_command_compiles_each_distinct_program_once(monkeypatch, capsys):
+    # The suites of one command (atlas, bundle, sections, frames, fields)
+    # share one program cache, so a tau the atlas suite compiled is not
+    # compiled again by the bundle suite; main drops the cache on return.
+    compiled, programs = [], []
+
+    def spy(exprs):
+        compiled.append(tuple(map(id, exprs)))
+        prog = compile_exprs(exprs)
+        programs.append(weakref.ref(prog))
+        return prog
+
+    monkeypatch.setattr(calculus, "compile_exprs", spy)
+    for name in list_gallery():
+        compiled.clear()
+        assert main(["check", str(gallery_path(name)), "--samples", "20"]) in (0, 2)
+        assert compiled and len(set(compiled)) == len(compiled), name
+    assert geometry._point_sets is None
+    gc.collect()
+    assert programs and all(ref() is None for ref in programs)
 
 
 def test_deep_trees_compile_and_run_without_recursion():

@@ -232,6 +232,14 @@ def test_check_usage_validation(capsys):
     assert run(capsys)[0] == 1
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "-0.5"])
+def test_a_tolerance_must_be_positive_and_finite(tol):
+    # An infinite tolerance would pass every residual and write a report
+    # whose tol reads Infinity.
+    code, out, err = run_cold("check", gp("mobius"), "--tol", tol)
+    assert (code, out, err) == (1, "", "--tol must be a positive finite number\n")
+
+
 @pytest.mark.parametrize("samples", ["1000000000000000000", "100000000000000000000"])
 def test_a_huge_sample_count_is_a_usage_error_not_a_traceback(samples):
     # Refused before anything is allocated: without the cap numpy raises

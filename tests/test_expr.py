@@ -271,6 +271,27 @@ def test_equality_and_hash_are_those_of_the_dataclasses(a, b):
     assert (a == 1.0) is False and (a != "x1") is True
 
 
+@seed(20261019)
+@settings(max_examples=200, deadline=None)
+@given(_small_exprs())
+def test_each_node_carries_its_operand_fields_in_order_and_nothing_else_sees_them(e):
+    # The walk reads a node's operand tuple: the fields of its class that
+    # are nodes, in __match_args__ order. It is no field, so equality, hash
+    # and repr are those of the reference dataclass.
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        fields = [getattr(node, name) for name in node.__match_args__]
+        assert type(node.operands) is tuple
+        assert [id(v) for v in node.operands] == [id(v) for v in fields if isinstance(v, Expr)]
+        stack += node.operands
+    assert not any("operands" in cls.__match_args__ for cls in REFERENCE)
+    ref = rebuilt(e, REFERENCE)
+    assert rebuilt(e) == e and hash(e) == hash(ref)
+    assert repr(e) == repr(ref)
+    assert Add(e, Var(1)).operands[0] is e and Pow(e, 2).operands == (e,)
+
+
 def test_equality_treats_signed_zeros_and_int_literals_like_the_dataclasses():
     assert Num(0.0) == Num(-0.0) and hash(Num(0.0)) == hash(Num(-0.0))
     assert Num(1) == Num(1.0) and Add(Var(1), Num(2)) == Add(Var(1), Num(2.0))

@@ -199,6 +199,42 @@ def test_point_sets_are_read_only_and_live_for_the_outermost_scope():
     assert not b.flags.writeable
 
 
+@pytest.fixture
+def region_calls(monkeypatch):
+    """Counts of each (region id, n, seed) sampled afresh."""
+    calls = Counter()
+    sample = geometry._sample_region
+
+    def counted(boxes, n, seed):
+        calls[id(boxes), n, seed] += 1
+        return sample(boxes, n, seed)
+
+    monkeypatch.setattr(geometry, "_sample_region", counted)
+    return calls
+
+
+def test_one_check_command_samples_each_region_once(region_calls, capsys):
+    # The triple checks walk each i->j part once per chart triple it starts.
+    assert main(["check", str(gallery_path("projective_tangent")), "--samples", "50"]) == 0
+    assert region_calls and set(region_calls.values()) == {1}
+    assert geometry._point_sets is None
+
+
+def test_region_samples_are_read_only_and_live_for_the_outermost_scope():
+    region = (make_box([(0, 1)]), make_box([(10, 11)]))
+    with sampling_scope():
+        a = sample_region(region, 40, seed=3)
+        with sampling_scope():
+            assert sample_region(region, 40, seed=3) is a
+        assert sample_region(region, 40, seed=4) is not a
+        assert sample_region(list(region), 40, seed=3) is not a  # keyed by the region's identity
+        with pytest.raises(ValueError):
+            a[0, 0] = 0.5
+    b = sample_region(region, 40, seed=3)
+    assert b is not a and b.tobytes() == a.tobytes()
+    assert not b.flags.writeable
+
+
 def test_sample_box_stays_strictly_inside():
     box = make_box([(-2, 2), (0, 10)])
     pts = sample_box(box, 500, seed=1)

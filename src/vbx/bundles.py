@@ -36,7 +36,7 @@ seed; reports are deterministic given (spec, samples, seed, tol).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import field as dc_field, replace
 from itertools import permutations
 
 import numpy as np
@@ -82,6 +82,7 @@ from .linalg import (
     row_reduce,
     scaled_abs_dets,
 )
+from .record import Record, record
 from .report import (
     MIN_DET,
     RESIDUAL,
@@ -100,14 +101,16 @@ DEFAULT_SEED = 42
 DEFAULT_CHECK_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class ChartSpec:
+@record
+class ChartSpec(Record):
+    """A named chart: an open box of coordinates."""
+
     name: str
     box: Box
 
 
-@dataclass(frozen=True)
-class OverlapSpec:
+@record
+class OverlapSpec(Record):
     """One component of the overlap of two charts, in from-chart coordinates."""
 
     frm: str
@@ -116,8 +119,10 @@ class OverlapSpec:
     tau: SmoothMap  # from-chart coords -> to-chart coords
 
 
-@dataclass(frozen=True)
-class BaseAtlasSpec:
+@record
+class BaseAtlasSpec(Record):
+    """A base manifold: charts of one dimension and the overlaps that glue them."""
+
     dim: int
     charts: tuple
     overlaps: tuple
@@ -132,8 +137,8 @@ class BaseAtlasSpec:
         return [o for o in self.overlaps if o.frm == i and o.to == j]
 
 
-@dataclass(frozen=True)
-class BundleEdge:
+@record
+class BundleEdge(Record):
     """An overlap component together with its transition matrix."""
 
     overlap: OverlapSpec
@@ -145,8 +150,12 @@ class BundleEdge:
         return self.overlap.region
 
 
-@dataclass(frozen=True)
-class VectorBundleSpec:
+@record
+class VectorBundleSpec(Record):
+    """A vector bundle: a fiber of fiber_dim over field, and a transition matrix on
+    each overlap component. derivation records how a constructed bundle was
+    built; it takes no part in equality."""
+
     base: BaseAtlasSpec
     fiber_dim: int
     field: FieldTag
@@ -161,15 +170,18 @@ class VectorBundleSpec:
         return [e for e in self.edges if e.overlap.frm == i and e.overlap.to == j]
 
 
-@dataclass(frozen=True)
-class TotalPoint:
+@record
+class TotalPoint(Record):
+    """A point of the total space: base coordinates x in a chart and fiber
+    coordinates v in that chart's trivialization."""
+
     chart: str
     x: np.ndarray
     v: np.ndarray
 
 
-@dataclass(frozen=True)
-class TensorFieldSpec:
+@record
+class TensorFieldSpec(Record):
     """An (r,s)-tensor field on a bundle; a section is a (0,1)-field.
 
     rules are what a point must pass before the coefficients are read, in
@@ -185,8 +197,11 @@ class TensorFieldSpec:
     rules: tuple = ()
 
 
-@dataclass(frozen=True)
-class BundleMorphismSpec:
+@record
+class BundleMorphismSpec(Record):
+    """A bundle morphism: per source chart, the target chart its base image lies
+    in, the base map and the fiber map."""
+
     source: VectorBundleSpec
     target: VectorBundleSpec
     assignment: dict  # source chart -> target chart the image lies in
@@ -195,8 +210,8 @@ class BundleMorphismSpec:
     inverse: dict | None = None  # target chart -> (source chart, Expr tuple)
 
 
-@dataclass(frozen=True)
-class Pulling:
+@record
+class Pulling(Record):
     """One level of pulling back through the morphism M. At a point x of a
     source chart, M's base map evaluates, M's fiber map passes its rule
     (_fiber_map_rule), the base image is finite, and it passes the rules of

@@ -17,7 +17,6 @@ map_pullback_cov), whose fiber map is the same partials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 
@@ -39,10 +38,11 @@ from .expr import (
 )
 from .geometry import Box, box_mask, make_box
 from .linalg import FieldTag, LinearMap, VectorSpace, make_linear, row_reduce
+from .record import Record, record
 
 
-@dataclass(frozen=True)
-class SmoothMap:
+@record
+class SmoothMap(Record):
     """A map from an open box in R^m to R^n, one expression per component."""
 
     components: tuple

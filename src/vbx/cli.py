@@ -28,17 +28,6 @@ from .bundles import (
     check_vb,
     field_eval,
 )
-from .constructions import (
-    base_restriction,
-    check_tensor_field,
-    direct_product,
-    dual_bundle,
-    hom_bundle,
-    induced_bundle,
-    tangent_bundle,
-    tensor_bundle,
-    whitney_sum,
-)
 from .errors import (
     BaseMismatch,
     ChartAssignmentError,
@@ -131,7 +120,7 @@ def cmd_check(args) -> int:
             reports.append(_tagged(check_frame(F, args.samples, seed=args.seed),
                                    f"frame '{name}'"))
         for name, A in sorted(doc.fields.items()):
-            reports.append(_tagged(check_tensor_field(A, args.samples, args.tol, args.seed),
+            reports.append(_tagged(check_section(A, args.samples, args.tol, args.seed),
                                    f"field '{name}'"))
     merged = merge_reports("check", reports)
     print(format_report(merged))
@@ -144,6 +133,10 @@ def cmd_check(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    # Only this command builds bundles, so only it loads the constructions.
+    from .constructions import (base_restriction, direct_product, dual_bundle, hom_bundle,
+                                induced_bundle, tangent_bundle, tensor_bundle, whitney_sum)
+
     kind, n = args.kind, 1 if args.kind in ("tensor", "dual", "tangent") else 2
     if len(args.inputs) != n:
         raise _Usage(f"construct {kind} takes exactly {n} input file(s), got {len(args.inputs)}")
@@ -217,6 +210,7 @@ def cmd_eval(args) -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    args = None
     try:
         args = parser.parse_args(argv)
         command = {"check": cmd_check, "construct": cmd_construct}.get(args.command, cmd_eval)
@@ -237,6 +231,13 @@ def main(argv=None) -> int:
         return 2
     except VbxError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        # A sample count under MAX_SAMPLES can still need more memory than
+        # the process may have; only the count is the user's to change.
+        samples = getattr(args, "samples", None)
+        hint = "" if samples is None else f" at {samples} samples; lower --samples"
+        print(f"error: out of memory{hint}", file=sys.stderr)
         return 1
 
 

@@ -43,15 +43,16 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EvalError, ParseError, UnknownSymbol
+from .record import Record, record
 
 
-class Expr:
-    """Base class for expression nodes. Nodes are immutable.
+class Expr(Record):
+    """Base class for expression nodes. Nodes are immutable records (see
+    vbx.record), and each node class sets its fields in its own __init__.
 
     Equality, hashing and repr are those of frozen dataclasses (the fields
     in order, the hash of their tuple), computed without recursion so that
@@ -91,90 +92,123 @@ class Expr:
 _set = object.__setattr__
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@record
 class Num(Expr):
+    """A decimal literal."""
+
     value: float
     top = 0
     operands = ()
 
+    def __init__(self, value: float):
+        _set(self, "value", value)
 
-@dataclass(frozen=True, eq=False, repr=False)
+
+@record
 class Const(Expr):
+    """A named constant."""
+
     name: str  # 'pi' or 'e'
     top = 0
     operands = ()
 
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
-@dataclass(frozen=True, eq=False, repr=False)
+
+@record
 class Var(Expr):
+    """A coordinate."""
+
     index: int  # 1-based: x1, x2, ...
     operands = ()
 
-    def __post_init__(self):
-        _set(self, "top", self.index)
+    def __init__(self, index: int):
+        _set(self, "index", index)
+        _set(self, "top", index)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@record
 class Neg(Expr):
+    """-a"""
+
     a: Expr
 
-    def __post_init__(self):
-        _set(self, "operands", (self.a,))
-        _set(self, "top", self.a.top)
+    def __init__(self, a: Expr):
+        _set(self, "a", a)
+        _set(self, "operands", (a,))
+        _set(self, "top", a.top)
 
 
 class _Binary(Expr):
     __slots__ = ()
 
-    def __post_init__(self):
-        a, b = self.a, self.b
+    def __init__(self, a: Expr, b: Expr):
+        _set(self, "a", a)
+        _set(self, "b", b)
         _set(self, "operands", (a, b))
         a, b = a.top, b.top
         _set(self, "top", a if a > b else b)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@record
 class Add(_Binary):
+    """a + b"""
+
     a: Expr
     b: Expr
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@record
 class Sub(_Binary):
+    """a - b"""
+
     a: Expr
     b: Expr
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@record
 class Mul(_Binary):
+    """a * b"""
+
     a: Expr
     b: Expr
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@record
 class Div(_Binary):
+    """a / b"""
+
     a: Expr
     b: Expr
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@record
 class Pow(Expr):
+    """base ^ exponent, a constant integer exponent"""
+
     base: Expr
     exponent: int
 
-    def __post_init__(self):
-        _set(self, "operands", (self.base,))
-        _set(self, "top", self.base.top)
+    def __init__(self, base: Expr, exponent: int):
+        _set(self, "base", base)
+        _set(self, "exponent", exponent)
+        _set(self, "operands", (base,))
+        _set(self, "top", base.top)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@record
 class Call(Expr):
+    """fn(arg), fn one of the grammar's functions"""
+
     fn: str
     arg: Expr
 
-    def __post_init__(self):
-        _set(self, "operands", (self.arg,))
-        _set(self, "top", self.arg.top)
+    def __init__(self, fn: str, arg: Expr):
+        _set(self, "fn", fn)
+        _set(self, "arg", arg)
+        _set(self, "operands", (arg,))
+        _set(self, "top", arg.top)
 
 
 def _fields(e: Expr) -> tuple:
@@ -262,8 +296,8 @@ _LIT, _VAR, _NEG, _ADD, _SUB, _MUL, _DIV, _POW, _CALL = range(9)
 _BINARY = {Add: _ADD, Sub: _SUB, Mul: _MUL, Div: _DIV}
 
 
-@dataclass(frozen=True)
-class Program:
+@record
+class Program(Record):
     """Straight-line code: slot s is (op, a, b, literal) over slots < s."""
 
     code: tuple

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
 from .errors import InvalidDimension, ShapeMismatch, Singular, SingularBasis
+from .record import Record, record
 
 DEFAULT_TOL = 1e-10
 
@@ -39,16 +39,16 @@ class FieldTag(enum.Enum):
         return np.complex128 if self is FieldTag.COMPLEX else np.float64
 
 
-@dataclass(frozen=True)
-class VectorSpace:
+@record
+class VectorSpace(Record):
     """A finite-dimensional coordinate space over a fixed field."""
 
     dim: int
     field: FieldTag
 
 
-@dataclass(frozen=True)
-class LinearMap:
+@record
+class LinearMap(Record):
     """Linear map between coordinate spaces, stored as a dense matrix.
 
     Attributes:
@@ -63,8 +63,8 @@ class LinearMap:
     matrix: np.ndarray
 
 
-@dataclass(frozen=True)
-class OrderedBasis:
+@record
+class OrderedBasis(Record):
     """An ordered basis given by the coordinate vectors of its members.
 
     Attributes:

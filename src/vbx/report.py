@@ -10,15 +10,18 @@ reading applies, and the pass flag is always computed by the check itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
+
+from .record import Record, record
 
 RESIDUAL = "max_residual"
 MIN_DET = "min_scaled_det"
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+@record
+class CheckRecord(Record):
+    """The outcome of one sampled check on one subject."""
+
     check: str  # identity being verified, e.g. "pair_cocycle"
     subject: str  # where, e.g. "east->west#0"
     kind: str  # RESIDUAL or MIN_DET
@@ -30,8 +33,10 @@ class CheckRecord:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class CheckReport:
+@record
+class CheckReport(Record):
+    """A suite's records, and whether all of them passed."""
+
     suite: str
     records: tuple
     passed: bool

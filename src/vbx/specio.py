@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 from .bundles import (
@@ -34,6 +33,7 @@ from .bundles import (
 from .errors import FileError, ParseError, SpecError, UnknownSymbol
 from .expr import parse_expr, to_string
 from .linalg import FieldTag
+from .record import Record, record
 from .symmat import mat_transpose
 
 _TOP_KEYS = {"base", "fiber", "transitions", "sections", "frames", "fields", "derivation"}
@@ -47,8 +47,8 @@ _FRAME_KEYS = {"name", "chart", "columns"}
 _FIELD_KEYS = {"name", "r", "s", "components"}
 
 
-@dataclass(frozen=True)
-class SpecDocument:
+@record
+class SpecDocument(Record):
     """Everything one file describes: the bundle (or bare atlas) plus any
     named sections, frames, and tensor fields."""
 

@@ -15,19 +15,21 @@ vector arguments, axes r+1..r+s with the covector arguments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import IndexOutOfRange, ShapeMismatch, UnsupportedField
 from .geometry import sample_argument_tuples
 from .linalg import FieldTag, VectorSpace, _freeze
+from .record import Record, record
 
-_EINSUM_LETTERS = "abcdefghijklmnopqrstuv"
+# One letter per slot, up to the sampler's 40; "n" indexes the samples.
+_EINSUM_LETTERS = "abcdefghijklmopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+_NORM_CHUNK = 1 << 16  # entries of tensor_norm's partial contraction per chunk
 
 
-@dataclass(frozen=True)
-class Tensor:
+@record
+class Tensor(Record):
     """A dense (r,s)-tensor; r vector slots, s covector slots."""
 
     space: VectorSpace
@@ -40,8 +42,8 @@ class Tensor:
         return (self.r, self.s)
 
 
-@dataclass(frozen=True)
-class GradedTensor:
+@record
+class GradedTensor(Record):
     """Finitely many tensors of mixed valence on one space.
 
     terms maps (r,s) pairs to Tensor values; absent pairs mean zero. The
@@ -279,7 +281,12 @@ def tensor_norm(T: Tensor, budget: int = 10_000, seed: int = 0) -> tuple:
     arr = as_array(T)
     letters = _EINSUM_LETTERS[:slots]
     eq = letters + "," + ",".join("n" + c for c in letters) + "->n"
-    operands = [tuples[:, k, :] for k in range(slots)]
-    values = np.einsum(eq, arr, *operands)
+    # The coefficients meet the first slot's vectors (one matrix product),
+    # then each further slot's; chunks of rows bound the intermediate.
+    path = ["einsum_path", (0, 1), *((0, k) for k in range(slots - 1, 0, -1))]
+    step = max(1, _NORM_CHUNK // d ** (slots - 1))
+    values = np.concatenate([
+        np.einsum(eq, arr, *(tuples[i:i + step, k, :] for k in range(slots)), optimize=path)
+        for i in range(0, budget, step)])
     lower = float(np.max(np.abs(values)))
     return lower, upper

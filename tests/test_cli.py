@@ -614,6 +614,26 @@ def test_fibers_past_the_bound_are_refused_before_they_are_built(tmp_path, argv,
     assert not (tmp_path / "out.json").exists()
 
 
+def _address_space_limit(nbytes: int):
+    """A preexec_fn that caps the child's address space at nbytes; the
+    limit acts on that child only."""
+    import resource
+
+    return lambda: resource.setrlimit(resource.RLIMIT_AS, (nbytes, nbytes))
+
+
+def test_running_out_of_memory_is_exit_1_not_a_traceback():
+    # 10^8 points of two coordinates are 1.5 GiB: under the --samples bound,
+    # over what a process held to 1.5 GiB of address space can allocate.
+    kwargs = cold_command("check", gp("trivial"), "--samples", "100000000")
+    kwargs["env"]["OPENBLAS_NUM_THREADS"] = "1"  # no BLAS thread buffers out of the limit
+    proc = subprocess.run(**kwargs, capture_output=True, text=True, timeout=120,
+                          preexec_fn=_address_space_limit(3 << 29))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: out of memory at 100000000 samples; lower --samples\n"
+    assert "Traceback" not in proc.stderr
+
+
 def guarded_main(*argv) -> tuple:
     """quiet_main's exit code and stderr, once the run is shown to end in
     0, 1 or 2 with no exception, traceback or warning."""

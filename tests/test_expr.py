@@ -1,7 +1,8 @@
 """Expression parsing, printing, evaluation, and symbolic derivatives."""
 
+import dataclasses
 import math
-from dataclasses import make_dataclass
+from dataclasses import FrozenInstanceError, make_dataclass
 
 import pytest
 from hypothesis import given, seed, settings
@@ -290,6 +291,40 @@ def test_each_node_carries_its_operand_fields_in_order_and_nothing_else_sees_the
     assert rebuilt(e) == e and hash(e) == hash(ref)
     assert repr(e) == repr(ref)
     assert Add(e, Var(1)).operands[0] is e and Pow(e, 2).operands == (e,)
+
+
+# (name, annotation) of each node class's dataclass fields, in order.
+NODE_FIELDS = {
+    Num: (("value", "float"),), Const: (("name", "str"),), Var: (("index", "int"),),
+    Neg: (("a", "Expr"),), Add: (("a", "Expr"), ("b", "Expr")),
+    Sub: (("a", "Expr"), ("b", "Expr")), Mul: (("a", "Expr"), ("b", "Expr")),
+    Div: (("a", "Expr"), ("b", "Expr")), Pow: (("base", "Expr"), ("exponent", "int")),
+    Call: (("fn", "str"), ("arg", "Expr")),
+}
+
+
+def test_node_classes_keep_their_fields_and_match_args():
+    assert set(NODE_FIELDS) == set(REFERENCE)
+    for cls, want in NODE_FIELDS.items():
+        assert dataclasses.is_dataclass(cls)
+        assert tuple((f.name, f.type) for f in dataclasses.fields(cls)) == want
+        assert cls.__match_args__ == tuple(name for name, _ in want)
+
+
+def test_node_fields_refuse_assignment_and_deletion():
+    e = parse_expr("sin(x1)^2 + (-x2) / pi - 3*e")
+    text, nodes, stack = to_string(e), [], [e]
+    while stack:
+        nodes.append(stack.pop())
+        stack += nodes[-1].operands
+    assert {type(n) for n in nodes} == set(NODE_FIELDS)
+    for node in nodes:
+        for name in (*node.__match_args__, "top", "operands", "other"):
+            with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+                setattr(node, name, Num(1.0))
+            with pytest.raises(FrozenInstanceError, match=f"cannot delete field '{name}'"):
+                delattr(node, name)
+    assert to_string(e) == text and e.top == 2
 
 
 def test_equality_treats_signed_zeros_and_int_literals_like_the_dataclasses():

@@ -1,6 +1,7 @@
 """Boxes, regions, coverage decisions, and deterministic sampling."""
 
 from collections import Counter
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from vbx.geometry import (
     halton,
     intersect_boxes,
     make_box,
+    normal_inv_cdf,
     region_contains,
     sample_box,
     sample_region,
@@ -256,3 +258,17 @@ def test_sample_box_with_unbounded_sides():
     pts = sample_box(box, 50, seed=2)
     assert np.all(pts > 0)
     assert np.all(np.isfinite(pts))
+
+
+def test_normal_inv_cdf_is_normal_dist_to_within_two_ulp():
+    rng = np.random.default_rng(241)
+    tail = np.geomspace(1e-12, 0.075, 2000)  # 0.075 = 0.5 - 0.425: the central edge
+    p = np.concatenate([rng.random(20_000), tail, 1.0 - tail, rng.random(1000) * 1e-6 + 1e-12,
+                        [1e-12, 1.0 - 1e-12, 0.5, 0.075, 0.925, np.nextafter(0.075, 0.0),
+                         np.exp(-25.0), np.nextafter(np.exp(-25.0), 1.0)]])  # r = 5 at e^-25
+    want = np.array([NormalDist().inv_cdf(float(x)) for x in p])
+    got = normal_inv_cdf(p)
+    assert got.shape == p.shape
+    assert np.all(np.abs(got - want) <= 2 * np.spacing(np.abs(want)))
+    assert np.mean(got == want) > 0.999
+    assert np.array_equal(normal_inv_cdf(p.reshape(-1, 2)), got.reshape(-1, 2))

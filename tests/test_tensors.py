@@ -306,6 +306,12 @@ def test_tensor_norm_past_the_halton_dimensions_names_its_slots():
         tensor_norm(T)
 
 
+@pytest.mark.parametrize("r,s", [(7, 7), (20, 20)])
+def test_tensor_norm_names_every_slot_apart_from_the_samples(r, s):
+    # 14 slots used to give the 14th the sample index's letter "n".
+    assert tensor_norm(make_tensor(make_space(1), r, s, [-2.0]), budget=50) == (2.0, 2.0)
+
+
 def test_tensor_norm_runs_on_numpy_alone():
     """In a fresh interpreter, import vbx and one tensor_norm call load no
     scipy module, and numpy is the only declared runtime dependency."""

@@ -94,7 +94,6 @@ from .report import (
     vacuous_record,
 )
 from .tensors import make_tensor, on_slots
-from . import symmat
 
 DEFAULT_SAMPLES = 200
 DEFAULT_SEED = 42
@@ -907,7 +906,7 @@ def make_frame(B: VectorBundleSpec, chart: str, columns) -> BundleMorphismSpec:
         raise SpecError(f"a frame needs {B.fiber_dim} columns of {B.fiber_dim} components")
     over = make_bundle(make_atlas(B.base.dim, [(chart, box)], []), B.fiber_dim, B.field, [])
     return BundleMorphismSpec(over, B, {chart: chart}, {chart: identity_map(box).components},
-                              {chart: symmat.mat_transpose(cols)})
+                              {chart: tuple(zip(*cols))})
 
 
 def frame_from_trivialization(B: VectorBundleSpec, chart: str,
@@ -963,6 +962,7 @@ def dual_frame(F: BundleMorphismSpec, samples: int = 25, tol: float = DEFAULT_TO
     dual frame is again an expression-backed frame, on the dual bundle.
     Pairing dual column i against frame column j gives the Kronecker delta.
     """
+    from . import symmat
     from .constructions import dual_bundle
 
     c = _frame_chart(F)

@@ -279,10 +279,13 @@ class _Trial:
         for _, run in (run for runs in by_key.values() for run in runs):
             rows = _rows_choosing(choice, run, len(options))
             Xr = X[rows]
-            for box in dict.fromkeys(options[k].box for k in run) if boxes else ():
-                ks = [k for k in run if options[k].box == box]
+            by_box: dict = {}  # (lo, hi), what Box equality compares -> its options
+            for k in run if boxes else ():
+                box = options[k].box
+                by_box.setdefault((box.lo, box.hi), []).append(k)
+            for ks in by_box.values():
                 part = rows if len(ks) == len(run) else _rows_choosing(choice, ks, len(options))
-                self.in_box(box, Xr if part is rows else X[part], part, _DOMAIN_BOX)
+                self.in_box(options[ks[0]].box, Xr if part is rows else X[part], part, _DOMAIN_BOX)
             out[rows] = stage(options[run[0]], Xr, rows)
         return out
 

@@ -11,11 +11,22 @@ inputs on mathematical grounds).
 
 from __future__ import annotations
 
-import argparse
-import functools
-import math
 import os
 import sys
+
+# One BLAS thread, unless the user set OPENBLAS_NUM_THREADS. vbx matrices
+# are at most 81 x 81 at desk scale, so a worker pool gains nothing; it
+# starts while numpy loads and competes with the import, and one thread
+# keeps reports free of the host's core count. Only a process that has not
+# loaded numpy yet, that is a `vbx` command, takes the default: a program
+# that imported numpy first keeps its environment.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import argparse
+import functools
+import gc
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -241,5 +252,14 @@ def main(argv=None) -> int:
         return 1
 
 
+def console() -> int:
+    """The `vbx` command: main() in a process of its own. The modules it
+    imported stay for the life of the process, so they leave the cyclic
+    collector's care (gc.freeze). Only a command's own process may freeze:
+    code that calls main() many times keeps its garbage collectable."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(console())

@@ -34,7 +34,6 @@ from .errors import FileError, ParseError, SpecError, UnknownSymbol
 from .expr import parse_expr, to_string
 from .linalg import FieldTag
 from .record import Record, record
-from .symmat import mat_transpose
 
 _TOP_KEYS = {"base", "fiber", "transitions", "sections", "frames", "fields", "derivation"}
 _BASE_KEYS = {"dim", "charts", "overlaps"}
@@ -368,7 +367,7 @@ def document_to_dict(bundle: VectorBundleSpec, sections: dict | None = None,
         for name, F in sorted(frames.items()):  # a frame's columns are its fiber map's
             ((chart, P),) = F.fiber_map.items()
             doc["frames"].append({"name": name, "chart": chart, "columns": [
-                [to_string(e, memo) for e in col] for col in mat_transpose(P)]})
+                [to_string(e, memo) for e in col] for col in zip(*P)]})
     if fields:
         doc["fields"] = [{"name": name, "r": A.r, "s": A.s, "components": components(A)}
                          for name, A in sorted(fields.items())]

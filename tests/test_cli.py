@@ -271,6 +271,21 @@ def test_check_report_files_are_reproducible(capsys, tmp_path):
     assert all("worst" in r for r in report["records"])
 
 
+def test_reports_do_not_depend_on_the_blas_thread_count(capsys, tmp_path):
+    spec = str(tmp_path / "t11.json")
+    dense = str(Path(__file__).parent / "golden" / "dense.json")
+    assert run(capsys, "construct", "tensor", "--r", "1", "--s", "1", dense, "-o", spec)[0] == 0
+    seen = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"report{threads}.json"
+        command = cold_command("check", spec, "--samples", "200", "--out", str(out))
+        command["env"]["OPENBLAS_NUM_THREADS"] = threads
+        proc = subprocess.run(**command, capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        seen.append((out.read_bytes(), proc.stdout))
+    assert seen[0] == seen[1]
+
+
 # --------------------------------------------------------------------------
 # construct
 

@@ -1,7 +1,11 @@
 """The package is lazy: `import vbx` runs no submodule, every public name
-still resolves, and a cold command loads only the modules it runs."""
+still resolves, and a cold command loads only the modules it runs. A
+command's process takes one BLAS thread unless told otherwise and freezes
+its import heap; a program that calls main() or imports numpy first does
+neither."""
 
 import importlib
+import json
 import pkgutil
 import subprocess
 import sys
@@ -15,19 +19,38 @@ from vbx.specio import gallery_path
 SRC = Path(vbx.__file__).resolve().parent.parent
 
 
-def fresh(*args: str) -> subprocess.CompletedProcess:
-    """A fresh interpreter on args, writing no bytecode, as a cold command runs."""
+def fresh(*args: str, **env: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter on args, writing no bytecode, as a cold command
+    runs; env adds variables (it sets no BLAS variable of its own)."""
     proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=120,
-                          env={"PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"})
+                          env={"PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1", **env})
     assert proc.returncode == 0, proc.stderr
     return proc
 
 
+# A cold command, then the state it leaves, as the last line of stderr:
+# the BLAS thread setting, the frozen object count and every loaded module.
+_ENTRIES = {
+    "module": "runpy.run_module('vbx.cli', run_name='__main__', alter_sys=True)",  # python -m
+    "script": "from vbx.cli import console; sys.exit(console())",  # the `vbx` console script
+}
+_AFTER = ("import atexit, gc, json, os, runpy, sys; atexit.register(lambda: print(json.dumps("
+          "[os.environ.get('OPENBLAS_NUM_THREADS'), gc.get_freeze_count(), sorted(sys.modules)]"
+          "), file=sys.stderr)); ")
+
+
+def after(*argv: str, entry: str = "module", **env: str) -> tuple:
+    """(BLAS threads, frozen count, loaded modules) at the end of a cold
+    `vbx` command run through entry."""
+    blas, frozen, modules = json.loads(
+        fresh("-c", _AFTER + _ENTRIES[entry], *argv, **env).stderr.splitlines()[-1])
+    return blas, frozen, set(modules)
+
+
 def imported(*argv: str) -> set:
-    """The modules a cold `vbx` command imports, read from -X importtime."""
-    err = fresh("-X", "importtime", "-m", "vbx.cli", *argv).stderr
-    return {line.rsplit("|", 1)[1].strip() for line in err.splitlines()
-            if line.startswith("import time:") and line.count("|") == 2}
+    """The modules a cold `vbx` command imports, read from sys.modules when
+    it ends: -X importtime does not log a `from . import x`."""
+    return after(*argv)[2]
 
 
 def test_import_vbx_runs_no_submodule():
@@ -43,7 +66,7 @@ def test_import_vbx_runs_no_submodule():
 def test_check_and_eval_load_no_construction_and_no_statistics(argv):
     loaded = imported(*argv)
     assert {"vbx", "vbx.bundles", "vbx.specio"} <= loaded  # vbx.cli runs as __main__
-    assert not loaded & {"vbx.constructions", "vbx.pullbacks", "statistics"}
+    assert not loaded & {"vbx.constructions", "vbx.pullbacks", "vbx.symmat", "statistics"}
 
 
 def test_construct_loads_the_constructions_and_still_writes_its_output(tmp_path):
@@ -51,6 +74,34 @@ def test_construct_loads_the_constructions_and_still_writes_its_output(tmp_path)
     loaded = imported("construct", "dual", str(gallery_path("mobius")), "-o", str(out))
     assert "vbx.constructions" in loaded and "statistics" not in loaded
     assert out.exists()
+
+
+EVAL = ("eval", str(gallery_path("mobius")), "--target", "halfwave", "--chart", "east",
+        "--point", "0.5")
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRIES))
+def test_a_command_takes_one_blas_thread_and_freezes_its_import_heap(entry):
+    blas, frozen, loaded = after(*EVAL, entry=entry)
+    assert blas == "1" and frozen > 0
+    assert "numpy" in loaded
+
+
+def test_a_users_blas_thread_count_is_kept():
+    assert after(*EVAL, OPENBLAS_NUM_THREADS="3")[0] == "3"
+
+
+def test_a_program_that_imports_numpy_first_keeps_its_environment():
+    code = ("import os, numpy; before = dict(os.environ); import vbx.cli; "
+            "print(dict(os.environ) == before, 'OPENBLAS_NUM_THREADS' in os.environ)")
+    assert fresh("-c", code).stdout == "True False\n"
+
+
+def test_main_called_in_process_never_freezes():
+    code = ("import gc, sys; from vbx.cli import main; "
+            f"codes = [main({list(EVAL)!r}) for _ in range(3)]; "
+            "print(codes, gc.get_freeze_count(), file=sys.stderr)")
+    assert fresh("-c", code).stderr.splitlines()[-1] == "[0, 0, 0] 0"
 
 
 def test_every_public_name_resolves_to_its_submodules_object():

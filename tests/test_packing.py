@@ -249,6 +249,28 @@ def test_maps_sharing_a_program_keep_their_own_boxes(monkeypatch):
     assert np.isnan(Y[4, 0])
 
 
+def test_equal_boxes_in_one_pack_are_checked_once(tmp_path, monkeypatch):
+    # Four overlaps whose taus ("x1") share one program; a tau's box is its
+    # source chart's, so each stage's one run holds three distinct but
+    # equal Box objects. Each stage checks the run's rows against one box.
+    doc = {"base": {"dim": 1, "charts": [{"name": n, "box": [[0, 4]]} for n in "abc"],
+                    "overlaps": [{"from": f, "to": t, "region": [[[1, 3]]], "tau": ["x1"]}
+                                 for f, t in (("a", "b"), ("a", "c"), ("b", "a"), ("c", "a"))]}}
+    (tmp_path / "equal_boxes.json").write_text(json.dumps(doc))
+    A = load_spec(tmp_path / "equal_boxes.json").base
+    assert len({id(o.tau.box) for o in A.overlaps}) == 3
+    assert len({o.tau.box for o in A.overlaps}) == 1
+    monkeypatch.setattr(bundles, "_PACK_ROWS", 1)
+    alone = report_to_json(check_base_atlas(A, 10, seed=7))
+    monkeypatch.setattr(bundles, "_PACK_ROWS", 2048)
+    checked = []
+    in_box = calculus._Trial.in_box
+    monkeypatch.setattr(calculus._Trial, "in_box", lambda t, box, X, rows, where: (
+        checked.append(len(rows)) or in_box(t, box, X, rows, where)))
+    assert report_to_json(check_base_atlas(A, 10, seed=7)) == alone
+    assert checked == [40, 40]  # the tau stage and its way back, over 4 x 10 rows
+
+
 def test_a_shared_program_runs_over_at_most_the_row_budget(monkeypatch):
     # Options that share a program run together while their rows fit the
     # budget, so a subject larger than the budget never runs a program over

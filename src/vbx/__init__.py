@@ -22,31 +22,35 @@ __version__ = "0.1.0"
 
 # Public name -> the submodule that defines it; a submodule maps to itself.
 _HOME = {name: module for module, names in {
-    "bundles": """bundles LOCAL_CHART BaseAtlasSpec BundleEdge BundleMorphismSpec ChartSpec
-        OverlapSpec TensorFieldSpec TotalPoint VectorBundleSpec change_chart check_base_atlas
-        check_frame check_section check_vb dual_frame field_add field_eval field_fmul
-        field_smul frame_from_trivialization frame_matrix_at local_bundle make_atlas
-        make_bundle make_field make_frame make_morphism make_section make_total_point
-        transition_eval zero_section""",
-    "calculus": "calculus SmoothMap compose_maps eval_map jacobian make_smooth_map",
-    "constructions": """constructions base_restriction check_morphism check_tensor_field
-        compose_morphism direct_product dual_bundle field_product hom_bundle identity_morphism
-        induced_bundle local_expression map_pullback_cov map_pullback_rs subbundle_check
-        tangent_bundle tensor_bundle vb_pullback_cov vb_pullback_rs whitney_sum""",
+    "bundles": "bundles check_base_atlas check_frame check_section check_vb",
+    "calculus": "calculus SmoothMap eval_map jacobian make_smooth_map",
+    "constructions": """constructions LOCAL_CHART base_restriction check_morphism
+        check_tensor_field compose_morphism direct_product dual_bundle hom_bundle
+        identity_morphism induced_bundle local_bundle local_expression make_morphism
+        map_pullback_cov map_pullback_rs subbundle_check tangent_bundle tensor_bundle
+        vb_pullback_cov vb_pullback_rs whitney_sum""",
+    "coords": "Box FieldTag Tensor VectorSpace make_box make_tensor",
     "errors": """errors BaseMismatch ChartAssignmentError CocycleViolation DomainViolation
         EvalError FileError NotAnIsomorphism ParseError ShapeMismatch SingularFrame SpecError
         UnknownSymbol UnsupportedField VbxError""",
-    "expr": "expr compile_exprs enclose eval_expr parse_expr run_program to_string",
-    "geometry": "geometry Box make_box sample_box sample_region",
-    "linalg": """linalg FieldTag LinearMap OrderedBasis VectorSpace compose_linear dual_basis
-        invert_linear make_basis make_linear make_space""",
+    "expr": "expr compile_exprs eval_expr parse_expr run_program to_string",
+    "geometry": "geometry sample_box sample_region",
+    "intervals": "enclose",
+    "linalg": """linalg LinearMap OrderedBasis compose_linear dual_basis invert_linear
+        make_basis make_linear make_space""",
+    "pointwise": """TotalPoint change_chart compose_maps dual_frame field_add field_fmul
+        field_product field_smul frame_from_trivialization frame_matrix_at make_total_point
+        transition_eval zero_section""",
     "pullbacks": "pullbacks rs_pullback",
     "report": """report CheckRecord CheckReport format_report make_report merge_reports
         report_to_json""",
+    "spec": """BaseAtlasSpec BundleEdge BundleMorphismSpec ChartSpec OverlapSpec
+        TensorFieldSpec VectorBundleSpec field_eval make_atlas make_bundle make_field
+        make_frame make_section""",
     "specio": "specio gallery_path list_gallery load_spec save_spec",
     "symmat": "symmat",
-    "tensors": """tensors Tensor basis_tensor digits_to_index index_to_digits make_tensor
-        scalar_mul tensor_add tensor_eval tensor_product""",
+    "tensors": """tensors basis_tensor digits_to_index index_to_digits scalar_mul tensor_add
+        tensor_eval tensor_product""",
 }.items() for name in names.split()}
 
 __all__ = sorted(_HOME)

@@ -10,35 +10,28 @@ membership, evaluation without error, finite values): the check suites
 run it over packs of their subjects' samples, and the one-point functions
 (eval_map, jacobian, and the bundle ones such as field_eval) are one row
 of it. A tensor field on a box is a field on a one-chart trivial bundle
-(bundles.local_bundle), and pulling it back along a smooth map is the
-morphism pullback of vbx.constructions (map_pullback_rs,
-map_pullback_cov), whose fiber map is the same partials.
+(constructions.local_bundle), and pulling it back along a smooth map is
+the morphism pullback of vbx.constructions (map_pullback_rs,
+map_pullback_cov), whose fiber map is the same partials. Composition,
+directional derivatives and the derivative identities at a point are
+library API in vbx.pointwise.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from itertools import accumulate
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .coords import Box, FieldTag, VectorSpace, box_mask, make_box, row_reduce
 from .errors import DomainViolation, EvalError, ShapeMismatch
-from .expr import (
-    Expr,
-    Num,
-    Program,
-    Var,
-    as_exprs,
-    compile_exprs,
-    diff,
-    fold_mul,
-    num_literal,
-    run_program,
-    subst_all,
-)
-from .geometry import Box, box_mask, make_box
-from .linalg import FieldTag, LinearMap, VectorSpace, make_linear, row_reduce
+from .expr import Expr, Num, Program, Var, as_exprs, compile_exprs, diff, run_program
 from .record import Record, record
+
+if TYPE_CHECKING:  # library API, which no command loads
+    from .linalg import LinearMap
 
 
 @record
@@ -92,7 +85,7 @@ class _Trial:
     subject of all rows). A subject's results do not depend on the others
     in the batch: rows are evaluated independently, every numeric form
     is chosen by the shape of what is computed, never by the number of
-    rows (see linalg.on_columns), and options that share a program run it
+    rows (see coords.on_columns), and options that share a program run it
     over at most run_rows rows together.
 
     Stages run in the order an identity is evaluated at a single point. A
@@ -356,16 +349,6 @@ def shaped(x, dim: int, what: str) -> np.ndarray:
     return pt
 
 
-def point_in_box(x, box: Box, what: str, where: str) -> np.ndarray:
-    """x as a float array, once it passes the shape and box rules."""
-
-    def stage(t, X, rows):
-        t.in_box(box, X, rows, where)
-        return X
-
-    return at_point(x, box.dim, what, stage)
-
-
 def eval_map(F: SmoothMap, x) -> np.ndarray:
     """Componentwise evaluation at a point of the open domain box."""
     return at_point(x, F.in_dim, "domain dim", lambda t, X, rows: t.map(F, X, rows))
@@ -373,74 +356,9 @@ def eval_map(F: SmoothMap, x) -> np.ndarray:
 
 def jacobian(F: SmoothMap, x) -> LinearMap:
     """Matrix of first partials at x: F.partials evaluated there."""
+    from .linalg import make_linear  # library API, which no command loads
+
     mat = at_point(x, F.in_dim, "domain dim", lambda t, X, rows: t.jacobian(F, X, rows))
     dom = VectorSpace(F.in_dim, FieldTag.REAL)
     cod = VectorSpace(F.out_dim, FieldTag.REAL)
     return make_linear(dom, cod, mat)
-
-
-def directional_derivative(f: SmoothMap, x, v) -> float:
-    """Derivative of a scalar map at x in direction v."""
-    if f.out_dim != 1:
-        raise ShapeMismatch("directional_derivative expects a scalar map")
-    vec = np.asarray(v, dtype=float)
-    if vec.shape != (f.in_dim,):
-        raise ShapeMismatch(f"direction shape {vec.shape} does not match domain dim {f.in_dim}")
-    return float((jacobian(f, x).matrix @ vec)[0])
-
-
-def compose_maps(g: SmoothMap, f: SmoothMap) -> SmoothMap:
-    """g after f, by substituting f's components into g's expressions."""
-    if g.in_dim != f.out_dim:
-        raise ShapeMismatch(f"cannot compose: inner map has {f.out_dim} outputs, outer expects {g.in_dim}")
-    return SmoothMap(subst_all(g.components, f.components), f.box)
-
-
-def leibniz_defect(f: SmoothMap, g: SmoothMap, x, v) -> float:
-    """D(fg)(x)(v) minus the Leibniz expansion; tiny for correct derivatives."""
-    if f.out_dim != 1 or g.out_dim != 1:
-        raise ShapeMismatch("leibniz_defect expects scalar maps")
-    if f.box != g.box:
-        raise ShapeMismatch("leibniz_defect expects maps on a shared domain box")
-    product = SmoothMap((fold_mul(f.components[0], g.components[0]),), f.box)
-    lhs = directional_derivative(product, x, v)
-    fx = float(eval_map(f, x)[0])
-    gx = float(eval_map(g, x)[0])
-    rhs = gx * directional_derivative(f, x, v) + fx * directional_derivative(g, x, v)
-    return lhs - rhs
-
-
-def chain_defect(g: SmoothMap, f: SmoothMap, x) -> float:
-    """Max entry of |J(g∘f)(x) - J(g)(f(x)) J(f)(x)|."""
-    fx = eval_map(f, x)
-    if not g.box.contains(fx):
-        raise DomainViolation(f"f(x) = {fx.tolist()} leaves the outer map's box")
-    direct = jacobian(compose_maps(g, f), x).matrix
-    chained = jacobian(g, fx).matrix @ jacobian(f, x).matrix
-    return float(np.max(np.abs(direct - chained)))
-
-
-def product_partials(F: SmoothMap, p1, p2, v1, v2) -> np.ndarray:
-    """Sum of the two partial-slot derivative actions at (p1, p2).
-
-    Freezes one factor at a time: J(F∘i1)(p1) v1 + J(F∘i2)(p2) v2, which
-    equals the full Jacobian applied to (v1, v2).
-    """
-    a1 = np.asarray(p1, dtype=float)
-    a2 = np.asarray(p2, dtype=float)
-    m1, m2 = a1.size, a2.size
-    if m1 + m2 != F.in_dim:
-        raise ShapeMismatch(f"point split {m1}+{m2} does not match domain dim {F.in_dim}")
-    point_in_box(np.concatenate([a1, a2]), F.box, "domain dim", _DOMAIN_BOX)
-    w1 = np.asarray(v1, dtype=float)
-    w2 = np.asarray(v2, dtype=float)
-    if w1.shape != (m1,) or w2.shape != (m2,):
-        raise ShapeMismatch("direction shapes do not match the point split")
-
-    frozen2 = [Var(i + 1) for i in range(m1)] + [num_literal(float(c)) for c in a2]
-    frozen1 = [num_literal(float(c)) for c in a1] + [Var(i + 1) for i in range(m2)]
-    box1 = Box(F.box.lo[:m1], F.box.hi[:m1])
-    box2 = Box(F.box.lo[m1:], F.box.hi[m1:])
-    iota1 = SmoothMap(subst_all(F.components, frozen2), box1)
-    iota2 = SmoothMap(subst_all(F.components, frozen1), box2)
-    return jacobian(iota1, a1).matrix @ w1 + jacobian(iota2, a2).matrix @ w2

@@ -32,13 +32,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .bundles import (
-    check_base_atlas,
-    check_frame,
-    check_section,
-    check_vb,
-    field_eval,
-)
 from .errors import (
     BaseMismatch,
     ChartAssignmentError,
@@ -50,8 +43,7 @@ from .errors import (
     VbxError,
 )
 from .expr import compile_exprs, tree_size
-from .geometry import sampling_scope
-from .report import CheckReport, format_report, make_report, merge_reports, report_to_json
+from .spec import field_eval
 from .specio import atlas_from_document, load_json, load_spec, save_spec
 
 _VERIFY_ERRORS = (BaseMismatch, ChartAssignmentError, CocycleViolation,
@@ -108,36 +100,41 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _tagged(report: CheckReport, prefix: str) -> CheckReport:
-    return make_report(report.suite,
-                       [replace(r, subject=f"{prefix} {r.subject}") for r in report.records])
-
-
-@sampling_scope()  # the suites of one check share their point sets
 def cmd_check(args) -> int:
+    # Only this command checks, so only it loads the check layer: the
+    # suites, their sampling and reports.
+    from .bundles import check_base_atlas, check_frame, check_section, check_vb
+    from .geometry import sampling_scope
+    from .report import format_report, make_report, merge_reports, report_to_json
+
+    def tagged(report, prefix: str):
+        return make_report(report.suite, [replace(r, subject=f"{prefix} {r.subject}")
+                                          for r in report.records])
+
     if not 1 <= args.samples <= MAX_SAMPLES:
         raise _Usage(f"--samples must be between 1 and {MAX_SAMPLES:,}")
     if not 0 < args.tol < math.inf:
         raise _Usage("--tol must be a positive finite number")
     doc = load_spec(args.spec)
 
-    reports = [check_base_atlas(doc.base, args.samples, args.tol, args.seed)]
-    if doc.bundle is not None:
-        reports.append(check_vb(doc.bundle, args.samples, args.tol, args.seed))
-        for name, S in sorted(doc.sections.items()):
-            reports.append(_tagged(check_section(S, args.samples, args.tol, args.seed),
-                                   f"section '{name}'"))
-        for name, F in sorted(doc.frames.items()):
-            reports.append(_tagged(check_frame(F, args.samples, seed=args.seed),
-                                   f"frame '{name}'"))
-        for name, A in sorted(doc.fields.items()):
-            reports.append(_tagged(check_section(A, args.samples, args.tol, args.seed),
-                                   f"field '{name}'"))
+    with sampling_scope():  # the suites of one check share their point sets
+        reports = [check_base_atlas(doc.base, args.samples, args.tol, args.seed)]
+        if doc.bundle is not None:
+            reports.append(check_vb(doc.bundle, args.samples, args.tol, args.seed))
+            for name, S in sorted(doc.sections.items()):
+                reports.append(tagged(check_section(S, args.samples, args.tol, args.seed),
+                                      f"section '{name}'"))
+            for name, F in sorted(doc.frames.items()):
+                reports.append(tagged(check_frame(F, args.samples, seed=args.seed),
+                                      f"frame '{name}'"))
+            for name, A in sorted(doc.fields.items()):
+                reports.append(tagged(check_section(A, args.samples, args.tol, args.seed),
+                                      f"field '{name}'"))
     merged = merge_reports("check", reports)
     print(format_report(merged))
     if args.out:
         try:
-            Path(args.out).write_text(report_to_json(merged))
+            Path(args.out).write_text(report_to_json(merged), encoding="utf-8")
         except OSError as exc:
             raise FileError(f"cannot write '{args.out}': {exc}") from exc
     return 0 if merged.passed else 2
@@ -209,6 +206,8 @@ def cmd_eval(args) -> int:
         point = [float(t) for t in args.point.split(",")]
     except ValueError:
         raise _Usage(f"cannot parse point '{args.point}'") from None
+    if not all(map(math.isfinite, point)):
+        raise _Usage(f"--point must hold finite coordinates, got '{args.point}'")
     target = doc.sections.get(args.target) or doc.fields.get(args.target)
     if target is None:
         raise _Usage(f"no section or field named '{args.target}' in '{args.spec}'")
@@ -255,9 +254,15 @@ def main(argv=None) -> int:
 def console() -> int:
     """The `vbx` command: main() in a process of its own. The modules it
     imported stay for the life of the process, so they leave the cyclic
-    collector's care (gc.freeze). Only a command's own process may freeze:
-    code that calls main() many times keeps its garbage collectable."""
+    collector's care (gc.freeze). It writes UTF-8, the encoding it reads
+    specification files in, whatever the locale: a chart named in any
+    script prints the same bytes everywhere. Only a command's own process
+    may freeze and set its streams: code that calls main() many times keeps
+    its garbage collectable and its streams as they are."""
     gc.freeze()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:  # None when the descriptor was closed at start-up
+            stream.reconfigure(encoding="utf-8", errors=stream.errors)
     return main()
 
 

@@ -11,7 +11,7 @@ on each source chart, symmat.mat_pullback of the fiber map times the field
 with the base map substituted. Pulling back along a smooth map f is the
 pullback through the morphism from the trivial bundle over f's box whose
 base map is f and whose fiber map is the Jacobian J_f (f.partials).
-A frame is a morphism too (bundles.make_frame), and a field's local
+A frame is a morphism too (spec.make_frame), and a field's local
 expression in a frame is the pullback through it.
 
 Transition matrices follow the Transition Convention of the bundle core
@@ -31,34 +31,18 @@ from .bundles import (
     DEFAULT_CHECK_TOL,
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
-    LOCAL_CHART,
-    BaseAtlasSpec,
-    BundleEdge,
-    BundleMorphismSpec,
-    OverlapSpec,
-    Pulling,
-    TensorFieldSpec,
-    VectorBundleSpec,
-    _check_field_pair,
     _edge_subject,
-    _fiber_map_rule,
-    _field_values,
-    _frame_chart,
     _first_match,
+    _frame_chart,
     _live_only,
     _lookup,
     _max_abs,
-    _operand_rules,
     _sampled,
     check_section,
-    field_eval,
-    local_bundle,
-    make_atlas,
-    make_bundle,
-    make_morphism,
-    tensor_dim,
 )
 from .calculus import SmoothMap, at_points, make_smooth_map, shaped
+from .coords import Box, FieldTag, box_inside, box_mask, make_box, region_mask
+from .dets import DEFAULT_TOL, scaled_abs_dets
 from .errors import (
     BaseMismatch,
     ChartAssignmentError,
@@ -71,22 +55,23 @@ from .errors import (
     SpecError,
     UnsupportedField,
 )
-from .expr import Var, _as_expr, as_exprs, compile_exprs, enclose, fold_mul, subst_all
-from .geometry import (
-    Box,
-    box_covered,
-    box_inside,
-    box_mask,
-    intersect_boxes,
-    make_box,
-    region_mask,
-    sample_box,
-    sample_region,
-    sampling_scope,
-)
-from .linalg import DEFAULT_TOL, FieldTag
+from .expr import Var, _as_expr, as_exprs, compile_exprs, subst_all
+from .geometry import sample_box, sample_region, sampling_scope
+from .intervals import box_covered, enclose, intersect_boxes
+from .record import Record, record
 from .report import MIN_DET, RESIDUAL, make_report, vacuous_record
-from .tensors import digits_to_index, index_to_digits
+from .spec import (
+    BaseAtlasSpec,
+    BundleEdge,
+    BundleMorphismSpec,
+    OverlapSpec,
+    TensorFieldSpec,
+    VectorBundleSpec,
+    _field_values,
+    make_atlas,
+    make_bundle,
+    tensor_dim,
+)
 from . import symmat
 
 
@@ -472,25 +457,6 @@ def check_tensor_field(A: TensorFieldSpec, samples: int = DEFAULT_SAMPLES,
     return check_section(A, samples, tol, seed)
 
 
-def field_product(A: TensorFieldSpec, B: TensorFieldSpec) -> TensorFieldSpec:
-    """Pointwise tensor product per chart; A takes the leading slots.
-
-    Coefficients are radix-ordered over a fiber of dimension d: result
-    coefficient (vec, cov) is A's at (vec[:A.r], cov[:A.s]) times B's at
-    the rest."""
-    _check_field_pair(A, B, "field_product", same_valence=False)
-    d, r, s, p, q = A.bundle.fiber_dim, A.r, A.s, B.r, B.s
-    pairs = []
-    for j in range(1, tensor_dim(d, r + p, s + q, "field_product") + 1):
-        digits = index_to_digits(j, d, r + p, s + q)
-        vec, cov = digits[: r + p], digits[r + p :]
-        pairs.append((digits_to_index(vec[:r] + cov[:s], d) - 1,
-                      digits_to_index(vec[r:] + cov[s:], d) - 1))
-    out = {name: tuple(fold_mul(A.per_chart[name][ja], B.per_chart[name][jb]) for ja, jb in pairs)
-           for name in sorted(A.per_chart)}
-    return TensorFieldSpec(A.bundle, r + p, s + q, out, _operand_rules(A, B))
-
-
 def local_expression(A: TensorFieldSpec, F: BundleMorphismSpec, points,
                      tol: float = DEFAULT_TOL) -> np.ndarray:
     """Numeric components of the field in a frame, at the query points.
@@ -523,6 +489,45 @@ def local_expression(A: TensorFieldSpec, F: BundleMorphismSpec, points,
 
 # ---------------------------------------------------------------------------
 # Bundle morphisms.
+
+
+def make_morphism(source: VectorBundleSpec, target: VectorBundleSpec,
+                  assignment: dict, base_map: dict, fiber_map: dict,
+                  inverse: dict | None = None) -> BundleMorphismSpec:
+    if source.field is not target.field:
+        raise UnsupportedField("make_morphism needs a common scalar field")
+    d1, d2 = source.fiber_dim, target.fiber_dim
+    asg, bm, fm = {}, {}, {}
+    for c in source.base.charts:
+        name = c.name
+        if name not in assignment or name not in base_map or name not in fiber_map:
+            raise SpecError(f"morphism is missing data on chart '{name}'")
+        target.base.chart(assignment[name])
+        what = f"morphism data on '{name}'"
+        comps = as_exprs(base_map[name], source.base.dim, what, SpecError)
+        if len(comps) != target.base.dim:
+            raise SpecError(
+                f"base map on '{name}' has {len(comps)} components, "
+                f"target base dim is {target.base.dim}")
+        mat = tuple(as_exprs(row, source.base.dim, what, SpecError) for row in fiber_map[name])
+        if len(mat) != d2 or any(len(row) != d1 for row in mat):
+            raise SpecError(f"fiber map on '{name}' must be {d2}x{d1}")
+        asg[name], bm[name], fm[name] = assignment[name], comps, mat
+    inv = None
+    if inverse is not None:
+        inv = {}
+        for c in target.base.charts:
+            if c.name not in inverse:
+                raise SpecError(f"declared inverse is missing chart '{c.name}'")
+            src_chart, comps = inverse[c.name]
+            source.base.chart(src_chart)
+            comps = as_exprs(comps, target.base.dim, f"inverse on '{c.name}'", SpecError)
+            if len(comps) != source.base.dim:
+                raise SpecError(
+                    f"inverse on '{c.name}' has {len(comps)} components, "
+                    f"source base dim is {source.base.dim}")
+            inv[c.name] = (src_chart, comps)
+    return BundleMorphismSpec(source, target, asg, bm, fm, inv)
 
 
 def identity_morphism(B: VectorBundleSpec) -> BundleMorphismSpec:
@@ -626,11 +631,46 @@ def check_morphism(M: BundleMorphismSpec, samples: int = DEFAULT_SAMPLES,
 # Pullbacks of tensor fields through morphisms, and along smooth maps.
 
 
+@record
+class Pulling(Record):
+    """One level of pulling back through the morphism M. At a point x of a
+    source chart, M's base map evaluates, M's fiber map passes its rule
+    (_fiber_map_rule), the base image is finite, and it passes the rules of
+    the field pulled back, inner, on the assigned chart, starting with
+    that chart's box."""
+
+    M: BundleMorphismSpec
+    inner: TensorFieldSpec
+    tol: float | None
+    error: type
+    noun: str  # what the fiber map is: "Jacobian", "fiber map" or "frame matrix"
+
+    def passes(self, t, chart: str, X, rows) -> None:
+        """The rules at the points X of a source chart, in the order above."""
+        M = self.M
+        Y = t.exprs(M.base_map[chart], X, rows)
+        _fiber_map_rule(t, M, chart, X, rows, self.tol, self.error, self.noun)
+        t.finite(Y, X, rows, "map value")
+        _field_values(t, self.inner, M.assignment[chart], Y, rows)
+
+
+def _fiber_map_rule(t, M: BundleMorphismSpec, chart: str, X, rows, tol: float | None,
+                    error: type, noun: str) -> None:
+    """The fiber-map rule at the points X of a source chart of M: M's
+    fiber map evaluates, is finite and, unless tol is None, is
+    nonsingular at tol (else error, naming the noun and the point)."""
+    phi = t.matrix(M.fiber_map[chart], X, rows, M.source.field.dtype)
+    t.finite(phi, X, rows, noun)
+    if tol is not None:
+        t.fail(rows, scaled_abs_dets(phi) <= tol,
+               lambda j: error(f"{noun} singular at {X[j].tolist()}"))
+
+
 def _pulled(M: BundleMorphismSpec, A: TensorFieldSpec, tol: float | None,
             error: type, noun: str) -> TensorFieldSpec:
     """A's components pulled back through M on each source chart:
     mat_pullback of the fiber map times A at the mapped base point. M's
-    point rules ride along as a Pulling (see bundles.Pulling)."""
+    point rules ride along as a Pulling."""
     out = {}
     for c in M.source.base.charts:
         name, chart = c.name, M.assignment[c.name]
@@ -700,6 +740,17 @@ def vb_pullback_cov(M: BundleMorphismSpec, A: TensorFieldSpec) -> TensorFieldSpe
         raise ShapeMismatch(
             f"vb_pullback_cov handles purely covariant fields, got valence ({A.r},{A.s})")
     return _pulled(M, A, None, NotAnIsomorphism, "fiber map")
+
+
+LOCAL_CHART = "box"
+
+
+def local_bundle(box, fiber_dim: int) -> VectorBundleSpec:
+    """The trivial real bundle of rank fiber_dim over one open box: one
+    chart, LOCAL_CHART, and no overlaps. Its fields are the box-local
+    fields."""
+    b = box if isinstance(box, Box) else make_box(box)
+    return make_bundle(make_atlas(b.dim, [(LOCAL_CHART, b)], []), fiber_dim, FieldTag.REAL, [])
 
 
 def _map_morphism(f: SmoothMap, A: TensorFieldSpec) -> BundleMorphismSpec:

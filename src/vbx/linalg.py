@@ -1,50 +1,28 @@
-"""Scalars, finite-dimensional spaces, linear maps, and ordered bases.
+"""Linear maps between coordinate spaces, ordered bases, and the
+singularity rule on one matrix.
 
-Everything downstream (tensors, pullbacks, bundles) consumes these types.
-Values are immutable after construction and all operations are pure, so
-instances may be shared freely across threads.
+The spaces themselves, FieldTag and VectorSpace, are vbx.coords's; the
+determinants of matrix stacks that the checks take are vbx.dets's. This
+module is library API: no `vbx` command runs it. Values are immutable
+after construction and all operations are pure, so instances may be
+shared freely across threads.
 
 Conventions fixed here once and relied on everywhere:
 
 * matrices are stored in the standard basis, column j = image of the j-th
   standard basis vector; changes of basis are explicit operations;
-* the complex field uses ordinary bilinear arithmetic, never implicit
-  conjugation;
-* singularity is decided on |det| after row-max scaling, so the test does
-  not punish badly scaled but perfectly invertible inputs.
+* singularity is decided on |det| after row-max scaling (see vbx.dets), so
+  the test does not punish badly scaled but perfectly invertible inputs.
 """
 
 from __future__ import annotations
 
-import enum
-import math
-from functools import reduce
-
 import numpy as np
 
+from .coords import FieldTag, VectorSpace, _freeze
+from .dets import DEFAULT_TOL, scaled_abs_dets
 from .errors import InvalidDimension, ShapeMismatch, Singular, SingularBasis
 from .record import Record, record
-
-DEFAULT_TOL = 1e-10
-
-
-class FieldTag(enum.Enum):
-    """Ground field marker. The value doubles as the JSON spelling."""
-
-    REAL = "real"
-    COMPLEX = "complex"
-
-    @property
-    def dtype(self) -> type:
-        return np.complex128 if self is FieldTag.COMPLEX else np.float64
-
-
-@record
-class VectorSpace(Record):
-    """A finite-dimensional coordinate space over a fixed field."""
-
-    dim: int
-    field: FieldTag
 
 
 @record
@@ -74,12 +52,6 @@ class OrderedBasis(Record):
 
     space: VectorSpace
     vectors: np.ndarray
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, copy=True)
-    out.setflags(write=False)
-    return out
 
 
 def make_space(dim: int, field: FieldTag = FieldTag.REAL) -> VectorSpace:
@@ -127,99 +99,6 @@ def scaled_abs_det(matrix: np.ndarray) -> float:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return 0.0
     return float(scaled_abs_dets(m[None])[0])
-
-
-def scaled_abs_dets(stack: np.ndarray) -> np.ndarray:
-    """scaled_abs_det of each matrix in an (n, d, d) stack, in one pass.
-
-    The form depends on d alone, so each matrix gets the same answer in a
-    stack of any length, alone included: for d <= 3 the cofactor expansion
-    of _cofactor_scaled_abs_dets, else LAPACK's LU (_lu_scaled_abs_dets).
-    Both give 0 for a matrix with a zero row.
-    """
-    m = np.asarray(stack)
-    if m.shape[-1] <= 3:
-        return _cofactor_scaled_abs_dets(m)
-    return _lu_scaled_abs_dets(m)
-
-
-def _cofactor_scaled_abs_dets(m: np.ndarray) -> np.ndarray:
-    """scaled_abs_dets of an (n, d, d) stack with d <= 3, on entry columns.
-
-    Every entry position is one n-long array and the determinant is the
-    cofactor expansion along the first row, computed elementwise across
-    the stack. Row scaling leaves every entry of modulus at most 1, so the
-    expansion (at most six products of three entries) is within 64 ulp of
-    1.0 (64 * 2.2e-16 = 1.4e-14) of the exact |det| of the row-scaled
-    matrix, real or complex. A matrix that holds NaN after scaling (from a
-    zero row, a NaN or an infinite entry) goes to _lu_scaled_abs_dets, so
-    a zero row or an exactly zero pivot makes its answer 0 there.
-    """
-    d = m.shape[-1]
-    rows = []
-    with np.errstate(all="ignore"):
-        for i in range(d):
-            row_max = row_reduce(np.maximum, np.abs(m[:, i]))
-            rows.append([m[:, i, j] / row_max for j in range(d)])
-        det = np.abs(_cofactor_det(rows))
-    nan = np.isnan(det)
-    if nan.any():
-        det[nan] = _lu_scaled_abs_dets(m[nan])
-    return det
-
-
-def _cofactor_det(rows):
-    """The determinant of the matrix whose entries are the arrays rows[i][j],
-    by cofactor expansion along the first row."""
-    if len(rows) == 1:
-        return rows[0][0]
-    det = 0.0
-    for j, a in enumerate(rows[0]):
-        term = a * _cofactor_det([r[:j] + r[j + 1:] for r in rows[1:]])
-        det = det + term if j % 2 == 0 else det - term
-    return det
-
-
-def _lu_scaled_abs_dets(m: np.ndarray) -> np.ndarray:
-    """scaled_abs_dets by LAPACK's LU, for a stack of any size."""
-    row_max = np.max(np.abs(m), axis=2)
-    zero_row = np.any(row_max == 0.0, axis=1)
-    with np.errstate(all="ignore"):
-        det = np.abs(np.linalg.det(m / np.where(row_max == 0.0, 1.0, row_max)[:, :, None]))
-    return np.where(zero_row, 0.0, det)
-
-
-def on_columns(k: int) -> bool:
-    """Whether work on samples of k entries each is done as about k numpy
-    calls on entry columns, one per entry position across the samples,
-    rather than as numpy's own call over the short axes of the stack.
-
-    The rule reads the entry count alone, never the number of samples, so
-    a result never depends on how the samples are batched; the forms it
-    picks between give the same bits, and it picks only a speed. numpy
-    spends a fixed time per sample reducing a short trailing axis, so the
-    column loop wins on many samples of few entries and loses by a fixed
-    cost per call on few samples. Timed on a 2-core x86-64 host with
-    numpy 2.4, a loop over the columns beat the axis reduction
-      np.maximum:     from n = 8, 16, 24, 192, 384, 1536 at k = 2, 3, 4, 9,
-                      25, 49, and at no n up to 3072 at k = 81;
-      np.logical_and: from n = 32, 48, 96, 192, about 1536 at k = 2, 3, 4,
-                      9, 25, and at no n up to 3072 at k = 49 or 81;
-    and at n = 3 it lost by about 20 us a call on 25 entries. Hence columns
-    for k <= 25.
-    """
-    return 0 < k <= 25
-
-
-def row_reduce(ufunc, A: np.ndarray) -> np.ndarray:
-    """ufunc.reduce over all entries of each A[i], for an (n, ...) array A:
-    a loop over the entry columns when on_columns says so, else numpy's
-    reduction over the flattened entries. The ufuncs reduced here
-    (np.maximum, np.logical_and) give the same bits in either order."""
-    M = A.reshape(len(A), math.prod(A.shape[1:]))
-    if on_columns(M.shape[1]):
-        return reduce(ufunc, M.T)
-    return ufunc.reduce(M, axis=1)
 
 
 def _invertible(matrix: np.ndarray, tol: float) -> bool:

@@ -19,9 +19,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from .coords import Tensor, _freeze, as_array, on_slots
+from .dets import DEFAULT_TOL
 from .errors import ShapeMismatch, Singular
-from .linalg import DEFAULT_TOL, LinearMap, _freeze, invert_linear, is_gl
-from .tensors import GradedTensor, Tensor, as_array, make_graded, on_slots
+from .linalg import LinearMap, invert_linear, is_gl
+from .tensors import GradedTensor, make_graded
 
 
 def _check_on_codomain(L: LinearMap, T: Tensor, op: str) -> None:

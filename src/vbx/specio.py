@@ -21,7 +21,11 @@ import json
 import math
 from pathlib import Path
 
-from .bundles import (
+from .coords import FieldTag
+from .errors import FileError, ParseError, SpecError, UnknownSymbol
+from .expr import parse_expr, to_string
+from .record import Record, record
+from .spec import (
     BaseAtlasSpec,
     VectorBundleSpec,
     make_atlas,
@@ -30,10 +34,6 @@ from .bundles import (
     make_frame,
     make_section,
 )
-from .errors import FileError, ParseError, SpecError, UnknownSymbol
-from .expr import parse_expr, to_string
-from .linalg import FieldTag
-from .record import Record, record
 
 _TOP_KEYS = {"base", "fiber", "transitions", "sections", "frames", "fields", "derivation"}
 _BASE_KEYS = {"dim", "charts", "overlaps"}
@@ -135,12 +135,18 @@ def _parse_box(value, loc: str) -> list:
 
 
 def load_json(path) -> dict:
-    """Read one JSON object from disk; I/O and syntax problems raise FileError."""
+    """Read one JSON object from disk, as UTF-8 whatever the locale (JSON
+    text is UTF-8, RFC 8259 section 8.1); I/O, encoding and syntax problems
+    raise FileError."""
     p = Path(path)
     try:
-        text = p.read_text()
+        data = p.read_bytes()
     except OSError as exc:
         raise FileError(f"cannot read '{p}': {exc}") from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FileError(f"'{p}' is not UTF-8 text: {exc}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -346,7 +352,7 @@ def document_to_dict(bundle: VectorBundleSpec, sections: dict | None = None,
     """The document's JSON object. One print memo serves the whole
     document, so a subtree shared anywhere in it is printed once. A
     section, frame or field off the bundle, or one with point rules (see
-    bundles.Pulling), cannot be written faithfully: SpecError."""
+    constructions.Pulling), cannot be written faithfully: SpecError."""
     for kind, entries in (("section", sections), ("frame", frames), ("field", fields)):
         for name, X in sorted((entries or {}).items()):
             if (X.target if kind == "frame" else X.bundle) != bundle:
@@ -379,7 +385,7 @@ def save_spec(bundle: VectorBundleSpec, path, sections: dict | None = None,
     doc = document_to_dict(bundle, sections, frames, fields)
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     try:
-        Path(path).write_text(text)
+        Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise FileError(f"cannot write '{path}': {exc}") from exc
 

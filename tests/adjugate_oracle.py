@@ -12,7 +12,8 @@ bundles that satisfy their cocycle.
 from dataclasses import replace
 
 from vbx import symmat
-from vbx.bundles import TensorFieldSpec, check_section, make_bundle, tensor_dim
+from vbx.bundles import check_section
+from vbx.spec import TensorFieldSpec, make_bundle, tensor_dim
 
 mat_inverse = symmat.mat_inverse  # held here, so a test that patches symmat's is not seen
 

@@ -17,15 +17,16 @@ import numpy as np
 
 from vbx.calculus import eval_map as vbx_eval_map
 from vbx.calculus import jacobian as vbx_jacobian
-from vbx.bundles import LOCAL_CHART
-from vbx.bundles import field_eval as vbx_field_eval
+from vbx.constructions import LOCAL_CHART
+from vbx.coords import FieldTag, Tensor, VectorSpace, make_tensor, region_contains
+from vbx.dets import DEFAULT_TOL
 from vbx.errors import (CocycleViolation, DomainViolation, EvalError, NotADiffeomorphism,
                         ShapeMismatch)
 from vbx.expr import _CONSTS, Add, Call, Const, Div, Expr, Mul, Neg, Num, Pow, Sub, Var, _fold
-from vbx.geometry import region_contains
-from vbx.linalg import DEFAULT_TOL, FieldTag, VectorSpace, is_gl
+from vbx.linalg import is_gl
 from vbx.pullbacks import cov_pullback, rs_pullback
-from vbx.tensors import Tensor, make_tensor, tensor_product
+from vbx.spec import field_eval as vbx_field_eval
+from vbx.tensors import tensor_product
 
 
 class Dual:
@@ -266,7 +267,7 @@ def transition_matrix(B, i, j, x, tol=DEFAULT_TOL) -> np.ndarray:
 # Derived local fields as closures, the form vbx built them in before they
 # were expressions: a pulled-back field, or a sum, multiple or product with
 # one, evaluated its pointwise definition one point at a time. Plain
-# Fields on a box (on vbx.bundles.local_bundle) among the operands evaluate
+# Fields on a box (on vbx.constructions.local_bundle) among the operands evaluate
 # through vbx's field_eval on their one chart.
 
 

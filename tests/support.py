@@ -7,9 +7,10 @@ the shipped gallery files except where a test is specifically about them.
 import json
 import math
 
-from vbx.bundles import LOCAL_CHART, local_bundle, make_atlas, make_bundle, make_field
+from vbx.constructions import LOCAL_CHART, local_bundle
+from vbx.coords import FieldTag
 from vbx.expr import Expr, Var
-from vbx.linalg import FieldTag
+from vbx.spec import make_atlas, make_bundle, make_field
 from vbx.specio import gallery_path, list_gallery
 
 PI = math.pi

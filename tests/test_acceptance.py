@@ -11,28 +11,14 @@ import itertools
 import numpy as np
 import pytest
 
-from vbx.bundles import (
-    LOCAL_CHART,
-    check_section,
-    check_vb,
-    dual_frame,
-    frame_matrix_at,
-    make_section,
-    transition_eval,
-)
-from vbx.calculus import (
-    chain_defect,
-    compose_maps,
-    eval_map,
-    jacobian,
-    leibniz_defect,
-)
+from vbx.bundles import check_section, check_vb
+from vbx.calculus import eval_map, jacobian
 from vbx.cli import main
 from vbx.constructions import (
+    LOCAL_CHART,
     base_restriction,
     direct_product,
     dual_bundle,
-    field_eval,
     hom_bundle,
     induced_bundle,
     local_expression,
@@ -41,10 +27,10 @@ from vbx.constructions import (
     tensor_bundle,
     whitney_sum,
 )
+from vbx.coords import FieldTag, make_box, make_tensor, region_contains
 from vbx.errors import IndexOutOfRange
-from vbx.geometry import make_box, region_contains, sample_box, sample_region
+from vbx.geometry import sample_box, sample_region
 from vbx.linalg import (
-    FieldTag,
     compose_linear,
     identity_linear,
     invert_linear,
@@ -52,14 +38,22 @@ from vbx.linalg import (
     make_space,
     scaled_abs_det,
 )
+from vbx.pointwise import (
+    chain_defect,
+    compose_maps,
+    dual_frame,
+    frame_matrix_at,
+    leibniz_defect,
+    transition_eval,
+)
 from vbx.pullbacks import cov_pullback, rs_pullback
+from vbx.spec import field_eval, make_section
 from vbx.specio import gallery_path, list_gallery, load_spec
 from vbx.tensors import (
     basis_tensor,
     components_of,
     graded_product,
     make_graded,
-    make_tensor,
     reconstruct,
     scalar_mul,
     tensor_add,

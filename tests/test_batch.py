@@ -30,13 +30,10 @@ from vbx.bundles import (
     check_section,
     check_vb,
     find_edge,
-    make_atlas,
-    make_bundle,
-    make_frame,
-    make_section,
 )
 from vbx.calculus import _Trial, make_smooth_map
 from vbx.cli import main
+from vbx.coords import FieldTag
 from vbx.errors import EvalError, VbxError
 from vbx.expr import (
     Add,
@@ -54,8 +51,8 @@ from vbx.expr import (
     run_program,
 )
 from vbx.geometry import halton, sample_region
-from vbx.linalg import FieldTag
 from vbx.report import failed_record, make_report, residual_record
+from vbx.spec import make_atlas, make_bundle, make_frame, make_section
 from vbx.specio import gallery_path, list_gallery, load_spec
 
 # Values and gradients may differ from the scalar path where numpy's exp,

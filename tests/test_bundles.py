@@ -13,29 +13,8 @@ from support import (
     plane_rotation_bundle,
 )
 
-from vbx.bundles import (
-    change_chart,
-    check_base_atlas,
-    check_frame,
-    check_section,
-    check_vb,
-    dual_frame,
-    field_add,
-    field_eval,
-    field_fmul,
-    field_smul,
-    find_edge,
-    frame_from_trivialization,
-    frame_matrix_at,
-    make_atlas,
-    make_bundle,
-    make_field,
-    make_frame,
-    make_section,
-    make_total_point,
-    transition_eval,
-    zero_section,
-)
+from vbx.bundles import check_base_atlas, check_frame, check_section, check_vb, find_edge
+from vbx.coords import FieldTag
 from vbx.errors import (
     CocycleViolation,
     DomainViolation,
@@ -44,7 +23,20 @@ from vbx.errors import (
     SpecError,
     UnsupportedField,
 )
-from vbx.linalg import FieldTag, make_basis, make_space
+from vbx.linalg import make_basis, make_space
+from vbx.pointwise import (
+    change_chart,
+    dual_frame,
+    field_add,
+    field_fmul,
+    field_smul,
+    frame_from_trivialization,
+    frame_matrix_at,
+    make_total_point,
+    transition_eval,
+    zero_section,
+)
+from vbx.spec import field_eval, make_atlas, make_bundle, make_field, make_frame, make_section
 
 CHECK_TOL = 1e-9
 SAMPLES = 120

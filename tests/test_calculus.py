@@ -7,21 +7,22 @@ import pytest
 import scalar_oracle as oracle
 from support import local_field, mobius_bundle
 
-from vbx.bundles import LOCAL_CHART, field_add, field_eval, field_smul, local_bundle, make_field
-from vbx.calculus import (
+from vbx.calculus import eval_map, identity_map, jacobian, make_smooth_map
+from vbx.constructions import LOCAL_CHART, local_bundle, map_pullback_cov, map_pullback_rs
+from vbx.coords import make_box
+from vbx.errors import DomainViolation, NotADiffeomorphism, ShapeMismatch, SpecError, VbxError
+from vbx.geometry import sample_box
+from vbx.pointwise import (
     chain_defect,
     compose_maps,
     directional_derivative,
-    eval_map,
-    identity_map,
-    jacobian,
+    field_add,
+    field_product,
+    field_smul,
     leibniz_defect,
-    make_smooth_map,
     product_partials,
 )
-from vbx.constructions import field_product, map_pullback_cov, map_pullback_rs
-from vbx.errors import DomainViolation, NotADiffeomorphism, ShapeMismatch, SpecError, VbxError
-from vbx.geometry import make_box, sample_box
+from vbx.spec import field_eval, make_field
 from vbx.specio import gallery_path, list_gallery, load_spec
 from vbx.tensors import tensor_eval
 

@@ -844,3 +844,56 @@ def test_flag_vectors_end_in_an_exit_code_in_a_fresh_interpreter(tmp_path, argv)
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode in (0, 1, 2), proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_a_spec_file_that_is_not_utf8_is_a_file_error(tmp_path):
+    # JSON text is UTF-8 (RFC 8259, section 8.1), whatever the locale.
+    spec = tmp_path / "latin1.json"
+    spec.write_bytes(b'{"base": "\xff"}')
+    code, out, err = run_cold("check", str(spec))
+    assert (code, out) == (1, "")
+    assert err == (f"error: '{spec}' is not UTF-8 text: 'utf-8' codec can't decode byte 0xff "
+                   "in position 10: invalid start byte\n")
+
+
+def test_a_chart_named_in_any_script_gives_the_same_bytes_in_every_locale(tmp_path):
+    doc = json.loads(Path(gp("mobius")).read_text(encoding="utf-8"))
+    spec = tmp_path / "omega.json"
+    spec.write_text(json.dumps(doc).replace('"east"', '"Ωst"'), encoding="utf-8")
+    runs = []
+    for locale in ("C", "C.utf8"):
+        report = tmp_path / f"report_{locale}.json"
+        kwargs = cold_command("check", str(spec), "--samples", "5", "--out", str(report))
+        kwargs["env"].update(LC_ALL=locale, PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+        proc = subprocess.run(**kwargs, capture_output=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, b""), proc.stderr
+        runs.append((proc.stdout, report.read_bytes()))
+    assert runs[0] == runs[1]
+    assert "west->Ωst#0".encode() in runs[0][0]
+    # The C locale decodes the argument to surrogates, which stderr escapes.
+    kwargs = cold_command("eval", str(spec), "--target", "halfwave", "--chart", "Ωst",
+                          "--point", "0.5")
+    kwargs["env"].update(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    proc = subprocess.run(**kwargs, capture_output=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr == b"error: unknown chart '\\udcce\\udca9st'\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "MOBIUS", "--samples", "5", "--out", "REPORT"),
+    ("construct", "dual", "MOBIUS", "-o", "OUT"),
+    ("eval", "MOBIUS", "--target", "halfwave", "--chart", "east", "--point", "0.5"),
+], ids=["check", "construct", "eval"])
+def test_no_file_is_read_or_written_in_the_locale_encoding(tmp_path, argv):
+    files = {"MOBIUS": gp("mobius"), "REPORT": str(tmp_path / "report.json"),
+             "OUT": str(tmp_path / "dual.json")}
+    kwargs = cold_command(*(files.get(a, a) for a in argv))
+    kwargs["args"][1:1] = ["-X", "warn_default_encoding", "-W", "error::EncodingWarning"]
+    proc = subprocess.run(**kwargs, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+@pytest.mark.parametrize("point", ["nan", "inf", "-inf", "1e999"])
+def test_a_non_finite_point_is_a_usage_error(capsys, point):
+    argv = ("eval", gp("mobius"), "--target", "halfwave", "--chart", "east", f"--point={point}")
+    assert run(capsys, *argv) == (1, "", f"--point must hold finite coordinates, got '{point}'\n")

@@ -27,13 +27,14 @@ from scalar_oracle import eval_matrix
 from support import circle_atlas, circle_trivial_bundle
 from test_golden import worst_drift
 from vbx import symmat
-from vbx.bundles import check_section, check_vb, make_bundle, make_field
+from vbx.bundles import check_section, check_vb
 from vbx.cli import main
 from vbx.constructions import check_tensor_field, dual_bundle, hom_bundle, tensor_bundle
+from vbx.coords import FieldTag
 from vbx.expr import compile_exprs, tree_size
 from vbx.geometry import sample_region
-from vbx.linalg import FieldTag
 from vbx.report import RESIDUAL
+from vbx.spec import make_bundle, make_field
 from vbx.specio import gallery_path, list_gallery, load_spec
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -25,33 +25,16 @@ from support import (
     quarter_circle_atlas,
 )
 
-from vbx.bundles import (
-    LOCAL_CHART,
-    check_frame,
-    check_section,
-    check_vb,
-    dual_frame,
-    field_add,
-    field_eval,
-    field_fmul,
-    field_smul,
-    frame_matrix_at,
-    make_atlas,
-    make_bundle,
-    make_field,
-    make_frame,
-    make_section,
-    transition_eval,
-)
+from vbx.bundles import check_frame, check_section, check_vb
+from vbx.calculus import make_smooth_map
 from vbx.constructions import (
-    BundleMorphismSpec,
+    LOCAL_CHART,
     base_restriction,
     check_morphism,
     check_tensor_field,
     compose_morphism,
     direct_product,
     dual_bundle,
-    field_product,
     hom_bundle,
     identity_morphism,
     induced_bundle,
@@ -65,6 +48,7 @@ from vbx.constructions import (
     vb_pullback_rs,
     whitney_sum,
 )
+from vbx.coords import FieldTag
 from vbx.errors import (
     BaseMismatch,
     ChartAssignmentError,
@@ -76,12 +60,29 @@ from vbx.errors import (
     UnsupportedField,
     VbxError,
 )
-from vbx.calculus import make_smooth_map
 from vbx.expr import eval_expr, parse_expr
-from vbx.linalg import FieldTag, make_linear, make_space
+from vbx.geometry import sample_box
+from vbx.linalg import make_linear, make_space
+from vbx.pointwise import (
+    dual_frame,
+    field_add,
+    field_fmul,
+    field_product,
+    field_smul,
+    frame_matrix_at,
+    transition_eval,
+)
 from vbx.pullbacks import cov_pullback, rs_pullback
 from vbx.report import MIN_DET
-from vbx.geometry import sample_box
+from vbx.spec import (
+    BundleMorphismSpec,
+    field_eval,
+    make_atlas,
+    make_bundle,
+    make_field,
+    make_frame,
+    make_section,
+)
 from vbx.specio import gallery_path, list_gallery, load_spec, save_spec
 from vbx.tensors import tensor_add, tensor_product
 

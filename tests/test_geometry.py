@@ -11,22 +11,12 @@ from hypothesis import strategies as st
 from vbx import geometry
 from vbx.bundles import check_vb
 from vbx.cli import main
+from vbx.coords import Box, box_inside, make_box, region_contains
 from vbx.errors import ShapeMismatch
-from vbx.geometry import (
-    Box,
-    box_covered,
-    box_inside,
-    box_minus,
-    halton,
-    intersect_boxes,
-    make_box,
-    normal_inv_cdf,
-    region_contains,
-    sample_box,
-    sample_region,
-    sampling_scope,
-)
+from vbx.geometry import halton, sample_box, sample_region, sampling_scope
+from vbx.intervals import box_covered, box_minus, intersect_boxes
 from vbx.specio import gallery_path, load_spec
+from vbx.tensors import normal_inv_cdf
 
 
 def test_make_box_rejects_empty_intervals():

@@ -1,4 +1,4 @@
-"""Interval enclosures: vbx.expr.enclose against the recursive ladder it
+"""Interval enclosures: vbx.intervals.enclose against the recursive ladder it
 replaced, kept here as the oracle with its own copies of the interval rules.
 
 The ladder's libm calls (sin, tan, exp, log and powers) go through the numpy
@@ -13,7 +13,8 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from vbx.errors import EvalError
-from vbx.expr import Add, Call, Const, Div, Mul, Neg, Num, Pow, Sub, Var, compile_exprs, enclose
+from vbx.expr import Add, Call, Const, Div, Mul, Neg, Num, Pow, Sub, Var, compile_exprs
+from vbx.intervals import enclose
 
 _TWO_PI = 2.0 * math.pi
 

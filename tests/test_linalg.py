@@ -11,12 +11,11 @@ from hypothesis import strategies as st
 
 from vbx.bundles import _live_only, _max_abs
 from vbx.calculus import _Trial
-
+from vbx.coords import FieldTag, box_mask, make_box, on_columns, region_mask, row_reduce
+from vbx.dets import _cofactor_scaled_abs_dets, scaled_abs_dets
 from vbx.errors import ShapeMismatch, Singular, SingularBasis
 from vbx.linalg import (
-    FieldTag,
     OrderedBasis,
-    _cofactor_scaled_abs_dets,
     apply_linear,
     compose_linear,
     dual_basis,
@@ -26,13 +25,10 @@ from vbx.linalg import (
     make_basis,
     make_linear,
     make_space,
-    on_columns,
-    row_reduce,
     scaled_abs_det,
-    scaled_abs_dets,
     standard_basis,
 )
-from vbx.geometry import box_mask, make_box, region_mask
+
 
 TOL = 1e-12
 

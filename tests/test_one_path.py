@@ -14,21 +14,10 @@ import pytest
 import scalar_oracle as oracle
 from support import gallery_expressions, local_field, mobius_bundle, plane_rotation_bundle
 
-from vbx.bundles import (
-    LOCAL_CHART,
-    check_frame,
-    dual_frame,
-    field_add,
-    field_eval,
-    frame_matrix_at,
-    make_atlas,
-    make_field,
-    make_frame,
-    transition_eval,
-)
+from vbx.bundles import check_frame
 from vbx.calculus import _Trial, eval_map, jacobian, make_smooth_map
 from vbx.constructions import (
-    field_product,
+    LOCAL_CHART,
     induced_bundle,
     local_expression,
     make_morphism,
@@ -37,6 +26,7 @@ from vbx.constructions import (
     tangent_bundle,
     vb_pullback_rs,
 )
+from vbx.coords import Box, region_contains
 from vbx.errors import (
     ChartAssignmentError,
     DomainViolation,
@@ -48,7 +38,9 @@ from vbx.errors import (
     VbxError,
 )
 from vbx.expr import compile_exprs, eval_expr, max_var_index, parse_expr, run_program
-from vbx.geometry import Box, halton, region_contains, sample_box, sample_region
+from vbx.geometry import halton, sample_box, sample_region
+from vbx.pointwise import dual_frame, field_add, field_product, frame_matrix_at, transition_eval
+from vbx.spec import field_eval, make_atlas, make_field, make_frame
 from vbx.specio import gallery_path, list_gallery, load_spec
 
 SEED = 17

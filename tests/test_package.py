@@ -58,14 +58,16 @@ def test_import_vbx_runs_no_submodule():
     assert fresh("-c", code).stdout == "[]\n"
 
 
-@pytest.mark.parametrize("argv", [
-    ("check", str(gallery_path("mobius")), "--samples", "5"),
-    ("eval", str(gallery_path("mobius")), "--target", "halfwave", "--chart", "east",
-     "--point", "0.5"),
-], ids=["check", "eval"])
-def test_check_and_eval_load_no_construction_and_no_statistics(argv):
+CHECK = ("check", str(gallery_path("mobius")), "--samples", "5")
+EVAL = ("eval", str(gallery_path("mobius")), "--target", "halfwave", "--chart", "east",
+        "--point", "0.5")
+
+
+@pytest.mark.parametrize("argv,loads", [(CHECK, "vbx.bundles"), (EVAL, "vbx.spec")],
+                         ids=["check", "eval"])
+def test_check_and_eval_load_no_construction_and_no_statistics(argv, loads):
     loaded = imported(*argv)
-    assert {"vbx", "vbx.bundles", "vbx.specio"} <= loaded  # vbx.cli runs as __main__
+    assert {"vbx", loads, "vbx.specio"} <= loaded  # vbx.cli runs as __main__
     assert not loaded & {"vbx.constructions", "vbx.pullbacks", "vbx.symmat", "statistics"}
 
 
@@ -76,8 +78,37 @@ def test_construct_loads_the_constructions_and_still_writes_its_output(tmp_path)
     assert out.exists()
 
 
-EVAL = ("eval", str(gallery_path("mobius")), "--target", "halfwave", "--chart", "east",
-        "--point", "0.5")
+# The modules by the commands that load them. Every command loads the core;
+# check adds the check layer (the suites, sampling, reports, batched
+# determinants); construct adds the constructions on top of both. No
+# command loads the library-only modules. vbx.cli is each command's entry.
+CORE = {"vbx", "vbx.calculus", "vbx.coords", "vbx.errors", "vbx.expr", "vbx.record", "vbx.spec",
+        "vbx.specio"}
+CHECK_LAYER = {"vbx.bundles", "vbx.dets", "vbx.geometry", "vbx.report"}
+CONSTRUCT_LAYER = {"vbx.constructions", "vbx.intervals", "vbx.symmat"}
+LIBRARY_ONLY = {"vbx.linalg", "vbx.pointwise", "vbx.pullbacks", "vbx.tensors"}
+
+
+def test_the_layers_cover_the_package_once():
+    layers = [CORE, CHECK_LAYER, CONSTRUCT_LAYER, LIBRARY_ONLY, {"vbx.cli"}]
+    package = {"vbx"} | {f"vbx.{m.name}" for m in pkgutil.iter_modules(vbx.__path__)}
+    assert set().union(*layers) == package
+    assert sum(map(len, layers)) == len(package)
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRIES))
+@pytest.mark.parametrize("command", ["check", "eval", "construct"])
+def test_each_command_loads_its_layers_and_nothing_else(tmp_path, command, entry):
+    out = tmp_path / "dual.json"
+    argv, layers = {
+        "check": (CHECK, CORE | CHECK_LAYER),
+        "eval": (EVAL, CORE),
+        "construct": (("construct", "dual", str(gallery_path("mobius")), "-o", str(out)),
+                      CORE | CHECK_LAYER | CONSTRUCT_LAYER),
+    }[command]
+    loaded = {m for m in after(*argv, entry=entry)[2] if m == "vbx" or m.startswith("vbx.")}
+    assert loaded - {"vbx.cli"} == layers  # so no library-only module, and eval no check layer
+    assert out.exists() == (command == "construct")
 
 
 @pytest.mark.parametrize("entry", sorted(_ENTRIES))

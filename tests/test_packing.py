@@ -15,15 +15,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vbx import bundles, calculus, linalg
-from vbx.bundles import check_base_atlas, check_vb, make_field, make_morphism
+from vbx import bundles, calculus, dets
+from vbx.bundles import check_base_atlas, check_vb
 from vbx.calculus import SmoothMap, make_smooth_map
 from vbx.cli import main
-from vbx.constructions import (check_tensor_field, direct_product, dual_bundle, tensor_bundle,
-                               vb_pullback_rs)
+from vbx.constructions import (
+    check_tensor_field,
+    direct_product,
+    dual_bundle,
+    make_morphism,
+    tensor_bundle,
+    vb_pullback_rs,
+)
+from vbx.coords import make_box
 from vbx.expr import Var
-from vbx.geometry import make_box
 from vbx.report import report_to_json
+from vbx.spec import make_field
 from vbx.specio import gallery_path, list_gallery, load_spec, save_spec
 
 from support import circle_trivial_bundle
@@ -109,8 +116,8 @@ def spy_det_forms(monkeypatch) -> list:
     """(form, stack length) of every determinant taken."""
     calls = []
     for form in ("_cofactor_scaled_abs_dets", "_lu_scaled_abs_dets"):
-        fn = getattr(linalg, form)
-        monkeypatch.setattr(linalg, form,
+        fn = getattr(dets, form)
+        monkeypatch.setattr(dets, form,
                             lambda m, form=form, fn=fn: calls.append((form, len(m))) or fn(m))
     return calls
 

@@ -10,10 +10,11 @@ never sees this formula, so agreement is meaningful.
 import numpy as np
 import pytest
 
+from vbx.coords import make_tensor
 from vbx.errors import ShapeMismatch, Singular
 from vbx.linalg import compose_linear, identity_linear, invert_linear, make_linear, make_space
 from vbx.pullbacks import cov_pullback, dual_pullback, graded_pullback, rs_pullback
-from vbx.tensors import make_graded, make_tensor, tensor_eval
+from vbx.tensors import make_graded, tensor_eval
 
 LAW_TOL = 1e-10
 

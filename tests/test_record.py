@@ -69,12 +69,13 @@ def test_a_field_record_cannot_honour_is_refused():
 
 
 RECORDS = {
-    "bundles": ["ChartSpec", "OverlapSpec", "BaseAtlasSpec", "BundleEdge", "VectorBundleSpec",
-                "TotalPoint", "TensorFieldSpec", "BundleMorphismSpec", "Pulling"],
-    "calculus": ["SmoothMap"], "expr": ["Program"], "geometry": ["Box"],
-    "linalg": ["VectorSpace", "LinearMap", "OrderedBasis"],
-    "report": ["CheckRecord", "CheckReport"], "specio": ["SpecDocument"],
-    "tensors": ["Tensor", "GradedTensor"],
+    "calculus": ["SmoothMap"], "constructions": ["Pulling"],
+    "coords": ["VectorSpace", "Tensor", "Box"], "expr": ["Program"],
+    "linalg": ["LinearMap", "OrderedBasis"], "pointwise": ["TotalPoint"],
+    "report": ["CheckRecord", "CheckReport"],
+    "spec": ["ChartSpec", "OverlapSpec", "BaseAtlasSpec", "BundleEdge", "VectorBundleSpec",
+             "TensorFieldSpec", "BundleMorphismSpec"],
+    "specio": ["SpecDocument"], "tensors": ["GradedTensor"],
 }
 
 

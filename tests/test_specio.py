@@ -5,10 +5,10 @@ import json
 import pytest
 from support import circle_atlas, local_field, mobius_bundle, plane_rotation_bundle
 
-from vbx.bundles import make_bundle, make_field, make_frame, make_section
+from vbx.coords import FieldTag
 from vbx.errors import EvalError, FileError, ParseError, SpecError
 from vbx.expr import Num
-from vbx.linalg import FieldTag
+from vbx.spec import make_bundle, make_field, make_frame, make_section
 from vbx.specio import (
     bundle_to_dict,
     document_to_dict,

@@ -17,10 +17,10 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from vbx.coords import FieldTag, as_array, make_tensor
 from vbx.errors import IndexOutOfRange, ShapeMismatch
-from vbx.linalg import FieldTag, make_space
+from vbx.linalg import make_space
 from vbx.tensors import (
-    as_array,
     basis_tensor,
     components_of,
     digits_to_index,
@@ -29,7 +29,6 @@ from vbx.tensors import (
     graded_product,
     index_to_digits,
     make_graded,
-    make_tensor,
     reconstruct,
     scalar_mul,
     tensor_add,

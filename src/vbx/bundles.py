@@ -61,14 +61,16 @@ def find_edge(B: VectorBundleSpec, i: str, j: str, x) -> BundleEdge | None:
 
 # ---------------------------------------------------------------------------
 # The sampled-identity harness. Every check suite runs its subjects through
-# _sampled: each subject is a (name, points, data) triple, and consecutive
-# subjects of one family (every edge of check_vb, say) are packed into one
-# _Trial while their points stay within _PACK_ROWS. All the points of a pack
-# go through the stages of the identity together, each stage one batched
-# evaluation per distinct program, and the records are split back per
-# subject, each as it would be alone.
+# _sampled: each subject is a (name, points, data) triple. One rule bounds
+# every _Trial: it holds at most _PACK_ROWS rows. Consecutive subjects of
+# one family (every edge of check_vb, say) are packed whole into a trial
+# while they fit, and a larger subject is cut into _PACK_ROWS-row pieces.
+# All the points of a trial go through the stages of the identity together,
+# each stage one batched evaluation per distinct program, and each piece's
+# results are merged back into its subject's records, each as it would be
+# alone.
 
-_PACK_ROWS = 2048  # bounds the rows, and so the memory, of one pack
+_PACK_ROWS = 2048  # bounds the rows, and so the memory, of every trial
 
 
 def _first_match(regions, X) -> np.ndarray:
@@ -80,23 +82,13 @@ def _first_match(regions, X) -> np.ndarray:
     return at
 
 
-def _joined(t: _Trial, options, at) -> tuple:
-    """One choice over the options of every pack subject in turn, from
-    options[s], subject s's own list, and at, each row's index into its
-    subject's list (-1 for none); and the options in that order."""
-    if len(options) == 1:
-        return at, options[0]
-    offsets = np.cumsum([0] + [len(o) for o in options[:-1]])
-    return np.where(at >= 0, at + offsets[t.subject], -1), [o for opts in options for o in opts]
-
-
 def _lookup(t: _Trial, options, Y, why=None) -> tuple:
     """Per row of Y, the first of its subject's options (overlaps or edges,
-    options[s] for pack subject s) whose region holds it, as find_edge
-    chooses, or none: a choice over the options of every subject in turn
-    (_joined), and those options. A row in none fails with why, or with
-    no why leaves the trial. Each distinct region is masked once, over
-    every row of the pack."""
+    options[s] for trial subject s) whose region holds it, as find_edge
+    chooses, or none: a choice over the options of every subject in turn,
+    and those options. A row in none fails with why, or with no why leaves
+    the trial. Each distinct region is masked once, over every row of the
+    trial."""
     if len(options) == 1:
         at, chosen = _first_match([o.region for o in options[0]], Y), options[0]
     else:
@@ -111,7 +103,9 @@ def _lookup(t: _Trial, options, Y, why=None) -> tuple:
         at = np.full(len(Y), -1)
         for k, region_of in enumerate(table):
             at[(at < 0) & hits[region_of[t.subject], t.rows]] = k
-        at, chosen = _joined(t, options, at)
+        offsets = np.cumsum([0] + [len(o) for o in options[:-1]])
+        at, chosen = (np.where(at >= 0, at + offsets[t.subject], -1),
+                      [o for opts in options for o in opts])
     if why is None:
         t.skip(t.rows, at < 0)
     else:
@@ -132,28 +126,34 @@ def _live_only(t: _Trial, fn, A, shape) -> np.ndarray:
 
 
 def _packs(subjects):
-    """The subjects in order, in runs whose points total at most
-    _PACK_ROWS; a larger subject is a run of its own."""
+    """The pieces (name, points, data) of subjects in order, in trials whose
+    points total at most _PACK_ROWS: a subject goes whole while it fits,
+    and a larger one as _PACK_ROWS-row pieces."""
     pack, rows = [], 0
-    for s in subjects:
-        if pack and rows + len(s[1]) > _PACK_ROWS:
-            yield pack
-            pack, rows = [], 0
-        pack.append(s)
-        rows += len(s[1])
+    for name, pts, data in subjects:
+        for start in range(0, len(pts) or 1, _PACK_ROWS):
+            piece = pts[start:start + _PACK_ROWS]
+            if pack and rows + len(piece) > _PACK_ROWS:
+                yield pack
+                pack, rows = [], 0
+            pack.append((name, piece, data))
+            rows += len(piece)
     if pack:
         yield pack
 
 
 def _sampled(checks, subjects, seed: int, evaluate, samples: int | None = None) -> list:
     """The records of the sampled identities of subjects, an iterable of
-    (name, points, data), in order.
+    (name, points, data), in order; subjects of one name are pieces of one
+    subject, in sample order.
 
     The trials take their programs from the sampling scope's cache (see
     geometry.scope_memo), which the suites of one check command share.
     checks holds (check, kind, tol) for each per-row value array that
-    evaluate(trial, data) returns, in record order, for a trial over one
-    pack of subjects (_packs) and data, their data in order. A failed
+    evaluate(trial, data) returns, in record order, for a trial over the
+    pieces of one pack (_packs) and data, their data in order. A subject's
+    records merge those of its pieces: the worst residual is their max and
+    the worst determinant their min, live counts add up, and a failed
     sample, or a non-finite value at a live one, fails the subject: one
     failed record, of its check's kind, under its first residual check
     (else its first check), noting the subject's first such sample in
@@ -162,11 +162,12 @@ def _sampled(checks, subjects, seed: int, evaluate, samples: int | None = None) 
     the subject vacuous.
     """
     name, kind, tol = next((c for c in checks if c[1] == RESIDUAL), checks[0])
-    records = []
+    empty = [0.0 if k == RESIDUAL else np.inf for _, k, _ in checks]  # the worst of no sample
+    merged: dict = {}  # subject -> (rows, live count, first failure's note, worst per check)
     for pack in _packs(subjects):
         names, pts, data = zip(*pack)
         X = pts[0] if len(pts) == 1 else np.vstack(pts)
-        t = _Trial(X, scope_memo("programs"), [len(p) for p in pts], _PACK_ROWS)
+        t = _Trial(X, scope_memo("programs"), [len(p) for p in pts])
         with np.errstate(all="ignore"):  # failed samples compute on garbage
             values = evaluate(t, data)
         for (_, k, _), v in zip(checks, values):
@@ -174,31 +175,34 @@ def _sampled(checks, subjects, seed: int, evaluate, samples: int | None = None) 
             t.fail(t.rows, ~np.isfinite(v),
                    lambda j, label=label: f"non-finite {label} at {X[j].tolist()}")
         for subject, b in zip(names, t.blocks):
+            rows, count, note, worst = merged.get(subject, (0, 0, None, empty))
             failed = np.flatnonzero(t.cause[b] >= 0)
-            live = t.live[b]
-            count = int(live.sum())
-            if failed.size:
+            if failed.size and note is None:  # an earlier piece's failure comes first
                 i = b.start + failed[0]
                 why = t.why(i)
                 note = (why if isinstance(why, str)
                         else f"evaluation failed at {X[i].tolist()}: {why}")
-                records.append(failed_record(name, subject, b.stop - b.start if samples is None
-                                             else samples, seed, tol, note, kind))
-            elif samples is not None and count == 0:
-                records.append(vacuous_record(name, subject, seed, tol))
-            else:
-                records += [residual_record(c, subject, count, seed, c_tol,
-                                            np.max(v[b][live], initial=0.0))
-                            if c_kind == RESIDUAL else
-                            det_record(c, subject, count, seed, c_tol,
-                                       np.min(v[b][live], initial=np.inf))
-                            for (c, c_kind, c_tol), v in zip(checks, values)]
+            live = t.live[b]
+            merged[subject] = (rows + b.stop - b.start, count + int(live.sum()), note, [
+                np.max(v[b][live], initial=w) if k == RESIDUAL else np.min(v[b][live], initial=w)
+                for (_, k, _), v, w in zip(checks, values, worst)])
+    records = []
+    for subject, (rows, count, note, worst) in merged.items():
+        if note is not None:
+            records.append(failed_record(name, subject, rows if samples is None else samples,
+                                         seed, tol, note, kind))
+        elif samples is not None and count == 0:
+            records.append(vacuous_record(name, subject, seed, tol))
+        else:
+            records += [residual_record(c, subject, count, seed, c_tol, w) if c_kind == RESIDUAL
+                        else det_record(c, subject, count, seed, c_tol, w)
+                        for (c, c_kind, c_tol), w in zip(checks, worst)]
     return records
 
 
 def _reverse_g(t: _Trial, backs, Y, dtype) -> np.ndarray:
     """g_ji at each image Y = tau_ij(x), from the first of its subject's
-    j->i edges (backs[s] for pack subject s) that holds it, as find_edge
+    j->i edges (backs[s] for trial subject s) that holds it, as find_edge
     chooses; a point in none fails."""
     def why(k):
         o = backs[t.subject[k]][0].overlap
@@ -210,15 +214,14 @@ def _reverse_g(t: _Trial, backs, Y, dtype) -> np.ndarray:
 
 def _triples(charts, between, closing, samples: int, seed: int):
     """The subjects of the triple checks: each chart triple i->j->k with
-    parts between(i, j), between(j, k) and between(*closing(i, k)), its
-    points those of every i->j part's region in turn; data (ij, jk, the
-    closing parts, the i->j part of each point)."""
+    parts between(i, j), between(j, k) and between(*closing(i, k)), as one
+    piece per i->j part: that part's region's points, data (the part, the
+    j->k parts, the closing parts)."""
     for i, j, k in permutations(charts, 3):
         ij, jk, last = between(i, j), between(j, k), between(*closing(i, k))
         if ij and jk and last:
-            pts = [sample_region(p.region, samples, seed) for p in ij]
-            yield (f"{i}->{j}->{k}", np.vstack(pts),
-                   (ij, jk, last, np.repeat(np.arange(len(pts)), [len(p) for p in pts])))
+            for p in ij:
+                yield f"{i}->{j}->{k}", sample_region(p.region, samples, seed), (p, jk, last)
 
 
 def _max_abs(A) -> np.ndarray:
@@ -258,9 +261,8 @@ def check_base_atlas(spec: BaseAtlasSpec, samples: int = DEFAULT_SAMPLES,
 
     def triple(t, data):
         X = t.pts
-        ij, jk, ik, part = zip(*data)
-        at, ij = _joined(t, ij, np.concatenate(part))
-        Y = t.maps(at, [o.tau for o in ij], X)
+        ij, jk, ik = zip(*data)
+        Y = t.maps(t.subject, [o.tau for o in ij], X)
         step2, jk = _lookup(t, jk, Y)
         direct, ik = _lookup(t, ik, X)
         Z = t.maps(step2, [o.tau for o in jk], Y)
@@ -293,10 +295,9 @@ def check_vb(B: VectorBundleSpec, samples: int = DEFAULT_SAMPLES,
 
     def triple(t, data):
         X = t.pts
-        ij, jk, ki, part = zip(*data)
-        at, ij = _joined(t, ij, np.concatenate(part))
-        G1 = t.matrices(at, [e.g for e in ij], X, dtype)
-        Y = t.maps(at, [e.overlap.tau for e in ij], X)
+        ij, jk, ki = zip(*data)
+        G1 = t.matrices(t.subject, [e.g for e in ij], X, dtype)
+        Y = t.maps(t.subject, [e.overlap.tau for e in ij], X)
         e2, jk = _lookup(t, jk, Y)
         G2 = t.matrices(e2, [e.g for e in jk], Y, dtype)
         Z = t.maps(e2, [e.overlap.tau for e in jk], Y)

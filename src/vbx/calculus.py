@@ -83,10 +83,9 @@ class _Trial:
     The points are those of one or more subjects (see bundles._sampled),
     each in a block of consecutive rows, `sizes` rows each (by default one
     subject of all rows). A subject's results do not depend on the others
-    in the batch: rows are evaluated independently, every numeric form
+    in the batch: rows are evaluated independently, and every numeric form
     is chosen by the shape of what is computed, never by the number of
-    rows (see coords.on_columns), and options that share a program run it
-    over at most run_rows rows together.
+    rows (see coords.on_columns).
 
     Stages run in the order an identity is evaluated at a single point. A
     point leaves at its first failure, which becomes its note, or when a
@@ -97,7 +96,7 @@ class _Trial:
     point per trial row and a choice of option per row.
     """
 
-    def __init__(self, pts: np.ndarray, progs: dict, sizes=None, run_rows=None):
+    def __init__(self, pts: np.ndarray, progs: dict, sizes=None):
         n = len(pts)
         self.pts = pts
         self.rows = np.arange(n)
@@ -110,7 +109,6 @@ class _Trial:
         self.blocks = [slice(end - k, end) for k, end in zip(sizes, accumulate(sizes))]
         self.subject = (np.zeros(n, dtype=int) if len(sizes) == 1  # per row, its block
                         else np.repeat(np.arange(len(sizes)), sizes))
-        self.run_rows = n if run_rows is None else run_rows
 
     def fail(self, rows, mask, why) -> None:
         """Fail the live points among rows[mask]. why(j) explains local
@@ -248,28 +246,19 @@ class _Trial:
         (choice[row] indexes options), one result row per trial row, NaN
         where a row chose none (-1). The rows of the options with one
         key(option) go to one stage call with the first of them, in row
-        order, while they total at most run_rows (an option past it goes
-        alone). With boxes, the options are maps, and a point outside the
+        order. With boxes, the options are maps, and a point outside the
         box of the one it chose fails before the stage. When every row
-        chose one option, stage gets X itself: so with choice self.subject
-        (each row its subject's option) on a trial of one subject."""
-        whole = choice is self.subject and len(self.blocks) == 1
-        k = 0 if whole else int(choice[0]) if len(choice) else -1
-        if whole or k >= 0 and (choice == k).all():
+        chose one option, stage gets X itself."""
+        k = int(choice[0]) if len(choice) else -1
+        if k >= 0 and (choice == k).all():
             if boxes:
                 self._in_domain(options[k], X, self.rows)
             return stage(options[k], X, self.rows)
-        counts = np.bincount(choice + 1, minlength=len(options) + 1)[1:].tolist()
-        by_key: dict = {}  # key -> runs of the options with that key: [rows, options]
-        for k, count in enumerate(counts):
-            if count:
-                runs = by_key.setdefault(key(options[k]), [])
-                if not runs or runs[-1][0] + count > self.run_rows:
-                    runs.append([0, []])
-                runs[-1][0] += count
-                runs[-1][1].append(k)
+        by_key: dict = {}  # key -> the options with that key that some row chose
+        for k in np.flatnonzero(np.bincount(choice + 1, minlength=len(options) + 1)[1:]).tolist():
+            by_key.setdefault(key(options[k]), []).append(k)
         out = np.full((len(choice),) + shape, np.nan, dtype=dtype)
-        for _, run in (run for runs in by_key.values() for run in runs):
+        for run in by_key.values():
             rows = _rows_choosing(choice, run, len(options))
             Xr = X[rows]
             by_box: dict = {}  # (lo, hi), what Box equality compares -> its options

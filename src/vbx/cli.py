@@ -49,9 +49,10 @@ from .specio import atlas_from_document, load_json, load_spec, save_spec
 _VERIFY_ERRORS = (BaseMismatch, ChartAssignmentError, CocycleViolation,
                   DomainViolation, NotAnIsomorphism, SingularFrame)
 
-# A check holds its n sample points, and a value per compiled slot at
-# each, in memory at once: 10^9 points of one coordinate
-# are already 8 GB. Larger counts are refused before numpy is asked for them.
+# A check holds each subject's n sample points in memory at once, though it
+# evaluates them at most bundles._PACK_ROWS at a time: 10^9 points of one
+# coordinate are already 8 GB. Larger counts are refused before numpy is
+# asked for them.
 MAX_SAMPLES = 10**9
 
 
@@ -223,6 +224,11 @@ def main(argv=None) -> int:
     args = None
     try:
         args = parser.parse_args(argv)
+        if argv is None and args.command == "eval":  # names typed on the command line
+            # A spec's names are UTF-8, so these are read as UTF-8 from the
+            # bytes typed, whatever the locale; file paths stay as given.
+            args.chart, args.target = (os.fsencode(a).decode("utf-8", "surrogateescape")
+                                       for a in (args.chart, args.target))
         command = {"check": cmd_check, "construct": cmd_construct}.get(args.command, cmd_eval)
         code = command(args)
         sys.stdout.flush()  # a closed stdout fails here, not at exit

@@ -147,6 +147,7 @@ def load_json(path) -> dict:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FileError(f"'{p}' is not UTF-8 text: {exc}") from exc
+    del data  # so the file is not held twice, as bytes and as text, while JSON parses
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -859,7 +860,8 @@ def test_a_spec_file_that_is_not_utf8_is_a_file_error(tmp_path):
 def test_a_chart_named_in_any_script_gives_the_same_bytes_in_every_locale(tmp_path):
     doc = json.loads(Path(gp("mobius")).read_text(encoding="utf-8"))
     spec = tmp_path / "omega.json"
-    spec.write_text(json.dumps(doc).replace('"east"', '"Ωst"'), encoding="utf-8")
+    text = json.dumps(doc).replace('"east"', '"Ωst"').replace('"halfwave"', '"hαlfwave"')
+    spec.write_text(text, encoding="utf-8")
     runs = []
     for locale in ("C", "C.utf8"):
         report = tmp_path / f"report_{locale}.json"
@@ -867,16 +869,22 @@ def test_a_chart_named_in_any_script_gives_the_same_bytes_in_every_locale(tmp_pa
         kwargs["env"].update(LC_ALL=locale, PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
         proc = subprocess.run(**kwargs, capture_output=True, timeout=120)
         assert (proc.returncode, proc.stderr) == (0, b""), proc.stderr
-        runs.append((proc.stdout, report.read_bytes()))
+        kwargs = cold_command("eval", str(spec), "--target", "hαlfwave", "--chart", "Ωst",
+                              "--point", "0.5")
+        kwargs["env"].update(LC_ALL=locale, PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+        evaluated = subprocess.run(**kwargs, capture_output=True, timeout=120)
+        assert (evaluated.returncode, evaluated.stderr) == (0, b""), evaluated.stderr
+        runs.append((proc.stdout, report.read_bytes(), evaluated.stdout))
     assert runs[0] == runs[1]
     assert "west->Ωst#0".encode() in runs[0][0]
-    # The C locale decodes the argument to surrogates, which stderr escapes.
-    kwargs = cold_command("eval", str(spec), "--target", "halfwave", "--chart", "Ωst",
-                          "--point", "0.5")
+    assert runs[0][2].startswith("chart Ωst\n".encode())
+    # Bytes that are not UTF-8 name no chart; stderr escapes them.
+    kwargs = cold_command("eval", str(spec), "--target", "hαlfwave",
+                          "--chart", os.fsdecode(b"\xff"), "--point", "0.5")
     kwargs["env"].update(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
     proc = subprocess.run(**kwargs, capture_output=True, timeout=120)
     assert (proc.returncode, proc.stdout) == (1, b"")
-    assert proc.stderr == b"error: unknown chart '\\udcce\\udca9st'\n"
+    assert proc.stderr == b"error: unknown chart '\\udcff'\n"
 
 
 @pytest.mark.parametrize("argv", [

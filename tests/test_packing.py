@@ -1,15 +1,17 @@
 """Packed trials: the check suites run consecutive small subjects of one
-family (every edge, every chart triple) as one _Trial, and each distinct
-program once per stage of a pack.
+family (every edge, every chart triple) as one _Trial, cut a larger subject
+into trials of at most the row budget, and run each distinct program once
+per stage of a trial.
 
-The oracle is the harness itself at a row budget of 1, where every subject
-is a pack of its own and no two options share a run: each report must be
-byte-equal to it at every budget.
+The oracle is the harness itself at a row budget of 1, where every sample
+is a trial of its own: each report must be byte-equal to it at every
+budget.
 """
 
 import contextlib
 import io
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +30,6 @@ from vbx.constructions import (
     vb_pullback_rs,
 )
 from vbx.coords import make_box
-from vbx.expr import Var
 from vbx.report import report_to_json
 from vbx.spec import make_field
 from vbx.specio import gallery_path, list_gallery, load_spec, save_spec
@@ -69,12 +70,14 @@ def check_bytes(path, samples, out) -> tuple:
     (name, samples) for name in sorted(list_gallery()) + ["tensor11", "product"]
     for samples in (1, 3, 50, 200)] + [("dual", samples) for samples in (1, 3, 50)])
 def test_a_report_is_the_same_at_every_row_budget(specs, name, samples, tmp_path, monkeypatch):
+    # Budget 1 runs one sample per trial, so it takes seconds past 3 samples.
+    # There budget 7 cuts every subject, its last piece (1 row at 50 samples,
+    # 4 at 200) a trial of its own, and 2,048 holds each subject whole.
     got = []
-    for budget in BUDGETS:
+    for budget in BUDGETS if samples <= 3 else BUDGETS[1:]:
         monkeypatch.setattr(bundles, "_PACK_ROWS", budget)
         got.append(check_bytes(specs[name], samples, tmp_path / f"{budget}.json"))
-    assert got[1] == got[0]
-    assert got[2] == got[0]
+    assert all(g == got[0] for g in got[1:])
 
 
 def broken_mobius(tmp_path) -> Path:
@@ -97,13 +100,14 @@ def test_failures_inside_a_pack_are_those_of_each_subject_alone(samples, tmp_pat
     partner = load_spec(gallery_path("projective_tangent")).bundle
     B = direct_product(load_spec(path).bundle, partner)
     got = []
-    for budget in BUDGETS:
+    # At 50 samples budget 7 cuts every subject, so a failure in a later
+    # piece meets one in an earlier piece (budget 1 there takes seconds).
+    for budget in BUDGETS if samples <= 3 else BUDGETS[1:]:
         monkeypatch.setattr(bundles, "_PACK_ROWS", budget)
         got.append((check_bytes(path, samples, tmp_path / "out.json"),
                     report_to_json(check_base_atlas(B.base, samples, seed=7)),
                     report_to_json(check_vb(B, samples, seed=7))))
-    assert got[1] == got[0]
-    assert got[2] == got[0]
+    assert all(g == got[0] for g in got[1:])
     (stdout, code, _), atlas, vb = got[0]
     assert code == 2 and '"passed": false' in atlas and '"passed": false' in vb
     if samples == 50:
@@ -234,10 +238,19 @@ def test_a_matrix_builds_its_entry_key_once_per_suite_call(specs, monkeypatch):
 
 
 def test_packs_keep_subject_order_within_the_row_budget(monkeypatch):
+    # Subjects go whole while they fit; the 9- and 17-row ones are cut into
+    # 8-row pieces, and the last piece packs with the subjects after it.
     monkeypatch.setattr(bundles, "_PACK_ROWS", 8)
-    subjects = [(k, np.zeros((n, 1)), None) for k, n in enumerate([3, 3, 2, 9, 1, 4, 4])]
-    packs = [[s[0] for s in pack] for pack in bundles._packs(iter(subjects))]
-    assert packs == [[0, 1, 2], [3], [4, 5], [6]]
+    sizes = [3, 3, 2, 9, 1, 4, 17, 4]
+    subjects = [(k, np.arange(n)[:, None], None) for k, n in enumerate(sizes)]
+    packs = list(bundles._packs(iter(subjects)))
+    assert [[(k, len(p)) for k, p, _ in pack] for pack in packs] == [
+        [(0, 3), (1, 3), (2, 2)], [(3, 8)], [(3, 1), (4, 1), (5, 4)], [(6, 8)], [(6, 8)],
+        [(6, 1), (7, 4)]]
+    pieces = [(k, p) for pack in packs for k, p, _ in pack]
+    for k, n in enumerate(sizes):
+        np.testing.assert_array_equal(np.vstack([p for j, p in pieces if j == k])[:, 0],
+                                      np.arange(n))
 
 
 def test_maps_sharing_a_program_keep_their_own_boxes(monkeypatch):
@@ -278,19 +291,37 @@ def test_equal_boxes_in_one_pack_are_checked_once(tmp_path, monkeypatch):
     assert checked == [40, 40]  # the tau stage and its way back, over 4 x 10 rows
 
 
-def test_a_shared_program_runs_over_at_most_the_row_budget(monkeypatch):
-    # Options that share a program run together while their rows fit the
-    # budget, so a subject larger than the budget never runs a program over
-    # more rows than it did one option at a time.
-    g = ((Var(1),),)
-    runs = []
+def test_no_trial_and_no_program_run_exceeds_the_row_budget(specs, tmp_path, monkeypatch):
+    # At 200 samples and a budget of 128, every pair subject and every i->j
+    # part of a triple is cut into pieces; the report is the one of a budget
+    # above its largest subject.
+    monkeypatch.setattr(bundles, "_PACK_ROWS", 10**6)
+    whole = check_bytes(specs["product"], 200, tmp_path / "whole.json")
+    monkeypatch.setattr(bundles, "_PACK_ROWS", 128)
+    rows, runs = spy_trial_rows(monkeypatch), []
     run = calculus.run_program
     monkeypatch.setattr(calculus, "run_program",
                         lambda prog, X: runs.append(len(X)) or run(prog, X))
-    X = np.arange(6.0)[:, None]
-    for run_rows, want in ((None, [6]), (6, [6]), (5, [3, 3])):
-        runs.clear()
-        t = calculus._Trial(X, {}, run_rows=run_rows)
-        G = t.matrices(np.array([0, 0, 0, 1, 1, 1]), [g, g], X, float)
-        assert runs == want
-        np.testing.assert_array_equal(G[:, 0, 0], X[:, 0])
+    assert check_bytes(specs["product"], 200, tmp_path / "cut.json") == whole
+    assert max(rows) == max(runs) == 128
+
+
+def dense_tensor_check_peak(B, samples) -> int:
+    """tracemalloc's peak over check_vb of B at samples."""
+    tracemalloc.start()
+    try:
+        check_vb(B, samples, seed=7)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_checks_memory_does_not_grow_with_its_sample_count(monkeypatch):
+    # A subject above the budget ran as one trial, every slot of its
+    # programs over all its rows: 8 times the samples took about 8 times
+    # the memory. Cut into budget-row pieces, it takes what one trial does.
+    monkeypatch.setattr(bundles, "_PACK_ROWS", 128)
+    B = tensor_bundle(load_spec(GOLDEN / "dense.json").bundle, 1, 1)
+    check_vb(B, 3, seed=7)
+    once = dense_tensor_check_peak(B, 128)
+    assert dense_tensor_check_peak(B, 8 * 128) <= 1.5 * once

@@ -1,6 +1,7 @@
 """Reading and writing specification documents."""
 
 import json
+import tracemalloc
 
 import pytest
 from support import circle_atlas, local_field, mobius_bundle, plane_rotation_bundle
@@ -14,6 +15,7 @@ from vbx.specio import (
     document_to_dict,
     gallery_path,
     list_gallery,
+    load_json,
     load_spec,
     save_spec,
 )
@@ -249,6 +251,21 @@ def test_invalid_json_raises_file_error(tmp_path):
     p.write_text("{\"base\": ")
     with pytest.raises(FileError):
         load_spec(p)
+
+
+def test_loading_holds_a_file_once_while_parsing_it(tmp_path):
+    # A 4 MB entry: held as bytes, as text and as the parsed string, the
+    # peak was three times the file; the bytes now go before parsing.
+    doc = json.loads(gallery_path("mobius").read_text(encoding="utf-8"))
+    doc["sections"][0]["components"]["east"] = [" + ".join(["sin(x1)"] * 400_000)]
+    p = write_doc(tmp_path, doc)
+    tracemalloc.start()
+    try:
+        load_json(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * p.stat().st_size
 
 
 def test_save_into_missing_directory_raises_file_error(tmp_path):

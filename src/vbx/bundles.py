@@ -61,14 +61,14 @@ def find_edge(B: VectorBundleSpec, i: str, j: str, x) -> BundleEdge | None:
 
 # ---------------------------------------------------------------------------
 # The sampled-identity harness. Every check suite runs its subjects through
-# _sampled: each subject is a (name, points, data) triple. One rule bounds
-# every _Trial: it holds at most _PACK_ROWS rows. Consecutive subjects of
-# one family (every edge of check_vb, say) are packed whole into a trial
-# while they fit, and a larger subject is cut into _PACK_ROWS-row pieces.
-# All the points of a trial go through the stages of the identity together,
-# each stage one batched evaluation per distinct program, and each piece's
-# results are merged back into its subject's records, each as it would be
-# alone.
+# _sampled: each subject is a (name, parts) pair, parts its (points, data) in
+# sample order. One rule bounds every _Trial: it holds at most _PACK_ROWS
+# rows. Consecutive parts of one family (every edge of check_vb, say) are
+# packed whole into a trial while they fit, and a larger part is cut into
+# _PACK_ROWS-row pieces. All the points of a trial go through the stages of
+# the identity together, each stage one batched evaluation per distinct
+# program, and each piece's results are merged back into its subject's
+# records, each as it would be alone.
 
 _PACK_ROWS = 2048  # bounds the rows, and so the memory, of every trial
 
@@ -126,26 +126,27 @@ def _live_only(t: _Trial, fn, A, shape) -> np.ndarray:
 
 
 def _packs(subjects):
-    """The pieces (name, points, data) of subjects in order, in trials whose
-    points total at most _PACK_ROWS: a subject goes whole while it fits,
-    and a larger one as _PACK_ROWS-row pieces."""
+    """The pieces ((ordinal, name), points, data) of subjects, each (name,
+    parts) with parts a list of (points, data), in order, in trials whose
+    points total at most _PACK_ROWS: a part goes whole while it fits, and a
+    larger one as _PACK_ROWS-row pieces."""
     pack, rows = [], 0
-    for name, pts, data in subjects:
-        for start in range(0, len(pts) or 1, _PACK_ROWS):
-            piece = pts[start:start + _PACK_ROWS]
-            if pack and rows + len(piece) > _PACK_ROWS:
-                yield pack
-                pack, rows = [], 0
-            pack.append((name, piece, data))
-            rows += len(piece)
+    for n, (name, parts) in enumerate(subjects):
+        for pts, data in parts:
+            for start in range(0, len(pts) or 1, _PACK_ROWS):
+                piece = pts[start:start + _PACK_ROWS]
+                if pack and rows + len(piece) > _PACK_ROWS:
+                    yield pack
+                    pack, rows = [], 0
+                pack.append(((n, name), piece, data))
+                rows += len(piece)
     if pack:
         yield pack
 
 
 def _sampled(checks, subjects, seed: int, evaluate, samples: int | None = None) -> list:
     """The records of the sampled identities of subjects, an iterable of
-    (name, points, data), in order; subjects of one name are pieces of one
-    subject, in sample order.
+    (name, parts), parts a list of (points, data) in sample order, in order.
 
     The trials take their programs from the sampling scope's cache (see
     geometry.scope_memo), which the suites of one check command share.
@@ -163,9 +164,9 @@ def _sampled(checks, subjects, seed: int, evaluate, samples: int | None = None) 
     """
     name, kind, tol = next((c for c in checks if c[1] == RESIDUAL), checks[0])
     empty = [0.0 if k == RESIDUAL else np.inf for _, k, _ in checks]  # the worst of no sample
-    merged: dict = {}  # subject -> (rows, live count, first failure's note, worst per check)
+    merged: dict = {}  # (ordinal, name) -> (rows, live count, first failure, worst per check)
     for pack in _packs(subjects):
-        names, pts, data = zip(*pack)
+        keys, pts, data = zip(*pack)
         X = pts[0] if len(pts) == 1 else np.vstack(pts)
         t = _Trial(X, scope_memo("programs"), [len(p) for p in pts])
         with np.errstate(all="ignore"):  # failed samples compute on garbage
@@ -174,8 +175,8 @@ def _sampled(checks, subjects, seed: int, evaluate, samples: int | None = None) 
             label = "residual" if k == RESIDUAL else "scaled determinant"
             t.fail(t.rows, ~np.isfinite(v),
                    lambda j, label=label: f"non-finite {label} at {X[j].tolist()}")
-        for subject, b in zip(names, t.blocks):
-            rows, count, note, worst = merged.get(subject, (0, 0, None, empty))
+        for key, b in zip(keys, t.blocks):
+            rows, count, note, worst = merged.get(key, (0, 0, None, empty))
             failed = np.flatnonzero(t.cause[b] >= 0)
             if failed.size and note is None:  # an earlier piece's failure comes first
                 i = b.start + failed[0]
@@ -183,11 +184,11 @@ def _sampled(checks, subjects, seed: int, evaluate, samples: int | None = None) 
                 note = (why if isinstance(why, str)
                         else f"evaluation failed at {X[i].tolist()}: {why}")
             live = t.live[b]
-            merged[subject] = (rows + b.stop - b.start, count + int(live.sum()), note, [
+            merged[key] = (rows + b.stop - b.start, count + int(live.sum()), note, [
                 np.max(v[b][live], initial=w) if k == RESIDUAL else np.min(v[b][live], initial=w)
                 for (_, k, _), v, w in zip(checks, values, worst)])
     records = []
-    for subject, (rows, count, note, worst) in merged.items():
+    for (_, subject), (rows, count, note, worst) in merged.items():
         if note is not None:
             records.append(failed_record(name, subject, rows if samples is None else samples,
                                          seed, tol, note, kind))
@@ -214,14 +215,14 @@ def _reverse_g(t: _Trial, backs, Y, dtype) -> np.ndarray:
 
 def _triples(charts, between, closing, samples: int, seed: int):
     """The subjects of the triple checks: each chart triple i->j->k with
-    parts between(i, j), between(j, k) and between(*closing(i, k)), as one
-    piece per i->j part: that part's region's points, data (the part, the
-    j->k parts, the closing parts)."""
+    parts between(i, j), between(j, k) and between(*closing(i, k)), its
+    points those of each i->j part's region in turn, with data (that part,
+    the j->k parts, the closing parts)."""
     for i, j, k in permutations(charts, 3):
         ij, jk, last = between(i, j), between(j, k), between(*closing(i, k))
         if ij and jk and last:
-            for p in ij:
-                yield f"{i}->{j}->{k}", sample_region(p.region, samples, seed), (p, jk, last)
+            yield f"{i}->{j}->{k}", [(sample_region(p.region, samples, seed), (p, jk, last))
+                                     for p in ij]
 
 
 def _max_abs(A) -> np.ndarray:
@@ -242,8 +243,8 @@ def check_base_atlas(spec: BaseAtlasSpec, samples: int = DEFAULT_SAMPLES,
     the needed overlaps: tau_jk(tau_ij(x)) = tau_ik(x) where memberships
     allow.
     """
-    pairs = ((_overlap_subject(o, comp), sample_region(o.region, samples, seed),
-              (o, spec.overlaps_between(o.to, o.frm)))
+    pairs = ((_overlap_subject(o, comp), [(sample_region(o.region, samples, seed),
+                                           (o, spec.overlaps_between(o.to, o.frm)))])
              for frm, to in sorted({(o.frm, o.to) for o in spec.overlaps})
              for comp, o in enumerate(spec.overlaps_between(frm, to)))
 
@@ -283,8 +284,8 @@ def check_vb(B: VectorBundleSpec, samples: int = DEFAULT_SAMPLES,
     """Sampled verification of VB structure: GL values, pair and triple cocycles."""
     d, dtype = B.fiber_dim, B.field.dtype
     eye = np.eye(d, dtype=dtype)
-    pairs = ((_edge_subject(e), sample_region(e.region, samples, seed),
-              (e, B.edges_between(e.overlap.to, e.overlap.frm)))
+    pairs = ((_edge_subject(e), [(sample_region(e.region, samples, seed),
+                                  (e, B.edges_between(e.overlap.to, e.overlap.frm)))])
              for e in B.edges)  # by chart pair, then component (make_bundle's order)
 
     def pair(t, data):
@@ -328,8 +329,8 @@ def check_section(S: TensorFieldSpec, samples: int = DEFAULT_SAMPLES,
     g_ij(x) by the cocycle, g_ji(tau_ij(x)) transposed (as in check_vb)."""
     B = S.bundle
     slots, dtype = (B.fiber_dim,) * (S.r + S.s), B.field.dtype
-    pairs = ((_edge_subject(e), sample_region(e.region, samples, seed),
-              (e, B.edges_between(e.overlap.to, e.overlap.frm)))
+    pairs = ((_edge_subject(e), [(sample_region(e.region, samples, seed),
+                                  (e, B.edges_between(e.overlap.to, e.overlap.frm)))])
              for e in B.edges if e.overlap.frm in S.per_chart and e.overlap.to in S.per_chart)
 
     def on_charts(t, charts, X):
@@ -378,5 +379,5 @@ def check_frame(F: BundleMorphismSpec, samples: int = DEFAULT_SAMPLES,
                                          F.source.field.dtype)),)
 
     records = _sampled([("frame_gl", MIN_DET, tol)],
-                       [(c.name, sample_box(c.box, samples, seed), None)], seed, evaluate)
+                       [(c.name, [(sample_box(c.box, samples, seed), None)])], seed, evaluate)
     return make_report("frame", records)

@@ -29,9 +29,9 @@ from vbx.constructions import (
     tensor_bundle,
     vb_pullback_rs,
 )
-from vbx.coords import make_box
+from vbx.coords import FieldTag, make_box
 from vbx.report import report_to_json
-from vbx.spec import make_field
+from vbx.spec import make_atlas, make_bundle, make_field
 from vbx.specio import gallery_path, list_gallery, load_spec, save_spec
 
 from support import circle_trivial_bundle
@@ -70,11 +70,13 @@ def check_bytes(path, samples, out) -> tuple:
     (name, samples) for name in sorted(list_gallery()) + ["tensor11", "product"]
     for samples in (1, 3, 50, 200)] + [("dual", samples) for samples in (1, 3, 50)])
 def test_a_report_is_the_same_at_every_row_budget(specs, name, samples, tmp_path, monkeypatch):
-    # Budget 1 runs one sample per trial, so it takes seconds past 3 samples.
-    # There budget 7 cuts every subject, its last piece (1 row at 50 samples,
-    # 4 at 200) a trial of its own, and 2,048 holds each subject whole.
+    # Budget 1 runs one sample per trial, so it takes seconds at 200 samples,
+    # and for the product output at 50 (its 50-sample failures meet budget 1
+    # in the test below). There budget 7 cuts every subject, its last piece a
+    # trial of its own, and 2,048 holds each subject whole.
     got = []
-    for budget in BUDGETS if samples <= 3 else BUDGETS[1:]:
+    slow = samples == 200 or (name, samples) == ("product", 50)
+    for budget in BUDGETS[1:] if slow else BUDGETS:
         monkeypatch.setattr(bundles, "_PACK_ROWS", budget)
         got.append(check_bytes(specs[name], samples, tmp_path / f"{budget}.json"))
     assert all(g == got[0] for g in got[1:])
@@ -100,9 +102,9 @@ def test_failures_inside_a_pack_are_those_of_each_subject_alone(samples, tmp_pat
     partner = load_spec(gallery_path("projective_tangent")).bundle
     B = direct_product(load_spec(path).bundle, partner)
     got = []
-    # At 50 samples budget 7 cuts every subject, so a failure in a later
-    # piece meets one in an earlier piece (budget 1 there takes seconds).
-    for budget in BUDGETS if samples <= 3 else BUDGETS[1:]:
+    # At 50 samples budgets 1 and 7 cut every subject, so a failure in a
+    # later piece meets one in an earlier piece.
+    for budget in BUDGETS:
         monkeypatch.setattr(bundles, "_PACK_ROWS", budget)
         got.append((check_bytes(path, samples, tmp_path / "out.json"),
                     report_to_json(check_base_atlas(B.base, samples, seed=7)),
@@ -242,15 +244,40 @@ def test_packs_keep_subject_order_within_the_row_budget(monkeypatch):
     # 8-row pieces, and the last piece packs with the subjects after it.
     monkeypatch.setattr(bundles, "_PACK_ROWS", 8)
     sizes = [3, 3, 2, 9, 1, 4, 17, 4]
-    subjects = [(k, np.arange(n)[:, None], None) for k, n in enumerate(sizes)]
+    subjects = [(str(k), [(np.arange(n)[:, None], None)]) for k, n in enumerate(sizes)]
     packs = list(bundles._packs(iter(subjects)))
-    assert [[(k, len(p)) for k, p, _ in pack] for pack in packs] == [
+    assert [[(k, len(p)) for (k, _), p, _ in pack] for pack in packs] == [
         [(0, 3), (1, 3), (2, 2)], [(3, 8)], [(3, 1), (4, 1), (5, 4)], [(6, 8)], [(6, 8)],
         [(6, 1), (7, 4)]]
-    pieces = [(k, p) for pack in packs for k, p, _ in pack]
+    pieces = [(k, p) for pack in packs for (k, _), p, _ in pack]
     for k, n in enumerate(sizes):
         np.testing.assert_array_equal(np.vstack([p for j, p in pieces if j == k])[:, 0],
                                       np.arange(n))
+
+
+def glued_everywhere(charts):
+    """A line bundle over charts on [0, 1], every ordered pair of them glued
+    by a tau and g of their own."""
+    pairs = [(i, j) for i in charts for j in charts if i != j]
+    A = make_atlas(1, [(c, [(0, 1)]) for c in charts],
+                   [(i, j, [[(0, 1)]], [f"x1 + {k}e-9"]) for k, (i, j) in enumerate(pairs)])
+    return make_bundle(A, 1, FieldTag.REAL, [(i, j, [[f"1 + {k}e-9"]])
+                                             for k, (i, j) in enumerate(pairs)])
+
+
+def test_subjects_that_share_a_name_keep_their_own_records(monkeypatch):
+    # The overlaps a->(b->c) and (a->b)->c are both named 'a->b->c#0', and
+    # the triples (a, b->c, d) and (a->b, c, d) both 'a->b->c->d': each is
+    # still one subject with its own records, as under names that differ.
+    monkeypatch.setattr(bundles, "_PACK_ROWS", 7)
+    clash = glued_everywhere(["a", "b->c", "a->b", "c", "d"])
+    plain = glued_everywhere(["a", "bc", "ab", "c", "d"])
+    for suite, of in ((check_base_atlas, lambda B: B.base), (check_vb, lambda B: B)):
+        got, want = (suite(of(B), 20, seed=7) for B in (clash, plain))
+        subjects = [r.subject for r in got.records]
+        assert subjects.count("a->b->c#0") == 4 and subjects.count("a->b->c->d") == 2
+        assert ([(r.check, r.samples, r.worst, r.passed, r.note) for r in got.records]
+                == [(r.check, r.samples, r.worst, r.passed, r.note) for r in want.records])
 
 
 def test_maps_sharing_a_program_keep_their_own_boxes(monkeypatch):

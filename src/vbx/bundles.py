@@ -16,8 +16,8 @@ import numpy as np
 from .calculus import _Trial
 from .coords import on_slots, region_contains, region_mask, row_reduce
 from .dets import DEFAULT_TOL, scaled_abs_dets
-from .errors import SpecError
-from .geometry import sample_box, sample_region, sampling_scope, scope_memo
+from .errors import InvalidDimension, SpecError
+from .geometry import sample_region, sampling_scope, scope_memo
 from .report import (
     MIN_DET,
     RESIDUAL,
@@ -61,10 +61,11 @@ def find_edge(B: VectorBundleSpec, i: str, j: str, x) -> BundleEdge | None:
 
 # ---------------------------------------------------------------------------
 # The sampled-identity harness. Every check suite runs its subjects through
-# _sampled: each subject is a (name, parts) pair, parts its (points, data) in
-# sample order. One rule bounds every _Trial: it holds at most _PACK_ROWS
-# rows. Consecutive parts of one family (every edge of check_vb, say) are
-# packed whole into a trial while they fit, and a larger part is cut into
+# _sampled: each subject is a (name, parts) pair, parts its (region, data),
+# and every part is the suite's sample count of points of its region, at
+# least one. One rule bounds every _Trial: it holds at most _PACK_ROWS rows.
+# Consecutive parts of one family (every edge of check_vb, say) are packed
+# whole into a trial while they fit, and a larger part is cut into
 # _PACK_ROWS-row pieces. All the points of a trial go through the stages of
 # the identity together, each stage one batched evaluation per distinct
 # program, and each piece's results are merged back into its subject's
@@ -144,9 +145,11 @@ def _packs(subjects):
         yield pack
 
 
-def _sampled(checks, subjects, seed: int, evaluate, samples: int | None = None) -> list:
+def _sampled(checks, subjects, samples: int, seed: int, evaluate) -> list:
     """The records of the sampled identities of subjects, an iterable of
-    (name, parts), parts a list of (points, data) in sample order, in order.
+    (name, parts), parts a list of (region, data), in order: each part is
+    samples points of its region (geometry.sample_region, at seed), in
+    sample order. Fewer than one sample is InvalidDimension.
 
     The trials take their programs from the sampling scope's cache (see
     geometry.scope_memo), which the suites of one check command share.
@@ -154,18 +157,20 @@ def _sampled(checks, subjects, seed: int, evaluate, samples: int | None = None) 
     evaluate(trial, data) returns, in record order, for a trial over the
     pieces of one pack (_packs) and data, their data in order. A subject's
     records merge those of its pieces: the worst residual is their max and
-    the worst determinant their min, live counts add up, and a failed
+    the worst determinant their min, and live counts add up. A failed
     sample, or a non-finite value at a live one, fails the subject: one
-    failed record, of its check's kind, under its first residual check
-    (else its first check), noting the subject's first such sample in
-    sample order. Triple checks pass samples, the count a failed record
-    reports; for them only samples that stayed live count, and none makes
-    the subject vacuous.
+    failed record of samples points, of its check's kind, under its first
+    residual check (else its first check), noting the subject's first such
+    sample in sample order. A subject with no live sample (every one
+    skipped: a triple whose point leaves the needed overlaps) is vacuous.
     """
+    if samples < 1:
+        raise InvalidDimension(f"a check needs at least 1 sample, got {samples}")
     name, kind, tol = next((c for c in checks if c[1] == RESIDUAL), checks[0])
     empty = [0.0 if k == RESIDUAL else np.inf for _, k, _ in checks]  # the worst of no sample
-    merged: dict = {}  # (ordinal, name) -> (rows, live count, first failure, worst per check)
-    for pack in _packs(subjects):
+    merged: dict = {}  # (ordinal, name) -> (live count, first failure, worst per check)
+    for pack in _packs((subject, [(sample_region(region, samples, seed), data)
+                                  for region, data in parts]) for subject, parts in subjects):
         keys, pts, data = zip(*pack)
         X = pts[0] if len(pts) == 1 else np.vstack(pts)
         t = _Trial(X, scope_memo("programs"), [len(p) for p in pts])
@@ -176,7 +181,7 @@ def _sampled(checks, subjects, seed: int, evaluate, samples: int | None = None) 
             t.fail(t.rows, ~np.isfinite(v),
                    lambda j, label=label: f"non-finite {label} at {X[j].tolist()}")
         for key, b in zip(keys, t.blocks):
-            rows, count, note, worst = merged.get(key, (0, 0, None, empty))
+            count, note, worst = merged.get(key, (0, None, empty))
             failed = np.flatnonzero(t.cause[b] >= 0)
             if failed.size and note is None:  # an earlier piece's failure comes first
                 i = b.start + failed[0]
@@ -184,15 +189,14 @@ def _sampled(checks, subjects, seed: int, evaluate, samples: int | None = None) 
                 note = (why if isinstance(why, str)
                         else f"evaluation failed at {X[i].tolist()}: {why}")
             live = t.live[b]
-            merged[key] = (rows + b.stop - b.start, count + int(live.sum()), note, [
+            merged[key] = (count + int(live.sum()), note, [
                 np.max(v[b][live], initial=w) if k == RESIDUAL else np.min(v[b][live], initial=w)
                 for (_, k, _), v, w in zip(checks, values, worst)])
     records = []
-    for (_, subject), (rows, count, note, worst) in merged.items():
+    for (_, subject), (count, note, worst) in merged.items():
         if note is not None:
-            records.append(failed_record(name, subject, rows if samples is None else samples,
-                                         seed, tol, note, kind))
-        elif samples is not None and count == 0:
+            records.append(failed_record(name, subject, samples, seed, tol, note, kind))
+        elif count == 0:
             records.append(vacuous_record(name, subject, seed, tol))
         else:
             records += [residual_record(c, subject, count, seed, c_tol, w) if c_kind == RESIDUAL
@@ -213,16 +217,15 @@ def _reverse_g(t: _Trial, backs, Y, dtype) -> np.ndarray:
     return t.matrices(at, [b.g for b in options], Y, dtype)
 
 
-def _triples(charts, between, closing, samples: int, seed: int):
+def _triples(charts, between, closing):
     """The subjects of the triple checks: each chart triple i->j->k with
     parts between(i, j), between(j, k) and between(*closing(i, k)), its
-    points those of each i->j part's region in turn, with data (that part,
-    the j->k parts, the closing parts)."""
+    parts each i->j part's region in turn, with data (that part, the j->k
+    parts, the closing parts)."""
     for i, j, k in permutations(charts, 3):
         ij, jk, last = between(i, j), between(j, k), between(*closing(i, k))
         if ij and jk and last:
-            yield f"{i}->{j}->{k}", [(sample_region(p.region, samples, seed), (p, jk, last))
-                                     for p in ij]
+            yield f"{i}->{j}->{k}", [(p.region, (p, jk, last)) for p in ij]
 
 
 def _max_abs(A) -> np.ndarray:
@@ -243,8 +246,7 @@ def check_base_atlas(spec: BaseAtlasSpec, samples: int = DEFAULT_SAMPLES,
     the needed overlaps: tau_jk(tau_ij(x)) = tau_ik(x) where memberships
     allow.
     """
-    pairs = ((_overlap_subject(o, comp), [(sample_region(o.region, samples, seed),
-                                           (o, spec.overlaps_between(o.to, o.frm)))])
+    pairs = ((_overlap_subject(o, comp), [(o.region, (o, spec.overlaps_between(o.to, o.frm)))])
              for frm, to in sorted({(o.frm, o.to) for o in spec.overlaps})
              for comp, o in enumerate(spec.overlaps_between(frm, to)))
 
@@ -269,12 +271,10 @@ def check_base_atlas(spec: BaseAtlasSpec, samples: int = DEFAULT_SAMPLES,
         Z = t.maps(step2, [o.tau for o in jk], Y)
         return (_max_abs(Z - t.maps(direct, [o.tau for o in ik], X)),)
 
-    triples = _triples([c.name for c in spec.charts], spec.overlaps_between, lambda i, k: (i, k),
-                       samples, seed)
+    triples = _triples([c.name for c in spec.charts], spec.overlaps_between, lambda i, k: (i, k))
     records = _sampled([("tau_inverse", RESIDUAL, tol), ("tau_jacobian", MIN_DET, DEFAULT_TOL)],
-                       pairs, seed, pair)
-    records += _sampled([("tau_triple", RESIDUAL, tol)], triples, seed, triple,
-                        samples=samples)
+                       pairs, samples, seed, pair)
+    records += _sampled([("tau_triple", RESIDUAL, tol)], triples, samples, seed, triple)
     return make_report("base_atlas", records)
 
 
@@ -284,8 +284,7 @@ def check_vb(B: VectorBundleSpec, samples: int = DEFAULT_SAMPLES,
     """Sampled verification of VB structure: GL values, pair and triple cocycles."""
     d, dtype = B.fiber_dim, B.field.dtype
     eye = np.eye(d, dtype=dtype)
-    pairs = ((_edge_subject(e), [(sample_region(e.region, samples, seed),
-                                  (e, B.edges_between(e.overlap.to, e.overlap.frm)))])
+    pairs = ((_edge_subject(e), [(e.region, (e, B.edges_between(e.overlap.to, e.overlap.frm)))])
              for e in B.edges)  # by chart pair, then component (make_bundle's order)
 
     def pair(t, data):
@@ -306,12 +305,10 @@ def check_vb(B: VectorBundleSpec, samples: int = DEFAULT_SAMPLES,
         G3 = t.matrices(e3, [e.g for e in ki], Z, dtype)
         return (_max_abs(G1 @ G2 @ G3 - eye),)
 
-    triples = _triples([c.name for c in B.base.charts], B.edges_between, lambda i, k: (k, i),
-                       samples, seed)
+    triples = _triples([c.name for c in B.base.charts], B.edges_between, lambda i, k: (k, i))
     records = _sampled([("transition_gl", MIN_DET, DEFAULT_TOL), ("pair_cocycle", RESIDUAL, tol)],
-                       pairs, seed, pair)
-    records += _sampled([("triple_cocycle", RESIDUAL, tol)], triples, seed, triple,
-                        samples=samples)
+                       pairs, samples, seed, pair)
+    records += _sampled([("triple_cocycle", RESIDUAL, tol)], triples, samples, seed, triple)
     return make_report("vector_bundle", records)
 
 
@@ -329,8 +326,7 @@ def check_section(S: TensorFieldSpec, samples: int = DEFAULT_SAMPLES,
     g_ij(x) by the cocycle, g_ji(tau_ij(x)) transposed (as in check_vb)."""
     B = S.bundle
     slots, dtype = (B.fiber_dim,) * (S.r + S.s), B.field.dtype
-    pairs = ((_edge_subject(e), [(sample_region(e.region, samples, seed),
-                                  (e, B.edges_between(e.overlap.to, e.overlap.frm)))])
+    pairs = ((_edge_subject(e), [(e.region, (e, B.edges_between(e.overlap.to, e.overlap.frm)))])
              for e in B.edges if e.overlap.frm in S.per_chart and e.overlap.to in S.per_chart)
 
     def on_charts(t, charts, X):
@@ -350,7 +346,7 @@ def check_section(S: TensorFieldSpec, samples: int = DEFAULT_SAMPLES,
             mats = [_reverse_g(t, backs, Y, dtype).transpose(0, 2, 1)] * S.r + mats
         return (_max_abs(lhs - on_slots(C, mats).reshape(lhs.shape)),)
 
-    records = _sampled([("section_compat", RESIDUAL, tol)], pairs, seed, evaluate)
+    records = _sampled([("section_compat", RESIDUAL, tol)], pairs, samples, seed, evaluate)
     if not records:
         records.append(vacuous_record("section_compat", "no shared overlaps", seed, tol))
     return make_report("section", records)
@@ -378,6 +374,6 @@ def check_frame(F: BundleMorphismSpec, samples: int = DEFAULT_SAMPLES,
         return (scaled_abs_dets(t.matrix(F.fiber_map[c.name], t.pts, t.rows,
                                          F.source.field.dtype)),)
 
-    records = _sampled([("frame_gl", MIN_DET, tol)],
-                       [(c.name, [(sample_box(c.box, samples, seed), None)])], seed, evaluate)
+    records = _sampled([("frame_gl", MIN_DET, tol)], [(c.name, [((c.box,), None)])], samples,
+                       seed, evaluate)
     return make_report("frame", records)

@@ -108,10 +108,6 @@ def cmd_check(args) -> int:
     from .geometry import sampling_scope
     from .report import format_report, make_report, merge_reports, report_to_json
 
-    def tagged(report, prefix: str):
-        return make_report(report.suite, [replace(r, subject=f"{prefix} {r.subject}")
-                                          for r in report.records])
-
     if not 1 <= args.samples <= MAX_SAMPLES:
         raise _Usage(f"--samples must be between 1 and {MAX_SAMPLES:,}")
     if not 0 < args.tol < math.inf:
@@ -122,15 +118,13 @@ def cmd_check(args) -> int:
         reports = [check_base_atlas(doc.base, args.samples, args.tol, args.seed)]
         if doc.bundle is not None:
             reports.append(check_vb(doc.bundle, args.samples, args.tol, args.seed))
-            for name, S in sorted(doc.sections.items()):
-                reports.append(tagged(check_section(S, args.samples, args.tol, args.seed),
-                                      f"section '{name}'"))
-            for name, F in sorted(doc.frames.items()):
-                reports.append(tagged(check_frame(F, args.samples, seed=args.seed),
-                                      f"frame '{name}'"))
-            for name, A in sorted(doc.fields.items()):
-                reports.append(tagged(check_section(A, args.samples, args.tol, args.seed),
-                                      f"field '{name}'"))
+        for kind, entries in (("section", doc.sections), ("frame", doc.frames),
+                              ("field", doc.fields)):  # empty without a bundle
+            for name, X in sorted(entries.items()):
+                report = (check_frame(X, args.samples, seed=args.seed) if kind == "frame"
+                          else check_section(X, args.samples, args.tol, args.seed))
+                reports.append(make_report(report.suite, [
+                    replace(r, subject=f"{kind} '{name}' {r.subject}") for r in report.records]))
     merged = merge_reports("check", reports)
     print(format_report(merged))
     if args.out:
@@ -209,10 +203,12 @@ def cmd_eval(args) -> int:
         raise _Usage(f"cannot parse point '{args.point}'") from None
     if not all(map(math.isfinite, point)):
         raise _Usage(f"--point must hold finite coordinates, got '{args.point}'")
-    target = doc.sections.get(args.target) or doc.fields.get(args.target)
-    if target is None:
+    found = [A for A in (doc.sections.get(args.target), doc.fields.get(args.target)) if A]
+    if not found:
         raise _Usage(f"no section or field named '{args.target}' in '{args.spec}'")
-    values = field_eval(target, args.chart, point).coeffs
+    if len(found) > 1:
+        raise _Usage(f"'{args.target}' names both a section and a field in '{args.spec}'")
+    values = field_eval(found[0], args.chart, point).coeffs
     print(f"chart {args.chart}")
     print("point " + " ".join(_fmt(x) for x in point))
     print("value " + " ".join(_fmt(v) for v in np.atleast_1d(values)))

@@ -608,8 +608,7 @@ def check_morphism(M: BundleMorphismSpec, samples: int = DEFAULT_SAMPLES,
 
         records += _sampled([("morphism_intertwine", RESIDUAL, tol),
                              ("base_map_coherence", RESIDUAL, tol)],
-                            [(_edge_subject(e), [(sample_region(e.region, samples, seed), None)])],
-                            seed, evaluate)
+                            [(_edge_subject(e), [(e.region, None)])], samples, seed, evaluate)
     if not records:
         records.append(vacuous_record("morphism_intertwine", "no overlaps", seed, tol))
     for c in src.base.charts:
@@ -620,8 +619,8 @@ def check_morphism(M: BundleMorphismSpec, samples: int = DEFAULT_SAMPLES,
             t.in_box(tgt.base.chart(target).box, Y, t.rows, f"chart '{target}'")
             return (np.zeros(len(Y)),)
 
-        (rec,) = _sampled([("base_map_image", RESIDUAL, tol)],
-                          [(c.name, [(sample_box(c.box, samples, seed), None)])], seed, evaluate)
+        (rec,) = _sampled([("base_map_image", RESIDUAL, tol)], [(c.name, [((c.box,), None)])],
+                          samples, seed, evaluate)
         if not rec.passed:
             records.append(rec)
     return make_report("morphism", records)
@@ -841,8 +840,7 @@ def subbundle_check(B: VectorBundleSpec, W: dict, samples: int = DEFAULT_SAMPLES
             return (np.where(sv[:, 0] > 0, sv[:, -1] / sv[:, 0], 0.0),)
 
         records += _sampled([("subbundle_rank", MIN_DET, DEFAULT_TOL)],
-                            [(name, [(sample_box(B.base.chart(name).box, samples, seed), None)])],
-                            seed, evaluate)
+                            [(name, [((B.base.chart(name).box,), None)])], samples, seed, evaluate)
 
     checked_overlap = False
     for e in B.edges:
@@ -862,8 +860,7 @@ def subbundle_check(B: VectorBundleSpec, W: dict, samples: int = DEFAULT_SAMPLES
             return (np.max(np.linalg.norm(off, axis=1) / scale, axis=1),)
 
         records += _sampled([("subbundle_span", RESIDUAL, tol)],
-                            [(_edge_subject(e), [(sample_region(e.region, samples, seed), None)])],
-                            seed, evaluate)
+                            [(_edge_subject(e), [(e.region, None)])], samples, seed, evaluate)
     if not checked_overlap and len(cols_of) > 1:
         records.append(vacuous_record("subbundle_span", "no shared overlaps", seed, tol))
     return make_report("subbundle", records)

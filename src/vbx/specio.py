@@ -41,9 +41,6 @@ _CHART_KEYS = {"name", "box"}
 _OVERLAP_KEYS = {"from", "to", "region", "tau"}
 _FIBER_KEYS = {"dim", "field"}
 _TRANSITION_KEYS = {"from", "to", "g"}
-_SECTION_KEYS = {"name", "components"}
-_FRAME_KEYS = {"name", "chart", "columns"}
-_FIELD_KEYS = {"name", "r", "s", "components"}
 
 
 @record
@@ -122,6 +119,14 @@ def _parse_matrix(value, loc: str, memo: dict) -> tuple:
                  for i, row in enumerate(_as_list(value, loc)))
 
 
+def _entries(value, loc: str, allowed: set):
+    """(location, entry) for each entry of the array value at loc, each an
+    object with only allowed keys."""
+    for k, entry in enumerate(_as_list(value, loc)):
+        _check_keys(_as_dict(entry, f"{loc}/{k}"), allowed, f"{loc}/{k}")
+        yield f"{loc}/{k}", entry
+
+
 def _parse_box(value, loc: str) -> list:
     bounds = _as_list(value, loc)
     out = []
@@ -162,21 +167,13 @@ def atlas_from_document(doc: dict, memo: dict | None = None) -> BaseAtlasSpec:
     _check_keys(base, _BASE_KEYS, "/base")
     dim = _as_int(_need(base, "dim", "/base"), "/base/dim")
 
-    charts = []
-    for k, entry in enumerate(_as_list(_need(base, "charts", "/base"), "/base/charts")):
-        loc = f"/base/charts/{k}"
-        entry = _as_dict(entry, loc)
-        _check_keys(entry, _CHART_KEYS, loc)
-        name = _as_str(_need(entry, "name", loc), f"{loc}/name")
-        box = _parse_box(_need(entry, "box", loc), f"{loc}/box")
-        charts.append((name, box))
+    charts = [(_as_str(_need(entry, "name", loc), f"{loc}/name"),
+               _parse_box(_need(entry, "box", loc), f"{loc}/box"))
+              for loc, entry in _entries(_need(base, "charts", "/base"), "/base/charts",
+                                         _CHART_KEYS)]
 
     overlaps = []
-    raw_overlaps = base.get("overlaps", [])
-    for k, entry in enumerate(_as_list(raw_overlaps, "/base/overlaps")):
-        loc = f"/base/overlaps/{k}"
-        entry = _as_dict(entry, loc)
-        _check_keys(entry, _OVERLAP_KEYS, loc)
+    for loc, entry in _entries(base.get("overlaps", []), "/base/overlaps", _OVERLAP_KEYS):
         frm = _as_str(_need(entry, "from", loc), f"{loc}/from")
         to = _as_str(_need(entry, "to", loc), f"{loc}/to")
         region = [_parse_box(b, f"{loc}/region/{i}")
@@ -205,10 +202,7 @@ def _load_bundle(doc: dict, base: BaseAtlasSpec, memo: dict) -> VectorBundleSpec
                         "/fiber/field") from None
 
     transitions = []
-    for k, entry in enumerate(_as_list(_need(doc, "transitions", ""), "/transitions")):
-        loc = f"/transitions/{k}"
-        entry = _as_dict(entry, loc)
-        _check_keys(entry, _TRANSITION_KEYS, loc)
+    for loc, entry in _entries(_need(doc, "transitions", ""), "/transitions", _TRANSITION_KEYS):
         frm = _as_str(_need(entry, "from", loc), f"{loc}/from")
         to = _as_str(_need(entry, "to", loc), f"{loc}/to")
         transitions.append((frm, to, _parse_matrix(_need(entry, "g", loc), f"{loc}/g", memo)))
@@ -219,22 +213,29 @@ def _load_bundle(doc: dict, base: BaseAtlasSpec, memo: dict) -> VectorBundleSpec
     return make_bundle(base, fdim, field, transitions, derivation)
 
 
-def _load_named_components(doc: dict, key: str, allowed: set, loc_root: str, memo: dict):
-    """Shared shape handling for the sections and fields arrays."""
-    out = []
-    for k, entry in enumerate(_as_list(doc.get(key, []), loc_root)):
-        loc = f"{loc_root}/{k}"
-        entry = _as_dict(entry, loc)
-        _check_keys(entry, allowed, loc)
-        name = _as_str(_need(entry, "name", loc), f"{loc}/name")
-        comps = _as_dict(_need(entry, "components", loc), f"{loc}/components")
-        parsed = {}
-        for chart, exprs in comps.items():
-            exprs = _as_list(exprs, f"{loc}/components/{chart}")
-            parsed[chart] = tuple(_parse_entry(e, f"{loc}/components/{chart}/{i}", memo)
-                                  for i, e in enumerate(exprs))
-        out.append((k, loc, name, entry, parsed))
-    return out
+def _components(entry: dict, loc: str, memo: dict) -> dict:
+    """A section's or field's expressions by chart."""
+    comps = _as_dict(_need(entry, "components", loc), f"{loc}/components")
+    return {chart: tuple(_parse_entry(e, f"{loc}/components/{chart}/{i}", memo)
+                         for i, e in enumerate(_as_list(exprs, f"{loc}/components/{chart}")))
+            for chart, exprs in comps.items()}
+
+
+# Each kind of named entry, in SpecDocument's order: its keys, its
+# constructor, and that constructor's arguments after the bundle, read from
+# one entry. A kind's array is its name plus "s".
+_NAMED = {
+    "section": ({"name", "components"}, make_section,
+                lambda entry, loc, memo: (_components(entry, loc, memo),)),
+    "frame": ({"name", "chart", "columns"}, make_frame,
+              lambda entry, loc, memo: (
+                  _as_str(_need(entry, "chart", loc), f"{loc}/chart"),
+                  _parse_matrix(_need(entry, "columns", loc), f"{loc}/columns", memo))),
+    "field": ({"name", "r", "s", "components"}, make_field,
+              lambda entry, loc, memo: (_as_int(_need(entry, "r", loc), f"{loc}/r"),
+                                        _as_int(_need(entry, "s", loc), f"{loc}/s"),
+                                        _components(entry, loc, memo))),
+}
 
 
 def load_spec(path) -> SpecDocument:
@@ -252,9 +253,9 @@ def load_spec(path) -> SpecDocument:
     has_fiber = "fiber" in doc
     has_transitions = "transitions" in doc
     if not has_fiber and not has_transitions:
-        for key in ("sections", "frames", "fields"):
-            if key in doc:
-                raise SpecError(f"'{key}' requires a fiber", f"/{key}")
+        for kind in _NAMED:
+            if f"{kind}s" in doc:
+                raise SpecError(f"'{kind}s' requires a fiber", f"/{kind}s")
         return SpecDocument(base, None, {}, {}, {})
     if not has_fiber:
         raise SpecError("missing required key 'fiber'", "/fiber")
@@ -262,44 +263,19 @@ def load_spec(path) -> SpecDocument:
         raise SpecError("missing required key 'transitions'", "/transitions")
     bundle = _load_bundle(doc, base, memo)
 
-    sections = {}
-    for k, loc, name, entry, parsed in _load_named_components(
-            doc, "sections", _SECTION_KEYS, "/sections", memo):
-        if name in sections:
-            raise SpecError(f"duplicate section name '{name}'", f"{loc}/name")
-        try:
-            sections[name] = make_section(bundle, parsed)
-        except SpecError as exc:
-            raise SpecError(str(exc), loc) from exc
-
-    frames = {}
-    for k, entry in enumerate(_as_list(doc.get("frames", []), "/frames")):
-        loc = f"/frames/{k}"
-        entry = _as_dict(entry, loc)
-        _check_keys(entry, _FRAME_KEYS, loc)
-        name = _as_str(_need(entry, "name", loc), f"{loc}/name")
-        if name in frames:
-            raise SpecError(f"duplicate frame name '{name}'", f"{loc}/name")
-        chart = _as_str(_need(entry, "chart", loc), f"{loc}/chart")
-        columns = _parse_matrix(_need(entry, "columns", loc), f"{loc}/columns", memo)
-        try:
-            frames[name] = make_frame(bundle, chart, columns)
-        except SpecError as exc:
-            raise SpecError(str(exc), loc) from exc
-
-    fields = {}
-    for k, loc, name, entry, parsed in _load_named_components(
-            doc, "fields", _FIELD_KEYS, "/fields", memo):
-        if name in fields:
-            raise SpecError(f"duplicate field name '{name}'", f"{loc}/name")
-        r = _as_int(_need(entry, "r", loc), f"{loc}/r")
-        s = _as_int(_need(entry, "s", loc), f"{loc}/s")
-        try:
-            fields[name] = make_field(bundle, r, s, parsed)
-        except SpecError as exc:
-            raise SpecError(str(exc), loc) from exc
-
-    return SpecDocument(base, bundle, sections, frames, fields)
+    named = {}
+    for kind, (keys, make, read) in _NAMED.items():
+        by_name = named[kind] = {}
+        for loc, entry in _entries(doc.get(f"{kind}s", []), f"/{kind}s", keys):
+            name = _as_str(_need(entry, "name", loc), f"{loc}/name")
+            if name in by_name:
+                raise SpecError(f"duplicate {kind} name '{name}'", f"{loc}/name")
+            args = read(entry, loc, memo)
+            try:
+                by_name[name] = make(bundle, *args)
+            except SpecError as exc:
+                raise SpecError(str(exc), loc) from exc
+    return SpecDocument(base, bundle, *named.values())
 
 
 # ---------------------------------------------------------------------------

@@ -454,6 +454,20 @@ def test_eval_unknown_target(capsys):
     assert "nope" in err
 
 
+def test_eval_refuses_a_name_that_is_both_a_section_and_a_field(capsys, tmp_path):
+    # Neither entry may shadow the other: check checks both, eval names both.
+    doc = json.loads(gallery_path("mobius").read_text())
+    doc["fields"][0]["name"] = "halfwave"
+    path = tmp_path / "both.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "eval", str(path), "--target", "halfwave",
+                         "--chart", "east", "--point", "0.5")
+    assert (code, out) == (1, "")
+    assert err == f"'halfwave' names both a section and a field in '{path}'\n"
+    code, out, err = run(capsys, "check", str(path), "--samples", "20")
+    assert code == 0 and "section 'halfwave'" in out and "field 'halfwave'" in out
+
+
 def test_eval_unparseable_point(capsys):
     code, out, err = run(capsys, "eval", gp("trivial"), "--target", "wave",
                          "--chart", "main", "--point", "a,b")

@@ -7,6 +7,7 @@ neither."""
 import importlib
 import json
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -109,6 +110,18 @@ def test_each_command_loads_its_layers_and_nothing_else(tmp_path, command, entry
     loaded = {m for m in after(*argv, entry=entry)[2] if m == "vbx" or m.startswith("vbx.")}
     assert loaded - {"vbx.cli"} == layers  # so no library-only module, and eval no check layer
     assert out.exists() == (command == "construct")
+
+
+def test_the_readme_states_the_source_lines_each_command_loads():
+    # README § Command line: per command, `wc -l` summed over the modules it
+    # loads (the layers above, pinned to sys.modules), vbx.cli included.
+    files = {m: SRC / "vbx" / f"{m.partition('.')[2] or '__init__'}.py"
+             for m in CORE | CHECK_LAYER | CONSTRUCT_LAYER | {"vbx.cli"}}
+    lines = {m: path.read_bytes().count(b"\n") for m, path in files.items()}
+    loads = [CORE, CORE | CHECK_LAYER, CORE | CHECK_LAYER | CONSTRUCT_LAYER]
+    section = (SRC.parent / "README.md").read_text(encoding="utf-8").split("## Command line\n")[1]
+    stated = re.findall(r"\(([\d,]+)\s+(?:source\s+)?lines", section.split("\n## ")[0])
+    assert stated == [f"{sum(lines[m] for m in layers | {'vbx.cli'}):,}" for layers in loads]
 
 
 @pytest.mark.parametrize("entry", sorted(_ENTRIES))

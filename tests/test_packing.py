@@ -18,18 +18,22 @@ import numpy as np
 import pytest
 
 from vbx import bundles, calculus, dets
-from vbx.bundles import check_base_atlas, check_vb
+from vbx.bundles import check_base_atlas, check_frame, check_section, check_vb
 from vbx.calculus import SmoothMap, make_smooth_map
 from vbx.cli import main
 from vbx.constructions import (
+    check_morphism,
     check_tensor_field,
     direct_product,
     dual_bundle,
+    identity_morphism,
     make_morphism,
+    subbundle_check,
     tensor_bundle,
     vb_pullback_rs,
 )
 from vbx.coords import FieldTag, make_box
+from vbx.errors import InvalidDimension
 from vbx.report import report_to_json
 from vbx.spec import make_atlas, make_bundle, make_field
 from vbx.specio import gallery_path, list_gallery, load_spec, save_spec
@@ -352,3 +356,26 @@ def test_a_checks_memory_does_not_grow_with_its_sample_count(monkeypatch):
     check_vb(B, 3, seed=7)
     once = dense_tensor_check_peak(B, 128)
     assert dense_tensor_check_peak(B, 8 * 128) <= 1.5 * once
+
+
+SUITES = {
+    "check_base_atlas": lambda doc, n: check_base_atlas(doc.base, n),
+    "check_vb": lambda doc, n: check_vb(doc.bundle, n),
+    "check_section": lambda doc, n: check_section(doc.sections["halfwave"], n),
+    "check_tensor_field": lambda doc, n: check_tensor_field(doc.fields["halfdual"], n),
+    "check_frame": lambda doc, n: check_frame(doc.frames["unit_east"], n),
+    "check_morphism": lambda doc, n: check_morphism(identity_morphism(doc.bundle), n),
+    "subbundle_check": lambda doc, n: subbundle_check(doc.bundle, {"east": [["1"]],
+                                                                   "west": [["1"]]}, n),
+}
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_every_check_suite_refuses_fewer_than_one_sample(suite, samples):
+    # Each subject is checked at the sample count, so fewer than one is an
+    # input error, not a numpy error or a passing record of no samples.
+    doc = load_spec(gallery_path("mobius"))
+    assert SUITES[suite](doc, 1).records
+    with pytest.raises(InvalidDimension, match=f"at least 1 sample, got {samples}$"):
+        SUITES[suite](doc, samples)

@@ -7,7 +7,7 @@ import pytest
 from support import circle_atlas, local_field, mobius_bundle, plane_rotation_bundle
 
 from vbx.coords import FieldTag
-from vbx.errors import EvalError, FileError, ParseError, SpecError
+from vbx.errors import EvalError, FileError, ParseError, SpecError, UnknownSymbol, VbxError
 from vbx.expr import Num
 from vbx.spec import make_bundle, make_field, make_frame, make_section
 from vbx.specio import (
@@ -213,13 +213,101 @@ def test_tau_expression_errors_name_the_entry(tmp_path):
     assert "/base/overlaps/0/tau/0" in str(err.value)
 
 
-def test_duplicate_section_names(tmp_path):
+# A valid entry of each named kind on the Möbius bundle (rank 1, base dim 1).
+GOOD = {
+    "section": {"name": "z", "components": {"east": ["0"], "west": ["0"]}},
+    "frame": {"name": "z", "chart": "east", "columns": [["1"]]},
+    "field": {"name": "z", "r": 1, "s": 0, "components": {"east": ["0"], "west": ["0"]}},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GOOD))
+def test_duplicate_section_names(tmp_path, kind):
+    # Names are unique within each kind.
     doc = bundle_to_dict(mobius_bundle())
-    entry = {"name": "z", "components": {"east": ["0"], "west": ["0"]}}
-    doc["sections"] = [entry, dict(entry)]
+    doc[f"{kind}s"] = [GOOD[kind], dict(GOOD[kind])]
     with pytest.raises(SpecError) as err:
         load_spec(write_doc(tmp_path, doc))
-    assert "duplicate section" in str(err.value)
+    assert str(err.value) == f"/{kind}s/1/name: duplicate {kind} name 'z'"
+
+
+def test_one_name_may_serve_each_kind(tmp_path):
+    doc = bundle_to_dict(mobius_bundle())
+    doc.update({f"{kind}s": [entry] for kind, entry in GOOD.items()})
+    loaded = load_spec(write_doc(tmp_path, doc))
+    assert list(loaded.sections) == list(loaded.frames) == list(loaded.fields) == ["z"]
+
+
+# Documents with one error in one named entry (a duplicate name is above),
+# each with the error it raises. A change is the whole array when it is not
+# a dict, else the keys it sets on the kind's valid entry, None removing one.
+_COMPONENT_ERRORS = [
+    ("bad_expression", {"components": {"east": ["x1 +"], "west": ["0"]}}, ParseError,
+     "/{k}/0/components/east/0: expected an operand, found end of input (column 5)"),
+    ("unknown_symbol", {"components": {"east": ["y1"], "west": ["0"]}}, UnknownSymbol,
+     "/{k}/0/components/east/0: unknown identifier 'y1' (column 1)"),
+    ("wrong_component_count", {"components": {"east": ["0", "0"], "west": ["0"]}}, SpecError,
+     "/{k}/0: field on chart 'east' has 2 components, expected 1"),
+    ("components_not_an_object", {"components": ["0"]}, SpecError,
+     "/{k}/0/components: expected an object"),
+    ("chart_entry_not_an_array", {"components": {"east": "0"}}, SpecError,
+     "/{k}/0/components/east: expected an array"),
+    ("no_charts", {"components": {}}, SpecError,
+     "/{k}/0: a field needs components on at least one chart"),
+    ("unknown_chart", {"components": {"north": ["0"]}}, SpecError,
+     "/{k}/0: unknown chart 'north'"),
+    ("variable_past_dim", {"components": {"east": ["x2"], "west": ["0"]}}, SpecError,
+     "/{k}/0: field component on 'east' references x2 but the dimension is 1"),
+    ("missing_components", {"components": None}, SpecError,
+     "/{k}/0/components: missing required key 'components'"),
+]
+SINGLE_ERRORS = [(kind, *case) for kind in sorted(GOOD) for case in [
+    ("not_an_array", "z", SpecError, "/{k}: expected an array"),
+    ("not_an_object", [5], SpecError, "/{k}/0: expected an object"),
+    ("unknown_key", {"bogus": 1}, SpecError, "/{k}/0/bogus: unknown key 'bogus'"),
+    ("missing_name", {"name": None}, SpecError, "/{k}/0/name: missing required key 'name'"),
+    ("name_not_a_string", {"name": 3}, SpecError, "/{k}/0/name: expected a string"),
+]] + [("section", *case) for case in _COMPONENT_ERRORS] + [
+    ("field", *case) for case in _COMPONENT_ERRORS + [
+        ("r_not_an_integer", {"r": "1"}, SpecError, "/{k}/0/r: expected an integer"),
+        ("s_not_an_integer", {"s": 1.5}, SpecError, "/{k}/0/s: expected an integer"),
+        ("r_a_boolean", {"r": True}, SpecError, "/{k}/0/r: expected an integer"),
+        ("missing_s", {"s": None}, SpecError, "/{k}/0/s: missing required key 's'"),
+        ("valence_above_the_bound", {"r": 11}, SpecError,
+         "/{k}/0: field valence (11,0) is above the bound r + s <= 10"),
+        ("negative_valence", {"s": -1}, SpecError, "/{k}/0: field valence must be non-negative"),
+    ]] + [("frame", *case) for case in [
+        ("bad_expression", {"columns": [["x1 +"]]}, ParseError,
+         "/{k}/0/columns/0/0: expected an operand, found end of input (column 5)"),
+        ("unknown_symbol", {"columns": [["y1"]]}, UnknownSymbol,
+         "/{k}/0/columns/0/0: unknown identifier 'y1' (column 1)"),
+        ("wrong_component_count", {"columns": [["1", "0"]]}, SpecError,
+         "/{k}/0: a frame needs 1 columns of 1 components"),
+        ("wrong_column_count", {"columns": [["1"], ["1"]]}, SpecError,
+         "/{k}/0: a frame needs 1 columns of 1 components"),
+        ("variable_past_dim", {"columns": [["x2"]]}, SpecError,
+         "/{k}/0: frame entry references x2 but the dimension is 1"),
+        ("chart_not_a_string", {"chart": 3}, SpecError, "/{k}/0/chart: expected a string"),
+        ("unknown_chart", {"chart": "north"}, SpecError, "/{k}/0: unknown chart 'north'"),
+        ("missing_chart", {"chart": None}, SpecError, "/{k}/0/chart: missing required key 'chart'"),
+        ("columns_not_an_array", {"columns": "1"}, SpecError, "/{k}/0/columns: expected an array"),
+        ("column_not_an_array", {"columns": ["1"]}, SpecError,
+         "/{k}/0/columns/0: expected an array"),
+    ]]
+
+
+@pytest.mark.parametrize("kind,case,change,error,message", SINGLE_ERRORS,
+                         ids=[f"{kind}-{case}" for kind, case, *_ in SINGLE_ERRORS])
+def test_a_single_error_in_a_named_entry_raises_its_type_and_message(tmp_path, kind, case,
+                                                                      change, error, message):
+    if isinstance(change, dict):
+        entry = {**GOOD[kind], **change}
+        change = [{key: value for key, value in entry.items() if value is not None}]
+    doc = bundle_to_dict(mobius_bundle())
+    doc[f"{kind}s"] = change
+    with pytest.raises(VbxError) as err:
+        load_spec(write_doc(tmp_path, doc))
+    assert (type(err.value), str(err.value)) == (error, message.format(k=f"{kind}s"))
 
 
 def test_section_shape_errors_point_at_the_entry(tmp_path):

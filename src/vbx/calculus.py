@@ -88,7 +88,8 @@ class _Trial:
     rows (see coords.on_columns).
 
     Stages run in the order an identity is evaluated at a single point. A
-    point leaves at its first failure, which becomes its note, or when a
+    point leaves at its first failure, which becomes its note (run_program
+    reports failing operations to run's fail in slot order), or when a
     triple check finds no overlap to continue in; later stages still
     compute at it but no longer change its fate. Stage methods take the
     points X of trial rows `rows` and return one result row per point; the
@@ -190,9 +191,11 @@ class _Trial:
         """Every output of prog at every point, (len(X), count); a point
         where one fails to evaluate fails with the EvalError it meets
         first."""
-        batch = run_program(prog, X)
-        self.fail(rows, batch.bad, batch.error)
-        return batch.values
+
+        def fail(mask, why):
+            self.fail(rows, mask, lambda j: EvalError(why if isinstance(why, str) else why(j)))
+
+        return run_program(prog, X, fail)
 
     def exprs(self, exprs, X, rows) -> np.ndarray:
         """run of the program of exprs."""

@@ -44,7 +44,8 @@ from .errors import (
 )
 from .expr import compile_exprs, tree_size
 from .spec import field_eval
-from .specio import atlas_from_document, load_json, load_spec, save_spec
+from .specio import (induced_map_from_document, load_json, load_spec, regions_from_document,
+                     save_spec)
 
 _VERIFY_ERRORS = (BaseMismatch, ChartAssignmentError, CocycleViolation,
                   DomainViolation, NotAnIsomorphism, SingularFrame)
@@ -154,19 +155,11 @@ def cmd_construct(args) -> int:
         build = {"hom": hom_bundle, "sum": whitney_sum, "product": direct_product}[kind]
         out = build(_bundle_input(args.inputs[0]), _bundle_input(args.inputs[1]))
     elif kind == "induced":
-        B, pull = _bundle_input(args.inputs[0]), load_json(args.inputs[1])
-        for key in pull:
-            if key not in {"base", "assignment", "map"}:
-                raise _Usage(f"unknown key '{key}' in the induced-map file")
-        for key in ("base", "assignment", "map"):
-            if key not in pull:
-                raise _Usage(f"the induced-map file needs a '{key}' key")
-        out = induced_bundle(B, atlas_from_document(pull), pull["assignment"], pull["map"])
+        B = _bundle_input(args.inputs[0])
+        out = induced_bundle(B, *induced_map_from_document(load_json(args.inputs[1])))
     else:  # restrict
-        B, reg = _bundle_input(args.inputs[0]), load_json(args.inputs[1])
-        if set(reg) != {"regions"}:
-            raise _Usage("the restriction file must have exactly one key, 'regions'")
-        out = base_restriction(B, reg["regions"])
+        B = _bundle_input(args.inputs[0])
+        out = base_restriction(B, regions_from_document(load_json(args.inputs[1])))
     save_spec(out, args.out)
     print(f"wrote {args.out}")
     print(_size_line(out, args.out))

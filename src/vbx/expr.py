@@ -18,8 +18,8 @@ parse_expr builds a structurally faithful tree (no simplification), and
 to_string prints it back so that parsing the output reproduces an equal
 tree. There is one evaluator: compile_exprs turns a list of expressions
 into a shared straight-line program, and run_program runs it over a batch
-of points at once, values as arrays. A point where an operation leaves its
-domain fails with the message of the first such operation. eval_expr is
+of points at once, values as arrays, reporting each operation that leaves
+its domain to the caller's fail(mask, why) in slot order. eval_expr is
 that program run on one point, and vbx.intervals.enclose runs it on
 boxes: interval bounds for a batch of boxes at once. There is one
 derivative rule, diff:
@@ -289,9 +289,9 @@ def max_var_index(e: Expr) -> int:
 # slot, keyed by (op, child slots, literal), so shared subexpressions are
 # computed once. run_program evaluates the program once over all sample
 # points, on (n,) value arrays. Where an operation leaves its domain
-# (division by zero, log of a non-positive number, overflow, ...) the
-# sample is marked failed, with the message of its first failing
-# operation, and computing goes on.
+# (division by zero, log of a non-positive number, overflow, ...) it calls
+# fail(mask, why): mask marks the samples, and why is the message, or a
+# function of a sample's index that gives it. Computing goes on.
 
 _LIT, _VAR, _NEG, _ADD, _SUB, _MUL, _DIV, _POW, _CALL = range(9)
 _BINARY = {Add: _ADD, Sub: _SUB, Mul: _MUL, Div: _DIV}
@@ -351,43 +351,13 @@ def tree_size(prog: Program) -> int:
     return sum(size[s] for s in prog.outputs)
 
 
-class Batch:
-    """A program's outputs at n points, and the samples where it failed.
-
-    values is (n, k), one column per compiled expression. bad marks the
-    samples where an operation failed, and error(i) is the EvalError of the
-    first that did. Values at bad samples are meaningless.
-    """
-
-    __slots__ = ("values", "bad", "_cause", "_whys")
-
-    def __init__(self, values, cause, whys):
-        self.values = values
-        self.bad = cause >= 0
-        self._cause = cause
-        self._whys = whys
-
-    def error(self, i: int) -> EvalError:
-        why = self._whys[self._cause[i]]
-        return EvalError(why if isinstance(why, str) else why(i))
-
-
-def run_program(prog: Program, points) -> Batch:
+def run_program(prog: Program, points, fail) -> np.ndarray:
     """Evaluate prog at each row of points, an (n, m) array: variable xi
-    takes column i-1."""
+    takes column i-1: (n, k) values, one column per compiled expression,
+    meaningless at the samples of any mask passed to fail."""
     X = np.asarray(points, dtype=float)
     n, m = X.shape
     vals: list = []
-    cause = np.full(n, -1)  # per sample, its first failure in whys
-    whys: list = []  # failure messages, or functions of the sample index
-
-    def fail(mask, message):
-        if mask.any():
-            new = mask & (cause < 0)
-            if new.any():
-                cause[new] = len(whys)
-                whys.append(message)
-
     with np.errstate(all="ignore"):
         for op, a, b, lit in prog.code:
             if op == _MUL:
@@ -417,18 +387,19 @@ def run_program(prog: Program, points) -> Batch:
                 v = _pow_batch(vals[a], lit, fail)
             vals.append(v)
     # One (n, k) C-ordered copy of the output columns (reshaped for k = 0).
-    values = np.array([vals[s] for s in prog.outputs]).T.copy().reshape(n, len(prog.outputs))
-    return Batch(values, cause, whys)
+    return np.array([vals[s] for s in prog.outputs]).T.copy().reshape(n, len(prog.outputs))
 
 
 def eval_expr(e: Expr, env) -> float:
     """The value of e with env[i-1] bound to variable xi: run_program on
     the one point env. Raises the EvalError of its first failing
     operation (division by zero, log of a non-positive number, ...)."""
-    batch = run_program(compile_exprs([e]), [list(env)])
-    if batch.bad[0]:
-        raise batch.error(0)
-    return float(batch.values[0, 0])
+
+    def fail(mask, why):
+        if mask[0]:
+            raise EvalError(why if isinstance(why, str) else why(0))
+
+    return float(run_program(compile_exprs([e]), [list(env)], fail)[0, 0])
 
 
 def _pow_batch(x, k, fail):

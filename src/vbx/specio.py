@@ -213,11 +213,12 @@ def _load_bundle(doc: dict, base: BaseAtlasSpec, memo: dict) -> VectorBundleSpec
     return make_bundle(base, fdim, field, transitions, derivation)
 
 
-def _components(entry: dict, loc: str, memo: dict) -> dict:
-    """A section's or field's expressions by chart."""
-    comps = _as_dict(_need(entry, "components", loc), f"{loc}/components")
-    return {chart: tuple(_parse_entry(e, f"{loc}/components/{chart}/{i}", memo)
-                         for i, e in enumerate(_as_list(exprs, f"{loc}/components/{chart}")))
+def _components(entry: dict, key: str, loc: str, memo: dict | None) -> dict:
+    """entry[key], at loc, as expressions by chart: a section's or field's
+    components, or an induced map."""
+    comps = _as_dict(_need(entry, key, loc), f"{loc}/{key}")
+    return {chart: tuple(_parse_entry(e, f"{loc}/{key}/{chart}/{i}", memo)
+                         for i, e in enumerate(_as_list(exprs, f"{loc}/{key}/{chart}")))
             for chart, exprs in comps.items()}
 
 
@@ -226,7 +227,7 @@ def _components(entry: dict, loc: str, memo: dict) -> dict:
 # one entry. A kind's array is its name plus "s".
 _NAMED = {
     "section": ({"name", "components"}, make_section,
-                lambda entry, loc, memo: (_components(entry, loc, memo),)),
+                lambda entry, loc, memo: (_components(entry, "components", loc, memo),)),
     "frame": ({"name", "chart", "columns"}, make_frame,
               lambda entry, loc, memo: (
                   _as_str(_need(entry, "chart", loc), f"{loc}/chart"),
@@ -234,7 +235,7 @@ _NAMED = {
     "field": ({"name", "r", "s", "components"}, make_field,
               lambda entry, loc, memo: (_as_int(_need(entry, "r", loc), f"{loc}/r"),
                                         _as_int(_need(entry, "s", loc), f"{loc}/s"),
-                                        _components(entry, loc, memo))),
+                                        _components(entry, "components", loc, memo))),
 }
 
 
@@ -276,6 +277,29 @@ def load_spec(path) -> SpecDocument:
             except SpecError as exc:
                 raise SpecError(str(exc), loc) from exc
     return SpecDocument(base, bundle, *named.values())
+
+
+def induced_map_from_document(doc: dict) -> tuple:
+    """An induced-map file's base atlas, chart assignment and map: the
+    arguments of constructions.induced_bundle after the bundle."""
+    for key in doc:
+        if key not in {"base", "assignment", "map"}:
+            raise SpecError(f"unknown key '{key}' in the induced-map file")
+    for key in ("base", "assignment", "map"):
+        if key not in doc:
+            raise SpecError(f"the induced-map file needs a '{key}' key")
+    base = atlas_from_document(doc)
+    assignment = {chart: _as_str(target, f"/assignment/{chart}")
+                  for chart, target in _as_dict(doc["assignment"], "/assignment").items()}
+    return base, assignment, _components(doc, "map", "", None)
+
+
+def regions_from_document(doc: dict) -> dict:
+    """A restriction file's regions: the box bounds of each chart kept."""
+    if set(doc) != {"regions"}:
+        raise SpecError("the restriction file must have exactly one key, 'regions'")
+    return {chart: _parse_box(bounds, f"/regions/{chart}")
+            for chart, bounds in _as_dict(doc["regions"], "/regions").items()}
 
 
 # ---------------------------------------------------------------------------

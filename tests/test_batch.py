@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from scalar_oracle import eval_expr, eval_map, eval_matrix, field_eval, jacobian
 from support import PI, TWO_PI, gallery_expressions, mobius_bundle
 
-from vbx import calculus, geometry
+from vbx import calculus, expr, geometry
 from vbx.bundles import (
     _overlap_subject,
     check_base_atlas,
@@ -104,17 +104,25 @@ def jacobian_stage(exprs, X):
     return J, t
 
 
+def value_stage(exprs, X):
+    """The values of exprs over X from a trial's run: (n, k) values, and
+    the trial whose cause and why tell the failed points."""
+    X = np.asarray(X, dtype=float)
+    t = _Trial(X, {})
+    return t.run(compile_exprs(exprs), X, t.rows), t
+
+
 def assert_matches_oracle(exprs):
-    batch = run_program(compile_exprs(exprs), POINTS)
+    values, run = value_stage(exprs, POINTS)
     J, trial = jacobian_stage(exprs, POINTS)
     for i, x in enumerate(POINTS):
         want = scalar_values(exprs, x)
         if isinstance(want, EvalError):
-            assert batch.bad[i], (exprs, x, want)
-            assert str(batch.error(i)) == str(want)
+            assert run.cause[i] >= 0, (exprs, x, want)
+            assert str(run.why(i)) == str(want)
         else:
-            assert not batch.bad[i], (exprs, x, batch.error(i))
-            assert close(batch.values[i], want), (exprs, x, batch.values[i], want)
+            assert run.cause[i] < 0, (exprs, x, run.why(i))
+            assert close(values[i], want), (exprs, x, values[i], want)
         want_j = scalar_jacobian(exprs, x)
         if isinstance(want_j, EvalError):
             if trial.live[i]:
@@ -238,18 +246,18 @@ def test_deep_trees_compile_and_run_without_recursion():
     e = Var(1)
     for _ in range(5000):
         e = Add(Neg(e), Num(1.0))
-    batch = run_program(compile_exprs([e]), [[0.25], [3.0]])
-    assert not batch.bad.any()
-    assert batch.values[:, 0].tolist() == [0.25, 3.0]  # an even number of negations
+    values, run = value_stage([e], [[0.25], [3.0]])
+    assert not (run.cause >= 0).any()
+    assert values[:, 0].tolist() == [0.25, 3.0]  # an even number of negations
     J, trial = jacobian_stage([e], np.array([[0.25], [3.0]]))
     assert trial.live.all()
     assert J[:, 0, 0].tolist() == [1.0, 1.0]
 
 
 def test_missing_variable_fails_every_sample():
-    batch = run_program(compile_exprs([parse_expr("x1 + x2")]), [[1.0], [2.0]])
-    assert batch.bad.all()
-    assert str(batch.error(1)) == "no value for x2: point has 1 coordinates"
+    _, run = value_stage([parse_expr("x1 + x2")], [[1.0], [2.0]])
+    assert (run.cause >= 0).all()
+    assert str(run.why(1)) == "no value for x2: point has 1 coordinates"
 
 
 def test_power_overflow_is_an_eval_error_on_both_paths():
@@ -261,9 +269,29 @@ def test_power_overflow_is_an_eval_error_on_both_paths():
             assert str(exc) == "power overflow"
         else:
             raise AssertionError("no EvalError")
-    batch = run_program(compile_exprs([e]), [[0.0], [3.0]])
-    assert batch.bad.tolist() == [False, True]
-    assert str(batch.error(1)) == "power overflow"
+    _, run = value_stage([e], [[0.0], [3.0]])
+    assert (run.cause >= 0).tolist() == [False, True]
+    assert str(run.why(1)) == "power overflow"
+
+
+def test_run_program_reports_each_failing_operation_to_fail():
+    calls = []  # (mask, why) of each fail call, in order
+    xs = [-1.0, 2.0, 3.0]
+    e = parse_expr("log(x1) + 1/(x1 - 2)")
+    values = run_program(compile_exprs([e]), [[x] for x in xs],
+                         lambda mask, why: calls.append((mask, why)))
+    outcomes = []
+    for i, x in enumerate(xs):
+        held = [why for mask, why in calls if mask[i]]
+        try:
+            want = expr.eval_expr(e, [x])
+        except EvalError as exc:
+            want = str(exc)
+        got = (held[0] if isinstance(held[0], str) else held[0](i)) if held else values[i, 0]
+        assert got == want, x
+        outcomes.append(got)
+    assert outcomes == ["log of non-positive value -1.0", "division by zero",
+                        float.fromhex("0x1.0c9f53d568186p+1")]  # log(3) + 1
 
 
 # --------------------------------------------------------------------------

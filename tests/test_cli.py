@@ -800,6 +800,47 @@ def test_any_mutated_gallery_spec_ends_in_an_exit_code(name, mutations, construc
         guarded_main("construct", *construct, str(spec), "-o", str(Path(tmp) / "out.json"))
 
 
+# Side files: any JSON value at a key of a valid induced-map or restriction
+# file, or at one position inside one.
+
+_SCALARS = (st.none() | st.booleans() | st.integers(-2, 2) | st.floats()
+            | st.sampled_from(["", "east", "west", "x1", "x1 + 1", "1"]))
+_KEYS = st.sampled_from(["east", "west", "x1"])
+_ONE_DEEP = (_SCALARS | st.lists(_SCALARS, max_size=3)
+             | st.dictionaries(_KEYS, _SCALARS, max_size=2))
+_TWO_DEEP = (_ONE_DEEP | st.lists(_ONE_DEEP, max_size=3)
+             | st.dictionaries(_KEYS, _ONE_DEEP, max_size=2))
+
+
+def side_file(kind: str) -> tuple:
+    """A valid side file for construct kind on mobius, and the positions
+    the fuzz gate writes to."""
+    if kind == "induced":
+        base = json.loads(gallery_path("mobius").read_text())["base"]
+        return ({"base": base, "assignment": {"east": "east", "west": "west"},
+                 "map": {"east": ["x1"], "west": ["x1"]}},
+                [("base",), ("assignment",), ("map",), ("map", "east")])
+    return ({"regions": {"east": [[0.5, 1.5]], "west": [[0.5, 2.5]]}},
+            [("regions",), ("regions", "east")])
+
+
+@pytest.mark.parametrize("kind", ["induced", "restrict"])
+@seed(20261024)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_any_value_in_a_side_file_ends_in_an_exit_code(kind, data):
+    doc, positions = side_file(kind)
+    *up, key = data.draw(st.sampled_from(positions))
+    parent = doc
+    for k in up:
+        parent = parent[k]
+    parent[key] = data.draw(_TWO_DEEP)
+    with tempfile.TemporaryDirectory() as tmp:
+        side = Path(tmp) / "side.json"
+        side.write_text(json.dumps(doc))
+        guarded_main("construct", kind, gp("mobius"), str(side), "-o", str(Path(tmp) / "out.json"))
+
+
 # Flag vectors: odd values for every flag of check, construct and eval.
 
 _ODD = ["0", "-1", "nan", "inf", "1e-320", "1e308", "", "abc", "10^21", "0x10", "2"]

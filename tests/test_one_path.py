@@ -1,12 +1,13 @@
 """One numeric path: every one-point function is one row of a batched run.
 
 eval_expr, eval_map, jacobian, field_eval, frame_matrix_at and
-transition_eval must return exactly the bits of row k of run_program (for
-jacobian, of the check suites' Jacobian stage) over the same points, and where they fail they must raise what the scalar tree
-walk of scalar_oracle raised (type and message; for pulled-back fields,
-the type the closures of scalar_oracle raised). The constructions that
-sample, once per-point loops, are held against copies of those loops on
-the oracle: the first failing sample must give the same exception.
+transition_eval must return exactly the bits of row k of a trial's run
+(calculus._Trial.run; for jacobian, of the check suites' Jacobian stage)
+over the same points, and where they fail they must raise what the scalar
+tree walk of scalar_oracle raised (type and message; for pulled-back
+fields, the type the closures of scalar_oracle raised). The constructions
+that sample, once per-point loops, are held against copies of those loops
+on the oracle: the first failing sample must give the same exception.
 """
 
 import numpy as np
@@ -37,7 +38,7 @@ from vbx.errors import (
     SpecError,
     VbxError,
 )
-from vbx.expr import compile_exprs, eval_expr, max_var_index, parse_expr, run_program
+from vbx.expr import compile_exprs, eval_expr, max_var_index, parse_expr
 from vbx.geometry import halton, sample_box, sample_region
 from vbx.pointwise import dual_frame, field_add, field_product, frame_matrix_at, transition_eval
 from vbx.spec import field_eval, make_atlas, make_field, make_frame
@@ -69,6 +70,14 @@ def row_or_oracle(got, row, want_error):
         assert same_bits(got, row), (got, row)
 
 
+def batch(exprs, X):
+    """exprs over the rows of X through a trial's run: the (n, k) values,
+    and the trial whose cause and why tell the rows that failed."""
+    X = np.asarray(X, dtype=float)
+    t = _Trial(X, {})
+    return t.run(compile_exprs(exprs), X, t.rows), t
+
+
 def box_points(box: Box, n: int = 24) -> np.ndarray:
     """Seeded points of the box, then points past each of its faces."""
     inside = sample_box(box, n, SEED)
@@ -92,16 +101,16 @@ def test_eval_expr_is_a_row_of_the_batch_on_gallery_expressions():
         e = parse_expr(text)
         m = max(1, max_var_index(e))
         X = np.vstack([halton(20, m, seed=SEED) * 8.0 - 4.0, np.zeros((1, m))])
-        batch = run_program(compile_exprs([e]), X)
+        values, t = batch([e], X)
         for k, x in enumerate(X):
             got = outcome(lambda: eval_expr(e, list(x)))
             want = outcome(lambda: oracle.eval_expr(e, [float(c) for c in x]))
-            if batch.bad[k]:
-                assert got == want == (EvalError, str(batch.error(k)))
+            if t.cause[k] >= 0:
+                assert got == want == (EvalError, str(t.why(k)))
                 failed += 1
             else:
                 assert isinstance(got, float)
-                assert same_bits(np.float64(got), batch.values[k, 0])
+                assert same_bits(np.float64(got), values[k, 0])
             checked += 1
     assert checked > 300 and failed > 0
 
@@ -112,12 +121,12 @@ def test_eval_map_and_jacobian_are_rows_of_the_batch_on_gallery_maps():
         for o in doc.base.overlaps:
             F = o.tau
             X = box_points(F.box)
-            batch = run_program(compile_exprs(F.components), X)
+            values, _ = batch(F.components, X)
             t = _Trial(X, {})
             with np.errstate(all="ignore"):
                 J = t.jacobian(F, X, t.rows)
             for k, x in enumerate(X):
-                row_or_oracle(outcome(lambda: eval_map(F, x)), batch.values[k],
+                row_or_oracle(outcome(lambda: eval_map(F, x)), values[k],
                               outcome(lambda: oracle.eval_map(F, x)))
                 got = outcome(lambda: jacobian(F, x).matrix)
                 row_or_oracle(got, J[k], outcome(lambda: oracle.jacobian(F, x)))
@@ -135,7 +144,7 @@ def test_field_functions_are_rows_of_the_batch_on_gallery_fields():
             for chart, comps in A.per_chart.items():
                 box = B.base.chart(chart).box
                 X = box_points(box)
-                values = run_program(compile_exprs(comps), X).values.astype(B.field.dtype)
+                values = batch(comps, X)[0].astype(B.field.dtype)
                 for k, x in enumerate(X):
                     got = outcome(lambda: field_eval(A, chart, x).coeffs)
                     row_or_oracle(got, values[k], outcome(lambda: oracle.field_eval(A, chart, x)))
@@ -151,7 +160,7 @@ def test_frame_matrix_at_is_a_row_of_the_batch_on_gallery_frames():
             d = F.target.fiber_dim
             X = box_points(F.target.base.chart(chart).box)
             flat = [e for row in P for e in row]
-            values = run_program(compile_exprs(flat), X).values
+            values, _ = batch(flat, X)
             for k, x in enumerate(X):
                 row = values[k].reshape(d, d).astype(F.target.field.dtype)
                 row_or_oracle(outcome(lambda: frame_matrix_at(F, x)), row,
@@ -178,7 +187,7 @@ def test_transition_eval_is_a_row_of_the_batch_on_gallery_bundles():
                 row = None
                 if edge is not None:
                     flat = [c for r in edge.g for c in r]
-                    row = run_program(compile_exprs(flat), x[None]).values[0]
+                    row = batch(flat, x[None])[0][0]
                     row = row.reshape(B.fiber_dim, B.fiber_dim).astype(B.field.dtype)
                 row_or_oracle(got, row, want)
                 checked += 1
@@ -202,7 +211,7 @@ def test_tf_eval_of_pulled_sums_and_products_is_a_row_of_the_batch():
                   (field_product(S, P), oracle.closure_product(S, oracle.closure_pullback_diffeo(f, A, 1, 1)))]
         X = box_points(f.box)
         for F, old in fields:
-            values = run_program(compile_exprs(F.per_chart[LOCAL_CHART]), X).values
+            values, _ = batch(F.per_chart[LOCAL_CHART], X)
             for k, x in enumerate(X):
                 got = outcome(lambda: field_eval(F, LOCAL_CHART, x).coeffs)
                 if isinstance(got, tuple):

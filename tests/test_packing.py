@@ -186,7 +186,7 @@ def test_one_run_per_program_in_each_stage_of_a_pack(specs, monkeypatch):
     runs, stages = [], []
     run = calculus.run_program
     monkeypatch.setattr(calculus, "run_program",
-                        lambda prog, X: runs.append(prog) or run(prog, X))
+                        lambda prog, X, fail: runs.append(prog) or run(prog, X, fail))
     chosen = calculus._Trial.chosen
 
     def spy(self, *args, **kwargs):
@@ -290,7 +290,7 @@ def test_maps_sharing_a_program_keep_their_own_boxes(monkeypatch):
     runs = []
     run = calculus.run_program
     monkeypatch.setattr(calculus, "run_program",
-                        lambda prog, X: runs.append(len(X)) or run(prog, X))
+                        lambda prog, X, fail: runs.append(len(X)) or run(prog, X, fail))
     t = calculus._Trial(np.array([[0.5], [1.5], [0.5], [1.5], [1.5]]), {})
     Y = t.maps(np.array([0, 0, 1, 1, -1]), [F, G], t.pts)
     assert runs == [4]
@@ -332,7 +332,7 @@ def test_no_trial_and_no_program_run_exceeds_the_row_budget(specs, tmp_path, mon
     rows, runs = spy_trial_rows(monkeypatch), []
     run = calculus.run_program
     monkeypatch.setattr(calculus, "run_program",
-                        lambda prog, X: runs.append(len(X)) or run(prog, X))
+                        lambda prog, X, fail: runs.append(len(X)) or run(prog, X, fail))
     assert check_bytes(specs["product"], 200, tmp_path / "cut.json") == whole
     assert max(rows) == max(runs) == 128
 

@@ -365,15 +365,15 @@ def _frame_chart(F: BundleMorphismSpec) -> ChartSpec:
 
 
 @sampling_scope()
-def check_frame(F: BundleMorphismSpec, samples: int = DEFAULT_SAMPLES,
-                tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED) -> CheckReport:
-    """Invertibility of the frame matrix across the chart."""
+def check_frame(F: BundleMorphismSpec, samples: int = DEFAULT_SAMPLES, *,
+                seed: int = DEFAULT_SEED) -> CheckReport:
+    """Invertibility of the frame matrix across the chart, at DEFAULT_TOL."""
     c = _frame_chart(F)
 
     def evaluate(t, _):
         return (scaled_abs_dets(t.matrix(F.fiber_map[c.name], t.pts, t.rows,
                                          F.source.field.dtype)),)
 
-    records = _sampled([("frame_gl", MIN_DET, tol)], [(c.name, [((c.box,), None)])], samples,
-                       seed, evaluate)
+    records = _sampled([("frame_gl", MIN_DET, DEFAULT_TOL)], [(c.name, [((c.box,), None)])],
+                       samples, seed, evaluate)
     return make_report("frame", records)

@@ -40,12 +40,13 @@ from .errors import (
     FileError,
     NotAnIsomorphism,
     SingularFrame,
+    SpecError,
     VbxError,
 )
 from .expr import compile_exprs, tree_size
 from .spec import field_eval
-from .specio import (induced_map_from_document, load_json, load_spec, regions_from_document,
-                     save_spec)
+from .specio import (_NAMED, induced_map_from_document, load_json, load_spec,
+                     regions_from_document, save_spec)
 
 _VERIFY_ERRORS = (BaseMismatch, ChartAssignmentError, CocycleViolation,
                   DomainViolation, NotAnIsomorphism, SingularFrame)
@@ -119,9 +120,8 @@ def cmd_check(args) -> int:
         reports = [check_base_atlas(doc.base, args.samples, args.tol, args.seed)]
         if doc.bundle is not None:
             reports.append(check_vb(doc.bundle, args.samples, args.tol, args.seed))
-        for kind, entries in (("section", doc.sections), ("frame", doc.frames),
-                              ("field", doc.fields)):  # empty without a bundle
-            for name, X in sorted(entries.items()):
+        for kind in _NAMED:  # no sections, frames or fields without a bundle
+            for name, X in sorted(getattr(doc, f"{kind}s").items()):
                 report = (check_frame(X, args.samples, seed=args.seed) if kind == "frame"
                           else check_section(X, args.samples, args.tol, args.seed))
                 reports.append(make_report(report.suite, [
@@ -147,19 +147,18 @@ def cmd_construct(args) -> int:
     if kind == "tensor" and (args.r is None or args.s is None):
         raise _Usage("construct tensor needs --r and --s")
     if kind == "tangent":
-        out = tangent_bundle(load_spec(args.inputs[0]).base)
+        out = tangent_bundle(_reading(args.inputs[0], load_spec).base)
     elif kind in ("tensor", "dual"):
         B = _bundle_input(args.inputs[0])
         out = tensor_bundle(B, args.r, args.s) if kind == "tensor" else dual_bundle(B)
     elif kind in ("hom", "sum", "product"):
         build = {"hom": hom_bundle, "sum": whitney_sum, "product": direct_product}[kind]
         out = build(_bundle_input(args.inputs[0]), _bundle_input(args.inputs[1]))
-    elif kind == "induced":
+    else:  # a side file is read against its bundle, by the construction
         B = _bundle_input(args.inputs[0])
-        out = induced_bundle(B, *induced_map_from_document(load_json(args.inputs[1])))
-    else:  # restrict
-        B = _bundle_input(args.inputs[0])
-        out = base_restriction(B, regions_from_document(load_json(args.inputs[1])))
+        out = _reading(args.inputs[1], lambda path: (
+            induced_bundle(B, *induced_map_from_document(load_json(path))) if kind == "induced"
+            else base_restriction(B, regions_from_document(load_json(path)))))
     save_spec(out, args.out)
     print(f"wrote {args.out}")
     print(_size_line(out, args.out))
@@ -175,8 +174,15 @@ def _size_line(B, path: str) -> str:
             f"{len(prog.code)} unique nodes, {Path(path).stat().st_size} bytes")
 
 
+def _reading(path: str, read):
+    try:
+        return read(path)
+    except SpecError as exc:  # name the file: a construct's two inputs can fail at one location
+        raise SpecError(str(exc), f"in '{path}'") from exc
+
+
 def _bundle_input(path: str):
-    doc = load_spec(path)
+    doc = _reading(path, load_spec)
     if doc.bundle is None:
         raise _Usage(f"'{path}' is an atlas-only file; this construction needs a bundle")
     return doc.bundle

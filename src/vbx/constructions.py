@@ -197,12 +197,16 @@ def direct_product(B1: VectorBundleSpec, B2: VectorBundleSpec) -> VectorBundleSp
                        derivation={"construction": "direct_product"})
 
 
-def _image_part(o: OverlapSpec, f: SmoothMap, regions, what: str, error: type,
-                samples: int, seed: int) -> int:
+_PRECONDITION_SAMPLES = 25  # of an overlap's pairing, a pullback's or dual frame's preconditions
+_INDUCED_SAMPLES = 50  # samples of each chart and overlap of an induced bundle's new base
+_ROUNDTRIP_TOL = 1e-8  # the largest round-trip error of a pullback's declared inverse
+
+
+def _image_part(o: OverlapSpec, f: SmoothMap, regions, what: str, error: type, samples: int) -> int:
     """The index of the first of regions (the what = `i->j` overlap
     components) to hold f's image of overlap o's first sample, once it
     holds the images of all the others too; else error."""
-    images = at_points(sample_region(o.region, samples, seed),
+    images = at_points(sample_region(o.region, samples, DEFAULT_SEED),
                        lambda t, X, rows: t.map(f, X, rows))
     k = _first_match(regions, images[:1])[0]
     if k < 0:
@@ -215,8 +219,7 @@ def _image_part(o: OverlapSpec, f: SmoothMap, regions, what: str, error: type,
 
 
 def induced_bundle(B: VectorBundleSpec, base: BaseAtlasSpec, assignment: dict,
-                   maps: dict, samples: int = 50,
-                   seed: int = DEFAULT_SEED) -> VectorBundleSpec:
+                   maps: dict) -> VectorBundleSpec:
     """Pull the bundle back along a smooth map of bases.
 
     The map is given per chart of the new base: assignment names the chart
@@ -230,6 +233,9 @@ def induced_bundle(B: VectorBundleSpec, base: BaseAtlasSpec, assignment: dict,
             raise SpecError(f"chart '{c.name}' has no assigned target chart")
         if c.name not in maps:
             raise SpecError(f"chart '{c.name}' has no map components")
+    for what, given in (("assignment", assignment), ("map", maps)):
+        if extra := sorted(given.keys() - {c.name for c in base.charts}):
+            raise SpecError(f"{what} names chart '{extra[0]}', which the new base does not have")
     smooth = {}
     for c in base.charts:
         target_chart = B.base.chart(assignment[c.name])
@@ -245,7 +251,7 @@ def induced_bundle(B: VectorBundleSpec, base: BaseAtlasSpec, assignment: dict,
                 f"image {Y[j].tolist()} of chart '{c.name}' point {X[j].tolist()} "
                 f"escapes assigned chart '{target_chart.name}'"))
 
-        at_points(sample_box(c.box, samples, seed), stage)
+        at_points(sample_box(c.box, _INDUCED_SAMPLES, DEFAULT_SEED), stage)
         smooth[c.name] = f
 
     transitions = []
@@ -256,7 +262,7 @@ def induced_bundle(B: VectorBundleSpec, base: BaseAtlasSpec, assignment: dict,
             continue
         f_i, edges = smooth[o.frm], B.edges_between(ci, cj)
         k = _image_part(o, f_i, [e.overlap.region for e in edges], f"{ci}->{cj}",
-                        ChartAssignmentError, samples, seed)
+                        ChartAssignmentError, _INDUCED_SAMPLES)
         transitions.append((o.frm, o.to, symmat.mat_subst(edges[k].g, f_i.components)))
     return make_bundle(base, B.fiber_dim, B.field, transitions,
                        derivation={"construction": "induced",
@@ -369,6 +375,8 @@ def base_restriction(B: VectorBundleSpec, regions: dict) -> VectorBundleSpec:
             box = r if isinstance(r, Box) else make_box(r)
         except ShapeMismatch as exc:
             raise SpecError(f"restriction region for '{c.name}' is empty: {exc}") from exc
+        if box.dim != c.box.dim:
+            raise SpecError(f"restriction region for '{c.name}' has dim {box.dim}, not {c.box.dim}")
         if not box_inside(box, c.box):
             raise SpecError(f"restriction region for '{c.name}' is not inside the chart")
         sub[c.name] = box
@@ -418,14 +426,11 @@ def base_restriction(B: VectorBundleSpec, regions: dict) -> VectorBundleSpec:
 # Tangent bundle of a base atlas.
 
 
-_PAIR_SAMPLES = 25  # samples of an overlap that pair it with its reverse component
-
-
 def _reverse_part(o: OverlapSpec, reverse) -> int:
     """The index of the one of reverse, o's o.to->o.frm components, that
     holds tau's image of o's pairing samples; else SpecError."""
     return _image_part(o, o.tau, [p.region for p in reverse], f"{o.to}->{o.frm}", SpecError,
-                       _PAIR_SAMPLES, DEFAULT_SEED)
+                       _PRECONDITION_SAMPLES)
 
 
 def tangent_bundle(base: BaseAtlasSpec) -> VectorBundleSpec:
@@ -457,8 +462,7 @@ def check_tensor_field(A: TensorFieldSpec, samples: int = DEFAULT_SAMPLES,
     return check_section(A, samples, tol, seed)
 
 
-def local_expression(A: TensorFieldSpec, F: BundleMorphismSpec, points,
-                     tol: float = DEFAULT_TOL) -> np.ndarray:
+def local_expression(A: TensorFieldSpec, F: BundleMorphismSpec, points) -> np.ndarray:
     """Numeric components of the field in a frame, at the query points.
 
     Component (j1..jr, k1..ks) at p is the field evaluated on the frame
@@ -475,12 +479,12 @@ def local_expression(A: TensorFieldSpec, F: BundleMorphismSpec, points,
     if not len(X):
         return np.array([], dtype=A.bundle.field.dtype)
     try:
-        pulled = _pulled(F, A, tol, SingularFrame, "frame matrix")
+        pulled = _pulled(F, A, DEFAULT_TOL, SingularFrame, "frame matrix")
     except SingularFrame:  # the determinant folds to 0: the first point that gets there fails
 
         def stage(t, X, rows):
             t.in_box(c.box, X, rows, f"chart '{c.name}'")
-            _fiber_map_rule(t, F, c.name, X, rows, tol, SingularFrame, "frame matrix")
+            _fiber_map_rule(t, F, c.name, X, rows, DEFAULT_TOL, SingularFrame, "frame matrix")
 
         at_points(X, stage)
         raise
@@ -683,9 +687,7 @@ def _pulled(M: BundleMorphismSpec, A: TensorFieldSpec, tol: float | None,
     return TensorFieldSpec(M.source, A.r, A.s, out, (Pulling(M, A, tol, error, noun),))
 
 
-def vb_pullback_rs(M: BundleMorphismSpec, A: TensorFieldSpec, samples: int = 25,
-                   tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED,
-                   roundtrip_tol: float = 1e-8) -> TensorFieldSpec:
+def vb_pullback_rs(M: BundleMorphismSpec, A: TensorFieldSpec) -> TensorFieldSpec:
     """Pull an (r,s)-field on the target back through an isomorphism.
 
     Componentwise this is the tensor pullback of the pointwise fiber map
@@ -693,8 +695,7 @@ def vb_pullback_rs(M: BundleMorphismSpec, A: TensorFieldSpec, samples: int = 25,
     symbolically (the fiber map's inverse enters through the adjugate).
     The isomorphism preconditions are enforced by sampling; at evaluation
     a point whose base image leaves the assigned chart raises
-    DomainViolation, and one where the fiber map is singular at tol
-    NotAnIsomorphism.
+    DomainViolation, and one where the fiber map is singular NotAnIsomorphism.
     """
     if A.bundle != M.target:
         raise ShapeMismatch("vb_pullback_rs: field does not live on the morphism's target")
@@ -703,8 +704,8 @@ def vb_pullback_rs(M: BundleMorphismSpec, A: TensorFieldSpec, samples: int = 25,
     if M.inverse is None:
         raise NotAnIsomorphism("pullback of mixed tensors needs a declared inverse")
     for c in M.source.base.charts:
-        at_points(sample_box(c.box, samples, seed), lambda t, X, rows: _fiber_map_rule(
-            t, M, c.name, X, rows, tol, NotAnIsomorphism, "fiber map"))
+        at_points(sample_box(c.box, _PRECONDITION_SAMPLES, DEFAULT_SEED), lambda t, X, rows: (
+            _fiber_map_rule(t, M, c.name, X, rows, DEFAULT_TOL, NotAnIsomorphism, "fiber map")))
     smooth = {c.name: make_smooth_map(M.base_map[c.name], c.box)
               for c in M.source.base.charts}
     for c in M.target.base.charts:
@@ -721,12 +722,12 @@ def vb_pullback_rs(M: BundleMorphismSpec, A: TensorFieldSpec, samples: int = 25,
             t.fail(rows, ~box_mask(src_box, X), lambda j: NotAnIsomorphism(
                 f"declared inverse leaves chart '{src_chart}' at {Y[j].tolist()}"))
             back = t.map(smooth[src_chart], X, rows)
-            t.fail(rows, _max_abs(back - Y) > roundtrip_tol, lambda j: NotAnIsomorphism(
+            t.fail(rows, _max_abs(back - Y) > _ROUNDTRIP_TOL, lambda j: NotAnIsomorphism(
                 f"declared inverse fails the round trip at {Y[j].tolist()}"))
 
-        at_points(sample_box(c.box, samples, seed), stage)
+        at_points(sample_box(c.box, _PRECONDITION_SAMPLES, DEFAULT_SEED), stage)
 
-    return _pulled(M, A, tol, NotAnIsomorphism, "fiber map")
+    return _pulled(M, A, DEFAULT_TOL, NotAnIsomorphism, "fiber map")
 
 
 def vb_pullback_cov(M: BundleMorphismSpec, A: TensorFieldSpec) -> TensorFieldSpec:
@@ -766,19 +767,18 @@ def _map_morphism(f: SmoothMap, A: TensorFieldSpec) -> BundleMorphismSpec:
                          {LOCAL_CHART: f.components}, {LOCAL_CHART: f.partials})
 
 
-def map_pullback_rs(f: SmoothMap, A: TensorFieldSpec, r: int, s: int,
-                    tol: float = DEFAULT_TOL) -> TensorFieldSpec:
+def map_pullback_rs(f: SmoothMap, A: TensorFieldSpec, r: int, s: int) -> TensorFieldSpec:
     """Pull an (r,s)-field on one chart back along a diffeomorphism
     witness f, to a field on local_bundle(f.box, f.in_dim).
 
     At x the result is rs_pullback(J_f(x), r, s, A(f(x))); a point where
-    J_f is singular at tol raises NotADiffeomorphism.
+    J_f is singular at DEFAULT_TOL raises NotADiffeomorphism.
     """
     if (A.r, A.s) != (r, s):
         raise ShapeMismatch(f"field has valence ({A.r},{A.s}), asked for ({r},{s})")
     if f.in_dim != f.out_dim:
         raise ShapeMismatch("a diffeomorphism needs equal domain and codomain dimensions")
-    return _pulled(_map_morphism(f, A), A, tol, NotADiffeomorphism, "Jacobian")
+    return _pulled(_map_morphism(f, A), A, DEFAULT_TOL, NotADiffeomorphism, "Jacobian")
 
 
 def map_pullback_cov(f: SmoothMap, A: TensorFieldSpec, r: int) -> TensorFieldSpec:

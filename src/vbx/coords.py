@@ -170,8 +170,9 @@ def make_box(bounds) -> Box:
 
 
 def box_inside(inner: Box, outer: Box) -> bool:
-    """True when the closure of inner sits inside the closure of outer."""
-    return all(a >= c and b <= d for a, b, c, d in zip(inner.lo, inner.hi, outer.lo, outer.hi))
+    """True when inner has outer's dim and its closure sits inside outer's."""
+    return inner.dim == outer.dim and all(
+        a >= c and b <= d for a, b, c, d in zip(inner.lo, inner.hi, outer.lo, outer.hi))
 
 
 def region_contains(boxes, x) -> bool:

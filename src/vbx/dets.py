@@ -2,10 +2,10 @@
 
 Singularity is decided on |det| after row-max scaling, so the test does
 not punish badly scaled but perfectly invertible inputs: a matrix is
-invertible at tol when its scaled |det| is above tol. The check suites
-and the constructions' sampled checks take these determinants; the
-one-matrix form and the rule built on it are vbx.linalg's scaled_abs_det
-and is_gl.
+invertible when its scaled |det| is above DEFAULT_TOL, the tolerance of
+every singularity rule. The check suites and the constructions' sampled
+checks take these determinants; the one-matrix form and the rule built
+on it are vbx.linalg's scaled_abs_det and is_gl.
 """
 
 from __future__ import annotations

@@ -101,31 +101,30 @@ def scaled_abs_det(matrix: np.ndarray) -> float:
     return float(scaled_abs_dets(m[None])[0])
 
 
-def _invertible(matrix: np.ndarray, tol: float) -> bool:
-    """The one singularity rule: matrix is invertible at tol when its
-    scaled |det| is above tol. A non-square matrix (scaled |det| 0) and a
+def _invertible(matrix: np.ndarray) -> bool:
+    """The one singularity rule: matrix is invertible when its scaled
+    |det| is above DEFAULT_TOL. A non-square matrix (scaled |det| 0) and a
     NaN determinant, from a NaN or infinite entry, are singular."""
-    return scaled_abs_det(matrix) > tol
+    return scaled_abs_det(matrix) > DEFAULT_TOL
 
 
-def make_basis(space: VectorSpace, vectors, tol: float = DEFAULT_TOL) -> OrderedBasis:
+def make_basis(space: VectorSpace, vectors) -> OrderedBasis:
     """Build an OrderedBasis, rejecting dependent vector lists.
 
     Args:
         space: the space being spanned.
         vectors: dim-length list of dim-length coordinate vectors.
-        tol: threshold on the row-max-scaled |det| of the assembled matrix.
 
     Raises:
         ShapeMismatch: wrong count or length.
-        SingularBasis: vectors dependent at the tolerance.
+        SingularBasis: vectors dependent at DEFAULT_TOL.
     """
     arr = np.asarray(vectors, dtype=space.field.dtype)
     if arr.shape != (space.dim, space.dim):
         raise ShapeMismatch(
             f"expected {space.dim} vectors of length {space.dim}, got shape {arr.shape}"
         )
-    if not _invertible(arr.T, tol):
+    if not _invertible(arr.T):
         raise SingularBasis("basis vectors are linearly dependent at the working tolerance")
     return OrderedBasis(space, _freeze(arr))
 
@@ -134,7 +133,7 @@ def standard_basis(space: VectorSpace) -> OrderedBasis:
     return OrderedBasis(space, _freeze(np.eye(space.dim, dtype=space.field.dtype)))
 
 
-def dual_basis(b: OrderedBasis, tol: float = DEFAULT_TOL) -> OrderedBasis:
+def dual_basis(b: OrderedBasis) -> OrderedBasis:
     """Dual basis of b, as covector coordinates in the standard dual basis.
 
     Row i of the result pairs to 1 with b.vectors[i] and to 0 with every
@@ -142,7 +141,7 @@ def dual_basis(b: OrderedBasis, tol: float = DEFAULT_TOL) -> OrderedBasis:
     matrix whose columns are the basis vectors.
     """
     cols = b.vectors.T
-    if not _invertible(cols, tol):
+    if not _invertible(cols):
         raise SingularBasis("basis matrix is numerically singular")
     dual_rows = np.linalg.inv(cols)
     return OrderedBasis(VectorSpace(b.space.dim, b.space.field), _freeze(dual_rows))
@@ -157,19 +156,19 @@ def compose_linear(T: LinearMap, L: LinearMap) -> LinearMap:
     return LinearMap(L.domain, T.codomain, _freeze(T.matrix @ L.matrix))
 
 
-def invert_linear(L: LinearMap, tol: float = DEFAULT_TOL) -> LinearMap:
-    """Inverse map, or Singular if the scaled |det| is not above tol."""
+def invert_linear(L: LinearMap) -> LinearMap:
+    """Inverse map, or Singular if the scaled |det| is not above DEFAULT_TOL."""
     if L.domain.dim != L.codomain.dim:
         raise ShapeMismatch(f"cannot invert a {L.codomain.dim} x {L.domain.dim} map")
-    if not _invertible(L.matrix, tol):
+    if not _invertible(L.matrix):
         raise Singular("matrix is singular at the working tolerance")
     return LinearMap(L.codomain, L.domain, _freeze(np.linalg.inv(L.matrix)))
 
 
-def is_gl(L: LinearMap, tol: float = DEFAULT_TOL) -> bool:
-    """True iff L is square and invertible at the tolerance.
+def is_gl(L: LinearMap) -> bool:
+    """True iff L is square and invertible at DEFAULT_TOL.
 
     Complex matrices are judged by the modulus of their determinant.
     Non-square maps simply return False.
     """
-    return _invertible(L.matrix, tol)
+    return _invertible(L.matrix)

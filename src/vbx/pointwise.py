@@ -16,7 +16,7 @@ import numpy as np
 
 from .bundles import DEFAULT_SEED, _frame_chart, _lookup, find_edge
 from .calculus import _DOMAIN_BOX, SmoothMap, at_point, at_points, eval_map, jacobian
-from .constructions import _fiber_map_rule, dual_bundle
+from .constructions import _PRECONDITION_SAMPLES, _fiber_map_rule, dual_bundle
 from .coords import Box
 from .dets import DEFAULT_TOL
 from .errors import (
@@ -49,8 +49,7 @@ class TotalPoint(Record):
     v: np.ndarray
 
 
-def transition_eval(B: VectorBundleSpec, i: str, j: str, x,
-                    tol: float = DEFAULT_TOL) -> LinearMap:
+def transition_eval(B: VectorBundleSpec, i: str, j: str, x) -> LinearMap:
     """Evaluate the transition matrix converting chart-j fiber coordinates
     to chart-i fiber coordinates, at chart-i base coordinates x: a point of
     chart i when i == j, else of a declared i->j overlap region."""
@@ -67,14 +66,13 @@ def transition_eval(B: VectorBundleSpec, i: str, j: str, x,
             return t.matrices(at, [e.g for e in edges], X, B.field.dtype)
 
     L = make_linear(fiber, fiber, at_point(x, B.base.dim, "base dim", stage))
-    if not is_gl(L, tol):
+    if not is_gl(L):
         raise CocycleViolation(
             f"transition {i}->{j} is singular at {np.asarray(x).tolist()}")
     return L
 
 
-def change_chart(B: VectorBundleSpec, p: TotalPoint, j: str,
-                 tol: float = DEFAULT_TOL) -> TotalPoint:
+def change_chart(B: VectorBundleSpec, p: TotalPoint, j: str) -> TotalPoint:
     """Rewrite a total-space point in another chart's coordinates."""
     if j == p.chart:
         return p
@@ -85,7 +83,7 @@ def change_chart(B: VectorBundleSpec, p: TotalPoint, j: str,
             f"point {np.asarray(p.x).tolist()} is not in any declared {i}->{j} overlap region")
     y = eval_map(edge.overlap.tau, p.x)
     # Per the Transition Convention, v_j = g_ji(x_j) v_i.
-    L = transition_eval(B, j, i, y, tol)
+    L = transition_eval(B, j, i, y)
     return TotalPoint(j, y, L.matrix @ np.asarray(p.v, dtype=B.field.dtype))
 
 
@@ -201,8 +199,7 @@ def frame_matrix_at(F: BundleMorphismSpec, x) -> np.ndarray:
     return at_point(x, c.box.dim, "base dim", stage)
 
 
-def dual_frame(F: BundleMorphismSpec, samples: int = 25, tol: float = DEFAULT_TOL,
-               seed: int = DEFAULT_SEED) -> BundleMorphismSpec:
+def dual_frame(F: BundleMorphismSpec) -> BundleMorphismSpec:
     """Dual frame: column i of the result is row i of the pointwise inverse.
 
     The inverse is taken symbolically (adjugate over determinant), so the
@@ -210,8 +207,8 @@ def dual_frame(F: BundleMorphismSpec, samples: int = 25, tol: float = DEFAULT_TO
     Pairing dual column i against frame column j gives the Kronecker delta.
     """
     c = _frame_chart(F)
-    at_points(sample_box(c.box, samples, seed), lambda t, X, rows: _fiber_map_rule(
-        t, F, c.name, X, rows, tol, SingularFrame, "frame matrix"))
+    at_points(sample_box(c.box, _PRECONDITION_SAMPLES, DEFAULT_SEED), lambda t, X, rows: (
+        _fiber_map_rule(t, F, c.name, X, rows, DEFAULT_TOL, SingularFrame, "frame matrix")))
     inv = symmat.mat_inverse(F.fiber_map[c.name])
     return replace(F, target=dual_bundle(F.target), fiber_map={c.name: symmat.mat_transpose(inv)})
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 import numpy as np
 
 from .coords import Tensor, _freeze, as_array, on_slots
-from .dets import DEFAULT_TOL
 from .errors import ShapeMismatch, Singular
 from .linalg import LinearMap, invert_linear, is_gl
 from .tensors import GradedTensor, make_graded
@@ -55,7 +54,7 @@ def cov_pullback(L: LinearMap, r: int, beta: Tensor) -> Tensor:
     return _pull_coeffs(beta, L, None)
 
 
-def rs_pullback(L: LinearMap, r: int, s: int, beta: Tensor, tol: float = DEFAULT_TOL) -> Tensor:
+def rs_pullback(L: LinearMap, r: int, s: int, beta: Tensor) -> Tensor:
     """Pull a mixed tensor back along an isomorphism.
 
     Defined by result(v_1..v_r, u_1..u_s) =
@@ -66,26 +65,26 @@ def rs_pullback(L: LinearMap, r: int, s: int, beta: Tensor, tol: float = DEFAULT
         raise ShapeMismatch(f"valence must be non-negative, got ({r}, {s})")
     if L.domain.dim != L.codomain.dim:
         raise ShapeMismatch("rs_pullback needs a square map")
-    if not is_gl(L, tol):
+    if not is_gl(L):
         raise Singular("rs_pullback needs an isomorphism")
     if not isinstance(beta, Tensor):
         raise ShapeMismatch("rs_pullback applies to Tensor values")
     if (beta.r, beta.s) != (r, s):
         raise ShapeMismatch(f"rs_pullback asked for valence ({r},{s}), tensor has {beta.valence}")
     _check_on_codomain(L, beta, "rs_pullback")
-    return _pull_coeffs(beta, L, invert_linear(L, tol))
+    return _pull_coeffs(beta, L, invert_linear(L))
 
 
-def graded_pullback(L: LinearMap, X: GradedTensor, tol: float = DEFAULT_TOL) -> GradedTensor:
+def graded_pullback(L: LinearMap, X: GradedTensor) -> GradedTensor:
     """Apply rs_pullback to every term of X by its own valence."""
     if L.domain.dim != L.codomain.dim:
         raise ShapeMismatch("graded pullback needs a square map")
-    if not is_gl(L, tol):
+    if not is_gl(L):
         raise Singular("graded pullback needs an isomorphism")
     if not isinstance(X, GradedTensor):
         raise ShapeMismatch("graded pullback applies to GradedTensor values")
     if X.space != L.codomain:
         raise ShapeMismatch("graded pullback: tensor lives off the map's codomain")
-    inverse = invert_linear(L, tol)
+    inverse = invert_linear(L)
     return make_graded(L.domain, {key: _pull_coeffs(t, L, inverse)
                                   for key, t in sorted(X.terms.items())})

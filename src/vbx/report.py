@@ -43,15 +43,15 @@ class CheckReport(Record):
 
 
 def residual_record(check: str, subject: str, samples: int, seed: int, tol: float,
-                    worst: float, note: str = "") -> CheckRecord:
+                    worst: float) -> CheckRecord:
     return CheckRecord(check, subject, RESIDUAL, samples, seed, tol, float(worst),
-                       bool(worst <= tol), note)
+                       bool(worst <= tol))
 
 
 def det_record(check: str, subject: str, samples: int, seed: int, tol: float,
-               worst: float, note: str = "") -> CheckRecord:
+               worst: float) -> CheckRecord:
     return CheckRecord(check, subject, MIN_DET, samples, seed, tol, float(worst),
-                       bool(worst > tol), note)
+                       bool(worst > tol))
 
 
 def failed_record(check: str, subject: str, samples: int, seed: int, tol: float,

@@ -222,20 +222,32 @@ def _components(entry: dict, key: str, loc: str, memo: dict | None) -> dict:
             for chart, exprs in comps.items()}
 
 
+def _components_out(A, memo: dict) -> dict:
+    return {c: [to_string(e, memo) for e in exprs] for c, exprs in sorted(A.per_chart.items())}
+
+
+def _frame_out(F, memo: dict) -> dict:
+    ((chart, P),) = F.fiber_map.items()  # a frame's columns are its fiber map's
+    return {"chart": chart, "columns": [[to_string(e, memo) for e in col] for col in zip(*P)]}
+
+
 # Each kind of named entry, in SpecDocument's order: its keys, its
-# constructor, and that constructor's arguments after the bundle, read from
-# one entry. A kind's array is its name plus "s".
+# constructor, a reader of the constructor's other arguments from one entry
+# and a writer of a value's entry but its name. Its array is kind + "s".
 _NAMED = {
     "section": ({"name", "components"}, make_section,
-                lambda entry, loc, memo: (_components(entry, "components", loc, memo),)),
+                lambda entry, loc, memo: (_components(entry, "components", loc, memo),),
+                lambda S, memo: {"components": _components_out(S, memo)}),
     "frame": ({"name", "chart", "columns"}, make_frame,
               lambda entry, loc, memo: (
                   _as_str(_need(entry, "chart", loc), f"{loc}/chart"),
-                  _parse_matrix(_need(entry, "columns", loc), f"{loc}/columns", memo))),
+                  _parse_matrix(_need(entry, "columns", loc), f"{loc}/columns", memo)),
+              _frame_out),
     "field": ({"name", "r", "s", "components"}, make_field,
               lambda entry, loc, memo: (_as_int(_need(entry, "r", loc), f"{loc}/r"),
                                         _as_int(_need(entry, "s", loc), f"{loc}/s"),
-                                        _components(entry, "components", loc, memo))),
+                                        _components(entry, "components", loc, memo)),
+              lambda A, memo: {"r": A.r, "s": A.s, "components": _components_out(A, memo)}),
 }
 
 
@@ -265,7 +277,7 @@ def load_spec(path) -> SpecDocument:
     bundle = _load_bundle(doc, base, memo)
 
     named = {}
-    for kind, (keys, make, read) in _NAMED.items():
+    for kind, (keys, make, read, _) in _NAMED.items():
         by_name = named[kind] = {}
         for loc, entry in _entries(doc.get(f"{kind}s", []), f"/{kind}s", keys):
             name = _as_str(_need(entry, "name", loc), f"{loc}/name")
@@ -354,30 +366,15 @@ def document_to_dict(bundle: VectorBundleSpec, sections: dict | None = None,
     document, so a subtree shared anywhere in it is printed once. A
     section, frame or field off the bundle, or one with point rules (see
     constructions.Pulling), cannot be written faithfully: SpecError."""
-    for kind, entries in (("section", sections), ("frame", frames), ("field", fields)):
+    memo: dict = {}
+    doc = bundle_to_dict(bundle, memo)
+    for (kind, (*_, write)), entries in zip(_NAMED.items(), (sections, frames, fields)):
         for name, X in sorted((entries or {}).items()):
             if (X.target if kind == "frame" else X.bundle) != bundle:
                 raise SpecError(f"{kind} '{name}' is not on the saved bundle")
             if getattr(X, "rules", ()):
                 raise SpecError(f"{kind} '{name}' carries point rules, which a file cannot hold")
-    memo: dict = {}
-
-    def components(A) -> dict:
-        return {c: [to_string(e, memo) for e in exprs] for c, exprs in sorted(A.per_chart.items())}
-
-    doc = bundle_to_dict(bundle, memo)
-    if sections:
-        doc["sections"] = [{"name": name, "components": components(S)}
-                           for name, S in sorted(sections.items())]
-    if frames:
-        doc["frames"] = []
-        for name, F in sorted(frames.items()):  # a frame's columns are its fiber map's
-            ((chart, P),) = F.fiber_map.items()
-            doc["frames"].append({"name": name, "chart": chart, "columns": [
-                [to_string(e, memo) for e in col] for col in zip(*P)]})
-    if fields:
-        doc["fields"] = [{"name": name, "r": A.r, "s": A.s, "components": components(A)}
-                         for name, A in sorted(fields.items())]
+            doc.setdefault(f"{kind}s", []).append({"name": name, **write(X, memo)})
     return doc
 
 

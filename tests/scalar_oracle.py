@@ -317,13 +317,13 @@ def closure_product(A, B) -> ClosureField:
         lambda x: tensor_product(closure_eval(A, x), closure_eval(B, x)).coeffs)
 
 
-def closure_pullback_diffeo(f, A, r: int, s: int, tol: float = DEFAULT_TOL) -> ClosureField:
+def closure_pullback_diffeo(f, A, r: int, s: int) -> ClosureField:
     def _eval(x):
         J = vbx_jacobian(f, x)
-        if not is_gl(J, tol):
+        if not is_gl(J):
             raise NotADiffeomorphism(f"Jacobian singular at {np.asarray(x).tolist()}")
         target = closure_eval(A, vbx_eval_map(f, x))
-        return rs_pullback(J, r, s, target, tol).coeffs
+        return rs_pullback(J, r, s, target).coeffs
 
     return ClosureField(f.box, f.in_dim, r, s, _eval)
 

@@ -427,6 +427,23 @@ def test_degenerate_frame_fails_check():
     assert not rep.passed
 
 
+@pytest.mark.parametrize("corner,passed", [("1e-11", False), ("1e-9", True)])
+def test_a_frame_is_judged_at_the_fixed_determinant_tolerance(corner, passed):
+    # The scaled |det| of [[1, 1], [1, 1 + eps]] is eps: the rule is 1e-10.
+    F = make_frame(plane_rotation_bundle(), "left", [["1", "1"], ["1", f"1 + {corner}"]])
+    (rec,) = check_frame(F, 20).records
+    assert (rec.check, rec.tol, rec.passed) == ("frame_gl", 1e-10, passed)
+    assert rec.worst == pytest.approx(float(corner), rel=1e-3)
+
+
+def test_a_frame_check_takes_its_seed_by_keyword_only():
+    # The tolerance is fixed, so a third positional argument is refused, not
+    # taken for a seed.
+    F = make_frame(plane_rotation_bundle(), "left", [["1", "0"], ["0", "1"]])
+    with pytest.raises(TypeError):
+        check_frame(F, 20, 1e-9)
+
+
 def test_frame_from_trivialization():
     B = plane_rotation_bundle()
     plane = make_space(2, FieldTag.REAL)

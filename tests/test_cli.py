@@ -841,6 +841,39 @@ def test_any_value_in_a_side_file_ends_in_an_exit_code(kind, data):
         guarded_main("construct", kind, gp("mobius"), str(side), "-o", str(Path(tmp) / "out.json"))
 
 
+@pytest.mark.parametrize("kind,edit,message", [
+    ("restrict", lambda doc: doc["regions"].update(east=[[0.5, 1.5], [0, 1]]),
+     "restriction region for 'east' has dim 2, not 1"),
+    ("induced", lambda doc: doc["assignment"].update(zzz="east"),
+     "assignment names chart 'zzz', which the new base does not have"),
+    ("induced", lambda doc: doc["map"].update(yyy=["x1"]),
+     "map names chart 'yyy', which the new base does not have"),
+    ("induced", lambda doc: doc.update(base=5), "/base: expected an object"),
+], ids=["region_dim", "assignment_chart", "map_chart", "map_file_base"])
+def test_a_faulty_side_file_is_named_and_nothing_is_written(tmp_path, kind, edit, message):
+    doc, _ = side_file(kind)
+    edit(doc)
+    side, out = tmp_path / "side.json", tmp_path / "out.json"
+    side.write_text(json.dumps(doc))
+    assert guarded_main("construct", kind, gp("mobius"), str(side), "-o", str(out)) == (
+        1, f"error: in '{side}': {message}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["sum", "hom", "product"])
+def test_a_construct_names_the_bundle_file_at_fault(tmp_path, kind):
+    doc = json.loads(gallery_path("mobius").read_text())
+    doc["base"] = 5
+    bad, out = tmp_path / "bad.json", tmp_path / "out.json"
+    bad.write_text(json.dumps(doc))
+    for inputs in ((gp("mobius"), str(bad)), (str(bad), gp("mobius"))):
+        assert guarded_main("construct", kind, *inputs, "-o", str(out)) == (
+            1, f"error: in '{bad}': /base: expected an object\n")
+    assert not out.exists()
+    # check reads one file, and keeps the location alone
+    assert guarded_main("check", str(bad)) == (1, "error: /base: expected an object\n")
+
+
 # Flag vectors: odd values for every flag of check, construct and eval.
 
 _ODD = ["0", "-1", "nan", "inf", "1e-320", "1e308", "", "abc", "10^21", "0x10", "2"]

@@ -817,6 +817,23 @@ def test_mixed_pullback_isomorphism_guards():
         vb_pullback_rs(gauge_morphism(), on_source)
 
 
+@pytest.mark.parametrize("shift,accepted", [("2e-8", False), ("5e-9", True)])
+def test_a_declared_inverse_round_trips_within_the_fixed_bound(shift, accepted):
+    # The round trip of the declared inverse may miss by at most 1e-8.
+    B = plane_rotation_bundle()
+    ident, eye = ["x1", "x2"], [["1", "0"], ["0", "1"]]
+    M = make_morphism(B, B, {"left": "left", "right": "right"},
+                      {"left": ident, "right": ident}, {"left": eye, "right": eye},
+                      inverse={"left": ("left", [f"x1 + {shift}", "x2"]),
+                               "right": ("right", ident)})
+    A = make_field(B, 1, 1, {"left": ["1", "0", "0", "1"], "right": ["1", "0", "0", "1"]})
+    if accepted:
+        assert vb_pullback_rs(M, A).per_chart.keys() == {"left", "right"}
+    else:
+        with pytest.raises(NotAnIsomorphism, match="declared inverse fails the round trip"):
+            vb_pullback_rs(M, A)
+
+
 def test_covariant_pullback_crosses_ranks():
     line = make_bundle(plane_atlas(), 1, FieldTag.REAL,
                        [("left", "right", [["1"]]), ("right", "left", [["1"]])])

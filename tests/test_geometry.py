@@ -50,6 +50,9 @@ def test_box_inside_uses_closures():
     assert box_inside(make_box([(0, 1)]), make_box([(0, 1)]))
     assert box_inside(make_box([(0.2, 0.8)]), make_box([(0, 1)]))
     assert not box_inside(make_box([(-0.1, 0.5)]), make_box([(0, 1)]))
+    # a box of another dimension is inside neither way, whatever its bounds
+    assert not box_inside(make_box([(0.2, 0.8), (0, 1)]), make_box([(0, 1)]))
+    assert not box_inside(make_box([(0.2, 0.8)]), make_box([(0, 1), (0, 1)]))
 
 
 def test_region_contains_any_box():

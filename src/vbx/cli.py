@@ -39,8 +39,10 @@ from .errors import (
     DomainViolation,
     FileError,
     NotAnIsomorphism,
+    ParseError,
     SingularFrame,
     SpecError,
+    UnknownSymbol,
     VbxError,
 )
 from .expr import compile_exprs, tree_size
@@ -179,6 +181,8 @@ def _reading(path: str, read):
         return read(path)
     except SpecError as exc:  # name the file: a construct's two inputs can fail at one location
         raise SpecError(str(exc), f"in '{path}'") from exc
+    except (ParseError, UnknownSymbol) as exc:
+        raise exc.at(f"in '{path}'") from exc
 
 
 def _bundle_input(path: str):

@@ -22,7 +22,7 @@ layout as the tensor algebra, row-major over the leading index first.
 from __future__ import annotations
 
 from dataclasses import replace
-from functools import partial
+from functools import cache, partial
 from itertools import product
 
 import numpy as np
@@ -40,7 +40,7 @@ from .bundles import (
     _sampled,
     check_section,
 )
-from .calculus import SmoothMap, at_points, make_smooth_map, shaped
+from .calculus import SmoothMap, at_points, identity_map, make_smooth_map, shaped
 from .coords import Box, FieldTag, box_inside, box_mask, make_box, region_mask
 from .dets import DEFAULT_TOL, scaled_abs_dets
 from .errors import (
@@ -93,6 +93,17 @@ def _inverse_transpose(B: VectorBundleSpec, e: BundleEdge) -> tuple:
     backs = B.edges_between(e.overlap.to, e.overlap.frm)
     rev = backs[_reverse_part(e.overlap, [b.overlap for b in backs])]
     return symmat.mat_transpose(symmat.mat_subst(rev.g, e.overlap.tau.components))
+
+
+def _crossings(B: VectorBundleSpec, i: str, j: str) -> list:
+    """The ways from chart i to chart j of B, as edges: B's i->j overlap
+    components or, from a chart to itself, the identity over its box as the
+    one component."""
+    if i != j:
+        return B.edges_between(i, j)
+    box = B.base.chart(i).box
+    return [BundleEdge(OverlapSpec(i, i, (box,), identity_map(box)),
+                       symmat.mat_identity(B.fiber_dim), 0)]
 
 
 # ---------------------------------------------------------------------------
@@ -156,9 +167,9 @@ def direct_product(B1: VectorBundleSpec, B2: VectorBundleSpec) -> VectorBundleSp
 
     Product charts pair the factor charts, named `a|b`; a factor name that
     already holds `|` is bracketed, so products nest: `(east|u)|left`.
-    A product overlap combines an overlap (or the identity, when the
-    factor chart repeats) from each side, so its transition is
-    block-diagonal in the factor transitions.
+    A product overlap combines a crossing of each factor (_crossings: an
+    overlap component, or the identity when the factor chart repeats), so
+    its transition is block-diagonal in the factor transitions.
     """
     if B1.field is not B2.field:
         raise UnsupportedField("direct_product needs a common scalar field")
@@ -171,27 +182,18 @@ def direct_product(B1: VectorBundleSpec, B2: VectorBundleSpec) -> VectorBundleSp
     pairs = list(product(B1.base.charts, B2.base.charts))
     charts = [(pair_name(c1.name, c2.name), Box(c1.box.lo + c2.box.lo, c1.box.hi + c2.box.hi))
               for c1, c2 in pairs]
-
-    def factor_options(B: VectorBundleSpec, i: str, j: str, dim: int):
-        if i == j:
-            box = B.base.chart(i).box
-            ident = tuple(Var(k) for k in range(1, dim + 1))
-            return [((box,), ident, symmat.mat_identity(B.fiber_dim))]
-        return [(e.overlap.region, e.overlap.tau.components, e.g)
-                for e in B.edges_between(i, j)]
-
     overlaps = []
     transitions = []
     for (c1, c2), (d1, d2) in product(pairs, repeat=2):
         if c1.name == d1.name and c2.name == d2.name:
             continue
         frm, to = pair_name(c1.name, c2.name), pair_name(d1.name, d2.name)
-        for (region1, tau1, g1), (region2, tau2, g2) in product(
-                factor_options(B1, c1.name, d1.name, m1), factor_options(B2, c2.name, d2.name, m2)):
-            region = tuple(Box(b1.lo + b2.lo, b1.hi + b2.hi) for b1 in region1 for b2 in region2)
-            tau = tuple(tau1) + subst_all(tau2, shift)
+        for e1, e2 in product(_crossings(B1, c1.name, d1.name), _crossings(B2, c2.name, d2.name)):
+            region = tuple(Box(a.lo + b.lo, a.hi + b.hi) for a in e1.region for b in e2.region)
+            tau = e1.overlap.tau.components + subst_all(e2.overlap.tau.components, shift)
             overlaps.append((frm, to, region, tau))
-            transitions.append((frm, to, symmat.mat_block_diag(g1, symmat.mat_subst(g2, shift))))
+            g = symmat.mat_block_diag(e1.g, symmat.mat_subst(e2.g, shift))
+            transitions.append((frm, to, g))
     base = make_atlas(m1 + m2, charts, overlaps)
     return make_bundle(base, B1.fiber_dim + B2.fiber_dim, B1.field, transitions,
                        derivation={"construction": "direct_product"})
@@ -576,57 +578,59 @@ def check_morphism(M: BundleMorphismSpec, samples: int = DEFAULT_SAMPLES,
     Two records per source overlap component: the intertwining identity
     fiberMap_i(x) G1_ij(x) = G2(f_i(x)) fiberMap_j(tau_ij(x)), and
     coherence of the base map representations f_j(tau_ij(x)) = tau2(f_i(x)).
+    G2 and tau2 come from the target's crossing (_crossings) between the
+    assigned charts that holds f_i(x); a point in none fails its record.
     Each source chart's box is sampled for the rule that f_i's image lies
     inside the assigned chart (induced_bundle's rule); a rule, not an
     identity, so only a chart that breaks it adds a record, a failed one.
+    Each family, the edges and the charts, is one _sampled call.
     """
     src, tgt = M.source, M.target
     smooth = {c.name: make_smooth_map(M.base_map[c.name], c.box)
               for c in src.base.charts}
     dtype = src.field.dtype
-    records = []
-    for e in src.edges:
-        i, j = e.overlap.frm, e.overlap.to
-        ci, cj = M.assignment[i], M.assignment[j]
+    crossings = cache(partial(_crossings, tgt))
 
-        def evaluate(t, _, e=e, i=i, j=j, ci=ci, cj=cj):
-            X, rows = t.pts, t.rows
-            phi_i = t.matrix(M.fiber_map[i], X, rows, dtype)
-            g1 = t.matrix(e.g, X, rows, dtype)
-            Y = t.map(e.overlap.tau, X, rows)
-            phi_j = t.matrix(M.fiber_map[j], Y, rows, dtype)
-            fi_x = t.map(smooth[i], X, rows)
-            fj_y = t.map(smooth[j], Y, rows)
-            t.in_box(tgt.base.chart(ci).box, fi_x, rows, f"chart '{ci}'")
-            if ci == cj:
-                g2 = np.broadcast_to(np.eye(tgt.fiber_dim, dtype=tgt.field.dtype),
-                                     (len(X), tgt.fiber_dim, tgt.fiber_dim))
-                tau2_fi = fi_x
-            else:
-                edges2 = tgt.edges_between(ci, cj)
-                at, _ = _lookup(t, [edges2], fi_x, lambda k: (
-                    f"base image {fi_x[k].tolist()} lies in no declared {ci}->{cj} overlap region"))
-                g2 = t.matrices(at, [f.g for f in edges2], fi_x, tgt.field.dtype)
-                tau2_fi = t.maps(at, [f.overlap.tau for f in edges2], fi_x)
-            return _max_abs(phi_i @ g1 - g2 @ phi_j), _max_abs(fj_y - tau2_fi)
+    def in_charts(t, names, Y) -> None:
+        """The rule that each row's base image Y lies inside its subject's
+        assigned chart, names[s]."""
+        _lookup(t, [crossings(n, n) for n in names], Y, lambda k: DomainViolation(
+            f"point {Y[k].tolist()} outside chart '{names[t.subject[k]]}'"))
 
-        records += _sampled([("morphism_intertwine", RESIDUAL, tol),
-                             ("base_map_coherence", RESIDUAL, tol)],
-                            [(_edge_subject(e), [(e.region, None)])], samples, seed, evaluate)
+    def intertwine(t, es):
+        X = t.pts
+        i, j = [e.overlap.frm for e in es], [e.overlap.to for e in es]
+        phi_i = t.matrices(t.subject, [M.fiber_map[c] for c in i], X, dtype)
+        g1 = t.matrices(t.subject, [e.g for e in es], X, dtype)
+        Y = t.maps(t.subject, [e.overlap.tau for e in es], X)
+        phi_j = t.matrices(t.subject, [M.fiber_map[c] for c in j], Y, dtype)
+        fi_x = t.maps(t.subject, [smooth[c] for c in i], X)
+        fj_y = t.maps(t.subject, [smooth[c] for c in j], Y)
+        ci, cj = ([M.assignment[c] for c in cs] for cs in (i, j))
+        in_charts(t, ci, fi_x)
+        at, options = _lookup(t, [crossings(*p) for p in zip(ci, cj)], fi_x, lambda k: (
+            f"base image {fi_x[k].tolist()} lies in no declared "
+            f"{ci[t.subject[k]]}->{cj[t.subject[k]]} overlap region"))
+        if not options:  # no subject's charts cross: every row has failed
+            return (np.full(len(X), np.nan),) * 2
+        g2 = t.matrices(at, [f.g for f in options], fi_x, dtype)
+        tau2_fi = t.maps(at, [f.overlap.tau for f in options], fi_x)
+        return _max_abs(phi_i @ g1 - g2 @ phi_j), _max_abs(fj_y - tau2_fi)
+
+    def image(t, charts):
+        Y = t.maps(t.subject, [smooth[c] for c in charts], t.pts)
+        in_charts(t, [M.assignment[c] for c in charts], Y)
+        return (np.zeros(len(t.pts)),)
+
+    records = _sampled([("morphism_intertwine", RESIDUAL, tol),
+                        ("base_map_coherence", RESIDUAL, tol)],
+                       ((_edge_subject(e), [(e.region, e)]) for e in src.edges),
+                       samples, seed, intertwine)
     if not records:
         records.append(vacuous_record("morphism_intertwine", "no overlaps", seed, tol))
-    for c in src.base.charts:
-        target = M.assignment[c.name]
-
-        def evaluate(t, _, c=c, target=target):
-            Y = t.map(smooth[c.name], t.pts, t.rows)
-            t.in_box(tgt.base.chart(target).box, Y, t.rows, f"chart '{target}'")
-            return (np.zeros(len(Y)),)
-
-        (rec,) = _sampled([("base_map_image", RESIDUAL, tol)], [(c.name, [((c.box,), None)])],
-                          samples, seed, evaluate)
-        if not rec.passed:
-            records.append(rec)
+    records += [r for r in _sampled([("base_map_image", RESIDUAL, tol)],
+                                    ((c.name, [((c.box,), c.name)]) for c in src.base.charts),
+                                    samples, seed, image) if not r.passed]
     return make_report("morphism", records)
 
 
@@ -683,7 +687,8 @@ def _pulled(M: BundleMorphismSpec, A: TensorFieldSpec, tol: float | None,
             raise error(f"{noun} determinant on chart '{name}' is identically zero ({exc})") from exc
         if chart not in A.per_chart:
             raise SpecError(f"field has no components on chart '{chart}'")
-        out[name] = symmat.mat_vec(K, subst_all(A.per_chart[chart], M.base_map[name]))
+        column = tuple((c,) for c in subst_all(A.per_chart[chart], M.base_map[name]))
+        out[name] = tuple(c for (c,) in symmat.mat_mul(K, column))
     return TensorFieldSpec(M.source, A.r, A.s, out, (Pulling(M, A, tol, error, noun),))
 
 
@@ -805,7 +810,8 @@ def subbundle_check(B: VectorBundleSpec, W: dict, samples: int = DEFAULT_SAMPLES
     value of the d x l matrix); per overlap with both charts present, the
     transported span must match: the transition applied to the to-chart
     columns must be annihilated by the projector complement of the
-    from-chart span.
+    from-chart span. Each family, the charts and the shared overlap
+    components, is one _sampled call.
     """
     if not W:
         raise SpecError("subbundle_check needs sections on at least one chart")
@@ -827,40 +833,35 @@ def subbundle_check(B: VectorBundleSpec, W: dict, samples: int = DEFAULT_SAMPLES
                 raise SpecError(f"section on '{name}' has {len(col)} components, fiber dim is {d}")
         cols_of[name] = cols
 
-    def span_at(t, name, X, rows):
-        """The d x l matrix of chart name's sections at every point."""
-        return t.matrix(cols_of[name], X, rows, B.field.dtype).transpose(0, 2, 1)
+    def span_at(t, names, X):
+        """The d x l matrix of the sections on each subject's chart,
+        names[s], at every point."""
+        cols = [cols_of[n] for n in names]
+        return t.matrices(t.subject, cols, X, B.field.dtype).transpose(0, 2, 1)
 
-    records = []
-    for name in sorted(cols_of):
+    def independent(t, names):
+        sv = _live_only(t, lambda W: np.linalg.svd(W, compute_uv=False),
+                        span_at(t, names, t.pts), (rank,))
+        return (np.where(sv[:, 0] > 0, sv[:, -1] / sv[:, 0], 0.0),)
 
-        def evaluate(t, _, name=name):
-            sv = _live_only(t, lambda W: np.linalg.svd(W, compute_uv=False),
-                            span_at(t, name, t.pts, t.rows), (rank,))
-            return (np.where(sv[:, 0] > 0, sv[:, -1] / sv[:, 0], 0.0),)
+    def transported(t, es):
+        X = t.pts
+        Wi = span_at(t, [e.overlap.frm for e in es], X)
+        Y = t.maps(t.subject, [e.overlap.tau for e in es], X)
+        moved = (t.matrices(t.subject, [e.g for e in es], X, B.field.dtype)
+                 @ span_at(t, [e.overlap.to for e in es], Y))
+        Q = _live_only(t, lambda W: np.linalg.qr(W)[0], Wi, (d, rank))
+        off = moved - Q @ (Q.conj().transpose(0, 2, 1) @ moved)
+        scale = np.maximum(np.linalg.norm(moved, axis=1), 1e-300)
+        return (np.max(np.linalg.norm(off, axis=1) / scale, axis=1),)
 
-        records += _sampled([("subbundle_rank", MIN_DET, DEFAULT_TOL)],
-                            [(name, [((B.base.chart(name).box,), None)])], samples, seed, evaluate)
-
-    checked_overlap = False
-    for e in B.edges:
-        i, j = e.overlap.frm, e.overlap.to
-        if i not in cols_of or j not in cols_of:
-            continue
-        checked_overlap = True
-
-        def evaluate(t, _, e=e, i=i, j=j):
-            X = t.pts
-            Wi = span_at(t, i, X, t.rows)
-            Y = t.map(e.overlap.tau, X, t.rows)
-            moved = t.matrix(e.g, X, t.rows, B.field.dtype) @ span_at(t, j, Y, t.rows)
-            Q = _live_only(t, lambda W: np.linalg.qr(W)[0], Wi, (d, rank))
-            off = moved - Q @ (Q.conj().transpose(0, 2, 1) @ moved)
-            scale = np.maximum(np.linalg.norm(moved, axis=1), 1e-300)
-            return (np.max(np.linalg.norm(off, axis=1) / scale, axis=1),)
-
-        records += _sampled([("subbundle_span", RESIDUAL, tol)],
-                            [(_edge_subject(e), [(e.region, None)])], samples, seed, evaluate)
-    if not checked_overlap and len(cols_of) > 1:
+    shared = [e for e in B.edges if e.overlap.frm in cols_of and e.overlap.to in cols_of]
+    records = _sampled([("subbundle_rank", MIN_DET, DEFAULT_TOL)],
+                       ((n, [((B.base.chart(n).box,), n)]) for n in sorted(cols_of)),
+                       samples, seed, independent)
+    records += _sampled([("subbundle_span", RESIDUAL, tol)],
+                        ((_edge_subject(e), [(e.region, e)]) for e in shared), samples, seed,
+                        transported)
+    if not shared and len(cols_of) > 1:
         records.append(vacuous_record("subbundle_span", "no shared overlaps", seed, tol))
     return make_report("subbundle", records)

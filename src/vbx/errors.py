@@ -35,23 +35,27 @@ class UnsupportedField(VbxError):
     """Operation defined only over the reals was given complex data."""
 
 
-class ParseError(VbxError):
-    """Expression text rejected by the grammar.
-
-    Carries the 1-based column where parsing stopped.
-    """
+class _AtColumn(VbxError):
+    """An error in expression text that carries the 1-based column where
+    reading stopped."""
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (column {position})")
+        self.message = message
         self.position = position
 
+    def at(self, where: str):
+        """This error, its type and column kept, with where (an entry's
+        location, a file) before its message."""
+        return type(self)(f"{where}: {self.message}", self.position)
 
-class UnknownSymbol(VbxError):
+
+class ParseError(_AtColumn):
+    """Expression text rejected by the grammar."""
+
+
+class UnknownSymbol(_AtColumn):
     """Identifier in an expression that the grammar does not recognize."""
-
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (column {position})")
-        self.position = position
 
 
 class DomainViolation(VbxError):

@@ -108,8 +108,7 @@ def _parse_entry(text, loc: str, memo: dict | None):
     try:
         return parse_expr(text, memo)
     except (ParseError, UnknownSymbol) as exc:
-        raise type(exc)(f"{loc}: {exc.args[0].rsplit(' (column', 1)[0]}",
-                        exc.position) from exc
+        raise exc.at(loc) from exc
 
 
 def _parse_matrix(value, loc: str, memo: dict) -> tuple:

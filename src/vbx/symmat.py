@@ -50,19 +50,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(out)
 
 
-def mat_vec(m: Matrix, v) -> tuple:
-    n, k = mat_shape(m)
-    if k != len(v):
-        raise ShapeMismatch(f"cannot apply {n}x{k} to a vector of length {len(v)}")
-    out = []
-    for i in range(n):
-        acc: Expr = Num(0.0)
-        for t in range(k):
-            acc = fold_add(acc, fold_mul(m[i][t], v[t]))
-        out.append(acc)
-    return tuple(out)
-
-
 def _det(m: Matrix, rows: tuple, cols: tuple, memo: dict) -> Expr:
     """The determinant of m's submatrix on rows and cols, expanded along
     its first row. memo maps (rows, cols) to the minors built so far, so

@@ -874,6 +874,31 @@ def test_a_construct_names_the_bundle_file_at_fault(tmp_path, kind):
     assert guarded_main("check", str(bad)) == (1, "error: /base: expected an object\n")
 
 
+@pytest.mark.parametrize("entry,message", [
+    ("x1 +", "expected an operand, found end of input (column 5)"),
+    ("y1", "unknown identifier 'y1' (column 1)"),
+], ids=["parse_error", "unknown_symbol"])
+def test_a_construct_names_the_file_of_an_expression_error(tmp_path, entry, message):
+    doc = json.loads(gallery_path("mobius").read_text())
+    doc["base"]["overlaps"][0]["tau"][0] = entry
+    bad, out = tmp_path / "bad.json", tmp_path / "out.json"
+    bad.write_text(json.dumps(doc))
+    want = f"/base/overlaps/0/tau/0: {message}\n"
+    for argv in (("sum", gp("mobius"), str(bad)), ("sum", str(bad), gp("mobius")),
+                 ("dual", str(bad))):
+        assert guarded_main("construct", *argv, "-o", str(out)) == (
+            1, f"error: in '{bad}': {want}")
+    side, _ = side_file("induced")
+    side["map"]["west"] = [entry]
+    side_path = tmp_path / "side.json"
+    side_path.write_text(json.dumps(side))
+    assert guarded_main("construct", "induced", gp("mobius"), str(side_path), "-o", str(out)) == (
+        1, f"error: in '{side_path}': /map/west/0: {message}\n")
+    assert not out.exists()
+    # check reads one file, and keeps the location alone
+    assert guarded_main("check", str(bad)) == (1, f"error: {want}")
+
+
 # Flag vectors: odd values for every flag of check, construct and eval.
 
 _ODD = ["0", "-1", "nan", "inf", "1e-320", "1e308", "", "abc", "10^21", "0x10", "2"]

@@ -9,6 +9,7 @@ route is cross-checked by an independent numeric one.
 import hashlib
 import itertools
 import json
+import re
 import warnings
 
 import numpy as np
@@ -928,6 +929,25 @@ def test_check_morphism_names_the_chart_an_overlap_image_escapes():
     notes = [r.note for r in check_morphism(M, 50, CHECK_TOL, seed=3).records if not r.passed]
     assert any("outside chart 'east'" in n for n in notes)
     assert not any("<function" in n for n in notes)
+
+
+def test_check_morphism_fails_an_edge_whose_assigned_charts_do_not_cross():
+    # The target declares no U<->V overlap, so no edge's base image has a
+    # target transition: each edge fails its record. The four edges are
+    # one pack in which no subject has an option.
+    T = make_bundle(make_atlas(1, [("U", [(-10, 10)]), ("V", [(-10, 10)])], []), 1,
+                    FieldTag.REAL, [])
+    M = make_morphism(circle_trivial_bundle(), T, {"east": "U", "west": "V"},
+                      {"east": ["x1"], "west": ["x1"]}, {"east": [["1"]], "west": [["1"]]})
+    rep = check_morphism(M, 10)
+    assert not rep.passed
+    assert [(r.check, r.subject, r.passed) for r in rep.records] == [
+        ("morphism_intertwine", s, False)
+        for s in ("east->west#0", "east->west#1", "west->east#0", "west->east#1")]
+    for r in rep.records:
+        i, j = ("U", "V") if r.subject.startswith("east") else ("V", "U")
+        assert re.fullmatch(rf"base image \[[-\d.e]+\] lies in no declared {i}->{j} overlap region",
+                            r.note)
 
 
 # --------------------------------------------------------------------------

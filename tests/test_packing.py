@@ -38,7 +38,12 @@ from vbx.report import report_to_json
 from vbx.spec import make_atlas, make_bundle, make_field
 from vbx.specio import gallery_path, list_gallery, load_spec, save_spec
 
-from support import circle_trivial_bundle
+from support import (
+    circle_trivial_bundle,
+    double_cover_map,
+    plane_rotation_bundle,
+    quarter_circle_atlas,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 BUDGETS = (1, 7, bundles._PACK_ROWS)
@@ -356,6 +361,108 @@ def test_a_checks_memory_does_not_grow_with_its_sample_count(monkeypatch):
     check_vb(B, 3, seed=7)
     once = dense_tensor_check_peak(B, 128)
     assert dense_tensor_check_peak(B, 8 * 128) <= 1.5 * once
+
+
+def line_bundle(atlas):
+    """The trivial line bundle over atlas."""
+    return make_bundle(atlas, 1, FieldTag.REAL, [(o.frm, o.to, [["1"]]) for o in atlas.overlaps])
+
+
+def three_intervals(overlaps=()):
+    """The trivial line bundle over charts U, V and W, each (-10, 10),
+    glued by the identity on the chart pairs in overlaps."""
+    A = make_atlas(1, [("U", [(-10, 10)]), ("V", [(-10, 10)]), ("W", [(-10, 10)])],
+                   [(i, j, [[(-10, 10)]], ["x1"]) for i, j in overlaps])
+    return line_bundle(A)
+
+
+def library_cases() -> dict:
+    """check_morphism and subbundle_check calls, by name, each a function
+    of the sample count: passing and failing morphisms and sub-bundles,
+    on the gallery and on the product of mobius and projective_tangent."""
+    docs = {name: load_spec(gallery_path(name)) for name in list_gallery()}
+    product = direct_product(docs["mobius"].bundle, docs["projective_tangent"].bundle)
+    circle, quarter = circle_trivial_bundle(), line_bundle(quarter_circle_atlas())
+    quarters = [c.name for c in quarter.base.charts]
+    plane = plane_rotation_bundle()
+    morphisms = {f"identity {name}": identity_morphism(doc.bundle)
+                 for name, doc in docs.items() if doc.bundle is not None}
+    morphisms |= {f"frame {name} {frame}": F for name, doc in docs.items()
+                  for frame, F in doc.frames.items()}
+    morphisms |= {
+        "identity product": identity_morphism(product),
+        "double cover": make_morphism(quarter, circle, *double_cover_map(),
+                                      {c: [["1"]] for c in quarters}),
+        "escaping 2*x1": make_morphism(circle, circle, {"east": "east", "west": "west"},
+                                       {"east": ["2*x1"], "west": ["x1"]},
+                                       {"east": [["1"]], "west": [["1"]]}),
+        # c0->c1 and c1->c0 cross U<->V, c3->c0 and c0->c3 stay in U, and
+        # the other edges find no crossing: one pack of all three kinds.
+        "partly crossing": make_morphism(
+            quarter, three_intervals([("U", "V"), ("V", "U")]),
+            {"c0": "U", "c1": "V", "c2": "W", "c3": "U"},
+            {c: ["x1"] for c in quarters}, {c: [["1"]] for c in quarters}),
+        "never crossing": make_morphism(circle, three_intervals(), {"east": "U", "west": "V"},
+                                        {"east": ["x1"], "west": ["x1"]},
+                                        {"east": [["1"]], "west": [["1"]]}),
+    }
+    cases = {name: (lambda n, M=M: check_morphism(M, n, seed=7)) for name, M in morphisms.items()}
+    sub_bundles = {
+        "rotating line": (plane, {"left": [["cos(x1)", "sin(x1)"]], "right": [["1", "0"]]}),
+        "constant line": (plane, {"left": [["1", "0"]], "right": [["1", "0"]]}),
+        "log section": (plane, {"left": [["log(x1)", "1"]], "right": [["1", "0"]]}),
+        "unglued charts": (quarter, {"c0": [["1"]], "c2": [["1"]]}),
+        "product first factor": (product, {c.name: [["1", "0"]] for c in product.base.charts}),
+        "product mixed": (product, {c.name: [["1", "x1"]] for c in product.base.charts}),
+    }
+    cases |= {f"sub-bundle {name}": (lambda n, B=B, W=W: subbundle_check(B, W, n, seed=7))
+              for name, (B, W) in sub_bundles.items()}
+    return cases
+
+
+LIBRARY_CASES = library_cases()
+
+
+@pytest.mark.parametrize("samples", [1, 3, 50])
+@pytest.mark.parametrize("case", sorted(LIBRARY_CASES))
+def test_a_library_report_is_the_same_at_every_row_budget(case, samples, monkeypatch):
+    got = []
+    for budget in BUDGETS:
+        monkeypatch.setattr(bundles, "_PACK_ROWS", budget)
+        got.append(report_to_json(LIBRARY_CASES[case](samples)))
+    assert all(g == got[0] for g in got[1:])
+
+
+def test_the_library_cases_pass_and_fail():
+    # The oracle above compares failing reports too, and failures of every
+    # kind: a residual, an evaluation, a base image outside its chart, a
+    # base image in no crossing of its charts.
+    notes = {name: [r.note for r in case(50).records if not r.passed]
+             for name, case in LIBRARY_CASES.items()}
+    assert {name for name, failed in notes.items() if failed} == {
+        "escaping 2*x1", "partly crossing", "never crossing", "sub-bundle constant line",
+        "sub-bundle log section", "sub-bundle product mixed"}
+    assert any("outside chart 'east'" in note for note in notes["escaping 2*x1"])
+    partly = " ".join(notes["partly crossing"])
+    for i, j in (("V", "W"), ("W", "V"), ("W", "U"), ("U", "W")):
+        assert f"lies in no declared {i}->{j} overlap region" in partly
+    assert "U->V" not in partly and "U->U" not in partly
+    assert any("log of non-positive value" in note for note in notes["sub-bundle log section"])
+
+
+@pytest.mark.parametrize("suite", ["check_morphism", "subbundle_check"])
+def test_a_library_suite_packs_each_family(suite, monkeypatch):
+    # 32 edges and 4 charts: one trial per subject, 36 a call, before. Now
+    # each family packs its subjects, 10 of 200 rows to a 2,048-row trial:
+    # 4 trials for the edges and 1 for the charts.
+    product = direct_product(load_spec(gallery_path("mobius")).bundle,
+                             load_spec(gallery_path("projective_tangent")).bundle)
+    rows = spy_trial_rows(monkeypatch)
+    if suite == "check_morphism":
+        report = check_morphism(identity_morphism(product), 200)
+    else:
+        report = subbundle_check(product, {c.name: [["1", "0"]] for c in product.base.charts}, 200)
+    assert report.passed and len(rows) <= 5
 
 
 SUITES = {

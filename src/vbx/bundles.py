@@ -19,13 +19,13 @@ from .dets import DEFAULT_TOL, scaled_abs_dets
 from .errors import InvalidDimension, SpecError
 from .geometry import sample_region, sampling_scope, scope_memo
 from .report import (
+    KINDS,
     MIN_DET,
     RESIDUAL,
     CheckReport,
-    det_record,
     failed_record,
     make_report,
-    residual_record,
+    sampled_record,
     vacuous_record,
 )
 from .spec import (
@@ -44,12 +44,12 @@ DEFAULT_SEED = 42
 DEFAULT_CHECK_TOL = 1e-9
 
 
-def _edge_subject(e: BundleEdge) -> str:
-    return f"{e.overlap.frm}->{e.overlap.to}#{e.component}"
-
-
 def _overlap_subject(o: OverlapSpec, comp: int) -> str:
     return f"{o.frm}->{o.to}#{comp}"
+
+
+def _edge_subject(e: BundleEdge) -> str:
+    return _overlap_subject(e.overlap, e.component)
 
 
 def find_edge(B: VectorBundleSpec, i: str, j: str, x) -> BundleEdge | None:
@@ -145,7 +145,8 @@ def _packs(subjects):
         yield pack
 
 
-def _sampled(checks, subjects, samples: int, seed: int, evaluate) -> list:
+def _sampled(checks, subjects, samples: int, seed: int, evaluate,
+             empty: str | None = None) -> list:
     """The records of the sampled identities of subjects, an iterable of
     (name, parts), parts a list of (region, data), in order: each part is
     samples points of its region (geometry.sample_region, at seed), in
@@ -156,18 +157,19 @@ def _sampled(checks, subjects, samples: int, seed: int, evaluate) -> list:
     checks holds (check, kind, tol) for each per-row value array that
     evaluate(trial, data) returns, in record order, for a trial over the
     pieces of one pack (_packs) and data, their data in order. A subject's
-    records merge those of its pieces: the worst residual is their max and
-    the worst determinant their min, and live counts add up. A failed
-    sample, or a non-finite value at a live one, fails the subject: one
-    failed record of samples points, of its check's kind, under its first
-    residual check (else its first check), noting the subject's first such
-    sample in sample order. A subject with no live sample (every one
-    skipped: a triple whose point leaves the needed overlaps) is vacuous.
+    records merge those of its pieces by the rules of their kinds
+    (report.KINDS), and live counts add up. A failed sample, or a
+    non-finite value at a live one, fails the subject: one failed record of
+    samples points, of its check's kind, under its first residual check
+    (else its first check), noting the subject's first such sample in
+    sample order. A subject with no live sample (every one skipped: a
+    triple whose point leaves the needed overlaps) is vacuous, and so is a
+    family of no subject, under the subject name empty if given.
     """
     if samples < 1:
         raise InvalidDimension(f"a check needs at least 1 sample, got {samples}")
     name, kind, tol = next((c for c in checks if c[1] == RESIDUAL), checks[0])
-    empty = [0.0 if k == RESIDUAL else np.inf for _, k, _ in checks]  # the worst of no sample
+    kinds = [KINDS[k] for _, k, _ in checks]
     merged: dict = {}  # (ordinal, name) -> (live count, first failure, worst per check)
     for pack in _packs((subject, [(sample_region(region, samples, seed), data)
                                   for region, data in parts]) for subject, parts in subjects):
@@ -176,12 +178,11 @@ def _sampled(checks, subjects, samples: int, seed: int, evaluate) -> list:
         t = _Trial(X, scope_memo("programs"), [len(p) for p in pts])
         with np.errstate(all="ignore"):  # failed samples compute on garbage
             values = evaluate(t, data)
-        for (_, k, _), v in zip(checks, values):
-            label = "residual" if k == RESIDUAL else "scaled determinant"
+        for k, v in zip(kinds, values):
             t.fail(t.rows, ~np.isfinite(v),
-                   lambda j, label=label: f"non-finite {label} at {X[j].tolist()}")
+                   lambda j, noun=k.noun: f"non-finite {noun} at {X[j].tolist()}")
         for key, b in zip(keys, t.blocks):
-            count, note, worst = merged.get(key, (0, None, empty))
+            count, note, worst = merged.get(key, (0, None, [k.none for k in kinds]))
             failed = np.flatnonzero(t.cause[b] >= 0)
             if failed.size and note is None:  # an earlier piece's failure comes first
                 i = b.start + failed[0]
@@ -190,18 +191,18 @@ def _sampled(checks, subjects, samples: int, seed: int, evaluate) -> list:
                         else f"evaluation failed at {X[i].tolist()}: {why}")
             live = t.live[b]
             merged[key] = (count + int(live.sum()), note, [
-                np.max(v[b][live], initial=w) if k == RESIDUAL else np.min(v[b][live], initial=w)
-                for (_, k, _), v, w in zip(checks, values, worst)])
+                k.worst(v[b][live], initial=w) for k, v, w in zip(kinds, values, worst)])
     records = []
     for (_, subject), (count, note, worst) in merged.items():
         if note is not None:
             records.append(failed_record(name, subject, samples, seed, tol, note, kind))
         elif count == 0:
-            records.append(vacuous_record(name, subject, seed, tol))
+            records.append(vacuous_record(name, subject, kind, seed, tol))
         else:
-            records += [residual_record(c, subject, count, seed, c_tol, w) if c_kind == RESIDUAL
-                        else det_record(c, subject, count, seed, c_tol, w)
+            records += [sampled_record(c, subject, c_kind, count, seed, c_tol, w)
                         for (c, c_kind, c_tol), w in zip(checks, worst)]
+    if not merged and empty is not None:
+        records.append(vacuous_record(name, empty, kind, seed, tol))
     return records
 
 
@@ -346,10 +347,8 @@ def check_section(S: TensorFieldSpec, samples: int = DEFAULT_SAMPLES,
             mats = [_reverse_g(t, backs, Y, dtype).transpose(0, 2, 1)] * S.r + mats
         return (_max_abs(lhs - on_slots(C, mats).reshape(lhs.shape)),)
 
-    records = _sampled([("section_compat", RESIDUAL, tol)], pairs, samples, seed, evaluate)
-    if not records:
-        records.append(vacuous_record("section_compat", "no shared overlaps", seed, tol))
-    return make_report("section", records)
+    return make_report("section", _sampled([("section_compat", RESIDUAL, tol)], pairs, samples,
+                                           seed, evaluate, "no shared overlaps"))
 
 
 # ---------------------------------------------------------------------------

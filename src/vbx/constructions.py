@@ -59,7 +59,7 @@ from .expr import Var, _as_expr, as_exprs, compile_exprs, subst_all
 from .geometry import sample_box, sample_region, sampling_scope
 from .intervals import box_covered, enclose, intersect_boxes
 from .record import Record, record
-from .report import MIN_DET, RESIDUAL, make_report, vacuous_record
+from .report import MIN_DET, RESIDUAL, make_report
 from .spec import (
     BaseAtlasSpec,
     BundleEdge,
@@ -625,9 +625,7 @@ def check_morphism(M: BundleMorphismSpec, samples: int = DEFAULT_SAMPLES,
     records = _sampled([("morphism_intertwine", RESIDUAL, tol),
                         ("base_map_coherence", RESIDUAL, tol)],
                        ((_edge_subject(e), [(e.region, e)]) for e in src.edges),
-                       samples, seed, intertwine)
-    if not records:
-        records.append(vacuous_record("morphism_intertwine", "no overlaps", seed, tol))
+                       samples, seed, intertwine, "no overlaps")
     records += [r for r in _sampled([("base_map_image", RESIDUAL, tol)],
                                     ((c.name, [((c.box,), c.name)]) for c in src.base.charts),
                                     samples, seed, image) if not r.passed]
@@ -861,7 +859,5 @@ def subbundle_check(B: VectorBundleSpec, W: dict, samples: int = DEFAULT_SAMPLES
                        samples, seed, independent)
     records += _sampled([("subbundle_span", RESIDUAL, tol)],
                         ((_edge_subject(e), [(e.region, e)]) for e in shared), samples, seed,
-                        transported)
-    if not shared and len(cols_of) > 1:
-        records.append(vacuous_record("subbundle_span", "no shared overlaps", seed, tol))
+                        transported, "no shared overlaps" if len(cols_of) > 1 else None)
     return make_report("subbundle", records)

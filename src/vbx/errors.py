@@ -44,6 +44,9 @@ class _AtColumn(VbxError):
         self.message = message
         self.position = position
 
+    def __reduce__(self):  # pickle rebuilds from the arguments, not from str(self)
+        return type(self), (self.message, self.position)
+
     def at(self, where: str):
         """This error, its type and column kept, with where (an entry's
         location, a file) before its message."""

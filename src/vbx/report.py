@@ -2,15 +2,17 @@
 
 Reports are value objects built deterministically from (spec, samples, seed,
 tol); serializing one twice gives identical bytes. Each record carries the
-worst value its check saw. For residual checks the worst value is a max
-residual and passing means worst <= tol; for invertibility checks it is a
-min scaled |det| and passing means worst > tol. The record's kind says which
-reading applies, and the pass flag is always computed by the check itself.
+worst value its check saw, read by the rules of its kind (KINDS): a max
+residual passes at worst <= tol, a min scaled |det| at worst > tol.
 """
 
 from __future__ import annotations
 
+import operator
+from dataclasses import asdict
 from json.encoder import encode_basestring_ascii
+
+import numpy as np
 
 from .record import Record, record
 
@@ -19,12 +21,28 @@ MIN_DET = "min_scaled_det"
 
 
 @record
+class RecordKind(Record):
+    """The rules of one kind of record."""
+
+    none: float  # the worst value of no sample
+    worst: object  # the worst of many values, as np.max(values, initial=w)
+    passes: object  # passes(worst, tol)
+    noun: str  # a value, in a note
+    heading: str  # the worst value, in format_report
+
+
+KINDS = {RESIDUAL: RecordKind(0.0, np.max, operator.le, "residual", "max residual"),
+         MIN_DET: RecordKind(np.inf, np.min, operator.gt, "scaled determinant",
+                             "min scaled |det|")}
+
+
+@record
 class CheckRecord(Record):
     """The outcome of one sampled check on one subject."""
 
     check: str  # identity being verified, e.g. "pair_cocycle"
     subject: str  # where, e.g. "east->west#0"
-    kind: str  # RESIDUAL or MIN_DET
+    kind: str  # a key of KINDS
     samples: int
     seed: int
     tol: float
@@ -42,16 +60,10 @@ class CheckReport(Record):
     passed: bool
 
 
-def residual_record(check: str, subject: str, samples: int, seed: int, tol: float,
-                    worst: float) -> CheckRecord:
-    return CheckRecord(check, subject, RESIDUAL, samples, seed, tol, float(worst),
-                       bool(worst <= tol))
-
-
-def det_record(check: str, subject: str, samples: int, seed: int, tol: float,
-               worst: float) -> CheckRecord:
-    return CheckRecord(check, subject, MIN_DET, samples, seed, tol, float(worst),
-                       bool(worst > tol))
+def sampled_record(check: str, subject: str, kind: str, samples: int, seed: int, tol: float,
+                   worst: float) -> CheckRecord:
+    return CheckRecord(check, subject, kind, samples, seed, tol, float(worst),
+                       bool(KINDS[kind].passes(worst, tol)))
 
 
 def failed_record(check: str, subject: str, samples: int, seed: int, tol: float,
@@ -61,8 +73,8 @@ def failed_record(check: str, subject: str, samples: int, seed: int, tol: float,
     return CheckRecord(check, subject, kind, samples, seed, tol, float("inf"), False, note)
 
 
-def vacuous_record(check: str, subject: str, seed: int, tol: float) -> CheckRecord:
-    return CheckRecord(check, subject, RESIDUAL, 0, seed, tol, 0.0, True,
+def vacuous_record(check: str, subject: str, kind: str, seed: int, tol: float) -> CheckRecord:
+    return CheckRecord(check, subject, kind, 0, seed, tol, KINDS[kind].none, True,
                        "vacuous: no qualifying samples")
 
 
@@ -79,24 +91,8 @@ def merge_reports(suite: str, reports) -> CheckReport:
 
 
 def report_to_dict(report: CheckReport) -> dict:
-    return {
-        "suite": report.suite,
-        "passed": report.passed,
-        "records": [
-            {
-                "check": r.check,
-                "subject": r.subject,
-                "kind": r.kind,
-                "samples": r.samples,
-                "seed": r.seed,
-                "tol": r.tol,
-                "worst": r.worst,
-                "passed": r.passed,
-                "note": r.note,
-            }
-            for r in report.records
-        ],
-    }
+    return {"suite": report.suite, "passed": report.passed,
+            "records": [asdict(r) for r in report.records]}
 
 
 # report_to_json writes what json.dumps(report_to_dict(report),
@@ -137,13 +133,9 @@ def format_report(report: CheckReport) -> str:
     lines = [f"suite: {report.suite}"]
     for r in report.records:
         mark = "PASS" if r.passed else "FAIL"
-        if r.kind == MIN_DET:
-            detail = f"min scaled |det| {r.worst:.3e} (tol {r.tol:.1e})"
-        elif r.note.startswith("vacuous"):
-            detail = r.note
-        else:
-            detail = f"max residual {r.worst:.3e} (tol {r.tol:.1e})"
-        suffix = f" [{r.note}]" if r.note and not r.note.startswith("vacuous") else ""
+        vacuous = r.note.startswith("vacuous")
+        detail = r.note if vacuous else f"{KINDS[r.kind].heading} {r.worst:.3e} (tol {r.tol:.1e})"
+        suffix = f" [{r.note}]" if r.note and not vacuous else ""
         lines.append(f"  {mark}  {r.check:<22} {r.subject:<28} {detail}{suffix}")
     lines.append(f"result: {'PASS' if report.passed else 'FAIL'}")
     return "\n".join(lines)

@@ -202,10 +202,9 @@ def make_atlas(dim: int, charts, overlaps) -> BaseAtlasSpec:
                 raise SpecError(
                     f"region box {list(zip(b.lo, b.hi))} is not inside chart '{frm}'", loc)
         try:
-            tau_map = tau if isinstance(tau, SmoothMap) else make_smooth_map(tau, frm_box)
+            tau_map = make_smooth_map(tau, frm_box)
         except ShapeMismatch as exc:
             raise SpecError(f"bad coordinate change: {exc}", loc) from exc
-        tau_map = SmoothMap(tau_map.components, frm_box)
         if tau_map.out_dim != dim:
             raise SpecError(
                 f"coordinate change has {tau_map.out_dim} components, base dim is {dim}", loc)

@@ -22,7 +22,7 @@ import math
 from pathlib import Path
 
 from .coords import FieldTag
-from .errors import FileError, ParseError, SpecError, UnknownSymbol
+from .errors import FileError, ParseError, ShapeMismatch, SpecError, UnknownSymbol
 from .expr import parse_expr, to_string
 from .record import Record, record
 from .spec import (
@@ -98,7 +98,10 @@ def _as_int(value, loc: str) -> int:
 def _as_number(value, loc: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SpecError("expected a number", loc)
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer past the float range
+        raise SpecError("number outside the float range", loc) from None
 
 
 def _parse_entry(text, loc: str, memo: dict | None):
@@ -156,6 +159,8 @@ def load_json(path) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FileError(f"'{p}' is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise FileError(f"'{p}' nests JSON too deeply to read") from None
     if not isinstance(doc, dict):
         raise SpecError("top level must be an object")
     return doc
@@ -183,9 +188,7 @@ def atlas_from_document(doc: dict, memo: dict | None = None) -> BaseAtlasSpec:
 
     try:
         return make_atlas(dim, charts, overlaps)
-    except SpecError:
-        raise
-    except Exception as exc:  # shape problems from box/map construction
+    except ShapeMismatch as exc:  # an empty or invalid box
         raise SpecError(str(exc), "/base") from exc
 
 

@@ -51,7 +51,7 @@ from vbx.expr import (
     run_program,
 )
 from vbx.geometry import halton, sample_region
-from vbx.report import failed_record, make_report, residual_record
+from vbx.report import RESIDUAL, failed_record, make_report, sampled_record
 from vbx.spec import make_atlas, make_bundle, make_frame, make_section
 from vbx.specio import gallery_path, list_gallery, load_spec
 
@@ -321,7 +321,8 @@ def scalar_check_section(S, samples, tol, seed):
         if trouble is not None:
             records.append(failed_record("section_compat", subject, len(pts), seed, tol, trouble))
         else:
-            records.append(residual_record("section_compat", subject, len(pts), seed, tol, worst))
+            records.append(sampled_record("section_compat", subject, RESIDUAL, len(pts), seed, tol,
+                                          worst))
     return make_report("section", records)
 
 

@@ -15,7 +15,8 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from support import quarter_circle_atlas
 
-from vbx.cli import main
+from vbx import bundles
+from vbx.cli import _build_parser, main
 from vbx.specio import base_to_dict, gallery_path, load_spec
 
 
@@ -745,6 +746,17 @@ def test_any_tau_from_the_grammar_ends_in_an_exit_code(tau):
         check_tangent_and_dual(mobius_with_tau(Path(tmp) / "in.json", tau), Path(tmp))
 
 
+# A JSON array nested past Python's recursion limit, which json.dumps cannot
+# write: a test puts this marker in a document and _dumps swaps the array in.
+# Hypothesis raises the limit to its caller's depth + 2,000 while an example
+# runs, so the array is far deeper than that.
+_DEEP = "<deep array>"
+
+
+def _dumps(doc) -> str:
+    return json.dumps(doc).replace(json.dumps(_DEEP), "[" * 100_000 + "]" * 100_000)
+
+
 def _nodes(doc, path=()):
     """The path of every node under doc, its root excepted."""
     items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
@@ -776,7 +788,7 @@ def _mutate(doc, path, how, pick):
     elif how == "rescale" and isinstance(node, list):
         parent[key] = node * pick([0, 2, 3])
     else:
-        parent[key] = pick([None, True, 0, 1.5, "x1", "", [], {}, [[0, 1]], {"x": 1}])
+        parent[key] = pick([None, True, 0, 1.5, "x1", "", [], {}, [[0, 1]], {"x": 1}, _DEEP])
 
 
 @seed(20261021)
@@ -795,7 +807,7 @@ def test_any_mutated_gallery_spec_ends_in_an_exit_code(name, mutations, construc
                 st.sampled_from(options)))
     with tempfile.TemporaryDirectory() as tmp:
         spec = Path(tmp) / "in.json"
-        spec.write_text(json.dumps(doc))
+        spec.write_text(_dumps(doc))
         check_tangent_and_dual(str(spec), Path(tmp))
         guarded_main("construct", *construct, str(spec), "-o", str(Path(tmp) / "out.json"))
 
@@ -803,8 +815,8 @@ def test_any_mutated_gallery_spec_ends_in_an_exit_code(name, mutations, construc
 # Side files: any JSON value at a key of a valid induced-map or restriction
 # file, or at one position inside one.
 
-_SCALARS = (st.none() | st.booleans() | st.integers(-2, 2) | st.floats()
-            | st.sampled_from(["", "east", "west", "x1", "x1 + 1", "1"]))
+_SCALARS = (st.none() | st.booleans() | st.integers(-2, 2) | st.sampled_from([-10**400, 2**1024])
+            | st.floats() | st.sampled_from(["", "east", "west", "x1", "x1 + 1", "1", _DEEP]))
 _KEYS = st.sampled_from(["east", "west", "x1"])
 _ONE_DEEP = (_SCALARS | st.lists(_SCALARS, max_size=3)
              | st.dictionaries(_KEYS, _SCALARS, max_size=2))
@@ -819,9 +831,10 @@ def side_file(kind: str) -> tuple:
         base = json.loads(gallery_path("mobius").read_text())["base"]
         return ({"base": base, "assignment": {"east": "east", "west": "west"},
                  "map": {"east": ["x1"], "west": ["x1"]}},
-                [("base",), ("assignment",), ("map",), ("map", "east")])
+                [("base",), ("base", "charts", 0, "box", 0, 1), ("assignment",), ("map",),
+                 ("map", "east")])
     return ({"regions": {"east": [[0.5, 1.5]], "west": [[0.5, 2.5]]}},
-            [("regions",), ("regions", "east")])
+            [("regions",), ("regions", "east"), ("regions", "east", 0, 1)])
 
 
 @pytest.mark.parametrize("kind", ["induced", "restrict"])
@@ -837,7 +850,7 @@ def test_any_value_in_a_side_file_ends_in_an_exit_code(kind, data):
     parent[key] = data.draw(_TWO_DEEP)
     with tempfile.TemporaryDirectory() as tmp:
         side = Path(tmp) / "side.json"
-        side.write_text(json.dumps(doc))
+        side.write_text(_dumps(doc))
         guarded_main("construct", kind, gp("mobius"), str(side), "-o", str(Path(tmp) / "out.json"))
 
 
@@ -858,6 +871,49 @@ def test_a_faulty_side_file_is_named_and_nothing_is_written(tmp_path, kind, edit
     assert guarded_main("construct", kind, gp("mobius"), str(side), "-o", str(out)) == (
         1, f"error: in '{side}': {message}\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("at,location", [
+    (("base", "charts", 0, "box"), "/base/charts/0/box/0/1"),
+    (("base", "overlaps", 0, "region", 0), "/base/overlaps/0/region/0/0/1"),
+], ids=["chart_box", "overlap_region"])
+def test_an_integer_past_the_float_range_in_a_bound_is_one_error_line(tmp_path, at, location):
+    doc = json.loads(gallery_path("mobius").read_text())
+    *up, key = at
+    parent = doc
+    for k in up:
+        parent = parent[k]
+    parent[key] = [[-3, 10**400]]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert guarded_main("check", str(bad)) == (
+        1, f"error: {location}: number outside the float range\n")
+
+
+def test_restrict_refuses_an_integer_past_the_float_range(tmp_path):
+    side, out = tmp_path / "side.json", tmp_path / "out.json"
+    side.write_text(json.dumps({"regions": {"east": [[0, 10**400]]}}))
+    assert guarded_main("construct", "restrict", gp("mobius"), str(side), "-o", str(out)) == (
+        1, f"error: in '{side}': /regions/east/0/1: number outside the float range\n")
+    assert not out.exists()
+
+
+def test_json_nested_past_the_recursion_limit_is_one_error_line(tmp_path):
+    spec, side, out = tmp_path / "spec.json", tmp_path / "side.json", tmp_path / "out.json"
+    spec.write_text(_dumps({"base": _DEEP}))
+    side.write_text(_dumps({"regions": _DEEP}))
+    assert guarded_main("check", str(spec)) == (
+        1, f"error: '{spec}' nests JSON too deeply to read\n")
+    assert guarded_main("construct", "restrict", gp("mobius"), str(side), "-o", str(out)) == (
+        1, f"error: '{side}' nests JSON too deeply to read\n")
+    assert not out.exists()
+
+
+def test_check_defaults_are_the_check_layers():
+    # cli writes them as literals, so that building its parser loads no suite
+    args = _build_parser().parse_args(["check", "spec.json"])
+    assert (args.samples, args.tol, args.seed) == (
+        bundles.DEFAULT_SAMPLES, bundles.DEFAULT_CHECK_TOL, bundles.DEFAULT_SEED)
 
 
 @pytest.mark.parametrize("kind", ["sum", "hom", "product"])

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import pickle
 from dataclasses import FrozenInstanceError, make_dataclass
 
 import pytest
@@ -110,6 +111,14 @@ def test_parse_errors_carry_columns():
         parse_expr("foo(x1)")
     with pytest.raises(UnknownSymbol):
         parse_expr("y + 1")
+
+
+@pytest.mark.parametrize("error", [ParseError("m", 3), UnknownSymbol("u", 5),
+                                   ParseError("m", 3).at("/base/overlaps/0/tau/0")])
+def test_expression_errors_survive_pickling(error):
+    back = pickle.loads(pickle.dumps(error))
+    assert type(back) is type(error)
+    assert (str(back), back.message, back.position) == (str(error), error.message, error.position)
 
 
 def test_eval_domain_errors():

@@ -6,6 +6,7 @@ import tracemalloc
 import pytest
 from support import circle_atlas, local_field, mobius_bundle, plane_rotation_bundle
 
+from vbx import specio
 from vbx.coords import FieldTag
 from vbx.errors import EvalError, FileError, ParseError, SpecError, UnknownSymbol, VbxError
 from vbx.expr import Num
@@ -339,6 +340,15 @@ def test_invalid_json_raises_file_error(tmp_path):
     p.write_text("{\"base\": ")
     with pytest.raises(FileError):
         load_spec(p)
+
+
+def test_an_error_that_is_not_a_spec_problem_is_not_reported_as_one(tmp_path, monkeypatch):
+    def broken(*args):
+        raise RuntimeError("a bug")
+
+    monkeypatch.setattr(specio, "make_atlas", broken)
+    with pytest.raises(RuntimeError, match="a bug"):
+        load_spec(write_doc(tmp_path, bundle_to_dict(mobius_bundle())))
 
 
 def test_loading_holds_a_file_once_while_parsing_it(tmp_path):

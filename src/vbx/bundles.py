@@ -14,7 +14,7 @@ from itertools import permutations
 import numpy as np
 
 from .calculus import _Trial
-from .coords import on_slots, region_contains, region_mask, row_reduce
+from .coords import in_regions, on_slots, region_contains, row_reduce
 from .dets import DEFAULT_TOL, scaled_abs_dets
 from .errors import InvalidDimension, SpecError
 from .geometry import sample_region, sampling_scope, scope_memo
@@ -74,39 +74,28 @@ def find_edge(B: VectorBundleSpec, i: str, j: str, x) -> BundleEdge | None:
 _PACK_ROWS = 2048  # bounds the rows, and so the memory, of every trial
 
 
-def _first_match(regions, X) -> np.ndarray:
-    """Per point, the index of the first region in declaration order that
-    contains it (find_edge's choice), or -1."""
-    at = np.full(len(X), -1)
-    for k, region in enumerate(regions):
-        at[(at < 0) & region_mask(region, X)] = k
-    return at
-
-
 def _lookup(t: _Trial, options, Y, why=None) -> tuple:
     """Per row of Y, the first of its subject's options (overlaps or edges,
     options[s] for trial subject s) whose region holds it, as find_edge
-    chooses, or none: a choice over the options of every subject in turn,
-    and those options. A row in none fails with why, or with no why leaves
-    the trial. Each distinct region is masked once, over every row of the
-    trial."""
-    if len(options) == 1:
-        at, chosen = _first_match([o.region for o in options[0]], Y), options[0]
-    else:
-        index: dict = {}  # id(region) -> (its row in hits, region)
-        table = np.full((max(map(len, options)), len(options)), -1)  # [k, s]: option k of s
-        for s, opts in enumerate(options):
-            for k, o in enumerate(opts):
-                table[k, s] = index.setdefault(id(o.region), (len(index), o.region))[0]
-        hits = np.zeros((len(index) + 1, len(Y)), dtype=bool)  # row -1: no option k
-        for i, region in index.values():
-            hits[i] = region_mask(region, Y)
-        at = np.full(len(Y), -1)
-        for k, region_of in enumerate(table):
-            at[(at < 0) & hits[region_of[t.subject], t.rows]] = k
-        offsets = np.cumsum([0] + [len(o) for o in options[:-1]])
-        at, chosen = (np.where(at >= 0, at + offsets[t.subject], -1),
-                      [o for opts in options for o in opts])
+    chooses: a choice (-1 for none) over the distinct options of every
+    subject, and those options. A row in none fails with why, or with no
+    why leaves the trial. One in_regions call tests every row."""
+    if len(options) == 1:  # one subject: its options, each for all rows
+        chosen, index_of = options[0], np.arange(len(options[0]))[:, None]
+        held = in_regions(Y, [o.region for o in chosen], index_of)
+    else:  # the distinct options, and per row those of its subject
+        regions, distinct, lists = {}, {}, {}  # id(x) -> (its index, x) for each distinct x
+        column = np.array([lists.setdefault(id(opts), (len(lists), opts))[0] for opts in options])
+        width = max(map(len, options))
+        table = np.array([[(regions.setdefault(id(o.region), (len(regions), o.region))[0],
+                            distinct.setdefault(id(o), (len(distinct), o))[0]) for o in opts]
+                          + [(-1, -1)] * (width - len(opts)) for _, opts in lists.values()], int)
+        region_of, index_of = table.T.reshape(2, width, len(lists))[:, :, column[t.subject]]
+        held = in_regions(Y, [r for _, r in regions.values()], region_of)
+        chosen = [o for _, o in distinct.values()]
+    at = np.full(len(Y), -1)  # held[k, row]: whether option k of the row's subject holds it
+    for k in reversed(range(len(held))):  # the first that holds the row wins
+        np.copyto(at, index_of[k], where=held[k])
     if why is None:
         t.skip(t.rows, at < 0)
     else:
@@ -170,7 +159,7 @@ def _sampled(checks, subjects, samples: int, seed: int, evaluate,
         raise InvalidDimension(f"a check needs at least 1 sample, got {samples}")
     name, kind, tol = next((c for c in checks if c[1] == RESIDUAL), checks[0])
     kinds = [KINDS[k] for _, k, _ in checks]
-    merged: dict = {}  # (ordinal, name) -> (live count, first failure, worst per check)
+    merged: dict = {}  # (ordinal, name) -> [live count, first failure, worst per check]
     for pack in _packs((subject, [(sample_region(region, samples, seed), data)
                                   for region, data in parts]) for subject, parts in subjects):
         keys, pts, data = zip(*pack)
@@ -181,17 +170,21 @@ def _sampled(checks, subjects, samples: int, seed: int, evaluate,
         for k, v in zip(kinds, values):
             t.fail(t.rows, ~np.isfinite(v),
                    lambda j, noun=k.noun: f"non-finite {noun} at {X[j].tolist()}")
-        for key, b in zip(keys, t.blocks):
-            count, note, worst = merged.get(key, (0, None, [k.none for k in kinds]))
-            failed = np.flatnonzero(t.cause[b] >= 0)
-            if failed.size and note is None:  # an earlier piece's failure comes first
-                i = b.start + failed[0]
+        # Per piece by reduceat: live count, first failed row (else len(X)), worst per check.
+        starts = np.array([b.start for b in t.blocks])
+        for key, b, live, i, *worst in zip(
+                keys, t.blocks, np.add.reduceat(t.live, starts, dtype=int).tolist(),
+                np.minimum.reduceat(np.where(t.cause >= 0, t.rows, len(X)), starts).tolist(),
+                *[k.worst.reduceat(np.where(t.live, v, k.none), starts).tolist()
+                  for k, v in zip(kinds, values)]):
+            m = merged.setdefault(key, [0, None, worst])
+            m[0] += live
+            if m[2] is not worst:  # a later piece of the subject
+                m[2] = [k.worst(a, w) for k, a, w in zip(kinds, m[2], worst)]
+            if m[1] is None and i < b.stop:  # an earlier piece's failure comes first
                 why = t.why(i)
-                note = (why if isinstance(why, str)
+                m[1] = (why if isinstance(why, str)
                         else f"evaluation failed at {X[i].tolist()}: {why}")
-            live = t.live[b]
-            merged[key] = (count + int(live.sum()), note, [
-                k.worst(v[b][live], initial=w) for k, v, w in zip(kinds, values, worst)])
     records = []
     for (_, subject), (count, note, worst) in merged.items():
         if note is not None:
@@ -291,8 +284,9 @@ def check_vb(B: VectorBundleSpec, samples: int = DEFAULT_SAMPLES,
     def pair(t, data):
         es, backs = zip(*data)
         G = t.matrices(t.subject, [e.g for e in es], t.pts, dtype)
-        G_back = _reverse_g(t, backs, t.maps(t.subject, [e.overlap.tau for e in es], t.pts), dtype)
-        return scaled_abs_dets(G), _max_abs(G @ G_back - eye)
+        P = G @ _reverse_g(t, backs, t.maps(t.subject, [e.overlap.tau for e in es], t.pts), dtype)
+        P -= eye  # in place: at d = 81 and 2,048 rows each such array is 100 MB
+        return scaled_abs_dets(G), _max_abs(P)
 
     def triple(t, data):
         X = t.pts
@@ -303,8 +297,9 @@ def check_vb(B: VectorBundleSpec, samples: int = DEFAULT_SAMPLES,
         G2 = t.matrices(e2, [e.g for e in jk], Y, dtype)
         Z = t.maps(e2, [e.overlap.tau for e in jk], Y)
         e3, ki = _lookup(t, ki, Z)
-        G3 = t.matrices(e3, [e.g for e in ki], Z, dtype)
-        return (_max_abs(G1 @ G2 @ G3 - eye),)
+        P = G1 @ G2 @ t.matrices(e3, [e.g for e in ki], Z, dtype)
+        P -= eye
+        return (_max_abs(P),)
 
     triples = _triples([c.name for c in B.base.charts], B.edges_between, lambda i, k: (k, i))
     records = _sampled([("transition_gl", MIN_DET, DEFAULT_TOL), ("pair_cocycle", RESIDUAL, tol)],

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .coords import Box, FieldTag, VectorSpace, box_mask, make_box, row_reduce
+from .coords import Box, FieldTag, VectorSpace, inside, make_box, row_reduce
 from .errors import DomainViolation, EvalError, ShapeMismatch
 from .expr import Expr, Num, Program, Var, as_exprs, compile_exprs, diff, run_program
 from .record import Record, record
@@ -114,9 +114,9 @@ class _Trial:
     def fail(self, rows, mask, why) -> None:
         """Fail the live points among rows[mask]. why(j) explains local
         row j: an exception for a broken rule, else the note itself."""
-        if not mask.any():
+        j = mask.nonzero()[0]
+        if not j.size:
             return
-        j = np.flatnonzero(mask)
         i = rows[j]
         keep = self.live[i]
         i, j = i[keep], j[keep]
@@ -184,8 +184,11 @@ class _Trial:
 
     def in_box(self, box: Box, X, rows, where: str) -> None:
         """A point outside box fails: DomainViolation, outside `where`."""
-        self.fail(rows, ~box_mask(box, X),
-                  lambda j: DomainViolation(f"point {X[j].tolist()} outside {where}"))
+        self.outside(rows, ~inside(X, box.lo, box.hi), X, where)
+
+    def outside(self, rows, mask, X, where: str) -> None:
+        """The points of rows[mask] fail as outside `where`."""
+        self.fail(rows, mask, lambda j: DomainViolation(f"point {X[j].tolist()} outside {where}"))
 
     def run(self, prog: Program, X, rows) -> np.ndarray:
         """Every output of prog at every point, (len(X), count); a point
@@ -250,28 +253,25 @@ class _Trial:
         where a row chose none (-1). The rows of the options with one
         key(option) go to one stage call with the first of them, in row
         order. With boxes, the options are maps, and a point outside the
-        box of the one it chose fails before the stage. When every row
-        chose one option, stage gets X itself."""
+        box of the one it chose fails before the stage, all rows at once.
+        When every row chose one option, stage gets X itself."""
         k = int(choice[0]) if len(choice) else -1
         if k >= 0 and (choice == k).all():
             if boxes:
                 self._in_domain(options[k], X, self.rows)
             return stage(options[k], X, self.rows)
-        by_key: dict = {}  # key -> the options with that key that some row chose
-        for k in np.flatnonzero(np.bincount(choice + 1, minlength=len(options) + 1)[1:]).tolist():
-            by_key.setdefault(key(options[k]), []).append(k)
+        ks = np.flatnonzero(np.bincount(choice + 1, minlength=len(options) + 1)[1:])  # chosen
+        runs: dict = {}  # key -> (its run, the first option with that key that some row chose)
+        run_of = np.full(len(options) + 1, len(ks))  # the last entry for the rows that chose none
+        run_of[ks] = [runs.setdefault(key(options[k]), (len(runs), k))[0] for k in ks.tolist()]
+        run = run_of[choice]
+        if boxes:  # per row, the bounds of the box of the map it chose
+            d, b = X.shape[1], np.array([F.box.lo + F.box.hi for F in options]).T[:, choice]
+            self.outside(self.rows, (choice >= 0) & ~inside(X, b[:d], b[d:]), X, _DOMAIN_BOX)
         out = np.full((len(choice),) + shape, np.nan, dtype=dtype)
-        for run in by_key.values():
-            rows = _rows_choosing(choice, run, len(options))
-            Xr = X[rows]
-            by_box: dict = {}  # (lo, hi), what Box equality compares -> its options
-            for k in run if boxes else ():
-                box = options[k].box
-                by_box.setdefault((box.lo, box.hi), []).append(k)
-            for ks in by_box.values():
-                part = rows if len(ks) == len(run) else _rows_choosing(choice, ks, len(options))
-                self.in_box(options[ks[0]].box, Xr if part is rows else X[part], part, _DOMAIN_BOX)
-            out[rows] = stage(options[run[0]], Xr, rows)
+        ends = np.cumsum(np.bincount(run)[:len(runs)])  # of the runs in the rows sorted by run
+        for (_, k), rows in zip(runs.values(), np.split(np.argsort(run, kind="stable"), ends)):
+            out[rows] = stage(options[k], X[rows], rows)
         return out
 
     def maps(self, choice, maps, X) -> np.ndarray:
@@ -299,15 +299,6 @@ class _Trial:
 def _entries(exprs) -> tuple:
     """A vector's entries, or a matrix's row by row."""
     return tuple(exprs) if isinstance(exprs[0], Expr) else tuple(e for row in exprs for e in row)
-
-
-def _rows_choosing(choice, ks, count: int) -> np.ndarray:
-    """The rows whose choice, among count options, is one of ks, in order."""
-    if len(ks) == 1:
-        return np.flatnonzero(choice == ks[0])
-    member = np.zeros(count + 1, dtype=bool)  # the last entry for the rows that chose none
-    member[ks] = True
-    return np.flatnonzero(member[choice])
 
 
 def _partials(F: SmoothMap, V) -> np.ndarray:

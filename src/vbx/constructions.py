@@ -32,7 +32,6 @@ from .bundles import (
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
     _edge_subject,
-    _first_match,
     _frame_chart,
     _live_only,
     _lookup,
@@ -41,7 +40,7 @@ from .bundles import (
     check_section,
 )
 from .calculus import SmoothMap, at_points, identity_map, make_smooth_map, shaped
-from .coords import Box, FieldTag, box_inside, box_mask, make_box, region_mask
+from .coords import Box, FieldTag, box_inside, in_regions, inside, make_box
 from .dets import DEFAULT_TOL, scaled_abs_dets
 from .errors import (
     BaseMismatch,
@@ -95,15 +94,15 @@ def _inverse_transpose(B: VectorBundleSpec, e: BundleEdge) -> tuple:
     return symmat.mat_transpose(symmat.mat_subst(rev.g, e.overlap.tau.components))
 
 
-def _crossings(B: VectorBundleSpec, i: str, j: str) -> list:
+def _crossings(B: VectorBundleSpec, i: str, j: str) -> tuple:
     """The ways from chart i to chart j of B, as edges: B's i->j overlap
     components or, from a chart to itself, the identity over its box as the
     one component."""
     if i != j:
         return B.edges_between(i, j)
     box = B.base.chart(i).box
-    return [BundleEdge(OverlapSpec(i, i, (box,), identity_map(box)),
-                       symmat.mat_identity(B.fiber_dim), 0)]
+    return (BundleEdge(OverlapSpec(i, i, (box,), identity_map(box)),
+                       symmat.mat_identity(B.fiber_dim), 0),)
 
 
 # ---------------------------------------------------------------------------
@@ -210,11 +209,12 @@ def _image_part(o: OverlapSpec, f: SmoothMap, regions, what: str, error: type, s
     holds the images of all the others too; else error."""
     images = at_points(sample_region(o.region, samples, DEFAULT_SEED),
                        lambda t, X, rows: t.map(f, X, rows))
-    k = _first_match(regions, images[:1])[0]
-    if k < 0:
+    hits = in_regions(images, regions, np.arange(len(regions))[:, None])
+    if not hits[:, 0].any():
         raise error(f"image {images[0].tolist()} of overlap {o.frm}->{o.to} lies in no "
                     f"declared {what} overlap region")
-    if not region_mask(regions[k], images[1:]).all():
+    k = int(hits[:, 0].argmax())
+    if not hits[k].all():
         raise error(f"overlap {o.frm}->{o.to} maps into more than one {what} component; "
                     "split the overlap")
     return k
@@ -248,8 +248,8 @@ def induced_bundle(B: VectorBundleSpec, base: BaseAtlasSpec, assignment: dict,
         f = make_smooth_map(comps, c.box)
 
         def stage(t, X, rows):
-            Y = t.map(f, X, rows)
-            t.fail(rows, ~box_mask(target_chart.box, Y), lambda j: ChartAssignmentError(
+            Y, box = t.map(f, X, rows), target_chart.box
+            t.fail(rows, ~inside(Y, box.lo, box.hi), lambda j: ChartAssignmentError(
                 f"image {Y[j].tolist()} of chart '{c.name}' point {X[j].tolist()} "
                 f"escapes assigned chart '{target_chart.name}'"))
 
@@ -722,7 +722,7 @@ def vb_pullback_rs(M: BundleMorphismSpec, A: TensorFieldSpec) -> TensorFieldSpec
 
         def stage(t, Y, rows):
             X = t.map(h, Y, rows)
-            t.fail(rows, ~box_mask(src_box, X), lambda j: NotAnIsomorphism(
+            t.fail(rows, ~inside(X, src_box.lo, src_box.hi), lambda j: NotAnIsomorphism(
                 f"declared inverse leaves chart '{src_chart}' at {Y[j].tolist()}"))
             back = t.map(smooth[src_chart], X, rows)
             t.fail(rows, _max_abs(back - Y) > _ROUNDTRIP_TOL, lambda j: NotAnIsomorphism(

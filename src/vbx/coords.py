@@ -180,17 +180,20 @@ def region_contains(boxes, x) -> bool:
     return any(b.contains(x) for b in boxes)
 
 
-def box_mask(box: Box, X) -> np.ndarray:
-    """Box.contains for each row of an (n, dim) array."""
-    X = np.asarray(X, dtype=float)
-    if on_columns(box.dim):
-        return reduce(np.logical_and, [(c > a) & (c < b) for c, a, b in zip(X.T, box.lo, box.hi)])
-    return np.all((X > box.lo) & (X < box.hi), axis=1)
+def inside(X, lo, hi) -> np.ndarray:
+    """Strict membership of each row of an (n, dim) array X in boxes whose
+    bounds on coordinate c, lo[c] and hi[c], broadcast against column c of
+    X: numbers for one box, or arrays of boxes; one comparison per column."""
+    return reduce(np.logical_and, [(c > a) & (c < b) for c, a, b in zip(X.T, lo, hi)])
 
 
-def region_mask(boxes, X) -> np.ndarray:
-    """region_contains for each row of an (n, dim) array."""
-    inside = np.zeros(len(X), dtype=bool)
-    for b in boxes:
-        inside |= box_mask(b, X)
-    return inside
+def in_regions(X, regions, which) -> np.ndarray:
+    """[k, row]: whether region which[k, row] of regions (tuples of boxes;
+    -1 for none) holds row `row` of an (n, dim) array X; which has a
+    column per row, or one column for all rows. Every box is tested at once."""
+    empty = (np.inf,) * X.shape[1], (-np.inf,) * X.shape[1]  # the bounds of a box of no point
+    w = max(map(len, regions), default=0)
+    bounds = np.array([[(b.lo, b.hi) for b in r] + [empty] * (w - len(r)) for r in [*regions, ()]],
+                      dtype=float).reshape(len(regions) + 1, w, 2, X.shape[1])
+    lo, hi = bounds[which].transpose(3, 4, 0, 2, 1)  # [coordinate][k, box, row]
+    return np.logical_or.reduce(inside(X, lo, hi), axis=1)

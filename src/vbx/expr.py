@@ -352,40 +352,39 @@ def tree_size(prog: Program) -> int:
 
 
 def run_program(prog: Program, points, fail) -> np.ndarray:
-    """Evaluate prog at each row of points, an (n, m) array: variable xi
-    takes column i-1: (n, k) values, one column per compiled expression,
-    meaningless at the samples of any mask passed to fail."""
+    """Evaluate prog, under the caller's np.errstate, at each row of points,
+    an (n, m) array: variable xi takes column i-1: (n, k) values, one column
+    per compiled expression, meaningless at the samples of any mask passed to fail."""
     X = np.asarray(points, dtype=float)
     n, m = X.shape
     vals: list = []
-    with np.errstate(all="ignore"):
-        for op, a, b, lit in prog.code:
-            if op == _MUL:
-                v = vals[a] * vals[b]
-            elif op == _DIV:
-                y = vals[b]
-                fail(y == 0.0, "division by zero")
-                v = vals[a] / y
-            elif op == _ADD:
-                v = vals[a] + vals[b]
-            elif op == _SUB:
-                v = vals[a] - vals[b]
-            elif op == _LIT:
-                v = np.empty(n)
-                v.fill(lit)
-            elif op == _CALL:
-                v = _func_batch(lit, vals[a], fail)
-            elif op == _NEG:
-                v = -vals[a]
-            elif op == _VAR:
-                if lit > m:
-                    fail(np.ones(n, dtype=bool), f"no value for x{lit}: point has {m} coordinates")
-                    v = np.full(n, np.nan)
-                else:
-                    v = X[:, lit - 1]
+    for op, a, b, lit in prog.code:
+        if op == _MUL:
+            v = vals[a] * vals[b]
+        elif op == _DIV:
+            y = vals[b]
+            fail(y == 0.0, "division by zero")
+            v = vals[a] / y
+        elif op == _ADD:
+            v = vals[a] + vals[b]
+        elif op == _SUB:
+            v = vals[a] - vals[b]
+        elif op == _LIT:
+            v = np.empty(n)
+            v.fill(lit)
+        elif op == _CALL:
+            v = _func_batch(lit, vals[a], fail)
+        elif op == _NEG:
+            v = -vals[a]
+        elif op == _VAR:
+            if lit > m:
+                fail(np.ones(n, dtype=bool), f"no value for x{lit}: point has {m} coordinates")
+                v = np.full(n, np.nan)
             else:
-                v = _pow_batch(vals[a], lit, fail)
-            vals.append(v)
+                v = X[:, lit - 1]
+        else:
+            v = _pow_batch(vals[a], lit, fail)
+        vals.append(v)
     # One (n, k) C-ordered copy of the output columns (reshaped for k = 0).
     return np.array([vals[s] for s in prog.outputs]).T.copy().reshape(n, len(prog.outputs))
 
@@ -399,7 +398,8 @@ def eval_expr(e: Expr, env) -> float:
         if mask[0]:
             raise EvalError(why if isinstance(why, str) else why(0))
 
-    return float(run_program(compile_exprs([e]), [list(env)], fail)[0, 0])
+    with np.errstate(all="ignore"):
+        return float(run_program(compile_exprs([e]), [list(env)], fail)[0, 0])
 
 
 def _pow_batch(x, k, fail):

@@ -60,10 +60,10 @@ def transition_eval(B: VectorBundleSpec, i: str, j: str, x) -> LinearMap:
     edges = B.edges_between(i, j)
 
     def stage(t, X, rows):
-        at, _ = _lookup(t, [edges], X, lambda k: DomainViolation(
+        at, found = _lookup(t, [edges], X, lambda k: DomainViolation(
             f"point {X[k].tolist()} is not in any declared {i}->{j} overlap region"))
-        if edges:  # else every point failed above
-            return t.matrices(at, [e.g for e in edges], X, B.field.dtype)
+        if found:  # else every point failed above
+            return t.matrices(at, [e.g for e in found], X, B.field.dtype)
 
     L = make_linear(fiber, fiber, at_point(x, B.base.dim, "base dim", stage))
     if not is_gl(L):

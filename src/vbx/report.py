@@ -25,14 +25,14 @@ class RecordKind(Record):
     """The rules of one kind of record."""
 
     none: float  # the worst value of no sample
-    worst: object  # the worst of many values, as np.max(values, initial=w)
+    worst: np.ufunc  # the worse of two values; by reduceat, the worst of each block
     passes: object  # passes(worst, tol)
     noun: str  # a value, in a note
     heading: str  # the worst value, in format_report
 
 
-KINDS = {RESIDUAL: RecordKind(0.0, np.max, operator.le, "residual", "max residual"),
-         MIN_DET: RecordKind(np.inf, np.min, operator.gt, "scaled determinant",
+KINDS = {RESIDUAL: RecordKind(0.0, np.maximum, operator.le, "residual", "max residual"),
+         MIN_DET: RecordKind(np.inf, np.minimum, operator.gt, "scaled determinant",
                              "min scaled |det|")}
 
 
@@ -63,7 +63,7 @@ class CheckReport(Record):
 def sampled_record(check: str, subject: str, kind: str, samples: int, seed: int, tol: float,
                    worst: float) -> CheckRecord:
     return CheckRecord(check, subject, kind, samples, seed, tol, float(worst),
-                       bool(KINDS[kind].passes(worst, tol)))
+                       bool(KINDS[kind].passes(worst, tol)), "")
 
 
 def failed_record(check: str, subject: str, samples: int, seed: int, tol: float,

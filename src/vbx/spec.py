@@ -36,6 +36,7 @@ the counts must agree.
 from __future__ import annotations
 
 from dataclasses import field as dc_field
+from functools import cached_property
 
 import numpy as np
 
@@ -64,6 +65,12 @@ class OverlapSpec(Record):
     tau: SmoothMap  # from-chart coords -> to-chart coords
 
 
+def _by_charts(items, overlap) -> dict:
+    """items by the (from, to) charts of their overlap, a tuple per pair."""
+    pairs = [(overlap(x).frm, overlap(x).to) for x in items]
+    return {p: tuple(x for x, q in zip(items, pairs) if q == p) for p in dict.fromkeys(pairs)}
+
+
 @record
 class BaseAtlasSpec(Record):
     """A base manifold: charts of one dimension and the overlaps that glue them."""
@@ -78,8 +85,10 @@ class BaseAtlasSpec(Record):
                 return c
         raise SpecError(f"unknown chart '{name}'")
 
-    def overlaps_between(self, i: str, j: str) -> list:
-        return [o for o in self.overlaps if o.frm == i and o.to == j]
+    _between = cached_property(lambda self: _by_charts(self.overlaps, lambda o: o))
+
+    def overlaps_between(self, i: str, j: str) -> tuple:
+        return self._between.get((i, j), ())
 
 
 @record
@@ -111,8 +120,10 @@ class VectorBundleSpec(Record):
     def fiber_space(self) -> VectorSpace:
         return VectorSpace(self.fiber_dim, self.field)
 
-    def edges_between(self, i: str, j: str) -> list:
-        return [e for e in self.edges if e.overlap.frm == i and e.overlap.to == j]
+    _between = cached_property(lambda self: _by_charts(self.edges, lambda e: e.overlap))
+
+    def edges_between(self, i: str, j: str) -> tuple:
+        return self._between.get((i, j), ())
 
 
 @record

@@ -109,7 +109,8 @@ def value_stage(exprs, X):
     the trial whose cause and why tell the failed points."""
     X = np.asarray(X, dtype=float)
     t = _Trial(X, {})
-    return t.run(compile_exprs(exprs), X, t.rows), t
+    with np.errstate(all="ignore"):  # as the trial's callers hold it
+        return t.run(compile_exprs(exprs), X, t.rows), t
 
 
 def assert_matches_oracle(exprs):
@@ -278,8 +279,9 @@ def test_run_program_reports_each_failing_operation_to_fail():
     calls = []  # (mask, why) of each fail call, in order
     xs = [-1.0, 2.0, 3.0]
     e = parse_expr("log(x1) + 1/(x1 - 2)")
-    values = run_program(compile_exprs([e]), [[x] for x in xs],
-                         lambda mask, why: calls.append((mask, why)))
+    with np.errstate(all="ignore"):  # as every caller runs it
+        values = run_program(compile_exprs([e]), [[x] for x in xs],
+                             lambda mask, why: calls.append((mask, why)))
     outcomes = []
     for i, x in enumerate(xs):
         held = [why for mask, why in calls if mask[i]]

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from vbx.bundles import _live_only, _max_abs
 from vbx.calculus import _Trial
-from vbx.coords import FieldTag, box_mask, make_box, on_columns, region_mask, row_reduce
+from vbx.coords import FieldTag, in_regions, inside, make_box, on_columns, row_reduce
 from vbx.dets import _cofactor_scaled_abs_dets, scaled_abs_dets
 from vbx.errors import ShapeMismatch, Singular, SingularBasis
 from vbx.linalg import (
@@ -319,7 +319,7 @@ def test_entry_reductions_and_box_masks_are_the_same_bits_on_any_split(n, k, see
     box = make_box([(rng.uniform(-3.5, -1.0), rng.uniform(1.0, 3.5)) for _ in range(k)])
     for fn in (lambda A: row_reduce(np.maximum, np.abs(A)),
                lambda A: row_reduce(np.logical_and, np.isfinite(A)),
-               lambda A: box_mask(box, A)):
+               lambda A: inside(A, box.lo, box.hi)):
         whole = fn(A)
         parts = np.concatenate([fn(A[a:b]) for a, b in _splits(n, cuts)])
         assert parts.tobytes() == whole.tobytes()
@@ -338,5 +338,17 @@ def test_box_masks_equal_the_axis_reductions(n, dim, count, seed_, specials):
     boxes = [make_box([sorted(rng.integers(-2, 3, 2) + (0.0, 0.5)) for _ in range(dim)])
              for _ in range(count)]
     want = [np.all((X > b.lo) & (X < b.hi), axis=1) for b in boxes]
-    assert all(np.array_equal(box_mask(b, X), w) for b, w in zip(boxes, want))
-    assert np.array_equal(region_mask(boxes, X), np.logical_or.reduce(want))
+    assert all(np.array_equal(inside(X, b.lo, b.hi), w) for b, w in zip(boxes, want))
+    # Each region is a run of the boxes: all of them at once, one box each,
+    # and the first k of them.
+    regions = [tuple(boxes), *((b,) for b in boxes), *(tuple(boxes[:k]) for k in range(1, count))]
+    got = in_regions(X, regions, np.arange(len(regions))[:, None])
+    assert got.shape == (len(regions), n)
+    assert np.array_equal(got[0], np.logical_or.reduce(want))
+    assert all(np.array_equal(g, w) for g, w in zip(got[1:], want))
+    assert all(np.array_equal(g, np.logical_or.reduce(want[:k]))
+               for k, g in enumerate(got[1 + count:], start=1))
+    # A region per row, -1 for none, as a lookup asks each row of its own.
+    which = rng.integers(-1, len(regions), (2, n))
+    per_row = in_regions(X, regions, which)
+    assert np.array_equal(per_row, (which >= 0) & got[which, np.arange(n)])

@@ -75,7 +75,8 @@ def batch(exprs, X):
     and the trial whose cause and why tell the rows that failed."""
     X = np.asarray(X, dtype=float)
     t = _Trial(X, {})
-    return t.run(compile_exprs(exprs), X, t.rows), t
+    with np.errstate(all="ignore"):  # as the trial's callers hold it
+        return t.run(compile_exprs(exprs), X, t.rows), t
 
 
 def box_points(box: Box, n: int = 24) -> np.ndarray:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vbx import bundles, calculus, dets
+from vbx import bundles, calculus, coords, dets
 from vbx.bundles import check_base_atlas, check_frame, check_section, check_vb
 from vbx.calculus import SmoothMap, make_smooth_map
 from vbx.cli import main
@@ -34,6 +34,7 @@ from vbx.constructions import (
 )
 from vbx.coords import FieldTag, make_box
 from vbx.errors import InvalidDimension
+from vbx.geometry import sample_region
 from vbx.report import report_to_json
 from vbx.spec import make_atlas, make_bundle, make_field
 from vbx.specio import gallery_path, list_gallery, load_spec, save_spec
@@ -127,6 +128,42 @@ def test_failures_inside_a_pack_are_those_of_each_subject_alone(samples, tmp_pat
             assert note in stdout
 
 
+def first_failures_in_later_pieces(tmp_path) -> Path:
+    """mobius whose east->west#0 transition first fails at sample 8 (of 15,
+    at seed 7: in a subject's second 7-row piece) and whose west->east#1
+    transition fails at its first sample."""
+    doc = json.loads(gallery_path("mobius").read_text())
+    doc["transitions"][0]["g"] = [["sqrt(x1 - 0.15)"]]
+    doc["transitions"][3]["g"] = [["log(x1 - 3.5)"]]
+    path = tmp_path / "later.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("samples", [1, 3, 15])
+def test_a_subjects_first_failure_is_found_in_any_piece_and_row(samples, tmp_path, monkeypatch):
+    # At 15 samples and budget 7 each subject is cut 7 + 7 + 1, so pieces
+    # of one row share a trial with the next subject's first rows; at 3
+    # samples every block is a subject whole, and at 1 a single row. The
+    # later subject fails at its block's first row at every budget.
+    path = first_failures_in_later_pieces(tmp_path)
+    got = []
+    for budget in BUDGETS:
+        monkeypatch.setattr(bundles, "_PACK_ROWS", budget)
+        got.append(check_bytes(path, samples, tmp_path / "out.json"))
+    assert all(g == got[0] for g in got[1:])
+    edges = load_spec(path).bundle.edges
+    lines = {line.split()[2]: line for line in got[0][0].splitlines()
+             if "pair_cocycle" in line}
+    first = sample_region(edges[3].region, samples, 7)[0]
+    assert f"evaluation failed at {first.tolist()}: log" in lines["west->east#1"]
+    if samples == 15:
+        eighth = sample_region(edges[0].region, samples, 7)[8]
+        assert f"evaluation failed at {eighth.tolist()}: sqrt" in lines["east->west#0"]
+    else:
+        assert "evaluation failed" not in lines["east->west#0"]
+
+
 def spy_det_forms(monkeypatch) -> list:
     """(form, stack length) of every determinant taken."""
     calls = []
@@ -208,30 +245,100 @@ def test_one_run_per_program_in_each_stage_of_a_pack(specs, monkeypatch):
         assert len({id(p) for p in stage}) == len(stage)
 
 
-def test_each_lookup_masks_each_distinct_region_once(specs, monkeypatch):
+def spy_array_calls(monkeypatch) -> list:
+    """(stage, numpy calls) of every _sampled merge, _lookup and chosen call,
+    in order: the numpy functions each calls itself, by way of vbx.bundles,
+    vbx.calculus and vbx.coords, outside the evaluations and stage calls
+    it runs."""
+    frames, calls = [], []  # frames: [stage, count], or None while paused
+
+    class Counted:
+        def __getattr__(self, name):
+            attr = getattr(np, name)
+            if callable(attr) and frames and frames[-1] is not None:
+                frames[-1][1] += 1
+            return attr
+
+    def paused(fn):
+        def run(*args, **kwargs):
+            frames.append(None)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                frames.pop()
+        return run
+
+    def counted(stage, fn, inner):
+        def spy(*args, **kwargs):
+            args = list(args)
+            if inner is not None:
+                args[inner] = paused(args[inner])
+            frames.append([stage, 0])
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                calls.append(tuple(frames.pop()))
+        return spy
+
+    for module in (bundles, calculus, coords):
+        monkeypatch.setattr(module, "np", Counted())
+    monkeypatch.setattr(bundles, "_sampled", counted("merge", bundles._sampled, 4))
+    monkeypatch.setattr(bundles, "_lookup", counted("lookup", bundles._lookup, None))
+    monkeypatch.setattr(calculus._Trial, "chosen", counted("chosen", calculus._Trial.chosen, 7))
+    return calls
+
+
+def test_a_stage_costs_the_same_array_calls_whatever_the_family(specs, tmp_path, monkeypatch):
+    # The product output has 32 edges and 24 chart triples over 4 charts,
+    # and up to 4 overlap components per chart pair. Three charts glued
+    # pairwise by 4 components each make a family of 24 edges and 6
+    # triples with the same stages. Every stage call, each a pack's merge,
+    # lookup or choice of option, makes as many numpy calls in both.
+    doc = {"base": {"dim": 1, "charts": [{"name": n, "box": [[0, 8]]} for n in "abc"],
+                    "overlaps": [{"from": i, "to": j, "region": [[[2 * k, 2 * k + 1]]],
+                                  "tau": ["x1"]}
+                                 for i in "abc" for j in "abc" if i != j for k in range(4)]},
+           "fiber": {"dim": 1, "field": "real"},
+           "transitions": [{"from": i, "to": j, "g": [["1"]]}
+                           for i in "abc" for j in "abc" if i != j for _ in range(4)]}
+    (tmp_path / "three.json").write_text(json.dumps(doc))
+    three = load_spec(tmp_path / "three.json").bundle
+    product = load_spec(specs["product"]).bundle
+    calls = spy_array_calls(monkeypatch)
+    got = []
+    for B in (three, product):
+        del calls[:]
+        check_base_atlas(B.base, 3, seed=7)
+        check_vb(B, 3, seed=7)
+        got.append(list(calls))
+    assert {stage for stage, _ in got[0]} == {"merge", "lookup", "chosen"}
+    assert got[0] == got[1]
+
+
+def test_each_lookup_masks_every_row_of_a_pack_in_one_call(specs, monkeypatch):
     # Masked per subject, on its own rows, the regions of these two suites'
-    # lookups took 448 region masks at 3 samples. Now each lookup masks
-    # each distinct region of its options once, over all rows of the pack.
+    # lookups took 448 region masks at 3 samples; masked one distinct
+    # region at a time over all rows of the pack, they took one mask per
+    # distinct region. Now each lookup tests every row of the pack against
+    # the regions of its own subject's options in one call.
     L = load_spec(specs["product"]).bundle
     masked, lookups = [], []
-    mask, lookup = bundles.region_mask, bundles._lookup
-    monkeypatch.setattr(bundles, "region_mask",
-                        lambda region, X: masked.append((id(region), len(X))) or mask(region, X))
+    mask, lookup = bundles.in_regions, bundles._lookup
+    monkeypatch.setattr(bundles, "in_regions", lambda X, regions, which: (
+        masked.append((len(X), which.shape)) or mask(X, regions, which)))
 
     def spy(t, options, Y, why=None):
         start = len(masked)
         out = lookup(t, options, Y, why)
-        calls = masked[start:]
-        regions = {id(o.region) for opts in options for o in opts}
-        assert len({r for r, _ in calls}) == len(calls) <= len(regions)
-        assert all(rows == len(Y) for _, rows in calls)
-        lookups.append(len(calls))
+        (rows, shape), = masked[start:]  # [option k of the row's subject, row]
+        assert rows == len(Y) and shape == (max(map(len, options)), len(Y))
+        lookups.append(len(options))
         return out
 
     monkeypatch.setattr(bundles, "_lookup", spy)
     check_base_atlas(L.base, 3, seed=7)
     check_vb(L, 3, seed=7)
-    assert lookups and sum(lookups) == len(masked) < 448
+    assert len(lookups) == len(masked) and min(lookups) > 1
 
 
 def test_a_matrix_builds_its_entry_key_once_per_suite_call(specs, monkeypatch):
@@ -308,7 +415,8 @@ def test_maps_sharing_a_program_keep_their_own_boxes(monkeypatch):
 def test_equal_boxes_in_one_pack_are_checked_once(tmp_path, monkeypatch):
     # Four overlaps whose taus ("x1") share one program; a tau's box is its
     # source chart's, so each stage's one run holds three distinct but
-    # equal Box objects. Each stage checks the run's rows against one box.
+    # equal Box objects. Each stage tests all its rows, each against the
+    # box of the map it chose, in one call.
     doc = {"base": {"dim": 1, "charts": [{"name": n, "box": [[0, 4]]} for n in "abc"],
                     "overlaps": [{"from": f, "to": t, "region": [[[1, 3]]], "tau": ["x1"]}
                                  for f, t in (("a", "b"), ("a", "c"), ("b", "a"), ("c", "a"))]}}
@@ -320,9 +428,9 @@ def test_equal_boxes_in_one_pack_are_checked_once(tmp_path, monkeypatch):
     alone = report_to_json(check_base_atlas(A, 10, seed=7))
     monkeypatch.setattr(bundles, "_PACK_ROWS", 2048)
     checked = []
-    in_box = calculus._Trial.in_box
-    monkeypatch.setattr(calculus._Trial, "in_box", lambda t, box, X, rows, where: (
-        checked.append(len(rows)) or in_box(t, box, X, rows, where)))
+    outside = calculus._Trial.outside
+    monkeypatch.setattr(calculus._Trial, "outside", lambda t, rows, mask, X, where: (
+        checked.append(len(rows)) or outside(t, rows, mask, X, where)))
     assert report_to_json(check_base_atlas(A, 10, seed=7)) == alone
     assert checked == [40, 40]  # the tau stage and its way back, over 4 x 10 rows
 

@@ -19,6 +19,7 @@ library API in vbx.pointwise.
 
 from __future__ import annotations
 
+import sys
 from functools import cached_property
 from itertools import accumulate
 from typing import TYPE_CHECKING
@@ -308,8 +309,11 @@ def _partials(F: SmoothMap, V) -> np.ndarray:
 
 def at_points(X: np.ndarray, stage):
     """stage(trial, X, rows) over all points X at once: its result, or the
-    exception of the first point, in order, that broke a rule."""
-    t = _Trial(X, {})
+    exception of the first point, in order, that broke a rule. Calls inside a
+    sampling scope share their compiled programs; a scope opens only where
+    vbx.geometry is loaded, which this core module leaves to the check layer."""
+    geometry = sys.modules.get(f"{__package__}.geometry")
+    t = _Trial(X, geometry.scope_memo("programs") if geometry else {})
     with np.errstate(all="ignore"):  # failed points compute on garbage
         out = stage(t, X, t.rows)
     failed = np.flatnonzero(t.cause >= 0)

@@ -45,7 +45,6 @@ from .errors import (
     UnknownSymbol,
     VbxError,
 )
-from .expr import compile_exprs, tree_size
 from .spec import field_eval
 from .specio import (_NAMED, induced_map_from_document, load_json, load_spec,
                      regions_from_document, save_spec)
@@ -161,19 +160,12 @@ def cmd_construct(args) -> int:
         out = _reading(args.inputs[1], lambda path: (
             induced_bundle(B, *induced_map_from_document(load_json(path))) if kind == "induced"
             else base_restriction(B, regions_from_document(load_json(path)))))
-    save_spec(out, args.out)
+    tree, unique = save_spec(out, args.out)
     print(f"wrote {args.out}")
-    print(_size_line(out, args.out))
+    # How big the output is, counted by the save: deterministic, so fit for stdout.
+    print(f"fiber dim {out.fiber_dim}, {len(out.edges)} edges, {tree} tree nodes, "
+          f"{unique} unique nodes, {Path(args.out).stat().st_size} bytes")
     return 0
-
-
-def _size_line(B, path: str) -> str:
-    """How big a written bundle is; deterministic, so fit for stdout."""
-    roots = [c for e in B.edges for row in e.g for c in row]
-    roots += [c for o in B.base.overlaps for c in o.tau.components]
-    prog = compile_exprs(roots)
-    return (f"fiber dim {B.fiber_dim}, {len(B.edges)} edges, {tree_size(prog)} tree nodes, "
-            f"{len(prog.code)} unique nodes, {Path(path).stat().st_size} bytes")
 
 
 def _reading(path: str, read):

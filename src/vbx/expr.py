@@ -256,25 +256,28 @@ def _fold(roots, memo: dict, visit) -> list:
     roots whose id is not in memo, operands first and left before right,
     roots in order: the order in which a recursive walk first finishes each
     node, so the first node to raise is the one it would raise at. Returns
-    the results of the roots."""
+    the results of the roots. A stack frame holds its node's operand
+    iterator and their results so far: each operand is looked up once."""
     roots = tuple(roots)
+    get = memo.get
     for root in roots:
-        stack = [root]
+        if id(root) in memo:
+            continue
+        stack = [(root, iter(root.operands), [])]
         while stack:
-            node = stack[-1]
-            if id(node) in memo:
+            node, kids, done = stack[-1]
+            for k in kids:
+                known = get(id(k))
+                if known is None:
+                    stack.append((k, iter(k.operands), []))
+                    break
+                done.append(known[1])
+            else:
                 stack.pop()
-                continue
-            kids = node.operands
-            waiting = False
-            for k in reversed(kids):
-                if id(k) not in memo:
-                    stack.append(k)
-                    waiting = True
-            if waiting:
-                continue
-            stack.pop()
-            memo[id(node)] = node, visit(node, [memo[id(k)][1] for k in kids] if kids else kids)
+                result = visit(node, done)
+                memo[id(node)] = node, result
+                if stack:
+                    stack[-1][2].append(result)
     return [memo[id(r)][1] for r in roots]
 
 
@@ -294,7 +297,6 @@ def max_var_index(e: Expr) -> int:
 # function of a sample's index that gives it. Computing goes on.
 
 _LIT, _VAR, _NEG, _ADD, _SUB, _MUL, _DIV, _POW, _CALL = range(9)
-_BINARY = {Add: _ADD, Sub: _SUB, Mul: _MUL, Div: _DIV}
 
 
 @record
@@ -303,6 +305,30 @@ class Program(Record):
 
     code: tuple
     outputs: tuple  # the slot of each compiled expression, in order
+
+
+class _ByClass(dict):
+    """Maps each node class to its function in one walk; any other class
+    is an EvalError."""
+
+    def __missing__(self, cls):
+        raise EvalError(f"unknown node {cls.__name__}")
+
+
+# Each node class's key in a program's table, (op, a, b, literal), from the
+# node and its operands' slots s.
+_KEY = _ByClass({
+    Num: lambda e, s: (_LIT, -1, math.copysign(1.0, e.value), e.value),  # 0.0 != -0.0
+    Const: lambda e, s: (_LIT, -1, 1.0, _CONSTS[e.name]),
+    Var: lambda e, s: (_VAR, -1, -1, e.index),
+    Neg: lambda e, s: (_NEG, s[0], -1, None),
+    Add: lambda e, s: (_ADD, s[0], s[1], None),
+    Sub: lambda e, s: (_SUB, s[0], s[1], None),
+    Mul: lambda e, s: (_MUL, s[0], s[1], None),
+    Div: lambda e, s: (_DIV, s[0], s[1], None),
+    Pow: lambda e, s: (_POW, s[0], -1, e.exponent),
+    Call: lambda e, s: (_CALL, s[0], -1, e.fn),
+})
 
 
 def compile_exprs(exprs) -> Program:
@@ -315,29 +341,8 @@ def compile_exprs(exprs) -> Program:
     fail at first.
     """
     table: dict = {}
-
-    def visit(node, slots):
-        t = type(node)
-        op = _BINARY.get(t)
-        if op is not None:
-            key = (op, slots[0], slots[1], None)
-        elif t is Num:
-            key = (_LIT, -1, math.copysign(1.0, node.value), node.value)  # 0.0 != -0.0
-        elif t is Var:
-            key = (_VAR, -1, -1, node.index)
-        elif t is Const:
-            key = (_LIT, -1, 1.0, _CONSTS[node.name])
-        elif t is Neg:
-            key = (_NEG, slots[0], -1, None)
-        elif t is Pow:
-            key = (_POW, slots[0], -1, node.exponent)
-        elif t is Call:
-            key = (_CALL, slots[0], -1, node.fn)
-        else:
-            raise EvalError(f"unknown node {t.__name__}")
-        return table.setdefault(key, len(table))
-
-    outputs = _fold(exprs, {}, visit)
+    outputs = _fold(exprs, {}, lambda node, slots: table.setdefault(_KEY[type(node)](node, slots),
+                                                                    len(table)))
     return Program(tuple(table), tuple(outputs))
 
 
@@ -437,16 +442,15 @@ def _func_batch(fn, x, fail):
 # Tokenizer and parser. Positions are 1-based columns.
 
 # One match per token, the whitespace before it included. A token's kind is
-# _KINDS at the index of the one group that took part: any other character
-# is a "bad" token, and the end of the text, after any whitespace, an "end"
-# token, so the matches from any index on are the tokens in turn.
+# the index of the one group that took part, m.lastindex: any other
+# character is a _BAD token, and the end of the text, after any whitespace,
+# an _END token, so the match at the index after a token is the next token.
 _TOKEN_RE = re.compile(
     r"\s*(?:(\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
     r"|([A-Za-z_][A-Za-z_0-9]*)"
     r"|(\+)|(-)|(\*)|(/)|(\^)|(\()|(\))|(,)|(\S)|(\Z))"
 )
-_KINDS = (None, "num", "name", "+", "-", "*", "/", "^", "(", ")", ",", "bad", "end")
-_BAD = _KINDS.index("bad")
+_NUM, _NAME, _PLUS, _MINUS, _STAR, _SLASH, _CARET, _OPEN, _CLOSE, _COMMA, _BAD, _END = range(1, 13)
 
 
 def _col(m) -> int:
@@ -454,7 +458,7 @@ def _col(m) -> int:
 
 
 def _found(m) -> str:
-    return "end of input" if _KINDS[m.lastindex] == "end" else f"'{m[m.lastindex]}'"
+    return "end of input" if m.lastindex == _END else f"'{m[m.lastindex]}'"
 
 
 def _scan_all(text: str) -> None:
@@ -473,7 +477,7 @@ def _parse(text: str, memo: dict) -> Expr:
     """The grammar's recursive descent as one loop over the tokens, with
     the levels of the open groups on an explicit stack, so nesting depth is
     bounded by memory, not by the recursion limit. m is the match of the
-    token ahead and kind its kind.
+    token ahead, where the one before it ends, and kind its kind.
 
     A level is the whole text, a '(' ... ')' or a call's argument: start is
     the index of its '(' or function name, prefix the hash of its prefix
@@ -498,26 +502,26 @@ def _parse(text: str, memo: dict) -> Expr:
     key. Equal subexpressions, however spelled, are one node. The parser
     writes to memo by item assignment only.
     """
-    find, get = _TOKEN_RE.finditer, memo.get
+    match, get = _TOKEN_RE.match, memo.get
     levels: list = []  # the enclosing levels of the open groups, innermost last
     start = prefix = fn = add = add_op = mul = mul_op = None
     neg = False
-    tokens = find(text)
-    m = next(tokens)
-    kind = _KINDS[m.lastindex]
+    m = match(text)
+    kind = m.lastindex
     while True:
         # unary := '-'? atom, or the opening of a group
-        if kind == "-":
+        if kind == _MINUS:
             neg = True
-            m = next(tokens)
-            kind = _KINDS[m.lastindex]
-        if kind == "num":
+            m = match(text, m.end())
+            kind = m.lastindex
+        end = m.end()  # where the atom ends, unless it is a group
+        if kind == _NUM:
             value = float(m[1])
             if math.isinf(value):
                 raise ParseError(f"number {m[1]} is out of range", _col(m))
             key = (Num, 1.0, value)  # 1.0: the sign of value, as no token has one
             a = get(key) or _put(memo, key, Num(value))
-        elif kind == "name" and m[2] not in _FUNCS:
+        elif kind == _NAME and m[2] not in _FUNCS:
             name = m[2]
             if name in _CONSTS:
                 key = (Const, name)
@@ -531,14 +535,14 @@ def _parse(text: str, memo: dict) -> Expr:
             else:
                 raise UnknownSymbol(f"unknown identifier '{name}'", _col(m))
         else:  # a group: '(' expr ')' or func '(' expr ')'
-            p = m.start(m.lastindex)
-            if kind == "(":
+            p = m.start(kind)
+            if kind == _OPEN:
                 call = None
-            elif kind == "name":
+            elif kind == _NAME:
                 call = m[2]
-                m = next(tokens)
-                kind = _KINDS[m.lastindex]
-                if kind != "(":
+                m = match(text, end)
+                kind = m.lastindex
+                if kind != _OPEN:
                     raise ParseError(f"expected '(', found {_found(m)}", _col(m))
             else:
                 raise ParseError(f"expected an operand, found {_found(m)}", _col(m))
@@ -547,65 +551,65 @@ def _parse(text: str, memo: dict) -> Expr:
                 if text[p + n - 1:p + n] == ")":
                     a = get(text[p:p + n])
                     if a is not None:
-                        tokens = find(text, p + n)
+                        end = p + n
                         break
             else:
                 levels.append((start, prefix, fn, add, add_op, mul, mul_op, neg))
                 start, prefix, fn = p, group, call
                 add = mul = None
                 neg = False
-                m = next(tokens)
-                kind = _KINDS[m.lastindex]
+                m = match(text, m.end())
+                kind = m.lastindex
                 continue
-        m = next(tokens)
-        kind = _KINDS[m.lastindex]
+        m = match(text, end)
+        kind = m.lastindex
         while True:  # a, an atom of the level, is read: finish what it completes
             if neg:
                 key = (Neg, id(a))
                 a, neg = get(key) or _put(memo, key, Neg(a)), False
-            if kind == "^":
-                m = next(tokens)
-                kind = _KINDS[m.lastindex]
+            if kind == _CARET:
+                m = match(text, m.end())
+                kind = m.lastindex
                 sign = 1
-                if kind == "-":
+                if kind == _MINUS:
                     sign = -1
-                    m = next(tokens)
-                    kind = _KINDS[m.lastindex]
-                if kind != "num" or not re.fullmatch(r"\d+", m[1]):
+                    m = match(text, m.end())
+                    kind = m.lastindex
+                if kind != _NUM or not m[1].isdecimal():
                     raise ParseError(f"exponent must be an integer literal, found {_found(m)}",
                                      _col(m))
                 k = sign * int(m[1])
-                m = next(tokens)
-                kind = _KINDS[m.lastindex]
+                m = match(text, m.end())
+                kind = m.lastindex
                 key = (Pow, id(a), k)
                 a = get(key) or _put(memo, key, Pow(a, k))
             if mul is not None:
                 key = (mul_op, id(mul), id(a))
                 a, mul = get(key) or _put(memo, key, mul_op(mul, a)), None
-            if kind == "*" or kind == "/":
-                mul, mul_op = a, Mul if kind == "*" else Div
-                m = next(tokens)
-                kind = _KINDS[m.lastindex]
+            if kind == _STAR or kind == _SLASH:
+                mul, mul_op = a, Mul if kind == _STAR else Div
+                m = match(text, m.end())
+                kind = m.lastindex
                 break
             if add is not None:
                 key = (add_op, id(add), id(a))
                 a, add = get(key) or _put(memo, key, add_op(add, a)), None
-            if kind == "+" or kind == "-":
-                add, add_op = a, Add if kind == "+" else Sub
-                m = next(tokens)
-                kind = _KINDS[m.lastindex]
+            if kind == _PLUS or kind == _MINUS:
+                add, add_op = a, Add if kind == _PLUS else Sub
+                m = match(text, m.end())
+                kind = m.lastindex
                 break
             # a is the level's whole expression
             if not levels:
-                if kind != "end":
+                if kind != _END:
                     raise ParseError(f"unexpected {_found(m)} after expression", _col(m))
                 return a
             if fn is not None:
-                if kind == ",":
+                if kind == _COMMA:
                     raise ParseError(f"{fn} takes one argument", _col(m))
                 key = (Call, fn, id(a))
                 a = get(key) or _put(memo, key, Call(fn, a))
-            if kind != ")":
+            if kind != _CLOSE:
                 raise ParseError(f"expected ')', found {_found(m)}", _col(m))
             end = m.end()
             memo[text[start:end]] = a
@@ -613,8 +617,8 @@ def _parse(text: str, memo: dict) -> Expr:
             if end - start not in lengths:
                 memo[prefix] = lengths + (end - start,)
             start, prefix, fn, add, add_op, mul, mul_op, neg = levels.pop()
-            m = next(tokens)
-            kind = _KINDS[m.lastindex]
+            m = match(text, end)
+            kind = m.lastindex
 
 
 def parse_expr(text: str, memo: dict | None = None) -> Expr:
@@ -677,35 +681,27 @@ def _is_atomic(e: Expr) -> bool:
     return isinstance(e, (Const, Var, Call)) or (isinstance(e, Num) and e.value >= 0)
 
 
-def _print_node(e: Expr, texts: list) -> str:
-    """e's text from the texts of its operands."""
-    if isinstance(e, Num):
-        return _fmt_num(e.value) if e.value >= 0 else f"(-{_fmt_num(-e.value)})"
-    if isinstance(e, Const):
-        return e.name
-    if isinstance(e, Var):
-        return f"x{e.index}"
-    if isinstance(e, Call):
-        return f"{e.fn}({texts[0]})"
-    if isinstance(e, Neg):
-        return f"-{texts[0]}" if _is_atomic(e.a) else f"-({texts[0]})"
-    if isinstance(e, Pow):
-        base = e.base
-        if _is_atomic(base) or (isinstance(base, Neg) and _is_atomic(base.a)):
-            return f"{texts[0]}^{e.exponent}"
-        return f"({texts[0]})^{e.exponent}"
-    if isinstance(e, (Mul, Div)):
-        a, b = e.a, e.b
-        left_plain = _is_atomic(a) or isinstance(a, (Mul, Div, Pow, Neg, Num))
-        left = texts[0] if left_plain else f"({texts[0]})"
-        right = f"({texts[1]})" if isinstance(b, (Add, Sub, Mul, Div)) else texts[1]
-        op = "*" if isinstance(e, Mul) else "/"
-        return f"{left} {op} {right}"
-    if isinstance(e, (Add, Sub)):
-        right = f"({texts[1]})" if isinstance(e.b, (Add, Sub, Neg)) else texts[1]
-        op = "+" if isinstance(e, Add) else "-"
-        return f"{texts[0]} {op} {right}"
-    raise EvalError(f"unknown node {type(e).__name__}")
+def _infix(op: str, left_open: tuple, right_open: tuple):
+    """A binary node's printer: op between its operands' texts, each
+    parenthesized where its class is in left_open or right_open."""
+    return lambda e, t: ((f"({t[0]})" if type(e.a) in left_open else t[0]) + op
+                         + (f"({t[1]})" if type(e.b) in right_open else t[1]))
+
+
+# Each node class's printer: its text from the texts of its operands.
+_PRINT = _ByClass({
+    Num: lambda e, t: _fmt_num(e.value) if e.value >= 0 else f"(-{_fmt_num(-e.value)})",
+    Const: lambda e, t: e.name,
+    Var: lambda e, t: f"x{e.index}",
+    Call: lambda e, t: f"{e.fn}({t[0]})",
+    Neg: lambda e, t: f"-{t[0]}" if _is_atomic(e.a) else f"-({t[0]})",
+    Pow: lambda e, t: (f"{t[0]}^{e.exponent}" if _is_atomic(e.base) or (
+        isinstance(e.base, Neg) and _is_atomic(e.base.a)) else f"({t[0]})^{e.exponent}"),
+    Mul: _infix(" * ", (Add, Sub), (Add, Sub, Mul, Div)),
+    Div: _infix(" / ", (Add, Sub), (Add, Sub, Mul, Div)),
+    Add: _infix(" + ", (), (Add, Sub, Neg)),
+    Sub: _infix(" - ", (), (Add, Sub, Neg)),
+})
 
 
 def to_string(e: Expr, memo: dict | None = None) -> str:
@@ -714,7 +710,23 @@ def to_string(e: Expr, memo: dict | None = None) -> str:
     memo may be shared by the calls that print one document, so that a
     subtree shared within or between entries is printed once.
     """
-    return _fold((e,), {} if memo is None else memo, _print_node)[0]
+    return _fold((e,), {} if memo is None else memo, lambda e, t: _PRINT[type(e)](e, t))[0]
+
+
+def print_and_count(roots, memo: dict) -> tuple:
+    """to_string of each of a list of roots, and tree_size and len(code) of
+    their compile_exprs program, from one walk: (texts, tree, unique). memo
+    is a print memo, as to_string's, that holds no node under roots yet."""
+    table, slots = {}, {}  # slots: id(node) -> its slot in table
+
+    def visit(node, texts):
+        key = _KEY[type(node)](node, [slots[id(k)] for k in node.operands])
+        slots[id(node)] = table.setdefault(key, len(table))
+        return _PRINT[type(node)](node, texts)
+
+    texts = _fold(roots, memo, visit)
+    prog = Program(tuple(table), tuple(slots[id(r)] for r in roots))
+    return texts, tree_size(prog), len(table)
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,6 @@ from __future__ import annotations
 
 from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 
-_set = object.__setattr__
-
-
 class Record:
     """Base of the frozen records; see record."""
 
@@ -29,8 +26,7 @@ class Record:
         names = self._names
         if kwargs or len(args) != len(names):
             args = self._bind(args, kwargs)
-        for name, value in zip(names, args):  # past the refusing __setattr__
-            _set(self, name, value)
+        self.__dict__.update(zip(names, args))  # past the refusing __setattr__
 
     @classmethod
     def _bind(cls, args: tuple, kwargs: dict) -> list:

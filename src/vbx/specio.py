@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .coords import FieldTag
 from .errors import FileError, ParseError, ShapeMismatch, SpecError, UnknownSymbol
-from .expr import parse_expr, to_string
+from .expr import parse_expr, print_and_count, to_string
 from .record import Record, record
 from .spec import (
     BaseAtlasSpec,
@@ -329,47 +329,39 @@ def _box_out(box) -> list:
 
 
 def base_to_dict(base: BaseAtlasSpec, memo: dict | None = None) -> dict:
-    return {
-        "dim": base.dim,
-        "charts": [{"name": c.name, "box": _box_out(c.box)} for c in base.charts],
-        "overlaps": [
-            {
-                "from": o.frm,
-                "to": o.to,
-                "region": [_box_out(b) for b in o.region],
-                "tau": [to_string(e, memo) for e in o.tau.components],
-            }
-            for o in base.overlaps
-        ],
-    }
-
-
-def bundle_to_dict(B: VectorBundleSpec, memo: dict | None = None) -> dict:
-    doc = {
-        "base": base_to_dict(B.base, memo),
-        "fiber": {"dim": B.fiber_dim, "field": B.field.value},
-        "transitions": [
-            {
-                "from": e.overlap.frm,
-                "to": e.overlap.to,
-                "g": [[to_string(c, memo) for c in row] for row in e.g],
-            }
-            for e in B.edges
-        ],
-    }
-    if B.derivation is not None:
-        doc["derivation"] = B.derivation
-    return doc
+    return {"dim": base.dim,
+            "charts": [{"name": c.name, "box": _box_out(c.box)} for c in base.charts],
+            "overlaps": [{"from": o.frm, "to": o.to, "region": [_box_out(b) for b in o.region],
+                          "tau": [to_string(e, memo) for e in o.tau.components]}
+                         for o in base.overlaps]}
 
 
 def document_to_dict(bundle: VectorBundleSpec, sections: dict | None = None,
                      frames: dict | None = None, fields: dict | None = None) -> dict:
-    """The document's JSON object. One print memo serves the whole
-    document, so a subtree shared anywhere in it is printed once. A
-    section, frame or field off the bundle, or one with point rules (see
-    constructions.Pulling), cannot be written faithfully: SpecError."""
+    return _document(bundle, sections, frames, fields)[0]
+
+
+bundle_to_dict = document_to_dict  # a bundle's document, with no named entries
+
+
+def _document(bundle: VectorBundleSpec, sections, frames, fields) -> tuple:
+    """The document's JSON object, and the tree and unique nodes of the
+    bundle's coordinate changes and transitions, which one walk prints and
+    counts. One print memo serves the document: a shared subtree is printed
+    once. A section, frame or field off the bundle, or one with point rules
+    (see constructions.Pulling), cannot be written faithfully: SpecError."""
     memo: dict = {}
-    doc = bundle_to_dict(bundle, memo)
+    roots = [c for o in bundle.base.overlaps for c in o.tau.components]
+    roots += [c for e in bundle.edges for row in e.g for c in row]
+    texts, tree, unique = print_and_count(roots, memo)
+    texts = dict(zip(map(id, roots), texts))
+    doc = {"base": base_to_dict(bundle.base, memo),
+           "fiber": {"dim": bundle.fiber_dim, "field": bundle.field.value},
+           "transitions": [{"from": e.overlap.frm, "to": e.overlap.to,
+                            "g": [[texts[id(c)] for c in row] for row in e.g]}
+                           for e in bundle.edges]}
+    if bundle.derivation is not None:
+        doc["derivation"] = bundle.derivation
     for (kind, (*_, write)), entries in zip(_NAMED.items(), (sections, frames, fields)):
         for name, X in sorted((entries or {}).items()):
             if (X.target if kind == "frame" else X.bundle) != bundle:
@@ -377,17 +369,19 @@ def document_to_dict(bundle: VectorBundleSpec, sections: dict | None = None,
             if getattr(X, "rules", ()):
                 raise SpecError(f"{kind} '{name}' carries point rules, which a file cannot hold")
             doc.setdefault(f"{kind}s", []).append({"name": name, **write(X, memo)})
-    return doc
+    return doc, tree, unique
 
 
 def save_spec(bundle: VectorBundleSpec, path, sections: dict | None = None,
-              frames: dict | None = None, fields: dict | None = None) -> None:
-    doc = document_to_dict(bundle, sections, frames, fields)
+              frames: dict | None = None, fields: dict | None = None) -> tuple:
+    """Write the document to path; returns _document's tree and unique nodes."""
+    doc, tree, unique = _document(bundle, sections, frames, fields)
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     try:
         Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise FileError(f"cannot write '{path}': {exc}") from exc
+    return tree, unique
 
 
 def gallery_dir() -> Path:

@@ -7,11 +7,12 @@ import pytest
 import scalar_oracle as oracle
 from support import local_field, mobius_bundle
 
+from vbx import calculus
 from vbx.calculus import eval_map, identity_map, jacobian, make_smooth_map
 from vbx.constructions import LOCAL_CHART, local_bundle, map_pullback_cov, map_pullback_rs
 from vbx.coords import make_box
 from vbx.errors import DomainViolation, NotADiffeomorphism, ShapeMismatch, SpecError, VbxError
-from vbx.geometry import sample_box
+from vbx.geometry import sample_box, sampling_scope
 from vbx.pointwise import (
     chain_defect,
     compose_maps,
@@ -30,6 +31,30 @@ AD_VS_FD_TOL = 1e-6
 DEFECT_TOL = 1e-10
 
 BOX2 = make_box([(-4, 4), (-4, 4)])
+
+
+def test_one_point_calls_in_a_sampling_scope_compile_each_program_once(monkeypatch):
+    compiled = []
+    real = calculus.compile_exprs
+    monkeypatch.setattr(calculus, "compile_exprs",
+                        lambda exprs: compiled.append(tuple(exprs)) or real(exprs))
+    F = make_smooth_map(["sin(x1) * x2", "x1 + x2^2"], BOX2)
+    A = local_field(BOX2, 2, 1, 1, ["x1", "x2", "x1*x2", "exp(x1)"])
+
+    def calls(points):
+        return [np.concatenate([eval_map(F, x), jacobian(F, x).matrix.ravel(),
+                                field_eval(A, LOCAL_CHART, x).coeffs]) for x in points]
+
+    points = sample_box(BOX2, 200, seed=5)
+    alone = calls(points[:3])
+    once = len(compiled) // 3
+    assert once and len(compiled) == 3 * once  # outside a scope, each call compiles afresh
+    compiled.clear()
+    with sampling_scope():
+        shared = calls(points)
+    # 200 points, yet no program twice: eval_map's is the prefix of jacobian's
+    assert 0 < len(compiled) == len({tuple(map(id, c)) for c in compiled}) < once
+    assert np.array_equal(shared[:3], alone)
 
 
 def test_eval_and_jacobian_frozen_case():
@@ -260,16 +285,17 @@ def _agree(new, old, points) -> list:
     """Assert new and old (vbx and oracle fields) fail alike at every
     point; return the relative coefficient difference at each other one."""
     diffs = []
-    for x in points:
-        got = _outcome(lambda: field_eval(new, LOCAL_CHART, x).coeffs)
-        want = _outcome(lambda: oracle.closure_eval(old, x).coeffs)
-        if isinstance(got, tuple) or isinstance(want, tuple):
-            assert isinstance(got, tuple) and isinstance(want, tuple), (x, got, want)
-            assert got[0] is want[0], (x, got, want)
-            assert got[0] not in EXACT_MESSAGES or got == want, (x, got, want)
-        else:
-            err = np.max(np.abs(got - want))
-            diffs.append(0.0 if err == 0 else float(err / np.max(np.abs(want))))
+    with sampling_scope():  # the points share new's compiled programs
+        for x in points:
+            got = _outcome(lambda: field_eval(new, LOCAL_CHART, x).coeffs)
+            want = _outcome(lambda: oracle.closure_eval(old, x).coeffs)
+            if isinstance(got, tuple) or isinstance(want, tuple):
+                assert isinstance(got, tuple) and isinstance(want, tuple), (x, got, want)
+                assert got[0] is want[0], (x, got, want)
+                assert got[0] not in EXACT_MESSAGES or got == want, (x, got, want)
+            else:
+                err = np.max(np.abs(got - want))
+                diffs.append(0.0 if err == 0 else float(err / np.max(np.abs(want))))
     return diffs
 
 

@@ -86,3 +86,26 @@ def test_the_library_records_share_their_methods():
             assert dataclasses.is_dataclass(cls) and issubclass(cls, Record), name
             for method in ("__init__", "__eq__", "__hash__", "__repr__", "__setattr__"):
                 assert getattr(cls, method) is getattr(Record, method), (name, method)
+
+
+def _subclasses(cls) -> list:
+    return [c for sub in cls.__subclasses__() for c in (sub, *_subclasses(sub))]
+
+
+def test_every_record_built_by_record_init_keeps_its_fields_in_its_dict():
+    for module in sorted(RECORDS):
+        importlib.import_module(f"vbx.{module}")
+    built = [cls for cls in _subclasses(Record)
+             if dataclasses.is_dataclass(cls) and cls.__init__ is Record.__init__]
+    assert Cell in built and len(built) >= sum(map(len, RECORDS.values()))
+    for cls in built:
+        assert cls.__dictoffset__ != 0, cls  # instances have a __dict__
+        values = [object() for _ in cls._names]
+        r = cls(*values)
+        assert [getattr(r, name) for name in cls._names] == values, cls
+        assert vars(r) == dict(zip(cls._names, values)), cls
+        for name in (*cls._names, "other"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(r, name, 0)
+            with pytest.raises(FrozenInstanceError):
+                delattr(r, name)

@@ -16,7 +16,9 @@ the cofactor expansion that builds every minor afresh.
 import hashlib
 import itertools
 import json
+import math
 import re
+import sys
 import time
 from pathlib import Path
 
@@ -24,7 +26,7 @@ import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
-from vbx import calculus
+from vbx import calculus, cli, expr
 from vbx.bundles import check_base_atlas, check_vb
 from vbx.cli import main
 from vbx.constructions import direct_product, dual_bundle, tensor_bundle
@@ -52,14 +54,16 @@ from vbx.expr import (
     fold_sub,
     max_var_index,
     parse_expr,
+    print_and_count,
     subst,
     to_string,
     tree_size,
 )
 from vbx.report import report_to_json
-from vbx.specio import gallery_path, list_gallery, load_spec, save_spec
+from vbx.specio import document_to_dict, gallery_path, list_gallery, load_spec, save_spec
 from vbx.symmat import mat_inverse, mat_subst
 
+import parse_oracle
 from support import walked_top
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -730,3 +734,137 @@ def test_restrict_outputs_keep_their_bytes(case, tmp_path, capsys):
     assert main(["construct", "restrict", str(gallery_path(name)), str(reg), "-o", str(out)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# One walk prints and counts a saved document's expressions, and the
+# positional parser reads as the finditer parser it replaced.
+
+
+@st.composite
+def shared_roots(draw):
+    """Roots sharing subtrees within and between them, over leaves with
+    -0.0 and 0.0 (one text, two slots) and pi as a constant and as a
+    literal (two texts, one slot)."""
+    pool = _LEAVES + [Num(-0.0), Num(math.pi)]
+    for _ in range(draw(st.integers(0, 8))):
+        step = draw(st.sampled_from(_STEPS))
+        pool.append(step(draw(st.sampled_from(pool)), draw(st.sampled_from(pool))))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+
+
+def prints_and_counts_as_the_oracle(roots):
+    memo: dict = {}
+    texts, tree, unique = print_and_count(roots, memo)
+    prog = compile_exprs(roots)
+    assert texts == [to_string(r) for r in roots]
+    assert (tree, unique) == (tree_size(prog), len(prog.code))
+    assert [to_string(r, memo) for r in roots] == texts  # memo is a print memo
+
+
+@seed(20261020)
+@settings(max_examples=100, deadline=None)
+@given(shared_roots())
+def test_one_walk_prints_as_to_string_and_counts_as_compile_exprs(roots):
+    prints_and_counts_as_the_oracle(roots)
+
+
+def test_one_walk_goes_deeper_than_the_recursion_limit():
+    chain = Var(1)
+    for i in range(sys.getrecursionlimit() + 100):
+        chain = (Add(chain, Var(2)), Neg(chain), Mul(Num(0.5), chain))[i % 3]
+    prints_and_counts_as_the_oracle([chain.a, Num(-0.0), chain, chain.a.a, Num(0.0)])
+
+
+def test_texts_do_not_give_the_counts():
+    # -0.0 and 0.0 print alike but are two slots; pi and its literal print
+    # apart but are one slot.
+    assert print_and_count([Num(-0.0), Num(0.0)], {}) == (["0", "0"], 2, 2)
+    assert print_and_count([Const("pi"), Num(math.pi)], {}) == (["pi", repr(math.pi)], 2, 1)
+
+
+def test_a_node_class_outside_the_grammar_is_an_eval_error():
+    class Odd(Num):  # printing and compiling dispatch on the exact class
+        pass
+
+    e = Add(Var(1), Odd(1.0))
+    for walk in (to_string, lambda e: compile_exprs([e]), lambda e: print_and_count([e], {})):
+        with pytest.raises(EvalError, match="unknown node Odd"):
+            walk(e)
+
+
+def test_construct_prints_and_counts_its_output_in_one_walk(tmp_path, monkeypatch, capsys):
+    compiled, printed, saved = [], [], []
+    real_compile, real_save = compile_exprs, cli.save_spec
+    for name, module in list(sys.modules.items()):
+        if name.startswith("vbx") and getattr(module, "compile_exprs", None) is real_compile:
+            monkeypatch.setattr(module, "compile_exprs", lambda exprs: compiled.append(
+                tuple(exprs)) or real_compile(exprs))
+    for cls, show in list(expr._PRINT.items()):
+        monkeypatch.setitem(expr._PRINT, cls,
+                            lambda e, t, show=show: printed.append(e) or show(e, t))
+    monkeypatch.setattr(cli, "save_spec", lambda B, path: saved.append(B) or real_save(B, path))
+    out = tmp_path / "t11.json"
+    assert main(["construct", "tensor", str(GOLDEN / "dense.json"), "--r", "1", "--s", "1",
+                 "-o", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("fiber dim 9, 4 edges, 68952 tree")
+    (B,) = saved
+    entries = [c for e in B.edges for row in e.g for c in row]
+    roots = [c for o in B.base.overlaps for c in o.tau.components] + entries
+    # The construction compiles its input's coordinate changes, which the
+    # output shares; nothing compiles the transitions it built.
+    assert compiled and not {id(e) for exprs in compiled for e in exprs} & set(map(id, entries))
+    assert sorted(map(id, printed)) == sorted({id(n): n for n in _nodes_under(roots)})
+
+
+def _nodes_under(roots) -> list:
+    seen: dict = {}
+    stack = list(roots)
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack += [v for v in vars(node).values() if isinstance(v, Expr)]
+    return list(seen.values())
+
+
+def document_parse(parse, texts) -> tuple:
+    """Each text read by parse with one memo for all, as load_spec reads a
+    document: the outcomes, the distinct nodes, the memo's size and its
+    keys but the node keys (which hold ids)."""
+    memo: dict = {}
+    outcomes = [outcome(lambda s: parse(s, memo), text) for text in texts]
+    trees = [o for o in outcomes if isinstance(o, Expr)]
+    keys = {k for k in memo if not (isinstance(k, tuple) and len(k) > 1)}
+    return outcomes, len(_nodes_under(trees)), len(memo), keys
+
+
+def document_texts(doc: dict) -> list:
+    """Every expression text of a document, in file order."""
+    if isinstance(doc, dict):
+        return [t for v in doc.values() for t in document_texts(v)]
+    if isinstance(doc, list):
+        return [t for v in doc for t in ([v] if isinstance(v, str) else document_texts(v))]
+    return []
+
+
+@pytest.mark.parametrize("name", list_gallery() + ["tensor11", "tensor02", "tensor21", "dual",
+                                                   "product"])
+def test_documents_parse_as_with_the_finditer_parser(name):
+    if name in list_gallery():
+        doc = json.loads(gallery_path(name).read_text())
+    else:
+        dense = load_spec(GOLDEN / "dense.json").bundle
+        doc = document_to_dict(tensor_bundle(dense, 2, 1) if name == "tensor21"
+                               else dense_construct(name))
+    texts = document_texts(doc)
+    assert texts and all(isinstance(t, str) for t in texts)
+    assert document_parse(parse_expr, texts) == document_parse(parse_oracle.parse_expr, texts)
+
+
+@seed(20261020)
+@settings(max_examples=100, deadline=None)
+@given(document_entries())
+def test_entries_parse_and_fail_as_with_the_finditer_parser(texts):
+    texts = texts + texts[::-1]
+    assert document_parse(parse_expr, texts) == document_parse(parse_oracle.parse_expr, texts)

@@ -308,11 +308,12 @@ class Program(Record):
 
 
 class _ByClass(dict):
-    """Maps each node class to its function in one walk; any other class
-    is an EvalError."""
+    """Maps each node class (or function name) to its rule in one walk; any
+    other class or name is an EvalError."""
 
-    def __missing__(self, cls):
-        raise EvalError(f"unknown node {cls.__name__}")
+    def __missing__(self, key):
+        raise EvalError(f"unknown function {key}" if isinstance(key, str)
+                        else f"unknown node {key.__name__}")
 
 
 # Each node class's key in a program's table, (op, a, b, literal), from the
@@ -837,59 +838,64 @@ def fold_pow(base: Expr, k: int) -> Expr:
     return Pow(base, k)
 
 
-# How subst, and diff for its linear rules, rebuild a node over new
-# operands. Each entry looks its folding constructor up by name when it
-# runs, so a rebound name (a tracer's wrapper, say) is the one called.
-_REBUILD = {
-    Neg: lambda e, k: fold_neg(k[0]),
-    Add: lambda e, k: fold_add(k[0], k[1]),
-    Sub: lambda e, k: fold_sub(k[0], k[1]),
-    Mul: lambda e, k: fold_mul(k[0], k[1]),
-    Div: lambda e, k: fold_div(k[0], k[1]),
-    Pow: lambda e, k: fold_pow(k[0], e.exponent),
-    Call: lambda e, k: Call(e.fn, k[0]),
-}
+# How subst_all (x: the replacements), and diff for its linear rules, rebuild
+# a node from its operands' results k. A rule looks its folding constructor
+# up by name when it runs, so a rebound name (a tracer's wrapper) is called.
+_SUBST = _ByClass({
+    Num: lambda e, k, x: e,
+    Const: lambda e, k, x: e,
+    Var: lambda e, k, x: _bind(e.index, x),
+    Neg: lambda e, k, x: fold_neg(k[0]),
+    Add: lambda e, k, x: fold_add(k[0], k[1]),
+    Sub: lambda e, k, x: fold_sub(k[0], k[1]),
+    Mul: lambda e, k, x: fold_mul(k[0], k[1]),
+    Div: lambda e, k, x: fold_div(k[0], k[1]),
+    Pow: lambda e, k, x: fold_pow(k[0], e.exponent),
+    Call: lambda e, k, x: Call(e.fn, k[0]),
+})
+
+
+def _bind(index: int, replacements) -> Expr:
+    if index > len(replacements):
+        raise EvalError(f"substitution has no binding for x{index}")
+    return replacements[index - 1]
+
+
+# Each function's derivative from its argument u and u's derivative du.
+_CHAIN = _ByClass({
+    "sin": lambda u, du: fold_mul(Call("cos", u), du),
+    "cos": lambda u, du: fold_neg(fold_mul(Call("sin", u), du)),
+    "tan": lambda u, du: fold_div(du, fold_pow(Call("cos", u), 2)),
+    "exp": lambda u, du: fold_mul(Call("exp", u), du),
+    "log": lambda u, du: fold_div(du, u),
+    "sqrt": lambda u, du: fold_div(du, fold_mul(Num(2.0), Call("sqrt", u))),
+})
+
+# Each node class's derivative by x{i} from the node and the derivatives d
+# of its operands.
+_DIFF = _ByClass({
+    Num: lambda e, d, i: Num(0.0),
+    Const: lambda e, d, i: Num(0.0),
+    Var: lambda e, d, i: Num(1.0 if e.index == i else 0.0),
+    Neg: _SUBST[Neg],
+    Add: _SUBST[Add],
+    Sub: _SUBST[Sub],
+    Mul: lambda e, d, i: fold_add(fold_mul(d[0], e.b), fold_mul(e.a, d[1])),
+    Div: lambda e, d, i: fold_div(fold_sub(d[0], fold_mul(e, d[1])), e.b),  # b never squared
+    Pow: lambda e, d, i: fold_mul(fold_mul(_num(float(e.exponent)),
+                                           fold_pow(e.base, e.exponent - 1)), d[0]),
+    Call: lambda e, d, i: _CHAIN[e.fn](e.arg, d[0]),
+})
 
 
 def diff(e: Expr, index: int) -> Expr:
     """Symbolic partial derivative with respect to x{index}, lightly folded.
 
     The one derivative rule: every Jacobian is built from it. Raises
-    EvalError ("division by constant zero") where e divides by a literal
-    zero or takes the log of a literal zero: such an e has no value
-    anywhere."""
-
-    def visit(e, d):
-        if isinstance(e, (Num, Const)):
-            return Num(0.0)
-        if isinstance(e, Var):
-            return Num(1.0) if e.index == index else Num(0.0)
-        if isinstance(e, (Neg, Add, Sub)):
-            return _REBUILD[type(e)](e, d)
-        if isinstance(e, Mul):
-            return fold_add(fold_mul(d[0], e.b), fold_mul(e.a, d[1]))
-        if isinstance(e, Div):  # (da - (a/b)*db)/b: b is never squared
-            return fold_div(fold_sub(d[0], fold_mul(e, d[1])), e.b)
-        if isinstance(e, Pow):
-            return fold_mul(fold_mul(_num(float(e.exponent)), fold_pow(e.base, e.exponent - 1)),
-                            d[0])
-        if isinstance(e, Call):
-            u, du = e.arg, d[0]
-            if e.fn == "sin":
-                return fold_mul(Call("cos", u), du)
-            if e.fn == "cos":
-                return fold_neg(fold_mul(Call("sin", u), du))
-            if e.fn == "tan":
-                return fold_div(du, fold_pow(Call("cos", u), 2))
-            if e.fn == "exp":
-                return fold_mul(Call("exp", u), du)
-            if e.fn == "log":
-                return fold_div(du, u)
-            if e.fn == "sqrt":
-                return fold_div(du, fold_mul(Num(2.0), Call("sqrt", u)))
-        raise EvalError(f"cannot differentiate node {type(e).__name__}")
-
-    return _fold((e,), {}, visit)[0]
+    EvalError where e divides by a literal zero or takes the log of one
+    ("division by constant zero": such an e has no value anywhere), and,
+    as printing does, at a node class or function outside the grammar."""
+    return _fold((e,), {}, lambda e, d: _DIFF[type(e)](e, d, index))[0]
 
 
 def subst(e: Expr, replacements) -> Expr:
@@ -904,13 +910,4 @@ def subst(e: Expr, replacements) -> Expr:
 def subst_all(roots, replacements) -> tuple:
     """subst of each of roots, in one walk: a node they share is
     substituted once."""
-
-    def visit(e, s):
-        if isinstance(e, Var):
-            if e.index > len(replacements):
-                raise EvalError(f"substitution has no binding for x{e.index}")
-            return replacements[e.index - 1]
-        rebuild = _REBUILD.get(type(e))
-        return e if rebuild is None else rebuild(e, s)  # Num and Const stay
-
-    return tuple(_fold(roots, {}, visit))
+    return tuple(_fold(roots, {}, lambda e, k: _SUBST[type(e)](e, k, replacements)))

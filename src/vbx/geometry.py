@@ -24,6 +24,7 @@ SAMPLE_MARGIN = 1e-6
 # Window substituted for an infinite box end. Desk-scale charts are small;
 # anything that truly needs far-field samples should say so with a finite box.
 INF_CLAMP = 10.0
+_FLOAT_MAX = math.nextafter(math.inf, 0.0)  # the largest finite float
 
 _PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
@@ -99,8 +100,13 @@ def sampling_scope():
 
 
 def _sampling_interval(lo: float, hi: float) -> tuple:
+    """(lo, hi) less SAMPLE_MARGIN at each end, an infinite end at -INF_CLAMP
+    or INF_CLAMP or, where that leaves nothing, past the finite end instead."""
     a = lo if math.isfinite(lo) else -INF_CLAMP
     b = hi if math.isfinite(hi) else INF_CLAMP
+    if not a + SAMPLE_MARGIN < b - SAMPLE_MARGIN and math.isinf(lo) != math.isinf(hi):
+        w = max(INF_CLAMP, abs(b if math.isinf(lo) else a) / 2**20)  # a width rounding keeps
+        a, b = (max(b - w, -_FLOAT_MAX), b) if math.isinf(lo) else (a, min(a + w, _FLOAT_MAX))
     a, b = a + SAMPLE_MARGIN, b - SAMPLE_MARGIN
     if not a < b:
         raise DomainViolation(f"interval ({lo}, {hi}) too thin to sample")
@@ -113,7 +119,11 @@ def sample_box(box: Box, n: int, seed: int = 0) -> np.ndarray:
     out = np.empty_like(u)
     for k in range(box.dim):
         a, b = _sampling_interval(box.lo[k], box.hi[k])
-        out[:, k] = a + (b - a) * u[:, k]
+        if b - a < math.inf:
+            out[:, k] = a + (b - a) * u[:, k]
+        else:  # wider than the float range: two half steps from a
+            t = (b / 2 - a / 2) * u[:, k]
+            out[:, k] = (a + t) + t
     return out
 
 

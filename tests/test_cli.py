@@ -206,6 +206,23 @@ def test_restrict_with_an_overflowing_tau_enclosure_is_not_a_traceback(tmp_path,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("charts,tau", [
+    ([[-1e308, 1e308], [-1e308, 1e308]], "x1"),  # wider than the float range
+    ([[-1e400, -20], [20, 1e400]], "-x1"),  # half-lines past the clamp window
+    ([[-1e400, -1e308], [1e308, 1e400]], "-x1"),  # ... where the finite end's ulp dwarfs it
+], ids=["wide", "half_lines", "far_half_lines"])
+def test_atlases_at_the_edges_of_the_float_range_check(tmp_path, charts, tau):
+    names = ("a", "b")
+    doc = {"base": {"dim": 1, "charts": [{"name": n, "box": [c]} for n, c in zip(names, charts)],
+                    "overlaps": [{"from": f, "to": t, "region": [[c]], "tau": [tau]}
+                                 for (f, c), t in zip(zip(names, charts), names[::-1])]}}
+    spec = tmp_path / "edge.json"
+    spec.write_text(json.dumps(doc).replace("Infinity", "1e400"))  # read as an infinity
+    code, out, err = run_cold("check", str(spec), "--samples", "50")
+    assert (code, err) == (0, "")
+    assert out.count("  PASS  ") == 4 and out.endswith("result: PASS\n")
+
+
 def test_unwritable_report_path_is_a_file_error_not_a_traceback(tmp_path):
     target = tmp_path / "missing_dir" / "r.json"
     code, out, err = run_cold("check", gp("mobius"), "--samples", "20", "--out", str(target))

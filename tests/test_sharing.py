@@ -10,7 +10,8 @@ are pinned to the bytes the tree-walking printer wrote, and three
 Loaded back, each holds one node per distinct entry text, compiles one
 program per distinct entry tuple and checks like the bundle it was saved
 from. Symbolic inverses, which build each minor once, are checked against
-the cofactor expansion that builds every minor afresh.
+the cofactor expansion that builds every minor afresh, and the table-driven
+diff and subst against the isinstance ladder they replaced.
 """
 
 import hashlib
@@ -26,10 +27,10 @@ import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
-from vbx import calculus, cli, expr
+from vbx import calculus, cli, expr, symmat
 from vbx.bundles import check_base_atlas, check_vb
 from vbx.cli import main
-from vbx.constructions import direct_product, dual_bundle, tensor_bundle
+from vbx.constructions import direct_product, dual_bundle, tangent_bundle, tensor_bundle
 from vbx.errors import EvalError, ParseError, UnknownSymbol
 from vbx.expr import (
     Add,
@@ -56,6 +57,7 @@ from vbx.expr import (
     parse_expr,
     print_and_count,
     subst,
+    subst_all,
     to_string,
     tree_size,
 )
@@ -63,6 +65,7 @@ from vbx.report import report_to_json
 from vbx.specio import document_to_dict, gallery_path, list_gallery, load_spec, save_spec
 from vbx.symmat import mat_inverse, mat_subst
 
+import diff_oracle
 import parse_oracle
 from support import walked_top
 
@@ -783,14 +786,69 @@ def test_texts_do_not_give_the_counts():
     assert print_and_count([Const("pi"), Num(math.pi)], {}) == (["pi", repr(math.pi)], 2, 1)
 
 
-def test_a_node_class_outside_the_grammar_is_an_eval_error():
-    class Odd(Num):  # printing and compiling dispatch on the exact class
-        pass
+_ODD_ARGS = {Num: (1.0,), Const: ("pi",), Var: (1,), Neg: (Var(2),), Add: (Var(1), Var(2)),
+             Sub: (Var(1), Var(2)), Mul: (Var(1), Var(2)), Div: (Var(1), Var(2)),
+             Pow: (Var(1), 2), Call: ("sin", Var(1))}
 
-    e = Add(Var(1), Odd(1.0))
-    for walk in (to_string, lambda e: compile_exprs([e]), lambda e: print_and_count([e], {})):
-        with pytest.raises(EvalError, match="unknown node Odd"):
-            walk(e)
+
+def test_a_node_class_outside_the_grammar_is_an_eval_error():
+    # Every walk dispatches on the exact class: a subclass of any node class
+    # is refused, not walked by its base class's rule.
+    walks = (to_string, lambda e: compile_exprs([e]), lambda e: print_and_count([e], {}),
+             lambda e: diff(e, 1), lambda e: subst(e, [Num(5.0), Num(6.0)]))
+    for base, args in _ODD_ARGS.items():
+        e = Add(Var(1), type("Odd", (base,), {})(*args))
+        for walk in walks:
+            with pytest.raises(EvalError, match="unknown node Odd"):
+                walk(e)
+    # A function outside the grammar: differentiating says what running says.
+    for walk in (lambda e: diff(e, 1), lambda e: eval_expr(e, [1.0])):
+        with pytest.raises(EvalError, match="^unknown function foo$"):
+            walk(Call("foo", Var(1)))
+
+
+# The table-driven diff and subst_all against the isinstance ladder they
+# replaced (tests/diff_oracle.py): equal trees, equal texts, equal errors.
+
+
+def same_as_the_oracle(walk, oracle):
+    try:
+        want = oracle()
+    except EvalError as exc:
+        with pytest.raises(EvalError) as got:
+            walk()
+        assert str(got.value) == str(exc)
+        return
+    got = walk()
+    assert got == want
+    assert [to_string(e) for e in got] == [to_string(e) for e in want]
+
+
+@seed(20261020)
+@settings(max_examples=200, deadline=None)
+@given(shared_roots(), st.lists(shared_exprs(steps=4), min_size=1, max_size=2),
+       st.integers(1, 3))
+def test_diff_and_subst_are_the_ladder_oracles(roots, replacements, index):
+    roots = roots + [Call(fn, roots[0]) for fn in ("tan", "log")]  # functions _STEPS lacks
+    same_as_the_oracle(lambda: tuple(diff(e, index) for e in roots),
+                       lambda: tuple(diff_oracle.diff(e, index) for e in roots))
+    same_as_the_oracle(lambda: subst_all(roots, replacements),
+                       lambda: diff_oracle.subst_all(roots, replacements))
+
+
+@pytest.mark.parametrize("name", list_gallery())
+def test_tangent_bundles_are_the_ladder_oracles(name, monkeypatch, tmp_path):
+    def tangent(path):
+        B = tangent_bundle(load_spec(gallery_path(name)).base)
+        save_spec(B, path)
+        return [c for e in B.edges for row in e.g for c in row]
+
+    got = tangent(tmp_path / "table.json")
+    monkeypatch.setattr(calculus, "diff", diff_oracle.diff)
+    monkeypatch.setattr(symmat, "subst_all", diff_oracle.subst_all)
+    want = tangent(tmp_path / "ladder.json")
+    assert got == want
+    assert (tmp_path / "table.json").read_bytes() == (tmp_path / "ladder.json").read_bytes()
 
 
 def test_construct_prints_and_counts_its_output_in_one_walk(tmp_path, monkeypatch, capsys):

@@ -199,7 +199,7 @@ def _sampled(checks, subjects, samples: int, seed: int, evaluate,
     return records
 
 
-def _reverse_g(t: _Trial, backs, Y, dtype) -> np.ndarray:
+def _reverse_g(t: _Trial, backs, Y) -> np.ndarray:
     """g_ji at each image Y = tau_ij(x), from the first of its subject's
     j->i edges (backs[s] for trial subject s) that holds it, as find_edge
     chooses; a point in none fails."""
@@ -208,7 +208,7 @@ def _reverse_g(t: _Trial, backs, Y, dtype) -> np.ndarray:
         return f"tau image {Y[k].tolist()} is in no declared {o.frm}->{o.to} region"
 
     at, options = _lookup(t, backs, Y, why)
-    return t.matrices(at, [b.g for b in options], Y, dtype)
+    return t.matrices(at, [b.g for b in options], Y)
 
 
 def _triples(charts, between, closing):
@@ -276,28 +276,27 @@ def check_base_atlas(spec: BaseAtlasSpec, samples: int = DEFAULT_SAMPLES,
 def check_vb(B: VectorBundleSpec, samples: int = DEFAULT_SAMPLES,
              tol: float = DEFAULT_CHECK_TOL, seed: int = DEFAULT_SEED) -> CheckReport:
     """Sampled verification of VB structure: GL values, pair and triple cocycles."""
-    d, dtype = B.fiber_dim, B.field.dtype
-    eye = np.eye(d, dtype=dtype)
+    eye = np.eye(B.fiber_dim)
     pairs = ((_edge_subject(e), [(e.region, (e, B.edges_between(e.overlap.to, e.overlap.frm)))])
              for e in B.edges)  # by chart pair, then component (make_bundle's order)
 
     def pair(t, data):
         es, backs = zip(*data)
-        G = t.matrices(t.subject, [e.g for e in es], t.pts, dtype)
-        P = G @ _reverse_g(t, backs, t.maps(t.subject, [e.overlap.tau for e in es], t.pts), dtype)
+        G = t.matrices(t.subject, [e.g for e in es], t.pts)
+        P = G @ _reverse_g(t, backs, t.maps(t.subject, [e.overlap.tau for e in es], t.pts))
         P -= eye  # in place: at d = 81 and 2,048 rows each such array is 100 MB
         return scaled_abs_dets(G), _max_abs(P)
 
     def triple(t, data):
         X = t.pts
         ij, jk, ki = zip(*data)
-        G1 = t.matrices(t.subject, [e.g for e in ij], X, dtype)
+        G1 = t.matrices(t.subject, [e.g for e in ij], X)
         Y = t.maps(t.subject, [e.overlap.tau for e in ij], X)
         e2, jk = _lookup(t, jk, Y)
-        G2 = t.matrices(e2, [e.g for e in jk], Y, dtype)
+        G2 = t.matrices(e2, [e.g for e in jk], Y)
         Z = t.maps(e2, [e.overlap.tau for e in jk], Y)
         e3, ki = _lookup(t, ki, Z)
-        P = G1 @ G2 @ t.matrices(e3, [e.g for e in ki], Z, dtype)
+        P = G1 @ G2 @ t.matrices(e3, [e.g for e in ki], Z)
         P -= eye
         return (_max_abs(P),)
 
@@ -321,25 +320,25 @@ def check_section(S: TensorFieldSpec, samples: int = DEFAULT_SAMPLES,
     covector slot and, on each vector slot, the inverse-transpose of
     g_ij(x) by the cocycle, g_ji(tau_ij(x)) transposed (as in check_vb)."""
     B = S.bundle
-    slots, dtype = (B.fiber_dim,) * (S.r + S.s), B.field.dtype
+    slots = (B.fiber_dim,) * (S.r + S.s)
     pairs = ((_edge_subject(e), [(e.region, (e, B.edges_between(e.overlap.to, e.overlap.frm)))])
              for e in B.edges if e.overlap.frm in S.per_chart and e.overlap.to in S.per_chart)
 
     def on_charts(t, charts, X):
         """S on each subject's chart in charts: one call per distinct chart."""
         return t.chosen(t.subject, charts, lambda chart: chart, X, (len(S.per_chart[charts[0]]),),
-                        dtype, lambda chart, X, rows: _field_rows(t, S, chart, X, rows))
+                        lambda chart, X, rows: _field_rows(t, S, chart, X, rows))
 
     def evaluate(t, data):
         X = t.pts
         es, backs = zip(*data)
         lhs = on_charts(t, [e.overlap.frm for e in es], X)
         Y = t.maps(t.subject, [e.overlap.tau for e in es], X)
-        G = t.matrices(t.subject, [e.g for e in es], X, dtype)
+        G = t.matrices(t.subject, [e.g for e in es], X)
         C = on_charts(t, [e.overlap.to for e in es], Y).reshape((len(X),) + slots)
         mats = [G] * S.s
         if S.r:
-            mats = [_reverse_g(t, backs, Y, dtype).transpose(0, 2, 1)] * S.r + mats
+            mats = [_reverse_g(t, backs, Y).transpose(0, 2, 1)] * S.r + mats
         return (_max_abs(lhs - on_slots(C, mats).reshape(lhs.shape)),)
 
     return make_report("section", _sampled([("section_compat", RESIDUAL, tol)], pairs, samples,
@@ -365,8 +364,7 @@ def check_frame(F: BundleMorphismSpec, samples: int = DEFAULT_SAMPLES, *,
     c = _frame_chart(F)
 
     def evaluate(t, _):
-        return (scaled_abs_dets(t.matrix(F.fiber_map[c.name], t.pts, t.rows,
-                                         F.source.field.dtype)),)
+        return (scaled_abs_dets(t.matrix(F.fiber_map[c.name], t.pts, t.rows)),)
 
     records = _sampled([("frame_gl", MIN_DET, DEFAULT_TOL)], [(c.name, [((c.box,), None)])],
                        samples, seed, evaluate)

@@ -96,6 +96,8 @@ class _Trial:
     points X of trial rows `rows` and return one result row per point; the
     chosen-option stages (maps, matrices, maps_and_jacobians) take one
     point per trial row and a choice of option per row.
+    Every stage computes in float64: expressions are real on any field,
+    and only what the library returns takes a complex field's dtype.
     """
 
     def __init__(self, pts: np.ndarray, progs: dict, sizes=None):
@@ -212,10 +214,10 @@ class _Trial:
 
     # Stages built from the rules.
 
-    def matrix(self, g, X, rows, dtype) -> np.ndarray:
+    def matrix(self, g, X, rows) -> np.ndarray:
         """A matrix of expressions at every point: (len(X), rows of g,
         columns of g)."""
-        return self.exprs(g, X, rows).reshape(len(X), len(g), len(g[0])).astype(dtype, copy=False)
+        return self.exprs(g, X, rows).reshape(len(X), len(g), len(g[0]))
 
     def _in_domain(self, F: SmoothMap, X, rows) -> None:
         self.in_box(F.box, X, rows, _DOMAIN_BOX)
@@ -248,7 +250,7 @@ class _Trial:
 
     # Stages with a choice of option per row.
 
-    def chosen(self, choice, options, key, X, shape, dtype, stage, boxes=False) -> np.ndarray:
+    def chosen(self, choice, options, key, X, shape, stage, boxes=False) -> np.ndarray:
         """stage(option, X[rows], rows) for the rows that chose each option
         (choice[row] indexes options), one result row per trial row, NaN
         where a row chose none (-1). The rows of the options with one
@@ -256,12 +258,12 @@ class _Trial:
         order. With boxes, the options are maps, and a point outside the
         box of the one it chose fails before the stage, all rows at once.
         When every row chose one option, stage gets X itself."""
-        k = int(choice[0]) if len(choice) else -1
+        k = int(choice[0])  # a trial holds at least one row
         if k >= 0 and (choice == k).all():
             if boxes:
                 self._in_domain(options[k], X, self.rows)
             return stage(options[k], X, self.rows)
-        ks = np.flatnonzero(np.bincount(choice + 1, minlength=len(options) + 1)[1:])  # chosen
+        ks = np.flatnonzero(np.bincount(choice + 1)[1:])  # the options some row chose
         runs: dict = {}  # key -> (its run, the first option with that key that some row chose)
         run_of = np.full(len(options) + 1, len(ks))  # the last entry for the rows that chose none
         run_of[ks] = [runs.setdefault(key(options[k]), (len(runs), k))[0] for k in ks.tolist()]
@@ -269,7 +271,7 @@ class _Trial:
         if boxes:  # per row, the bounds of the box of the map it chose
             d, b = X.shape[1], np.array([F.box.lo + F.box.hi for F in options]).T[:, choice]
             self.outside(self.rows, (choice >= 0) & ~inside(X, b[:d], b[d:]), X, _DOMAIN_BOX)
-        out = np.full((len(choice),) + shape, np.nan, dtype=dtype)
+        out = np.full((len(choice),) + shape, np.nan)
         ends = np.cumsum(np.bincount(run)[:len(runs)])  # of the runs in the rows sorted by run
         for (_, k), rows in zip(runs.values(), np.split(np.argsort(run, kind="stable"), ends)):
             out[rows] = stage(options[k], X[rows], rows)
@@ -279,22 +281,21 @@ class _Trial:
         """map at each point with the map it chose, NaN where it chose
         none: each map's box, then each distinct program once."""
         return self.chosen(choice, maps, lambda F: id(self.components(F)), X, (maps[0].out_dim,),
-                           float, self._map_values, boxes=True)
+                           self._map_values, boxes=True)
 
     def maps_and_jacobians(self, choice, maps, X) -> tuple:
         """eval_map and jacobian at each point with the map it chose, from
         one run of each distinct program."""
         F = maps[0]
         V = self.chosen(choice, maps, lambda F: id(self.map_program(F)), X,
-                        (F.out_dim * (1 + F.in_dim),), float, self._map_and_partials, boxes=True)
+                        (F.out_dim * (1 + F.in_dim),), self._map_and_partials, boxes=True)
         return V[:, :F.out_dim], _partials(F, V)
 
-    def matrices(self, choice, gs, X, dtype) -> np.ndarray:
+    def matrices(self, choice, gs, X) -> np.ndarray:
         """matrix at each point with the matrix it chose, NaN where none:
         each distinct program once."""
         return self.chosen(choice, gs, lambda g: id(self.program(g)), X,
-                           (len(gs[0]), len(gs[0][0])), dtype,
-                           lambda g, X, rows: self.matrix(g, X, rows, dtype))
+                           (len(gs[0]), len(gs[0][0])), self.matrix)
 
 
 def _entries(exprs) -> tuple:

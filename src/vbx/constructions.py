@@ -490,7 +490,8 @@ def local_expression(A: TensorFieldSpec, F: BundleMorphismSpec, points) -> np.nd
 
         at_points(X, stage)
         raise
-    return at_points(X, lambda t, X, rows: _field_values(t, pulled, c.name, X, rows))
+    values = at_points(X, lambda t, X, rows: _field_values(t, pulled, c.name, X, rows))
+    return values.astype(A.bundle.field.dtype, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +589,6 @@ def check_morphism(M: BundleMorphismSpec, samples: int = DEFAULT_SAMPLES,
     src, tgt = M.source, M.target
     smooth = {c.name: make_smooth_map(M.base_map[c.name], c.box)
               for c in src.base.charts}
-    dtype = src.field.dtype
     crossings = cache(partial(_crossings, tgt))
 
     def in_charts(t, names, Y) -> None:
@@ -600,10 +600,10 @@ def check_morphism(M: BundleMorphismSpec, samples: int = DEFAULT_SAMPLES,
     def intertwine(t, es):
         X = t.pts
         i, j = [e.overlap.frm for e in es], [e.overlap.to for e in es]
-        phi_i = t.matrices(t.subject, [M.fiber_map[c] for c in i], X, dtype)
-        g1 = t.matrices(t.subject, [e.g for e in es], X, dtype)
+        phi_i = t.matrices(t.subject, [M.fiber_map[c] for c in i], X)
+        g1 = t.matrices(t.subject, [e.g for e in es], X)
         Y = t.maps(t.subject, [e.overlap.tau for e in es], X)
-        phi_j = t.matrices(t.subject, [M.fiber_map[c] for c in j], Y, dtype)
+        phi_j = t.matrices(t.subject, [M.fiber_map[c] for c in j], Y)
         fi_x = t.maps(t.subject, [smooth[c] for c in i], X)
         fj_y = t.maps(t.subject, [smooth[c] for c in j], Y)
         ci, cj = ([M.assignment[c] for c in cs] for cs in (i, j))
@@ -613,7 +613,7 @@ def check_morphism(M: BundleMorphismSpec, samples: int = DEFAULT_SAMPLES,
             f"{ci[t.subject[k]]}->{cj[t.subject[k]]} overlap region"))
         if not options:  # no subject's charts cross: every row has failed
             return (np.full(len(X), np.nan),) * 2
-        g2 = t.matrices(at, [f.g for f in options], fi_x, dtype)
+        g2 = t.matrices(at, [f.g for f in options], fi_x)
         tau2_fi = t.maps(at, [f.overlap.tau for f in options], fi_x)
         return _max_abs(phi_i @ g1 - g2 @ phi_j), _max_abs(fj_y - tau2_fi)
 
@@ -664,7 +664,7 @@ def _fiber_map_rule(t, M: BundleMorphismSpec, chart: str, X, rows, tol: float | 
     """The fiber-map rule at the points X of a source chart of M: M's
     fiber map evaluates, is finite and, unless tol is None, is
     nonsingular at tol (else error, naming the noun and the point)."""
-    phi = t.matrix(M.fiber_map[chart], X, rows, M.source.field.dtype)
+    phi = t.matrix(M.fiber_map[chart], X, rows)
     t.finite(phi, X, rows, noun)
     if tol is not None:
         t.fail(rows, scaled_abs_dets(phi) <= tol,
@@ -835,7 +835,7 @@ def subbundle_check(B: VectorBundleSpec, W: dict, samples: int = DEFAULT_SAMPLES
         """The d x l matrix of the sections on each subject's chart,
         names[s], at every point."""
         cols = [cols_of[n] for n in names]
-        return t.matrices(t.subject, cols, X, B.field.dtype).transpose(0, 2, 1)
+        return t.matrices(t.subject, cols, X).transpose(0, 2, 1)
 
     def independent(t, names):
         sv = _live_only(t, lambda W: np.linalg.svd(W, compute_uv=False),
@@ -846,10 +846,10 @@ def subbundle_check(B: VectorBundleSpec, W: dict, samples: int = DEFAULT_SAMPLES
         X = t.pts
         Wi = span_at(t, [e.overlap.frm for e in es], X)
         Y = t.maps(t.subject, [e.overlap.tau for e in es], X)
-        moved = (t.matrices(t.subject, [e.g for e in es], X, B.field.dtype)
+        moved = (t.matrices(t.subject, [e.g for e in es], X)
                  @ span_at(t, [e.overlap.to for e in es], Y))
         Q = _live_only(t, lambda W: np.linalg.qr(W)[0], Wi, (d, rank))
-        off = moved - Q @ (Q.conj().transpose(0, 2, 1) @ moved)
+        off = moved - Q @ (Q.transpose(0, 2, 1) @ moved)
         scale = np.maximum(np.linalg.norm(moved, axis=1), 1e-300)
         return (np.max(np.linalg.norm(off, axis=1) / scale, axis=1),)
 

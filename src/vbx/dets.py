@@ -4,8 +4,8 @@ Singularity is decided on |det| after row-max scaling, so the test does
 not punish badly scaled but perfectly invertible inputs: a matrix is
 invertible when its scaled |det| is above DEFAULT_TOL, the tolerance of
 every singularity rule. The check suites and the constructions' sampled
-checks take these determinants; the one-matrix form and the rule built
-on it are vbx.linalg's scaled_abs_det and is_gl.
+checks take them of float64 stacks; vbx.linalg's scaled_abs_det and
+is_gl, of a library caller's matrices, complex ones included.
 """
 
 from __future__ import annotations

@@ -108,22 +108,25 @@ def _sampling_interval(lo: float, hi: float) -> tuple:
         w = max(INF_CLAMP, abs(b if math.isinf(lo) else a) / 2**20)  # a width rounding keeps
         a, b = (max(b - w, -_FLOAT_MAX), b) if math.isinf(lo) else (a, min(a + w, _FLOAT_MAX))
     a, b = a + SAMPLE_MARGIN, b - SAMPLE_MARGIN
-    if not a < b:
+    if not a < b or not math.nextafter(lo, hi) < hi:  # no float strictly inside
         raise DomainViolation(f"interval ({lo}, {hi}) too thin to sample")
     return a, b
 
 
 def sample_box(box: Box, n: int, seed: int = 0) -> np.ndarray:
-    """n low-discrepancy points strictly inside the box, margin off the faces."""
+    """n low-discrepancy points strictly inside the box, margin off the faces.
+    Where the margin is below a face's ulp, a point rounded onto the face
+    moves to the next float inside."""
     u = halton(n, box.dim, seed)
     out = np.empty_like(u)
-    for k in range(box.dim):
-        a, b = _sampling_interval(box.lo[k], box.hi[k])
+    for k, (lo, hi) in enumerate(zip(box.lo, box.hi)):
+        a, b = _sampling_interval(lo, hi)
         if b - a < math.inf:
             out[:, k] = a + (b - a) * u[:, k]
         else:  # wider than the float range: two half steps from a
             t = (b / 2 - a / 2) * u[:, k]
             out[:, k] = (a + t) + t
+        np.clip(out[:, k], math.nextafter(lo, hi), math.nextafter(hi, lo), out=out[:, k])
     return out
 
 

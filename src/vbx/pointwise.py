@@ -63,7 +63,7 @@ def transition_eval(B: VectorBundleSpec, i: str, j: str, x) -> LinearMap:
         at, found = _lookup(t, [edges], X, lambda k: DomainViolation(
             f"point {X[k].tolist()} is not in any declared {i}->{j} overlap region"))
         if found:  # else every point failed above
-            return t.matrices(at, [e.g for e in found], X, B.field.dtype)
+            return t.matrices(at, [e.g for e in found], X)
 
     L = make_linear(fiber, fiber, at_point(x, B.base.dim, "base dim", stage))
     if not is_gl(L):
@@ -194,9 +194,9 @@ def frame_matrix_at(F: BundleMorphismSpec, x) -> np.ndarray:
 
     def stage(t, X, rows):
         t.in_box(c.box, X, rows, f"chart '{c.name}'")
-        return t.matrix(F.fiber_map[c.name], X, rows, F.source.field.dtype)
+        return t.matrix(F.fiber_map[c.name], X, rows)
 
-    return at_point(x, c.box.dim, "base dim", stage)
+    return at_point(x, c.box.dim, "base dim", stage).astype(F.source.field.dtype, copy=False)
 
 
 def dual_frame(F: BundleMorphismSpec) -> BundleMorphismSpec:

@@ -333,7 +333,7 @@ def _field_rows(t, A: TensorFieldSpec, chart: str, X, rows) -> np.ndarray:
     t.in_box(A.bundle.base.chart(chart).box, X, rows, f"chart '{chart}'")
     for rule in A.rules:
         rule.passes(t, chart, X, rows)
-    return t.exprs(A.per_chart[chart], X, rows).astype(A.bundle.field.dtype, copy=False)
+    return t.exprs(A.per_chart[chart], X, rows)
 
 
 def _field_values(t, A: TensorFieldSpec, chart: str, X, rows) -> np.ndarray:

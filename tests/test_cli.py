@@ -290,6 +290,22 @@ def test_check_report_files_are_reproducible(capsys, tmp_path):
     assert all("worst" in r for r in report["records"])
 
 
+@pytest.mark.parametrize("name", sorted(p.stem for p in Path(gp("mobius")).parent.glob("*.json")
+                                         if "fiber" in json.loads(p.read_text())))
+def test_a_complex_tagged_bundle_checks_to_the_report_bytes_of_its_real_twin(capsys, tmp_path,
+                                                                           name):
+    # The expressions are real, so the checks compute in float64 on any field.
+    doc = json.loads(Path(gp(name)).read_text())
+    doc["fiber"]["field"] = "complex"
+    twin = tmp_path / f"{name}.json"
+    twin.write_text(json.dumps(doc))
+    for samples in ("3", "200", "2000"):
+        got = [run(capsys, "check", spec, "--samples", samples, "--out", str(tmp_path / out))
+               + ((tmp_path / out).read_bytes(),)
+               for spec, out in ((gp(name), "real.out"), (str(twin), "complex.out"))]
+        assert got[0] == got[1], samples
+
+
 def test_reports_do_not_depend_on_the_blas_thread_count(capsys, tmp_path):
     spec = str(tmp_path / "t11.json")
     dense = str(Path(__file__).parent / "golden" / "dense.json")

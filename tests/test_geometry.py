@@ -255,6 +255,8 @@ def test_sample_region_splits_between_boxes():
     (20.0, np.inf),
     (-np.inf, -1e308),  # the finite end's ulp dwarfs INF_CLAMP
     (1e308, np.inf),
+    (-np.inf, np.nextafter(-MAX, 0)),  # one float inside, far below any margin
+    (1e300, np.nextafter(np.nextafter(1e300, np.inf), np.inf)),  # the same, finite
 ])
 def test_sample_box_with_unbounded_sides(lo, hi):
     pts = sample_box(make_box([(lo, hi)]), 50, seed=2)
@@ -262,8 +264,9 @@ def test_sample_box_with_unbounded_sides(lo, hi):
     assert np.all((pts > lo) & (pts < hi))
 
 
-@pytest.mark.parametrize("lo,hi", [(0.0, 2e-6), (-np.inf, -MAX), (MAX, np.inf)])
+@pytest.mark.parametrize("lo,hi", [(0.0, 2e-6), (-np.inf, -MAX), (MAX, np.inf),
+                                   (1e300, np.nextafter(1e300, np.inf))])
 def test_an_interval_without_room_inside_its_margins_is_too_thin_to_sample(lo, hi):
-    # The last two hold no finite float at all.
+    # The last three hold no float at all.
     with pytest.raises(DomainViolation, match="too thin to sample"):
         sample_box(make_box([(lo, hi)]), 5)

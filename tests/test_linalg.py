@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from vbx.bundles import _live_only, _max_abs
 from vbx.calculus import _Trial
 from vbx.coords import FieldTag, in_regions, inside, make_box, on_columns, row_reduce
-from vbx.dets import _cofactor_scaled_abs_dets, scaled_abs_dets
+from vbx.dets import _cofactor_scaled_abs_dets, _lu_scaled_abs_dets, scaled_abs_dets
 from vbx.errors import ShapeMismatch, Singular, SingularBasis
 from vbx.linalg import (
     OrderedBasis,
@@ -211,6 +211,24 @@ def test_scaled_abs_dets_matches_the_lu_oracle(m):
     ok = ~np.isnan(want)
     for g in got[d > 3:]:
         assert np.all(np.abs(g[ok] - want[ok]) <= CLOSED_FORM_BOUND + LU_BOUND)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_the_determinant_form_is_fixed_by_d(d):
+    # The two forms differ in the last bits on 13 of these matrices at
+    # d = 2, 35 at d = 3 and 43 at d = 4, so each d pins its own form.
+    m = np.random.default_rng(0).standard_normal((64, d, d))
+    form = _cofactor_scaled_abs_dets if d <= 3 else _lu_scaled_abs_dets
+    assert scaled_abs_dets(m).tobytes() == form(m).tobytes()
+
+
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_zero_row_makes_the_determinant_zero_whatever_else_the_matrix_holds(d, bad):
+    # LAPACK's LU alone gives NaN here: the zero row, then the row holding bad.
+    m = np.array([[0.0, 0, 0, 0], [bad, 5, 2, 3], [1, 2, 3, 4], [4, 3, 2, 1]])[None, :d, :d]
+    assert oracle.scaled_abs_det(m[0]) == 0.0
+    assert scaled_abs_dets(m).tolist() == [0.0]
 
 
 def _exact_scaled_abs_det(a) -> float:

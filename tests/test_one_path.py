@@ -464,6 +464,10 @@ def test_local_expression_fails_at_the_first_point_like_the_loop():
         for points in (fine + [bad], [bad] + fine, fine + [bad, (0.3, 0.0), bad]):
             same_first_failure(lambda: local_expression(A, F, points),
                                lambda: old_local_expression_loop(A, F, points), error)
+    folded = make_frame(B, "left", [["1", "1"], ["1", "1"]])  # its determinant folds to 0
+    points = [(-0.5, 0.2), (0.3, 0.0)]
+    same_first_failure(lambda: local_expression(A, folded, points),
+                       lambda: old_local_expression_loop(A, folded, points), SingularFrame)
     values = local_expression(A, F, fine)
     assert values.shape == (2, 4) and np.isfinite(values).all()
     assert local_expression(A, F, []).shape == (0,)

@@ -284,7 +284,7 @@ def spy_array_calls(monkeypatch) -> list:
         monkeypatch.setattr(module, "np", Counted())
     monkeypatch.setattr(bundles, "_sampled", counted("merge", bundles._sampled, 4))
     monkeypatch.setattr(bundles, "_lookup", counted("lookup", bundles._lookup, None))
-    monkeypatch.setattr(calculus._Trial, "chosen", counted("chosen", calculus._Trial.chosen, 7))
+    monkeypatch.setattr(calculus._Trial, "chosen", counted("chosen", calculus._Trial.chosen, 6))
     return calls
 
 
@@ -410,6 +410,16 @@ def test_maps_sharing_a_program_keep_their_own_boxes(monkeypatch):
     assert str(t.why(3)) == "point [1.5] outside the open domain box"
     np.testing.assert_array_equal(Y[:4, 0], t.pts[:4, 0])
     assert np.isnan(Y[4, 0])
+
+
+def test_a_row_that_chose_the_first_map_of_a_mixed_choice_is_box_tested():
+    # Two subjects, so the choice is mixed and no single map runs all rows:
+    # the one box test of the mixed path covers option 0 as well as 1.
+    F, G = make_smooth_map(["x1"], [(0, 1)]), make_smooth_map(["x1"], [(0, 3)])
+    t = calculus._Trial(np.array([[0.5], [2.0], [2.5], [0.2]]), {}, [2, 2])
+    t.maps(np.array([0, 1, 0, 1]), [F, G], t.pts)
+    assert t.live.tolist() == [True, True, False, True]
+    assert str(t.why(2)) == "point [2.5] outside the open domain box"
 
 
 def test_equal_boxes_in_one_pack_are_checked_once(tmp_path, monkeypatch):

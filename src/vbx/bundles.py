@@ -110,7 +110,7 @@ def _live_only(t: _Trial, fn, A, shape) -> np.ndarray:
     if not ok.any():
         return np.full((len(A),) + shape, np.nan)
     part = fn(A[ok])
-    out = np.full((len(A),) + shape, np.nan, dtype=part.dtype)
+    out = np.full((len(A),) + shape, np.nan)
     out[ok] = part
     return out
 

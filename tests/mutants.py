@@ -4,7 +4,6 @@ Usage:
 
     python tests/mutants.py src/vbx/dets.py
     python tests/mutants.py src/vbx/calculus.py --function _Trial.chosen --function _Trial.maps
-    python tests/mutants.py src/vbx/dets.py --list
 
 Every mutant changes one token of the file's text, found through its
 `ast`, and leaves every other byte alone, so line counts and comments stay
@@ -141,9 +140,12 @@ class _Finder(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_UnaryOp(self, node) -> None:
+        """The `not` or `~` and the blanks after it, so that a parenthesis
+        opening the operand stays."""
         if self.wanted() and isinstance(node.op, (ast.Not, ast.Invert)):
-            self.add(node, self.at(node.lineno, node.col_offset),
-                     self.at(node.operand.lineno, node.operand.col_offset), "")
+            start = self.at(node.lineno, node.col_offset)
+            hit = re.match(rb"(not\b|~)\s*", self.src[start:])
+            self.add(node, start, start + hit.end(), "")
         self.generic_visit(node)
 
     def visit_Name(self, node) -> None:
@@ -212,18 +214,12 @@ def main(argv=None) -> int:
     parser.add_argument("file", type=Path, help="a module under src/vbx")
     parser.add_argument("--function", action="append", default=[],
                         help="mutate only this function or method (repeatable)")
-    parser.add_argument("--list", action="store_true", help="print the mutants, run nothing")
     parser.add_argument("--work", type=Path, help="the directory of the copy")
     args = parser.parse_args(argv)
     path = args.file.resolve()
     rel = path.relative_to(ROOT)
     found = mutants(path, args.function)
     src = path.read_bytes()
-    if args.list:
-        for m in found:
-            print(f"{rel}:{m.line}  {m.function}  {m.old} -> {m.new}")
-        print(f"{len(found)} mutants")
-        return 0
     listed = json.loads(EQUIVALENT.read_text()) if EQUIVALENT.exists() else []
     equivalent = {(e["file"], e["function"], e["code"], e["mutation"]) for e in listed}
     work = args.work or Path(tempfile.mkdtemp(prefix="vbx-mutants-"))
